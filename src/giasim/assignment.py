@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gia
 from .errors import CapacityExceeded, ContractViolation
-from .linalg import projectors
+from .linalg import projectors, psd_eigvals
 from .system import ChannelRealization, SystemConfig
 
 
@@ -54,9 +54,6 @@ class Assignment:
             self.lone in self.provider_of or self.lone in self.provider_of.values()
         ):
             raise ContractViolation("lone cell participates in the matching")
-
-    def as_tuple(self, K: int) -> tuple:
-        return tuple(self.provider_of[k] for k in range(K))
 
     def cycles(self) -> list:
         """Provider cycles, each starting from its smallest member."""
@@ -112,8 +109,7 @@ def rank_by_utility(scores: dict) -> list:
 
 
 def _logdet2_eye_plus(psd: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh((psd + psd.conj().T) / 2.0)
-    return float(np.sum(np.log1p(np.clip(ev.real, 0.0, None)))) / math.log(2.0)
+    return float(np.sum(np.log1p(psd_eigvals(psd)))) / math.log(2.0)
 
 
 def provider_preferences(
@@ -329,7 +325,6 @@ def centralized_search(
     objective: str = "sum_rate",
     sense: str = "best",
     potentials: dict | None = None,
-    log_base="e",
     cap: int = 10 ** 6,
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
@@ -353,7 +348,7 @@ def centralized_search(
         assignment = Assignment(provider_of={k: perm[k] for k in range(cfg.K)})
         tset = gia.build_transceivers(ch, cfg, assignment, potentials)
         cell_rates = [
-            sum(gia.user_rate(ch, tset, i, k, cfg, log_base)[0] for i in range(cfg.L))
+            sum(gia.user_rate(ch, tset, i, k, cfg)[0] for i in range(cfg.L))
             for k in range(cfg.K)
         ]
         value = sum(cell_rates) if objective == "sum_rate" else min(cell_rates)

@@ -5,7 +5,8 @@
     giasim codebook --ambient 8 --sub 2 --bits 6 --seed 1 --out book.bin
 
 Exit codes: 0 success, 2 infeasible configuration, 3 numerical failure,
-1 anything else reported as an error.
+1 anything else reported as an error (including a missing or malformed
+config file and a bad --snr/--bits grid).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import GiaSimError, InfeasibleConfig, NumericalFailure
+from .errors import ContractViolation, GiaSimError, InfeasibleConfig, NumericalFailure
 from .feedback import dump_codebook, generate_codebook
 from .harness import ASSIGNMENT_SCHEMES, SchemeSpec, SweepSpec, run_sweep
 from .system import SystemConfig, load_run_config, require_feasible
@@ -52,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="results.csv")
     sim.add_argument("--log-base", default="e", choices=("e", "2"))
     sim.add_argument("--codebook-seed", type=int, default=1)
-    sim.add_argument("--c-coeff", type=float, default=1.0)
     sim.add_argument("--proposer", default="receivers", choices=("receivers", "providers"))
 
     book = sub.add_parser("codebook", help="generate and dump a random subspace codebook")
@@ -66,25 +66,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _simulate(args) -> int:
     raw = load_run_config(args.config)
-    cfg = SystemConfig(
-        K=int(raw["K"]),
-        L=int(raw["L"]),
-        N_B=int(raw["N_B"]),
-        N_U=int(raw["N_U"]),
-        d_s=int(raw["d_s"]),
-    )
+    try:
+        cfg = SystemConfig(
+            K=int(raw["K"]),
+            L=int(raw["L"]),
+            N_B=int(raw["N_B"]),
+            N_U=int(raw["N_U"]),
+            d_s=int(raw["d_s"]),
+        )
+        snr_spec = args.snr if args.snr is not None else raw.get("snr_db", 25.0)
+        if isinstance(snr_spec, (int, float)):
+            snr_grid = (float(snr_spec),)
+        elif isinstance(snr_spec, (list, tuple)):
+            start, step, end = snr_spec
+            snr_grid = parse_grid(f"{start}:{step}:{end}")
+        else:
+            snr_grid = parse_grid(str(snr_spec))
+        bits_grid = parse_grid(args.bits, cast=int) if args.bits is not None else None
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"bad configuration or grid value: {exc}") from exc
     require_feasible(cfg)
-
-    snr_spec = args.snr if args.snr is not None else raw.get("snr_db", 25.0)
-    if isinstance(snr_spec, (int, float)):
-        snr_grid = (float(snr_spec),)
-    elif isinstance(snr_spec, (list, tuple)):
-        start, step, end = snr_spec
-        snr_grid = parse_grid(f"{start}:{step}:{end}")
-    else:
-        snr_grid = parse_grid(str(snr_spec))
-
-    bits_grid = parse_grid(args.bits, cast=int) if args.bits is not None else None
     if bits_grid is not None and len(bits_grid) > 1 and len(snr_grid) > 1:
         raise GiaSimError("sweep over either SNR or bits, not both")
     if bits_grid is not None and args.bit_alloc == "none":
@@ -98,7 +99,6 @@ def _simulate(args) -> int:
         bit_alloc=args.bit_alloc,
         bits_budget=(bits_grid[0] if bits_grid else 0),
         codebook_seed=args.codebook_seed,
-        c_coeff=args.c_coeff,
         proposer=args.proposer,
     )
     if bits_grid is not None and len(bits_grid) > 1:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
-from .gia import select_null_basis
+from .gia import zf_decoder
 from .linalg import (
     chordal_distance_sq,
     complex_gaussian,
@@ -80,16 +80,26 @@ def quantize(V: np.ndarray, cb: Codebook) -> tuple[int, np.ndarray, float]:
 def dump_codebook(cb: Codebook, path: str) -> None:
     """Binary dump: little-endian int32 header (M, N, B), then the codewords
     row-major with interleaved real/imag float64 (native complex128 layout)."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<3i", cb.M, cb.N, cb.B))
-        fh.write(np.ascontiguousarray(cb.codewords, dtype="<c16").tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<3i", cb.M, cb.N, cb.B))
+            fh.write(np.ascontiguousarray(cb.codewords, dtype="<c16").tobytes())
+    except OSError as exc:
+        raise ContractViolation(f"cannot write codebook to {path}: {exc}") from exc
 
 
 def load_codebook(path: str) -> Codebook:
+    """Read a :func:`dump_codebook` file, checking the header against the payload."""
     with open(path, "rb") as fh:
-        M, N, B = struct.unpack("<3i", fh.read(12))
-        raw = np.frombuffer(fh.read(), dtype="<c16")
-    words = raw.reshape(2 ** B, M, N).astype(complex)
+        data = fh.read()
+    M, N, B = struct.unpack("<3i", data[:12]) if len(data) >= 12 else (0, 0, 0)
+    # B is range-checked first so that a corrupt header cannot make 2**B huge
+    if M < 1 or N < 1 or not 0 <= B <= CODEBOOK_BIT_GUARD or len(data) != 12 + 16 * M * N * 2 ** B:
+        raise ContractViolation(
+            f"codebook file {path}: header (M, N, B) = ({M}, {N}, {B}) does not match "
+            f"its {len(data)} bytes"
+        )
+    words = np.frombuffer(data, dtype="<c16", offset=12).reshape(2 ** B, M, N).astype(complex)
     return Codebook(M=M, N=N, B=B, codewords=words)
 
 
@@ -181,19 +191,9 @@ def quantized_decoder(
     nulled along its ideal aligned direction, so only that cell's
     quantization error leaks through.
     """
-    L, K = ch.H.shape[0], ch.H.shape[1]
     prov = assignment.provider(k)
-    blocks = []
-    for j in range(L):
-        if j != i:
-            blocks.append(ch.H[j, k, k] @ q_patterns[(j, k)])
-    for l in range(K):
-        if l == k or l == prov:
-            continue
-        for m in range(L):
-            blocks.append(ch.H[m, l, k] @ q_patterns[(m, l)])
-    blocks.append(ch.H[i, prov, k] @ ideal_patterns[(i, prov)])
-    return select_null_basis(np.concatenate(blocks, axis=1), d_s)
+    provider_block = ch.H[i, prov, k] @ ideal_patterns[(i, prov)]
+    return zf_decoder(ch, assignment, q_patterns, provider_block, i, k, d_s)
 
 
 @dataclass(frozen=True)

@@ -18,36 +18,27 @@ from .errors import (
     AlignmentFailure,
     ContractViolation,
     DegenerateChannel,
+    EmptySubspace,
     InfeasibleConfig,
     RankDeficient,
 )
 from .linalg import (
     chordal_distance_sq,
+    full_svd,
     herm_inv_sqrt,
+    left_null_space,
     matrix_rank,
     orthonormalize,
-    full_svd,
+    psd_eigvals,
 )
 from .system import ChannelRealization, SystemConfig
 
 ALIGN_TOL = 1e-8
 
 
-def log_scale(log_base) -> float:
-    """Multiplier converting nats to the requested rate unit."""
-    if log_base in ("e", None):
-        return 1.0
-    if log_base in (2, "2"):
-        return 1.0 / math.log(2.0)
-    raise ContractViolation(f"unsupported log base {log_base!r}")
-
-
-def rate_logdet(M: np.ndarray, scale: float, log_base="e") -> float:
-    """log det(I + scale * M M^H) evaluated through Hermitian eigenvalues."""
-    gram = M @ M.conj().T
-    ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    ev = np.clip(ev.real, 0.0, None)
-    return float(np.sum(np.log1p(scale * ev))) * log_scale(log_base)
+def rate_logdet(M: np.ndarray, scale: float) -> float:
+    """log det(I + scale * M M^H) in nats, evaluated through Hermitian eigenvalues."""
+    return float(np.sum(np.log1p(scale * psd_eigvals(M @ M.conj().T))))
 
 
 @dataclass
@@ -57,7 +48,6 @@ class TransceiverSet:
     assignment: object
     inner: dict          # cell k -> (L*N_U, d_s) joint precoder
     patterns: dict       # (i, k) -> (N_U, d_s) semi-unitary precoder pattern
-    precoders: dict      # (i, k) -> power-scaled precoder sqrt(P/d_s) * pattern
     decoders: dict       # (i, k) -> (N_B, d_s) semi-unitary zero-forcing decoder
     aligned: dict        # provider cell -> aligned-interference basis at its receiver
 
@@ -145,37 +135,40 @@ def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
     the stack is rank deficient beyond its generic rank the pick is still the
     canonical one, with a warning.
     """
-    m = F.shape[0]
-    U, s, _ = full_svd(F)
-    rank = matrix_rank(s)
-    null_dim = m - rank
+    try:
+        null = left_null_space(F)
+    except EmptySubspace as exc:
+        raise InfeasibleConfig(f"interference stack has no null space, need {d_s}") from exc
+    null_dim = null.shape[1]
     if null_dim < d_s:
         raise InfeasibleConfig(
             f"interference stack leaves a {null_dim}-dimensional null space, need {d_s}"
         )
+    rank = F.shape[0] - null_dim
     if rank < min(F.shape) and null_dim > d_s:
         warnings.warn(
             f"interference stack unexpectedly rank deficient ({rank} < {min(F.shape)}); "
             f"using canonical smallest-singular-value directions",
             RuntimeWarning,
         )
-    return U[:, m - d_s:]
+    return null[:, null_dim - d_s:]
 
 
 def zf_decoder(
     ch: ChannelRealization,
     assignment,
     patterns: dict,
-    aligned: dict,
+    provider_block: np.ndarray,
     i: int,
     k: int,
     d_s: int,
 ) -> np.ndarray:
-    """Zero-forcing decoder for user (i, k) under perfect pattern knowledge.
+    """Zero-forcing decoder for user (i, k).
 
     Nulls, in order: same-cell interference from other users, per-user
-    interference from every cell that is neither k nor k's provider, and the
-    aligned subspace contributed by the provider.
+    interference from every cell that is neither k nor k's provider, and
+    ``provider_block``, the span through which k's provider cell arrives
+    (its aligned basis under perfect feedback).
     """
     L, K = ch.H.shape[0], ch.H.shape[1]
     prov = assignment.provider(k)
@@ -188,7 +181,7 @@ def zf_decoder(
             continue
         for m in range(L):
             blocks.append(ch.H[m, l, k] @ patterns[(m, l)])
-    blocks.append(aligned[prov])
+    blocks.append(provider_block)
     return select_null_basis(np.concatenate(blocks, axis=1), d_s)
 
 
@@ -230,15 +223,14 @@ def build_transceivers(
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
-    precoders = {
-        key: full_precoder(pat, cfg.P, cfg.d_s) for key, pat in patterns.items()
-    }
     aligned = {
         k: aligned_interference_basis(ch, k, receiver_of[k], inner[k])
         for k in range(cfg.K)
     }
     decoders = {
-        (i, k): zf_decoder(ch, assignment, patterns, aligned, i, k, cfg.d_s)
+        (i, k): zf_decoder(
+            ch, assignment, patterns, aligned[assignment.provider(k)], i, k, cfg.d_s
+        )
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
@@ -246,7 +238,6 @@ def build_transceivers(
         assignment=assignment,
         inner=inner,
         patterns=patterns,
-        precoders=precoders,
         decoders=decoders,
         aligned=aligned,
     )
@@ -258,7 +249,6 @@ def user_rate(
     i: int,
     k: int,
     cfg: SystemConfig,
-    log_base="e",
 ) -> tuple[float, np.ndarray]:
     """Achievable rate of user (i, k) and its effective channel.
 
@@ -270,15 +260,13 @@ def user_rate(
     slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
     H_eff = U.conj().T @ ch.H[i, k, k] @ slice_ik
     V_out = math.sqrt(cfg.P / cfg.d_s) * herm_inv_sqrt(slice_ik.conj().T @ slice_ik)
-    rate = rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2, log_base)
+    rate = rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
     return rate, H_eff
 
 
-def rate_from_link(
-    U: np.ndarray, H_direct: np.ndarray, V_full: np.ndarray, sigma2: float, log_base="e"
-) -> float:
+def rate_from_link(U: np.ndarray, H_direct: np.ndarray, V_full: np.ndarray, sigma2: float) -> float:
     """Plain per-user rate log det(I + (1/sigma2) (U^H H V)(U^H H V)^H)."""
-    return rate_logdet(U.conj().T @ H_direct @ V_full, 1.0 / sigma2, log_base)
+    return rate_logdet(U.conj().T @ H_direct @ V_full, 1.0 / sigma2)
 
 
 def effective_link_gains(
@@ -287,8 +275,7 @@ def effective_link_gains(
     """Eigenvalues of (U^H H pattern)(...)^H: rate at power P is
     sum(log1p(P/(d_s sigma2) * gains)), handy for sweeping SNR on one build."""
     M0 = tset.decoders[(i, k)].conj().T @ ch.H[i, k, k] @ tset.patterns[(i, k)]
-    gram = M0 @ M0.conj().T
-    return np.clip(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).real, 0.0, None)
+    return psd_eigvals(M0 @ M0.conj().T)
 
 
 @dataclass(frozen=True)
@@ -310,6 +297,7 @@ def verify_alignment(
 ) -> AlignmentReport:
     """Measure every interference-nulling condition and the desired-link rank."""
     K, L = cfg.K, cfg.L
+    precoders = {key: full_precoder(pat, cfg.P, cfg.d_s) for key, pat in tset.patterns.items()}
     max_iui = 0.0
     max_ici = 0.0
     min_sv = math.inf
@@ -322,14 +310,14 @@ def verify_alignment(
                     if (m, l) == (i, k):
                         continue
                     resid = float(
-                        np.linalg.norm(U.conj().T @ ch.H[m, l, k] @ tset.precoders[(m, l)])
+                        np.linalg.norm(U.conj().T @ ch.H[m, l, k] @ precoders[(m, l)])
                     )
                     if l == k:
                         max_iui = max(max_iui, resid)
                     else:
                         max_ici = max(max_ici, resid)
             s = np.linalg.svd(
-                U.conj().T @ ch.H[i, k, k] @ tset.precoders[(i, k)], compute_uv=False
+                U.conj().T @ ch.H[i, k, k] @ precoders[(i, k)], compute_uv=False
             )
             min_sv = min(min_sv, float(s[cfg.d_s - 1]))
             min_ratio = min(min_ratio, float(s[cfg.d_s - 1] / s[0]))

@@ -20,7 +20,7 @@ from . import assignment as asg
 from . import feedback as fb
 from . import gia
 from .errors import ContractViolation, DegenerateChannel
-from .linalg import complex_gaussian, orthonormalize
+from .linalg import complex_gaussian, orthonormalize, psd_eigvals
 from .system import (
     ChannelRealization,
     SystemConfig,
@@ -40,6 +40,8 @@ ASSIGNMENT_SCHEMES = (
     "rb",
     "fdma",
 )
+
+EXPLICIT_BIT_LIMIT = 12  # per-user bits; above this, random-codebook search is emulated
 
 CSV_COLUMNS = (
     "variable",
@@ -64,15 +66,17 @@ class SchemeSpec:
     bit_alloc: str = "none"        # none | dba | eba
     bits_budget: int = 0
     codebook_seed: int = 1
-    c_coeff: float = 1.0
     proposer: str = "receivers"
-    explicit_bit_limit: int = 12   # above this, random-codebook search is emulated
 
     def __post_init__(self):
         if self.assignment not in ASSIGNMENT_SCHEMES:
             raise ContractViolation(f"unknown assignment scheme {self.assignment!r}")
         if self.bit_alloc not in ("none", "dba", "eba"):
             raise ContractViolation(f"unknown bit allocation {self.bit_alloc!r}")
+        if self.bits_budget < 0:
+            raise ContractViolation(f"negative bit budget {self.bits_budget}")
+        if self.proposer not in ("receivers", "providers"):
+            raise ContractViolation(f"unknown proposer side {self.proposer!r}")
 
     @property
     def label(self) -> str:
@@ -139,9 +143,8 @@ def throughput(
     i: int,
     k: int,
     cfg: SystemConfig,
-    log_base="e",
 ) -> float:
-    """Rate of user (i, k) treating residual interference as noise.
+    """Rate of user (i, k) in nats, treating residual interference as noise.
 
     Evaluated as logdet(I + C + A) - logdet(I + C) with A the desired-signal
     covariance and C the residual covariance; both arguments are Hermitian
@@ -154,12 +157,8 @@ def throughput(
     A = (cfg.P / (cfg.d_s * cfg.sigma2)) * (S @ S.conj().T)
     C = residual_covariance(ch, decoders, tx_patterns, i, k, cfg)
     eye = np.eye(cfg.d_s)
-
-    def _logdet(Mh):
-        ev = np.linalg.eigvalsh((Mh + Mh.conj().T) / 2.0)
-        return float(np.sum(np.log(np.clip(ev.real, 1e-300, None))))
-
-    return (_logdet(eye + C + A) - _logdet(eye + C)) * gia.log_scale(log_base)
+    full = float(np.sum(np.log(psd_eigvals(eye + C + A))))
+    return full - float(np.sum(np.log(psd_eigvals(eye + C))))
 
 
 @lru_cache(maxsize=128)
@@ -183,7 +182,7 @@ def _quantize_patterns(
             bits = alloc.of_user(cfg, i, k)
             user_key = cfg.user_index(i, k)
             V = patterns[(i, k)]
-            if bits <= scheme.explicit_bit_limit:
+            if bits <= EXPLICIT_BIT_LIMIT:
                 cb = _cached_codebook(cfg.N_U, cfg.d_s, bits, user_key, scheme.codebook_seed)
                 _, V_hat, d = fb.quantize(V, cb)
             else:
@@ -228,12 +227,11 @@ def _evaluate_trial(
     trial_index: int,
     rng: np.random.Generator,
     resamples: int,
-    log_base,
 ) -> TrialResult:
     if scheme.assignment == "rb":
-        result = baseline_rb(ch, cfg, rng, log_base)
+        result = baseline_rb(ch, cfg, rng)
     elif scheme.assignment == "fdma":
-        result = baseline_fdma(ch, cfg, log_base)
+        result = baseline_fdma(ch, cfg)
     else:
         if scheme.assignment == "fixed":
             # the ring only ever uses the K successor pairs
@@ -245,13 +243,13 @@ def _evaluate_trial(
         tset = gia.build_transceivers(ch, cfg, chosen, potentials)
         if scheme.bit_alloc == "none":
             user_rates = {
-                (i, k): gia.user_rate(ch, tset, i, k, cfg, log_base)[0]
+                (i, k): gia.user_rate(ch, tset, i, k, cfg)[0]
                 for k in range(cfg.K)
                 for i in range(cfg.L)
             }
             result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
         else:
-            result = _limited_feedback_stage(ch, cfg, scheme, trial_index, tset, log_base)
+            result = _limited_feedback_stage(ch, cfg, scheme, trial_index, tset)
         result.stability = stability
     result.resamples = resamples
     result.trial_index = trial_index
@@ -264,7 +262,6 @@ def _limited_feedback_stage(
     scheme: SchemeSpec,
     trial_index: int,
     tset: gia.TransceiverSet,
-    log_base,
 ) -> TrialResult:
     if cfg.N_U <= cfg.d_s:
         raise ContractViolation(
@@ -292,7 +289,7 @@ def _limited_feedback_stage(
         for i in range(cfg.L)
     }
     user_rates = {
-        (i, k): throughput(ch, q_decoders, q_patterns, i, k, cfg, log_base)
+        (i, k): throughput(ch, q_decoders, q_patterns, i, k, cfg)
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
@@ -305,7 +302,6 @@ def _limited_feedback_stage(
         mode="deterministic",
         dist_sq=dist,
         lambda1=lam,
-        c_coeff=scheme.c_coeff,
     )
     result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
     result.rinr_per_cell = rinr_cell
@@ -334,16 +330,15 @@ def run_trial(
     scheme: SchemeSpec,
     trial_index: int,
     seed: int = 0,
-    log_base="e",
 ) -> TrialResult:
-    """One fully seeded trial; a degenerate draw is resampled once."""
+    """One fully seeded trial, rates in nats; a degenerate draw is resampled once."""
     require_feasible(cfg)
     last = None
     for attempt in range(2):
         rng = trial_rng(seed, trial_index, stream=attempt)
         ch = draw_channels(cfg, rng)
         try:
-            return _evaluate_trial(ch, cfg, scheme, trial_index, rng, attempt, log_base)
+            return _evaluate_trial(ch, cfg, scheme, trial_index, rng, attempt)
         except DegenerateChannel as exc:
             last = exc
     raise DegenerateChannel(
@@ -351,9 +346,7 @@ def run_trial(
     )
 
 
-def baseline_rb(
-    ch: ChannelRealization, cfg: SystemConfig, rng: np.random.Generator, log_base="e"
-) -> TrialResult:
+def baseline_rb(ch: ChannelRealization, cfg: SystemConfig, rng: np.random.Generator) -> TrialResult:
     """Random subspace precoders with matched-filter receivers (no alignment)."""
     patterns = {}
     for k in range(cfg.K):
@@ -365,14 +358,14 @@ def baseline_rb(
         for i in range(cfg.L)
     }
     user_rates = {
-        (i, k): throughput(ch, decoders, patterns, i, k, cfg, log_base)
+        (i, k): throughput(ch, decoders, patterns, i, k, cfg)
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
     return _pack_result(SchemeSpec(assignment="rb"), 0, user_rates, cfg)
 
 
-def baseline_fdma(ch: ChannelRealization, cfg: SystemConfig, log_base="e") -> TrialResult:
+def baseline_fdma(ch: ChannelRealization, cfg: SystemConfig) -> TrialResult:
     """Orthogonal sharing: each user gets 1/(KL) of the band, eigen-beamforms
     its top d_s modes and spends its full power there (noise scales with the
     band fraction, hence the KL power boost)."""
@@ -382,11 +375,8 @@ def baseline_fdma(ch: ChannelRealization, cfg: SystemConfig, log_base="e") -> Tr
     for k in range(cfg.K):
         for i in range(cfg.L):
             Hd = ch.H[i, k, k]
-            ev = np.linalg.eigvalsh(Hd.conj().T @ Hd).real
-            top = np.clip(ev[::-1][: cfg.d_s], 0.0, None)
-            user_rates[(i, k)] = (
-                float(np.sum(np.log1p(boost * top))) * gia.log_scale(log_base) / n_share
-            )
+            top = psd_eigvals(Hd.conj().T @ Hd)[::-1][: cfg.d_s]
+            user_rates[(i, k)] = float(np.sum(np.log1p(boost * top))) / n_share
     return _pack_result(SchemeSpec(assignment="fdma"), 0, user_rates, cfg)
 
 
@@ -477,7 +467,7 @@ class SweepSpec:
     trials: int
     schemes: tuple
     seed: int = 0
-    log_base: str = "e"
+    log_base: str = "e"         # rate unit of the CSV: "e" (nats) or "2" (bits)
 
     def __post_init__(self):
         if self.variable not in ("snr_db", "B"):
@@ -488,8 +478,19 @@ class SweepSpec:
             raise ContractViolation("a bit-budget sweep needs schemes with dba or eba allocation")
 
 
+def log_scale(log_base) -> float:
+    """Multiplier converting nats to the requested rate unit."""
+    if log_base in ("e", None):
+        return 1.0
+    if log_base in (2, "2"):
+        return 1.0 / math.log(2.0)
+    raise ContractViolation(f"unsupported log base {log_base!r}")
+
+
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -> list:
-    """Evaluate every (grid point, scheme) cell and return CSV-shaped rows."""
+    """Evaluate every (grid point, scheme) cell and return CSV-shaped rows,
+    rates converted from nats to ``spec.log_base``."""
+    unit = log_scale(spec.log_base)
     rows = []
     for value in spec.grid:
         for scheme in spec.schemes:
@@ -498,8 +499,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
                 replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme
             )
             results = [
-                run_trial(point_cfg, point_scheme, t, spec.seed, spec.log_base)
-                for t in range(spec.trials)
+                run_trial(point_cfg, point_scheme, t, spec.seed) for t in range(spec.trials)
             ]
             agg = aggregate_metrics(results)
             rows.append(
@@ -507,10 +507,10 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
                     "variable": spec.variable,
                     "value": value,
                     "scheme": point_scheme.label,
-                    "r_sum": agg.r_sum,
-                    "r_sum_stderr": agg.r_sum_stderr,
-                    "r_min": agg.r_min,
-                    "r_min_stderr": agg.r_min_stderr,
+                    "r_sum": agg.r_sum * unit,
+                    "r_sum_stderr": agg.r_sum_stderr * unit,
+                    "r_min": agg.r_min * unit,
+                    "r_min_stderr": agg.r_min_stderr * unit,
                     "rinr_db": agg.rinr_db,
                     "bound_db": agg.bound_db,
                     "trials": agg.trials,

@@ -36,6 +36,8 @@ def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def full_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD (square U) with the same input check and failure mapping as :func:`svd`."""
+    M = _as_cmatrix(M)
     try:
         return np.linalg.svd(M, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -56,11 +58,10 @@ def left_null_space(M, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
     when M has full row rank, which downstream code treats as "alignment
     infeasible here".
     """
-    M = _as_cmatrix(M)
     U, s, _ = full_svd(M)
     r = matrix_rank(s, rel_tol)
-    if r == M.shape[0]:
-        raise EmptySubspace(f"matrix of shape {M.shape} has full row rank {r}")
+    if r == U.shape[0]:
+        raise EmptySubspace(f"matrix of shape {np.shape(M)} has full row rank {r}")
     return U[:, r:]
 
 
@@ -93,6 +94,12 @@ def herm_eig(M, herm_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigh", M.shape[0], M.shape[1]) from exc
     return w[::-1], V[:, ::-1]
+
+
+def psd_eigvals(G) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a PSD matrix G, rounding
+    noise below zero clipped: the eigenvalue kernel behind every log-det."""
+    return np.clip(np.linalg.eigvalsh((G + G.conj().T) / 2.0), 0.0, None)
 
 
 def chordal_distance_sq(V1, V2) -> float:

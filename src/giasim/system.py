@@ -34,8 +34,8 @@ class SystemConfig:
             raise ContractViolation("need at least 3 cells")
         if self.L < 1 or self.d_s < 1 or self.N_B < 1 or self.N_U < 1:
             raise ContractViolation("counts must be positive")
-        if self.P <= 0 or self.sigma2 <= 0:
-            raise ContractViolation("powers must be positive")
+        if not (0 < self.P < math.inf and 0 < self.sigma2 < math.inf):  # also rejects NaN
+            raise ContractViolation("powers must be positive and finite")
 
     @property
     def snr_db(self) -> float:
@@ -123,9 +123,6 @@ class ChannelRealization:
     H: np.ndarray
     eta: np.ndarray
 
-    def link(self, i: int, k: int, l: int) -> np.ndarray:
-        return self.H[i, k, l]
-
 
 def trial_rng(seed: int, trial_index: int, stream: int = 0) -> np.random.Generator:
     """Counter-based substream: independent of call order across trials."""
@@ -147,12 +144,21 @@ def load_run_config(path: str) -> dict:
     """Read a run configuration file (JSON).
 
     Recognized keys: K, L, N_B, N_U, d_s, snr_db (scalar or [start, step, end]),
-    seed, trials. Unknown keys are rejected to catch typos.
+    seed, trials. The dimensions are required; unknown keys are rejected to
+    catch typos. Every failure is a :class:`ContractViolation`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+        raise ContractViolation(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ContractViolation(f"config {path} must hold a JSON object")
     allowed = {"K", "L", "N_B", "N_U", "d_s", "snr_db", "seed", "trials"}
     unknown = set(raw) - allowed
     if unknown:
         raise ContractViolation(f"unknown config keys: {sorted(unknown)}")
+    missing = {"K", "L", "N_B", "N_U", "d_s"} - set(raw)
+    if missing:
+        raise ContractViolation(f"config {path} lacks keys: {sorted(missing)}")
     return raw

@@ -35,6 +35,7 @@ from giasim.gia import (
     build_potentials,
     build_transceivers,
     effective_link_gains,
+    full_precoder,
     rate_from_link,
     user_rate,
     verify_alignment,
@@ -87,7 +88,10 @@ def test_02_rate_path_equivalence():
             for i in range(CFG.L):
                 r_eff, _ = user_rate(ch, tset, i, k, CFG)
                 r_raw = rate_from_link(
-                    tset.decoders[(i, k)], ch.H[i, k, k], tset.precoders[(i, k)], CFG.sigma2
+                    tset.decoders[(i, k)],
+                    ch.H[i, k, k],
+                    full_precoder(tset.patterns[(i, k)], CFG.P, CFG.d_s),
+                    CFG.sigma2,
                 )
                 worst = max(worst, abs(r_eff - r_raw) / max(r_raw, 1e-30))
     report(

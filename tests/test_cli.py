@@ -85,6 +85,12 @@ def test_codebook_guard_exit_code(tmp_path):
     ) == 1
 
 
+def test_codebook_unwritable_out_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "book.bin"
+    assert main(["codebook", "--ambient", "8", "--sub", "2", "--bits", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_snr_triple_from_config_file(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(
@@ -119,3 +125,23 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ["simulate", "--config", config_file, "--bits", "100",
          "--out", str(tmp_path / "x.csv")]
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        ("missing", []),
+        ("ok", ["--snr", "abc"]),
+        ("ok", ["--snr", "1:0:5"]),
+        ("no_L", []),
+        ("ok", ["--snr", "nan"]),
+    ],
+    ids=["missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan"],
+)
+def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):
+    no_l = tmp_path / "no_l.json"
+    no_l.write_text(json.dumps({"K": 4, "N_B": 14, "N_U": 8, "d_s": 2}))
+    path = {"ok": config_file, "missing": str(tmp_path / "missing.json"), "no_L": str(no_l)}
+    code = main(["simulate", "--config", path[config], *extra, "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

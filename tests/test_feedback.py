@@ -79,6 +79,17 @@ class TestCodebook:
         assert back.M == 6 and back.N == 2 and back.B == 3
         assert np.array_equal(back.codewords, cb.codewords)
 
+    def test_load_rejects_header_payload_mismatch(self, tmp_path):
+        cb = generate_codebook(6, 2, 3, np.random.default_rng(4))
+        path = tmp_path / "book.bin"
+        dump_codebook(cb, str(path))
+        data = path.read_bytes()
+        huge_b = data[:8] + (2 ** 31 - 1).to_bytes(4, "little") + data[12:]
+        for broken in (data[:-16], data + bytes(16), data[:8], huge_b):
+            path.write_bytes(broken)
+            with pytest.raises(ContractViolation, match="does not match"):
+                load_codebook(str(path))
+
 
 class TestQuantize:
     def test_exact_member_wins(self):

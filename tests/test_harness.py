@@ -195,11 +195,11 @@ class TestRunTrial:
         real = hmod._evaluate_trial
         calls = {"n": 0}
 
-        def flaky(ch, cfg, scheme, trial_index, rng, resamples, log_base):
+        def flaky(ch, cfg, scheme, trial_index, rng, resamples):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise DegenerateChannel("synthetic rank collapse")
-            return real(ch, cfg, scheme, trial_index, rng, resamples, log_base)
+            return real(ch, cfg, scheme, trial_index, rng, resamples)
 
         monkeypatch.setattr(hmod, "_evaluate_trial", flaky)
         result = run_trial(CFG, SchemeSpec(assignment="fixed"), 5, seed=31)
@@ -379,3 +379,11 @@ class TestSweep:
             SweepSpec(variable="power", grid=(1,), trials=1, schemes=())
         with pytest.raises(ContractViolation):
             SweepSpec(variable="B", grid=(), trials=1, schemes=())
+
+    def test_scheme_rejects_negative_bit_budget(self):
+        with pytest.raises(ContractViolation, match="negative bit budget"):
+            SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=-1)
+
+    def test_scheme_rejects_unknown_proposer(self):
+        with pytest.raises(ContractViolation, match="proposer"):
+            SchemeSpec(assignment="two_sided", proposer="cells")
