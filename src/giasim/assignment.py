@@ -159,10 +159,20 @@ def build_preferences(
     cfg: SystemConfig,
     potentials: dict,
     two_sided: bool = False,
+    provider_side: PreferenceProfile | None = None,
 ) -> PreferenceProfile:
-    provider, p_util = {}, {}
-    for k in range(cfg.K):
-        provider[k], p_util[k] = provider_preferences(ch, cfg, k, potentials)
+    """Preference profile of every cell on one realization.
+
+    The provider side does not depend on the transmit power; a profile built
+    earlier on the same realization may be passed as ``provider_side`` so
+    that only the receiver side is computed.
+    """
+    if provider_side is None:
+        provider, p_util = {}, {}
+        for k in range(cfg.K):
+            provider[k], p_util[k] = provider_preferences(ch, cfg, k, potentials)
+    else:
+        provider, p_util = provider_side.provider, provider_side.provider_utility
     receiver, r_util = None, None
     if two_sided:
         receiver, r_util = {}, {}

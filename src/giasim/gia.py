@@ -50,6 +50,7 @@ class TransceiverSet:
     patterns: dict       # (i, k) -> (N_U, d_s) semi-unitary precoder pattern
     decoders: dict       # (i, k) -> (N_B, d_s) semi-unitary zero-forcing decoder
     aligned: dict        # provider cell -> aligned-interference basis at its receiver
+    whiteners: dict      # (i, k) -> (slice^H slice)^(-1/2) of the user's inner-precoder slice
 
 
 def stack_alignment_matrix(ch: ChannelRealization, provider: int, receiver: int) -> np.ndarray:
@@ -185,6 +186,11 @@ def zf_decoder(
     return select_null_basis(np.concatenate(blocks, axis=1), d_s)
 
 
+def cell_pairs(K: int) -> list:
+    """Every ordered (provider, receiver) pair of distinct cells, provider-major."""
+    return [(p, r) for p in range(K) for r in range(K) if p != r]
+
+
 def build_potentials(
     ch: ChannelRealization, cfg: SystemConfig, pairs=None
 ) -> dict:
@@ -194,7 +200,7 @@ def build_potentials(
     matching and centralized schemes consume.
     """
     if pairs is None:
-        pairs = [(p, r) for p in range(cfg.K) for r in range(cfg.K) if p != r]
+        pairs = cell_pairs(cfg.K)
     return {
         (p, r): inner_precoder(stack_alignment_matrix(ch, p, r), cfg.d_s)
         for (p, r) in pairs
@@ -207,7 +213,11 @@ def build_transceivers(
     assignment,
     potentials: dict | None = None,
 ) -> TransceiverSet:
-    """Complete transceiver set for a strict assignment on one realization."""
+    """Complete transceiver set for a strict assignment on one realization.
+
+    Nothing in it depends on the transmit power P: ``user_rate`` applies P
+    to the stored whiteners.
+    """
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
     receiver_of = assignment.receivers()
@@ -234,12 +244,18 @@ def build_transceivers(
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
+    whiteners = {}
+    for k in range(cfg.K):
+        for i in range(cfg.L):
+            slice_ik = inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
+            whiteners[(i, k)] = herm_inv_sqrt(slice_ik.conj().T @ slice_ik)
     return TransceiverSet(
         assignment=assignment,
         inner=inner,
         patterns=patterns,
         decoders=decoders,
         aligned=aligned,
+        whiteners=whiteners,
     )
 
 
@@ -255,11 +271,12 @@ def user_rate(
     Uses the effective-channel form: the decoder output channel composed
     with the uniform-power outer scaling. Numerically equal to evaluating
     the plain log-det rate on decoder, direct channel and full precoder.
+    The power-free whitener comes from the transceiver set.
     """
     U = tset.decoders[(i, k)]
     slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
     H_eff = U.conj().T @ ch.H[i, k, k] @ slice_ik
-    V_out = math.sqrt(cfg.P / cfg.d_s) * herm_inv_sqrt(slice_ik.conj().T @ slice_ik)
+    V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners[(i, k)]
     rate = rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
     return rate, H_eff
 

@@ -9,6 +9,7 @@ overhead accounting per assignment scheme.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, field, replace
@@ -77,6 +78,11 @@ class SchemeSpec:
             raise ContractViolation(f"negative bit budget {self.bits_budget}")
         if self.proposer not in ("receivers", "providers"):
             raise ContractViolation(f"unknown proposer side {self.proposer!r}")
+        if self.assignment in ("rb", "fdma") and self.bit_alloc != "none":
+            raise ContractViolation(
+                f"the {self.assignment} baseline has no limited-feedback stage; "
+                f"bit allocation {self.bit_alloc!r} does not apply"
+            )
 
     @property
     def label(self) -> str:
@@ -193,63 +199,130 @@ def _quantize_patterns(
     return q, dist
 
 
-def _choose_assignment(
-    ch: ChannelRealization, cfg: SystemConfig, scheme: SchemeSpec, potentials: dict
-):
-    """Returns (strict assignment, preference profile or None, stability verdicts)."""
+def _assignment_key(assignment: asg.Assignment) -> tuple:
+    return tuple(sorted(assignment.provider_of.items()))
+
+
+class TrialBuild:
+    """The power-free work on one channel draw, computed once and shared by
+    every cell (grid point and scheme) of a trial.
+
+    Each piece is computed by the same call on the same operands as a
+    from-scratch evaluation would use, so sharing it changes no bit of any
+    result. Of what it keeps, only the receiver side of the preferences
+    depends on P; it is kept per configuration.
+    """
+
+    def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int):
+        rng = trial_rng(seed, trial_index, stream=attempt)
+        self.ch = draw_channels(cfg, rng)
+        self._rng_after_draw = rng  # baseline_rb continues this stream
+        self._potentials = {}
+        self._provider_side = None
+        self._two_sided = {}        # config -> profile with both sides
+        self._tsets = {}            # assignment key -> TransceiverSet
+        self._leakage = {}          # assignment key -> (lambda1 by user, flat lambda1)
+
+    def rng(self) -> np.random.Generator:
+        """A generator positioned right after the channel draw."""
+        return copy.deepcopy(self._rng_after_draw)
+
+    def potentials(self, cfg: SystemConfig, pairs=None) -> dict:
+        """Inner precoders, at least for ``pairs`` (every ordered pair if None)."""
+        if pairs is None:
+            pairs = gia.cell_pairs(cfg.K)
+        missing = [pr for pr in pairs if pr not in self._potentials]
+        if missing:
+            self._potentials.update(gia.build_potentials(self.ch, cfg, missing))
+        return self._potentials
+
+    def preferences(self, cfg: SystemConfig, two_sided: bool) -> asg.PreferenceProfile:
+        """The provider side, plus the receiver side for ``cfg`` when two-sided."""
+        if self._provider_side is None:
+            self._provider_side = asg.build_preferences(self.ch, cfg, self.potentials(cfg))
+        if not two_sided:
+            return self._provider_side
+        prefs = self._two_sided.get(cfg)
+        if prefs is None:
+            prefs = self._two_sided[cfg] = asg.build_preferences(
+                self.ch, cfg, self.potentials(cfg), two_sided=True,
+                provider_side=self._provider_side,
+            )
+        return prefs
+
+    def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
+        key = _assignment_key(chosen)
+        tset = self._tsets.get(key)
+        if tset is None:
+            potentials = self.potentials(cfg, [(p, r) for r, p in key])
+            tset = self._tsets[key] = gia.build_transceivers(self.ch, cfg, chosen, potentials)
+        return tset
+
+    def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> tuple[dict, np.ndarray]:
+        """Largest leakage eigenvalue of every user, by user and in flat order."""
+        key = _assignment_key(tset.assignment)
+        if key not in self._leakage:
+            receiver_of = tset.assignment.receivers()
+            lam = {}
+            lam_flat = np.empty(cfg.user_count)
+            for k in range(cfg.K):
+                r = receiver_of[k]
+                for i in range(cfg.L):
+                    _, lam1 = fb.omega_matrix(self.ch.H[i, k, r], tset.patterns[(i, k)])
+                    lam[(i, k)] = lam1
+                    lam_flat[cfg.user_index(i, k)] = lam1
+            self._leakage[key] = lam, lam_flat
+        return self._leakage[key]
+
+
+def _choose_assignment(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec):
+    """Returns (strict assignment, stability verdicts)."""
     stability = {}
     if scheme.assignment == "fixed":
-        return asg.fixed_cyclic(cfg.K), None, stability
+        return asg.fixed_cyclic(cfg.K), stability
     if scheme.assignment == "one_sided":
-        prefs = asg.build_preferences(ch, cfg, potentials, two_sided=False)
+        prefs = build.preferences(cfg, two_sided=False)
         weak, _ = asg.fca_match(prefs)
         if cfg.K <= 6:
             stability["one_sided"] = asg.is_stable(weak, prefs, "one_sided")
-        return asg.breaking_step(weak, prefs), prefs, stability
+        return asg.breaking_step(weak, prefs), stability
     if scheme.assignment == "two_sided":
-        prefs = asg.build_preferences(ch, cfg, potentials, two_sided=True)
+        prefs = build.preferences(cfg, two_sided=True)
         matched, _ = asg.gale_shapley(prefs, scheme.proposer)
         if matched.lone is None:
             stability["two_sided"] = asg.is_stable(matched, prefs, "two_sided")
-        return asg.breaking_step(matched, prefs), prefs, stability
+        return asg.breaking_step(matched, prefs), stability
     objective = "sum_rate" if scheme.assignment.endswith("_sum") else "min_cell_rate"
     sense = "worst" if scheme.assignment.startswith("worst") else "best"
     chosen, _ = asg.centralized_search(
-        ch, cfg, objective=objective, sense=sense, potentials=potentials
+        build.ch, cfg, objective=objective, sense=sense, potentials=build.potentials(cfg)
     )
-    return chosen, None, stability
+    return chosen, stability
 
 
 def _evaluate_trial(
-    ch: ChannelRealization,
+    build: TrialBuild,
     cfg: SystemConfig,
     scheme: SchemeSpec,
     trial_index: int,
-    rng: np.random.Generator,
     resamples: int,
 ) -> TrialResult:
     if scheme.assignment == "rb":
-        result = baseline_rb(ch, cfg, rng)
+        result = baseline_rb(build.ch, cfg, build.rng())
     elif scheme.assignment == "fdma":
-        result = baseline_fdma(ch, cfg)
+        result = baseline_fdma(build.ch, cfg)
     else:
-        if scheme.assignment == "fixed":
-            # the ring only ever uses the K successor pairs
-            pairs = [(k, (k + 1) % cfg.K) for k in range(cfg.K)]
-            potentials = gia.build_potentials(ch, cfg, pairs)
-        else:
-            potentials = gia.build_potentials(ch, cfg)
-        chosen, _, stability = _choose_assignment(ch, cfg, scheme, potentials)
-        tset = gia.build_transceivers(ch, cfg, chosen, potentials)
+        chosen, stability = _choose_assignment(build, cfg, scheme)
+        tset = build.transceivers(cfg, chosen)
         if scheme.bit_alloc == "none":
             user_rates = {
-                (i, k): gia.user_rate(ch, tset, i, k, cfg)[0]
+                (i, k): gia.user_rate(build.ch, tset, i, k, cfg)[0]
                 for k in range(cfg.K)
                 for i in range(cfg.L)
             }
             result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
         else:
-            result = _limited_feedback_stage(ch, cfg, scheme, trial_index, tset)
+            result = _limited_feedback_stage(build, cfg, scheme, trial_index, tset)
         result.stability = stability
     result.resamples = resamples
     result.trial_index = trial_index
@@ -257,7 +330,7 @@ def _evaluate_trial(
 
 
 def _limited_feedback_stage(
-    ch: ChannelRealization,
+    build: TrialBuild,
     cfg: SystemConfig,
     scheme: SchemeSpec,
     trial_index: int,
@@ -268,16 +341,8 @@ def _limited_feedback_stage(
             "limited feedback needs N_U > d_s: with square patterns there is "
             "nothing to quantize"
         )
-    chosen = tset.assignment
-    receiver_of = chosen.receivers()
-    lam = {}
-    lam_flat = np.empty(cfg.user_count)
-    for k in range(cfg.K):
-        r = receiver_of[k]
-        for i in range(cfg.L):
-            _, lam1 = fb.omega_matrix(ch.H[i, k, r], tset.patterns[(i, k)])
-            lam[(i, k)] = lam1
-            lam_flat[cfg.user_index(i, k)] = lam1
+    ch, chosen = build.ch, tset.assignment
+    lam, lam_flat = build.leakage(cfg, tset)
     if scheme.bit_alloc == "dba":
         alloc = fb.dba_allocate(lam_flat, scheme.bits_budget, cfg.d_s, cfg.N_U)
     else:
@@ -325,6 +390,31 @@ def _pack_result(scheme, trial_index, user_rates, cfg, chosen=None) -> TrialResu
     )
 
 
+def _run_cell(
+    builds: list,
+    cfg: SystemConfig,
+    scheme: SchemeSpec,
+    trial_index: int,
+    seed: int,
+) -> TrialResult:
+    """One cell of trial ``trial_index``; a degenerate draw is resampled once.
+
+    ``builds`` holds the trial's builds by attempt. The resampled draw is
+    made the first time a cell needs it and is then shared like the first.
+    """
+    last = None
+    for attempt in range(2):
+        if attempt == len(builds):
+            builds.append(TrialBuild(cfg, seed, trial_index, attempt))
+        try:
+            return _evaluate_trial(builds[attempt], cfg, scheme, trial_index, attempt)
+        except DegenerateChannel as exc:
+            last = exc
+    raise DegenerateChannel(
+        f"trial {trial_index} (seed {seed}, scheme {scheme.label}) failed twice: {last}"
+    )
+
+
 def run_trial(
     cfg: SystemConfig,
     scheme: SchemeSpec,
@@ -333,17 +423,7 @@ def run_trial(
 ) -> TrialResult:
     """One fully seeded trial, rates in nats; a degenerate draw is resampled once."""
     require_feasible(cfg)
-    last = None
-    for attempt in range(2):
-        rng = trial_rng(seed, trial_index, stream=attempt)
-        ch = draw_channels(cfg, rng)
-        try:
-            return _evaluate_trial(ch, cfg, scheme, trial_index, rng, attempt)
-        except DegenerateChannel as exc:
-            last = exc
-    raise DegenerateChannel(
-        f"trial {trial_index} (seed {seed}, scheme {scheme.label}) failed twice: {last}"
-    )
+    return _run_cell([], cfg, scheme, trial_index, seed)
 
 
 def baseline_rb(ch: ChannelRealization, cfg: SystemConfig, rng: np.random.Generator) -> TrialResult:
@@ -433,18 +513,34 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
+def _summary(result: TrialResult) -> tuple:
+    """The fields of a trial that aggregation reads."""
+    return (
+        result.sum_rate,
+        result.min_cell_rate,
+        result.rinr_total,
+        result.bound_total,
+        result.resamples,
+    )
+
+
 def aggregate_metrics(results) -> Aggregate:
     """Sample means with standard errors; interference reported in dB of the
     mean sum-cluster level."""
-    if not results:
+    return _aggregate([_summary(r) for r in results])
+
+
+def _aggregate(summaries: list) -> Aggregate:
+    if not summaries:
         raise ContractViolation("cannot aggregate zero trials")
-    r_sum, se_sum = _mean_stderr([r.sum_rate for r in results])
-    r_min, se_min = _mean_stderr([r.min_cell_rate for r in results])
+    sum_rates, min_rates, rinrs, bounds, resamples = zip(*summaries)
+    r_sum, se_sum = _mean_stderr(sum_rates)
+    r_min, se_min = _mean_stderr(min_rates)
     rinr_db = bound_db = None
-    if all(r.rinr_total is not None for r in results):
-        mean_rinr = float(np.mean([r.rinr_total for r in results]))
+    if all(v is not None for v in rinrs):
+        mean_rinr = float(np.mean(rinrs))
         rinr_db = 10.0 * math.log10(mean_rinr) if mean_rinr > 0 else -math.inf
-        mean_bound = float(np.mean([r.bound_total for r in results]))
+        mean_bound = float(np.mean(bounds))
         bound_db = 10.0 * math.log10(mean_bound) if mean_bound > 0 else -math.inf
     return Aggregate(
         r_sum=r_sum,
@@ -453,8 +549,8 @@ def aggregate_metrics(results) -> Aggregate:
         r_min_stderr=se_min,
         rinr_db=rinr_db,
         bound_db=bound_db,
-        trials=len(results),
-        resamples=sum(r.resamples for r in results),
+        trials=len(summaries),
+        resamples=sum(resamples),
     )
 
 
@@ -489,34 +585,47 @@ def log_scale(log_base) -> float:
 
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -> list:
     """Evaluate every (grid point, scheme) cell and return CSV-shaped rows,
-    rates converted from nats to ``spec.log_base``."""
+    rates converted from nats to ``spec.log_base``.
+
+    Trials run one after another; each trial's channel draw and power-free
+    work is built once and shared by all of its cells (see ``TrialBuild``).
+    Rows come out grid-major, in the order of ``spec.grid`` then
+    ``spec.schemes``.
+    """
     unit = log_scale(spec.log_base)
+    require_feasible(cfg)
+    cells = [
+        (
+            value,
+            cfg.at_snr_db(value) if spec.variable == "snr_db" else cfg,
+            replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme,
+        )
+        for value in spec.grid
+        for scheme in spec.schemes
+    ]
+    summaries = [[] for _ in cells]
+    for t in range(spec.trials):
+        builds = []  # this trial's builds by attempt; dropped after the trial
+        for (_, point_cfg, point_scheme), cell in zip(cells, summaries):
+            cell.append(_summary(_run_cell(builds, point_cfg, point_scheme, t, spec.seed)))
     rows = []
-    for value in spec.grid:
-        for scheme in spec.schemes:
-            point_cfg = cfg.at_snr_db(value) if spec.variable == "snr_db" else cfg
-            point_scheme = (
-                replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme
-            )
-            results = [
-                run_trial(point_cfg, point_scheme, t, spec.seed) for t in range(spec.trials)
-            ]
-            agg = aggregate_metrics(results)
-            rows.append(
-                {
-                    "variable": spec.variable,
-                    "value": value,
-                    "scheme": point_scheme.label,
-                    "r_sum": agg.r_sum * unit,
-                    "r_sum_stderr": agg.r_sum_stderr * unit,
-                    "r_min": agg.r_min * unit,
-                    "r_min_stderr": agg.r_min_stderr * unit,
-                    "rinr_db": agg.rinr_db,
-                    "bound_db": agg.bound_db,
-                    "trials": agg.trials,
-                    "resamples": agg.resamples,
-                }
-            )
+    for (value, _, point_scheme), cell in zip(cells, summaries):
+        agg = _aggregate(cell)
+        rows.append(
+            {
+                "variable": spec.variable,
+                "value": value,
+                "scheme": point_scheme.label,
+                "r_sum": agg.r_sum * unit,
+                "r_sum_stderr": agg.r_sum_stderr * unit,
+                "r_min": agg.r_min * unit,
+                "r_min_stderr": agg.r_min_stderr * unit,
+                "rinr_db": agg.rinr_db,
+                "bound_db": agg.bound_db,
+                "trials": agg.trials,
+                "resamples": agg.resamples,
+            }
+        )
     if out_path is not None:
         write_csv(rows, out_path)
     return rows

@@ -286,24 +286,20 @@ def test_08_dof_slope_per_assignment():
 
 def test_09_limited_feedback_figure_shapes():
     budgets = (100, 200, 300, 400, 500)
-    trials = 200
-    cfg = CFG  # 25 dB transmit SNR
+    spec = SweepSpec(
+        variable="B",
+        grid=budgets,
+        trials=200,
+        schemes=tuple(SchemeSpec(assignment="fixed", bit_alloc=a) for a in ("dba", "eba")),
+        seed=SEED + 6,
+    )
+    rows = run_sweep(spec, CFG)  # 25 dB transmit SNR, rates in nats
     r_sum = {"dba": [], "eba": []}
     rinr_db = {"dba": [], "eba": []}
-    for budget in budgets:
-        for alloc in ("dba", "eba"):
-            sums, rinrs = [], []
-            for t in range(trials):
-                res = run_trial(
-                    cfg,
-                    SchemeSpec(assignment="fixed", bit_alloc=alloc, bits_budget=budget),
-                    t,
-                    seed=SEED + 6,
-                )
-                sums.append(res.sum_rate)
-                rinrs.append(res.rinr_total)
-            r_sum[alloc].append(float(np.mean(sums)))
-            rinr_db[alloc].append(10.0 * math.log10(float(np.mean(rinrs))))
+    for row in rows:  # grid-major: budgets in order
+        alloc = row["scheme"].split("+")[1]
+        r_sum[alloc].append(row["r_sum"])
+        rinr_db[alloc].append(row["rinr_db"])
     dba_wins = all(d >= e for d, e in zip(r_sum["dba"], r_sum["eba"]))
     slope = float(np.polyfit(budgets, r_sum["dba"], 1)[0])
     slope_ok = 0.03 <= slope <= 0.15

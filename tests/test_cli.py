@@ -135,13 +135,21 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("ok", ["--snr", "1:0:5"]),
         ("no_L", []),
         ("ok", ["--snr", "nan"]),
+        ("ok", ["--assignment", "fdma", "--bit-alloc", "dba", "--bits", "100"]),
+        ("ok", ["--assignment", "rb", "--bit-alloc", "eba", "--bits", "100:100:300"]),
     ],
-    ids=["missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan"],
+    ids=[
+        "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
+        "feedback_on_fdma", "feedback_on_rb",
+    ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):
     no_l = tmp_path / "no_l.json"
     no_l.write_text(json.dumps({"K": 4, "N_B": 14, "N_U": 8, "d_s": 2}))
     path = {"ok": config_file, "missing": str(tmp_path / "missing.json"), "no_L": str(no_l)}
-    code = main(["simulate", "--config", path[config], *extra, "--out", str(tmp_path / "x.csv")])
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--config", path[config], *extra, "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()

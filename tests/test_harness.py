@@ -195,11 +195,11 @@ class TestRunTrial:
         real = hmod._evaluate_trial
         calls = {"n": 0}
 
-        def flaky(ch, cfg, scheme, trial_index, rng, resamples):
+        def flaky(build, cfg, scheme, trial_index, resamples):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise DegenerateChannel("synthetic rank collapse")
-            return real(ch, cfg, scheme, trial_index, rng, resamples)
+            return real(build, cfg, scheme, trial_index, resamples)
 
         monkeypatch.setattr(hmod, "_evaluate_trial", flaky)
         result = run_trial(CFG, SchemeSpec(assignment="fixed"), 5, seed=31)
@@ -387,3 +387,10 @@ class TestSweep:
     def test_scheme_rejects_unknown_proposer(self):
         with pytest.raises(ContractViolation, match="proposer"):
             SchemeSpec(assignment="two_sided", proposer="cells")
+
+    @pytest.mark.parametrize("baseline", ["rb", "fdma"])
+    @pytest.mark.parametrize("alloc", ["dba", "eba"])
+    def test_scheme_rejects_feedback_on_baselines(self, baseline, alloc):
+        with pytest.raises(ContractViolation, match="baseline has no limited-feedback stage"):
+            SchemeSpec(assignment=baseline, bit_alloc=alloc, bits_budget=100)
+        assert SchemeSpec(assignment=baseline).label == baseline
