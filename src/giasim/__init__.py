@@ -37,7 +37,6 @@ from .feedback import (
     Codebook,
     dba_allocate,
     decompose_quantization,
-    distortion_bound,
     eba_allocate,
     generate_codebook,
     omega_matrix,
@@ -53,6 +52,7 @@ from .gia import (
     build_transceivers,
     full_precoder,
     inner_precoder,
+    link_images,
     stack_alignment_matrix,
     user_pattern,
     user_rate,

@@ -5,8 +5,8 @@
     giasim codebook --ambient 8 --sub 2 --bits 6 --seed 1 --out book.bin
 
 Exit codes: 0 success, 2 infeasible configuration, 3 numerical failure,
-1 anything else reported as an error (including a missing or malformed
-config file and a bad --snr/--bits grid).
+1 anything else reported as an error (including a usage error, a missing
+or malformed config file, a bad --snr/--bits grid and a negative seed).
 """
 
 from __future__ import annotations
@@ -38,8 +38,16 @@ def parse_grid(text: str, cast=float) -> tuple:
     return (cast(text),)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one error line with exit code 1; argparse's
+    own exit code 2 is the one reserved for an infeasible configuration."""
+
+    def error(self, message):
+        raise ContractViolation(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="giasim")
+    parser = _Parser(prog="giasim")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep and write CSV")
@@ -83,6 +91,8 @@ def _simulate(args) -> int:
         else:
             snr_grid = parse_grid(str(snr_spec))
         bits_grid = parse_grid(args.bits, cast=int) if args.bits is not None else None
+        trials = args.trials if args.trials is not None else int(raw.get("trials", 100))
+        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ContractViolation(f"bad configuration or grid value: {exc}") from exc
     require_feasible(cfg)
@@ -90,9 +100,6 @@ def _simulate(args) -> int:
         raise GiaSimError("sweep over either SNR or bits, not both")
     if bits_grid is not None and args.bit_alloc == "none":
         raise GiaSimError("--bits requires --bit-alloc dba or eba")
-
-    trials = args.trials if args.trials is not None else int(raw.get("trials", 100))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
 
     scheme = SchemeSpec(
         assignment=args.assignment,
@@ -118,6 +125,8 @@ def _simulate(args) -> int:
 
 
 def _codebook(args) -> int:
+    if args.seed < 0:
+        raise ContractViolation(f"negative seed {args.seed}")
     cb = generate_codebook(args.ambient, args.sub, args.bits, np.random.default_rng(args.seed))
     dump_codebook(cb, args.out)
     print(f"wrote 2^{args.bits} codewords on G({args.ambient},{args.sub}) to {args.out}")
@@ -125,8 +134,8 @@ def _codebook(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             return _simulate(args)
         return _codebook(args)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
-from .gia import zf_decoder
+from .gia import link_images, zf_decoder
 from .linalg import (
     chordal_distance_sq,
     complex_gaussian,
@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .system import ChannelRealization, SystemConfig
 
-CODEBOOK_BIT_GUARD = 24
+CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated or loaded, in bytes
 _CALIBRATION_SEED = 0x5EED
 
 
@@ -58,11 +58,23 @@ def batch_orthonormalize(G: np.ndarray) -> np.ndarray:
     return U @ Vh
 
 
+def codebook_bytes(M: int, N: int, B: int) -> int | None:
+    """Size of 2^B complex128 codewords of shape (M, N), or None when the
+    dimensions are not positive or the size exceeds the byte guard."""
+    # B is bounded first so that a corrupt value cannot make 2**B huge
+    if M < 1 or N < 1 or not 0 <= B < CODEBOOK_BYTE_GUARD.bit_length():
+        return None
+    size = 16 * M * N * 2 ** B
+    return size if size <= CODEBOOK_BYTE_GUARD else None
+
+
 def generate_codebook(M: int, N: int, B: int, rng: np.random.Generator) -> Codebook:
-    if N >= M:
-        raise ContractViolation(f"codeword dimension {N} must be below ambient {M}")
-    if B < 0 or B > CODEBOOK_BIT_GUARD:
-        raise CapacityExceeded(f"codebook of 2^{B} entries exceeds the {CODEBOOK_BIT_GUARD}-bit guard")
+    if not 1 <= N < M:
+        raise ContractViolation(f"codeword dimension {N} must be positive and below ambient {M}")
+    if codebook_bytes(M, N, B) is None:
+        raise CapacityExceeded(
+            f"codebook of 2^{B} entries on G({M},{N}) exceeds the {CODEBOOK_BYTE_GUARD}-byte guard"
+        )
     words = batch_orthonormalize(complex_gaussian(rng, (2 ** B, M, N)))
     return Codebook(M=M, N=N, B=B, codewords=words)
 
@@ -91,15 +103,17 @@ def dump_codebook(cb: Codebook, path: str) -> None:
 def load_codebook(path: str) -> Codebook:
     """Read a :func:`dump_codebook` file, checking the header against the payload."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    M, N, B = struct.unpack("<3i", data[:12]) if len(data) >= 12 else (0, 0, 0)
-    # B is range-checked first so that a corrupt header cannot make 2**B huge
-    if M < 1 or N < 1 or not 0 <= B <= CODEBOOK_BIT_GUARD or len(data) != 12 + 16 * M * N * 2 ** B:
+        header = fh.read(12)
+        M, N, B = struct.unpack("<3i", header) if len(header) == 12 else (0, 0, 0)
+        size = codebook_bytes(M, N, B)
+        # never read more than one byte past a payload the guard admits
+        payload = fh.read(size + 1) if size is not None else b""
+    if size is None or len(payload) != size:
         raise ContractViolation(
             f"codebook file {path}: header (M, N, B) = ({M}, {N}, {B}) does not match "
-            f"its {len(data)} bytes"
+            f"its payload"
         )
-    words = np.frombuffer(data, dtype="<c16", offset=12).reshape(2 ** B, M, N).astype(complex)
+    words = np.frombuffer(payload, dtype="<c16").reshape(2 ** B, M, N).astype(complex)
     return Codebook(M=M, N=N, B=B, codewords=words)
 
 
@@ -148,13 +162,6 @@ def decompose_quantization(V: np.ndarray, V_hat: np.ndarray) -> QuantizationDeco
     return QuantizationDecomposition(gamma=gamma, R=Uc, S=S, dist_sq=dist)
 
 
-def distortion_bound(M: int, N: int, B: int, c_coeff: float) -> float:
-    """Sphere-packing distortion ceiling c * 2^(-B / (N (M - N)))."""
-    if c_coeff <= 0:
-        raise ContractViolation("the ball-volume coefficient must be positive")
-    return c_coeff * 2.0 ** (-B / (N * (M - N)))
-
-
 def omega_matrix(H: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, float]:
     """Leakage curvature of a user: how strongly quantization error couples
     into the receiver subspace that zero-forcing cannot protect.
@@ -178,8 +185,8 @@ def omega_matrix(H: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, float]
 def quantized_decoder(
     ch: ChannelRealization,
     assignment,
-    q_patterns: dict,
-    ideal_patterns: dict,
+    q_patterns: np.ndarray,
+    ideal_patterns: np.ndarray,
     i: int,
     k: int,
     d_s: int,
@@ -278,8 +285,8 @@ def allocation_objective(lambda1: np.ndarray, bits: np.ndarray, d_s: int, N_U: i
 def rinr(
     ch: ChannelRealization,
     assignment,
-    q_patterns: dict,
-    q_decoders: dict,
+    q_patterns: np.ndarray,
+    q_decoders: np.ndarray,
     cfg: SystemConfig,
 ) -> tuple[dict, dict]:
     """Measured residual interference-to-noise, per cell and per user.
@@ -294,10 +301,8 @@ def rinr(
         prov = assignment.provider(k)
         total = 0.0
         for i in range(cfg.L):
-            U = q_decoders[(i, k)]
             leak = 0.0
-            for j in range(cfg.L):
-                X = U.conj().T @ ch.H[j, prov, k] @ q_patterns[(j, prov)]
+            for X in link_images(ch, q_decoders[i, k], q_patterns, k)[:, prov]:
                 leak += scale * float(np.linalg.norm(X) ** 2)
             per_user[(i, k)] = leak
             total += leak
@@ -308,43 +313,27 @@ def rinr(
 def rinr_upper_bound(
     ch: ChannelRealization,
     assignment,
-    ideal_patterns: dict,
+    ideal_patterns: np.ndarray,
     cfg: SystemConfig,
-    mode: str = "deterministic",
-    dist_sq: dict | None = None,
-    bits: BitAllocation | None = None,
-    c_coeff: float = 1.0,
-    lambda1: dict | None = None,
+    dist_sq: np.ndarray,
+    lambda1: np.ndarray | None = None,
 ) -> dict:
     """Per-cell ceiling on the residual interference.
 
-    deterministic: uses each user's actual squared quantization distance;
-    holds pathwise for any codebook. packing: substitutes the sphere-packing
-    distortion ceiling for the distance, so it only binds under codebooks
-    meeting that ceiling.
+    Uses each user's actual squared quantization distance ``dist_sq``, an
+    (L, K) array, so it holds pathwise for any codebook. ``lambda1`` (L, K)
+    holds known leakage eigenvalues; without it they are recomputed.
     """
-    if mode not in ("deterministic", "packing"):
-        raise ContractViolation(f"unknown bound mode {mode!r}")
-    if mode == "deterministic" and dist_sq is None:
-        raise ContractViolation("deterministic bound needs measured distortions")
-    if mode == "packing" and bits is None:
-        raise ContractViolation("packing bound needs a bit allocation")
     out = {}
     for k in range(cfg.K):
         prov = assignment.provider(k)
         acc = 0.0
         for j in range(cfg.L):
-            if lambda1 is not None and (j, prov) in lambda1:
-                lam = lambda1[(j, prov)]
+            if lambda1 is not None:
+                lam = lambda1[j, prov]
             else:
-                lam = omega_matrix(ch.H[j, prov, k], ideal_patterns[(j, prov)])[1]
-            if mode == "deterministic":
-                d = dist_sq[(j, prov)]
-            else:
-                d = distortion_bound(
-                    cfg.N_U, cfg.d_s, bits.of_user(cfg, j, prov), c_coeff
-                )
-            acc += (cfg.P / (cfg.sigma2 * cfg.d_s)) * lam * d
+                lam = omega_matrix(ch.H[j, prov, k], ideal_patterns[j, prov])[1]
+            acc += (cfg.P / (cfg.sigma2 * cfg.d_s)) * lam * dist_sq[j, prov]
         out[k] = cfg.L * acc
     return out
 

@@ -43,14 +43,18 @@ def rate_logdet(M: np.ndarray, scale: float) -> float:
 
 @dataclass
 class TransceiverSet:
-    """All per-cell and per-user filters for one assignment on one realization."""
+    """All per-cell and per-user filters for one assignment on one realization.
+
+    Per-user arrays have the user axes (L, K) of ``ChannelRealization.H`` in
+    front, so ``[i, k]`` is user i of cell k.
+    """
 
     assignment: object
-    inner: dict          # cell k -> (L*N_U, d_s) joint precoder
-    patterns: dict       # (i, k) -> (N_U, d_s) semi-unitary precoder pattern
-    decoders: dict       # (i, k) -> (N_B, d_s) semi-unitary zero-forcing decoder
-    aligned: dict        # provider cell -> aligned-interference basis at its receiver
-    whiteners: dict      # (i, k) -> (slice^H slice)^(-1/2) of the user's inner-precoder slice
+    inner: dict              # cell k -> (L*N_U, d_s) joint precoder
+    patterns: np.ndarray     # (L, K, N_U, d_s) semi-unitary precoder patterns
+    decoders: np.ndarray     # (L, K, N_B, d_s) semi-unitary zero-forcing decoders
+    aligned: dict            # provider cell -> aligned-interference basis at its receiver
+    whiteners: np.ndarray    # (L, K, d_s, d_s) (slice^H slice)^(-1/2) of each inner-precoder slice
 
 
 def stack_alignment_matrix(ch: ChannelRealization, provider: int, receiver: int) -> np.ndarray:
@@ -155,10 +159,31 @@ def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
     return null[:, null_dim - d_s:]
 
 
+def per_user(cfg: SystemConfig, fn) -> np.ndarray:
+    """fn(i, k) of every user as one (L, K, ...) array, called cell by cell."""
+    out = [[None] * cfg.K for _ in range(cfg.L)]
+    for k in range(cfg.K):
+        for i in range(cfg.L):
+            out[i][k] = fn(i, k)
+    return np.array(out)
+
+
+def link_images(
+    ch: ChannelRealization, U: np.ndarray, patterns: np.ndarray, k: int
+) -> np.ndarray:
+    """U^H H[m, l, k] X[m, l] for every transmitter (m, l), shape (L, K, d_s, d_s).
+
+    The one place where patterns are carried through base station k's
+    channels and a receive filter U; one stacked product, associated as
+    (U^H H) X for every pair.
+    """
+    return U.conj().T @ ch.H[:, :, k] @ patterns
+
+
 def zf_decoder(
     ch: ChannelRealization,
     assignment,
-    patterns: dict,
+    patterns: np.ndarray,
     provider_block: np.ndarray,
     i: int,
     k: int,
@@ -173,15 +198,9 @@ def zf_decoder(
     """
     L, K = ch.H.shape[0], ch.H.shape[1]
     prov = assignment.provider(k)
-    blocks = []
-    for j in range(L):
-        if j != i:
-            blocks.append(ch.H[j, k, k] @ patterns[(j, k)])
-    for l in range(K):
-        if l == k or l == prov:
-            continue
-        for m in range(L):
-            blocks.append(ch.H[m, l, k] @ patterns[(m, l)])
+    images = ch.H[:, :, k] @ patterns
+    blocks = [images[j, k] for j in range(L) if j != i]
+    blocks += [images[m, l] for l in range(K) if l not in (k, prov) for m in range(L)]
     blocks.append(provider_block)
     return select_null_basis(np.concatenate(blocks, axis=1), d_s)
 
@@ -228,27 +247,20 @@ def build_transceivers(
             inner[k] = potentials[(k, r)]
         else:
             inner[k] = inner_precoder(stack_alignment_matrix(ch, k, r), cfg.d_s)
-    patterns = {
-        (i, k): user_pattern(inner[k], i, cfg.N_U)
-        for k in range(cfg.K)
-        for i in range(cfg.L)
-    }
+    patterns = per_user(cfg, lambda i, k: user_pattern(inner[k], i, cfg.N_U))
     aligned = {
         k: aligned_interference_basis(ch, k, receiver_of[k], inner[k])
         for k in range(cfg.K)
     }
-    decoders = {
-        (i, k): zf_decoder(
-            ch, assignment, patterns, aligned[assignment.provider(k)], i, k, cfg.d_s
-        )
-        for k in range(cfg.K)
-        for i in range(cfg.L)
-    }
-    whiteners = {}
-    for k in range(cfg.K):
-        for i in range(cfg.L):
-            slice_ik = inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
-            whiteners[(i, k)] = herm_inv_sqrt(slice_ik.conj().T @ slice_ik)
+    decoders = per_user(cfg, lambda i, k: zf_decoder(
+        ch, assignment, patterns, aligned[assignment.provider(k)], i, k, cfg.d_s
+    ))
+
+    def whitener(i, k):
+        slice_ik = inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
+        return herm_inv_sqrt(slice_ik.conj().T @ slice_ik)
+
+    whiteners = per_user(cfg, whitener)
     return TransceiverSet(
         assignment=assignment,
         inner=inner,
@@ -313,29 +325,18 @@ def verify_alignment(
     ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig
 ) -> AlignmentReport:
     """Measure every interference-nulling condition and the desired-link rank."""
-    K, L = cfg.K, cfg.L
-    precoders = {key: full_precoder(pat, cfg.P, cfg.d_s) for key, pat in tset.patterns.items()}
+    precoders = full_precoder(tset.patterns, cfg.P, cfg.d_s)
     max_iui = 0.0
     max_ici = 0.0
     min_sv = math.inf
     min_ratio = math.inf
-    for k in range(K):
-        for i in range(L):
-            U = tset.decoders[(i, k)]
-            for l in range(K):
-                for m in range(L):
-                    if (m, l) == (i, k):
-                        continue
-                    resid = float(
-                        np.linalg.norm(U.conj().T @ ch.H[m, l, k] @ precoders[(m, l)])
-                    )
-                    if l == k:
-                        max_iui = max(max_iui, resid)
-                    else:
-                        max_ici = max(max_ici, resid)
-            s = np.linalg.svd(
-                U.conj().T @ ch.H[i, k, k] @ precoders[(i, k)], compute_uv=False
-            )
+    for k in range(cfg.K):
+        for i in range(cfg.L):
+            images = link_images(ch, tset.decoders[i, k], precoders, k)
+            resid = np.linalg.norm(images, axis=(-2, -1))
+            max_iui = max(max_iui, float(np.delete(resid[:, k], i).max(initial=0.0)))
+            max_ici = max(max_ici, float(np.delete(resid, k, axis=1).max()))
+            s = np.linalg.svd(images[i, k], compute_uv=False)
             min_sv = min(min_sv, float(s[cfg.d_s - 1]))
             min_ratio = min(min_ratio, float(s[cfg.d_s - 1] / s[0]))
     return AlignmentReport(

@@ -76,6 +76,8 @@ class SchemeSpec:
             raise ContractViolation(f"unknown bit allocation {self.bit_alloc!r}")
         if self.bits_budget < 0:
             raise ContractViolation(f"negative bit budget {self.bits_budget}")
+        if self.codebook_seed < 0:
+            raise ContractViolation(f"negative codebook seed {self.codebook_seed}")
         if self.proposer not in ("receivers", "providers"):
             raise ContractViolation(f"unknown proposer side {self.proposer!r}")
         if self.assignment in ("rb", "fdma") and self.bit_alloc != "none":
@@ -121,47 +123,27 @@ class TrialResult:
         return sum(self.bound_per_cell.values())
 
 
-def residual_covariance(
-    ch: ChannelRealization,
-    decoders: dict,
-    tx_patterns: dict,
-    i: int,
-    k: int,
-    cfg: SystemConfig,
-) -> np.ndarray:
-    """Covariance of all non-desired signals after the decoder, noise-normalized."""
-    U = decoders[(i, k)]
-    scale = cfg.P / (cfg.d_s * cfg.sigma2)
-    C = np.zeros((cfg.d_s, cfg.d_s), dtype=complex)
-    for l in range(cfg.K):
-        for j in range(cfg.L):
-            if (j, l) == (i, k):
-                continue
-            X = U.conj().T @ ch.H[j, l, k] @ tx_patterns[(j, l)]
-            C += scale * (X @ X.conj().T)
-    return C
-
-
 def throughput(
     ch: ChannelRealization,
-    decoders: dict,
-    tx_patterns: dict,
+    decoders: np.ndarray,
+    tx_patterns: np.ndarray,
     i: int,
     k: int,
     cfg: SystemConfig,
 ) -> float:
     """Rate of user (i, k) in nats, treating residual interference as noise.
 
-    Evaluated as logdet(I + C + A) - logdet(I + C) with A the desired-signal
-    covariance and C the residual covariance; both arguments are Hermitian
-    positive definite, which keeps the evaluation stable. With perfect
-    feedback C vanishes on the desired links and this reduces to the
-    alignment rate.
+    Every transmitter's image through the decoder gives one noise-normalized
+    covariance: A, the desired signal's, and C, the sum of all the others in
+    cell-major order. Evaluated as logdet(I + C + A) - logdet(I + C); both
+    arguments are Hermitian positive definite, which keeps the evaluation
+    stable. With perfect feedback C vanishes on the desired links and this
+    reduces to the alignment rate.
     """
-    U = decoders[(i, k)]
-    S = U.conj().T @ ch.H[i, k, k] @ tx_patterns[(i, k)]
-    A = (cfg.P / (cfg.d_s * cfg.sigma2)) * (S @ S.conj().T)
-    C = residual_covariance(ch, decoders, tx_patterns, i, k, cfg)
+    X = gia.link_images(ch, decoders[i, k], tx_patterns, k)
+    cov = (cfg.P / (cfg.d_s * cfg.sigma2)) * (X @ X.conj().swapaxes(-1, -2))
+    C = sum(cov[j, l] for l in range(cfg.K) for j in range(cfg.L) if (j, l) != (i, k))
+    A = cov[i, k]
     eye = np.eye(cfg.d_s)
     full = float(np.sum(np.log(psd_eigvals(eye + C + A))))
     return full - float(np.sum(np.log(psd_eigvals(eye + C))))
@@ -174,15 +156,21 @@ def _cached_codebook(M: int, N: int, B: int, user_key: int, seed: int) -> fb.Cod
 
 
 def _quantize_patterns(
-    patterns: dict, alloc: fb.BitAllocation, cfg: SystemConfig, scheme: SchemeSpec, trial_index: int
-) -> tuple[dict, dict]:
-    """Quantize every pattern at its allocated bit count.
+    patterns: np.ndarray,
+    alloc: fb.BitAllocation,
+    cfg: SystemConfig,
+    scheme: SchemeSpec,
+    trial_index: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize every pattern at its allocated bit count: the (L, K, N_U, d_s)
+    quantized patterns and the (L, K) squared chordal distances.
 
     Explicit codebook search below the limit; calibrated emulation above it.
     Codebooks are fixed per (user, bit count) across trials, as offline books
     would be.
     """
-    q, dist = {}, {}
+    q = np.empty_like(patterns)
+    dist = np.empty(patterns.shape[:2])
     for k in range(cfg.K):
         for i in range(cfg.L):
             bits = alloc.of_user(cfg, i, k)
@@ -194,8 +182,8 @@ def _quantize_patterns(
             else:
                 rng = np.random.default_rng([scheme.codebook_seed, 211, trial_index, user_key])
                 V_hat, d = fb.model_quantize(V, bits, rng)
-            q[(i, k)] = V_hat
-            dist[(i, k)] = d
+            q[i, k] = V_hat
+            dist[i, k] = d
     return q, dist
 
 
@@ -221,7 +209,7 @@ class TrialBuild:
         self._provider_side = None
         self._two_sided = {}        # config -> profile with both sides
         self._tsets = {}            # assignment key -> TransceiverSet
-        self._leakage = {}          # assignment key -> (lambda1 by user, flat lambda1)
+        self._leakage = {}          # assignment key -> (L, K) lambda1
 
     def rng(self) -> np.random.Generator:
         """A generator positioned right after the channel draw."""
@@ -258,20 +246,14 @@ class TrialBuild:
             tset = self._tsets[key] = gia.build_transceivers(self.ch, cfg, chosen, potentials)
         return tset
 
-    def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> tuple[dict, np.ndarray]:
-        """Largest leakage eigenvalue of every user, by user and in flat order."""
+    def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
+        """Largest leakage eigenvalue of every user, as an (L, K) array."""
         key = _assignment_key(tset.assignment)
         if key not in self._leakage:
             receiver_of = tset.assignment.receivers()
-            lam = {}
-            lam_flat = np.empty(cfg.user_count)
-            for k in range(cfg.K):
-                r = receiver_of[k]
-                for i in range(cfg.L):
-                    _, lam1 = fb.omega_matrix(self.ch.H[i, k, r], tset.patterns[(i, k)])
-                    lam[(i, k)] = lam1
-                    lam_flat[cfg.user_index(i, k)] = lam1
-            self._leakage[key] = lam, lam_flat
+            self._leakage[key] = gia.per_user(cfg, lambda i, k: fb.omega_matrix(
+                self.ch.H[i, k, receiver_of[k]], tset.patterns[i, k]
+            )[1])
         return self._leakage[key]
 
 
@@ -342,32 +324,23 @@ def _limited_feedback_stage(
             "nothing to quantize"
         )
     ch, chosen = build.ch, tset.assignment
-    lam, lam_flat = build.leakage(cfg, tset)
+    lam = build.leakage(cfg, tset)
     if scheme.bit_alloc == "dba":
-        alloc = fb.dba_allocate(lam_flat, scheme.bits_budget, cfg.d_s, cfg.N_U)
+        # flat (cell, user) order, as cfg.user_index numbers the users
+        alloc = fb.dba_allocate(lam.T.ravel(), scheme.bits_budget, cfg.d_s, cfg.N_U)
     else:
         alloc = fb.eba_allocate(scheme.bits_budget, cfg.user_count)
     q_patterns, dist = _quantize_patterns(tset.patterns, alloc, cfg, scheme, trial_index)
-    q_decoders = {
-        (i, k): fb.quantized_decoder(ch, chosen, q_patterns, tset.patterns, i, k, cfg.d_s)
-        for k in range(cfg.K)
-        for i in range(cfg.L)
-    }
+    q_decoders = gia.per_user(cfg, lambda i, k: fb.quantized_decoder(
+        ch, chosen, q_patterns, tset.patterns, i, k, cfg.d_s
+    ))
     user_rates = {
         (i, k): throughput(ch, q_decoders, q_patterns, i, k, cfg)
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
     rinr_cell, _ = fb.rinr(ch, chosen, q_patterns, q_decoders, cfg)
-    bound_cell = fb.rinr_upper_bound(
-        ch,
-        chosen,
-        tset.patterns,
-        cfg,
-        mode="deterministic",
-        dist_sq=dist,
-        lambda1=lam,
-    )
+    bound_cell = fb.rinr_upper_bound(ch, chosen, tset.patterns, cfg, dist, lambda1=lam)
     result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
     result.rinr_per_cell = rinr_cell
     result.bound_per_cell = bound_cell
@@ -428,15 +401,10 @@ def run_trial(
 
 def baseline_rb(ch: ChannelRealization, cfg: SystemConfig, rng: np.random.Generator) -> TrialResult:
     """Random subspace precoders with matched-filter receivers (no alignment)."""
-    patterns = {}
-    for k in range(cfg.K):
-        for i in range(cfg.L):
-            patterns[(i, k)] = orthonormalize(complex_gaussian(rng, (cfg.N_U, cfg.d_s)))
-    decoders = {
-        (i, k): orthonormalize(ch.H[i, k, k] @ patterns[(i, k)])
-        for k in range(cfg.K)
-        for i in range(cfg.L)
-    }
+    patterns = gia.per_user(
+        cfg, lambda i, k: orthonormalize(complex_gaussian(rng, (cfg.N_U, cfg.d_s)))
+    )
+    decoders = gia.per_user(cfg, lambda i, k: orthonormalize(ch.H[i, k, k] @ patterns[i, k]))
     user_rates = {
         (i, k): throughput(ch, decoders, patterns, i, k, cfg)
         for k in range(cfg.K)
@@ -570,6 +538,8 @@ class SweepSpec:
             raise ContractViolation(f"unknown sweep variable {self.variable!r}")
         if not self.grid or self.trials < 1:
             raise ContractViolation("sweep needs a nonempty grid and at least one trial")
+        if self.seed < 0:
+            raise ContractViolation(f"negative seed {self.seed}")
         if self.variable == "B" and any(s.bit_alloc == "none" for s in self.schemes):
             raise ContractViolation("a bit-budget sweep needs schemes with dba or eba allocation")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,22 @@ def test_codebook_guard_exit_code(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--ambient", "8", "--sub", "2", "--bits", "2", "--seed", "-1"],
+        ["--ambient", "0", "--sub", "-1", "--bits", "2"],
+    ],
+    ids=["negative_seed", "nonpositive_dimensions"],
+)
+def test_codebook_bad_input_is_an_error_line(tmp_path, capsys, extra):
+    out = tmp_path / "book.bin"
+    assert main(["codebook", *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_codebook_unwritable_out_is_an_error_line(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "book.bin"
     assert main(["codebook", "--ambient", "8", "--sub", "2", "--bits", "2", "--out", str(out)]) == 1
@@ -137,19 +157,61 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("ok", ["--snr", "nan"]),
         ("ok", ["--assignment", "fdma", "--bit-alloc", "dba", "--bits", "100"]),
         ("ok", ["--assignment", "rb", "--bit-alloc", "eba", "--bits", "100:100:300"]),
+        ("ok", ["--assignment", "bogus"]),
+        ("ok", ["--trials", "x"]),
+        ("ok", ["--seed", "-1"]),
+        ("ok", ["--codebook-seed", "-1", "--bit-alloc", "dba", "--bits", "100"]),
+        ("trials_abc", []),
+        ("seed_x", []),
     ],
     ids=[
         "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
-        "feedback_on_fdma", "feedback_on_rb",
+        "feedback_on_fdma", "feedback_on_rb", "unknown_assignment", "trials_not_an_int",
+        "negative_seed", "negative_codebook_seed", "config_trials_not_an_int",
+        "config_seed_not_an_int",
     ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):
-    no_l = tmp_path / "no_l.json"
-    no_l.write_text(json.dumps({"K": 4, "N_B": 14, "N_U": 8, "d_s": 2}))
-    path = {"ok": config_file, "missing": str(tmp_path / "missing.json"), "no_L": str(no_l)}
+    dims = {"K": 4, "L": 2, "N_B": 14, "N_U": 8, "d_s": 2}
+    path = {"ok": config_file, "missing": str(tmp_path / "missing.json")}
+    for name, raw in (
+        ("no_L", {k: v for k, v in dims.items() if k != "L"}),
+        ("trials_abc", {**dims, "trials": "abc"}),
+        ("seed_x", {**dims, "seed": "x"}),
+    ):
+        path[name] = str(tmp_path / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(raw))
     out = tmp_path / "x.csv"
     code = main(["simulate", "--config", path[config], *extra, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "simulate" in capsys.readouterr().out
+
+
+def run_module(*args):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "giasim", *args],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "ref.csv"
+    done = run_module(
+        "simulate", "--config", "configs/reference.json", "--trials", "1", "--out", str(out)
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(out.read_text().splitlines()) == 2
+    bad = run_module("simulate", "--config", "configs/reference.json", "--trials", "x")
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error:") and "Traceback" not in bad.stderr

@@ -6,11 +6,10 @@ import pytest
 from giasim.assignment import fixed_cyclic
 from giasim.errors import CapacityExceeded, ContractViolation, DegenerateChannel
 from giasim.feedback import (
-    BitAllocation,
     allocation_objective,
+    codebook_bytes,
     dba_allocate,
     decompose_quantization,
-    distortion_bound,
     dump_codebook,
     eba_allocate,
     generate_codebook,
@@ -24,7 +23,7 @@ from giasim.feedback import (
     sample_min_distortion,
     subspace_at_distance,
 )
-from giasim.gia import build_transceivers
+from giasim.gia import build_transceivers, per_user
 from giasim.linalg import (
     chordal_distance_sq,
     complex_gaussian,
@@ -57,6 +56,19 @@ class TestCodebook:
     def test_guard(self):
         with pytest.raises(CapacityExceeded):
             generate_codebook(8, 2, 25, np.random.default_rng(0))
+
+    def test_byte_guard_refuses_4gib_book_before_drawing(self, monkeypatch):
+        # G(8,2) at 24 bits is 2^24 * 8 * 2 * 16 bytes = 4 GiB of codewords
+        assert codebook_bytes(8, 2, 24) is None
+        assert codebook_bytes(8, 2, 22) == 2 ** 30
+        assert codebook_bytes(8, 2, 23) is None
+
+        def no_draw(*args):
+            raise AssertionError("the guard let the codeword draw start")
+
+        monkeypatch.setattr("giasim.feedback.complex_gaussian", no_draw)
+        with pytest.raises(CapacityExceeded):
+            generate_codebook(8, 2, 24, np.random.default_rng(0))
 
     def test_deterministic(self):
         a = generate_codebook(8, 2, 4, np.random.default_rng(9))
@@ -167,24 +179,6 @@ class TestDecomposition:
             assert is_semi_unitary(dec.R, tol=1e-8)
 
 
-class TestDistortionBound:
-    def test_zero_bits(self):
-        assert distortion_bound(8, 2, 0, 0.7) == pytest.approx(0.7)
-
-    def test_exponent_arithmetic(self):
-        # doubling from 12 to 24 bits on G(8,2) halves the bound
-        ratio = distortion_bound(8, 2, 24, 1.0) / distortion_bound(8, 2, 12, 1.0)
-        assert ratio == pytest.approx(0.5, rel=1e-12)
-
-    def test_monotone(self):
-        vals = [distortion_bound(8, 2, B, 1.0) for B in range(0, 40, 4)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_coefficient_positive(self):
-        with pytest.raises(ContractViolation):
-            distortion_bound(8, 2, 4, 0.0)
-
-
 class TestOmega:
     def test_identity_channel(self):
         H = np.eye(8, dtype=complex)
@@ -225,21 +219,24 @@ def pipeline():
 
 
 def quantize_all(tset, B, seed):
-    q, dist = {}, {}
-    for key, V in tset.patterns.items():
-        cb = generate_codebook(CFG.N_U, CFG.d_s, B, np.random.default_rng([seed, key[0], key[1]]))
-        _, q[key], dist[key] = quantize(V, cb)
+    q = np.empty_like(tset.patterns)
+    dist = np.empty((CFG.L, CFG.K))
+    for i, k in np.ndindex(dist.shape):
+        cb = generate_codebook(CFG.N_U, CFG.d_s, B, np.random.default_rng([seed, i, k]))
+        _, q[i, k], dist[i, k] = quantize(tset.patterns[i, k], cb)
     return q, dist
+
+
+def decoders_for(ch, tset, q):
+    return per_user(
+        CFG, lambda i, k: quantized_decoder(ch, tset.assignment, q, tset.patterns, i, k, CFG.d_s)
+    )
 
 
 class TestQuantizedDecoder:
     def test_perfect_feedback_limit(self, pipeline):
         ch, tset = pipeline
-        decoders = {
-            (i, k): quantized_decoder(ch, tset.assignment, tset.patterns, tset.patterns, i, k, CFG.d_s)
-            for k in range(CFG.K)
-            for i in range(CFG.L)
-        }
+        decoders = decoders_for(ch, tset, tset.patterns)
         per_cell, _ = rinr(ch, tset.assignment, tset.patterns, decoders, CFG)
         assert all(v < 1e-12 for v in per_cell.values())
 
@@ -267,65 +264,38 @@ class TestRinrAndBound:
         ch, tset = pipeline
         for B in (4, 8):
             q, dist = quantize_all(tset, B=B, seed=23)
-            decoders = {
-                (i, k): quantized_decoder(ch, tset.assignment, q, tset.patterns, i, k, CFG.d_s)
-                for k in range(CFG.K)
-                for i in range(CFG.L)
-            }
-            per_cell, per_user = rinr(ch, tset.assignment, q, decoders, CFG)
-            bound = rinr_upper_bound(
-                ch, tset.assignment, tset.patterns, CFG, mode="deterministic", dist_sq=dist
-            )
+            decoders = decoders_for(ch, tset, q)
+            per_cell, by_user = rinr(ch, tset.assignment, q, decoders, CFG)
+            bound = rinr_upper_bound(ch, tset.assignment, tset.patterns, CFG, dist)
             for k in range(CFG.K):
                 assert per_cell[k] >= 0.0
                 assert per_cell[k] <= bound[k] * (1 + 1e-9) + 1e-12
-            for v in per_user.values():
+            for v in by_user.values():
                 assert v >= 0.0
 
     def test_rinr_matches_residual_covariance_path(self, pipeline):
-        # independent route: sum of residual covariance traces per cell
-        from giasim.harness import residual_covariance
-
+        # independent route: the trace of each user's residual covariance,
+        # summed per cell, with every interferer image formed pair by pair
         ch, tset = pipeline
         q, _ = quantize_all(tset, B=5, seed=29)
-        decoders = {
-            (i, k): quantized_decoder(ch, tset.assignment, q, tset.patterns, i, k, CFG.d_s)
-            for k in range(CFG.K)
-            for i in range(CFG.L)
-        }
+        decoders = decoders_for(ch, tset, q)
         per_cell, _ = rinr(ch, tset.assignment, q, decoders, CFG)
+        scale = CFG.P / (CFG.d_s * CFG.sigma2)
         for k in range(CFG.K):
-            trace_sum = sum(
-                float(np.trace(residual_covariance(ch, decoders, q, i, k, CFG)).real)
-                for i in range(CFG.L)
-            )
+            trace_sum = 0.0
+            for i in range(CFG.L):
+                U = decoders[i, k]
+                for l in range(CFG.K):
+                    for j in range(CFG.L):
+                        if (j, l) != (i, k):
+                            X = U.conj().T @ ch.H[j, l, k] @ q[j, l]
+                            trace_sum += scale * float(np.trace(X @ X.conj().T).real)
             assert trace_sum == pytest.approx(per_cell[k], rel=1e-9, abs=1e-9)
-
-    def test_packing_mode_zero_bits(self, pipeline):
-        ch, tset = pipeline
-        alloc = BitAllocation(
-            bits=np.zeros(CFG.user_count, dtype=int), budget=0, active_count=0, water_level=0.0
-        )
-        c = 0.9
-        bound = rinr_upper_bound(
-            ch, tset.assignment, tset.patterns, CFG, mode="packing", bits=alloc, c_coeff=c
-        )
-        for k in range(CFG.K):
-            prov = tset.assignment.provider(k)
-            expected = CFG.L * sum(
-                (CFG.P / (CFG.sigma2 * CFG.d_s))
-                * omega_matrix(ch.H[j, prov, k], tset.patterns[(j, prov)])[1]
-                * c
-                for j in range(CFG.L)
-            )
-            assert bound[k] == pytest.approx(expected, rel=1e-9)
 
     def test_perfect_feedback_bound_zero(self, pipeline):
         ch, tset = pipeline
-        dist = {key: 0.0 for key in tset.patterns}
-        bound = rinr_upper_bound(
-            ch, tset.assignment, tset.patterns, CFG, mode="deterministic", dist_sq=dist
-        )
+        dist = np.zeros((CFG.L, CFG.K))
+        bound = rinr_upper_bound(ch, tset.assignment, tset.patterns, CFG, dist)
         assert all(v == 0.0 for v in bound.values())
 
 

@@ -17,6 +17,8 @@ from giasim.gia import (
     effective_link_gains,
     full_precoder,
     inner_precoder,
+    link_images,
+    per_user,
     rate_from_link,
     select_null_basis,
     stack_alignment_matrix,
@@ -139,6 +141,31 @@ def test_decoder_dimensions_and_nulling(realization, transceivers):
             assert np.linalg.norm(U.conj().T @ F) < 1e-8
 
 
+def test_link_images_equal_per_pair_products(realization, transceivers):
+    for k in range(CFG.K):
+        for i in range(CFG.L):
+            U = transceivers.decoders[i, k]
+            images = link_images(realization, U, transceivers.patterns, k)
+            assert images.shape == (CFG.L, CFG.K, CFG.d_s, CFG.d_s)
+            for m in range(CFG.L):
+                for l in range(CFG.K):
+                    pair = U.conj().T @ realization.H[m, l, k] @ transceivers.patterns[m, l]
+                    assert np.array_equal(images[m, l], pair)
+
+
+def test_per_user_layout_and_call_order():
+    calls = []
+
+    def fn(i, k):
+        calls.append((i, k))
+        return np.full((1, 2), 10 * i + k)
+
+    stacked = per_user(CFG, fn)
+    assert stacked.shape == (CFG.L, CFG.K, 1, 2)
+    assert calls == [(i, k) for k in range(CFG.K) for i in range(CFG.L)]
+    assert all(stacked[i, k, 0, 1] == 10 * i + k for i, k in calls)
+
+
 def test_select_null_basis_infeasible():
     F = complex_gaussian(np.random.default_rng(0), (4, 4))
     with pytest.raises(InfeasibleConfig):
@@ -165,7 +192,7 @@ def test_rate_paths_agree(realization, transceivers):
 
 
 def test_precoder_power_is_tight(transceivers):
-    for pattern in transceivers.patterns.values():
+    for pattern in transceivers.patterns.reshape(-1, CFG.N_U, CFG.d_s):
         V = full_precoder(pattern, CFG.P, CFG.d_s)
         assert np.trace(V.conj().T @ V).real == pytest.approx(CFG.P, rel=1e-9)
 
@@ -192,8 +219,8 @@ def test_verify_alignment_perfect_and_corrupted(realization, transceivers):
     # negative control: random patterns break every nulling condition
     rng = np.random.default_rng(77)
     corrupted = build_transceivers(realization, CFG, fixed_cyclic(CFG.K))
-    for key in corrupted.patterns:
-        corrupted.patterns[key] = orthonormalize(complex_gaussian(rng, (CFG.N_U, CFG.d_s)))
+    for i, k in np.ndindex(corrupted.patterns.shape[:2]):
+        corrupted.patterns[i, k] = orthonormalize(complex_gaussian(rng, (CFG.N_U, CFG.d_s)))
     bad = verify_alignment(realization, corrupted, CFG)
     assert bad.max_residual > 1e3 * report.max_residual
 

@@ -14,7 +14,6 @@ from giasim.harness import (
     backhaul_overhead,
     baseline_fdma,
     baseline_rb,
-    residual_covariance,
     run_sweep,
     run_trial,
     throughput,
@@ -85,10 +84,18 @@ class TestBaselines:
             for k in range(CFG.K)
             for i in range(CFG.L)
         }
+        scale = CFG.P / (CFG.d_s * CFG.sigma2)
         for k in range(CFG.K):
             for i in range(CFG.L):
-                assert is_semi_unitary(decoders[(i, k)])
-                C = residual_covariance(ch, decoders, patterns, i, k, CFG)
+                U = decoders[(i, k)]
+                assert is_semi_unitary(U)
+                # residual covariance, every interferer image formed pair by pair
+                C = np.zeros((CFG.d_s, CFG.d_s), dtype=complex)
+                for l in range(CFG.K):
+                    for j in range(CFG.L):
+                        if (j, l) != (i, k):
+                            X = U.conj().T @ ch.H[j, l, k] @ patterns[(j, l)]
+                            C += scale * (X @ X.conj().T)
                 assert np.trace(C).real > 1e-3
 
     def test_rb_below_alignment_at_high_snr(self):
@@ -383,6 +390,12 @@ class TestSweep:
     def test_scheme_rejects_negative_bit_budget(self):
         with pytest.raises(ContractViolation, match="negative bit budget"):
             SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=-1)
+
+    def test_negative_seeds_rejected(self):
+        with pytest.raises(ContractViolation, match="negative seed"):
+            SweepSpec(variable="snr_db", grid=(25.0,), trials=1, schemes=(), seed=-1)
+        with pytest.raises(ContractViolation, match="negative codebook seed"):
+            SchemeSpec(assignment="fixed", bit_alloc="dba", codebook_seed=-1)
 
     def test_scheme_rejects_unknown_proposer(self):
         with pytest.raises(ContractViolation, match="proposer"):
