@@ -46,6 +46,7 @@ from .feedback import (
     rinr_upper_bound,
 )
 from .gia import (
+    Potentials,
     TransceiverSet,
     aligned_interference_basis,
     build_potentials,

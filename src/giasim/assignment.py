@@ -113,7 +113,7 @@ def _logdet2_eye_plus(psd: np.ndarray) -> float:
 
 
 def provider_preferences(
-    ch: ChannelRealization, cfg: SystemConfig, k: int, potentials: dict
+    ch: ChannelRealization, cfg: SystemConfig, k: int, potentials: gia.Potentials
 ) -> tuple[list, dict]:
     """Rank candidate providers of cell k by projected direct-channel capacity.
 
@@ -125,8 +125,7 @@ def provider_preferences(
     for cand in range(cfg.K):
         if cand == k:
             continue
-        basis = gia.aligned_interference_basis(ch, cand, k, potentials[(cand, k)])
-        _, P_perp = projectors(basis)
+        _, P_perp = projectors(potentials.aligned(cand, k))
         u = 0.0
         for i in range(cfg.L):
             Hd = ch.H[i, k, k]
@@ -136,18 +135,17 @@ def provider_preferences(
 
 
 def receiver_preferences(
-    ch: ChannelRealization, cfg: SystemConfig, k: int, potentials: dict
+    ch: ChannelRealization, cfg: SystemConfig, k: int, potentials: gia.Potentials
 ) -> tuple[list, dict]:
     """Rank candidate receivers of cell k's alignment by own-cell rate proxy."""
     scores = {}
     for cand in range(cfg.K):
         if cand == k:
             continue
-        V_in = potentials[(k, cand)]
+        patterns = potentials.patterns(k, cand)
         u = 0.0
         for i in range(cfg.L):
-            pat = gia.user_pattern(V_in, i, cfg.N_U)
-            V = gia.full_precoder(pat, cfg.P, cfg.d_s)
+            V = gia.full_precoder(patterns[i], cfg.P, cfg.d_s)
             Hd = ch.H[i, k, k]
             u += _logdet2_eye_plus(V.conj().T @ Hd.conj().T @ Hd @ V)
         scores[cand] = u
@@ -157,7 +155,7 @@ def receiver_preferences(
 def build_preferences(
     ch: ChannelRealization,
     cfg: SystemConfig,
-    potentials: dict,
+    potentials: gia.Potentials,
     two_sided: bool = False,
     provider_side: PreferenceProfile | None = None,
 ) -> PreferenceProfile:
@@ -334,7 +332,7 @@ def centralized_search(
     cfg: SystemConfig,
     objective: str = "sum_rate",
     sense: str = "best",
-    potentials: dict | None = None,
+    potentials: gia.Potentials | None = None,
     cap: int = 10 ** 6,
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.

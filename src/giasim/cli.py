@@ -5,8 +5,8 @@
     giasim codebook --ambient 8 --sub 2 --bits 6 --seed 1 --out book.bin
 
 Exit codes: 0 success, 2 infeasible configuration, 3 numerical failure,
-1 anything else reported as an error (including a usage error, a missing
-or malformed config file, a bad --snr/--bits grid and a negative seed).
+1 anything else reported as an error (including a usage error, a missing or
+malformed config file or value, a bad --snr/--bits grid and a negative seed).
 """
 
 from __future__ import annotations
@@ -72,18 +72,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _whole(value) -> int:
+    """A config count as an int; a JSON boolean or a fractional number is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _simulate(args) -> int:
     raw = load_run_config(args.config)
     try:
-        cfg = SystemConfig(
-            K=int(raw["K"]),
-            L=int(raw["L"]),
-            N_B=int(raw["N_B"]),
-            N_U=int(raw["N_U"]),
-            d_s=int(raw["d_s"]),
-        )
+        cfg = SystemConfig(**{key: _whole(raw[key]) for key in ("K", "L", "N_B", "N_U", "d_s")})
         snr_spec = args.snr if args.snr is not None else raw.get("snr_db", 25.0)
-        if isinstance(snr_spec, (int, float)):
+        if isinstance(snr_spec, (int, float)) and not isinstance(snr_spec, bool):
             snr_grid = (float(snr_spec),)
         elif isinstance(snr_spec, (list, tuple)):
             start, step, end = snr_spec
@@ -91,8 +92,8 @@ def _simulate(args) -> int:
         else:
             snr_grid = parse_grid(str(snr_spec))
         bits_grid = parse_grid(args.bits, cast=int) if args.bits is not None else None
-        trials = args.trials if args.trials is not None else int(raw.get("trials", 100))
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+        trials = args.trials if args.trials is not None else _whole(raw.get("trials", 100))
+        seed = args.seed if args.seed is not None else _whole(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ContractViolation(f"bad configuration or grid value: {exc}") from exc
     require_feasible(cfg)

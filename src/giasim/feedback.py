@@ -200,7 +200,7 @@ def quantized_decoder(
     """
     prov = assignment.provider(k)
     provider_block = ch.H[i, prov, k] @ ideal_patterns[(i, prov)]
-    return zf_decoder(ch, assignment, q_patterns, provider_block, i, k, d_s)
+    return zf_decoder(ch, assignment, q_patterns, {(i, k): provider_block}, d_s)[0]
 
 
 @dataclass(frozen=True)

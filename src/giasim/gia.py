@@ -138,25 +138,30 @@ def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
 
     Picks the left singular vectors of the d_s smallest singular values. When
     the stack is rank deficient beyond its generic rank the pick is still the
-    canonical one, with a warning.
+    canonical one, with a warning. A (..., m, n) array of stacks takes one SVD
+    call, and every slice is checked as it would be alone.
     """
     try:
-        null = left_null_space(F)
+        nulls = left_null_space(F)
     except EmptySubspace as exc:
         raise InfeasibleConfig(f"interference stack has no null space, need {d_s}") from exc
-    null_dim = null.shape[1]
-    if null_dim < d_s:
-        raise InfeasibleConfig(
-            f"interference stack leaves a {null_dim}-dimensional null space, need {d_s}"
-        )
-    rank = F.shape[0] - null_dim
-    if rank < min(F.shape) and null_dim > d_s:
-        warnings.warn(
-            f"interference stack unexpectedly rank deficient ({rank} < {min(F.shape)}); "
-            f"using canonical smallest-singular-value directions",
-            RuntimeWarning,
-        )
-    return null[:, null_dim - d_s:]
+    m, n = np.shape(F)[-2:]
+    picks = []
+    for null in nulls if np.ndim(F) > 2 else [nulls]:
+        null_dim = null.shape[1]
+        if null_dim < d_s:
+            raise InfeasibleConfig(
+                f"interference stack leaves a {null_dim}-dimensional null space, need {d_s}"
+            )
+        rank = m - null_dim
+        if rank < min(m, n) and null_dim > d_s:
+            warnings.warn(
+                f"interference stack unexpectedly rank deficient ({rank} < {min(m, n)}); "
+                f"using canonical smallest-singular-value directions",
+                RuntimeWarning,
+            )
+        picks.append(null[:, null_dim - d_s:])
+    return np.array(picks).reshape(np.shape(F)[:-2] + (m, d_s))
 
 
 def per_user(cfg: SystemConfig, fn) -> np.ndarray:
@@ -184,25 +189,27 @@ def zf_decoder(
     ch: ChannelRealization,
     assignment,
     patterns: np.ndarray,
-    provider_block: np.ndarray,
-    i: int,
-    k: int,
+    provider_blocks: dict,
     d_s: int,
 ) -> np.ndarray:
-    """Zero-forcing decoder for user (i, k).
+    """Zero-forcing decoders of the users (i, k) keyed in ``provider_blocks``,
+    in key order, as one (n, N_B, d_s) array from one stacked SVD.
 
-    Nulls, in order: same-cell interference from other users, per-user
-    interference from every cell that is neither k nor k's provider, and
-    ``provider_block``, the span through which k's provider cell arrives
-    (its aligned basis under perfect feedback).
+    User (i, k)'s decoder nulls, in order: same-cell interference from other
+    users, per-user interference from every cell that is neither k nor k's
+    provider, and ``provider_blocks[(i, k)]``, the span through which k's
+    provider cell arrives (its aligned basis under perfect feedback).
     """
     L, K = ch.H.shape[0], ch.H.shape[1]
-    prov = assignment.provider(k)
-    images = ch.H[:, :, k] @ patterns
-    blocks = [images[j, k] for j in range(L) if j != i]
-    blocks += [images[m, l] for l in range(K) if l not in (k, prov) for m in range(L)]
-    blocks.append(provider_block)
-    return select_null_basis(np.concatenate(blocks, axis=1), d_s)
+    stacks = []
+    for (i, k), provider_block in provider_blocks.items():
+        prov = assignment.provider(k)
+        images = ch.H[:, :, k] @ patterns
+        blocks = [images[j, k] for j in range(L) if j != i]
+        blocks += [images[m, l] for l in range(K) if l not in (k, prov) for m in range(L)]
+        blocks.append(provider_block)
+        stacks.append(np.concatenate(blocks, axis=1))
+    return select_null_basis(np.array(stacks), d_s)
 
 
 def cell_pairs(K: int) -> list:
@@ -210,20 +217,55 @@ def cell_pairs(K: int) -> list:
     return [(p, r) for p in range(K) for r in range(K) if p != r]
 
 
+class Potentials(dict):
+    """Inner precoders keyed by (provider, receiver) pair, plus the pieces that
+    depend on that pair alone, computed on first use and then shared by every
+    assignment that uses the pair, at every transmit power."""
+
+    def __init__(self, ch: ChannelRealization, cfg: SystemConfig, inner=()):
+        super().__init__(inner)
+        self.ch, self.cfg = ch, cfg
+        self._pieces = {}
+
+    def inner(self, p: int, r: int) -> np.ndarray:
+        if (p, r) not in self:
+            self[(p, r)] = inner_precoder(stack_alignment_matrix(self.ch, p, r), self.cfg.d_s)
+        return self[(p, r)]
+
+    def _piece(self, name: str, p: int, r: int, make):
+        key = (name, p, r)
+        if key not in self._pieces:
+            self._pieces[key] = make(self.inner(p, r))
+        return self._pieces[key]
+
+    def patterns(self, p: int, r: int) -> np.ndarray:
+        """(L, N_U, d_s) semi-unitary patterns of p's users."""
+        return self._piece("patterns", p, r, lambda V: np.array(
+            [user_pattern(V, i, self.cfg.N_U) for i in range(self.cfg.L)]
+        ))
+
+    def aligned(self, p: int, r: int) -> np.ndarray:
+        return self._piece("aligned", p, r, lambda V: aligned_interference_basis(self.ch, p, r, V))
+
+    def whiteners(self, p: int, r: int) -> np.ndarray:
+        """(L, d_s, d_s) (slice^H slice)^(-1/2) of each user's inner-precoder slice."""
+        return self._piece("whiteners", p, r, lambda V: np.array(
+            [herm_inv_sqrt(s.conj().T @ s) for s in np.split(V, self.cfg.L)]
+        ))
+
+
 def build_potentials(
     ch: ChannelRealization, cfg: SystemConfig, pairs=None
-) -> dict:
+) -> Potentials:
     """Inner precoders for candidate (provider, receiver) pairs.
 
     With pairs=None every ordered pair is computed, which is what the
     matching and centralized schemes consume.
     """
-    if pairs is None:
-        pairs = cell_pairs(cfg.K)
-    return {
-        (p, r): inner_precoder(stack_alignment_matrix(ch, p, r), cfg.d_s)
-        for (p, r) in pairs
-    }
+    potentials = Potentials(ch, cfg)
+    for p, r in cell_pairs(cfg.K) if pairs is None else pairs:
+        potentials.inner(p, r)
+    return potentials
 
 
 def build_transceivers(
@@ -234,33 +276,25 @@ def build_transceivers(
 ) -> TransceiverSet:
     """Complete transceiver set for a strict assignment on one realization.
 
-    Nothing in it depends on the transmit power P: ``user_rate`` applies P
-    to the stored whiteners.
+    Gathers the assignment's pair pieces; only the decoders are computed here,
+    in one stacked SVD. Nothing depends on P: ``user_rate`` applies it.
     """
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
-    receiver_of = assignment.receivers()
-    inner = {}
-    for k in range(cfg.K):
-        r = receiver_of[k]
-        if potentials is not None and (k, r) in potentials:
-            inner[k] = potentials[(k, r)]
-        else:
-            inner[k] = inner_precoder(stack_alignment_matrix(ch, k, r), cfg.d_s)
-    patterns = per_user(cfg, lambda i, k: user_pattern(inner[k], i, cfg.N_U))
-    aligned = {
-        k: aligned_interference_basis(ch, k, receiver_of[k], inner[k])
-        for k in range(cfg.K)
+    if not isinstance(potentials, Potentials):
+        potentials = Potentials(ch, cfg, potentials or {})
+    if potentials.ch is not ch:
+        raise ContractViolation("potentials were built on another channel draw")
+    pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
+    inner = {k: potentials.inner(k, r) for k, r in pairs}
+    patterns = np.stack([potentials.patterns(k, r) for k, r in pairs], axis=1)
+    aligned = {k: potentials.aligned(k, r) for k, r in pairs}
+    provider_blocks = {
+        (i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)
     }
-    decoders = per_user(cfg, lambda i, k: zf_decoder(
-        ch, assignment, patterns, aligned[assignment.provider(k)], i, k, cfg.d_s
-    ))
-
-    def whitener(i, k):
-        slice_ik = inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
-        return herm_inv_sqrt(slice_ik.conj().T @ slice_ik)
-
-    whiteners = per_user(cfg, whitener)
+    decoders = zf_decoder(ch, assignment, patterns, provider_blocks, cfg.d_s)
+    decoders = decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s)
+    whiteners = np.stack([potentials.whiteners(k, r) for k, r in pairs], axis=1)
     return TransceiverSet(
         assignment=assignment,
         inner=inner,

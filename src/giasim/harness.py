@@ -205,7 +205,7 @@ class TrialBuild:
         rng = trial_rng(seed, trial_index, stream=attempt)
         self.ch = draw_channels(cfg, rng)
         self._rng_after_draw = rng  # baseline_rb continues this stream
-        self._potentials = {}
+        self._potentials = gia.Potentials(self.ch, cfg)
         self._provider_side = None
         self._two_sided = {}        # config -> profile with both sides
         self._tsets = {}            # assignment key -> TransceiverSet
@@ -215,8 +215,8 @@ class TrialBuild:
         """A generator positioned right after the channel draw."""
         return copy.deepcopy(self._rng_after_draw)
 
-    def potentials(self, cfg: SystemConfig, pairs=None) -> dict:
-        """Inner precoders, at least for ``pairs`` (every ordered pair if None)."""
+    def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
+        """The pair pieces, with inner precoders at least for ``pairs`` (all if None)."""
         if pairs is None:
             pairs = gia.cell_pairs(cfg.K)
         missing = [pr for pr in pairs if pr not in self._potentials]

@@ -17,9 +17,9 @@ from .errors import ContractViolation, EmptySubspace, NumericalFailure, RankDefi
 RANK_REL_TOL = 1e-10
 
 
-def _as_cmatrix(M) -> np.ndarray:
+def _as_cmatrix(M, stacked: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
+    if (M.ndim < 2 if stacked else M.ndim != 2) or min(M.shape) < 1:
         raise ContractViolation(f"expected a 2-D matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):  # finite in both real and imaginary parts
         raise ContractViolation("matrix has non-finite entries")
@@ -36,12 +36,13 @@ def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def full_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD (square U) with the same input check and failure mapping as :func:`svd`."""
-    M = _as_cmatrix(M)
+    """Full SVD (square U) with the same input check and failure mapping as
+    :func:`svd`; a (..., m, n) stack is decomposed slice by slice in one call."""
+    M = _as_cmatrix(M, stacked=True)
     try:
         return np.linalg.svd(M, full_matrices=True)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("svd", M.shape[0], M.shape[1]) from exc
+        raise NumericalFailure("svd", M.shape[-2], M.shape[-1]) from exc
 
 
 def matrix_rank(singular_values: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
@@ -50,19 +51,23 @@ def matrix_rank(singular_values: np.ndarray, rel_tol: float = RANK_REL_TOL) -> i
     return int(np.sum(singular_values > rel_tol * singular_values[0]))
 
 
-def left_null_space(M, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+def left_null_space(M, rel_tol: float = RANK_REL_TOL) -> np.ndarray | list:
     """Semi-unitary basis N of the left null space of M, i.e. N^H M = 0.
 
     For an m x n matrix of rank r this returns an m x (m - r) basis built
-    from the trailing left singular vectors. Raises :class:`EmptySubspace`
-    when M has full row rank, which downstream code treats as "alignment
-    infeasible here".
+    from the trailing left singular vectors; a (..., m, n) stack gives a list
+    of bases, one per slice in C order, from one SVD call. Raises
+    :class:`EmptySubspace` when M, or a slice of it, has full row rank, which
+    downstream code treats as "alignment infeasible here".
     """
     U, s, _ = full_svd(M)
-    r = matrix_rank(s, rel_tol)
-    if r == U.shape[0]:
-        raise EmptySubspace(f"matrix of shape {np.shape(M)} has full row rank {r}")
-    return U[:, r:]
+    bases = []
+    for idx in np.ndindex(s.shape[:-1]):
+        r = matrix_rank(s[idx], rel_tol)
+        if r == U.shape[-1]:
+            raise EmptySubspace(f"matrix of shape {np.shape(M)[-2:]} has full row rank {r}")
+        bases.append(U[idx][:, r:])
+    return bases if s.ndim > 1 else bases[0]
 
 
 def projectors(X) -> tuple[np.ndarray, np.ndarray]:

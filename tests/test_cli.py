@@ -163,12 +163,16 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("ok", ["--codebook-seed", "-1", "--bit-alloc", "dba", "--bits", "100"]),
         ("trials_abc", []),
         ("seed_x", []),
+        ("K_fractional", []),
+        ("snr_boolean", []),
+        ("trials_fractional", []),
     ],
     ids=[
         "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
         "feedback_on_fdma", "feedback_on_rb", "unknown_assignment", "trials_not_an_int",
         "negative_seed", "negative_codebook_seed", "config_trials_not_an_int",
-        "config_seed_not_an_int",
+        "config_seed_not_an_int", "config_fractional_K", "config_boolean_snr",
+        "config_fractional_trials",
     ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):
@@ -178,6 +182,9 @@ def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra
         ("no_L", {k: v for k, v in dims.items() if k != "L"}),
         ("trials_abc", {**dims, "trials": "abc"}),
         ("seed_x", {**dims, "seed": "x"}),
+        ("K_fractional", {**dims, "K": 4.7}),
+        ("snr_boolean", {**dims, "snr_db": True}),
+        ("trials_fractional", {**dims, "trials": 2.5}),
     ):
         path[name] = str(tmp_path / f"{name}.json")
         Path(path[name]).write_text(json.dumps(raw))

@@ -1,0 +1,65 @@
+"""Seeded fuzz over feasible system dimensions.
+
+Draws (K, L, N_B, N_U, d_s) that ``validate_feasibility`` accepts, tight
+(worst-case) antenna counts among them, and checks two acceptance criteria on
+each draw: perfect alignment (criterion 1, ``verify_alignment`` on the
+stacked-SVD decoders) and the pathwise interference bound under quantized
+feedback (criterion 7). The benchmark and the other tests run few shapes;
+these cover d_s = 1, L = 1 and L = 3 as well.
+"""
+
+import math
+
+import numpy as np
+
+from giasim.assignment import Assignment, enumerate_derangements, fixed_cyclic
+from giasim.gia import build_potentials, build_transceivers, verify_alignment
+from giasim.harness import SchemeSpec, run_trial
+from giasim.system import SystemConfig, draw_channels, trial_rng, validate_feasibility
+
+SEED = 2718
+
+
+def feasible_configs(seed):
+    """Three draws for every (L, d_s) in {1, 2, 3} x {1, 2}: the first with
+    tight antenna counts, the others with up to two spare antennas on each side."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for L in (1, 2, 3):
+        for d_s in (1, 2):
+            for slack in (False, True, True):
+                K = int(rng.integers(3, 5))
+                N_B = ((K - 1) * L + 1) * d_s + (int(rng.integers(0, 3)) if slack else 0)
+                N_U = -(-((L - 1) * N_B + d_s) // L) + (int(rng.integers(0, 3)) if slack else 0)
+                out.append(SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U, d_s=d_s).at_snr_db(25.0))
+    return out
+
+
+def test_drawn_configs_are_feasible_and_cover_tight_counts():
+    cfgs = feasible_configs(SEED)
+    reports = [validate_feasibility(cfg) for cfg in cfgs]
+    assert all(r.feasible for r in reports)
+    assert sum(r.worst_case for r in reports) >= len(cfgs) // 3
+    assert {cfg.d_s for cfg in cfgs} == {1, 2} and {cfg.L for cfg in cfgs} == {1, 2, 3}
+
+
+def test_alignment_and_pathwise_bound_on_feasible_draws():
+    for t, cfg in enumerate(feasible_configs(SEED)):
+        ch = draw_channels(cfg, trial_rng(SEED, t))
+        potentials = build_potentials(ch, cfg)
+        derangements = list(enumerate_derangements(cfg.K))
+        last = Assignment(provider_of=dict(enumerate(derangements[-1])))
+        for assignment in (fixed_cyclic(cfg.K), last):
+            rep = verify_alignment(ch, build_transceivers(ch, cfg, assignment, potentials), cfg)
+            assert rep.max_residual < 1e-8 * math.sqrt(cfg.P), (cfg, rep)
+            assert rep.min_desired_ratio > 1e-8, (cfg, rep)
+        if cfg.N_U == cfg.d_s:
+            continue  # square patterns: nothing to quantize
+        for scheme in (
+            SchemeSpec(assignment="fixed", bit_alloc="eba", bits_budget=4 * cfg.user_count),
+            SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=3 * cfg.user_count),
+        ):
+            result = run_trial(cfg, scheme, t, seed=SEED)
+            for k in range(cfg.K):
+                bound = result.bound_per_cell[k]
+                assert result.rinr_per_cell[k] <= bound * (1 + 1e-9) + 1e-12, (cfg, scheme, k)
