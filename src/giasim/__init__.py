@@ -19,7 +19,6 @@ from .assignment import (
     fixed_cyclic,
     gale_shapley,
     is_stable,
-    strict_count_formula,
 )
 from .errors import (
     AlignmentFailure,
@@ -36,7 +35,6 @@ from .feedback import (
     BitAllocation,
     Codebook,
     dba_allocate,
-    decompose_quantization,
     eba_allocate,
     generate_codebook,
     omega_matrix,
@@ -64,12 +62,10 @@ from .harness import (
     SchemeSpec,
     SweepSpec,
     TrialResult,
-    aggregate_metrics,
     backhaul_overhead,
     baseline_fdma,
     baseline_rb,
     run_sweep,
-    run_trial,
     throughput,
 )
 from .system import (

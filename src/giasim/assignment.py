@@ -20,6 +20,9 @@ from .errors import CapacityExceeded, ContractViolation
 from .linalg import projectors, psd_eigvals
 from .system import ChannelRealization, SystemConfig
 
+ENUMERATION_CAP = 10 ** 6  # most derangements centralized_search enumerates
+COALITION_CAP = 8          # largest K whose one-sided coalitions is_stable searches
+
 
 @dataclass
 class Assignment:
@@ -43,34 +46,6 @@ class Assignment:
             return False
         providers = set(self.provider_of.values())
         return len(providers) == K and all(p != r for r, p in self.provider_of.items())
-
-    def validate(self, K: int) -> None:
-        for r, p in self.provider_of.items():
-            if p == r:
-                raise ContractViolation(f"cell {r} assigned to itself")
-        if len(set(self.provider_of.values())) != len(self.provider_of):
-            raise ContractViolation("provider map is not injective")
-        if self.lone is not None and (
-            self.lone in self.provider_of or self.lone in self.provider_of.values()
-        ):
-            raise ContractViolation("lone cell participates in the matching")
-
-    def cycles(self) -> list:
-        """Provider cycles, each starting from its smallest member."""
-        seen = set()
-        out = []
-        for start in sorted(self.provider_of):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            node = self.provider_of[start]
-            while node != start:
-                cyc.append(node)
-                seen.add(node)
-                node = self.provider_of[node]
-            out.append(cyc)
-        return out
 
 
 def fixed_cyclic(K: int) -> Assignment:
@@ -316,24 +291,12 @@ def derangement_count(K: int) -> int:
     return sum((-1) ** j * math.factorial(K) // math.factorial(j) for j in range(K + 1))
 
 
-def strict_count_formula(K: int) -> int:
-    """The closed-form strict-assignment count as stated: D(K) - 1.
-
-    Disagrees with the true derangement count by one; the enumerator is
-    authoritative for experiments and both are exposed.
-    """
-    if K < 3:
-        raise ContractViolation("the closed-form count is stated for K >= 3")
-    return derangement_count(K) - 1
-
-
 def centralized_search(
     ch: ChannelRealization,
     cfg: SystemConfig,
     objective: str = "sum_rate",
     sense: str = "best",
     potentials: gia.Potentials | None = None,
-    cap: int = 10 ** 6,
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
@@ -344,9 +307,9 @@ def centralized_search(
         raise ContractViolation(f"unknown objective {objective!r}")
     if sense not in ("best", "worst"):
         raise ContractViolation(f"unknown sense {sense!r}")
-    if derangement_count(cfg.K) > cap:
+    if derangement_count(cfg.K) > ENUMERATION_CAP:
         raise CapacityExceeded(
-            f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {cap}"
+            f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
     if potentials is None:
         potentials = gia.build_potentials(ch, cfg)
@@ -356,7 +319,7 @@ def centralized_search(
         assignment = Assignment(provider_of={k: perm[k] for k in range(cfg.K)})
         tset = gia.build_transceivers(ch, cfg, assignment, potentials)
         cell_rates = [
-            sum(gia.user_rate(ch, tset, i, k, cfg)[0] for i in range(cfg.L))
+            sum(gia.user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
             for k in range(cfg.K)
         ]
         value = sum(cell_rates) if objective == "sum_rate" else min(cell_rates)
@@ -368,23 +331,10 @@ def centralized_search(
     return best_assignment, best_value
 
 
-def assignment_utility(assignment: Assignment, prefs: PreferenceProfile) -> float:
-    """Sum of provider-side utilities; a lone cell contributes its self utility."""
-    if prefs.provider_utility is None:
-        raise ContractViolation("profile carries no utilities")
-    total = 0.0
-    for r, p in assignment.provider_of.items():
-        total += prefs.provider_utility[r][p]
-    if assignment.lone is not None:
-        total += prefs.provider_utility[assignment.lone].get(assignment.lone, 0.0)
-    return total
-
-
 def is_stable(
     assignment: Assignment,
     prefs: PreferenceProfile,
     mode: str = "one_sided",
-    coalition_cap: int = 8,
 ) -> bool:
     """Exhaustive stability oracle.
 
@@ -395,8 +345,8 @@ def is_stable(
     """
     K = prefs.K
     if mode == "one_sided":
-        if K > coalition_cap:
-            raise CapacityExceeded(f"coalition search is exhaustive only up to K={coalition_cap}")
+        if K > COALITION_CAP:
+            raise CapacityExceeded(f"coalition search is exhaustive only up to K={COALITION_CAP}")
         ranks = {c: prefs.provider_rank(c) for c in range(K)}
         holding = {c: assignment.provider_of.get(c, c) for c in range(K)}
         cells = list(range(K))

@@ -40,8 +40,9 @@ class DegenerateChannel(GiaSimError):
     """A channel draw produced a rank-deficient construction; resample."""
 
 
-class AlignmentFailure(GiaSimError):
-    """Interference images that must share a span do not (numerical breakdown)."""
+class AlignmentFailure(DegenerateChannel):
+    """Interference images that must share a span do not (numerical breakdown
+    on one draw); resampled like any degenerate draw."""
 
 
 class CapacityExceeded(GiaSimError):

@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .system import ChannelRealization, SystemConfig
 
-CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated or loaded, in bytes
+CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
 _CALIBRATION_SEED = 0x5EED
 
 
@@ -60,9 +60,9 @@ def batch_orthonormalize(G: np.ndarray) -> np.ndarray:
 
 def codebook_bytes(M: int, N: int, B: int) -> int | None:
     """Size of 2^B complex128 codewords of shape (M, N), or None when the
-    dimensions are not positive or the size exceeds the byte guard."""
-    # B is bounded first so that a corrupt value cannot make 2**B huge
-    if M < 1 or N < 1 or not 0 <= B < CODEBOOK_BYTE_GUARD.bit_length():
+    size exceeds the byte guard."""
+    # B is bounded first so that an outside value cannot make 2**B huge
+    if not 0 <= B < CODEBOOK_BYTE_GUARD.bit_length():
         return None
     size = 16 * M * N * 2 ** B
     return size if size <= CODEBOOK_BYTE_GUARD else None
@@ -98,68 +98,6 @@ def dump_codebook(cb: Codebook, path: str) -> None:
             fh.write(np.ascontiguousarray(cb.codewords, dtype="<c16").tobytes())
     except OSError as exc:
         raise ContractViolation(f"cannot write codebook to {path}: {exc}") from exc
-
-
-def load_codebook(path: str) -> Codebook:
-    """Read a :func:`dump_codebook` file, checking the header against the payload."""
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        M, N, B = struct.unpack("<3i", header) if len(header) == 12 else (0, 0, 0)
-        size = codebook_bytes(M, N, B)
-        # never read more than one byte past a payload the guard admits
-        payload = fh.read(size + 1) if size is not None else b""
-    if size is None or len(payload) != size:
-        raise ContractViolation(
-            f"codebook file {path}: header (M, N, B) = ({M}, {N}, {B}) does not match "
-            f"its payload"
-        )
-    words = np.frombuffer(payload, dtype="<c16").reshape(2 ** B, M, N).astype(complex)
-    return Codebook(M=M, N=N, B=B, codewords=words)
-
-
-@dataclass(frozen=True)
-class QuantizationDecomposition:
-    """Split of a quantized subspace into in-span and out-of-span parts.
-
-    V_hat V_hat^H is reproduced by V R Gamma^(1/2) + V_perp S (I-Gamma)^(1/2);
-    the diagonal weights sum to N minus the squared chordal distance.
-    """
-
-    gamma: np.ndarray     # weights alpha_j in [0, 1]
-    R: np.ndarray         # N x N unitary
-    S: np.ndarray         # (M-N) x N semi-unitary
-    dist_sq: float
-
-
-def decompose_quantization(V: np.ndarray, V_hat: np.ndarray) -> QuantizationDecomposition:
-    M, N = V.shape
-    V_perp = left_null_space(V)
-    C1 = V.conj().T @ V_hat
-    C2 = V_perp.conj().T @ V_hat
-    Uc, sc, Vch = np.linalg.svd(C1)
-    gamma = np.clip(sc ** 2, 0.0, 1.0)
-    # columns of C2 Vc are orthogonal with norms sqrt(1 - gamma_j)
-    W = C2 @ Vch.conj().T
-    S = np.zeros((M - N, N), dtype=complex)
-    degenerate = []
-    for j in range(N):
-        norm = np.linalg.norm(W[:, j])
-        if norm > 1e-8:
-            S[:, j] = W[:, j] / norm
-        else:
-            degenerate.append(j)
-    if degenerate:
-        # zero-weight columns: complete orthonormally where room exists
-        good = [j for j in range(N) if j not in degenerate]
-        if good:
-            comp = left_null_space(S[:, good])
-        else:
-            comp = np.eye(M - N, dtype=complex)
-        for pos, j in enumerate(degenerate):
-            if pos < comp.shape[1]:
-                S[:, j] = comp[:, pos]
-    dist = float(min(max(N - np.sum(gamma), 0.0), N))
-    return QuantizationDecomposition(gamma=gamma, R=Uc, S=S, dist_sq=dist)
 
 
 def omega_matrix(H: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, float]:
@@ -210,7 +148,6 @@ class BitAllocation:
     bits: np.ndarray
     budget: int
     active_count: int
-    water_level: float
 
     def of_user(self, cfg: SystemConfig, i: int, k: int) -> int:
         return int(self.bits[cfg.user_index(i, k)])
@@ -246,7 +183,6 @@ def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAll
         active_count = n
     active = order[:active_count]
     mean_active = float(a_sorted[:active_count].mean())
-    water_level = mean_active - budget / (active_count * m)
     bits = np.zeros(n, dtype=int)
     bits[active] = np.maximum(
         0, np.rint(m * (a[active] - mean_active) + budget / active_count).astype(int)
@@ -259,9 +195,7 @@ def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAll
         marginal = lam * np.power(2.0, -(bits - 1) / m)
         marginal[bits == 0] = math.inf
         bits[int(np.argmin(marginal))] -= 1
-    return BitAllocation(
-        bits=bits, budget=budget, active_count=active_count, water_level=water_level
-    )
+    return BitAllocation(bits=bits, budget=budget, active_count=active_count)
 
 
 def eba_allocate(budget: int, user_count: int) -> BitAllocation:
@@ -271,15 +205,7 @@ def eba_allocate(budget: int, user_count: int) -> BitAllocation:
     base, extra = divmod(budget, user_count)
     bits = np.full(user_count, base, dtype=int)
     bits[:extra] += 1
-    return BitAllocation(
-        bits=bits, budget=budget, active_count=user_count, water_level=math.nan
-    )
-
-
-def allocation_objective(lambda1: np.ndarray, bits: np.ndarray, d_s: int, N_U: int) -> float:
-    """The bound-shaped objective the bit split minimizes."""
-    m = d_s * (N_U - d_s)
-    return float(np.sum(np.asarray(lambda1) * np.power(2.0, -np.asarray(bits) / m)))
+    return BitAllocation(bits=bits, budget=budget, active_count=user_count)
 
 
 def rinr(
@@ -311,29 +237,23 @@ def rinr(
 
 
 def rinr_upper_bound(
-    ch: ChannelRealization,
     assignment,
-    ideal_patterns: np.ndarray,
     cfg: SystemConfig,
     dist_sq: np.ndarray,
-    lambda1: np.ndarray | None = None,
+    lambda1: np.ndarray,
 ) -> dict:
     """Per-cell ceiling on the residual interference.
 
     Uses each user's actual squared quantization distance ``dist_sq``, an
-    (L, K) array, so it holds pathwise for any codebook. ``lambda1`` (L, K)
-    holds known leakage eigenvalues; without it they are recomputed.
+    (L, K) array, so it holds pathwise for any codebook, and each user's
+    leakage eigenvalue ``lambda1`` (L, K) at its receiver.
     """
     out = {}
     for k in range(cfg.K):
         prov = assignment.provider(k)
         acc = 0.0
         for j in range(cfg.L):
-            if lambda1 is not None:
-                lam = lambda1[j, prov]
-            else:
-                lam = omega_matrix(ch.H[j, prov, k], ideal_patterns[j, prov])[1]
-            acc += (cfg.P / (cfg.sigma2 * cfg.d_s)) * lam * dist_sq[j, prov]
+            acc += (cfg.P / (cfg.sigma2 * cfg.d_s)) * lambda1[j, prov] * dist_sq[j, prov]
         out[k] = cfg.L * acc
     return out
 

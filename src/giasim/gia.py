@@ -110,7 +110,6 @@ def aligned_interference_basis(
     provider: int,
     receiver: int,
     V_in: np.ndarray,
-    tol: float = ALIGN_TOL,
 ) -> np.ndarray:
     """Orthonormal basis of the common interference span at the receiver.
 
@@ -123,7 +122,7 @@ def aligned_interference_basis(
         for i in range(1, L):
             image = ch.H[i, provider, receiver] @ V_in[i * N_U:(i + 1) * N_U, :]
             dist = chordal_distance_sq(basis, orthonormalize(image))
-            if dist > tol:
+            if dist > ALIGN_TOL:
                 raise AlignmentFailure(
                     f"user {i} of cell {provider} misaligned at cell {receiver}: "
                     f"chordal distance^2 {dist:.3e}"
@@ -198,15 +197,16 @@ def zf_decoder(
     User (i, k)'s decoder nulls, in order: same-cell interference from other
     users, per-user interference from every cell that is neither k nor k's
     provider, and ``provider_blocks[(i, k)]``, the span through which k's
-    provider cell arrives (its aligned basis under perfect feedback).
+    provider cell arrives (its aligned basis under perfect feedback). Each
+    cell's images ``ch.H[:, :, k] @ patterns`` are formed once.
     """
     L, K = ch.H.shape[0], ch.H.shape[1]
+    images = {k: ch.H[:, :, k] @ patterns for k in {k for _, k in provider_blocks}}
     stacks = []
     for (i, k), provider_block in provider_blocks.items():
         prov = assignment.provider(k)
-        images = ch.H[:, :, k] @ patterns
-        blocks = [images[j, k] for j in range(L) if j != i]
-        blocks += [images[m, l] for l in range(K) if l not in (k, prov) for m in range(L)]
+        blocks = [images[k][j, k] for j in range(L) if j != i]
+        blocks += [images[k][m, l] for l in range(K) if l not in (k, prov) for m in range(L)]
         blocks.append(provider_block)
         stacks.append(np.concatenate(blocks, axis=1))
     return select_null_basis(np.array(stacks), d_s)
@@ -311,8 +311,8 @@ def user_rate(
     i: int,
     k: int,
     cfg: SystemConfig,
-) -> tuple[float, np.ndarray]:
-    """Achievable rate of user (i, k) and its effective channel.
+) -> float:
+    """Achievable rate of user (i, k) in nats.
 
     Uses the effective-channel form: the decoder output channel composed
     with the uniform-power outer scaling. Numerically equal to evaluating
@@ -323,22 +323,7 @@ def user_rate(
     slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
     H_eff = U.conj().T @ ch.H[i, k, k] @ slice_ik
     V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners[(i, k)]
-    rate = rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
-    return rate, H_eff
-
-
-def rate_from_link(U: np.ndarray, H_direct: np.ndarray, V_full: np.ndarray, sigma2: float) -> float:
-    """Plain per-user rate log det(I + (1/sigma2) (U^H H V)(U^H H V)^H)."""
-    return rate_logdet(U.conj().T @ H_direct @ V_full, 1.0 / sigma2)
-
-
-def effective_link_gains(
-    ch: ChannelRealization, tset: TransceiverSet, i: int, k: int
-) -> np.ndarray:
-    """Eigenvalues of (U^H H pattern)(...)^H: rate at power P is
-    sum(log1p(P/(d_s sigma2) * gains)), handy for sweeping SNR on one build."""
-    M0 = tset.decoders[(i, k)].conj().T @ ch.H[i, k, k] @ tset.patterns[(i, k)]
-    return psd_eigvals(M0 @ M0.conj().T)
+    return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
 
 
 @dataclass(frozen=True)

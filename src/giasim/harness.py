@@ -298,7 +298,7 @@ def _evaluate_trial(
         tset = build.transceivers(cfg, chosen)
         if scheme.bit_alloc == "none":
             user_rates = {
-                (i, k): gia.user_rate(build.ch, tset, i, k, cfg)[0]
+                (i, k): gia.user_rate(build.ch, tset, i, k, cfg)
                 for k in range(cfg.K)
                 for i in range(cfg.L)
             }
@@ -340,7 +340,7 @@ def _limited_feedback_stage(
         for i in range(cfg.L)
     }
     rinr_cell, _ = fb.rinr(ch, chosen, q_patterns, q_decoders, cfg)
-    bound_cell = fb.rinr_upper_bound(ch, chosen, tset.patterns, cfg, dist, lambda1=lam)
+    bound_cell = fb.rinr_upper_bound(chosen, cfg, dist, lam)
     result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
     result.rinr_per_cell = rinr_cell
     result.bound_per_cell = bound_cell
@@ -386,17 +386,6 @@ def _run_cell(
     raise DegenerateChannel(
         f"trial {trial_index} (seed {seed}, scheme {scheme.label}) failed twice: {last}"
     )
-
-
-def run_trial(
-    cfg: SystemConfig,
-    scheme: SchemeSpec,
-    trial_index: int,
-    seed: int = 0,
-) -> TrialResult:
-    """One fully seeded trial, rates in nats; a degenerate draw is resampled once."""
-    require_feasible(cfg)
-    return _run_cell([], cfg, scheme, trial_index, seed)
 
 
 def baseline_rb(ch: ChannelRealization, cfg: SystemConfig, rng: np.random.Generator) -> TrialResult:
@@ -492,13 +481,9 @@ def _summary(result: TrialResult) -> tuple:
     )
 
 
-def aggregate_metrics(results) -> Aggregate:
+def _aggregate(summaries: list) -> Aggregate:
     """Sample means with standard errors; interference reported in dB of the
     mean sum-cluster level."""
-    return _aggregate([_summary(r) for r in results])
-
-
-def _aggregate(summaries: list) -> Aggregate:
     if not summaries:
         raise ContractViolation("cannot aggregate zero trials")
     sum_rates, min_rates, rinrs, bounds, resamples = zip(*summaries)

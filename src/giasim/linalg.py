@@ -15,6 +15,8 @@ from .errors import ContractViolation, EmptySubspace, NumericalFailure, RankDefi
 # Singular value s_i counts as nonzero iff s_i > RANK_REL_TOL * s_max.
 # Safe in double precision for the stacked matrices this simulator builds.
 RANK_REL_TOL = 1e-10
+# Largest relative asymmetry herm_eig accepts as rounding noise.
+HERM_TOL = 1e-9
 
 
 def _as_cmatrix(M, stacked: bool = False) -> np.ndarray:
@@ -45,13 +47,13 @@ def full_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericalFailure("svd", M.shape[-2], M.shape[-1]) from exc
 
 
-def matrix_rank(singular_values: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def matrix_rank(singular_values: np.ndarray) -> int:
     if singular_values.size == 0:
         return 0
-    return int(np.sum(singular_values > rel_tol * singular_values[0]))
+    return int(np.sum(singular_values > RANK_REL_TOL * singular_values[0]))
 
 
-def left_null_space(M, rel_tol: float = RANK_REL_TOL) -> np.ndarray | list:
+def left_null_space(M) -> np.ndarray | list:
     """Semi-unitary basis N of the left null space of M, i.e. N^H M = 0.
 
     For an m x n matrix of rank r this returns an m x (m - r) basis built
@@ -63,7 +65,7 @@ def left_null_space(M, rel_tol: float = RANK_REL_TOL) -> np.ndarray | list:
     U, s, _ = full_svd(M)
     bases = []
     for idx in np.ndindex(s.shape[:-1]):
-        r = matrix_rank(s[idx], rel_tol)
+        r = matrix_rank(s[idx])
         if r == U.shape[-1]:
             raise EmptySubspace(f"matrix of shape {np.shape(M)[-2:]} has full row rank {r}")
         bases.append(U[idx][:, r:])
@@ -86,13 +88,13 @@ def projectors(X) -> tuple[np.ndarray, np.ndarray]:
     return P, P_perp
 
 
-def herm_eig(M, herm_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues in decreasing order."""
     M = _as_cmatrix(M)
     if M.shape[0] != M.shape[1]:
         raise ContractViolation(f"herm_eig needs a square matrix, got {M.shape}")
     asym = np.linalg.norm(M - M.conj().T)
-    if asym > herm_tol * max(1.0, np.linalg.norm(M)):
+    if asym > HERM_TOL * max(1.0, np.linalg.norm(M)):
         raise ContractViolation(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     try:
         w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
@@ -133,12 +135,6 @@ def herm_inv_sqrt(M) -> np.ndarray:
     if w[-1] <= 0:
         raise RankDeficient("inverse square root of a singular matrix")
     return (V * (1.0 / np.sqrt(w))) @ V.conj().T
-
-
-def is_semi_unitary(V, tol: float = 1e-10) -> bool:
-    V = np.asarray(V)
-    gram = V.conj().T @ V
-    return bool(np.linalg.norm(gram - np.eye(V.shape[1])) <= tol * max(1.0, V.shape[1]))
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -1,0 +1,120 @@
+"""Reference implementations and helpers that only the tests use.
+
+The package keeps only what the simulator runs; what the tests compare
+against, or use to drive the package one piece at a time, lives here.
+"""
+
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from giasim import harness
+from giasim.assignment import derangement_count
+from giasim.errors import ContractViolation
+from giasim.feedback import Codebook, omega_matrix
+from giasim.gia import per_user
+from giasim.linalg import psd_eigvals
+from giasim.system import require_feasible
+
+
+def run_trial(cfg, scheme, trial_index, seed=0):
+    """One fully seeded trial on a fresh build, rates in nats; a degenerate
+    draw is resampled once, as in a sweep."""
+    require_feasible(cfg)
+    return harness._run_cell([], cfg, scheme, trial_index, seed)
+
+
+def aggregate_metrics(results):
+    """The sweep's aggregate of a list of trial results."""
+    return harness._aggregate([harness._summary(r) for r in results])
+
+
+def effective_link_gains(ch, tset, i, k):
+    """Eigenvalues of (U^H H pattern)(...)^H: rate at power P is
+    sum(log1p(P/(d_s sigma2) * gains))."""
+    M0 = tset.decoders[(i, k)].conj().T @ ch.H[i, k, k] @ tset.patterns[(i, k)]
+    return psd_eigvals(M0 @ M0.conj().T)
+
+
+def leakage(ch, tset, cfg):
+    """Largest leakage eigenvalue of every user at its receiver, (L, K), as
+    the harness computes it for the bit split and the RINR bound."""
+    receiver_of = tset.assignment.receivers()
+    return per_user(cfg, lambda i, k: omega_matrix(
+        ch.H[i, k, receiver_of[k]], tset.patterns[i, k]
+    )[1])
+
+
+def allocation_objective(lambda1, bits, d_s, N_U):
+    """The bound-shaped objective the bit split minimizes."""
+    m = d_s * (N_U - d_s)
+    return float(np.sum(np.asarray(lambda1) * np.power(2.0, -np.asarray(bits) / m)))
+
+
+def strict_count_formula(K):
+    """The closed-form strict-assignment count as the paper states it: D(K) - 1,
+    one below the true derangement count."""
+    if K < 3:
+        raise ContractViolation("the closed-form count is stated for K >= 3")
+    return derangement_count(K) - 1
+
+
+def assignment_utility(assignment, prefs):
+    """Sum of provider-side utilities; a lone cell contributes its self utility."""
+    if prefs.provider_utility is None:
+        raise ContractViolation("profile carries no utilities")
+    total = 0.0
+    for r, p in assignment.provider_of.items():
+        total += prefs.provider_utility[r][p]
+    if assignment.lone is not None:
+        total += prefs.provider_utility[assignment.lone].get(assignment.lone, 0.0)
+    return total
+
+
+def validate_assignment(assignment):
+    """Raise ContractViolation unless the (possibly weak) assignment is a
+    valid partial matching: no self-loop, injective, lone cell outside it."""
+    for r, p in assignment.provider_of.items():
+        if p == r:
+            raise ContractViolation(f"cell {r} assigned to itself")
+    if len(set(assignment.provider_of.values())) != len(assignment.provider_of):
+        raise ContractViolation("provider map is not injective")
+    if assignment.lone is not None and (
+        assignment.lone in assignment.provider_of
+        or assignment.lone in assignment.provider_of.values()
+    ):
+        raise ContractViolation("lone cell participates in the matching")
+
+
+def assignment_cycles(assignment):
+    """Provider cycles, each starting from its smallest member."""
+    seen = set()
+    out = []
+    for start in sorted(assignment.provider_of):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        node = assignment.provider_of[start]
+        while node != start:
+            cyc.append(node)
+            seen.add(node)
+            node = assignment.provider_of[node]
+        out.append(cyc)
+    return out
+
+
+def is_semi_unitary(V, tol=1e-10):
+    V = np.asarray(V)
+    gram = V.conj().T @ V
+    return bool(np.linalg.norm(gram - np.eye(V.shape[1])) <= tol * max(1.0, V.shape[1]))
+
+
+def read_codebook(path):
+    """Read a ``feedback.dump_codebook`` file: int32 header (M, N, B), then
+    the codewords as little-endian complex128."""
+    data = Path(path).read_bytes()
+    M, N, B = struct.unpack("<3i", data[:12])
+    words = np.frombuffer(data[12:], dtype="<c16").reshape(2 ** B, M, N)
+    return Codebook(M=M, N=N, B=B, codewords=words.astype(complex))

@@ -42,7 +42,7 @@ def reference_candidates(ch, cfg, inner):
         assignment = Assignment(provider_of={k: perm[k] for k in range(cfg.K)})
         tset = build_transceivers(ch, cfg, assignment, dict(inner))
         cell_rates = [
-            sum(user_rate(ch, tset, i, k, cfg)[0] for i in range(cfg.L))
+            sum(user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
             for k in range(cfg.K)
         ]
         out.append((assignment, cell_rates))

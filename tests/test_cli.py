@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from giasim.cli import main, parse_grid
-from giasim.feedback import load_codebook
+from oracles import read_codebook
 
 
 @pytest.fixture()
@@ -77,7 +77,7 @@ def test_codebook_subcommand(tmp_path):
     assert main(
         ["codebook", "--ambient", "8", "--sub", "2", "--bits", "3", "--seed", "5", "--out", str(out)]
     ) == 0
-    cb = load_codebook(str(out))
+    cb = read_codebook(str(out))
     assert cb.M == 8 and cb.N == 2 and len(cb) == 8
     gram = cb.codewords[0].conj().T @ cb.codewords[0]
     assert np.allclose(gram, np.eye(2), atol=1e-10)

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from giasim.assignment import fixed_cyclic
-from giasim.errors import ContractViolation, InfeasibleConfig
+from giasim.errors import AlignmentFailure, ContractViolation, DegenerateChannel, InfeasibleConfig
 from giasim.gia import build_transceivers, user_rate
 from giasim.harness import (
     SchemeSpec,
     SweepSpec,
     TrialResult,
-    aggregate_metrics,
     backhaul_overhead,
     baseline_fdma,
     baseline_rb,
     run_sweep,
-    run_trial,
     throughput,
     write_csv,
 )
-from giasim.linalg import complex_gaussian, is_semi_unitary
+from giasim.linalg import complex_gaussian
 from giasim.system import SystemConfig, draw_channels, trial_rng
+from oracles import aggregate_metrics, effective_link_gains, is_semi_unitary, run_trial
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 
@@ -38,7 +37,7 @@ class TestThroughput:
         for k in range(CFG.K):
             for i in range(CFG.L):
                 tp = throughput(ch, tset.decoders, tset.patterns, i, k, CFG)
-                rate, _ = user_rate(ch, tset, i, k, CFG)
+                rate = user_rate(ch, tset, i, k, CFG)
                 assert tp == pytest.approx(rate, rel=1e-9)
 
     def test_zero_channel_zero_rate(self, pipeline):
@@ -195,9 +194,9 @@ class TestRunTrial:
         with pytest.raises(InfeasibleConfig):
             run_trial(bad, SchemeSpec(assignment="fixed"), 0, seed=0)
 
-    def test_degenerate_draw_resampled_once(self, monkeypatch):
+    @pytest.mark.parametrize("failure", [DegenerateChannel, AlignmentFailure])
+    def test_degenerate_draw_resampled_once(self, monkeypatch, failure):
         import giasim.harness as hmod
-        from giasim.errors import DegenerateChannel
 
         real = hmod._evaluate_trial
         calls = {"n": 0}
@@ -205,7 +204,7 @@ class TestRunTrial:
         def flaky(build, cfg, scheme, trial_index, resamples):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise DegenerateChannel("synthetic rank collapse")
+                raise failure("synthetic rank collapse")
             return real(build, cfg, scheme, trial_index, resamples)
 
         monkeypatch.setattr(hmod, "_evaluate_trial", flaky)
@@ -215,7 +214,6 @@ class TestRunTrial:
 
     def test_two_degenerate_draws_abort_with_diagnostics(self, monkeypatch):
         import giasim.harness as hmod
-        from giasim.errors import DegenerateChannel
 
         def always_bad(*args, **kwargs):
             raise DegenerateChannel("synthetic rank collapse")
@@ -272,8 +270,6 @@ class TestOtherGeometries:
 def test_five_cell_multiplexing_slope():
     # the full multiplexing gain K*L*d_s also materializes off the 4-cell
     # reference geometry
-    from giasim.gia import build_transceivers, effective_link_gains
-
     cfg = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2)
     totals = {1e3: 0.0, 1e4: 0.0}
     trials = 60

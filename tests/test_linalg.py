@@ -6,12 +6,12 @@ from giasim.linalg import (
     chordal_distance_sq,
     complex_gaussian,
     herm_eig,
-    is_semi_unitary,
     left_null_space,
     orthonormalize,
     projectors,
     svd,
 )
+from oracles import is_semi_unitary
 
 rng = np.random.default_rng(101)
 

@@ -1,0 +1,46 @@
+"""The package exports only what it runs.
+
+Every public module-level function and class in ``src/giasim`` must be
+referenced by package code other than its own definition. A name that only
+tests call belongs in ``tests/oracles.py``. References are AST ``Name`` and
+``Attribute`` nodes, so a mention in a docstring or an ``__init__`` re-export
+does not count.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "giasim"
+
+EXEMPT = {
+    # a paper result (the backhaul table), checked by acceptance criterion 11
+    "backhaul_overhead",
+    # the alignment diagnostic; the planned run-metrics sidecar is its caller
+    "verify_alignment",
+}
+
+
+def test_every_public_name_has_a_package_caller():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defs = {
+        node.name: node
+        for fname, tree in trees.items() if fname != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert EXEMPT <= set(defs), "an exempted name is gone: drop it from EXEMPT"
+    owner = {id(n): name for name, node in defs.items() for n in ast.walk(node)}
+    refs = {  # (name referenced, public definition the reference sits in)
+        (node.id if isinstance(node, ast.Name) else node.attr, owner.get(id(node)))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    # a name referenced only from unused definitions is unused too
+    unused = set()
+    while True:
+        used = EXEMPT | {name for name, where in refs if where != name and where not in unused}
+        if set(defs) - used == unused:
+            break
+        unused = set(defs) - used
+    assert sorted(unused) == [], f"public names with no caller in src/giasim: {sorted(unused)}"

@@ -2,10 +2,10 @@
 
 ``run_sweep`` builds each trial once and shares the power-free work across
 every grid point and scheme. The reference below is the plain grid-major
-loop: one fresh ``run_trial`` per (grid point, scheme, trial) cell,
-aggregated with ``aggregate_metrics``. The unformatted row floats must be
-equal with ``==``: the golden CSVs print 12 significant digits and would
-miss a change in the last bits.
+loop: one fresh ``oracles.run_trial`` per (grid point, scheme, trial)
+cell, aggregated with ``oracles.aggregate_metrics``. The unformatted row
+floats must be equal with ``==``: the golden CSVs print 12 significant
+digits and would miss a change in the last bits.
 """
 
 from dataclasses import replace
@@ -18,12 +18,11 @@ from giasim.harness import (
     ASSIGNMENT_SCHEMES,
     SchemeSpec,
     SweepSpec,
-    aggregate_metrics,
     log_scale,
     run_sweep,
-    run_trial,
 )
 from giasim.system import SystemConfig, draw_channels, trial_rng
+from oracles import aggregate_metrics, run_trial
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 
