@@ -130,6 +130,7 @@ def throughput(
     i: int,
     k: int,
     cfg: SystemConfig,
+    images: np.ndarray | None = None,
 ) -> float:
     """Rate of user (i, k) in nats, treating residual interference as noise.
 
@@ -138,9 +139,10 @@ def throughput(
     cell-major order. Evaluated as logdet(I + C + A) - logdet(I + C); both
     arguments are Hermitian positive definite, which keeps the evaluation
     stable. With perfect feedback C vanishes on the desired links and this
-    reduces to the alignment rate.
+    reduces to the alignment rate. ``images`` is the user's ``link_images``
+    stack when the caller has formed it already.
     """
-    X = gia.link_images(ch, decoders[i, k], tx_patterns, k)
+    X = gia.link_images(ch, decoders[i, k], tx_patterns, k) if images is None else images
     cov = (cfg.P / (cfg.d_s * cfg.sigma2)) * (X @ X.conj().swapaxes(-1, -2))
     C = sum(cov[j, l] for l in range(cfg.K) for j in range(cfg.L) if (j, l) != (i, k))
     A = cov[i, k]
@@ -191,6 +193,17 @@ def _assignment_key(assignment: asg.Assignment) -> tuple:
     return tuple(sorted(assignment.provider_of.items()))
 
 
+@dataclass(frozen=True)
+class Feedback:
+    """What limited feedback fixes for one assignment, before P enters."""
+
+    alloc: fb.BitAllocation
+    q_patterns: np.ndarray   # (L, K, N_U, d_s) quantized patterns
+    dist: np.ndarray         # (L, K) squared chordal quantization distances
+    q_decoders: np.ndarray   # (L, K, N_B, d_s) zero-forcing decoders from q_patterns
+    images: np.ndarray       # (L, K, L, K, d_s, d_s) link_images of every user
+
+
 class TrialBuild:
     """The power-free work on one channel draw, computed once and shared by
     every cell (grid point and scheme) of a trial.
@@ -203,6 +216,7 @@ class TrialBuild:
 
     def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int):
         rng = trial_rng(seed, trial_index, stream=attempt)
+        self.trial_index = trial_index
         self.ch = draw_channels(cfg, rng)
         self._rng_after_draw = rng  # baseline_rb continues this stream
         self._potentials = gia.Potentials(self.ch, cfg)
@@ -210,6 +224,7 @@ class TrialBuild:
         self._two_sided = {}        # config -> profile with both sides
         self._tsets = {}            # assignment key -> TransceiverSet
         self._leakage = {}          # assignment key -> (L, K) lambda1
+        self._feedback = {}         # (assignment key, allocation, budget, seed) -> Feedback
 
     def rng(self) -> np.random.Generator:
         """A generator positioned right after the channel draw."""
@@ -255,6 +270,36 @@ class TrialBuild:
                 self.ch.H[i, k, receiver_of[k]], tset.patterns[i, k]
             )[1])
         return self._leakage[key]
+
+    def feedback(
+        self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet
+    ) -> Feedback:
+        """The power-free part of the limited-feedback stage for ``scheme``."""
+        key = (
+            _assignment_key(tset.assignment),
+            scheme.bit_alloc,
+            scheme.bits_budget,
+            scheme.codebook_seed,
+        )
+        fed = self._feedback.get(key)
+        if fed is None:
+            lam = self.leakage(cfg, tset)
+            if scheme.bit_alloc == "dba":
+                # flat (cell, user) order, as cfg.user_index numbers the users
+                alloc = fb.dba_allocate(lam.T.ravel(), scheme.bits_budget, cfg.d_s, cfg.N_U)
+            else:
+                alloc = fb.eba_allocate(scheme.bits_budget, cfg.user_count)
+            q_patterns, dist = _quantize_patterns(
+                tset.patterns, alloc, cfg, scheme, self.trial_index
+            )
+            q_decoders = fb.quantized_decoder(
+                self.ch, tset.assignment, q_patterns, tset.patterns, cfg.d_s
+            )
+            images = gia.per_user(
+                cfg, lambda i, k: gia.link_images(self.ch, q_decoders[i, k], q_patterns, k)
+            )
+            fed = self._feedback[key] = Feedback(alloc, q_patterns, dist, q_decoders, images)
+        return fed
 
 
 def _choose_assignment(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec):
@@ -323,28 +368,19 @@ def _limited_feedback_stage(
             "limited feedback needs N_U > d_s: with square patterns there is "
             "nothing to quantize"
         )
-    ch, chosen = build.ch, tset.assignment
-    lam = build.leakage(cfg, tset)
-    if scheme.bit_alloc == "dba":
-        # flat (cell, user) order, as cfg.user_index numbers the users
-        alloc = fb.dba_allocate(lam.T.ravel(), scheme.bits_budget, cfg.d_s, cfg.N_U)
-    else:
-        alloc = fb.eba_allocate(scheme.bits_budget, cfg.user_count)
-    q_patterns, dist = _quantize_patterns(tset.patterns, alloc, cfg, scheme, trial_index)
-    q_decoders = gia.per_user(cfg, lambda i, k: fb.quantized_decoder(
-        ch, chosen, q_patterns, tset.patterns, i, k, cfg.d_s
-    ))
+    chosen = tset.assignment
+    fed = build.feedback(cfg, scheme, tset)
     user_rates = {
-        (i, k): throughput(ch, q_decoders, q_patterns, i, k, cfg)
+        (i, k): throughput(build.ch, fed.q_decoders, fed.q_patterns, i, k, cfg, fed.images[i, k])
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
-    rinr_cell, _ = fb.rinr(ch, chosen, q_patterns, q_decoders, cfg)
-    bound_cell = fb.rinr_upper_bound(chosen, cfg, dist, lam)
+    rinr_cell, _ = fb.rinr(build.ch, chosen, fed.q_patterns, fed.q_decoders, cfg, fed.images)
+    bound_cell = fb.rinr_upper_bound(chosen, cfg, fed.dist, build.leakage(cfg, tset))
     result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
     result.rinr_per_cell = rinr_cell
     result.bound_per_cell = bound_cell
-    result.bits = alloc.bits
+    result.bits = fed.alloc.bits
     return result
 
 

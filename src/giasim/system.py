@@ -42,10 +42,6 @@ class SystemConfig:
         return 10.0 * math.log10(self.P / self.sigma2)
 
     @property
-    def snr(self) -> float:
-        return self.P / self.sigma2
-
-    @property
     def user_count(self) -> int:
         return self.K * self.L
 

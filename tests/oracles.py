@@ -4,6 +4,7 @@ The package keeps only what the simulator runs; what the tests compare
 against, or use to drive the package one piece at a time, lives here.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from giasim.assignment import derangement_count
 from giasim.errors import ContractViolation
 from giasim.feedback import Codebook, omega_matrix
 from giasim.gia import per_user
-from giasim.linalg import psd_eigvals
+from giasim.linalg import complex_gaussian, left_null_space, psd_eigvals
 from giasim.system import require_feasible
 
 
@@ -118,3 +119,41 @@ def read_codebook(path):
     M, N, B = struct.unpack("<3i", data[:12])
     words = np.frombuffer(data[12:], dtype="<c16").reshape(2 ** B, M, N)
     return Codebook(M=M, N=N, B=B, codewords=words.astype(complex))
+
+
+def subspace_at_distance_80_steps(V, dist_sq, rng):
+    """``feedback.subspace_at_distance`` as a fixed 80-step bisection with
+    the spread evaluated in numpy; the package stops as soon as the interval
+    cannot shrink, which must give the same bits."""
+    M, N = V.shape
+    if M < 2 * N:
+        raise ContractViolation("geodesic synthesis needs M >= 2N")
+    if not 0.0 <= dist_sq <= N:
+        raise ContractViolation(f"squared chordal distance {dist_sq} outside [0, {N}]")
+    if dist_sq == 0.0:
+        return V.copy()
+    V_perp = left_null_space(V)
+    G = complex_gaussian(rng, (M - N, N))
+    Sg, sig, Rgh = np.linalg.svd(G, full_matrices=False)
+    sig = sig / np.linalg.norm(sig)
+
+    def spread(t):
+        return float(np.sum(np.sin(sig * t) ** 2))
+
+    lo, hi = 0.0, math.pi / 2.0 / sig[0]
+    if spread(hi) <= dist_sq:
+        t = hi
+    else:
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if spread(mid) < dist_sq:
+                lo = mid
+            else:
+                hi = mid
+        t = 0.5 * (lo + hi)
+    theta = sig * t
+    Rg = Rgh.conj().T
+    return (
+        V @ Rg @ np.diag(np.cos(theta)) @ Rg.conj().T
+        + V_perp @ Sg @ np.diag(np.sin(theta)) @ Rg.conj().T
+    )

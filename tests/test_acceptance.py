@@ -32,7 +32,6 @@ from giasim.gia import (
     build_potentials,
     build_transceivers,
     full_precoder,
-    per_user,
     rate_logdet,
     user_rate,
     verify_alignment,
@@ -323,9 +322,7 @@ def test_10_perfect_feedback_limit():
     for t in range(50):
         ch = draw_channels(CFG, trial_rng(SEED + 7, t))
         tset = build_transceivers(ch, CFG, fixed_cyclic(CFG.K))
-        decoders = per_user(CFG, lambda i, k: quantized_decoder(
-            ch, tset.assignment, tset.patterns, tset.patterns, i, k, CFG.d_s
-        ))
+        decoders = quantized_decoder(ch, tset.assignment, tset.patterns, tset.patterns, CFG.d_s)
         for k in range(CFG.K):
             for i in range(CFG.L):
                 limited = throughput(ch, decoders, tset.patterns, i, k, CFG)

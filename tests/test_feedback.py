@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import giasim.feedback as fb
 from giasim.assignment import fixed_cyclic
 from giasim.errors import CapacityExceeded, ContractViolation, DegenerateChannel
 from giasim.feedback import (
@@ -20,10 +21,16 @@ from giasim.feedback import (
     sample_min_distortion,
     subspace_at_distance,
 )
-from giasim.gia import build_transceivers, per_user
+from giasim.gia import build_transceivers
 from giasim.linalg import chordal_distance_sq, complex_gaussian, orthonormalize
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import allocation_objective, is_semi_unitary, leakage, read_codebook
+from oracles import (
+    allocation_objective,
+    is_semi_unitary,
+    leakage,
+    read_codebook,
+    subspace_at_distance_80_steps,
+)
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 
@@ -173,9 +180,7 @@ def quantize_all(tset, B, seed):
 
 
 def decoders_for(ch, tset, q):
-    return per_user(
-        CFG, lambda i, k: quantized_decoder(ch, tset.assignment, q, tset.patterns, i, k, CFG.d_s)
-    )
+    return quantized_decoder(ch, tset.assignment, q, tset.patterns, CFG.d_s)
 
 
 class TestQuantizedDecoder:
@@ -188,11 +193,12 @@ class TestQuantizedDecoder:
     def test_dimensions_and_nulling(self, pipeline):
         ch, tset = pipeline
         q, _ = quantize_all(tset, B=6, seed=17)
+        decoders = quantized_decoder(ch, tset.assignment, q, tset.patterns, CFG.d_s)
+        assert decoders.shape == (CFG.L, CFG.K, 14, 2)
         for k in range(CFG.K):
             prov = tset.assignment.provider(k)
             for i in range(CFG.L):
-                U = quantized_decoder(ch, tset.assignment, q, tset.patterns, i, k, CFG.d_s)
-                assert U.shape == (14, 2)
+                U = decoders[i, k]
                 blocks = [ch.H[j, k, k] @ q[(j, k)] for j in range(CFG.L) if j != i]
                 for l in range(CFG.K):
                     if l in (k, prov):
@@ -389,3 +395,47 @@ class TestEmulatedQuantization:
             e = float(np.quantile(explicit, q))
             m = float(np.quantile(emulated, q))
             assert m == pytest.approx(e, rel=0.15), f"quantile {q}"
+
+
+def bisection_cases(M, N, count, seed):
+    """(V, dist_sq, generator seed) triples: uniform distances, distances
+    near 0, dist_sq = N, and both sides of the spread(hi) = dist_sq edge."""
+    g = np.random.default_rng([seed, M, N])
+    for c in range(count):
+        V = random_subspace(M, N, g)
+        draw_seed = [seed, M, N, c]
+        kind = c % 5
+        if kind == 0:
+            d = float(g.uniform(0.0, N))
+        elif kind == 1:
+            d = float(10.0 ** g.uniform(-320.0, -1.0))
+        elif kind == 2:
+            d = float(N) if c % 2 else float(g.uniform(0.9 * N, N))
+        else:
+            # the spread the synthesis will meet at the top of its bracket
+            G = complex_gaussian(np.random.default_rng(draw_seed), (M - N, N))
+            sig = np.linalg.svd(G, full_matrices=False)[1]
+            sig = sig / np.linalg.norm(sig)
+            edge = float(np.sum(np.sin(sig * (np.pi / 2.0 / sig[0])) ** 2))
+            d = edge if kind == 3 else float(np.nextafter(edge, 0.0))
+        yield V, d, draw_seed
+
+
+class TestBisection:
+    @pytest.mark.parametrize(
+        "M, N, count",
+        [(8, 2, 700), (6, 2, 600), (10, 2, 600), (5, 1, 600), (6, 3, 600), (16, 8, 50)],
+    )
+    def test_early_stop_matches_80_step_numpy_bisection(self, M, N, count):
+        for V, d, draw_seed in bisection_cases(M, N, count, seed=61):
+            new = subspace_at_distance(V, d, np.random.default_rng(draw_seed))
+            old = subspace_at_distance_80_steps(V, d, np.random.default_rng(draw_seed))
+            assert np.array_equal(new, old), (M, N, d)
+
+    def test_cheapest_table_entry_recomputes_exactly(self):
+        M, N = min(fb._SMALL_BALL, key=lambda shape: shape[0] * shape[1])
+        assert fb._calibrate_small_ball.__wrapped__(M, N) == fb._SMALL_BALL[(M, N)]
+
+    def test_table_shapes_admit_geodesic_synthesis(self):
+        for M, N in fb._SMALL_BALL:
+            assert 1 <= N and M >= 2 * N, (M, N)

@@ -129,3 +129,47 @@ def test_degenerate_cell_resamples_alone(monkeypatch):
             fresh = hmod.TrialBuild(CFG, 31, 0, 1)
             expected = real(fresh, CFG.at_snr_db(row["value"]), schemes[1], 0, 1)
             assert row["r_sum"] == expected.sum_rate
+
+
+def test_snr_sweep_at_fixed_budget_bit_identical_to_grid_major_loop():
+    # 100 bits over 8 users puts users on both sides of the explicit-search limit
+    spec = SweepSpec(
+        variable="snr_db",
+        grid=(10.0, 20.0, 30.0),
+        trials=3,
+        schemes=(
+            SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100),
+            SchemeSpec(assignment="fixed", bit_alloc="eba", bits_budget=100),
+        ),
+        seed=43,
+    )
+    rows = run_sweep(spec, CFG)
+    assert all(row["rinr_db"] is not None for row in rows)
+    assert rows == grid_major_reference(spec, CFG)
+
+
+def test_snr_sweep_quantizes_each_user_once_per_trial(monkeypatch):
+    calls = {"explicit": 0, "emulated": 0}
+    quantize, model_quantize = hmod.fb.quantize, hmod.fb.model_quantize
+
+    def counted_quantize(*args):
+        calls["explicit"] += 1
+        return quantize(*args)
+
+    def counted_model_quantize(*args):
+        calls["emulated"] += 1
+        return model_quantize(*args)
+
+    monkeypatch.setattr(hmod.fb, "quantize", counted_quantize)
+    monkeypatch.setattr(hmod.fb, "model_quantize", counted_model_quantize)
+    trials = 2
+    spec = SweepSpec(
+        variable="snr_db",
+        grid=(10.0, 20.0, 30.0),
+        trials=trials,
+        schemes=(SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100),),
+        seed=44,
+    )
+    run_sweep(spec, CFG)
+    assert calls["explicit"] > 0 and calls["emulated"] > 0
+    assert calls["explicit"] + calls["emulated"] == trials * CFG.user_count
