@@ -12,6 +12,7 @@ malformed config file or value, a bad --snr/--bits grid and a negative seed).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ContractViolation, GiaSimError, InfeasibleConfig, NumericalFailure
@@ -27,6 +28,8 @@ def parse_grid(text: str, cast=float) -> tuple:
     if ":" in text:
         start_s, step_s, end_s = text.split(":")
         start, step, end = cast(start_s), cast(step_s), cast(end_s)
+        if not all(math.isfinite(v) for v in (start, step, end)):
+            raise ValueError("sweep start, step and end must be finite")
         if step <= 0:
             raise ValueError("sweep step must be positive")
         grid = []

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
-from .gia import link_images, zf_decoder
+from .gia import zf_decoder
 from .linalg import (
     chordal_distance_sq,
     complex_gaussian,
@@ -211,40 +211,26 @@ def eba_allocate(budget: int, user_count: int) -> BitAllocation:
     return BitAllocation(bits=bits, active_count=user_count)
 
 
-def rinr(
-    ch: ChannelRealization,
-    assignment,
-    q_patterns: np.ndarray,
-    q_decoders: np.ndarray,
-    cfg: SystemConfig,
-    images: np.ndarray | None = None,
-) -> tuple[dict, dict]:
-    """Measured residual interference-to-noise, per cell and per user.
+def rinr(assignment, images: np.ndarray, cfg: SystemConfig) -> dict:
+    """Measured residual interference-to-noise per cell.
 
     Only the provider cell's users can leak through the quantized-pattern
-    decoder; the per-user term sums their residual powers over the noise.
-    ``images[i, k]`` is user (i, k)'s ``link_images`` stack for its decoder
-    and the quantized patterns, as the rate evaluation already formed it;
-    when None it is formed here.
+    decoder; each user's term sums their residual powers over the noise.
+    ``images`` is the ``link_images`` stack of the quantized-pattern
+    decoders and the quantized patterns, as the rate evaluation reads it.
     """
-    per_user = {}
     per_cell = {}
     scale = cfg.P / (cfg.d_s * cfg.sigma2)
     for k in range(cfg.K):
         prov = assignment.provider(k)
         total = 0.0
         for i in range(cfg.L):
-            if images is None:
-                X_ik = link_images(ch, q_decoders[i, k], q_patterns, k)
-            else:
-                X_ik = images[i, k]
             leak = 0.0
-            for X in X_ik[:, prov]:
+            for X in images[i, k, :, prov]:
                 leak += scale * float(np.linalg.norm(X) ** 2)
-            per_user[(i, k)] = leak
             total += leak
         per_cell[k] = total
-    return per_cell, per_user
+    return per_cell
 
 
 def rinr_upper_bound(

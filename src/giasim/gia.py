@@ -173,15 +173,18 @@ def per_user(cfg: SystemConfig, fn) -> np.ndarray:
 
 
 def link_images(
-    ch: ChannelRealization, U: np.ndarray, patterns: np.ndarray, k: int
+    ch: ChannelRealization, decoders: np.ndarray, patterns: np.ndarray
 ) -> np.ndarray:
-    """U^H H[m, l, k] X[m, l] for every transmitter (m, l), shape (L, K, d_s, d_s).
+    """Every transmitter's image through every user's decoder, (L, K, L, K, d_s, d_s):
+    ``[i, k, m, l]`` is U^H H[m, l, k] X[m, l] with U the decoder of user (i, k).
 
-    The one place where patterns are carried through base station k's
-    channels and a receive filter U; one stacked product, associated as
-    (U^H H) X for every pair.
+    The one place where patterns are carried through the channels and the
+    receive filters; rates and residual interference only read it. Each
+    user's stack is one product, associated as (U^H H) X for every pair.
     """
-    return U.conj().T @ ch.H[:, :, k] @ patterns
+    return np.array([
+        [U.conj().T @ ch.H[:, :, k] @ patterns for k, U in enumerate(row)] for row in decoders
+    ])
 
 
 def zf_decoder(
@@ -222,8 +225,7 @@ class Potentials(dict):
     depend on that pair alone, computed on first use and then shared by every
     assignment that uses the pair, at every transmit power."""
 
-    def __init__(self, ch: ChannelRealization, cfg: SystemConfig, inner=()):
-        super().__init__(inner)
+    def __init__(self, ch: ChannelRealization, cfg: SystemConfig):
         self.ch, self.cfg = ch, cfg
         self._pieces = {}
 
@@ -272,7 +274,7 @@ def build_transceivers(
     ch: ChannelRealization,
     cfg: SystemConfig,
     assignment,
-    potentials: dict | None = None,
+    potentials: Potentials | None = None,
 ) -> TransceiverSet:
     """Complete transceiver set for a strict assignment on one realization.
 
@@ -281,8 +283,8 @@ def build_transceivers(
     """
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
-    if not isinstance(potentials, Potentials):
-        potentials = Potentials(ch, cfg, potentials or {})
+    if potentials is None:
+        potentials = Potentials(ch, cfg)
     if potentials.ch is not ch:
         raise ContractViolation("potentials were built on another channel draw")
     pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
@@ -345,17 +347,17 @@ def verify_alignment(
 ) -> AlignmentReport:
     """Measure every interference-nulling condition and the desired-link rank."""
     precoders = full_precoder(tset.patterns, cfg.P, cfg.d_s)
+    images = link_images(ch, tset.decoders, precoders)
     max_iui = 0.0
     max_ici = 0.0
     min_sv = math.inf
     min_ratio = math.inf
     for k in range(cfg.K):
         for i in range(cfg.L):
-            images = link_images(ch, tset.decoders[i, k], precoders, k)
-            resid = np.linalg.norm(images, axis=(-2, -1))
+            resid = np.linalg.norm(images[i, k], axis=(-2, -1))
             max_iui = max(max_iui, float(np.delete(resid[:, k], i).max(initial=0.0)))
             max_ici = max(max_ici, float(np.delete(resid, k, axis=1).max()))
-            s = np.linalg.svd(images[i, k], compute_uv=False)
+            s = np.linalg.svd(images[i, k, i, k], compute_uv=False)
             min_sv = min(min_sv, float(s[cfg.d_s - 1]))
             min_ratio = min(min_ratio, float(s[cfg.d_s - 1] / s[0]))
     return AlignmentReport(

@@ -110,28 +110,8 @@ class TrialResult:
     stability: dict = field(default_factory=dict)
     resamples: int = 0
 
-    @property
-    def rinr_total(self) -> float | None:
-        if self.rinr_per_cell is None:
-            return None
-        return sum(self.rinr_per_cell.values())
 
-    @property
-    def bound_total(self) -> float | None:
-        if self.bound_per_cell is None:
-            return None
-        return sum(self.bound_per_cell.values())
-
-
-def throughput(
-    ch: ChannelRealization,
-    decoders: np.ndarray,
-    tx_patterns: np.ndarray,
-    i: int,
-    k: int,
-    cfg: SystemConfig,
-    images: np.ndarray | None = None,
-) -> float:
+def throughput(images: np.ndarray, i: int, k: int, cfg: SystemConfig) -> float:
     """Rate of user (i, k) in nats, treating residual interference as noise.
 
     Every transmitter's image through the decoder gives one noise-normalized
@@ -139,10 +119,10 @@ def throughput(
     cell-major order. Evaluated as logdet(I + C + A) - logdet(I + C); both
     arguments are Hermitian positive definite, which keeps the evaluation
     stable. With perfect feedback C vanishes on the desired links and this
-    reduces to the alignment rate. ``images`` is the user's ``link_images``
-    stack when the caller has formed it already.
+    reduces to the alignment rate. ``images`` is the ``link_images`` stack
+    of the decoders and the transmit patterns.
     """
-    X = gia.link_images(ch, decoders[i, k], tx_patterns, k) if images is None else images
+    X = images[i, k]
     cov = (cfg.P / (cfg.d_s * cfg.sigma2)) * (X @ X.conj().swapaxes(-1, -2))
     C = sum(cov[j, l] for l in range(cfg.K) for j in range(cfg.L) if (j, l) != (i, k))
     A = cov[i, k]
@@ -198,10 +178,8 @@ class Feedback:
     """What limited feedback fixes for one assignment, before P enters."""
 
     alloc: fb.BitAllocation
-    q_patterns: np.ndarray   # (L, K, N_U, d_s) quantized patterns
     dist: np.ndarray         # (L, K) squared chordal quantization distances
-    q_decoders: np.ndarray   # (L, K, N_B, d_s) zero-forcing decoders from q_patterns
-    images: np.ndarray       # (L, K, L, K, d_s, d_s) link_images of every user
+    images: np.ndarray       # (L, K, L, K, d_s, d_s) link_images of the quantized patterns
 
 
 class TrialBuild:
@@ -295,10 +273,8 @@ class TrialBuild:
             q_decoders = fb.quantized_decoder(
                 self.ch, tset.assignment, q_patterns, tset.patterns, cfg.d_s
             )
-            images = gia.per_user(
-                cfg, lambda i, k: gia.link_images(self.ch, q_decoders[i, k], q_patterns, k)
-            )
-            fed = self._feedback[key] = Feedback(alloc, q_patterns, dist, q_decoders, images)
+            images = gia.link_images(self.ch, q_decoders, q_patterns)
+            fed = self._feedback[key] = Feedback(alloc, dist, images)
         return fed
 
 
@@ -371,11 +347,11 @@ def _limited_feedback_stage(
     chosen = tset.assignment
     fed = build.feedback(cfg, scheme, tset)
     user_rates = {
-        (i, k): throughput(build.ch, fed.q_decoders, fed.q_patterns, i, k, cfg, fed.images[i, k])
+        (i, k): throughput(fed.images, i, k, cfg)
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
-    rinr_cell, _ = fb.rinr(build.ch, chosen, fed.q_patterns, fed.q_decoders, cfg, fed.images)
+    rinr_cell = fb.rinr(chosen, fed.images, cfg)
     bound_cell = fb.rinr_upper_bound(chosen, cfg, fed.dist, build.leakage(cfg, tset))
     result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
     result.rinr_per_cell = rinr_cell
@@ -430,8 +406,9 @@ def baseline_rb(ch: ChannelRealization, cfg: SystemConfig, rng: np.random.Genera
         cfg, lambda i, k: orthonormalize(complex_gaussian(rng, (cfg.N_U, cfg.d_s)))
     )
     decoders = gia.per_user(cfg, lambda i, k: orthonormalize(ch.H[i, k, k] @ patterns[i, k]))
+    images = gia.link_images(ch, decoders, patterns)
     user_rates = {
-        (i, k): throughput(ch, decoders, patterns, i, k, cfg)
+        (i, k): throughput(images, i, k, cfg)
         for k in range(cfg.K)
         for i in range(cfg.L)
     }
@@ -486,18 +463,6 @@ def backhaul_overhead(scheme: str, cfg: SystemConfig, B: int = 0, N_C: int = 1) 
     raise ContractViolation(f"no overhead row for scheme {scheme!r}")
 
 
-@dataclass(frozen=True)
-class Aggregate:
-    r_sum: float
-    r_sum_stderr: float
-    r_min: float
-    r_min_stderr: float
-    rinr_db: float | None
-    bound_db: float | None
-    trials: int
-    resamples: int
-
-
 def _mean_stderr(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -507,19 +472,19 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 
 def _summary(result: TrialResult) -> tuple:
-    """The fields of a trial that aggregation reads."""
-    return (
-        result.sum_rate,
-        result.min_cell_rate,
-        result.rinr_total,
-        result.bound_total,
-        result.resamples,
-    )
+    """The fields of a trial that aggregation reads; the interference and its
+    bound are summed over the cluster, or None without limited feedback."""
+    rinr = bound = None
+    if result.rinr_per_cell is not None:
+        rinr = sum(result.rinr_per_cell.values())
+        bound = sum(result.bound_per_cell.values())
+    return result.sum_rate, result.min_cell_rate, rinr, bound, result.resamples
 
 
-def _aggregate(summaries: list) -> Aggregate:
-    """Sample means with standard errors; interference reported in dB of the
-    mean sum-cluster level."""
+def _aggregate(summaries: list) -> dict:
+    """The CSV columns ``r_sum`` to ``resamples``, rates in nats: sample means
+    with standard errors; interference reported in dB of the mean
+    sum-cluster level."""
     if not summaries:
         raise ContractViolation("cannot aggregate zero trials")
     sum_rates, min_rates, rinrs, bounds, resamples = zip(*summaries)
@@ -531,16 +496,16 @@ def _aggregate(summaries: list) -> Aggregate:
         rinr_db = 10.0 * math.log10(mean_rinr) if mean_rinr > 0 else -math.inf
         mean_bound = float(np.mean(bounds))
         bound_db = 10.0 * math.log10(mean_bound) if mean_bound > 0 else -math.inf
-    return Aggregate(
-        r_sum=r_sum,
-        r_sum_stderr=se_sum,
-        r_min=r_min,
-        r_min_stderr=se_min,
-        rinr_db=rinr_db,
-        bound_db=bound_db,
-        trials=len(summaries),
-        resamples=sum(resamples),
-    )
+    return {
+        "r_sum": r_sum,
+        "r_sum_stderr": se_sum,
+        "r_min": r_min,
+        "r_min_stderr": se_min,
+        "rinr_db": rinr_db,
+        "bound_db": bound_db,
+        "trials": len(summaries),
+        "resamples": sum(resamples),
+    }
 
 
 @dataclass(frozen=True)
@@ -557,12 +522,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("snr_db", "B"):
             raise ContractViolation(f"unknown sweep variable {self.variable!r}")
-        if not self.grid or self.trials < 1:
-            raise ContractViolation("sweep needs a nonempty grid and at least one trial")
         if self.seed < 0:
             raise ContractViolation(f"negative seed {self.seed}")
+        if not self.grid or not self.schemes or self.trials < 1:
+            raise ContractViolation("sweep needs at least one grid value, scheme and trial")
         if self.variable == "B" and any(s.bit_alloc == "none" for s in self.schemes):
             raise ContractViolation("a bit-budget sweep needs schemes with dba or eba allocation")
+        if self.variable == "B" and not all(float(v).is_integer() for v in self.grid):
+            raise ContractViolation(f"bit budgets must be whole numbers, got {self.grid}")
 
 
 def log_scale(log_base) -> float:
@@ -601,22 +568,11 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
             cell.append(_summary(_run_cell(builds, point_cfg, point_scheme, t, spec.seed)))
     rows = []
     for (value, _, point_scheme), cell in zip(cells, summaries):
-        agg = _aggregate(cell)
-        rows.append(
-            {
-                "variable": spec.variable,
-                "value": value,
-                "scheme": point_scheme.label,
-                "r_sum": agg.r_sum * unit,
-                "r_sum_stderr": agg.r_sum_stderr * unit,
-                "r_min": agg.r_min * unit,
-                "r_min_stderr": agg.r_min_stderr * unit,
-                "rinr_db": agg.rinr_db,
-                "bound_db": agg.bound_db,
-                "trials": agg.trials,
-                "resamples": agg.resamples,
-            }
-        )
+        row = {"variable": spec.variable, "value": value, "scheme": point_scheme.label}
+        row.update(_aggregate(cell))
+        for column in ("r_sum", "r_sum_stderr", "r_min", "r_min_stderr"):
+            row[column] *= unit
+        rows.append(row)
     if out_path is not None:
         write_csv(rows, out_path)
     return rows

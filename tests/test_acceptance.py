@@ -32,6 +32,7 @@ from giasim.gia import (
     build_potentials,
     build_transceivers,
     full_precoder,
+    link_images,
     rate_logdet,
     user_rate,
     verify_alignment,
@@ -323,9 +324,10 @@ def test_10_perfect_feedback_limit():
         ch = draw_channels(CFG, trial_rng(SEED + 7, t))
         tset = build_transceivers(ch, CFG, fixed_cyclic(CFG.K))
         decoders = quantized_decoder(ch, tset.assignment, tset.patterns, tset.patterns, CFG.d_s)
+        images = link_images(ch, decoders, tset.patterns)
         for k in range(CFG.K):
             for i in range(CFG.L):
-                limited = throughput(ch, decoders, tset.patterns, i, k, CFG)
+                limited = throughput(images, i, k, CFG)
                 unlimited = user_rate(ch, tset, i, k, CFG)
                 worst = max(worst, abs(limited - unlimited) / max(unlimited, 1e-30))
     report(

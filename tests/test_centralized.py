@@ -4,8 +4,8 @@ null basis behind its decoders.
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
 across candidates and calls, and finds each candidate's decoders in one
 stacked SVD. The reference below is the plain loop: for every derangement a
-fresh ``build_transceivers`` on a dict of inner precoders only, so nothing is
-shared between candidates. Both must agree with ``==``.
+fresh ``build_transceivers`` with no potentials, so each builds its own and
+nothing is shared between candidates. Both must agree with ``==``.
 """
 
 import warnings
@@ -35,12 +35,12 @@ TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
 SEARCHES = [(o, s) for o in ("sum_rate", "min_cell_rate") for s in ("best", "worst")]
 
 
-def reference_candidates(ch, cfg, inner):
+def reference_candidates(ch, cfg):
     """Each derangement's cell rates, from a fresh build per candidate."""
     out = []
     for perm in enumerate_derangements(cfg.K):
         assignment = Assignment(provider_of={k: perm[k] for k in range(cfg.K)})
-        tset = build_transceivers(ch, cfg, assignment, dict(inner))
+        tset = build_transceivers(ch, cfg, assignment)
         cell_rates = [
             sum(user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
             for k in range(cfg.K)
@@ -67,7 +67,7 @@ def test_search_equals_fresh_build_per_candidate(cfg, seed, draws):
     for t in range(draws):
         ch = draw_channels(cfg, trial_rng(seed, t))
         potentials = build_potentials(ch, cfg)  # shared by all four searches
-        candidates = reference_candidates(ch, cfg, dict(potentials))
+        candidates = reference_candidates(ch, cfg)
         for objective, sense in SEARCHES:
             chosen, value = centralized_search(ch, cfg, objective, sense, potentials)
             ref_chosen, ref_value = reference_pick(candidates, objective, sense)

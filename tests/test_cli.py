@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,13 +167,18 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("K_fractional", []),
         ("snr_boolean", []),
         ("trials_fractional", []),
+        ("ok", ["--snr", "0:1:inf"]),
+        ("ok", ["--snr", "0:nan:10"]),
+        ("ok", ["--snr", "0:inf:10"]),
+        ("snr_infinite_end", []),
     ],
     ids=[
         "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
         "feedback_on_fdma", "feedback_on_rb", "unknown_assignment", "trials_not_an_int",
         "negative_seed", "negative_codebook_seed", "config_trials_not_an_int",
         "config_seed_not_an_int", "config_fractional_K", "config_boolean_snr",
-        "config_fractional_trials",
+        "config_fractional_trials", "snr_infinite_end", "snr_nan_step", "snr_infinite_step",
+        "config_infinite_snr_end",
     ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):
@@ -185,6 +191,7 @@ def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra
         ("K_fractional", {**dims, "K": 4.7}),
         ("snr_boolean", {**dims, "snr_db": True}),
         ("trials_fractional", {**dims, "trials": 2.5}),
+        ("snr_infinite_end", {**dims, "snr_db": [0, 1, math.inf]}),
     ):
         path[name] = str(tmp_path / f"{name}.json")
         Path(path[name]).write_text(json.dumps(raw))

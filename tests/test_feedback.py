@@ -21,7 +21,7 @@ from giasim.feedback import (
     sample_min_distortion,
     subspace_at_distance,
 )
-from giasim.gia import build_transceivers
+from giasim.gia import build_transceivers, link_images
 from giasim.linalg import chordal_distance_sq, complex_gaussian, orthonormalize
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
@@ -187,7 +187,7 @@ class TestQuantizedDecoder:
     def test_perfect_feedback_limit(self, pipeline):
         ch, tset = pipeline
         decoders = decoders_for(ch, tset, tset.patterns)
-        per_cell, _ = rinr(ch, tset.assignment, tset.patterns, decoders, CFG)
+        per_cell = rinr(tset.assignment, link_images(ch, decoders, tset.patterns), CFG)
         assert all(v < 1e-12 for v in per_cell.values())
 
     def test_dimensions_and_nulling(self, pipeline):
@@ -216,13 +216,11 @@ class TestRinrAndBound:
         for B in (4, 8):
             q, dist = quantize_all(tset, B=B, seed=23)
             decoders = decoders_for(ch, tset, q)
-            per_cell, by_user = rinr(ch, tset.assignment, q, decoders, CFG)
+            per_cell = rinr(tset.assignment, link_images(ch, decoders, q), CFG)
             bound = rinr_upper_bound(tset.assignment, CFG, dist, leakage(ch, tset, CFG))
             for k in range(CFG.K):
                 assert per_cell[k] >= 0.0
                 assert per_cell[k] <= bound[k] * (1 + 1e-9) + 1e-12
-            for v in by_user.values():
-                assert v >= 0.0
 
     def test_rinr_matches_residual_covariance_path(self, pipeline):
         # independent route: the trace of each user's residual covariance,
@@ -230,7 +228,7 @@ class TestRinrAndBound:
         ch, tset = pipeline
         q, _ = quantize_all(tset, B=5, seed=29)
         decoders = decoders_for(ch, tset, q)
-        per_cell, _ = rinr(ch, tset.assignment, q, decoders, CFG)
+        per_cell = rinr(tset.assignment, link_images(ch, decoders, q), CFG)
         scale = CFG.P / (CFG.d_s * CFG.sigma2)
         for k in range(CFG.K):
             trace_sum = 0.0
@@ -431,6 +429,14 @@ class TestBisection:
             new = subspace_at_distance(V, d, np.random.default_rng(draw_seed))
             old = subspace_at_distance_80_steps(V, d, np.random.default_rng(draw_seed))
             assert np.array_equal(new, old), (M, N, d)
+
+    def test_step_cap_binds_as_in_80_step_bisection(self):
+        # at this distance the interval is still shrinking after 80 steps, so
+        # the cap, not the early stop, ends the bisection
+        V = np.eye(8, dtype=complex)[:, :2]
+        new = subspace_at_distance(V, 1e-60, np.random.default_rng(67))
+        old = subspace_at_distance_80_steps(V, 1e-60, np.random.default_rng(67))
+        assert np.array_equal(new, old)
 
     def test_cheapest_table_entry_recomputes_exactly(self):
         M, N = min(fb._SMALL_BALL, key=lambda shape: shape[0] * shape[1])

@@ -142,11 +142,12 @@ def test_decoder_dimensions_and_nulling(realization, transceivers):
 
 
 def test_link_images_equal_per_pair_products(realization, transceivers):
+    stack = link_images(realization, transceivers.decoders, transceivers.patterns)
+    assert stack.shape == (CFG.L, CFG.K, CFG.L, CFG.K, CFG.d_s, CFG.d_s)
     for k in range(CFG.K):
         for i in range(CFG.L):
             U = transceivers.decoders[i, k]
-            images = link_images(realization, U, transceivers.patterns, k)
-            assert images.shape == (CFG.L, CFG.K, CFG.d_s, CFG.d_s)
+            images = stack[i, k]
             for m in range(CFG.L):
                 for l in range(CFG.K):
                     pair = U.conj().T @ realization.H[m, l, k] @ transceivers.patterns[m, l]

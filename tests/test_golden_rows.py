@@ -1,4 +1,4 @@
-"""Bit-level golden rows: four small sweeps replayed with ``==`` on every float.
+"""Bit-level golden rows: five small sweeps replayed with ``==`` on every float.
 
 The golden CSVs (``test_golden.py``) print 12 significant digits, so a change
 in the last bits of a rate passes them unseen. ``golden_rows.json`` keeps the
@@ -26,7 +26,8 @@ SINGLE_STREAM = SystemConfig(K=3, L=3, N_B=7, N_U=5, d_s=1)
 # name -> (spec, config). The reference config has 8 users, so 100 bits
 # puts some users above the 12-bit explicit-search limit (emulated) and
 # some at or below it (explicit codebooks); 40 bits is all explicit and
-# 300 bits all emulated.
+# 300 bits all emulated. The last sweep covers the remaining assignment
+# schemes and the rate scaling of log_base="2".
 SWEEPS = {
     "snr_sweep": (
         SweepSpec(
@@ -58,6 +59,18 @@ SWEEPS = {
             seed=6,
         ),
         SINGLE_STREAM.at_snr_db(25.0),
+    ),
+    "schemes_log2": (
+        SweepSpec(
+            "snr_db", (10.0, 30.0), 2,
+            (SchemeSpec(assignment="centralized_min"),
+             SchemeSpec(assignment="worst_sum"),
+             SchemeSpec(assignment="worst_min"),
+             SchemeSpec(assignment="two_sided", proposer="providers")),
+            seed=7,
+            log_base="2",
+        ),
+        REFERENCE,
     ),
 }
 

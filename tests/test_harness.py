@@ -5,7 +5,7 @@ import pytest
 
 from giasim.assignment import fixed_cyclic
 from giasim.errors import AlignmentFailure, ContractViolation, DegenerateChannel, InfeasibleConfig
-from giasim.gia import build_transceivers, user_rate
+from giasim.gia import build_transceivers, link_images, user_rate
 from giasim.harness import (
     SchemeSpec,
     SweepSpec,
@@ -36,7 +36,7 @@ class TestThroughput:
         ch, tset = pipeline
         for k in range(CFG.K):
             for i in range(CFG.L):
-                tp = throughput(ch, tset.decoders, tset.patterns, i, k, CFG)
+                tp = throughput(link_images(ch, tset.decoders, tset.patterns), i, k, CFG)
                 rate = user_rate(ch, tset, i, k, CFG)
                 assert tp == pytest.approx(rate, rel=1e-9)
 
@@ -44,9 +44,8 @@ class TestThroughput:
         ch, tset = pipeline
         ch2 = draw_channels(CFG, trial_rng(606, 0))
         ch2.H[0, 0, 0] = 0.0
-        assert throughput(ch2, tset.decoders, tset.patterns, 0, 0, CFG) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        images = link_images(ch2, tset.decoders, tset.patterns)
+        assert throughput(images, 0, 0, CFG) == pytest.approx(0.0, abs=1e-12)
 
     def test_interference_only_hurts(self):
         # oracle on the closed form: logdet(I+C+A) - logdet(I+C) <= logdet(I+A)
@@ -302,14 +301,14 @@ class TestAggregation:
     def test_single_trial(self):
         r = run_trial(CFG, SchemeSpec(assignment="fixed"), 0, seed=2)
         agg = aggregate_metrics([r])
-        assert agg.r_sum == pytest.approx(r.sum_rate)
-        assert agg.r_sum_stderr == 0.0
-        assert agg.trials == 1
+        assert agg["r_sum"] == pytest.approx(r.sum_rate)
+        assert agg["r_sum_stderr"] == 0.0
+        assert agg["trials"] == 1
 
     def test_identical_trials_zero_stderr(self):
         r = run_trial(CFG, SchemeSpec(assignment="fixed"), 0, seed=2)
         agg = aggregate_metrics([r, r])
-        assert agg.r_sum_stderr == 0.0
+        assert agg["r_sum_stderr"] == 0.0
 
     def test_hand_computed_means(self):
         def synth(s, m):
@@ -319,10 +318,10 @@ class TestAggregation:
             )
 
         agg = aggregate_metrics([synth(1.0, 0.5), synth(2.0, 1.0), synth(3.0, 4.5)])
-        assert agg.r_sum == pytest.approx(2.0)
-        assert agg.r_min == pytest.approx(2.0)
-        assert agg.r_sum_stderr == pytest.approx(np.std([1, 2, 3], ddof=1) / math.sqrt(3))
-        assert agg.rinr_db is None
+        assert agg["r_sum"] == pytest.approx(2.0)
+        assert agg["r_min"] == pytest.approx(2.0)
+        assert agg["r_sum_stderr"] == pytest.approx(np.std([1, 2, 3], ddof=1) / math.sqrt(3))
+        assert agg["rinr_db"] is None
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
@@ -382,6 +381,18 @@ class TestSweep:
             SweepSpec(variable="power", grid=(1,), trials=1, schemes=())
         with pytest.raises(ContractViolation):
             SweepSpec(variable="B", grid=(), trials=1, schemes=())
+
+    def test_fractional_bit_budget_rejected(self):
+        # the budget is cast to int, so 40.9 would run at 40 bits under a 40.9 label
+        with pytest.raises(ContractViolation, match="whole numbers"):
+            SweepSpec(
+                variable="B", grid=(40.9,), trials=1,
+                schemes=(SchemeSpec(assignment="fixed", bit_alloc="dba"),),
+            )
+
+    def test_empty_scheme_tuple_rejected(self):
+        with pytest.raises(ContractViolation, match="scheme"):
+            SweepSpec(variable="snr_db", grid=(25.0,), trials=1, schemes=())
 
     def test_scheme_rejects_negative_bit_budget(self):
         with pytest.raises(ContractViolation, match="negative bit budget"):

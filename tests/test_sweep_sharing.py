@@ -44,14 +44,14 @@ def grid_major_reference(spec: SweepSpec, cfg: SystemConfig) -> list:
                     "variable": spec.variable,
                     "value": value,
                     "scheme": point_scheme.label,
-                    "r_sum": agg.r_sum * unit,
-                    "r_sum_stderr": agg.r_sum_stderr * unit,
-                    "r_min": agg.r_min * unit,
-                    "r_min_stderr": agg.r_min_stderr * unit,
-                    "rinr_db": agg.rinr_db,
-                    "bound_db": agg.bound_db,
-                    "trials": agg.trials,
-                    "resamples": agg.resamples,
+                    "r_sum": agg["r_sum"] * unit,
+                    "r_sum_stderr": agg["r_sum_stderr"] * unit,
+                    "r_min": agg["r_min"] * unit,
+                    "r_min_stderr": agg["r_min_stderr"] * unit,
+                    "rinr_db": agg["rinr_db"],
+                    "bound_db": agg["bound_db"],
+                    "trials": agg["trials"],
+                    "resamples": agg["resamples"],
                 }
             )
     return rows
