@@ -22,6 +22,7 @@ from .system import ChannelRealization, SystemConfig
 
 ENUMERATION_CAP = 10 ** 6  # most derangements centralized_search enumerates
 COALITION_CAP = 8          # largest K whose one-sided coalitions is_stable searches
+SCREEN_MARGIN = 1e-9       # screened values this near the best (relative) are confirmed exactly
 
 
 @dataclass
@@ -300,8 +301,13 @@ def centralized_search(
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
-    Ties resolve to the lexicographically smallest assignment because the
-    enumeration is lexicographic and comparisons are strict.
+    ``gia.screen_rates`` screens every candidate; one it cannot certify is
+    evaluated exactly at its place in the enumeration, so warnings and errors
+    come as from a plain loop. Certified candidates within SCREEN_MARGIN of the
+    best screened value are evaluated exactly, and all are if one of those was
+    screened off by over a quarter of the margin. Ties resolve to the
+    lexicographically smallest assignment: the enumeration is lexicographic and
+    the exact values are compared strictly.
     """
     if objective not in ("sum_rate", "min_cell_rate"):
         raise ContractViolation(f"unknown objective {objective!r}")
@@ -313,21 +319,34 @@ def centralized_search(
         )
     if potentials is None:
         potentials = gia.build_potentials(ch, cfg)
-    best_assignment = None
-    best_value = None
-    for perm in enumerate_derangements(cfg.K):
-        assignment = Assignment(provider_of={k: perm[k] for k in range(cfg.K)})
-        tset = gia.build_transceivers(ch, cfg, assignment, potentials)
-        cell_rates = [
-            sum(gia.user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
-            for k in range(cfg.K)
-        ]
-        value = sum(cell_rates) if objective == "sum_rate" else min(cell_rates)
-        if best_value is None or (sense == "best" and value > best_value) or (
-            sense == "worst" and value < best_value
-        ):
-            best_value = value
-            best_assignment = assignment
+    reduce = sum if objective == "sum_rate" else min
+    candidates = [Assignment(dict(enumerate(perm))) for perm in enumerate_derangements(cfg.K)]
+    exact, screened = {}, {}
+
+    def confirm(c):  # exact user rates of the candidate's full transceiver set
+        if c not in exact:
+            tset = gia.build_transceivers(ch, cfg, candidates[c], potentials)
+            exact[c] = reduce([sum(gia.user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
+                               for k in range(cfg.K)])
+
+    for c, assignment in enumerate(candidates):
+        rates = gia.screen_rates(ch, cfg, assignment, potentials)
+        if rates is None or not np.all(np.isfinite(rates)):
+            confirm(c)
+        else:
+            screened[c] = float(reduce(rates.sum(axis=0)))
+    edge = (max if sense == "best" else min)(screened.values(), default=0.0)
+    near = [c for c, v in screened.items() if abs(v - edge) <= SCREEN_MARGIN * abs(edge)]
+    for c in near:
+        confirm(c)
+    if not all(abs(screened[c] - exact[c]) <= SCREEN_MARGIN / 4 * abs(exact[c]) for c in near):
+        for c in range(len(candidates)):
+            confirm(c)
+    best_assignment = best_value = None
+    for c in sorted(exact):
+        value = exact[c]
+        if best_value is None or (value > best_value if sense == "best" else value < best_value):
+            best_assignment, best_value = candidates[c], value
     return best_assignment, best_value
 
 

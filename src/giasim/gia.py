@@ -23,6 +23,7 @@ from .errors import (
     RankDeficient,
 )
 from .linalg import (
+    RANK_REL_TOL,
     chordal_distance_sq,
     full_svd,
     herm_inv_sqrt,
@@ -36,9 +37,11 @@ from .system import ChannelRealization, SystemConfig
 ALIGN_TOL = 1e-8
 
 
-def rate_logdet(M: np.ndarray, scale: float) -> float:
-    """log det(I + scale * M M^H) in nats, evaluated through Hermitian eigenvalues."""
-    return float(np.sum(np.log1p(scale * psd_eigvals(M @ M.conj().T))))
+def rate_logdet(M: np.ndarray, scale: float):
+    """log det(I + scale * M M^H) in nats, evaluated through Hermitian eigenvalues:
+    a float for one matrix, an array of one value per slice for a (..., r, c) stack."""
+    terms = np.log1p(scale * psd_eigvals(M @ M.conj().swapaxes(-1, -2)))
+    return float(np.sum(terms)) if M.ndim == 2 else np.sum(terms, axis=-1)
 
 
 @dataclass
@@ -187,17 +190,13 @@ def link_images(
     ])
 
 
-def zf_decoder(
-    ch: ChannelRealization,
-    assignment,
-    patterns: np.ndarray,
-    provider_blocks: dict,
-    d_s: int,
+def nulling_stacks(
+    ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: dict
 ) -> np.ndarray:
-    """Zero-forcing decoders of the users (i, k) keyed in ``provider_blocks``,
-    in key order, as one (n, N_B, d_s) array from one stacked SVD.
+    """What the decoders of the users (i, k) keyed in ``provider_blocks`` must
+    null, in key order, as one (n, N_B, columns) array.
 
-    User (i, k)'s decoder nulls, in order: same-cell interference from other
+    User (i, k)'s stack holds, in order: same-cell interference from other
     users, per-user interference from every cell that is neither k nor k's
     provider, and ``provider_blocks[(i, k)]``, the span through which k's
     provider cell arrives (its aligned basis under perfect feedback). Each
@@ -212,7 +211,35 @@ def zf_decoder(
         blocks += [images[k][m, l] for l in range(K) if l not in (k, prov) for m in range(L)]
         blocks.append(provider_block)
         stacks.append(np.concatenate(blocks, axis=1))
-    return select_null_basis(np.array(stacks), d_s)
+    return np.array(stacks)
+
+
+def zf_decoder(
+    ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: dict, d_s: int
+) -> np.ndarray:
+    """Zero-forcing decoders of the users (i, k) keyed in ``provider_blocks``, in
+    key order, as one (n, N_B, d_s) array from one SVD of their ``nulling_stacks``."""
+    return select_null_basis(nulling_stacks(ch, assignment, patterns, provider_blocks), d_s)
+
+
+def certified_null_basis(F: np.ndarray, d_s: int) -> np.ndarray | None:
+    """Left-null bases Q[..., n:] of a (..., m, n) stack from one complete QR, or
+    None unless every slice is finite, m - n == d_s and 1 / (|R|_F |R^-1|_F), a
+    lower bound on sigma_min / sigma_max, exceeds 10 * RANK_REL_TOL. A slice
+    that passes has exactly d_s null directions on the SVD path as well, where
+    ``select_null_basis`` neither raises nor warns, and any basis of them gives
+    the same rate."""
+    m, n = F.shape[-2:]
+    if m - n != d_s or not np.all(np.isfinite(F)):
+        return None
+    Q, R = np.linalg.qr(F, mode="complete")
+    R = R[..., :n, :]
+    try:
+        inv_norm = np.linalg.norm(np.linalg.inv(R), axis=(-2, -1))
+    except np.linalg.LinAlgError:  # an exactly singular R
+        return None
+    bound = 1.0 / (np.linalg.norm(R, axis=(-2, -1)) * inv_norm)
+    return Q[..., n:] if np.all(bound > 10 * RANK_REL_TOL) else None
 
 
 def cell_pairs(K: int) -> list:
@@ -270,17 +297,10 @@ def build_potentials(
     return potentials
 
 
-def build_transceivers(
-    ch: ChannelRealization,
-    cfg: SystemConfig,
-    assignment,
-    potentials: Potentials | None = None,
-) -> TransceiverSet:
-    """Complete transceiver set for a strict assignment on one realization.
-
-    Gathers the assignment's pair pieces; only the decoders are computed here,
-    in one stacked SVD. Nothing depends on P: ``user_rate`` applies it.
-    """
+def _pieces_before_decoders(ch, cfg, assignment, potentials):
+    """The checks of ``build_transceivers``, then its inner precoders, patterns
+    and aligned bases, each over the sorted (cell, receiver) pairs: a set without
+    decoders or whiteners, the decoders' provider blocks and the whiteners' reader."""
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
     if potentials is None:
@@ -294,17 +314,50 @@ def build_transceivers(
     provider_blocks = {
         (i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)
     }
-    decoders = zf_decoder(ch, assignment, patterns, provider_blocks, cfg.d_s)
-    decoders = decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s)
-    whiteners = np.stack([potentials.whiteners(k, r) for k, r in pairs], axis=1)
-    return TransceiverSet(
-        assignment=assignment,
-        inner=inner,
-        patterns=patterns,
-        decoders=decoders,
-        aligned=aligned,
-        whiteners=whiteners,
+    tset = TransceiverSet(assignment, inner, patterns, None, aligned, None)
+    return tset, provider_blocks, lambda: np.stack(
+        [potentials.whiteners(k, r) for k, r in pairs], axis=1
     )
+
+
+def build_transceivers(
+    ch: ChannelRealization,
+    cfg: SystemConfig,
+    assignment,
+    potentials: Potentials | None = None,
+) -> TransceiverSet:
+    """Complete transceiver set for a strict assignment on one realization.
+
+    Gathers the assignment's pair pieces; only the decoders are computed here,
+    in one stacked SVD. Nothing depends on P: ``user_rate`` applies it.
+    """
+    tset, provider_blocks, whiteners = _pieces_before_decoders(ch, cfg, assignment, potentials)
+    decoders = zf_decoder(ch, assignment, tset.patterns, provider_blocks, cfg.d_s)
+    tset.decoders = decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s)
+    tset.whiteners = whiteners()
+    return tset
+
+
+def screen_rates(
+    ch: ChannelRealization, cfg: SystemConfig, assignment, potentials: Potentials
+) -> np.ndarray | None:
+    """Every user's rate in nats as an (L, K) array, with the decoders of
+    ``certified_null_basis``, or None where it does not certify the stacks.
+
+    Reads the pair pieces in ``build_transceivers``' order, so a failing piece
+    raises here as it would there. The rates equal ``user_rate``'s to rounding.
+    """
+    tset, provider_blocks, whiteners = _pieces_before_decoders(ch, cfg, assignment, potentials)
+    F = nulling_stacks(ch, assignment, tset.patterns, provider_blocks)
+    U = certified_null_basis(F, cfg.d_s)
+    if U is None:
+        return None
+    U = U.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s)
+    cells = np.arange(cfg.K)
+    slices = np.stack([tset.inner[k].reshape(cfg.L, cfg.N_U, cfg.d_s) for k in cells], axis=1)
+    H_eff = U.conj().swapaxes(-1, -2) @ ch.H[:, cells, cells] @ slices
+    V_out = math.sqrt(cfg.P / cfg.d_s) * whiteners()
+    return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
 
 
 def user_rate(

@@ -528,8 +528,11 @@ class SweepSpec:
             raise ContractViolation("sweep needs at least one grid value, scheme and trial")
         if self.variable == "B" and any(s.bit_alloc == "none" for s in self.schemes):
             raise ContractViolation("a bit-budget sweep needs schemes with dba or eba allocation")
-        if self.variable == "B" and not all(float(v).is_integer() for v in self.grid):
+        if self.variable == "B" and not all(
+            not isinstance(v, bool) and float(v).is_integer() for v in self.grid
+        ):
             raise ContractViolation(f"bit budgets must be whole numbers, got {self.grid}")
+        log_scale(self.log_base)
 
 
 def log_scale(log_base) -> float:

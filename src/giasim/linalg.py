@@ -104,9 +104,9 @@ def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_eigvals(G) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of a PSD matrix G, rounding
+    """Ascending eigenvalues of the Hermitian part of each PSD matrix in G, rounding
     noise below zero clipped: the eigenvalue kernel behind every log-det."""
-    return np.clip(np.linalg.eigvalsh((G + G.conj().T) / 2.0), 0.0, None)
+    return np.clip(np.linalg.eigvalsh((G + G.conj().swapaxes(-1, -2)) / 2.0), 0.0, None)
 
 
 def chordal_distance_sq(V1, V2) -> float:

@@ -2,10 +2,12 @@
 null basis behind its decoders.
 
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
-across candidates and calls, and finds each candidate's decoders in one
-stacked SVD. The reference below is the plain loop: for every derangement a
-fresh ``build_transceivers`` with no potentials, so each builds its own and
-nothing is shared between candidates. Both must agree with ``==``.
+across candidates and calls. It screens every candidate with a QR null basis
+and evaluates exactly, through ``build_transceivers`` and ``user_rate``, only
+the candidates the screen cannot certify and those near the best screened
+value. The reference below is the plain loop: for every derangement a fresh
+``build_transceivers`` with no potentials, so each builds its own and nothing
+is shared between candidates. Both must agree with ``==``.
 """
 
 import warnings
@@ -13,7 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
+from giasim import gia
 from giasim.assignment import (
+    SCREEN_MARGIN,
     Assignment,
     centralized_search,
     enumerate_derangements,
@@ -23,6 +27,8 @@ from giasim.errors import ContractViolation, GiaSimError
 from giasim.gia import (
     build_potentials,
     build_transceivers,
+    certified_null_basis,
+    rate_logdet,
     select_null_basis,
     user_rate,
     zf_decoder,
@@ -32,6 +38,7 @@ from giasim.system import SystemConfig, draw_channels, trial_rng
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
+TIGHT_K6 = SystemConfig(K=6, L=2, N_B=22, N_U=12, d_s=2).at_snr_db(25.0)  # central_k6
 SEARCHES = [(o, s) for o in ("sum_rate", "min_cell_rate") for s in ("best", "worst")]
 
 
@@ -61,8 +68,9 @@ def reference_pick(candidates, objective, sense):
     return best_assignment, best_value
 
 
-@pytest.mark.parametrize("cfg, seed, draws", [(REFERENCE, 41, 20), (TIGHT_K5, 42, 5)],
-                         ids=["reference_k4", "tight_k5"])
+@pytest.mark.parametrize("cfg, seed, draws",
+                         [(REFERENCE, 41, 20), (TIGHT_K5, 42, 5), (TIGHT_K6, 47, 2)],
+                         ids=["reference_k4", "tight_k5", "tight_k6"])
 def test_search_equals_fresh_build_per_candidate(cfg, seed, draws):
     for t in range(draws):
         ch = draw_channels(cfg, trial_rng(seed, t))
@@ -73,6 +81,142 @@ def test_search_equals_fresh_build_per_candidate(cfg, seed, draws):
             ref_chosen, ref_value = reference_pick(candidates, objective, sense)
             assert chosen.provider_of == ref_chosen.provider_of, (t, objective, sense)
             assert value == ref_value, (t, objective, sense)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of gia.<name> from here on."""
+    calls = []
+    inner = getattr(gia, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # the assignment
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(gia, name, counted)
+    return calls
+
+
+def test_search_confirms_few_candidates(monkeypatch):
+    # every candidate of these draws is certified: only the near-best ones,
+    # usually the winner alone, go through build_transceivers
+    builds = _count_calls(monkeypatch, "build_transceivers")
+    for t in range(5):
+        ch = draw_channels(REFERENCE, trial_rng(41, t))
+        potentials = build_potentials(ch, REFERENCE)
+        for objective, sense in SEARCHES:
+            builds.clear()
+            chosen, _ = centralized_search(ch, REFERENCE, objective, sense, potentials)
+            assert 1 <= len(builds) <= 3, (t, objective, sense)  # of D(4) = 9
+            assert chosen.provider_of in [a.provider_of for a in builds]
+
+
+def test_wider_null_space_evaluates_every_candidate_exactly(monkeypatch):
+    # N_B = 16 leaves each decoder a 4-dimensional null space for d_s = 2:
+    # which 2 directions the SVD picks is part of the output, so no screen
+    cfg = SystemConfig(K=4, L=2, N_B=16, N_U=9, d_s=2).at_snr_db(25.0)
+    ch = draw_channels(cfg, trial_rng(48, 0))
+    builds = _count_calls(monkeypatch, "build_transceivers")
+    chosen, value = centralized_search(ch, cfg)
+    assert len(builds) == 9
+    ref_chosen, ref_value = reference_pick(reference_candidates(ch, cfg), "sum_rate", "best")
+    assert chosen.provider_of == ref_chosen.provider_of
+    assert value == ref_value
+
+
+def test_screen_error_falls_back_to_every_candidate(monkeypatch):
+    ch = draw_channels(REFERENCE, trial_rng(41, 0))
+    potentials = build_potentials(ch, REFERENCE)
+    ref_chosen, ref_value = reference_pick(reference_candidates(ch, REFERENCE), "sum_rate", "best")
+    screen = gia.screen_rates
+
+    def low_on_winner(ch, cfg, assignment, potentials):
+        rates = screen(ch, cfg, assignment, potentials)
+        if assignment.provider_of == ref_chosen.provider_of:
+            return rates * (1 - 10 * SCREEN_MARGIN)
+        return rates
+
+    monkeypatch.setattr(gia, "screen_rates", low_on_winner)
+    builds = _count_calls(monkeypatch, "build_transceivers")
+    chosen, value = centralized_search(ch, REFERENCE, "sum_rate", "best", potentials)
+    assert len(builds) == 9  # the self-check sent every candidate down the exact path
+    assert chosen.provider_of == ref_chosen.provider_of
+    assert value == ref_value
+
+
+def test_rank_deficient_candidates_warn_as_in_the_plain_loop(monkeypatch):
+    # cell 0's aligned basis from cell 1 gets two equal columns, so the three
+    # candidates with 1 -> 0 have rank-deficient stacks at cell 0: the screen
+    # cannot certify them and the exact path warns for each. None of them is
+    # near the best, so only the certificate sends them down the exact path.
+    aligned = gia.Potentials.aligned
+
+    def repeated_column(self, p, r):
+        basis = aligned(self, p, r)
+        return basis[:, [0, 0]] if (p, r) == (1, 0) else basis
+
+    monkeypatch.setattr(gia.Potentials, "aligned", repeated_column)
+    ch = draw_channels(REFERENCE, trial_rng(41, 1))
+
+    def run(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn()
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    candidates, ref_warnings = run(lambda: reference_candidates(ch, REFERENCE))
+    (chosen, value), search_warnings = run(lambda: centralized_search(ch, REFERENCE))
+    assert len(ref_warnings) == 6  # both users of cell 0, three candidates
+    assert {c for c, _ in ref_warnings} == {RuntimeWarning}
+    assert search_warnings == ref_warnings
+    ref_chosen, ref_value = reference_pick(candidates, "sum_rate", "best")
+    assert chosen.provider_of == ref_chosen.provider_of
+    assert value == ref_value
+
+
+def test_certified_null_basis_gives_the_svd_rate():
+    rng = np.random.default_rng(8)
+    F = complex_gaussian(rng, (3, 2, 14, 12))
+    U_qr = certified_null_basis(F, 2)
+    U_svd = select_null_basis(F, 2)
+    assert U_qr.shape == U_svd.shape == (3, 2, 14, 2)
+    assert np.abs(U_qr.conj().swapaxes(-1, -2) @ F).max() < 1e-12
+    A = complex_gaussian(rng, (3, 2, 14, 2))
+    for U in (U_qr, U_svd):
+        assert np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(2), rtol=0, atol=1e-13)
+    qr_rates = rate_logdet(U_qr.conj().swapaxes(-1, -2) @ A, 300.0)
+    for idx in np.ndindex(3, 2):
+        exact = rate_logdet(U_svd[idx].conj().T @ A[idx], 300.0)
+        assert abs(qr_rates[idx] - exact) <= 1e-12 * exact
+
+
+def test_screened_rates_equal_user_rates():
+    ch = draw_channels(TIGHT_K5, trial_rng(49, 0))
+    potentials = build_potentials(ch, TIGHT_K5)
+    for assignment in (fixed_cyclic(TIGHT_K5.K), Assignment({0: 2, 1: 3, 2: 4, 3: 0, 4: 1})):
+        screened = gia.screen_rates(ch, TIGHT_K5, assignment, potentials)
+        tset = build_transceivers(ch, TIGHT_K5, assignment, potentials)
+        assert screened.shape == (TIGHT_K5.L, TIGHT_K5.K)
+        for (i, k), rate in np.ndenumerate(screened):
+            exact = user_rate(ch, tset, i, k, TIGHT_K5)
+            assert abs(rate - exact) <= 1e-12 * exact, (i, k)
+
+
+@pytest.mark.parametrize("m, n, clean_rank, bad_rank", [
+    (6, 3, 3, 2),     # the rank-deficient case below: a wider null space than d_s
+    (6, 4, 4, 3),     # rank deficient with m - n == d_s: R cannot prove full rank
+    (6, 4, 4, None),  # non-finite entries
+    (8, 4, 4, 4),     # full column rank, but a wider null space than d_s
+], ids=["rank_deficient", "tight_rank_deficient", "non_finite", "wide_null"])
+def test_certificate_refuses(m, n, clean_rank, bad_rank):
+    rng = np.random.default_rng(6)
+    stack = np.stack([_low_rank(rng, m, n, clean_rank) for _ in range(4)])
+    if bad_rank is None:
+        stack[2, 1, 1] = np.nan
+    else:
+        stack[2] = _low_rank(rng, m, n, bad_rank)
+    assert certified_null_basis(stack, 2) is None
+    clean = np.delete(stack, 2, axis=0)  # certified without the bad slice, where tight
+    assert (certified_null_basis(clean, 2) is not None) == (m - n == 2)
 
 
 def test_potentials_of_another_draw_are_refused():

@@ -1,4 +1,4 @@
-"""Bit-level golden rows: five small sweeps replayed with ``==`` on every float.
+"""Bit-level golden rows: six small sweeps replayed with ``==`` on every float.
 
 The golden CSVs (``test_golden.py``) print 12 significant digits, so a change
 in the last bits of a rate passes them unseen. ``golden_rows.json`` keeps the
@@ -22,12 +22,15 @@ GOLDEN_ROWS = Path(__file__).resolve().parent / "golden_rows.json"
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2)
 SINGLE_STREAM = SystemConfig(K=3, L=3, N_B=7, N_U=5, d_s=1)
+TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2)
 
 # name -> (spec, config). The reference config has 8 users, so 100 bits
 # puts some users above the 12-bit explicit-search limit (emulated) and
 # some at or below it (explicit codebooks); 40 bits is all explicit and
 # 300 bits all emulated. The last sweep covers the remaining assignment
-# schemes and the rate scaling of log_base="2".
+# schemes and the rate scaling of log_base="2". The tight K=5 sweep puts the
+# centralized search and its worst-case mirror on a config whose decoder null
+# space is exactly d_s wide.
 SWEEPS = {
     "snr_sweep": (
         SweepSpec(
@@ -71,6 +74,15 @@ SWEEPS = {
             log_base="2",
         ),
         REFERENCE,
+    ),
+    "centralized_tight_k5": (
+        SweepSpec(
+            "snr_db", (25.0,), 2,
+            tuple(SchemeSpec(assignment=a)
+                  for a in ("centralized_sum", "centralized_min", "worst_sum", "worst_min")),
+            seed=11,
+        ),
+        TIGHT_K5,
     ),
 }
 

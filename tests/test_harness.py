@@ -390,6 +390,21 @@ class TestSweep:
                 schemes=(SchemeSpec(assignment="fixed", bit_alloc="dba"),),
             )
 
+    def test_boolean_bit_budget_rejected(self):
+        # float(True).is_integer() holds, so True would run as a 1-bit budget
+        with pytest.raises(ContractViolation, match="whole numbers"):
+            SweepSpec(
+                variable="B", grid=(True,), trials=1,
+                schemes=(SchemeSpec(assignment="fixed", bit_alloc="dba"),),
+            )
+
+    def test_unsupported_log_base_rejected_at_construction(self):
+        with pytest.raises(ContractViolation, match="unsupported log base"):
+            SweepSpec(
+                variable="snr_db", grid=(25.0,), trials=1,
+                schemes=(SchemeSpec(assignment="fixed"),), log_base="10",
+            )
+
     def test_empty_scheme_tuple_rejected(self):
         with pytest.raises(ContractViolation, match="scheme"):
             SweepSpec(variable="snr_db", grid=(25.0,), trials=1, schemes=())
