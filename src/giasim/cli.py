@@ -22,6 +22,8 @@ from .system import SystemConfig, load_run_config, require_feasible
 
 import numpy as np
 
+GRID_POINT_CAP = 10_000  # most points a start:step:end sweep may expand to
+
 
 def parse_grid(text: str, cast=float) -> tuple:
     """A scalar value or an inclusive start:step:end sweep."""
@@ -32,6 +34,8 @@ def parse_grid(text: str, cast=float) -> tuple:
             raise ValueError("sweep start, step and end must be finite")
         if step <= 0:
             raise ValueError("sweep step must be positive")
+        if (end - start) / step >= GRID_POINT_CAP:  # floor((end - start) / step) + 1 points
+            raise ValueError(f"sweep has more than {GRID_POINT_CAP} points")
         grid = []
         v = start
         while v <= end + 1e-12:

@@ -8,6 +8,7 @@ after which zero-forcing decoders remove everything in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -222,24 +223,38 @@ def zf_decoder(
     return select_null_basis(nulling_stacks(ch, assignment, patterns, provider_blocks), d_s)
 
 
-def certified_null_basis(F: np.ndarray, d_s: int) -> np.ndarray | None:
-    """Left-null bases Q[..., n:] of a (..., m, n) stack from one complete QR, or
-    None unless every slice is finite, m - n == d_s and 1 / (|R|_F |R^-1|_F), a
-    lower bound on sigma_min / sigma_max, exceeds 10 * RANK_REL_TOL. A slice
-    that passes has exactly d_s null directions on the SVD path as well, where
-    ``select_null_basis`` neither raises nor warns, and any basis of them gives
-    the same rate."""
-    m, n = F.shape[-2:]
-    if m - n != d_s or not np.all(np.isfinite(F)):
+def certified_null_image(FG: np.ndarray, d_s: int) -> np.ndarray | None:
+    """R22 of one R-only QR of a (..., m, n + d_s) stack [F | G], or None unless every
+    slice is finite, m - n == d_s and 1 / (|R11|_F |R11^-1|_F), a lower bound on
+    sigma_min / sigma_max of F, exceeds 10 * RANK_REL_TOL. Then Q's last d_s columns
+    Q2 span F's left null space and R22 = Q2^H G; the SVD path finds the same d_s null
+    directions without a raise, warning or canonical pick, and rates are basis-free."""
+    m, n = FG.shape[-2], FG.shape[-1] - d_s
+    if m - n != d_s or not np.all(np.isfinite(FG)):
         return None
-    Q, R = np.linalg.qr(F, mode="complete")
-    R = R[..., :n, :]
-    try:
-        inv_norm = np.linalg.norm(np.linalg.inv(R), axis=(-2, -1))
-    except np.linalg.LinAlgError:  # an exactly singular R
+    R = np.linalg.qr(FG, mode="r")
+    R11, h = R[..., :n, :n], n // 2
+    try:  # R11^-1 is [[A^-1, -A^-1 B C^-1], [0, C^-1]] for R11 = [[A, B], [0, C]]
+        A_inv, C_inv = np.linalg.inv(R11[..., :h, :h]), np.linalg.inv(R11[..., h:, h:])
+    except np.linalg.LinAlgError:  # an exactly singular R11
         return None
-    bound = 1.0 / (np.linalg.norm(R, axis=(-2, -1)) * inv_norm)
-    return Q[..., n:] if np.all(bound > 10 * RANK_REL_TOL) else None
+    inv_blocks = (A_inv, A_inv @ R11[..., :h, h:] @ C_inv, C_inv)
+    inv_norm = np.sqrt(sum(np.linalg.norm(X, axis=(-2, -1)) ** 2 for X in inv_blocks))
+    bound = 1.0 / (np.linalg.norm(R11, axis=(-2, -1)) * inv_norm)
+    return R[..., n:, n:] if np.all(bound > 10 * RANK_REL_TOL) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_template(K: int, L: int) -> np.ndarray:
+    """(cell, block) of each d_s-column block of user (i, k)'s [F | G] in the pair
+    table when k's provider is p, at [:, i, k, p]: F's blocks in ``nulling_stacks``'
+    order, a pair's blocks as ``Potentials.stacks`` writes them; p == k is unused."""
+    def blocks(i, k, p):
+        return ([(k, j * K + k) for j in range(L) if j != i]
+                + [(l, m * K + k) for l in range(K) if l not in (k, p) for m in range(L)]
+                + [(p, L * K), (k, L * K + 1 + i)])
+    return np.moveaxis(np.array([[[blocks(i, k, p if p != k else (k + 1) % K) for p in range(K)]
+                                  for k in range(K)] for i in range(L)]), -1, 0)
 
 
 def cell_pairs(K: int) -> list:
@@ -255,6 +270,7 @@ class Potentials(dict):
     def __init__(self, ch: ChannelRealization, cfg: SystemConfig):
         self.ch, self.cfg = ch, cfg
         self._pieces = {}
+        self._table = np.empty((cfg.K, cfg.K, cfg.L * cfg.K + 1 + cfg.L, cfg.d_s, cfg.N_B), complex)
 
     def inner(self, p: int, r: int) -> np.ndarray:
         if (p, r) not in self:
@@ -282,6 +298,26 @@ class Potentials(dict):
             [herm_inv_sqrt(s.conj().T @ s) for s in np.split(V, self.cfg.L)]
         ))
 
+    def stacks(self, assignment) -> np.ndarray:
+        """[F | G] of every user (i, k) of a strict assignment, (L, K, N_B, n + d_s): F
+        its ``nulling_stacks`` stack, G its direct channel through its inner-precoder
+        slice. One gather from a per-draw table of each pair's user images at every
+        station, aligned basis and direct links, written when first used."""
+        L, K, N_B, d_s = self.cfg.L, self.cfg.K, self.cfg.N_B, self.cfg.d_s
+
+        def write(p, r, V):  # the pair's blocks, transposed; user m at station k is m * K + k
+            images = self.ch.H[:, p] @ self.patterns(p, r)[:, None]
+            links = self.ch.H[range(L), p, p] @ V.reshape(L, -1, d_s)
+            blocks = [*images.reshape(-1, N_B, d_s), self.aligned(p, r), *links]
+            self._table[p, r] = np.swapaxes(blocks, -1, -2)
+
+        receivers = [r for _, r in sorted(assignment.receivers().items())]
+        for p, r in enumerate(receivers):
+            self._piece("table", p, r, lambda V: write(p, r, V))
+        cells, blocks = _stack_template(K, L)[:, :, range(K), np.argsort(receivers)]  # k's provider
+        gathered = self._table[cells, np.array(receivers)[cells], blocks]
+        return gathered.reshape(L, K, -1, N_B).swapaxes(-1, -2)
+
 
 def build_potentials(
     ch: ChannelRealization, cfg: SystemConfig, pairs=None
@@ -297,67 +333,49 @@ def build_potentials(
     return potentials
 
 
-def _pieces_before_decoders(ch, cfg, assignment, potentials):
-    """The checks of ``build_transceivers``, then its inner precoders, patterns
-    and aligned bases, each over the sorted (cell, receiver) pairs: a set without
-    decoders or whiteners, the decoders' provider blocks and the whiteners' reader."""
+def _pair_pieces(ch, cfg, assignment, potentials):
+    """The checks and first reads of ``build_transceivers``: the potentials and
+    ``take(name)``, the pieces ``name`` over the (cell, receiver) pairs in cell order."""
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
-    if potentials is None:
-        potentials = Potentials(ch, cfg)
+    potentials = Potentials(ch, cfg) if potentials is None else potentials
     if potentials.ch is not ch:
         raise ContractViolation("potentials were built on another channel draw")
     pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
-    inner = {k: potentials.inner(k, r) for k, r in pairs}
-    patterns = np.stack([potentials.patterns(k, r) for k, r in pairs], axis=1)
-    aligned = {k: potentials.aligned(k, r) for k, r in pairs}
-    provider_blocks = {
-        (i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)
-    }
-    tset = TransceiverSet(assignment, inner, patterns, None, aligned, None)
-    return tset, provider_blocks, lambda: np.stack(
-        [potentials.whiteners(k, r) for k, r in pairs], axis=1
-    )
+    take = lambda name: [getattr(potentials, name)(k, r) for k, r in pairs]
+    take("inner"), take("patterns"), take("aligned")
+    return potentials, take
 
 
 def build_transceivers(
-    ch: ChannelRealization,
-    cfg: SystemConfig,
-    assignment,
-    potentials: Potentials | None = None,
+    ch: ChannelRealization, cfg: SystemConfig, assignment, potentials: Potentials | None = None
 ) -> TransceiverSet:
     """Complete transceiver set for a strict assignment on one realization.
 
     Gathers the assignment's pair pieces; only the decoders are computed here,
     in one stacked SVD. Nothing depends on P: ``user_rate`` applies it.
     """
-    tset, provider_blocks, whiteners = _pieces_before_decoders(ch, cfg, assignment, potentials)
-    decoders = zf_decoder(ch, assignment, tset.patterns, provider_blocks, cfg.d_s)
-    tset.decoders = decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s)
-    tset.whiteners = whiteners()
-    return tset
+    _, take = _pair_pieces(ch, cfg, assignment, potentials)
+    patterns, aligned = np.stack(take("patterns"), axis=1), dict(enumerate(take("aligned")))
+    blocks = {(i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)}
+    decoders = zf_decoder(ch, assignment, patterns, blocks, cfg.d_s)
+    return TransceiverSet(assignment, dict(enumerate(take("inner"))), patterns,
+                          decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s), aligned,
+                          np.stack(take("whiteners"), axis=1))
 
 
-def screen_rates(
-    ch: ChannelRealization, cfg: SystemConfig, assignment, potentials: Potentials
-) -> np.ndarray | None:
-    """Every user's rate in nats as an (L, K) array, with the decoders of
-    ``certified_null_basis``, or None where it does not certify the stacks.
-
-    Reads the pair pieces in ``build_transceivers``' order, so a failing piece
-    raises here as it would there. The rates equal ``user_rate``'s to rounding.
-    """
-    tset, provider_blocks, whiteners = _pieces_before_decoders(ch, cfg, assignment, potentials)
-    F = nulling_stacks(ch, assignment, tset.patterns, provider_blocks)
-    U = certified_null_basis(F, cfg.d_s)
-    if U is None:
+def screen_rates(ch: ChannelRealization, cfg: SystemConfig, assignment,
+                 potentials: Potentials) -> np.ndarray | None:
+    """Every user's rate in nats as an (L, K) array from ``certified_null_image`` of
+    its [F | G], or None where that does not certify. Reads the pair pieces in
+    ``build_transceivers``' order, the whiteners only once certified, so a failing
+    piece raises here as it would there. R22 is U^H G for an orthonormal basis U of
+    the decoders' span, so the rates equal ``user_rate``'s to rounding."""
+    potentials, take = _pair_pieces(ch, cfg, assignment, potentials)
+    R22 = certified_null_image(potentials.stacks(assignment), cfg.d_s)
+    if R22 is None:
         return None
-    U = U.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s)
-    cells = np.arange(cfg.K)
-    slices = np.stack([tset.inner[k].reshape(cfg.L, cfg.N_U, cfg.d_s) for k in cells], axis=1)
-    H_eff = U.conj().swapaxes(-1, -2) @ ch.H[:, cells, cells] @ slices
-    V_out = math.sqrt(cfg.P / cfg.d_s) * whiteners()
-    return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
+    return rate_logdet(R22 @ np.stack(take("whiteners"), axis=1), cfg.P / (cfg.d_s * cfg.sigma2))
 
 
 def user_rate(
@@ -399,23 +417,13 @@ def verify_alignment(
     ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig
 ) -> AlignmentReport:
     """Measure every interference-nulling condition and the desired-link rank."""
-    precoders = full_precoder(tset.patterns, cfg.P, cfg.d_s)
-    images = link_images(ch, tset.decoders, precoders)
-    max_iui = 0.0
-    max_ici = 0.0
-    min_sv = math.inf
-    min_ratio = math.inf
-    for k in range(cfg.K):
-        for i in range(cfg.L):
-            resid = np.linalg.norm(images[i, k], axis=(-2, -1))
-            max_iui = max(max_iui, float(np.delete(resid[:, k], i).max(initial=0.0)))
-            max_ici = max(max_ici, float(np.delete(resid, k, axis=1).max()))
-            s = np.linalg.svd(images[i, k, i, k], compute_uv=False)
-            min_sv = min(min_sv, float(s[cfg.d_s - 1]))
-            min_ratio = min(min_ratio, float(s[cfg.d_s - 1] / s[0]))
+    images = link_images(ch, tset.decoders, full_precoder(tset.patterns, cfg.P, cfg.d_s))
+    resid = np.linalg.norm(images, axis=(-2, -1))  # [i, k, m, l]: user (m, l) at user (i, k)
+    i, k, m, l = np.ix_(range(cfg.L), range(cfg.K), range(cfg.L), range(cfg.K))
+    s = np.linalg.svd(np.einsum("ikikab->ikab", images), compute_uv=False)  # desired links
     return AlignmentReport(
-        max_iui_residual=max_iui,
-        max_ici_residual=max_ici,
-        min_desired_sv=min_sv,
-        min_desired_ratio=min_ratio,
+        max_iui_residual=float(np.where((l == k) & (m != i), resid, 0.0).max()),
+        max_ici_residual=float(np.where(l != k, resid, 0.0).max()),
+        min_desired_sv=float(s[..., cfg.d_s - 1].min()),
+        min_desired_ratio=float((s[..., cfg.d_s - 1] / s[..., 0]).min()),
     )

@@ -2,10 +2,11 @@
 null basis behind its decoders.
 
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
-across candidates and calls. It screens every candidate with a QR null basis
-and evaluates exactly, through ``build_transceivers`` and ``user_rate``, only
-the candidates the screen cannot certify and those near the best screened
-value. The reference below is the plain loop: for every derangement a fresh
+across candidates and calls. It screens every candidate with one R-only QR of
+each user's [F | G], gathered from a per-draw pair table, and evaluates
+exactly, through ``build_transceivers`` and ``user_rate``, only the candidates
+the screen cannot certify and those near the best screened value. The
+reference below is the plain loop: for every derangement a fresh
 ``build_transceivers`` with no potentials, so each builds its own and nothing
 is shared between candidates. Both must agree with ``==``.
 """
@@ -27,7 +28,8 @@ from giasim.errors import ContractViolation, GiaSimError
 from giasim.gia import (
     build_potentials,
     build_transceivers,
-    certified_null_basis,
+    certified_null_image,
+    nulling_stacks,
     rate_logdet,
     select_null_basis,
     user_rate,
@@ -174,31 +176,56 @@ def test_rank_deficient_candidates_warn_as_in_the_plain_loop(monkeypatch):
 
 
 def test_certified_null_basis_gives_the_svd_rate():
+    # R22 of the QR of [F | A] is A seen through an orthonormal basis of F's
+    # left null space: the rate through the SVD's null basis is the same
     rng = np.random.default_rng(8)
     F = complex_gaussian(rng, (3, 2, 14, 12))
-    U_qr = certified_null_basis(F, 2)
     U_svd = select_null_basis(F, 2)
-    assert U_qr.shape == U_svd.shape == (3, 2, 14, 2)
-    assert np.abs(U_qr.conj().swapaxes(-1, -2) @ F).max() < 1e-12
+    assert U_svd.shape == (3, 2, 14, 2)
     A = complex_gaussian(rng, (3, 2, 14, 2))
-    for U in (U_qr, U_svd):
-        assert np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(2), rtol=0, atol=1e-13)
-    qr_rates = rate_logdet(U_qr.conj().swapaxes(-1, -2) @ A, 300.0)
+    R22 = certified_null_image(np.concatenate([F, A], axis=-1), 2)
+    assert R22.shape == (3, 2, 2, 2)
+    assert np.allclose(U_svd.conj().swapaxes(-1, -2) @ U_svd, np.eye(2), rtol=0, atol=1e-13)
+    qr_rates = rate_logdet(R22, 300.0)
     for idx in np.ndindex(3, 2):
         exact = rate_logdet(U_svd[idx].conj().T @ A[idx], 300.0)
         assert abs(qr_rates[idx] - exact) <= 1e-12 * exact
 
 
+def _derangements(cfg):
+    return [Assignment(dict(enumerate(perm))) for perm in enumerate_derangements(cfg.K)]
+
+
+@pytest.mark.parametrize("cfg, seed", [(REFERENCE, 41), (TIGHT_K5, 49)], ids=["k4", "tight_k5"])
+def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
+    # the pair table holds the very products nulling_stacks forms, so the
+    # gather must reproduce its stacks bit for bit, in its block order
+    ch = draw_channels(cfg, trial_rng(seed, 0))
+    potentials = build_potentials(ch, cfg)
+    for assignment in _derangements(cfg):
+        tset = build_transceivers(ch, cfg, assignment, potentials)
+        blocks = {(i, k): tset.aligned[assignment.provider(k)]
+                  for i in range(cfg.L) for k in range(cfg.K)}
+        F = nulling_stacks(ch, assignment, tset.patterns, blocks)
+        FG = potentials.stacks(assignment)
+        n = F.shape[-1]
+        assert FG.shape == (cfg.L, cfg.K, cfg.N_B, n + cfg.d_s)
+        assert np.array_equal(FG[..., :n], F.reshape(cfg.L, cfg.K, cfg.N_B, n)), assignment
+        for i, k in np.ndindex(cfg.L, cfg.K):  # G: the direct link through the inner slice
+            slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U]
+            assert np.array_equal(FG[i, k, :, n:], ch.H[i, k, k] @ slice_ik), (assignment, i, k)
+
+
 def test_screened_rates_equal_user_rates():
     ch = draw_channels(TIGHT_K5, trial_rng(49, 0))
     potentials = build_potentials(ch, TIGHT_K5)
-    for assignment in (fixed_cyclic(TIGHT_K5.K), Assignment({0: 2, 1: 3, 2: 4, 3: 0, 4: 1})):
+    for assignment in _derangements(TIGHT_K5):  # all 44
         screened = gia.screen_rates(ch, TIGHT_K5, assignment, potentials)
         tset = build_transceivers(ch, TIGHT_K5, assignment, potentials)
         assert screened.shape == (TIGHT_K5.L, TIGHT_K5.K)
         for (i, k), rate in np.ndenumerate(screened):
             exact = user_rate(ch, tset, i, k, TIGHT_K5)
-            assert abs(rate - exact) <= 1e-12 * exact, (i, k)
+            assert abs(rate - exact) <= 1e-12 * exact, (assignment, i, k)
 
 
 @pytest.mark.parametrize("m, n, clean_rank, bad_rank", [
@@ -214,9 +241,24 @@ def test_certificate_refuses(m, n, clean_rank, bad_rank):
         stack[2, 1, 1] = np.nan
     else:
         stack[2] = _low_rank(rng, m, n, bad_rank)
-    assert certified_null_basis(stack, 2) is None
-    clean = np.delete(stack, 2, axis=0)  # certified without the bad slice, where tight
-    assert (certified_null_basis(clean, 2) is not None) == (m - n == 2)
+    links = complex_gaussian(rng, (4, m, 2))  # G, the columns after the stack
+    assert certified_null_image(np.concatenate([stack, links], axis=-1), 2) is None
+    clean = np.delete(np.concatenate([stack, links], axis=-1), 2, axis=0)
+    assert (certified_null_image(clean, 2) is not None) == (m - n == 2)  # where tight
+
+
+@pytest.mark.parametrize("coupling, certified", [(1.0, True), (1e5, False)])
+def test_certificate_sees_ill_conditioning_off_the_diagonal(coupling, certified):
+    # R11 = [[I, cJ], [0, I]] (J all ones) has identity diagonal blocks; its
+    # condition number grows as c^2 and shows only in the off-diagonal block
+    # of R11^-1. At c = 1e5, sigma_min / sigma_max is about 6e-12.
+    rng = np.random.default_rng(7)
+    n, d_s = 8, 2
+    R11 = np.eye(n, dtype=complex)
+    R11[:n // 2, n // 2:] = coupling
+    Q, _ = np.linalg.qr(complex_gaussian(rng, (n + d_s, n + d_s)))
+    FG = np.concatenate([Q[:, :n] @ R11, complex_gaussian(rng, (n + d_s, d_s))], axis=-1)
+    assert (certified_null_image(FG, d_s) is not None) == certified
 
 
 def test_potentials_of_another_draw_are_refused():

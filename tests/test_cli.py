@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from giasim.cli import main, parse_grid
+from giasim.cli import GRID_POINT_CAP, main, parse_grid
 from oracles import read_codebook
 
 
@@ -29,6 +29,9 @@ def test_parse_grid():
     assert parse_grid("100:200:500", cast=int) == (100, 300, 500)
     with pytest.raises(ValueError):
         parse_grid("0:0:10")
+    assert len(parse_grid(f"1:1:{GRID_POINT_CAP}", cast=int)) == GRID_POINT_CAP
+    with pytest.raises(ValueError):
+        parse_grid(f"0:1:{GRID_POINT_CAP}", cast=int)
 
 
 def test_simulate_snr_sweep(tmp_path, config_file, capsys):
@@ -171,6 +174,8 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("ok", ["--snr", "0:nan:10"]),
         ("ok", ["--snr", "0:inf:10"]),
         ("snr_infinite_end", []),
+        ("ok", ["--snr", "0:1e-9:100"]),
+        ("snr_tiny_step", []),
     ],
     ids=[
         "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
@@ -178,7 +183,7 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         "negative_seed", "negative_codebook_seed", "config_trials_not_an_int",
         "config_seed_not_an_int", "config_fractional_K", "config_boolean_snr",
         "config_fractional_trials", "snr_infinite_end", "snr_nan_step", "snr_infinite_step",
-        "config_infinite_snr_end",
+        "config_infinite_snr_end", "snr_tiny_step", "config_tiny_step",
     ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):
@@ -192,6 +197,7 @@ def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra
         ("snr_boolean", {**dims, "snr_db": True}),
         ("trials_fractional", {**dims, "trials": 2.5}),
         ("snr_infinite_end", {**dims, "snr_db": [0, 1, math.inf]}),
+        ("snr_tiny_step", {**dims, "snr_db": [0, 1e-9, 100]}),
     ):
         path[name] = str(tmp_path / f"{name}.json")
         Path(path[name]).write_text(json.dumps(raw))
