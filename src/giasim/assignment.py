@@ -84,48 +84,48 @@ def rank_by_utility(scores: dict) -> list:
     return [c for c, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
-def _logdet2_eye_plus(psd: np.ndarray) -> float:
-    return float(np.sum(np.log1p(psd_eigvals(psd)))) / math.log(2.0)
+def _rank_cells(cfg: SystemConfig, grams: np.ndarray) -> tuple[dict, dict]:
+    """Rankings and utilities of every cell from the (L, K(K-1), n, n) PSD stack
+    of its users' terms, candidates in ``gia.cell_pairs`` order (k, candidate):
+    each term is log2 det(I + G) from one eigenvalue call, and each utility
+    sums its L terms in user order."""
+    terms = (np.sum(np.log1p(psd_eigvals(grams)), axis=-1) / math.log(2.0)).T.tolist()
+    scores = {k: {} for k in range(cfg.K)}
+    for (k, cand), row in zip(gia.cell_pairs(cfg.K), terms):
+        scores[k][cand] = sum(row)
+    return {k: rank_by_utility(s) for k, s in scores.items()}, scores
+
+
+def _cell_direct_channels(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarray:
+    """The direct channels of cell k's users at each (k, candidate) pair, (L, K(K-1), N_B, N_U)."""
+    return gia.direct_channels(ch)[:, [k for k, _ in gia.cell_pairs(cfg.K)]]
 
 
 def provider_preferences(
-    ch: ChannelRealization, cfg: SystemConfig, k: int, potentials: gia.Potentials
-) -> tuple[list, dict]:
-    """Rank candidate providers of cell k by projected direct-channel capacity.
+    ch: ChannelRealization, cfg: SystemConfig, potentials: gia.Potentials
+) -> tuple[dict, dict]:
+    """Rank every cell's candidate providers by projected direct-channel capacity.
 
     Each candidate's aligned subspace is projected away from the direct
     channels; larger residual capacity means the candidate's interference
     costs cell k fewer useful dimensions.
     """
-    scores = {}
-    for cand in range(cfg.K):
-        if cand == k:
-            continue
-        _, P_perp = projectors(potentials.aligned(cand, k))
-        u = 0.0
-        for i in range(cfg.L):
-            Hd = ch.H[i, k, k]
-            u += _logdet2_eye_plus(Hd.conj().T @ P_perp @ Hd)
-        scores[cand] = u
-    return rank_by_utility(scores), scores
+    perps = np.array([projectors(potentials.aligned(cand, k))[1]
+                      for k, cand in gia.cell_pairs(cfg.K)])
+    Hd = _cell_direct_channels(ch, cfg)
+    return _rank_cells(cfg, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)
 
 
 def receiver_preferences(
-    ch: ChannelRealization, cfg: SystemConfig, k: int, potentials: gia.Potentials
-) -> tuple[list, dict]:
-    """Rank candidate receivers of cell k's alignment by own-cell rate proxy."""
-    scores = {}
-    for cand in range(cfg.K):
-        if cand == k:
-            continue
-        patterns = potentials.patterns(k, cand)
-        u = 0.0
-        for i in range(cfg.L):
-            V = gia.full_precoder(patterns[i], cfg.P, cfg.d_s)
-            Hd = ch.H[i, k, k]
-            u += _logdet2_eye_plus(V.conj().T @ Hd.conj().T @ Hd @ V)
-        scores[cand] = u
-    return rank_by_utility(scores), scores
+    ch: ChannelRealization, cfg: SystemConfig, potentials: gia.Potentials
+) -> tuple[dict, dict]:
+    """Rank every cell's candidate receivers of its alignment by own-cell rate
+    proxy, at the signal-to-noise ratio P / sigma2."""
+    patterns = np.array([potentials.patterns(k, cand) for k, cand in gia.cell_pairs(cfg.K)])
+    V = gia.full_precoder(patterns.swapaxes(0, 1), cfg.P / cfg.sigma2, cfg.d_s)
+    Hd = _cell_direct_channels(ch, cfg)
+    V_h = V.conj().swapaxes(-1, -2)
+    return _rank_cells(cfg, V_h @ Hd.conj().swapaxes(-1, -2) @ Hd @ V)
 
 
 def build_preferences(
@@ -142,16 +142,12 @@ def build_preferences(
     that only the receiver side is computed.
     """
     if provider_side is None:
-        provider, p_util = {}, {}
-        for k in range(cfg.K):
-            provider[k], p_util[k] = provider_preferences(ch, cfg, k, potentials)
+        provider, p_util = provider_preferences(ch, cfg, potentials)
     else:
         provider, p_util = provider_side.provider, provider_side.provider_utility
     receiver, r_util = None, None
     if two_sided:
-        receiver, r_util = {}, {}
-        for k in range(cfg.K):
-            receiver[k], r_util[k] = receiver_preferences(ch, cfg, k, potentials)
+        receiver, r_util = receiver_preferences(ch, cfg, potentials)
     return PreferenceProfile(
         provider=provider,
         receiver=receiver,
@@ -326,8 +322,7 @@ def centralized_search(
     def confirm(c):  # exact user rates of the candidate's full transceiver set
         if c not in exact:
             tset = gia.build_transceivers(ch, cfg, candidates[c], potentials)
-            exact[c] = reduce([sum(gia.user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
-                               for k in range(cfg.K)])
+            exact[c] = reduce([sum(cell) for cell in gia.user_rate(ch, tset, cfg).T.tolist()])
 
     for c, assignment in enumerate(candidates):
         rates = gia.screen_rates(ch, cfg, assignment, potentials)

@@ -176,6 +176,12 @@ def per_user(cfg: SystemConfig, fn) -> np.ndarray:
     return np.array(out)
 
 
+def direct_channels(ch: ChannelRealization) -> np.ndarray:
+    """H[i, k, k] of every user (i, k), as an (L, K, N_B, N_U) array."""
+    cells = range(ch.H.shape[1])
+    return ch.H[:, cells, cells]
+
+
 def link_images(
     ch: ChannelRealization, decoders: np.ndarray, patterns: np.ndarray
 ) -> np.ndarray:
@@ -378,24 +384,18 @@ def screen_rates(ch: ChannelRealization, cfg: SystemConfig, assignment,
     return rate_logdet(R22 @ np.stack(take("whiteners"), axis=1), cfg.P / (cfg.d_s * cfg.sigma2))
 
 
-def user_rate(
-    ch: ChannelRealization,
-    tset: TransceiverSet,
-    i: int,
-    k: int,
-    cfg: SystemConfig,
-) -> float:
-    """Achievable rate of user (i, k) in nats.
+def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig) -> np.ndarray:
+    """Achievable rate of every user in nats, as an (L, K) array.
 
-    Uses the effective-channel form: the decoder output channel composed
-    with the uniform-power outer scaling. Numerically equal to evaluating
-    the plain log-det rate on decoder, direct channel and full precoder.
-    The power-free whitener comes from the transceiver set.
+    Uses the effective-channel form: the decoder output channel U^H H[i, k, k]
+    times the user's inner-precoder slice, composed with the uniform-power
+    outer scaling of the power-free whitener, all users in one stack.
+    Numerically equal to evaluating the plain log-det rate on decoder, direct
+    channel and full precoder.
     """
-    U = tset.decoders[(i, k)]
-    slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
-    H_eff = U.conj().T @ ch.H[i, k, k] @ slice_ik
-    V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners[(i, k)]
+    slices = np.stack([tset.inner[k].reshape(cfg.L, cfg.N_U, cfg.d_s) for k in range(cfg.K)], 1)
+    H_eff = tset.decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices
+    V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners
     return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
 
 

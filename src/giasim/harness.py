@@ -22,13 +22,7 @@ from . import feedback as fb
 from . import gia
 from .errors import ContractViolation, DegenerateChannel
 from .linalg import complex_gaussian, orthonormalize, psd_eigvals
-from .system import (
-    ChannelRealization,
-    SystemConfig,
-    draw_channels,
-    require_feasible,
-    trial_rng,
-)
+from .system import SystemConfig, draw_channels, require_feasible, trial_rng
 
 ASSIGNMENT_SCHEMES = (
     "fixed",
@@ -111,24 +105,28 @@ class TrialResult:
     resamples: int = 0
 
 
-def throughput(images: np.ndarray, i: int, k: int, cfg: SystemConfig) -> float:
-    """Rate of user (i, k) in nats, treating residual interference as noise.
+def throughput(images: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Rate of every user in nats, as an (L, K) array, treating residual
+    interference as noise.
 
-    Every transmitter's image through the decoder gives one noise-normalized
-    covariance: A, the desired signal's, and C, the sum of all the others in
-    cell-major order. Evaluated as logdet(I + C + A) - logdet(I + C); both
-    arguments are Hermitian positive definite, which keeps the evaluation
-    stable. With perfect feedback C vanishes on the desired links and this
-    reduces to the alignment rate. ``images`` is the ``link_images`` stack
-    of the decoders and the transmit patterns.
+    Every transmitter's image through a user's decoder gives one
+    noise-normalized covariance: A, the desired signal's, and C, the sum of
+    all the others in cell-major order (the user's own term masked to zero).
+    Evaluated as logdet(I + C + A) - logdet(I + C); both arguments are
+    Hermitian positive definite, which keeps the evaluation stable. With
+    perfect feedback C vanishes on the desired links and this reduces to the
+    alignment rate. ``images`` is the ``link_images`` stack of the decoders
+    and the transmit patterns.
     """
-    X = images[i, k]
-    cov = (cfg.P / (cfg.d_s * cfg.sigma2)) * (X @ X.conj().swapaxes(-1, -2))
-    C = sum(cov[j, l] for l in range(cfg.K) for j in range(cfg.L) if (j, l) != (i, k))
-    A = cov[i, k]
+    L, K = cfg.L, cfg.K
+    cov = (cfg.P / (cfg.d_s * cfg.sigma2)) * (images @ images.conj().swapaxes(-1, -2))
+    own = np.eye(L * K, dtype=bool).reshape(L, K, L, K, 1, 1)
+    others = np.where(own, 0.0, cov)
+    C = sum(others[:, :, j, l] for l in range(K) for j in range(L))
+    A = np.einsum("ikikab->ikab", cov)
     eye = np.eye(cfg.d_s)
-    full = float(np.sum(np.log(psd_eigvals(eye + C + A))))
-    return full - float(np.sum(np.log(psd_eigvals(eye + C))))
+    full = np.sum(np.log(psd_eigvals(eye + C + A)), axis=-1)
+    return full - np.sum(np.log(psd_eigvals(eye + C)), axis=-1)
 
 
 @lru_cache(maxsize=128)
@@ -196,17 +194,14 @@ class TrialBuild:
         rng = trial_rng(seed, trial_index, stream=attempt)
         self.trial_index = trial_index
         self.ch = draw_channels(cfg, rng)
-        self._rng_after_draw = rng  # baseline_rb continues this stream
+        self._rng_after_draw = rng  # the rb baseline continues a copy of this stream
         self._potentials = gia.Potentials(self.ch, cfg)
         self._provider_side = None
         self._two_sided = {}        # config -> profile with both sides
         self._tsets = {}            # assignment key -> TransceiverSet
         self._leakage = {}          # assignment key -> (L, K) lambda1
         self._feedback = {}         # (assignment key, allocation, budget, seed) -> Feedback
-
-    def rng(self) -> np.random.Generator:
-        """A generator positioned right after the channel draw."""
-        return copy.deepcopy(self._rng_after_draw)
+        self._baselines = {}        # baseline name -> its power-free part
 
     def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
         """The pair pieces, with inner precoders at least for ``pairs`` (all if None)."""
@@ -230,6 +225,24 @@ class TrialBuild:
                 provider_side=self._provider_side,
             )
         return prefs
+
+    def baseline(self, cfg: SystemConfig, name: str) -> np.ndarray:
+        """The power-free part of baseline ``name``, formed once per draw. rb: the
+        ``link_images`` of random patterns, drawn in ``per_user`` order from the
+        stream after the channel draw, through matched-filter decoders. fdma:
+        the top d_s eigenvalues of every user's direct-channel Gram, (L, K, d_s)."""
+        if name not in self._baselines:
+            if name == "rb":
+                rng, H = copy.deepcopy(self._rng_after_draw), self.ch.H
+                patterns = gia.per_user(cfg, lambda i, k: orthonormalize(
+                    complex_gaussian(rng, (cfg.N_U, cfg.d_s))))
+                decoders = gia.per_user(cfg, lambda i, k: orthonormalize(H[i, k, k] @ patterns[i, k]))
+                self._baselines[name] = gia.link_images(self.ch, decoders, patterns)
+            else:
+                direct = gia.direct_channels(self.ch)
+                gains = psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)
+                self._baselines[name] = gains[..., ::-1][..., : cfg.d_s]
+        return self._baselines[name]
 
     def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
         key = _assignment_key(chosen)
@@ -311,19 +324,15 @@ def _evaluate_trial(
     resamples: int,
 ) -> TrialResult:
     if scheme.assignment == "rb":
-        result = baseline_rb(build.ch, cfg, build.rng())
+        result = baseline_rb(build, cfg)
     elif scheme.assignment == "fdma":
-        result = baseline_fdma(build.ch, cfg)
+        result = baseline_fdma(build, cfg)
     else:
         chosen, stability = _choose_assignment(build, cfg, scheme)
         tset = build.transceivers(cfg, chosen)
         if scheme.bit_alloc == "none":
-            user_rates = {
-                (i, k): gia.user_rate(build.ch, tset, i, k, cfg)
-                for k in range(cfg.K)
-                for i in range(cfg.L)
-            }
-            result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
+            rates = gia.user_rate(build.ch, tset, cfg)
+            result = _pack_result(scheme, trial_index, rates, cfg, chosen)
         else:
             result = _limited_feedback_stage(build, cfg, scheme, trial_index, tset)
         result.stability = stability
@@ -346,21 +355,21 @@ def _limited_feedback_stage(
         )
     chosen = tset.assignment
     fed = build.feedback(cfg, scheme, tset)
-    user_rates = {
-        (i, k): throughput(fed.images, i, k, cfg)
-        for k in range(cfg.K)
-        for i in range(cfg.L)
-    }
+    rates = throughput(fed.images, cfg)
     rinr_cell = fb.rinr(chosen, fed.images, cfg)
     bound_cell = fb.rinr_upper_bound(chosen, cfg, fed.dist, build.leakage(cfg, tset))
-    result = _pack_result(scheme, trial_index, user_rates, cfg, chosen)
+    result = _pack_result(scheme, trial_index, rates, cfg, chosen)
     result.rinr_per_cell = rinr_cell
     result.bound_per_cell = bound_cell
     result.bits = fed.alloc.bits
     return result
 
 
-def _pack_result(scheme, trial_index, user_rates, cfg, chosen=None) -> TrialResult:
+def _pack_result(scheme, trial_index, rates, cfg, chosen=None) -> TrialResult:
+    """The trial record of the (L, K) user rates ``rates``; cell and sum rates
+    are Python sums over floats in (cell, user) order."""
+    rows = rates.tolist()
+    user_rates = {(i, k): rows[i][k] for k in range(cfg.K) for i in range(cfg.L)}
     cell_rates = {
         k: sum(user_rates[(i, k)] for i in range(cfg.L)) for k in range(cfg.K)
     }
@@ -400,34 +409,21 @@ def _run_cell(
     )
 
 
-def baseline_rb(ch: ChannelRealization, cfg: SystemConfig, rng: np.random.Generator) -> TrialResult:
-    """Random subspace precoders with matched-filter receivers (no alignment)."""
-    patterns = gia.per_user(
-        cfg, lambda i, k: orthonormalize(complex_gaussian(rng, (cfg.N_U, cfg.d_s)))
-    )
-    decoders = gia.per_user(cfg, lambda i, k: orthonormalize(ch.H[i, k, k] @ patterns[i, k]))
-    images = gia.link_images(ch, decoders, patterns)
-    user_rates = {
-        (i, k): throughput(images, i, k, cfg)
-        for k in range(cfg.K)
-        for i in range(cfg.L)
-    }
-    return _pack_result(SchemeSpec(assignment="rb"), 0, user_rates, cfg)
+def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> TrialResult:
+    """Random subspace precoders with matched-filter receivers (no alignment),
+    on the images the build keeps (see ``TrialBuild.baseline``)."""
+    rates = throughput(build.baseline(cfg, "rb"), cfg)
+    return _pack_result(SchemeSpec(assignment="rb"), 0, rates, cfg)
 
 
-def baseline_fdma(ch: ChannelRealization, cfg: SystemConfig) -> TrialResult:
+def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> TrialResult:
     """Orthogonal sharing: each user gets 1/(KL) of the band, eigen-beamforms
     its top d_s modes and spends its full power there (noise scales with the
     band fraction, hence the KL power boost)."""
     n_share = cfg.user_count
     boost = n_share * cfg.P / (cfg.d_s * cfg.sigma2)
-    user_rates = {}
-    for k in range(cfg.K):
-        for i in range(cfg.L):
-            Hd = ch.H[i, k, k]
-            top = psd_eigvals(Hd.conj().T @ Hd)[::-1][: cfg.d_s]
-            user_rates[(i, k)] = float(np.sum(np.log1p(boost * top))) / n_share
-    return _pack_result(SchemeSpec(assignment="fdma"), 0, user_rates, cfg)
+    rates = np.sum(np.log1p(boost * build.baseline(cfg, "fdma")), axis=-1) / n_share
+    return _pack_result(SchemeSpec(assignment="fdma"), 0, rates, cfg)
 
 
 @dataclass(frozen=True)

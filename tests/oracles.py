@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from giasim import harness
-from giasim.assignment import derangement_count
+from giasim.assignment import derangement_count, rank_by_utility
 from giasim.errors import ContractViolation
 from giasim.feedback import Codebook, omega_matrix
-from giasim.gia import per_user
-from giasim.linalg import complex_gaussian, left_null_space, psd_eigvals
-from giasim.system import require_feasible
+from giasim.gia import full_precoder, per_user, rate_logdet
+from giasim.linalg import complex_gaussian, left_null_space, projectors, psd_eigvals
+from giasim.system import SystemConfig, require_feasible
 
 
 def run_trial(cfg, scheme, trial_index, seed=0):
@@ -29,6 +29,80 @@ def run_trial(cfg, scheme, trial_index, seed=0):
 def aggregate_metrics(results):
     """The sweep's aggregate of a list of trial results."""
     return harness._aggregate([harness._summary(r) for r in results])
+
+
+def user_rate(ch, tset, i, k, cfg):
+    """Rate of user (i, k) in nats, user by user: the loop ``gia.user_rate``
+    stacks, with the same products in the same association."""
+    U = tset.decoders[(i, k)]
+    slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
+    H_eff = U.conj().T @ ch.H[i, k, k] @ slice_ik
+    V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners[(i, k)]
+    return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
+
+
+def throughput(images, i, k, cfg):
+    """Rate of user (i, k) in nats with residual interference as noise, user by
+    user: C sums the other transmitters' covariances in cell-major order."""
+    X = images[i, k]
+    cov = (cfg.P / (cfg.d_s * cfg.sigma2)) * (X @ X.conj().swapaxes(-1, -2))
+    C = sum(cov[j, l] for l in range(cfg.K) for j in range(cfg.L) if (j, l) != (i, k))
+    A = cov[i, k]
+    eye = np.eye(cfg.d_s)
+    full = float(np.sum(np.log(psd_eigvals(eye + C + A))))
+    return full - float(np.sum(np.log(psd_eigvals(eye + C))))
+
+
+def _logdet2_eye_plus(psd):
+    return float(np.sum(np.log1p(psd_eigvals(psd)))) / math.log(2.0)
+
+
+def provider_preferences(ch, cfg, k, potentials):
+    """Cell k's ranked candidate providers and their utilities, candidate by
+    candidate and user by user."""
+    scores = {}
+    for cand in range(cfg.K):
+        if cand == k:
+            continue
+        _, P_perp = projectors(potentials.aligned(cand, k))
+        u = 0.0
+        for i in range(cfg.L):
+            Hd = ch.H[i, k, k]
+            u += _logdet2_eye_plus(Hd.conj().T @ P_perp @ Hd)
+        scores[cand] = u
+    return rank_by_utility(scores), scores
+
+
+def receiver_preferences(ch, cfg, k, potentials):
+    """Cell k's ranked candidate receivers and their utilities at P / sigma2,
+    candidate by candidate and user by user."""
+    scores = {}
+    for cand in range(cfg.K):
+        if cand == k:
+            continue
+        patterns = potentials.patterns(k, cand)
+        u = 0.0
+        for i in range(cfg.L):
+            V = full_precoder(patterns[i], cfg.P / cfg.sigma2, cfg.d_s)
+            Hd = ch.H[i, k, k]
+            u += _logdet2_eye_plus(V.conj().T @ Hd.conj().T @ Hd @ V)
+        scores[cand] = u
+    return rank_by_utility(scores), scores
+
+
+def feasible_configs(seed):
+    """Three draws for every (L, d_s) in {1, 2, 3} x {1, 2}: the first with
+    tight antenna counts, the others with up to two spare antennas on each side."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for L in (1, 2, 3):
+        for d_s in (1, 2):
+            for slack in (False, True, True):
+                K = int(rng.integers(3, 5))
+                N_B = ((K - 1) * L + 1) * d_s + (int(rng.integers(0, 3)) if slack else 0)
+                N_U = -(-((L - 1) * N_B + d_s) // L) + (int(rng.integers(0, 3)) if slack else 0)
+                out.append(SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U, d_s=d_s).at_snr_db(25.0))
+    return out
 
 
 def effective_link_gains(ch, tset, i, k):

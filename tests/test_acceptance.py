@@ -90,7 +90,7 @@ def test_02_rate_path_equivalence():
         tset = build_transceivers(ch, CFG, fixed_cyclic(CFG.K))
         for k in range(CFG.K):
             for i in range(CFG.L):
-                r_eff = user_rate(ch, tset, i, k, CFG)
+                r_eff = user_rate(ch, tset, CFG)[i, k]
                 V_full = full_precoder(tset.patterns[(i, k)], CFG.P, CFG.d_s)
                 r_raw = rate_logdet(
                     tset.decoders[(i, k)].conj().T @ ch.H[i, k, k] @ V_full, 1.0 / CFG.sigma2
@@ -327,8 +327,8 @@ def test_10_perfect_feedback_limit():
         images = link_images(ch, decoders, tset.patterns)
         for k in range(CFG.K):
             for i in range(CFG.L):
-                limited = throughput(images, i, k, CFG)
-                unlimited = user_rate(ch, tset, i, k, CFG)
+                limited = throughput(images, CFG)[i, k]
+                unlimited = user_rate(ch, tset, CFG)[i, k]
                 worst = max(worst, abs(limited - unlimited) / max(unlimited, 1e-30))
     report(
         "criterion 10: lossless feedback reproduces unlimited-feedback rates",

@@ -265,7 +265,7 @@ class TestPreferenceOrdering:
             {(0, 0, 0): 3.0 * e2, (0, 1, 0): 2.0 * e1, (0, 2, 0): e2}, self.CFG1
         )
         pots = build_potentials(ch, self.CFG1)
-        ranked, utils = provider_preferences(ch, self.CFG1, 0, pots)
+        ranked, utils = (side[0] for side in provider_preferences(ch, self.CFG1, pots))
         assert ranked == [1, 2]
         assert utils[1] == pytest.approx(np.log2(1.0 + 9.0), rel=1e-9)
         assert utils[2] == pytest.approx(0.0, abs=1e-9)
@@ -274,7 +274,7 @@ class TestPreferenceOrdering:
         zero = np.zeros((3, 1), dtype=complex)
         ch = _handmade_channels({(0, 1, 1): zero}, self.CFG1)
         pots = build_potentials(ch, self.CFG1)
-        ranked, utils = receiver_preferences(ch, self.CFG1, 1, pots)
+        ranked, utils = (side[1] for side in receiver_preferences(ch, self.CFG1, pots))
         assert ranked == [0, 2]
         assert all(u == pytest.approx(0.0, abs=1e-12) for u in utils.values())
 
@@ -329,7 +329,7 @@ class TestCentralizedSearch:
         assert best.is_strict(CFG.K) and worst.is_strict(CFG.K)
         tset = build_transceivers(realization, CFG, fixed_cyclic(CFG.K), potentials)
         fixed_val = sum(
-            user_rate(realization, tset, i, k, CFG)
+            user_rate(realization, tset, CFG)[i, k]
             for k in range(CFG.K)
             for i in range(CFG.L)
         )

@@ -8,7 +8,8 @@ exactly, through ``build_transceivers`` and ``user_rate``, only the candidates
 the screen cannot certify and those near the best screened value. The
 reference below is the plain loop: for every derangement a fresh
 ``build_transceivers`` with no potentials, so each builds its own and nothing
-is shared between candidates. Both must agree with ``==``.
+is shared between candidates, and its rates user by user through
+``oracles.user_rate``. Both must agree with ``==``.
 """
 
 import warnings
@@ -37,6 +38,7 @@ from giasim.gia import (
 )
 from giasim.linalg import complex_gaussian
 from giasim.system import SystemConfig, draw_channels, trial_rng
+from oracles import feasible_configs, user_rate as per_user_rate
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
@@ -51,7 +53,7 @@ def reference_candidates(ch, cfg):
         assignment = Assignment(provider_of={k: perm[k] for k in range(cfg.K)})
         tset = build_transceivers(ch, cfg, assignment)
         cell_rates = [
-            sum(user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
+            sum(per_user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
             for k in range(cfg.K)
         ]
         out.append((assignment, cell_rates))
@@ -83,6 +85,21 @@ def test_search_equals_fresh_build_per_candidate(cfg, seed, draws):
             ref_chosen, ref_value = reference_pick(candidates, objective, sense)
             assert chosen.provider_of == ref_chosen.provider_of, (t, objective, sense)
             assert value == ref_value, (t, objective, sense)
+
+
+def test_search_equals_fresh_build_on_fuzz_shapes():
+    # every shape of test_dimension_fuzz: L in {1, 2, 3}, d_s in {1, 2}, K in
+    # {3, 4}, tight and slack; the slack shapes take the exact path throughout
+    for n, cfg in enumerate(feasible_configs(2718)):
+        for t in (2 * n, 2 * n + 1):
+            ch = draw_channels(cfg, trial_rng(2718, t))
+            potentials = build_potentials(ch, cfg)
+            candidates = reference_candidates(ch, cfg)
+            for objective, sense in SEARCHES:
+                chosen, value = centralized_search(ch, cfg, objective, sense, potentials)
+                ref_chosen, ref_value = reference_pick(candidates, objective, sense)
+                assert chosen.provider_of == ref_chosen.provider_of, (cfg, t, objective, sense)
+                assert value == ref_value, (cfg, t, objective, sense)
 
 
 def _count_calls(monkeypatch, name):
@@ -224,7 +241,7 @@ def test_screened_rates_equal_user_rates():
         tset = build_transceivers(ch, TIGHT_K5, assignment, potentials)
         assert screened.shape == (TIGHT_K5.L, TIGHT_K5.K)
         for (i, k), rate in np.ndenumerate(screened):
-            exact = user_rate(ch, tset, i, k, TIGHT_K5)
+            exact = user_rate(ch, tset, TIGHT_K5)[i, k]
             assert abs(rate - exact) <= 1e-12 * exact, (assignment, i, k)
 
 

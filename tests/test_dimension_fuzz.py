@@ -10,30 +10,13 @@ these cover d_s = 1, L = 1 and L = 3 as well.
 
 import math
 
-import numpy as np
-
 from giasim.assignment import Assignment, enumerate_derangements, fixed_cyclic
 from giasim.gia import build_potentials, build_transceivers, verify_alignment
 from giasim.harness import SchemeSpec
-from giasim.system import SystemConfig, draw_channels, trial_rng, validate_feasibility
-from oracles import run_trial
+from giasim.system import draw_channels, trial_rng, validate_feasibility
+from oracles import feasible_configs, run_trial
 
 SEED = 2718
-
-
-def feasible_configs(seed):
-    """Three draws for every (L, d_s) in {1, 2, 3} x {1, 2}: the first with
-    tight antenna counts, the others with up to two spare antennas on each side."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for L in (1, 2, 3):
-        for d_s in (1, 2):
-            for slack in (False, True, True):
-                K = int(rng.integers(3, 5))
-                N_B = ((K - 1) * L + 1) * d_s + (int(rng.integers(0, 3)) if slack else 0)
-                N_U = -(-((L - 1) * N_B + d_s) // L) + (int(rng.integers(0, 3)) if slack else 0)
-                out.append(SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U, d_s=d_s).at_snr_db(25.0))
-    return out
 
 
 def test_drawn_configs_are_feasible_and_cover_tight_counts():

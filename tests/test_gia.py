@@ -178,7 +178,7 @@ def test_rate_paths_agree(realization, transceivers):
     # to the same quantity
     for k in range(CFG.K):
         for i in range(CFG.L):
-            r_eff = user_rate(realization, transceivers, i, k, CFG)
+            r_eff = user_rate(realization, transceivers, CFG)[i, k]
             U = transceivers.decoders[(i, k)]
             slice_ik = transceivers.inner[k][i * CFG.N_U:(i + 1) * CFG.N_U, :]
             H_eff = U.conj().T @ realization.H[i, k, k] @ slice_ik
@@ -200,14 +200,14 @@ def test_precoder_power_is_tight(transceivers):
 def test_rate_zero_direct_channel(realization, transceivers):
     ch = draw_channels(CFG, trial_rng(2024, 0))
     ch.H[0, 0, 0] = 0.0
-    rate = user_rate(ch, transceivers, 0, 0, CFG)
+    rate = user_rate(ch, transceivers, CFG)[0, 0]
     assert rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rate_noise_dominated(realization):
     quiet = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=1.0, sigma2=1e12)
     tset = build_transceivers(realization, quiet, fixed_cyclic(quiet.K))
-    rate = user_rate(realization, tset, 0, 0, quiet)
+    rate = user_rate(realization, tset, quiet)[0, 0]
     assert 0.0 <= rate < 1e-9
 
 

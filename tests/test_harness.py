@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from giasim.assignment import fixed_cyclic
 from giasim.errors import AlignmentFailure, ContractViolation, DegenerateChannel, InfeasibleConfig
 from giasim.gia import build_transceivers, link_images, user_rate
 from giasim.harness import (
+    ASSIGNMENT_SCHEMES,
     SchemeSpec,
     SweepSpec,
+    TrialBuild,
     TrialResult,
     backhaul_overhead,
     baseline_fdma,
@@ -36,8 +39,8 @@ class TestThroughput:
         ch, tset = pipeline
         for k in range(CFG.K):
             for i in range(CFG.L):
-                tp = throughput(link_images(ch, tset.decoders, tset.patterns), i, k, CFG)
-                rate = user_rate(ch, tset, i, k, CFG)
+                tp = throughput(link_images(ch, tset.decoders, tset.patterns), CFG)[i, k]
+                rate = user_rate(ch, tset, CFG)[i, k]
                 assert tp == pytest.approx(rate, rel=1e-9)
 
     def test_zero_channel_zero_rate(self, pipeline):
@@ -45,7 +48,7 @@ class TestThroughput:
         ch2 = draw_channels(CFG, trial_rng(606, 0))
         ch2.H[0, 0, 0] = 0.0
         images = link_images(ch2, tset.decoders, tset.patterns)
-        assert throughput(images, 0, 0, CFG) == pytest.approx(0.0, abs=1e-12)
+        assert throughput(images, CFG)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_interference_only_hurts(self):
         # oracle on the closed form: logdet(I+C+A) - logdet(I+C) <= logdet(I+A)
@@ -65,13 +68,12 @@ class TestThroughput:
 
 class TestBaselines:
     def test_rb_no_alignment(self):
-        ch = draw_channels(CFG, trial_rng(17, 0))
-        rng = trial_rng(17, 0, stream=5)
-        result = baseline_rb(ch, CFG, rng)
+        g = trial_rng(17, 0)
+        ch = draw_channels(CFG, g)  # the baseline's patterns continue this stream
+        result = baseline_rb(TrialBuild(CFG, 17, 0, 0), CFG)
         assert result.sum_rate > 0
         # residual interference is strictly positive: no nulling happened
         patterns = {}
-        g = trial_rng(17, 0, stream=5)
         from giasim.linalg import orthonormalize
 
         for k in range(CFG.K):
@@ -106,7 +108,7 @@ class TestBaselines:
 
     def test_fdma_rate_formula(self):
         ch = draw_channels(CFG, trial_rng(18, 0))
-        result = baseline_fdma(ch, CFG)
+        result = baseline_fdma(TrialBuild(CFG, 18, 0, 0), CFG)
         n = CFG.user_count
         for k in range(CFG.K):
             for i in range(CFG.L):
@@ -159,6 +161,24 @@ class TestBackhaulOverhead:
     def test_unknown_scheme(self):
         with pytest.raises(ContractViolation):
             backhaul_overhead("oracle", CFG)
+
+
+def test_rates_depend_on_powers_only_through_snr():
+    # P and sigma2 scaled together leave every scheme's rates unchanged; the
+    # receiver side of the two-sided preferences once read P alone
+    import giasim.harness as hmod
+
+    base = CFG.at_snr_db(10.0)
+    schemes = [SchemeSpec(assignment=name) for name in ASSIGNMENT_SCHEMES]
+    schemes.append(SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100))
+    for c in (1e-3, 1e3):
+        scaled = replace(base, P=base.P * c, sigma2=base.sigma2 * c)
+        for t in range(8):
+            builds, scaled_builds = [], []  # each trial's draw, shared by its schemes
+            for scheme in schemes:
+                want = hmod._run_cell(builds, base, scheme, t, 52).user_rates
+                got = hmod._run_cell(scaled_builds, scaled, scheme, t, 52).user_rates
+                assert got == pytest.approx(want, rel=1e-12), (c, scheme.label, t)
 
 
 class TestRunTrial:

@@ -1,0 +1,66 @@
+"""Stacked trial evaluation against the user-by-user loops it replaced.
+
+``gia.user_rate``, ``harness.throughput`` and the two preference sides each
+evaluate every user, or every (cell, candidate) pair, in one stacked call.
+The references in ``oracles`` are the plain loops, with the same products in
+the same association, so the two must agree with ``==`` on every shape of
+``test_dimension_fuzz`` (L in {1, 2, 3}, d_s in {1, 2}, tight and slack).
+"""
+
+import numpy as np
+
+import oracles
+from giasim.assignment import (
+    Assignment,
+    build_preferences,
+    enumerate_derangements,
+    fixed_cyclic,
+)
+from giasim.gia import link_images, user_rate
+from giasim.harness import TrialBuild, throughput
+from oracles import feasible_configs
+
+SEED = 2718
+
+
+def builds():
+    """One build per fuzz shape, on the draw ``test_dimension_fuzz`` aligns."""
+    return [(cfg, TrialBuild(cfg, SEED, t, 0)) for t, cfg in enumerate(feasible_configs(SEED))]
+
+
+def per_user_array(cfg, fn):
+    return np.array([[fn(i, k) for k in range(cfg.K)] for i in range(cfg.L)])
+
+
+def test_user_rate_equals_per_user_loop():
+    for cfg, build in builds():
+        last = Assignment(dict(enumerate(list(enumerate_derangements(cfg.K))[-1])))
+        for assignment in (fixed_cyclic(cfg.K), last):
+            tset = build.transceivers(cfg, assignment)
+            stacked = user_rate(build.ch, tset, cfg)
+            loop = per_user_array(cfg, lambda i, k: oracles.user_rate(build.ch, tset, i, k, cfg))
+            assert stacked.shape == (cfg.L, cfg.K)
+            assert np.array_equal(stacked, loop), cfg
+
+
+def test_throughput_equals_per_user_loop():
+    # aligned images leave rounding-level interference; the rb images a full one
+    for cfg, build in builds():
+        tset = build.transceivers(cfg, fixed_cyclic(cfg.K))
+        for images in (link_images(build.ch, tset.decoders, tset.patterns),
+                       build.baseline(cfg, "rb")):
+            stacked = throughput(images, cfg)
+            loop = per_user_array(cfg, lambda i, k: oracles.throughput(images, i, k, cfg))
+            assert stacked.shape == (cfg.L, cfg.K)
+            assert np.array_equal(stacked, loop), cfg
+
+
+def test_preferences_equal_per_cell_loops():
+    for cfg, build in builds():
+        potentials = build.potentials(cfg)
+        prefs = build_preferences(build.ch, cfg, potentials, two_sided=True)
+        for k in range(cfg.K):
+            ranked, utility = oracles.provider_preferences(build.ch, cfg, k, potentials)
+            assert (prefs.provider[k], prefs.provider_utility[k]) == (ranked, utility), cfg
+            ranked, utility = oracles.receiver_preferences(build.ch, cfg, k, potentials)
+            assert (prefs.receiver[k], prefs.receiver_utility[k]) == (ranked, utility), cfg

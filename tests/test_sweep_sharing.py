@@ -173,3 +173,39 @@ def test_snr_sweep_quantizes_each_user_once_per_trial(monkeypatch):
     run_sweep(spec, CFG)
     assert calls["explicit"] > 0 and calls["emulated"] > 0
     assert calls["explicit"] + calls["emulated"] == trials * CFG.user_count
+
+
+def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
+    # the rb patterns, decoders and images and the fdma eigenvalues do not
+    # depend on P: each trial forms them once for all five grid points
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((hmod, "complex_gaussian"), (hmod, "orthonormalize"),
+                         (hmod.gia, "link_images"), (hmod, "psd_eigvals")):
+        count(module, name)
+    trials, grid = 3, (15.0, 20.0, 25.0, 30.0, 35.0)
+    spec = SweepSpec(
+        variable="snr_db",
+        grid=grid,
+        trials=trials,
+        schemes=(SchemeSpec(assignment="rb"), SchemeSpec(assignment="fdma")),
+        seed=45,
+    )
+    rows = run_sweep(spec, CFG)
+    assert calls == {
+        "complex_gaussian": trials * CFG.user_count,  # one pattern per user
+        "orthonormalize": 2 * trials * CFG.user_count,  # its pattern and decoder
+        "link_images": trials,
+        # the fdma eigenvalues once, and two stacked calls per throughput
+        "psd_eigvals": trials + 2 * trials * len(grid),
+    }
+    assert rows == grid_major_reference(spec, CFG)
