@@ -46,14 +46,10 @@ from .feedback import (
 from .gia import (
     Potentials,
     TransceiverSet,
-    aligned_interference_basis,
     build_potentials,
     build_transceivers,
     full_precoder,
-    inner_precoder,
     link_images,
-    stack_alignment_matrix,
-    user_pattern,
     user_rate,
     verify_alignment,
     zf_decoder,

@@ -110,8 +110,7 @@ def provider_preferences(
     channels; larger residual capacity means the candidate's interference
     costs cell k fewer useful dimensions.
     """
-    perps = np.array([projectors(potentials.aligned(cand, k))[1]
-                      for k, cand in gia.cell_pairs(cfg.K)])
+    perps = projectors(potentials.take("aligned", [(c, k) for k, c in gia.cell_pairs(cfg.K)]))[1]
     Hd = _cell_direct_channels(ch, cfg)
     return _rank_cells(cfg, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)
 
@@ -121,7 +120,7 @@ def receiver_preferences(
 ) -> tuple[dict, dict]:
     """Rank every cell's candidate receivers of its alignment by own-cell rate
     proxy, at the signal-to-noise ratio P / sigma2."""
-    patterns = np.array([potentials.patterns(k, cand) for k, cand in gia.cell_pairs(cfg.K)])
+    patterns = potentials.take("patterns", gia.cell_pairs(cfg.K))
     V = gia.full_precoder(patterns.swapaxes(0, 1), cfg.P / cfg.sigma2, cfg.d_s)
     Hd = _cell_direct_channels(ch, cfg)
     V_h = V.conj().swapaxes(-1, -2)

@@ -20,12 +20,11 @@ from .errors import (
     ContractViolation,
     DegenerateChannel,
     EmptySubspace,
+    GiaSimError,
     InfeasibleConfig,
-    RankDeficient,
 )
 from .linalg import (
     RANK_REL_TOL,
-    chordal_distance_sq,
     full_svd,
     herm_inv_sqrt,
     left_null_space,
@@ -54,86 +53,16 @@ class TransceiverSet:
     """
 
     assignment: object
-    inner: dict              # cell k -> (L*N_U, d_s) joint precoder
+    inner: np.ndarray        # (K, L*N_U, d_s) joint precoder of each cell
     patterns: np.ndarray     # (L, K, N_U, d_s) semi-unitary precoder patterns
     decoders: np.ndarray     # (L, K, N_B, d_s) semi-unitary zero-forcing decoders
     aligned: dict            # provider cell -> aligned-interference basis at its receiver
     whiteners: np.ndarray    # (L, K, d_s, d_s) (slice^H slice)^(-1/2) of each inner-precoder slice
 
 
-def stack_alignment_matrix(ch: ChannelRealization, provider: int, receiver: int) -> np.ndarray:
-    """Block system whose null space aligns all provider-cell users at the receiver.
-
-    Row block j pins user j+1's image to user 0's image:
-    [H_1 .. -H_{j+1} .. 0]. Shape (L-1)N_B x L N_U; empty for L = 1.
-    """
-    if provider == receiver:
-        raise ContractViolation("a cell cannot align interference to itself")
-    L, N_B, N_U = ch.H.shape[0], ch.H.shape[3], ch.H.shape[4]
-    A = np.zeros(((L - 1) * N_B, L * N_U), dtype=complex)
-    for j in range(L - 1):
-        A[j * N_B:(j + 1) * N_B, 0:N_U] = ch.H[0, provider, receiver]
-        A[j * N_B:(j + 1) * N_B, (j + 1) * N_U:(j + 2) * N_U] = -ch.H[j + 1, provider, receiver]
-    return A
-
-
-def inner_precoder(A: np.ndarray, d_s: int) -> np.ndarray:
-    """d_s orthonormal null-space directions of the stacked alignment system.
-
-    Deterministic: the right singular vectors belonging to the d_s smallest
-    singular values, ties resolved by index.
-    """
-    n = A.shape[1]
-    if A.shape[0] == 0:
-        return np.eye(n, dtype=complex)[:, :d_s]
-    _, s, Vh = full_svd(A)
-    null_dim = n - matrix_rank(s)
-    if null_dim < d_s:
-        raise InfeasibleConfig(
-            f"alignment system null space has dimension {null_dim} < d_s={d_s}"
-        )
-    return Vh[n - d_s:, :].conj().T
-
-
-def user_pattern(V_in: np.ndarray, i: int, n_user_antennas: int) -> np.ndarray:
-    """Semi-unitary pattern of user i: orthonormalized slice of the joint precoder."""
-    block = V_in[i * n_user_antennas:(i + 1) * n_user_antennas, :]
-    try:
-        return orthonormalize(block)
-    except RankDeficient as exc:
-        raise DegenerateChannel(f"user {i} precoder slice is rank deficient") from exc
-
-
 def full_precoder(pattern: np.ndarray, P: float, d_s: int) -> np.ndarray:
     """Uniform power loading: sqrt(P/d_s) times the pattern."""
     return math.sqrt(P / d_s) * pattern
-
-
-def aligned_interference_basis(
-    ch: ChannelRealization,
-    provider: int,
-    receiver: int,
-    V_in: np.ndarray,
-) -> np.ndarray:
-    """Orthonormal basis of the common interference span at the receiver.
-
-    Verifies that every provider-cell user lands in the same subspace and
-    raises :class:`AlignmentFailure` otherwise (numerical breakdown).
-    """
-    L, N_U = ch.H.shape[0], ch.H.shape[4]
-    try:
-        basis = orthonormalize(ch.H[0, provider, receiver] @ V_in[0:N_U, :])
-        for i in range(1, L):
-            image = ch.H[i, provider, receiver] @ V_in[i * N_U:(i + 1) * N_U, :]
-            dist = chordal_distance_sq(basis, orthonormalize(image))
-            if dist > ALIGN_TOL:
-                raise AlignmentFailure(
-                    f"user {i} of cell {provider} misaligned at cell {receiver}: "
-                    f"chordal distance^2 {dist:.3e}"
-                )
-    except RankDeficient as exc:
-        raise DegenerateChannel("aligned interference image is rank deficient") from exc
-    return basis
 
 
 def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
@@ -268,41 +197,117 @@ def cell_pairs(K: int) -> list:
     return [(p, r) for p in range(K) for r in range(K) if p != r]
 
 
+def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, dict]:
+    """fn of a stack of matrices in one call, and {slice index: exception} of the
+    slices that fail its check. Then fn runs on each slice alone, so a failed slice
+    keeps its own exception, and NaN in place of its result."""
+    try:
+        return fn(stack), {}
+    except GiaSimError:
+        out, errors = np.full(stack.shape, np.nan, complex), {}
+        for idx in np.ndindex(stack.shape[:-2]):
+            try:
+                out[idx] = fn(stack[idx])
+            except GiaSimError as exc:
+                errors[idx] = exc
+        return out, errors
+
+
+def _caused(exc: Exception, cause: Exception) -> Exception:
+    exc.__cause__ = cause
+    return exc
+
+
 class Potentials(dict):
     """Inner precoders keyed by (provider, receiver) pair, plus the pieces that
-    depend on that pair alone, computed on first use and then shared by every
-    assignment that uses the pair, at every transmit power."""
+    depend on that pair alone, shared by every assignment that uses the pair, at
+    every transmit power. Pieces are formed for many pairs at once, one stacked
+    call per kind; a pair whose piece fails a check keeps the exception, and
+    ``take`` raises it at a read of that piece."""
 
     def __init__(self, ch: ChannelRealization, cfg: SystemConfig):
         self.ch, self.cfg = ch, cfg
-        self._pieces = {}
-        self._table = np.empty((cfg.K, cfg.K, cfg.L * cfg.K + 1 + cfg.L, cfg.d_s, cfg.N_B), complex)
+        K, L, N_U, d_s = cfg.K, cfg.L, cfg.N_U, cfg.d_s
+        self._pieces = {name: np.empty((K * K,) + shape, complex) for name, shape in (
+            ("inner", (L * N_U, d_s)), ("patterns", (L, N_U, d_s)),
+            ("aligned", (cfg.N_B, d_s)), ("whiteners", (L, d_s, d_s)))}  # pair (p, r) at p * K + r
+        self._errors = {}     # (name, p, r) -> what a read of that piece raises
+        self._written = set()  # pairs whose blocks ``stacks`` has put in its table
+        self._table = np.empty((K, K, L * K + 1 + L, d_s, cfg.N_B), complex)
 
-    def inner(self, p: int, r: int) -> np.ndarray:
-        if (p, r) not in self:
-            self[(p, r)] = inner_precoder(stack_alignment_matrix(self.ch, p, r), self.cfg.d_s)
-        return self[(p, r)]
+    def take(self, name: str, pairs: list) -> np.ndarray:
+        """The pieces ``name`` of ``pairs``, one per pair along a leading axis: the
+        inner precoder (L*N_U, d_s), the users' patterns (L, N_U, d_s) or whiteners
+        (L, d_s, d_s), (slice^H slice)^(-1/2) of each inner-precoder slice, or the
+        aligned basis (N_B, d_s) at the receiver. Formed first where missing; the
+        first pair in order whose piece failed raises its exception."""
+        missing = [pr for pr in dict.fromkeys(pairs) if pr not in self]
+        if missing:
+            self._form(missing)
+        for p, r in pairs if self._errors else ():
+            if (name, p, r) in self._errors:
+                raise self._errors[name, p, r]
+        return self._pieces[name][[p * self.cfg.K + r for p, r in pairs]]
 
-    def _piece(self, name: str, p: int, r: int, make):
-        key = (name, p, r)
-        if key not in self._pieces:
-            self._pieces[key] = make(self.inner(p, r))
-        return self._pieces[key]
+    def update(self, other: "Potentials") -> None:
+        """Take in the pairs of ``other``, formed on the same draw, with their pieces."""
+        index = [p * self.cfg.K + r for p, r in other]
+        for name, pieces in self._pieces.items():
+            pieces[index] = other._pieces[name][index]
+        self._errors.update(other._errors)
+        super().update(other)
 
-    def patterns(self, p: int, r: int) -> np.ndarray:
-        """(L, N_U, d_s) semi-unitary patterns of p's users."""
-        return self._piece("patterns", p, r, lambda V: np.array(
-            [user_pattern(V, i, self.cfg.N_U) for i in range(self.cfg.L)]
-        ))
-
-    def aligned(self, p: int, r: int) -> np.ndarray:
-        return self._piece("aligned", p, r, lambda V: aligned_interference_basis(self.ch, p, r, V))
-
-    def whiteners(self, p: int, r: int) -> np.ndarray:
-        """(L, d_s, d_s) (slice^H slice)^(-1/2) of each user's inner-precoder slice."""
-        return self._piece("whiteners", p, r, lambda V: np.array(
-            [herm_inv_sqrt(s.conj().T @ s) for s in np.split(V, self.cfg.L)]
-        ))
+    def _form(self, pairs: list) -> None:
+        """Every piece of the distinct, new ``pairs`` in one stacked call per kind. A
+        pair's exception for a piece is its first failing check in the order of the
+        per-pair construction: the inner precoder's, then, user by user, the
+        pattern's, the aligned image's and its span's, or the whitener's."""
+        if any(p == r for p, r in pairs):
+            raise ContractViolation("a cell cannot align interference to itself")
+        L, N_B, N_U, d_s, K = self.cfg.L, self.cfg.N_B, self.cfg.N_U, self.cfg.d_s, self.cfg.K
+        n = L * N_U
+        p, r = np.array(pairs).T
+        H = self.ch.H[:, p, r].swapaxes(0, 1)  # [pair, i]: user i of the provider at the receiver
+        if L == 1:
+            V = np.broadcast_to(np.eye(n, d_s, dtype=complex), (len(p), n, d_s))
+            null_dim = np.full(len(p), n)
+        else:  # row block j of the alignment system pins user j+1's image to user 0's
+            A = np.zeros((len(p), L - 1, N_B, L, N_U), complex)
+            A[..., 0, :] = H[:, :1]
+            for j in range(1, L):
+                A[:, j - 1, :, j] = -H[:, j]
+            _, s, Vh = full_svd(A.reshape(len(p), (L - 1) * N_B, n))
+            # the right singular vectors of the d_s smallest singular values, ties by index
+            V, null_dim = Vh[:, n - d_s:].conj().swapaxes(-1, -2), n - matrix_rank(s)
+        slices = V.reshape(-1, L, N_U, d_s)
+        patterns, pattern_errors = _each(orthonormalize, slices)
+        bases, image_errors = _each(orthonormalize, H @ slices)
+        overlap = np.linalg.norm(bases[:, :1].conj().swapaxes(-1, -2) @ bases, axis=(-2, -1))
+        dist = np.clip(d_s - overlap ** 2, 0.0, d_s)  # chordal distance^2 to user 0's span
+        dist[:, 0] = 0.0  # user 0's image is not checked against its own span
+        whiteners, whitener_errors = _each(herm_inv_sqrt, slices.conj().swapaxes(-1, -2) @ slices)
+        errors = {}  # (name, pair index) -> exception; written last user first, so the first wins
+        for (j, i), exc in sorted(whitener_errors.items(), reverse=True):
+            errors["whiteners", j] = exc
+        for (j, i), exc in sorted(pattern_errors.items(), reverse=True):
+            errors["patterns", j] = _caused(
+                DegenerateChannel(f"user {i} precoder slice is rank deficient"), exc)
+        for j, i in sorted({*image_errors, *zip(*np.nonzero(dist > ALIGN_TOL))}, reverse=True):
+            if (j, i) in image_errors:  # the image's own check comes before its span's
+                errors["aligned", j] = _caused(DegenerateChannel(
+                    "aligned interference image is rank deficient"), image_errors[j, i])
+            else:
+                errors["aligned", j] = AlignmentFailure(
+                    f"user {i} of cell {p[j]} misaligned at cell {r[j]}: "
+                    f"chordal distance^2 {dist[j, i]:.3e}")
+        for j in np.flatnonzero(null_dim < d_s):
+            exc = InfeasibleConfig(
+                f"alignment system null space has dimension {null_dim[j]} < d_s={d_s}")
+            errors.update({(name, j): exc for name in self._pieces})
+        for name, piece in zip(self._pieces, (V, patterns, bases[:, 0], whiteners)):
+            self._pieces[name][p * K + r] = piece
+        self._errors.update({(name, *pairs[j]): exc for (name, j), exc in errors.items()})
+        super().update(zip(pairs, self._pieces["inner"][p * K + r]))
 
     def stacks(self, assignment) -> np.ndarray:
         """[F | G] of every user (i, k) of a strict assignment, (L, K, N_B, n + d_s): F
@@ -310,45 +315,40 @@ class Potentials(dict):
         slice. One gather from a per-draw table of each pair's user images at every
         station, aligned basis and direct links, written when first used."""
         L, K, N_B, d_s = self.cfg.L, self.cfg.K, self.cfg.N_B, self.cfg.d_s
-
-        def write(p, r, V):  # the pair's blocks, transposed; user m at station k is m * K + k
-            images = self.ch.H[:, p] @ self.patterns(p, r)[:, None]
-            links = self.ch.H[range(L), p, p] @ V.reshape(L, -1, d_s)
-            blocks = [*images.reshape(-1, N_B, d_s), self.aligned(p, r), *links]
-            self._table[p, r] = np.swapaxes(blocks, -1, -2)
-
         receivers = [r for _, r in sorted(assignment.receivers().items())]
         for p, r in enumerate(receivers):
-            self._piece("table", p, r, lambda V: write(p, r, V))
+            if (p, r) not in self._written:  # its blocks, transposed; user m at k is m * K + k
+                V, X, B = (self.take(n, [(p, r)])[0] for n in ("inner", "patterns", "aligned"))
+                images = self.ch.H[:, p] @ X[:, None]
+                links = self.ch.H[range(L), p, p] @ V.reshape(L, -1, d_s)
+                self._table[p, r] = np.swapaxes([*images.reshape(-1, N_B, d_s), B, *links], -1, -2)
+                self._written.add((p, r))
         cells, blocks = _stack_template(K, L)[:, :, range(K), np.argsort(receivers)]  # k's provider
         gathered = self._table[cells, np.array(receivers)[cells], blocks]
         return gathered.reshape(L, K, -1, N_B).swapaxes(-1, -2)
 
 
-def build_potentials(
-    ch: ChannelRealization, cfg: SystemConfig, pairs=None
-) -> Potentials:
-    """Inner precoders for candidate (provider, receiver) pairs.
-
-    With pairs=None every ordered pair is computed, which is what the
-    matching and centralized schemes consume.
-    """
+def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs=None) -> Potentials:
+    """Every piece of the (provider, receiver) pairs ``pairs``, one stacked call
+    per kind; with pairs=None every ordered pair, which is what the matching and
+    centralized schemes read. A failed piece raises at its read (``take``)."""
     potentials = Potentials(ch, cfg)
-    for p, r in cell_pairs(cfg.K) if pairs is None else pairs:
-        potentials.inner(p, r)
+    pairs = list(dict.fromkeys(cell_pairs(cfg.K) if pairs is None else pairs))
+    if pairs:
+        potentials._form(pairs)
     return potentials
 
 
 def _pair_pieces(ch, cfg, assignment, potentials):
     """The checks and first reads of ``build_transceivers``: the potentials and
-    ``take(name)``, the pieces ``name`` over the (cell, receiver) pairs in cell order."""
+    ``take(name)``, the pieces ``name`` of the (cell, receiver) pairs in cell order."""
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
     potentials = Potentials(ch, cfg) if potentials is None else potentials
     if potentials.ch is not ch:
         raise ContractViolation("potentials were built on another channel draw")
     pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
-    take = lambda name: [getattr(potentials, name)(k, r) for k, r in pairs]
+    take = lambda name: potentials.take(name, pairs)
     take("inner"), take("patterns"), take("aligned")
     return potentials, take
 
@@ -362,12 +362,12 @@ def build_transceivers(
     in one stacked SVD. Nothing depends on P: ``user_rate`` applies it.
     """
     _, take = _pair_pieces(ch, cfg, assignment, potentials)
-    patterns, aligned = np.stack(take("patterns"), axis=1), dict(enumerate(take("aligned")))
+    patterns, aligned = take("patterns").swapaxes(0, 1), dict(enumerate(take("aligned")))
     blocks = {(i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)}
     decoders = zf_decoder(ch, assignment, patterns, blocks, cfg.d_s)
-    return TransceiverSet(assignment, dict(enumerate(take("inner"))), patterns,
+    return TransceiverSet(assignment, take("inner"), patterns,
                           decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s), aligned,
-                          np.stack(take("whiteners"), axis=1))
+                          take("whiteners").swapaxes(0, 1))
 
 
 def screen_rates(ch: ChannelRealization, cfg: SystemConfig, assignment,
@@ -381,7 +381,7 @@ def screen_rates(ch: ChannelRealization, cfg: SystemConfig, assignment,
     R22 = certified_null_image(potentials.stacks(assignment), cfg.d_s)
     if R22 is None:
         return None
-    return rate_logdet(R22 @ np.stack(take("whiteners"), axis=1), cfg.P / (cfg.d_s * cfg.sigma2))
+    return rate_logdet(R22 @ take("whiteners").swapaxes(0, 1), cfg.P / (cfg.d_s * cfg.sigma2))
 
 
 def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig) -> np.ndarray:
@@ -393,7 +393,7 @@ def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig) -
     Numerically equal to evaluating the plain log-det rate on decoder, direct
     channel and full precoder.
     """
-    slices = np.stack([tset.inner[k].reshape(cfg.L, cfg.N_U, cfg.d_s) for k in range(cfg.K)], 1)
+    slices = tset.inner.reshape(cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1)
     H_eff = tset.decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices
     V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners
     return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)

@@ -204,7 +204,7 @@ class TrialBuild:
         self._baselines = {}        # baseline name -> its power-free part
 
     def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
-        """The pair pieces, with inner precoders at least for ``pairs`` (all if None)."""
+        """The pair pieces, formed at least for ``pairs`` (all if None)."""
         if pairs is None:
             pairs = gia.cell_pairs(cfg.K)
         missing = [pr for pr in pairs if pr not in self._potentials]
@@ -233,10 +233,10 @@ class TrialBuild:
         the top d_s eigenvalues of every user's direct-channel Gram, (L, K, d_s)."""
         if name not in self._baselines:
             if name == "rb":
-                rng, H = copy.deepcopy(self._rng_after_draw), self.ch.H
-                patterns = gia.per_user(cfg, lambda i, k: orthonormalize(
-                    complex_gaussian(rng, (cfg.N_U, cfg.d_s))))
-                decoders = gia.per_user(cfg, lambda i, k: orthonormalize(H[i, k, k] @ patterns[i, k]))
+                rng = copy.deepcopy(self._rng_after_draw)
+                patterns = orthonormalize(gia.per_user(
+                    cfg, lambda i, k: complex_gaussian(rng, (cfg.N_U, cfg.d_s))))
+                decoders = orthonormalize(gia.direct_channels(self.ch) @ patterns)
                 self._baselines[name] = gia.link_images(self.ch, decoders, patterns)
             else:
                 direct = gia.direct_channels(self.ch)

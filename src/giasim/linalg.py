@@ -1,6 +1,9 @@
 """Dense complex linear-algebra kernel.
 
-All functions operate on 2-D complex ``numpy`` arrays. Subspaces are
+All functions operate on 2-D complex ``numpy`` arrays, and all but
+:func:`chordal_distance_sq` also on (..., m, n) stacks of them, one LAPACK
+call for the whole stack; a check that fails on any slice raises as it
+would for that slice alone. Subspaces are
 represented by their semi-unitary basis matrices (columns orthonormal).
 Everything here is deterministic: the same input always produces the same
 basis, which keeps whole Monte-Carlo trials reproducible from a single seed.
@@ -29,12 +32,13 @@ def _as_cmatrix(M, stacked: bool = False) -> np.ndarray:
 
 
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD with non-convergence translated to :class:`NumericalFailure`."""
-    M = _as_cmatrix(M)
+    """Thin SVD with non-convergence translated to :class:`NumericalFailure`; a
+    (..., m, n) stack is decomposed slice by slice in one call."""
+    M = _as_cmatrix(M, stacked=True)
     try:
         return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("svd", M.shape[0], M.shape[1]) from exc
+        raise NumericalFailure("svd", M.shape[-2], M.shape[-1]) from exc
 
 
 def full_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -47,10 +51,9 @@ def full_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericalFailure("svd", M.shape[-2], M.shape[-1]) from exc
 
 
-def matrix_rank(singular_values: np.ndarray) -> int:
-    if singular_values.size == 0:
-        return 0
-    return int(np.sum(singular_values > RANK_REL_TOL * singular_values[0]))
+def matrix_rank(singular_values: np.ndarray):
+    """Numerical rank from descending singular values, one per slice of a stack."""
+    return np.sum(singular_values > RANK_REL_TOL * singular_values[..., :1], axis=-1)
 
 
 def left_null_space(M) -> np.ndarray | list:
@@ -73,34 +76,35 @@ def left_null_space(M) -> np.ndarray | list:
 
 
 def projectors(X) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projector onto span(X) and its complement.
+    """Orthogonal projector onto span(X) and its complement, per slice of a stack.
 
     P = X (X^H X)^-1 X^H; P_perp is constructed elementwise as I - P so the
     pair always sums to the identity exactly.
     """
-    X = _as_cmatrix(X)
-    s = svd(X)[1]
-    if matrix_rank(s) < X.shape[1]:
-        raise RankDeficient(f"projector input of shape {X.shape} is rank deficient")
-    gram = X.conj().T @ X
-    P = X @ np.linalg.solve(gram, X.conj().T)
-    P_perp = np.eye(X.shape[0], dtype=complex) - P
+    X = _as_cmatrix(X, stacked=True)
+    if np.any(matrix_rank(svd(X)[1]) < X.shape[-1]):
+        raise RankDeficient(f"projector input of shape {X.shape[-2:]} is rank deficient")
+    X_h = X.conj().swapaxes(-1, -2)
+    P = X @ np.linalg.solve(X_h @ X, X_h)
+    P_perp = np.eye(X.shape[-2], dtype=complex) - P
     return P, P_perp
 
 
 def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues in decreasing order."""
-    M = _as_cmatrix(M)
-    if M.shape[0] != M.shape[1]:
+    """Eigendecomposition of each Hermitian matrix of a stack, eigenvalues descending."""
+    M = _as_cmatrix(M, stacked=True)
+    if M.shape[-2] != M.shape[-1]:
         raise ContractViolation(f"herm_eig needs a square matrix, got {M.shape}")
-    asym = np.linalg.norm(M - M.conj().T)
-    if asym > HERM_TOL * max(1.0, np.linalg.norm(M)):
-        raise ContractViolation(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+    M_h = M.conj().swapaxes(-1, -2)
+    asym = np.linalg.norm(M - M_h, axis=(-2, -1))
+    bad = asym > HERM_TOL * np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
+    if np.any(bad):
+        raise ContractViolation(f"matrix is not Hermitian (asymmetry {asym[bad].flat[0]:.3e})")
     try:
-        w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+        w, V = np.linalg.eigh((M + M_h) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigh", M.shape[0], M.shape[1]) from exc
-    return w[::-1], V[:, ::-1]
+        raise NumericalFailure("eigh", M.shape[-2], M.shape[-1]) from exc
+    return w[..., ::-1], V[..., ::-1]
 
 
 def psd_eigvals(G) -> np.ndarray:
@@ -121,20 +125,20 @@ def chordal_distance_sq(V1, V2) -> float:
 
 
 def orthonormalize(M) -> np.ndarray:
-    """Return M (M^H M)^(-1/2): the closest semi-unitary matrix with the same span."""
-    M = _as_cmatrix(M)
+    """M (M^H M)^(-1/2) per slice: the closest semi-unitary matrix with the same span."""
+    M = _as_cmatrix(M, stacked=True)
     U, s, Vh = svd(M)
-    if matrix_rank(s) < M.shape[1]:
-        raise RankDeficient(f"cannot orthonormalize rank-deficient {M.shape} matrix")
+    if np.any(matrix_rank(s) < M.shape[-1]):
+        raise RankDeficient(f"cannot orthonormalize rank-deficient {M.shape[-2:]} matrix")
     return U @ Vh
 
 
 def herm_inv_sqrt(M) -> np.ndarray:
-    """(M)^(-1/2) for Hermitian positive definite M."""
+    """(M)^(-1/2) for Hermitian positive definite M, per slice of a stack."""
     w, V = herm_eig(M)
-    if w[-1] <= 0:
+    if np.any(w[..., -1] <= 0):
         raise RankDeficient("inverse square root of a singular matrix")
-    return (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -12,10 +12,26 @@ import numpy as np
 
 from giasim import harness
 from giasim.assignment import derangement_count, rank_by_utility
-from giasim.errors import ContractViolation
+from giasim.errors import (
+    AlignmentFailure,
+    ContractViolation,
+    DegenerateChannel,
+    InfeasibleConfig,
+    RankDeficient,
+)
 from giasim.feedback import Codebook, omega_matrix
-from giasim.gia import full_precoder, per_user, rate_logdet
-from giasim.linalg import complex_gaussian, left_null_space, projectors, psd_eigvals
+from giasim.gia import ALIGN_TOL, full_precoder, per_user, rate_logdet
+from giasim.linalg import (
+    chordal_distance_sq,
+    complex_gaussian,
+    full_svd,
+    herm_inv_sqrt,
+    left_null_space,
+    matrix_rank,
+    orthonormalize,
+    projectors,
+    psd_eigvals,
+)
 from giasim.system import SystemConfig, require_feasible
 
 
@@ -29,6 +45,75 @@ def run_trial(cfg, scheme, trial_index, seed=0):
 def aggregate_metrics(results):
     """The sweep's aggregate of a list of trial results."""
     return harness._aggregate([harness._summary(r) for r in results])
+
+
+def stack_alignment_matrix(ch, provider, receiver):
+    """Block system whose null space aligns all provider-cell users at the receiver.
+
+    Row block j pins user j+1's image to user 0's image:
+    [H_1 .. -H_{j+1} .. 0]. Shape (L-1)N_B x L N_U; empty for L = 1.
+    """
+    if provider == receiver:
+        raise ContractViolation("a cell cannot align interference to itself")
+    L, N_B, N_U = ch.H.shape[0], ch.H.shape[3], ch.H.shape[4]
+    A = np.zeros(((L - 1) * N_B, L * N_U), dtype=complex)
+    for j in range(L - 1):
+        A[j * N_B:(j + 1) * N_B, 0:N_U] = ch.H[0, provider, receiver]
+        A[j * N_B:(j + 1) * N_B, (j + 1) * N_U:(j + 2) * N_U] = -ch.H[j + 1, provider, receiver]
+    return A
+
+
+def inner_precoder(A, d_s):
+    """d_s orthonormal null-space directions of one stacked alignment system:
+    the right singular vectors of the d_s smallest singular values."""
+    n = A.shape[1]
+    if A.shape[0] == 0:
+        return np.eye(n, dtype=complex)[:, :d_s]
+    _, s, Vh = full_svd(A)
+    null_dim = n - matrix_rank(s)
+    if null_dim < d_s:
+        raise InfeasibleConfig(
+            f"alignment system null space has dimension {null_dim} < d_s={d_s}"
+        )
+    return Vh[n - d_s:, :].conj().T
+
+
+def user_pattern(V_in, i, n_user_antennas):
+    """Semi-unitary pattern of user i: orthonormalized slice of the joint precoder."""
+    block = V_in[i * n_user_antennas:(i + 1) * n_user_antennas, :]
+    try:
+        return orthonormalize(block)
+    except RankDeficient as exc:
+        raise DegenerateChannel(f"user {i} precoder slice is rank deficient") from exc
+
+
+def aligned_interference_basis(ch, provider, receiver, V_in):
+    """Orthonormal basis of the common interference span at the receiver; raises
+    AlignmentFailure when a provider-cell user lands outside it."""
+    L, N_U = ch.H.shape[0], ch.H.shape[4]
+    try:
+        basis = orthonormalize(ch.H[0, provider, receiver] @ V_in[0:N_U, :])
+        for i in range(1, L):
+            image = ch.H[i, provider, receiver] @ V_in[i * N_U:(i + 1) * N_U, :]
+            dist = chordal_distance_sq(basis, orthonormalize(image))
+            if dist > ALIGN_TOL:
+                raise AlignmentFailure(
+                    f"user {i} of cell {provider} misaligned at cell {receiver}: "
+                    f"chordal distance^2 {dist:.3e}"
+                )
+    except RankDeficient as exc:
+        raise DegenerateChannel("aligned interference image is rank deficient") from exc
+    return basis
+
+
+def pair_pieces(ch, cfg, p, r):
+    """Pair (p, r)'s inner precoder, patterns, aligned basis and whiteners, one
+    small call per user: the loop ``gia.Potentials`` forms in stacked calls."""
+    V = inner_precoder(stack_alignment_matrix(ch, p, r), cfg.d_s)
+    patterns = np.array([user_pattern(V, i, cfg.N_U) for i in range(cfg.L)])
+    whiteners = np.array([herm_inv_sqrt(s.conj().T @ s) for s in np.split(V, cfg.L)])
+    return {"inner": V, "patterns": patterns,
+            "aligned": aligned_interference_basis(ch, p, r, V), "whiteners": whiteners}
 
 
 def user_rate(ch, tset, i, k, cfg):
@@ -64,7 +149,7 @@ def provider_preferences(ch, cfg, k, potentials):
     for cand in range(cfg.K):
         if cand == k:
             continue
-        _, P_perp = projectors(potentials.aligned(cand, k))
+        _, P_perp = projectors(potentials.take("aligned", [(cand, k)])[0])
         u = 0.0
         for i in range(cfg.L):
             Hd = ch.H[i, k, k]
@@ -80,7 +165,7 @@ def receiver_preferences(ch, cfg, k, potentials):
     for cand in range(cfg.K):
         if cand == k:
             continue
-        patterns = potentials.patterns(k, cand)
+        patterns = potentials.take("patterns", [(k, cand)])[0]
         u = 0.0
         for i in range(cfg.L):
             V = full_precoder(patterns[i], cfg.P / cfg.sigma2, cfg.d_s)

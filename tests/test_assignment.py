@@ -306,7 +306,8 @@ class TestChannelPreferences:
                 assert util <= free + 1e-9
 
     def test_receiver_utilities_match_recomputation(self, realization, potentials):
-        from giasim.gia import full_precoder as fp, user_pattern as up
+        from giasim.gia import full_precoder as fp
+        from oracles import user_pattern as up
 
         prefs = build_preferences(realization, CFG, potentials, two_sided=True)
         k = 2

@@ -21,9 +21,13 @@ from giasim import gia
 from giasim.assignment import (
     SCREEN_MARGIN,
     Assignment,
+    breaking_step,
+    build_preferences,
     centralized_search,
     enumerate_derangements,
+    fca_match,
     fixed_cyclic,
+    gale_shapley,
 )
 from giasim.errors import ContractViolation, GiaSimError
 from giasim.gia import (
@@ -37,7 +41,7 @@ from giasim.gia import (
     zf_decoder,
 )
 from giasim.linalg import complex_gaussian
-from giasim.system import SystemConfig, draw_channels, trial_rng
+from giasim.system import ChannelRealization, SystemConfig, draw_channels, trial_rng
 from oracles import feasible_configs, user_rate as per_user_rate
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
@@ -167,13 +171,15 @@ def test_rank_deficient_candidates_warn_as_in_the_plain_loop(monkeypatch):
     # candidates with 1 -> 0 have rank-deficient stacks at cell 0: the screen
     # cannot certify them and the exact path warns for each. None of them is
     # near the best, so only the certificate sends them down the exact path.
-    aligned = gia.Potentials.aligned
+    take = gia.Potentials.take
 
-    def repeated_column(self, p, r):
-        basis = aligned(self, p, r)
-        return basis[:, [0, 0]] if (p, r) == (1, 0) else basis
+    def repeated_column(self, name, pairs):
+        pieces = take(self, name, pairs)
+        if name == "aligned" and (1, 0) in pairs:
+            pieces[pairs.index((1, 0))] = pieces[pairs.index((1, 0))][:, [0, 0]]
+        return pieces
 
-    monkeypatch.setattr(gia.Potentials, "aligned", repeated_column)
+    monkeypatch.setattr(gia.Potentials, "take", repeated_column)
     ch = draw_channels(REFERENCE, trial_rng(41, 1))
 
     def run(fn):
@@ -213,7 +219,14 @@ def _derangements(cfg):
     return [Assignment(dict(enumerate(perm))) for perm in enumerate_derangements(cfg.K)]
 
 
-@pytest.mark.parametrize("cfg, seed", [(REFERENCE, 41), (TIGHT_K5, 49)], ids=["k4", "tight_k5"])
+TIGHT_L1 = SystemConfig(K=4, L=1, N_B=8, N_U=2, d_s=2).at_snr_db(25.0)
+TIGHT_L3 = SystemConfig(K=3, L=3, N_B=14, N_U=10, d_s=2).at_snr_db(25.0)
+TIGHT_D1 = SystemConfig(K=4, L=2, N_B=7, N_U=4, d_s=1).at_snr_db(25.0)
+
+
+@pytest.mark.parametrize("cfg, seed", [(REFERENCE, 41), (TIGHT_K5, 49), (TIGHT_L1, 50),
+                                       (TIGHT_L3, 51), (TIGHT_D1, 52)],
+                         ids=["k4", "tight_k5", "tight_l1", "tight_l3", "tight_d1"])
 def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
     # the pair table holds the very products nulling_stacks forms, so the
     # gather must reproduce its stacks bit for bit, in its block order
@@ -231,6 +244,33 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
         for i, k in np.ndindex(cfg.L, cfg.K):  # G: the direct link through the inner slice
             slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U]
             assert np.array_equal(FG[i, k, :, n:], ch.H[i, k, k] @ slice_ik), (assignment, i, k)
+
+
+@pytest.mark.parametrize("cfg, seed", [(REFERENCE, 53), (TIGHT_L3, 54), (TIGHT_D1, 55)],
+                         ids=["k4", "tight_l3", "tight_d1"])
+def test_cell_relabeling_maps_assignments(cfg, seed):
+    # relabel cell k as perm[k] in H's user-cell and station axes: on a tight
+    # shape every decoder's null space is exactly d_s wide, so the rates do not
+    # depend on the block order of the stacks, and every assignment rule must
+    # pick the relabeled assignment. Index slips in the pair table, the template
+    # or the pair pieces break this, though a same-operand == oracle reads them
+    # on both sides.
+    perm = np.array({3: [2, 0, 1], 4: [2, 3, 1, 0]}[cfg.K])  # no cell keeps its label
+    inv = np.argsort(perm)
+    relabel = lambda a: {int(perm[r]): int(perm[p]) for r, p in a.provider_of.items()}
+    for t in range(2):
+        ch = draw_channels(cfg, trial_rng(seed, t))
+        moved = ChannelRealization(H=ch.H[:, inv][:, :, inv], eta=ch.eta[:, inv][:, :, inv])
+        for objective, sense in SEARCHES:
+            chosen, value = centralized_search(ch, cfg, objective, sense)
+            chosen_moved, value_moved = centralized_search(moved, cfg, objective, sense)
+            assert chosen_moved.provider_of == relabel(chosen), (t, objective, sense)
+            assert abs(value_moved - value) <= 1e-12 * abs(value), (t, objective, sense)
+        prefs, prefs_moved = (build_preferences(c, cfg, build_potentials(c, cfg), two_sided=True)
+                              for c in (ch, moved))
+        for match in (lambda pr: fca_match(pr)[0], lambda pr: gale_shapley(pr)[0]):
+            strict, strict_moved = (breaking_step(match(pr), pr) for pr in (prefs, prefs_moved))
+            assert strict_moved.provider_of == relabel(strict), t
 
 
 def test_screened_rates_equal_user_rates():

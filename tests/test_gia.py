@@ -11,23 +11,26 @@ from giasim.errors import (
     InfeasibleConfig,
 )
 from giasim.gia import (
-    aligned_interference_basis,
     build_potentials,
     build_transceivers,
     full_precoder,
-    inner_precoder,
     link_images,
     per_user,
     rate_logdet,
     select_null_basis,
-    stack_alignment_matrix,
-    user_pattern,
     user_rate,
     verify_alignment,
 )
 from giasim.linalg import chordal_distance_sq, complex_gaussian, orthonormalize
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import effective_link_gains, is_semi_unitary
+from oracles import (
+    aligned_interference_basis,
+    effective_link_gains,
+    inner_precoder,
+    is_semi_unitary,
+    stack_alignment_matrix,
+    user_pattern,
+)
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 

@@ -203,7 +203,7 @@ def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
     rows = run_sweep(spec, CFG)
     assert calls == {
         "complex_gaussian": trials * CFG.user_count,  # one pattern per user
-        "orthonormalize": 2 * trials * CFG.user_count,  # its pattern and decoder
+        "orthonormalize": 2 * trials,  # every user's pattern, then every decoder, stacked
         "link_images": trials,
         # the fdma eigenvalues once, and two stacked calls per throughput
         "psd_eigvals": trials + 2 * trials * len(grid),
