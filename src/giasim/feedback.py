@@ -30,7 +30,6 @@ from .linalg import (
     chordal_distance_sq,
     complex_gaussian,
     herm_eig,
-    left_null_space,
     orthonormalize,
     projectors,
 )
@@ -47,16 +46,15 @@ class Codebook:
     M: int
     N: int
     B: int
-    codewords: np.ndarray  # (2^B, M, N), each semi-unitary
+    words_h: np.ndarray  # (2^B, N, M) C-contiguous conjugate transposes, as the search reads them
+
+    @property
+    def codewords(self) -> np.ndarray:
+        """The (2^B, M, N) semi-unitary codewords."""
+        return self.words_h.conj().swapaxes(-1, -2)
 
     def __len__(self) -> int:
-        return self.codewords.shape[0]
-
-
-def batch_orthonormalize(G: np.ndarray) -> np.ndarray:
-    """Polar factors of a stack of matrices (..., M, N)."""
-    U, _, Vh = np.linalg.svd(G, full_matrices=False)
-    return U @ Vh
+        return self.words_h.shape[0]
 
 
 def codebook_bytes(M: int, N: int, B: int) -> int | None:
@@ -76,18 +74,18 @@ def generate_codebook(M: int, N: int, B: int, rng: np.random.Generator) -> Codeb
         raise CapacityExceeded(
             f"codebook of 2^{B} entries on G({M},{N}) exceeds the {CODEBOOK_BYTE_GUARD}-byte guard"
         )
-    words = batch_orthonormalize(complex_gaussian(rng, (2 ** B, M, N)))
-    return Codebook(M=M, N=N, B=B, codewords=words)
+    words = orthonormalize(complex_gaussian(rng, (2 ** B, M, N)))
+    return Codebook(M=M, N=N, B=B, words_h=np.ascontiguousarray(words.conj().swapaxes(-1, -2)))
 
 
 def quantize(V: np.ndarray, cb: Codebook) -> tuple[int, np.ndarray, float]:
     """Closest codeword in chordal distance; lowest index wins ties."""
     if V.shape != (cb.M, cb.N):
         raise ContractViolation(f"pattern {V.shape} does not fit codebook ({cb.M}, {cb.N})")
-    inner = np.einsum("nmk,ml->nkl", cb.codewords.conj(), V)
+    inner = np.einsum("nkm,ml->nkl", cb.words_h, V)
     dist = cb.N - np.sum(np.abs(inner) ** 2, axis=(1, 2))
     idx = int(np.argmin(dist))
-    return idx, cb.codewords[idx], float(min(max(dist[idx], 0.0), cb.N))
+    return idx, cb.words_h[idx].conj().T, float(min(max(dist[idx], 0.0), cb.N))
 
 
 def dump_codebook(cb: Codebook, path: str) -> None:
@@ -101,24 +99,26 @@ def dump_codebook(cb: Codebook, path: str) -> None:
         raise ContractViolation(f"cannot write codebook to {path}: {exc}") from exc
 
 
-def omega_matrix(H: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, float]:
+def omega_matrix(
+    H: np.ndarray, pattern: np.ndarray, V_perp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Leakage curvature of a user: how strongly quantization error couples
     into the receiver subspace that zero-forcing cannot protect.
 
-    Omega = (V_perp)^H H^H P_perp H V_perp with P_perp projecting away the
-    ideally aligned image span(H pattern). Returns Omega and its largest
-    eigenvalue.
+    Omega = (V_perp)^H H^H P_perp H V_perp with V_perp the left null basis
+    of the pattern and P_perp projecting away the ideally aligned image
+    span(H pattern). Returns Omega and its largest eigenvalue; stacks of
+    channels (..., N_B, M), patterns and null bases give one of each per
+    slice, from one call per kernel.
     """
-    V_perp = left_null_space(pattern)
     try:
         _, P_perp = projectors(H @ pattern)
     except RankDeficient as exc:
         raise DegenerateChannel("aligned image H @ pattern is rank deficient") from exc
     core = H @ V_perp
-    omega = core.conj().T @ P_perp @ core
-    omega = (omega + omega.conj().T) / 2.0
-    lam1 = float(herm_eig(omega)[0][0])
-    return omega, lam1
+    omega = core.conj().swapaxes(-1, -2) @ P_perp @ core
+    omega = (omega + omega.conj().swapaxes(-1, -2)) / 2.0
+    return omega, herm_eig(omega)[0][..., 0]
 
 
 def quantized_decoder(
@@ -150,10 +150,6 @@ class BitAllocation:
     """Per-user feedback bit counts in flat (cell, user) order."""
 
     bits: np.ndarray
-    active_count: int
-
-    def of_user(self, cfg: SystemConfig, i: int, k: int) -> int:
-        return int(self.bits[cfg.user_index(i, k)])
 
 
 def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAllocation:
@@ -198,7 +194,7 @@ def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAll
         marginal = lam * np.power(2.0, -(bits - 1) / m)
         marginal[bits == 0] = math.inf
         bits[int(np.argmin(marginal))] -= 1
-    return BitAllocation(bits=bits, active_count=active_count)
+    return BitAllocation(bits=bits)
 
 
 def eba_allocate(budget: int, user_count: int) -> BitAllocation:
@@ -208,7 +204,7 @@ def eba_allocate(budget: int, user_count: int) -> BitAllocation:
     base, extra = divmod(budget, user_count)
     bits = np.full(user_count, base, dtype=int)
     bits[:extra] += 1
-    return BitAllocation(bits=bits, active_count=user_count)
+    return BitAllocation(bits=bits)
 
 
 def rinr(assignment, images: np.ndarray, cfg: SystemConfig) -> dict:
@@ -260,13 +256,11 @@ def rinr_upper_bound(
 # ---------------------------------------------------------------------------
 
 def _min_distortion_samples(M: int, N: int, B: int, reps: int, rng) -> np.ndarray:
-    out = np.empty(reps)
-    for r in range(reps):
-        V = orthonormalize(complex_gaussian(rng, (M, N)))
-        words = batch_orthonormalize(complex_gaussian(rng, (2 ** B, M, N)))
-        inner = np.einsum("nmk,ml->nkl", words.conj(), V)
-        out[r] = (N - np.sum(np.abs(inner) ** 2, axis=(1, 2))).min()
-    return out
+    """Distortions of ``reps`` random patterns, each searched in a fresh 2^B book."""
+    return np.array([
+        quantize(orthonormalize(complex_gaussian(rng, (M, N))), generate_codebook(M, N, B, rng))[2]
+        for _ in range(reps)
+    ])
 
 
 # Small-ball constants of the shapes the tests and the benchmark emulate, as
@@ -301,35 +295,28 @@ def _small_ball_constant(M: int, N: int) -> float:
     return _calibrate_small_ball(M, N) if C is None else C
 
 
-def sample_min_distortion(M: int, N: int, B: int, rng: np.random.Generator) -> float:
-    """Draw the minimum squared chordal distance a 2^B random codebook achieves.
+class GeodesicFrame:
+    """What emulated quantization of the patterns (n, M, N) needs at any bit
+    count, in their order: their left null bases and, from each one's own
+    generator in ``rngs``, an exponential draw E (the quantile of its
+    distortion), then a Gaussian geodesic direction G (M - N, N), kept as one
+    stacked SVD Sg diag(sig) Rgh with each sig scaled to unit norm alone."""
 
-    Uses P(min > x) = (1 - C x^T)^(2^B): with E standard exponential the
-    quantile is ((1 - exp(-E 2^-B)) / C)^(1/T), capped at the metric range.
-    """
-    T = N * (M - N)
-    C = _small_ball_constant(M, N)
-    E = rng.exponential()
-    u = -math.expm1(-E * 2.0 ** (-B))  # 1 - (1-q)^(2^-B) for q = 1 - e^-E
-    return min((u / C) ** (1.0 / T), float(N))
+    def __init__(self, patterns: np.ndarray, null_bases: np.ndarray, rngs: list):
+        M, N = patterns.shape[-2:]
+        if M < 2 * N:
+            raise ContractViolation("geodesic synthesis needs M >= 2N")
+        self.patterns, self.null_bases = patterns, null_bases
+        self.E = [rng.exponential() for rng in rngs]
+        G = np.array([complex_gaussian(rng, (M - N, N)) for rng in rngs])
+        self.Sg, sig, self.Rgh = np.linalg.svd(G, full_matrices=False)
+        self.sig = [s / np.linalg.norm(s) for s in sig]
 
 
-def subspace_at_distance(V: np.ndarray, dist_sq: float, rng: np.random.Generator) -> np.ndarray:
-    """Semi-unitary matrix at exactly the given squared chordal distance from V,
-    reached along a random geodesic (isotropic error direction)."""
-    M, N = V.shape
-    if M < 2 * N:
-        raise ContractViolation("geodesic synthesis needs M >= 2N")
-    if not 0.0 <= dist_sq <= N:
-        raise ContractViolation(f"squared chordal distance {dist_sq} outside [0, {N}]")
-    if dist_sq == 0.0:
-        return V.copy()
-    V_perp = left_null_space(V)
-    G = complex_gaussian(rng, (M - N, N))
-    Sg, sig, Rgh = np.linalg.svd(G, full_matrices=False)
-    sig = sig / np.linalg.norm(sig)
-
-    if N < 8:
+def _geodesic_time(sig: np.ndarray, dist_sq: float) -> float:
+    """The t at which sum_j sin^2(sig_j t) reaches dist_sq on [0, pi / (2 sig_0)],
+    by bisection; the upper end when even that falls short."""
+    if sig.size < 8:
         # numpy sums fewer than 8 elements in order, so this loop gives the
         # same bits as the numpy expression below, without its call overhead
         sig_list = sig.tolist()
@@ -349,27 +336,47 @@ def subspace_at_distance(V: np.ndarray, dist_sq: float, rng: np.random.Generator
     # gives the same t as running all 80 steps.
     lo, hi = 0.0, math.pi / 2.0 / float(sig[0])
     if spread(hi) <= dist_sq:
-        t = hi
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if spread(mid) < dist_sq:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-    theta = sig * t
-    Rg = Rgh.conj().T
-    return (
-        V @ Rg @ np.diag(np.cos(theta)) @ Rg.conj().T
-        + V_perp @ Sg @ np.diag(np.sin(theta)) @ Rg.conj().T
-    )
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if spread(mid) < dist_sq:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
-def model_quantize(V: np.ndarray, B: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Emulated random-codebook quantization for bit counts beyond the guard."""
-    d = sample_min_distortion(V.shape[0], V.shape[1], B, rng)
-    V_hat = subspace_at_distance(V, d, rng)
-    return V_hat, chordal_distance_sq(V, V_hat)
+def geodesic_points(frame: GeodesicFrame, users: list, dist_sq: list) -> np.ndarray:
+    """Semi-unitary matrices at exactly the squared chordal distances ``dist_sq``
+    from the frame's patterns ``users``, reached along each one's random
+    geodesic (isotropic error direction), as one (n, M, N) stack; distance 0
+    gives a copy of the pattern."""
+    N = frame.patterns.shape[-1]
+    angles = np.array([
+        frame.sig[u] * (_geodesic_time(frame.sig[u], d) if d else 0.0)
+        for u, d in zip(users, dist_sq)
+    ])
+    scale = np.zeros((2, len(users), N, N))
+    scale[:, :, range(N), range(N)] = np.cos(angles), np.sin(angles)
+    V, V_perp, Sg, Rgh = (a[users] for a in (frame.patterns, frame.null_bases, frame.Sg, frame.Rgh))
+    out = V @ Rgh.conj().swapaxes(-1, -2) @ scale[0] @ Rgh + V_perp @ Sg @ scale[1] @ Rgh
+    return np.where(np.equal(dist_sq, 0.0)[:, None, None], V, out)
+
+
+def model_quantize(frame: GeodesicFrame, users: list, bits: list) -> tuple[np.ndarray, list]:
+    """Emulated random-codebook quantization, beyond the guard, of the frame's
+    patterns ``users`` at ``bits`` each: the (n, M, N) quantized patterns and
+    their squared chordal distances. A 2^B book's minimum distortion has
+    P(min > x) = (1 - C x^T)^(2^B); at the quantile of a user's E it is
+    ((1 - exp(-E 2^-B)) / C)^(1/T), capped at N, and the pattern moves that
+    far along its geodesic."""
+    M, N = frame.patterns.shape[-2:]
+    T, C = N * (M - N), _small_ball_constant(M, N)
+    dist = []
+    for u, B in zip(users, bits):
+        q = -math.expm1(-frame.E[u] * 2.0 ** (-B))  # 1 - (1-p)^(2^-B) for p = 1 - e^-E
+        dist.append(min((q / C) ** (1.0 / T), float(N)))
+    V_hat = geodesic_points(frame, users, dist)
+    return V_hat, [chordal_distance_sq(frame.patterns[u], w) for u, w in zip(users, V_hat)]

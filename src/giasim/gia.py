@@ -96,19 +96,9 @@ def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
     return np.array(picks).reshape(np.shape(F)[:-2] + (m, d_s))
 
 
-def per_user(cfg: SystemConfig, fn) -> np.ndarray:
-    """fn(i, k) of every user as one (L, K, ...) array, called cell by cell."""
-    out = [[None] * cfg.K for _ in range(cfg.L)]
-    for k in range(cfg.K):
-        for i in range(cfg.L):
-            out[i][k] = fn(i, k)
-    return np.array(out)
-
-
 def direct_channels(ch: ChannelRealization) -> np.ndarray:
-    """H[i, k, k] of every user (i, k), as an (L, K, N_B, N_U) array."""
-    cells = range(ch.H.shape[1])
-    return ch.H[:, cells, cells]
+    """H[i, k, k] of every user (i, k), as an (L, K, N_B, N_U) view of ``ch.H``."""
+    return np.einsum("ikkab->ikab", ch.H)
 
 
 def link_images(
@@ -136,18 +126,22 @@ def nulling_stacks(
     users, per-user interference from every cell that is neither k nor k's
     provider, and ``provider_blocks[(i, k)]``, the span through which k's
     provider cell arrives (its aligned basis under perfect feedback). Each
-    cell's images ``ch.H[:, :, k] @ patterns`` are formed once.
+    cell's images ``ch.H[:, :, k] @ patterns`` are formed once, and every
+    stack is gathered from them in one index.
     """
-    L, K = ch.H.shape[0], ch.H.shape[1]
-    images = {k: ch.H[:, :, k] @ patterns for k in {k for _, k in provider_blocks}}
-    stacks = []
-    for (i, k), provider_block in provider_blocks.items():
-        prov = assignment.provider(k)
-        blocks = [images[k][j, k] for j in range(L) if j != i]
-        blocks += [images[k][m, l] for l in range(K) if l not in (k, prov) for m in range(L)]
-        blocks.append(provider_block)
-        stacks.append(np.concatenate(blocks, axis=1))
-    return np.array(stacks)
+    L, K, _, N_B, _ = ch.H.shape
+    cells = sorted({k for _, k in provider_blocks})
+    # image of user (m, l) at cell cells[c] in row (c * L + m) * K + l; provider blocks after
+    images = np.moveaxis(ch.H[:, :, cells], 2, 0) @ patterns
+    table = np.concatenate([images.reshape(-1, N_B, patterns.shape[-1]),
+                            list(provider_blocks.values())])
+    rows = []
+    for n, (i, k) in enumerate(provider_blocks):
+        others = [k] + [l for l in range(K) if l not in (k, assignment.provider(k))]
+        rows.append([(cells.index(k) * L + m) * K + l for l in others for m in range(L)
+                     if (m, l) != (i, k)] + [len(cells) * L * K + n])
+    stacks = table[np.array(rows)]  # (n, blocks, N_B, columns)
+    return stacks.swapaxes(1, 2).reshape(len(rows), N_B, -1)
 
 
 def zf_decoder(

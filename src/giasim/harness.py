@@ -21,7 +21,7 @@ from . import assignment as asg
 from . import feedback as fb
 from . import gia
 from .errors import ContractViolation, DegenerateChannel
-from .linalg import complex_gaussian, orthonormalize, psd_eigvals
+from .linalg import complex_gaussian, left_null_space, orthonormalize, psd_eigvals
 from .system import SystemConfig, draw_channels, require_feasible, trial_rng
 
 ASSIGNMENT_SCHEMES = (
@@ -135,38 +135,6 @@ def _cached_codebook(M: int, N: int, B: int, user_key: int, seed: int) -> fb.Cod
     return fb.generate_codebook(M, N, B, rng)
 
 
-def _quantize_patterns(
-    patterns: np.ndarray,
-    alloc: fb.BitAllocation,
-    cfg: SystemConfig,
-    scheme: SchemeSpec,
-    trial_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize every pattern at its allocated bit count: the (L, K, N_U, d_s)
-    quantized patterns and the (L, K) squared chordal distances.
-
-    Explicit codebook search below the limit; calibrated emulation above it.
-    Codebooks are fixed per (user, bit count) across trials, as offline books
-    would be.
-    """
-    q = np.empty_like(patterns)
-    dist = np.empty(patterns.shape[:2])
-    for k in range(cfg.K):
-        for i in range(cfg.L):
-            bits = alloc.of_user(cfg, i, k)
-            user_key = cfg.user_index(i, k)
-            V = patterns[(i, k)]
-            if bits <= EXPLICIT_BIT_LIMIT:
-                cb = _cached_codebook(cfg.N_U, cfg.d_s, bits, user_key, scheme.codebook_seed)
-                _, V_hat, d = fb.quantize(V, cb)
-            else:
-                rng = np.random.default_rng([scheme.codebook_seed, 211, trial_index, user_key])
-                V_hat, d = fb.model_quantize(V, bits, rng)
-            q[i, k] = V_hat
-            dist[i, k] = d
-    return q, dist
-
-
 def _assignment_key(assignment: asg.Assignment) -> tuple:
     return tuple(sorted(assignment.provider_of.items()))
 
@@ -199,7 +167,8 @@ class TrialBuild:
         self._provider_side = None
         self._two_sided = {}        # config -> profile with both sides
         self._tsets = {}            # assignment key -> TransceiverSet
-        self._leakage = {}          # assignment key -> (L, K) lambda1
+        self._leakage = {}          # assignment key -> (L, K) lambda1, patterns' null bases
+        self._frames = {}           # (assignment key, codebook seed) -> GeodesicFrame
         self._feedback = {}         # (assignment key, allocation, budget, seed) -> Feedback
         self._baselines = {}        # baseline name -> its power-free part
 
@@ -228,14 +197,15 @@ class TrialBuild:
 
     def baseline(self, cfg: SystemConfig, name: str) -> np.ndarray:
         """The power-free part of baseline ``name``, formed once per draw. rb: the
-        ``link_images`` of random patterns, drawn in ``per_user`` order from the
-        stream after the channel draw, through matched-filter decoders. fdma:
+        ``link_images`` of random patterns, drawn in flat (cell, user) order from
+        the stream after the channel draw, through matched-filter decoders. fdma:
         the top d_s eigenvalues of every user's direct-channel Gram, (L, K, d_s)."""
         if name not in self._baselines:
             if name == "rb":
                 rng = copy.deepcopy(self._rng_after_draw)
-                patterns = orthonormalize(gia.per_user(
-                    cfg, lambda i, k: complex_gaussian(rng, (cfg.N_U, cfg.d_s))))
+                draws = [complex_gaussian(rng, (cfg.N_U, cfg.d_s)) for _ in range(cfg.user_count)]
+                patterns = orthonormalize(np.array(draws).reshape(
+                    cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1))
                 decoders = orthonormalize(gia.direct_channels(self.ch) @ patterns)
                 self._baselines[name] = gia.link_images(self.ch, decoders, patterns)
             else:
@@ -252,15 +222,46 @@ class TrialBuild:
             tset = self._tsets[key] = gia.build_transceivers(self.ch, cfg, chosen, potentials)
         return tset
 
-    def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
-        """Largest leakage eigenvalue of every user, as an (L, K) array."""
+    def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> tuple:
+        """Largest leakage eigenvalue of every user, as an (L, K) array, and the
+        left null bases of the patterns, (L, K, N_U, N_U - d_s), both stacked."""
         key = _assignment_key(tset.assignment)
         if key not in self._leakage:
-            receiver_of = tset.assignment.receivers()
-            self._leakage[key] = gia.per_user(cfg, lambda i, k: fb.omega_matrix(
-                self.ch.H[i, k, receiver_of[k]], tset.patterns[i, k]
-            )[1])
+            receivers = [r for _, r in sorted(tset.assignment.receivers().items())]
+            null_bases = np.reshape(left_null_space(tset.patterns), (cfg.L, cfg.K, cfg.N_U, -1))
+            _, lam = fb.omega_matrix(
+                self.ch.H[:, range(cfg.K), receivers], tset.patterns, null_bases)
+            self._leakage[key] = lam, null_bases
         return self._leakage[key]
+
+    def quantized(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet,
+                  bits: list) -> tuple[np.ndarray, np.ndarray]:
+        """Every pattern quantized at its count in ``bits`` (flat (cell, user)
+        order): the (L, K, N_U, d_s) quantized patterns and the (L, K) squared
+        chordal distances. Explicit codebook search up to the limit, one per
+        user, on codebooks fixed per (user, bit count) across trials, as
+        offline books would be; above it, every such user emulated in one call
+        on the frame of the assignment and codebook seed, formed on first use
+        from each user's stream [codebook_seed, 211, trial, user]."""
+        L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
+        flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
+        patterns = flat(tset.patterns)
+        q, dist = np.empty_like(patterns), np.empty(n)
+        for user, b in enumerate(bits):
+            if b <= EXPLICIT_BIT_LIMIT:
+                cb = _cached_codebook(N_U, d_s, b, user, scheme.codebook_seed)
+                _, q[user], dist[user] = fb.quantize(patterns[user], cb)
+        emulated = [user for user, b in enumerate(bits) if b > EXPLICIT_BIT_LIMIT]
+        if emulated:
+            key = (_assignment_key(tset.assignment), scheme.codebook_seed)
+            if key not in self._frames:
+                streams = [np.random.default_rng([scheme.codebook_seed, 211, self.trial_index, u])
+                           for u in range(n)]
+                self._frames[key] = fb.GeodesicFrame(
+                    patterns, flat(self.leakage(cfg, tset)[1]), streams)
+            q[emulated], dist[emulated] = fb.model_quantize(
+                self._frames[key], emulated, [bits[u] for u in emulated])
+        return q.reshape(K, L, N_U, d_s).swapaxes(0, 1), dist.reshape(K, L).T
 
     def feedback(
         self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet
@@ -274,15 +275,13 @@ class TrialBuild:
         )
         fed = self._feedback.get(key)
         if fed is None:
-            lam = self.leakage(cfg, tset)
+            lam, _ = self.leakage(cfg, tset)
             if scheme.bit_alloc == "dba":
                 # flat (cell, user) order, as cfg.user_index numbers the users
                 alloc = fb.dba_allocate(lam.T.ravel(), scheme.bits_budget, cfg.d_s, cfg.N_U)
             else:
                 alloc = fb.eba_allocate(scheme.bits_budget, cfg.user_count)
-            q_patterns, dist = _quantize_patterns(
-                tset.patterns, alloc, cfg, scheme, self.trial_index
-            )
+            q_patterns, dist = self.quantized(cfg, scheme, tset, alloc.bits.tolist())
             q_decoders = fb.quantized_decoder(
                 self.ch, tset.assignment, q_patterns, tset.patterns, cfg.d_s
             )
@@ -357,7 +356,7 @@ def _limited_feedback_stage(
     fed = build.feedback(cfg, scheme, tset)
     rates = throughput(fed.images, cfg)
     rinr_cell = fb.rinr(chosen, fed.images, cfg)
-    bound_cell = fb.rinr_upper_bound(chosen, cfg, fed.dist, build.leakage(cfg, tset))
+    bound_cell = fb.rinr_upper_bound(chosen, cfg, fed.dist, build.leakage(cfg, tset)[0])
     result = _pack_result(scheme, trial_index, rates, cfg, chosen)
     result.rinr_per_cell = rinr_cell
     result.bound_per_cell = bound_cell

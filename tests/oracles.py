@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from giasim import feedback as fb
 from giasim import harness
 from giasim.assignment import derangement_count, rank_by_utility
 from giasim.errors import (
@@ -20,7 +21,7 @@ from giasim.errors import (
     RankDeficient,
 )
 from giasim.feedback import Codebook, omega_matrix
-from giasim.gia import ALIGN_TOL, full_precoder, per_user, rate_logdet
+from giasim.gia import ALIGN_TOL, full_precoder, rate_logdet
 from giasim.linalg import (
     chordal_distance_sq,
     complex_gaussian,
@@ -33,6 +34,15 @@ from giasim.linalg import (
     psd_eigvals,
 )
 from giasim.system import SystemConfig, require_feasible
+
+
+def per_user(cfg, fn):
+    """fn(i, k) of every user as one (L, K, ...) array, called cell by cell."""
+    out = [[None] * cfg.K for _ in range(cfg.L)]
+    for k in range(cfg.K):
+        for i in range(cfg.L):
+            out[i][k] = fn(i, k)
+    return np.array(out)
 
 
 def run_trial(cfg, scheme, trial_index, seed=0):
@@ -202,7 +212,7 @@ def leakage(ch, tset, cfg):
     the harness computes it for the bit split and the RINR bound."""
     receiver_of = tset.assignment.receivers()
     return per_user(cfg, lambda i, k: omega_matrix(
-        ch.H[i, k, receiver_of[k]], tset.patterns[i, k]
+        ch.H[i, k, receiver_of[k]], tset.patterns[i, k], left_null_space(tset.patterns[i, k])
     )[1])
 
 
@@ -276,14 +286,134 @@ def read_codebook(path):
     the codewords as little-endian complex128."""
     data = Path(path).read_bytes()
     M, N, B = struct.unpack("<3i", data[:12])
-    words = np.frombuffer(data[12:], dtype="<c16").reshape(2 ** B, M, N)
-    return Codebook(M=M, N=N, B=B, codewords=words.astype(complex))
+    return codebook_of(np.frombuffer(data[12:], dtype="<c16").reshape(2 ** B, M, N))
+
+
+def codebook_of(words):
+    """The ``Codebook`` of the (2^B, M, N) codewords ``words``."""
+    _, M, N = words.shape
+    words_h = np.ascontiguousarray(words.astype(complex).conj().swapaxes(-1, -2))
+    return Codebook(M=M, N=N, B=words.shape[0].bit_length() - 1, words_h=words_h)
+
+
+def dba_active_count(lambda1, budget, d_s, N_U):
+    """Size of the active set ``feedback.dba_allocate`` water-fills: the first
+    count whose bracket holds budget / (d_s (N_U - d_s))."""
+    a = np.sort(np.log2(np.asarray(lambda1, dtype=float)))[::-1]
+    target = budget / (d_s * (N_U - d_s))
+    for cand in range(1, a.size + 1):
+        head = a[:cand].sum()
+        upper = head - cand * a[cand] if cand < a.size else math.inf
+        if head - cand * a[cand - 1] <= target <= upper:
+            return cand
+    return a.size
+
+
+def search_codewords(V, codewords):
+    """The explicit search of ``feedback.quantize`` on the (2^B, M, N)
+    codewords: closest index, its codeword and the squared chordal distance."""
+    N = codewords.shape[2]
+    inner = np.einsum("nmk,ml->nkl", codewords.conj(), V)
+    dist = N - np.sum(np.abs(inner) ** 2, axis=(1, 2))
+    idx = int(np.argmin(dist))
+    return idx, codewords[idx], float(min(max(dist[idx], 0.0), N))
+
+
+def sample_min_distortion(M, N, B, rng):
+    """One draw of the minimum squared chordal distance a 2^B random codebook
+    achieves: ``feedback.min_distortion`` at a fresh exponential draw."""
+    T = N * (M - N)
+    C = fb._small_ball_constant(M, N)
+    E = rng.exponential()
+    u = -math.expm1(-E * 2.0 ** (-B))  # 1 - (1-q)^(2^-B) for q = 1 - e^-E
+    return min((u / C) ** (1.0 / T), float(N))
+
+
+def subspace_at_distance(V, dist_sq, rng):
+    """Semi-unitary matrix at exactly the given squared chordal distance from V,
+    reached along a random geodesic drawn from ``rng``: one user's form of
+    ``feedback.geodesic_points``, with its own null space, SVD and bisection."""
+    M, N = V.shape
+    if M < 2 * N:
+        raise ContractViolation("geodesic synthesis needs M >= 2N")
+    if not 0.0 <= dist_sq <= N:
+        raise ContractViolation(f"squared chordal distance {dist_sq} outside [0, {N}]")
+    if dist_sq == 0.0:
+        return V.copy()
+    V_perp = left_null_space(V)
+    G = complex_gaussian(rng, (M - N, N))
+    Sg, sig, Rgh = np.linalg.svd(G, full_matrices=False)
+    sig = sig / np.linalg.norm(sig)
+    sig_list = sig.tolist()
+
+    def spread(t):
+        if N >= 8:
+            return float(np.sum(np.sin(sig * t) ** 2))
+        acc = 0.0
+        for s in sig_list:
+            x = math.sin(s * t)
+            acc += x * x
+        return acc
+
+    lo, hi = 0.0, math.pi / 2.0 / float(sig[0])
+    if spread(hi) <= dist_sq:
+        t = hi
+    else:
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if spread(mid) < dist_sq:
+                lo = mid
+            else:
+                hi = mid
+        t = 0.5 * (lo + hi)
+    theta = sig * t
+    Rg = Rgh.conj().T
+    return (
+        V @ Rg @ np.diag(np.cos(theta)) @ Rg.conj().T
+        + V_perp @ Sg @ np.diag(np.sin(theta)) @ Rg.conj().T
+    )
+
+
+def model_quantize(V, B, rng):
+    """One user's emulated quantization at B bits from its own stream ``rng``
+    (E, then G): the per-user form of ``feedback.model_quantize``."""
+    d = sample_min_distortion(V.shape[0], V.shape[1], B, rng)
+    V_hat = subspace_at_distance(V, d, rng)
+    return V_hat, chordal_distance_sq(V, V_hat)
+
+
+def frame_of(patterns, rngs):
+    """``feedback.GeodesicFrame`` of the (n, M, N) patterns, each with its own
+    generator in ``rngs``."""
+    return fb.GeodesicFrame(patterns, np.array([left_null_space(V) for V in patterns]), rngs)
+
+
+def quantize_patterns(cfg, scheme, tset, trial_index, bits):
+    """``harness.TrialBuild.quantized`` user by user in (cell, user) order:
+    explicit search on the codewords up to the limit, else the per-user
+    emulation from the stream [codebook_seed, 211, trial, user]."""
+    q = np.empty_like(tset.patterns)
+    dist = np.empty(tset.patterns.shape[:2])
+    for k in range(cfg.K):
+        for i in range(cfg.L):
+            user = cfg.user_index(i, k)
+            V = tset.patterns[i, k]
+            if bits[user] <= harness.EXPLICIT_BIT_LIMIT:
+                cb = harness._cached_codebook(
+                    cfg.N_U, cfg.d_s, bits[user], user, scheme.codebook_seed)
+                _, q[i, k], dist[i, k] = search_codewords(V, cb.codewords)
+            else:
+                rng = np.random.default_rng([scheme.codebook_seed, 211, trial_index, user])
+                q[i, k], dist[i, k] = model_quantize(V, bits[user], rng)
+    return q, dist
 
 
 def subspace_at_distance_80_steps(V, dist_sq, rng):
-    """``feedback.subspace_at_distance`` as a fixed 80-step bisection with
-    the spread evaluated in numpy; the package stops as soon as the interval
-    cannot shrink, which must give the same bits."""
+    """``subspace_at_distance`` as a fixed 80-step bisection with the spread
+    evaluated in numpy; the package stops as soon as the interval cannot
+    shrink, which must give the same bits."""
     M, N = V.shape
     if M < 2 * N:
         raise ContractViolation("geodesic synthesis needs M >= 2N")

@@ -12,23 +12,26 @@ from giasim.feedback import (
     dump_codebook,
     eba_allocate,
     generate_codebook,
+    geodesic_points,
     model_quantize,
     omega_matrix,
     quantize,
     quantized_decoder,
     rinr,
     rinr_upper_bound,
-    sample_min_distortion,
-    subspace_at_distance,
 )
 from giasim.gia import build_transceivers, link_images
-from giasim.linalg import chordal_distance_sq, complex_gaussian, orthonormalize
+from giasim.linalg import chordal_distance_sq, complex_gaussian, left_null_space, orthonormalize
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
     allocation_objective,
+    codebook_of,
+    dba_active_count,
+    frame_of,
     is_semi_unitary,
     leakage,
     read_codebook,
+    sample_min_distortion,
     subspace_at_distance_80_steps,
 )
 
@@ -97,7 +100,7 @@ class TestQuantize:
         words = cb.codewords.copy()
         target = random_subspace(8, 2)
         words[11] = target
-        cb = type(cb)(M=8, N=2, B=4, codewords=words)
+        cb = codebook_of(words)
         idx, V_hat, d = quantize(target, cb)
         assert idx == 11
         assert d < 1e-12
@@ -135,7 +138,7 @@ class TestOmega:
     def test_identity_channel(self):
         H = np.eye(8, dtype=complex)
         pattern = np.eye(8, dtype=complex)[:, :2]
-        omega, lam1 = omega_matrix(H, pattern)
+        omega, lam1 = omega_matrix(H, pattern, left_null_space(pattern))
         assert omega.shape == (6, 6)
         assert np.allclose(omega, np.eye(6), atol=1e-10)
         assert lam1 == pytest.approx(1.0, abs=1e-10)
@@ -144,7 +147,8 @@ class TestOmega:
         g = np.random.default_rng(31)
         for _ in range(100):
             H = complex_gaussian(g, (14, 8))
-            omega, lam1 = omega_matrix(H, random_subspace(8, 2, g))
+            pattern = random_subspace(8, 2, g)
+            omega, lam1 = omega_matrix(H, pattern, left_null_space(pattern))
             assert np.linalg.eigvalsh(omega).min() >= -1e-10
             assert lam1 >= 0.0
 
@@ -153,14 +157,14 @@ class TestOmega:
         H = complex_gaussian(g, (14, 8))
         pat = random_subspace(8, 2, g)
         Q = orthonormalize(complex_gaussian(g, (2, 2)))
-        _, lam_a = omega_matrix(H, pat)
-        _, lam_b = omega_matrix(H, pat @ Q)
+        _, lam_a = omega_matrix(H, pat, left_null_space(pat))
+        _, lam_b = omega_matrix(H, pat @ Q, left_null_space(pat @ Q))
         assert lam_a == pytest.approx(lam_b, rel=1e-9)
 
     def test_degenerate_image(self):
         pattern = np.eye(8, dtype=complex)[:, :2]
         with pytest.raises(DegenerateChannel):
-            omega_matrix(np.zeros((14, 8), dtype=complex), pattern)
+            omega_matrix(np.zeros((14, 8), dtype=complex), pattern, left_null_space(pattern))
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +274,7 @@ class TestBitAllocation:
     def test_symmetric_instance(self):
         alloc = dba_allocate(np.full(6, 3.3), budget=30, d_s=1, N_U=4)
         assert np.array_equal(alloc.bits, np.full(6, 5))
-        assert alloc.active_count == 6
+        assert dba_active_count(np.full(6, 3.3), budget=30, d_s=1, N_U=4) == 6
 
     def test_budget_zero(self):
         alloc = dba_allocate(np.array([1.0, 2.0, 4.0]), budget=0, d_s=1, N_U=4)
@@ -332,11 +336,13 @@ class TestBitAllocation:
 class TestEmulatedQuantization:
     def test_synthesis_hits_exact_distance(self):
         g = np.random.default_rng(51)
-        for d in (0.0, 0.05, 0.4, 1.1):
-            V = random_subspace(8, 2, g)
-            V_hat = subspace_at_distance(V, d, g)
-            assert is_semi_unitary(V_hat)
-            assert chordal_distance_sq(V, V_hat) == pytest.approx(d, abs=1e-9)
+        ds = (0.0, 0.05, 0.4, 1.1)
+        V = np.array([random_subspace(8, 2, g) for _ in ds])
+        V_hat = geodesic_points(frame_of(V, [g] * len(ds)), range(len(ds)), ds)
+        assert np.array_equal(V_hat[0], V[0])
+        for j, d in enumerate(ds):
+            assert is_semi_unitary(V_hat[j])
+            assert chordal_distance_sq(V[j], V_hat[j]) == pytest.approx(d, abs=1e-9)
 
     def test_sampled_distortion_decreases_in_bits(self):
         g = np.random.default_rng(52)
@@ -360,9 +366,9 @@ class TestEmulatedQuantization:
     def test_model_quantize_reports_true_distance(self):
         g = np.random.default_rng(56)
         V = random_subspace(8, 2, g)
-        V_hat, d = model_quantize(V, 30, g)
-        assert d == pytest.approx(chordal_distance_sq(V, V_hat), abs=1e-12)
-        assert is_semi_unitary(V_hat)
+        V_hat, d = model_quantize(frame_of(V[None], [g]), [0], [30])
+        assert d[0] == pytest.approx(chordal_distance_sq(V, V_hat[0]), abs=1e-12)
+        assert is_semi_unitary(V_hat[0])
 
     def test_model_extrapolates_beyond_calibration_bits(self):
         # the constant is fitted at 8-12 bits; explicit search at 14 bits is
@@ -411,12 +417,28 @@ def bisection_cases(M, N, count, seed):
             d = float(N) if c % 2 else float(g.uniform(0.9 * N, N))
         else:
             # the spread the synthesis will meet at the top of its bracket
-            G = complex_gaussian(np.random.default_rng(draw_seed), (M - N, N))
+            G = complex_gaussian(after_exponential(draw_seed), (M - N, N))
             sig = np.linalg.svd(G, full_matrices=False)[1]
             sig = sig / np.linalg.norm(sig)
             edge = float(np.sum(np.sin(sig * (np.pi / 2.0 / sig[0])) ** 2))
             d = edge if kind == 3 else float(np.nextafter(edge, 0.0))
         yield V, d, draw_seed
+
+
+def after_exponential(seed):
+    """The generator of ``seed`` after the frame's exponential draw, where the
+    frame draws G."""
+    rng = np.random.default_rng(seed)
+    rng.exponential()
+    return rng
+
+
+def stacked_points(cases):
+    """``geodesic_points`` of every (V, dist_sq, generator seed) case in one
+    call on one frame."""
+    V = np.array([V for V, _, _ in cases])
+    frame = frame_of(V, [np.random.default_rng(s) for _, _, s in cases])
+    return geodesic_points(frame, list(range(len(V))), [d for _, d, _ in cases])
 
 
 class TestBisection:
@@ -425,17 +447,17 @@ class TestBisection:
         [(8, 2, 700), (6, 2, 600), (10, 2, 600), (5, 1, 600), (6, 3, 600), (16, 8, 50)],
     )
     def test_early_stop_matches_80_step_numpy_bisection(self, M, N, count):
-        for V, d, draw_seed in bisection_cases(M, N, count, seed=61):
-            new = subspace_at_distance(V, d, np.random.default_rng(draw_seed))
-            old = subspace_at_distance_80_steps(V, d, np.random.default_rng(draw_seed))
+        cases = list(bisection_cases(M, N, count, seed=61))
+        for new, (V, d, draw_seed) in zip(stacked_points(cases), cases):
+            old = subspace_at_distance_80_steps(V, d, after_exponential(draw_seed))
             assert np.array_equal(new, old), (M, N, d)
 
     def test_step_cap_binds_as_in_80_step_bisection(self):
         # at this distance the interval is still shrinking after 80 steps, so
         # the cap, not the early stop, ends the bisection
         V = np.eye(8, dtype=complex)[:, :2]
-        new = subspace_at_distance(V, 1e-60, np.random.default_rng(67))
-        old = subspace_at_distance_80_steps(V, 1e-60, np.random.default_rng(67))
+        new = stacked_points([(V, 1e-60, 67)])[0]
+        old = subspace_at_distance_80_steps(V, 1e-60, after_exponential(67))
         assert np.array_equal(new, old)
 
     def test_cheapest_table_entry_recomputes_exactly(self):

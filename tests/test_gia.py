@@ -15,7 +15,6 @@ from giasim.gia import (
     build_transceivers,
     full_precoder,
     link_images,
-    per_user,
     rate_logdet,
     select_null_basis,
     user_rate,
@@ -28,6 +27,7 @@ from oracles import (
     effective_link_gains,
     inner_precoder,
     is_semi_unitary,
+    per_user,
     stack_alignment_matrix,
     user_pattern,
 )

@@ -1,4 +1,4 @@
-"""Bit-level golden rows: eight small sweeps replayed with ``==`` on every float.
+"""Bit-level golden rows: nine small sweeps replayed with ``==`` on every float.
 
 The golden CSVs (``test_golden.py``) print 12 significant digits, so a change
 in the last bits of a rate passes them unseen. ``golden_rows.json`` keeps the
@@ -28,11 +28,14 @@ SINGLE_USER = SystemConfig(K=4, L=1, N_B=8, N_U=4, d_s=2)
 # name -> (spec, config). The reference config has 8 users, so 100 bits
 # puts some users above the 12-bit explicit-search limit (emulated) and
 # some at or below it (explicit codebooks); 40 bits is all explicit and
-# 300 bits all emulated. The last sweep covers the remaining assignment
-# schemes and the rate scaling of log_base="2". The tight K=5 sweep puts the
-# centralized search and its worst-case mirror on a config whose decoder null
-# space is exactly d_s wide. The last two sweeps run the SNR schemes at
-# L = 3 with one stream, and at L = 1, where the alignment system is empty.
+# 300 bits all emulated. The edge budgets give every user zero bits (a
+# one-word codebook) or over 1074 bits, where 2^-B is 0, the emulated
+# distortion is 0 and the quantized pattern is a copy of the pattern. The
+# schemes_log2 sweep covers the remaining assignment schemes and the rate
+# scaling of log_base="2". The tight K=5 sweep puts the centralized search
+# and its worst-case mirror on a config whose decoder null space is exactly
+# d_s wide. The last two sweeps run the SNR schemes at L = 3 with one
+# stream, and at L = 1, where the alignment system is empty.
 SNR_SCHEMES = tuple(SchemeSpec(assignment=a) for a in
                     ("fixed", "one_sided", "two_sided", "centralized_sum", "rb"))
 SWEEPS = {
@@ -55,6 +58,15 @@ SWEEPS = {
             (SchemeSpec(assignment="two_sided", bit_alloc="dba"),
              SchemeSpec(assignment="fixed", bit_alloc="eba")),
             seed=5,
+        ),
+        REFERENCE.at_snr_db(25.0),
+    ),
+    "bit_sweep_edges": (
+        SweepSpec(
+            "B", (0, 9000), 2,
+            (SchemeSpec(assignment="two_sided", bit_alloc="dba"),
+             SchemeSpec(assignment="fixed", bit_alloc="eba")),
+            seed=14,
         ),
         REFERENCE.at_snr_db(25.0),
     ),

@@ -1,0 +1,89 @@
+"""Stacked quantization against the per-user path.
+
+``TrialBuild.quantized`` searches explicit users one by one on the search
+layout of the codebooks and emulates all of a cell's other users in one
+``model_quantize`` call on the draw's geodesic frame. The oracles do each
+user alone, as the per-user loop did: the explicit search on the (2^B, M, N)
+codewords and the emulation from the user's own stream. Quantized patterns
+and distances must be equal with ``==``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import giasim.harness as hmod
+from giasim.assignment import fixed_cyclic
+from giasim.errors import ContractViolation
+from giasim.harness import SchemeSpec, SweepSpec, run_sweep
+from giasim.system import SystemConfig
+from oracles import feasible_configs, leakage, quantize_patterns
+
+SEED = 2718
+CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
+
+# per-user bit counts, cycled over the users: explicit (0, 12, 5), emulated
+# (13, 300, 40) and beyond 1074 bits, where 2^-B is 0 and the distortion is 0
+EDGE_BITS = (13, 0, 1075, 12, 300, 9000, 5, 40)
+
+
+@pytest.mark.parametrize(
+    "t, cfg",
+    [(t, cfg) for t, cfg in enumerate(feasible_configs(SEED)) if cfg.N_U >= 2 * cfg.d_s],
+    ids=lambda v: str(v) if isinstance(v, int) else f"K{v.K}L{v.L}NB{v.N_B}NU{v.N_U}d{v.d_s}",
+)
+def test_stacked_quantization_equals_per_user_oracle(t, cfg, monkeypatch):
+    # both paths read one small-ball constant; a fixed one spares calibrating
+    # the shapes that are not checked in, about 7 s
+    monkeypatch.setattr(hmod.fb, "_calibrate_small_ball", lambda M, N: 0.01)
+    build = hmod.TrialBuild(cfg, SEED, t, 0)
+    tset = build.transceivers(cfg, fixed_cyclic(cfg.K))
+    assert np.array_equal(build.leakage(cfg, tset)[0], leakage(build.ch, tset, cfg))
+    scheme = SchemeSpec(assignment="fixed", bit_alloc="eba", codebook_seed=3)
+    bits = [EDGE_BITS[u % len(EDGE_BITS)] for u in range(cfg.user_count)]
+    for shift in (0, 1):  # the second split reuses the frame the first one built
+        split = bits[shift:] + bits[:shift]
+        q, dist = build.quantized(cfg, scheme, tset, split)
+        q_ref, dist_ref = quantize_patterns(cfg, scheme, tset, t, split)
+        assert np.array_equal(q, q_ref)
+        assert np.array_equal(dist, dist_ref)
+        for i in range(cfg.L):
+            for k in range(cfg.K):
+                if split[cfg.user_index(i, k)] > 1074:
+                    assert np.array_equal(q[i, k], tset.patterns[i, k])
+    assert len(build._frames) == 1
+
+
+def test_narrow_patterns_raise_only_when_a_user_is_emulated():
+    # N_U < 2 d_s leaves no room for a geodesic, which explicit search never needs
+    cfg = SystemConfig(K=3, L=1, N_B=6, N_U=3, d_s=2).at_snr_db(20.0)
+    spec = SweepSpec(
+        "B", (0, 12 * cfg.user_count), 2,
+        (SchemeSpec(assignment="fixed", bit_alloc="eba"),
+         SchemeSpec(assignment="two_sided", bit_alloc="eba")),
+        seed=5,
+    )
+    assert all(row["rinr_db"] is not None for row in run_sweep(spec, cfg))
+    with pytest.raises(ContractViolation, match=r"geodesic synthesis needs M >= 2N"):
+        run_sweep(replace(spec, grid=(12 * cfg.user_count + 1,)), cfg)
+
+
+def test_frame_is_built_once_per_draw_and_only_for_emulated_users(monkeypatch):
+    built = []
+    frame = hmod.fb.GeodesicFrame
+
+    def counted(*args):
+        built.append(args)
+        return frame(*args)
+
+    monkeypatch.setattr(hmod.fb, "GeodesicFrame", counted)
+    trials = 2
+    eba = SchemeSpec(assignment="fixed", bit_alloc="eba")
+    dba = SchemeSpec(assignment="fixed", bit_alloc="dba")
+    # 96 bits over 8 users is 12 each: every user is searched explicitly
+    run_sweep(SweepSpec("B", (0, 40, 96), trials, (eba,), seed=8), CFG)
+    assert built == []
+    # both budgets and both splits of a trial share the fixed assignment's frame
+    run_sweep(SweepSpec("B", (300, 400), trials, (eba, dba), seed=8), CFG)
+    assert len(built) == trials

@@ -149,16 +149,18 @@ def test_snr_sweep_at_fixed_budget_bit_identical_to_grid_major_loop():
 
 
 def test_snr_sweep_quantizes_each_user_once_per_trial(monkeypatch):
-    calls = {"explicit": 0, "emulated": 0}
+    # users, not calls: one search per explicit user, one call per cell for
+    # all of its emulated users
+    users = {"explicit": 0, "emulated": 0}
     quantize, model_quantize = hmod.fb.quantize, hmod.fb.model_quantize
 
-    def counted_quantize(*args):
-        calls["explicit"] += 1
-        return quantize(*args)
+    def counted_quantize(V, cb):
+        users["explicit"] += 1
+        return quantize(V, cb)
 
-    def counted_model_quantize(*args):
-        calls["emulated"] += 1
-        return model_quantize(*args)
+    def counted_model_quantize(frame, emulated, bits):
+        users["emulated"] += len(emulated)
+        return model_quantize(frame, emulated, bits)
 
     monkeypatch.setattr(hmod.fb, "quantize", counted_quantize)
     monkeypatch.setattr(hmod.fb, "model_quantize", counted_model_quantize)
@@ -171,8 +173,8 @@ def test_snr_sweep_quantizes_each_user_once_per_trial(monkeypatch):
         seed=44,
     )
     run_sweep(spec, CFG)
-    assert calls["explicit"] > 0 and calls["emulated"] > 0
-    assert calls["explicit"] + calls["emulated"] == trials * CFG.user_count
+    assert users["explicit"] > 0 and users["emulated"] > 0
+    assert users["explicit"] + users["emulated"] == trials * CFG.user_count
 
 
 def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
