@@ -23,6 +23,7 @@ from .system import ChannelRealization, SystemConfig
 ENUMERATION_CAP = 10 ** 6  # most derangements centralized_search enumerates
 COALITION_CAP = 8          # largest K whose one-sided coalitions is_stable searches
 SCREEN_MARGIN = 1e-9       # screened values this near the best (relative) are confirmed exactly
+SCREEN_CHUNK_BYTES = 2 ** 19  # cell matrices of the candidates one screen call holds
 
 
 @dataclass
@@ -296,7 +297,8 @@ def centralized_search(
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
-    ``gia.screen_rates`` screens every candidate; one it cannot certify is
+    ``gia.screen_candidates`` screens chunks of SCREEN_CHUNK_BYTES of cell
+    matrices. It raises and warns nothing, and a candidate it cannot certify is
     evaluated exactly at its place in the enumeration, so warnings and errors
     come as from a plain loop. Certified candidates within SCREEN_MARGIN of the
     best screened value are evaluated exactly, and all are if one of those was
@@ -312,10 +314,10 @@ def centralized_search(
         raise CapacityExceeded(
             f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    if potentials is None:
-        potentials = gia.build_potentials(ch, cfg)
+    potentials = gia.build_potentials(ch, cfg) if potentials is None else potentials
     reduce = sum if objective == "sum_rate" else min
-    candidates = [Assignment(dict(enumerate(perm))) for perm in enumerate_derangements(cfg.K)]
+    providers = np.array(list(enumerate_derangements(cfg.K)))
+    candidates = [Assignment(dict(enumerate(perm))) for perm in providers.tolist()]
     exact, screened = {}, {}
 
     def confirm(c):  # exact user rates of the candidate's full transceiver set
@@ -323,12 +325,14 @@ def centralized_search(
             tset = gia.build_transceivers(ch, cfg, candidates[c], potentials)
             exact[c] = reduce([sum(cell) for cell in gia.user_rate(ch, tset, cfg).T.tolist()])
 
-    for c, assignment in enumerate(candidates):
-        rates = gia.screen_rates(ch, cfg, assignment, potentials)
-        if rates is None or not np.all(np.isfinite(rates)):
-            confirm(c)
-        else:
-            screened[c] = float(reduce(rates.sum(axis=0)))
+    chunk = max(1, SCREEN_CHUNK_BYTES // (16 * cfg.K * cfg.N_B ** 2))  # N_B^2 bounds a cell matrix
+    for start in range(0, len(candidates), chunk):
+        cell_rates = gia.screen_candidates(cfg, potentials, providers[start:start + chunk]).sum(1)
+        for c, rates in enumerate(cell_rates.tolist(), start):
+            if all(map(math.isfinite, rates)):
+                screened[c] = reduce(rates)
+            else:
+                confirm(c)
     edge = (max if sense == "best" else min)(screened.values(), default=0.0)
     near = [c for c, v in screened.items() if abs(v - edge) <= SCREEN_MARGIN * abs(edge)]
     for c in near:

@@ -127,21 +127,26 @@ def nulling_stacks(
     provider, and ``provider_blocks[(i, k)]``, the span through which k's
     provider cell arrives (its aligned basis under perfect feedback). Each
     cell's images ``ch.H[:, :, k] @ patterns`` are formed once, and every
-    stack is gathered from them in one index.
+    stack is gathered from them in one cached index.
     """
     L, K, _, N_B, _ = ch.H.shape
-    cells = sorted({k for _, k in provider_blocks})
-    # image of user (m, l) at cell cells[c] in row (c * L + m) * K + l; provider blocks after
+    users = tuple(provider_blocks)
+    cells, rows = _nulling_index(K, L, users, tuple(assignment.provider(k) for _, k in users))
     images = np.moveaxis(ch.H[:, :, cells], 2, 0) @ patterns
     table = np.concatenate([images.reshape(-1, N_B, patterns.shape[-1]),
                             list(provider_blocks.values())])
-    rows = []
-    for n, (i, k) in enumerate(provider_blocks):
-        others = [k] + [l for l in range(K) if l not in (k, assignment.provider(k))]
-        rows.append([(cells.index(k) * L + m) * K + l for l in others for m in range(L)
-                     if (m, l) != (i, k)] + [len(cells) * L * K + n])
-    stacks = table[np.array(rows)]  # (n, blocks, N_B, columns)
+    stacks = table[rows]  # (n, blocks, N_B, columns)
     return stacks.swapaxes(1, 2).reshape(len(rows), N_B, -1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _nulling_index(K: int, L: int, users: tuple, providers: tuple) -> tuple[list, np.ndarray]:
+    """``nulling_stacks``' cells, and each user's rows of its table of images."""
+    cells = sorted({k for _, k in users})  # user (m, l) at cells[c]: row (c * L + m) * K + l
+    return cells, np.array([[(cells.index(k) * L + m) * K + l
+                             for l in [k] + [l for l in range(K) if l not in (k, p)]
+                             for m in range(L) if (m, l) != (i, k)] + [len(cells) * L * K + n]
+                            for n, ((i, k), p) in enumerate(zip(users, providers))])
 
 
 def zf_decoder(
@@ -152,38 +157,35 @@ def zf_decoder(
     return select_null_basis(nulling_stacks(ch, assignment, patterns, provider_blocks), d_s)
 
 
-def certified_null_image(FG: np.ndarray, d_s: int) -> np.ndarray | None:
-    """R22 of one R-only QR of a (..., m, n + d_s) stack [F | G], or None unless every
-    slice is finite, m - n == d_s and 1 / (|R11|_F |R11^-1|_F), a lower bound on
-    sigma_min / sigma_max of F, exceeds 10 * RANK_REL_TOL. Then Q's last d_s columns
-    Q2 span F's left null space and R22 = Q2^H G; the SVD path finds the same d_s null
-    directions without a raise, warning or canonical pick, and rates are basis-free."""
-    m, n = FG.shape[-2], FG.shape[-1] - d_s
-    if m - n != d_s or not np.all(np.isfinite(FG)):
-        return None
-    R = np.linalg.qr(FG, mode="r")
-    R11, h = R[..., :n, :n], n // 2
-    try:  # R11^-1 is [[A^-1, -A^-1 B C^-1], [0, C^-1]] for R11 = [[A, B], [0, C]]
-        A_inv, C_inv = np.linalg.inv(R11[..., :h, :h]), np.linalg.inv(R11[..., h:, h:])
-    except np.linalg.LinAlgError:  # an exactly singular R11
-        return None
-    inv_blocks = (A_inv, A_inv @ R11[..., :h, h:] @ C_inv, C_inv)
-    inv_norm = np.sqrt(sum(np.linalg.norm(X, axis=(-2, -1)) ** 2 for X in inv_blocks))
-    bound = 1.0 / (np.linalg.norm(R11, axis=(-2, -1)) * inv_norm)
-    return R[..., n:, n:] if np.all(bound > 10 * RANK_REL_TOL) else None
+def certified_inverse(M: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """M^-1 of each slice of a (..., m, n) stack and which slices are certified, silently:
+    finite, square (null spaces exactly d_s wide) and 1 / (|M|_F |M^-1|_F) > 10 *
+    RANK_REL_TOL. That bounds sigma_min / sigma_max of every column subset of M, so
+    the SVD path finds exactly d_s null directions of each nulling stack in M."""
+    certified = np.isfinite(M).all(axis=(-2, -1)) & (M.shape[-2] == M.shape[-1])
+    if not certified.any():
+        return None, certified
+    if not certified.all():  # LAPACK sees the identity in place of a refused slice
+        M = np.where(certified[..., None, None], M, np.eye(M.shape[-1]))
+    try:
+        M_inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # an exactly singular slice fails the whole stack:
+        certified &= np.linalg.slogdet(M)[0] != 0  # the same LU finds it silently
+        M_inv = np.linalg.inv(np.where(certified[..., None, None], M, np.eye(M.shape[-1])))
+    cond = np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(M_inv, axis=(-2, -1))
+    return M_inv, certified & (cond < 0.1 / RANK_REL_TOL)
 
 
 @functools.lru_cache(maxsize=None)
-def _stack_template(K: int, L: int) -> np.ndarray:
-    """(cell, block) of each d_s-column block of user (i, k)'s [F | G] in the pair
-    table when k's provider is p, at [:, i, k, p]: F's blocks in ``nulling_stacks``'
-    order, a pair's blocks as ``Potentials.stacks`` writes them; p == k is unused."""
-    def blocks(i, k, p):
-        return ([(k, j * K + k) for j in range(L) if j != i]
-                + [(l, m * K + k) for l in range(K) if l not in (k, p) for m in range(L)]
-                + [(p, L * K), (k, L * K + 1 + i)])
-    return np.moveaxis(np.array([[[blocks(i, k, p if p != k else (k + 1) % K) for p in range(K)]
-                                  for k in range(K)] for i in range(L)]), -1, 0)
+def _cell_template(K: int, L: int) -> np.ndarray:
+    """(cell, block) in the pair table of each block of cell k's matrix when k's provider
+    is p, at [:, k, p]: the images at k of k's users, then of those of every cell but k
+    and p, then p's aligned basis; ``nulling_stacks``' order plus the own block."""
+    def blocks(k, p):
+        return ([(l, m * K + k) for l in [k] + [l for l in range(K) if l not in (k, p)]
+                 for m in range(L)] + [(p, L * K)])
+    return np.moveaxis(np.array([[blocks(k, p if p != k else (k + 1) % K) for p in range(K)]
+                                 for k in range(K)]), -1, 0)
 
 
 def cell_pairs(K: int) -> list:
@@ -225,9 +227,8 @@ class Potentials(dict):
         self._pieces = {name: np.empty((K * K,) + shape, complex) for name, shape in (
             ("inner", (L * N_U, d_s)), ("patterns", (L, N_U, d_s)),
             ("aligned", (cfg.N_B, d_s)), ("whiteners", (L, d_s, d_s)))}  # pair (p, r) at p * K + r
-        self._errors = {}     # (name, p, r) -> what a read of that piece raises
-        self._written = set()  # pairs whose blocks ``stacks`` has put in its table
-        self._table = np.empty((K, K, L * K + 1 + L, d_s, cfg.N_B), complex)
+        self._errors = {}  # (name, p, r) -> what a read of that piece raises
+        self._table = None  # the pair table of ``cell_matrices``
 
     def take(self, name: str, pairs: list) -> np.ndarray:
         """The pieces ``name`` of ``pairs``, one per pair along a leading axis: the
@@ -235,9 +236,7 @@ class Potentials(dict):
         (L, d_s, d_s), (slice^H slice)^(-1/2) of each inner-precoder slice, or the
         aligned basis (N_B, d_s) at the receiver. Formed first where missing; the
         first pair in order whose piece failed raises its exception."""
-        missing = [pr for pr in dict.fromkeys(pairs) if pr not in self]
-        if missing:
-            self._form(missing)
+        self._form([pr for pr in dict.fromkeys(pairs) if pr not in self])
         for p, r in pairs if self._errors else ():
             if (name, p, r) in self._errors:
                 raise self._errors[name, p, r]
@@ -256,6 +255,8 @@ class Potentials(dict):
         pair's exception for a piece is its first failing check in the order of the
         per-pair construction: the inner precoder's, then, user by user, the
         pattern's, the aligned image's and its span's, or the whitener's."""
+        if not pairs:
+            return
         if any(p == r for p, r in pairs):
             raise ContractViolation("a cell cannot align interference to itself")
         L, N_B, N_U, d_s, K = self.cfg.L, self.cfg.N_B, self.cfg.N_U, self.cfg.d_s, self.cfg.K
@@ -303,23 +304,25 @@ class Potentials(dict):
         self._errors.update({(name, *pairs[j]): exc for (name, j), exc in errors.items()})
         super().update(zip(pairs, self._pieces["inner"][p * K + r]))
 
-    def stacks(self, assignment) -> np.ndarray:
-        """[F | G] of every user (i, k) of a strict assignment, (L, K, N_B, n + d_s): F
-        its ``nulling_stacks`` stack, G its direct channel through its inner-precoder
-        slice. One gather from a per-draw table of each pair's user images at every
-        station, aligned basis and direct links, written when first used."""
+    def cell_matrices(self, providers: np.ndarray) -> np.ndarray:
+        """Matrix of every cell of the strict assignments with providers ``providers``
+        (n, K), (n, K, N_B, (L(K-1)+1) d_s): ``_cell_template``'s blocks in one gather
+        from a table of every pair's images and aligned basis, written on first use."""
         L, K, N_B, d_s = self.cfg.L, self.cfg.K, self.cfg.N_B, self.cfg.d_s
-        receivers = [r for _, r in sorted(assignment.receivers().items())]
-        for p, r in enumerate(receivers):
-            if (p, r) not in self._written:  # its blocks, transposed; user m at k is m * K + k
-                V, X, B = (self.take(n, [(p, r)])[0] for n in ("inner", "patterns", "aligned"))
-                images = self.ch.H[:, p] @ X[:, None]
-                links = self.ch.H[range(L), p, p] @ V.reshape(L, -1, d_s)
-                self._table[p, r] = np.swapaxes([*images.reshape(-1, N_B, d_s), B, *links], -1, -2)
-                self._written.add((p, r))
-        cells, blocks = _stack_template(K, L)[:, :, range(K), np.argsort(receivers)]  # k's provider
-        gathered = self._table[cells, np.array(receivers)[cells], blocks]
-        return gathered.reshape(L, K, -1, N_B).swapaxes(-1, -2)
+        if self._table is None:  # transposed blocks; user m's image at station k is m * K + k
+            self._form([pr for pr in cell_pairs(K) if pr not in self])
+            failed = {(p, r) for _, p, r in self._errors}
+            good = [pr for pr in cell_pairs(K) if pr not in failed]  # failed pairs stay NaN
+            self._table = np.full((K, K, L * K + 1, d_s, N_B), np.nan, complex)
+            p, r = np.array(good, int).reshape(-1, 2).T  # two columns even if no pair is good
+            X, B = self.take("patterns", good), self.take("aligned", good)
+            images = (self.ch.H[:, p].swapaxes(0, 1) @ X[:, :, None]).swapaxes(-1, -2)
+            self._table[p, r, :L * K] = images.reshape(len(p), L * K, d_s, N_B)
+            self._table[p, r, L * K] = B.swapaxes(-1, -2)
+        cells, blocks = _cell_template(K, L)[:, range(K), providers]
+        receivers = np.argsort(providers, axis=-1)[np.arange(len(providers))[:, None, None], cells]
+        gathered = self._table[cells, receivers, blocks]
+        return gathered.reshape(len(providers), K, -1, N_B).swapaxes(-1, -2)
 
 
 def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs=None) -> Potentials:
@@ -327,24 +330,8 @@ def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs=None) -> P
     per kind; with pairs=None every ordered pair, which is what the matching and
     centralized schemes read. A failed piece raises at its read (``take``)."""
     potentials = Potentials(ch, cfg)
-    pairs = list(dict.fromkeys(cell_pairs(cfg.K) if pairs is None else pairs))
-    if pairs:
-        potentials._form(pairs)
+    potentials._form(list(dict.fromkeys(cell_pairs(cfg.K) if pairs is None else pairs)))
     return potentials
-
-
-def _pair_pieces(ch, cfg, assignment, potentials):
-    """The checks and first reads of ``build_transceivers``: the potentials and
-    ``take(name)``, the pieces ``name`` of the (cell, receiver) pairs in cell order."""
-    if not assignment.is_strict(cfg.K):
-        raise ContractViolation("transceiver construction needs a strict assignment")
-    potentials = Potentials(ch, cfg) if potentials is None else potentials
-    if potentials.ch is not ch:
-        raise ContractViolation("potentials were built on another channel draw")
-    pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
-    take = lambda name: potentials.take(name, pairs)
-    take("inner"), take("patterns"), take("aligned")
-    return potentials, take
 
 
 def build_transceivers(
@@ -355,27 +342,36 @@ def build_transceivers(
     Gathers the assignment's pair pieces; only the decoders are computed here,
     in one stacked SVD. Nothing depends on P: ``user_rate`` applies it.
     """
-    _, take = _pair_pieces(ch, cfg, assignment, potentials)
-    patterns, aligned = take("patterns").swapaxes(0, 1), dict(enumerate(take("aligned")))
+    if not assignment.is_strict(cfg.K):
+        raise ContractViolation("transceiver construction needs a strict assignment")
+    potentials = Potentials(ch, cfg) if potentials is None else potentials
+    if potentials.ch is not ch:
+        raise ContractViolation("potentials were built on another channel draw")
+    pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
+    inner, patterns, aligned = (potentials.take(n, pairs) for n in ("inner", "patterns", "aligned"))
+    patterns, aligned = patterns.swapaxes(0, 1), dict(enumerate(aligned))
     blocks = {(i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)}
     decoders = zf_decoder(ch, assignment, patterns, blocks, cfg.d_s)
-    return TransceiverSet(assignment, take("inner"), patterns,
+    return TransceiverSet(assignment, inner, patterns,
                           decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s), aligned,
-                          take("whiteners").swapaxes(0, 1))
+                          potentials.take("whiteners", pairs).swapaxes(0, 1))
 
 
-def screen_rates(ch: ChannelRealization, cfg: SystemConfig, assignment,
-                 potentials: Potentials) -> np.ndarray | None:
-    """Every user's rate in nats as an (L, K) array from ``certified_null_image`` of
-    its [F | G], or None where that does not certify. Reads the pair pieces in
-    ``build_transceivers``' order, the whiteners only once certified, so a failing
-    piece raises here as it would there. R22 is U^H G for an orthonormal basis U of
-    the decoders' span, so the rates equal ``user_rate``'s to rounding."""
-    potentials, take = _pair_pieces(ch, cfg, assignment, potentials)
-    R22 = certified_null_image(potentials.stacks(assignment), cfg.d_s)
-    if R22 is None:
-        return None
-    return rate_logdet(R22 @ take("whiteners").swapaxes(0, 1), cfg.P / (cfg.d_s * cfg.sigma2))
+def screen_candidates(cfg: SystemConfig, potentials: Potentials, providers) -> np.ndarray:
+    """Every user's rate in nats, (n, L, K), at ``cfg``'s power (the potentials may come
+    from another power), of the strict assignments with providers the rows of the (n, K)
+    array ``providers``, from one ``certified_inverse`` of their cell matrices; NaN,
+    silently, if a cell is uncertified, as one reading a failed pair piece is. The rows
+    Z of M_k^-1 at user (i, k)'s block null its stack and map its image H V W to I, so
+    Z^H spans its decoders' space and its rate is log det(I + P/(d_s sigma^2) (Z Z^H)^-1)."""
+    M_inv, certified = certified_inverse(potentials.cell_matrices(providers))
+    ok = certified.all(axis=-1)
+    rates = np.full((len(providers), cfg.L, cfg.K), np.nan)
+    if ok.any():
+        Z = M_inv[ok, :, :cfg.L * cfg.d_s].reshape(-1, cfg.K, cfg.L, cfg.d_s, M_inv.shape[-1])
+        inv_gains = psd_eigvals(Z @ Z.conj().swapaxes(-1, -2))
+        rates[ok] = np.log1p(cfg.P / (cfg.d_s * cfg.sigma2) / inv_gains).sum(-1).swapaxes(-1, -2)
+    return rates
 
 
 def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig) -> np.ndarray:

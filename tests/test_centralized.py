@@ -2,14 +2,14 @@
 null basis behind its decoders.
 
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
-across candidates and calls. It screens every candidate with one R-only QR of
-each user's [F | G], gathered from a per-draw pair table, and evaluates
-exactly, through ``build_transceivers`` and ``user_rate``, only the candidates
-the screen cannot certify and those near the best screened value. The
-reference below is the plain loop: for every derangement a fresh
-``build_transceivers`` with no potentials, so each builds its own and nothing
-is shared between candidates, and its rates user by user through
-``oracles.user_rate``. Both must agree with ``==``.
+across candidates and calls. It screens the candidates in chunks, each from
+the inverse of each of its cell matrices, gathered from a per-draw pair
+table, and evaluates exactly, through ``build_transceivers`` and
+``user_rate``, only the candidates the screen cannot certify and those near
+the best screened value. The reference below is the plain loop: for every
+derangement a fresh ``build_transceivers`` with no potentials, so each builds
+its own and nothing is shared between candidates, and its rates user by user
+through ``oracles.user_rate``. Both must agree with ``==``.
 """
 
 import warnings
@@ -33,7 +33,7 @@ from giasim.errors import ContractViolation, GiaSimError
 from giasim.gia import (
     build_potentials,
     build_transceivers,
-    certified_null_image,
+    certified_inverse,
     nulling_stacks,
     rate_logdet,
     select_null_basis,
@@ -121,11 +121,13 @@ def _count_calls(monkeypatch, name):
 
 def test_search_confirms_few_candidates(monkeypatch):
     # every candidate of these draws is certified: only the near-best ones,
-    # usually the winner alone, go through build_transceivers
+    # usually the winner alone, go through build_transceivers. The screen
+    # rates at the search's power, also on potentials that a sweep built at
+    # another grid point
     builds = _count_calls(monkeypatch, "build_transceivers")
-    for t in range(5):
+    for t, built_at in zip(range(5), [REFERENCE, REFERENCE.at_snr_db(0.0)] * 3):
         ch = draw_channels(REFERENCE, trial_rng(41, t))
-        potentials = build_potentials(ch, REFERENCE)
+        potentials = build_potentials(ch, built_at)
         for objective, sense in SEARCHES:
             builds.clear()
             chosen, _ = centralized_search(ch, REFERENCE, objective, sense, potentials)
@@ -150,15 +152,16 @@ def test_screen_error_falls_back_to_every_candidate(monkeypatch):
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
     potentials = build_potentials(ch, REFERENCE)
     ref_chosen, ref_value = reference_pick(reference_candidates(ch, REFERENCE), "sum_rate", "best")
-    screen = gia.screen_rates
+    screen = gia.screen_candidates
 
-    def low_on_winner(ch, cfg, assignment, potentials):
-        rates = screen(ch, cfg, assignment, potentials)
-        if assignment.provider_of == ref_chosen.provider_of:
-            return rates * (1 - 10 * SCREEN_MARGIN)
+    def low_on_winner(cfg, potentials, providers):
+        rates = screen(cfg, potentials, providers)
+        for row, rate in zip(providers.tolist(), rates):
+            if dict(enumerate(row)) == ref_chosen.provider_of:
+                rate *= 1 - 10 * SCREEN_MARGIN
         return rates
 
-    monkeypatch.setattr(gia, "screen_rates", low_on_winner)
+    monkeypatch.setattr(gia, "screen_candidates", low_on_winner)
     builds = _count_calls(monkeypatch, "build_transceivers")
     chosen, value = centralized_search(ch, REFERENCE, "sum_rate", "best", potentials)
     assert len(builds) == 9  # the self-check sent every candidate down the exact path
@@ -198,21 +201,27 @@ def test_rank_deficient_candidates_warn_as_in_the_plain_loop(monkeypatch):
     assert value == ref_value
 
 
+def _screened_rate(M_inv, d_s, scale):
+    """Each user's rate from the rows of M^-1 at its own block, the first d_s."""
+    Z = M_inv[..., :d_s, :]
+    return np.sum(np.log1p(scale / np.linalg.eigvalsh(Z @ Z.conj().swapaxes(-1, -2))), axis=-1)
+
+
 def test_certified_null_basis_gives_the_svd_rate():
-    # R22 of the QR of [F | A] is A seen through an orthonormal basis of F's
-    # left null space: the rate through the SVD's null basis is the same
+    # the first d_s rows Z of [A | F]^-1 null F and map A to I, so Z^H spans
+    # F's left null space: the rate through the SVD's null basis is the same
     rng = np.random.default_rng(8)
     F = complex_gaussian(rng, (3, 2, 14, 12))
     U_svd = select_null_basis(F, 2)
     assert U_svd.shape == (3, 2, 14, 2)
     A = complex_gaussian(rng, (3, 2, 14, 2))
-    R22 = certified_null_image(np.concatenate([F, A], axis=-1), 2)
-    assert R22.shape == (3, 2, 2, 2)
+    M_inv, certified = certified_inverse(np.concatenate([A, F], axis=-1))
+    assert M_inv.shape == (3, 2, 14, 14) and certified.all()
     assert np.allclose(U_svd.conj().swapaxes(-1, -2) @ U_svd, np.eye(2), rtol=0, atol=1e-13)
-    qr_rates = rate_logdet(R22, 300.0)
+    screened = _screened_rate(M_inv, 2, 300.0)
     for idx in np.ndindex(3, 2):
         exact = rate_logdet(U_svd[idx].conj().T @ A[idx], 300.0)
-        assert abs(qr_rates[idx] - exact) <= 1e-12 * exact
+        assert abs(screened[idx] - exact) <= 1e-12 * exact
 
 
 def _derangements(cfg):
@@ -228,22 +237,23 @@ TIGHT_D1 = SystemConfig(K=4, L=2, N_B=7, N_U=4, d_s=1).at_snr_db(25.0)
                                        (TIGHT_L3, 51), (TIGHT_D1, 52)],
                          ids=["k4", "tight_k5", "tight_l1", "tight_l3", "tight_d1"])
 def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
-    # the pair table holds the very products nulling_stacks forms, so the
-    # gather must reproduce its stacks bit for bit, in its block order
+    # the pair table holds the very products nulling_stacks forms, so a cell
+    # matrix without user (i, k)'s own block must be that user's nulling stack
+    # bit for bit, in its block order, and the own block the user's image
     ch = draw_channels(cfg, trial_rng(seed, 0))
     potentials = build_potentials(ch, cfg)
-    for assignment in _derangements(cfg):
+    L, K, N_B, d_s = cfg.L, cfg.K, cfg.N_B, cfg.d_s
+    cells = potentials.cell_matrices(np.array(list(enumerate_derangements(K))))
+    assert cells.shape == (len(_derangements(cfg)), K, N_B, N_B)  # tight: square
+    for assignment, M in zip(_derangements(cfg), cells):
         tset = build_transceivers(ch, cfg, assignment, potentials)
-        blocks = {(i, k): tset.aligned[assignment.provider(k)]
-                  for i in range(cfg.L) for k in range(cfg.K)}
-        F = nulling_stacks(ch, assignment, tset.patterns, blocks)
-        FG = potentials.stacks(assignment)
-        n = F.shape[-1]
-        assert FG.shape == (cfg.L, cfg.K, cfg.N_B, n + cfg.d_s)
-        assert np.array_equal(FG[..., :n], F.reshape(cfg.L, cfg.K, cfg.N_B, n)), assignment
-        for i, k in np.ndindex(cfg.L, cfg.K):  # G: the direct link through the inner slice
-            slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U]
-            assert np.array_equal(FG[i, k, :, n:], ch.H[i, k, k] @ slice_ik), (assignment, i, k)
+        blocks = {(i, k): tset.aligned[assignment.provider(k)] for i in range(L) for k in range(K)}
+        F = nulling_stacks(ch, assignment, tset.patterns, blocks).reshape(L, K, N_B, N_B - d_s)
+        for i, k in np.ndindex(L, K):
+            own = np.arange(i * d_s, (i + 1) * d_s)
+            assert np.array_equal(np.delete(M[k], own, axis=-1), F[i, k]), (assignment, i, k)
+            image = ch.H[i, k, k] @ tset.patterns[i, k]
+            assert np.array_equal(M[k][:, own], image), (assignment, i, k)
 
 
 @pytest.mark.parametrize("cfg, seed", [(REFERENCE, 53), (TIGHT_L3, 54), (TIGHT_D1, 55)],
@@ -274,48 +284,60 @@ def test_cell_relabeling_maps_assignments(cfg, seed):
 
 
 def test_screened_rates_equal_user_rates():
-    ch = draw_channels(TIGHT_K5, trial_rng(49, 0))
-    potentials = build_potentials(ch, TIGHT_K5)
-    for assignment in _derangements(TIGHT_K5):  # all 44
-        screened = gia.screen_rates(ch, TIGHT_K5, assignment, potentials)
-        tset = build_transceivers(ch, TIGHT_K5, assignment, potentials)
-        assert screened.shape == (TIGHT_K5.L, TIGHT_K5.K)
-        for (i, k), rate in np.ndenumerate(screened):
-            exact = user_rate(ch, tset, TIGHT_K5)[i, k]
-            assert abs(rate - exact) <= 1e-12 * exact, (assignment, i, k)
+    # user by user, not cell by cell: swapping two users' row blocks of M^-1
+    # leaves every cell's sum unchanged. TIGHT_K5's 44 derangements, then every
+    # tight fuzz shape (L in {1, 2, 3}, d_s in {1, 2}), each screened in one call
+    shapes = [(TIGHT_K5, trial_rng(49, 0))] + [
+        (cfg, trial_rng(2718, 6 * n)) for n, cfg in enumerate(feasible_configs(2718)[::3])]
+    for cfg, rng in shapes:
+        ch = draw_channels(cfg, rng)
+        potentials = build_potentials(ch, cfg)
+        providers = np.array(list(enumerate_derangements(cfg.K)))
+        screened = gia.screen_candidates(cfg, potentials, providers)
+        assert screened.shape == (len(_derangements(cfg)), cfg.L, cfg.K)
+        for assignment, rates in zip(_derangements(cfg), screened):
+            exact = user_rate(ch, build_transceivers(ch, cfg, assignment, potentials), cfg)
+            for (i, k), rate in np.ndenumerate(rates):
+                assert abs(rate - exact[i, k]) <= 1e-12 * exact[i, k], (cfg, assignment, i, k)
 
 
-@pytest.mark.parametrize("m, n, clean_rank, bad_rank", [
-    (6, 3, 3, 2),     # the rank-deficient case below: a wider null space than d_s
-    (6, 4, 4, 3),     # rank deficient with m - n == d_s: R cannot prove full rank
-    (6, 4, 4, None),  # non-finite entries
-    (8, 4, 4, 4),     # full column rank, but a wider null space than d_s
+@pytest.mark.parametrize("m, bad", [
+    (6, "low_rank"),    # numerically rank deficient: |M^-1| is huge
+    (6, "singular"),    # exactly singular, a zero column: LAPACK refuses the whole stack
+    (6, "non_finite"),  # NaN and infinite entries
+    (8, None),          # full column rank, but a decoder null space wider than d_s
 ], ids=["rank_deficient", "tight_rank_deficient", "non_finite", "wide_null"])
-def test_certificate_refuses(m, n, clean_rank, bad_rank):
+def test_certificate_refuses(monkeypatch, m, bad):
     rng = np.random.default_rng(6)
-    stack = np.stack([_low_rank(rng, m, n, clean_rank) for _ in range(4)])
-    if bad_rank is None:
-        stack[2, 1, 1] = np.nan
-    else:
-        stack[2] = _low_rank(rng, m, n, bad_rank)
-    links = complex_gaussian(rng, (4, m, 2))  # G, the columns after the stack
-    assert certified_null_image(np.concatenate([stack, links], axis=-1), 2) is None
-    clean = np.delete(np.concatenate([stack, links], axis=-1), 2, axis=0)
-    assert (certified_null_image(clean, 2) is not None) == (m - n == 2)  # where tight
+    stack = complex_gaussian(rng, (4, m, 6))
+    if bad == "low_rank":
+        stack[2] = _low_rank(rng, m, 6, 5)
+    elif bad == "singular":
+        stack[2, :, 1] = 0.0
+    elif bad == "non_finite":
+        stack[2, 1, 1], stack[2, 3, 0] = np.nan, np.inf
+    inv, seen = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda A: seen.append(np.isfinite(A).all()) or inv(A))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no LinAlgError and no numpy warning escapes
+        _, certified = certified_inverse(stack)
+        _, clean = certified_inverse(np.delete(stack, 2, axis=0))
+    assert certified.tolist() == [m == 6, m == 6, False, m == 6]
+    assert clean.tolist() == [m == 6] * 3  # certified where tight
+    assert all(seen)  # LAPACK never sees a non-finite slice
 
 
 @pytest.mark.parametrize("coupling, certified", [(1.0, True), (1e5, False)])
 def test_certificate_sees_ill_conditioning_off_the_diagonal(coupling, certified):
-    # R11 = [[I, cJ], [0, I]] (J all ones) has identity diagonal blocks; its
-    # condition number grows as c^2 and shows only in the off-diagonal block
-    # of R11^-1. At c = 1e5, sigma_min / sigma_max is about 6e-12.
+    # M = Q R with R = [[I, cJ], [0, I]] (J all ones): its diagonal blocks are
+    # the identity, its condition number grows as c^2 and shows only in the
+    # off-diagonal block of M^-1. At c = 1e5, sigma_min / sigma_max is 4e-12.
     rng = np.random.default_rng(7)
-    n, d_s = 8, 2
-    R11 = np.eye(n, dtype=complex)
-    R11[:n // 2, n // 2:] = coupling
-    Q, _ = np.linalg.qr(complex_gaussian(rng, (n + d_s, n + d_s)))
-    FG = np.concatenate([Q[:, :n] @ R11, complex_gaussian(rng, (n + d_s, d_s))], axis=-1)
-    assert (certified_null_image(FG, d_s) is not None) == certified
+    n = 10
+    R = np.eye(n, dtype=complex)
+    R[:n // 2, n // 2:] = coupling
+    Q, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    assert certified_inverse((Q @ R)[None])[1].tolist() == [certified]
 
 
 def test_potentials_of_another_draw_are_refused():

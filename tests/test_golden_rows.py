@@ -1,4 +1,4 @@
-"""Bit-level golden rows: nine small sweeps replayed with ``==`` on every float.
+"""Bit-level golden rows: ten small sweeps replayed with ``==`` on every float.
 
 The golden CSVs (``test_golden.py``) print 12 significant digits, so a change
 in the last bits of a rate passes them unseen. ``golden_rows.json`` keeps the
@@ -23,6 +23,7 @@ GOLDEN_ROWS = Path(__file__).resolve().parent / "golden_rows.json"
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2)
 SINGLE_STREAM = SystemConfig(K=3, L=3, N_B=7, N_U=5, d_s=1)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2)
+TIGHT_K6 = SystemConfig(K=6, L=2, N_B=22, N_U=12, d_s=2)
 SINGLE_USER = SystemConfig(K=4, L=1, N_B=8, N_U=4, d_s=2)
 
 # name -> (spec, config). The reference config has 8 users, so 100 bits
@@ -34,8 +35,10 @@ SINGLE_USER = SystemConfig(K=4, L=1, N_B=8, N_U=4, d_s=2)
 # schemes_log2 sweep covers the remaining assignment schemes and the rate
 # scaling of log_base="2". The tight K=5 sweep puts the centralized search
 # and its worst-case mirror on a config whose decoder null space is exactly
-# d_s wide. The last two sweeps run the SNR schemes at L = 3 with one
-# stream, and at L = 1, where the alignment system is empty.
+# d_s wide; the tight K=6 sweep does the same over D(6) = 265 candidates,
+# which the centralized screen walks in chunks, the last one partial. The
+# last two sweeps run the SNR schemes at L = 3 with one stream, and at
+# L = 1, where the alignment system is empty.
 SNR_SCHEMES = tuple(SchemeSpec(assignment=a) for a in
                     ("fixed", "one_sided", "two_sided", "centralized_sum", "rb"))
 SWEEPS = {
@@ -99,6 +102,15 @@ SWEEPS = {
             seed=11,
         ),
         TIGHT_K5,
+    ),
+    "centralized_tight_k6": (
+        SweepSpec(
+            "snr_db", (25.0,), 1,
+            tuple(SchemeSpec(assignment=a)
+                  for a in ("centralized_sum", "centralized_min", "worst_sum", "worst_min")),
+            seed=15,
+        ),
+        TIGHT_K6,
     ),
     "snr_sweep_l3_d1": (
         SweepSpec("snr_db", (0.0, 20.0, 40.0), 2, SNR_SCHEMES, seed=12),
