@@ -9,6 +9,7 @@ acceptance, and a centralized brute-force search over all derangements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -283,6 +284,14 @@ def enumerate_derangements(K: int):
             yield perm
 
 
+@functools.lru_cache(maxsize=None)
+def _derangements(K: int) -> np.ndarray:
+    """The (D(K), K) providers of ``enumerate_derangements(K)``, read-only."""
+    providers = np.array(list(enumerate_derangements(K)))
+    providers.flags.writeable = False
+    return providers
+
+
 def derangement_count(K: int) -> int:
     """D(K) via the inclusion-exclusion sum, computed in exact integers."""
     return sum((-1) ** j * math.factorial(K) // math.factorial(j) for j in range(K + 1))
@@ -316,17 +325,17 @@ def centralized_search(
         )
     potentials = gia.build_potentials(ch, cfg) if potentials is None else potentials
     reduce = sum if objective == "sum_rate" else min
-    providers = np.array(list(enumerate_derangements(cfg.K)))
-    candidates = [Assignment(dict(enumerate(perm))) for perm in providers.tolist()]
+    providers = _derangements(cfg.K)
+    candidate = lambda c: Assignment(dict(enumerate(providers[c].tolist())))
     exact, screened = {}, {}
 
     def confirm(c):  # exact user rates of the candidate's full transceiver set
         if c not in exact:
-            tset = gia.build_transceivers(ch, cfg, candidates[c], potentials)
+            tset = gia.build_transceivers(ch, cfg, candidate(c), potentials)
             exact[c] = reduce([sum(cell) for cell in gia.user_rate(ch, tset, cfg).T.tolist()])
 
     chunk = max(1, SCREEN_CHUNK_BYTES // (16 * cfg.K * cfg.N_B ** 2))  # N_B^2 bounds a cell matrix
-    for start in range(0, len(candidates), chunk):
+    for start in range(0, len(providers), chunk):
         cell_rates = gia.screen_candidates(cfg, potentials, providers[start:start + chunk]).sum(1)
         for c, rates in enumerate(cell_rates.tolist(), start):
             if all(map(math.isfinite, rates)):
@@ -338,14 +347,14 @@ def centralized_search(
     for c in near:
         confirm(c)
     if not all(abs(screened[c] - exact[c]) <= SCREEN_MARGIN / 4 * abs(exact[c]) for c in near):
-        for c in range(len(candidates)):
+        for c in range(len(providers)):
             confirm(c)
-    best_assignment = best_value = None
+    best = best_value = None
     for c in sorted(exact):
         value = exact[c]
         if best_value is None or (value > best_value if sense == "best" else value < best_value):
-            best_assignment, best_value = candidates[c], value
-    return best_assignment, best_value
+            best, best_value = c, value
+    return candidate(best), best_value
 
 
 def is_stable(

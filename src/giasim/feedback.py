@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
 from .gia import zf_decoder
-from .linalg import (
-    chordal_distance_sq,
-    complex_gaussian,
-    herm_eig,
-    orthonormalize,
-    projectors,
-)
+from .linalg import complex_gaussian, herm_eig, orthonormalize, projectors
 from .system import ChannelRealization, SystemConfig
 
 CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
@@ -79,13 +73,21 @@ def generate_codebook(M: int, N: int, B: int, rng: np.random.Generator) -> Codeb
 
 
 def quantize(V: np.ndarray, cb: Codebook) -> tuple[int, np.ndarray, float]:
-    """Closest codeword in chordal distance; lowest index wins ties."""
+    """Closest codeword in chordal distance; lowest index wins ties. One GEMM
+    screens every codeword, then the exact ``einsum`` search runs, in index
+    order, on those within 16 N^2 (M + N + 4) roundoffs of the best screened:
+    both evaluations are within a quarter of that of the exact distance (README)."""
     if V.shape != (cb.M, cb.N):
         raise ContractViolation(f"pattern {V.shape} does not fit codebook ({cb.M}, {cb.N})")
-    inner = np.einsum("nkm,ml->nkl", cb.words_h, V)
+    G = (cb.words_h.reshape(-1, cb.M) @ V).view(float).reshape(len(cb), -1)
+    overlap = np.einsum("ij,ij->i", G, G)
+    margin = 16 * cb.N ** 2 * (cb.M + cb.N + 4) * 2.0 ** -53
+    near = np.flatnonzero(overlap >= overlap.max() - margin)
+    inner = np.einsum("nkm,ml->nkl", cb.words_h[near], V)
     dist = cb.N - np.sum(np.abs(inner) ** 2, axis=(1, 2))
-    idx = int(np.argmin(dist))
-    return idx, cb.words_h[idx].conj().T, float(min(max(dist[idx], 0.0), cb.N))
+    best = int(np.argmin(dist))
+    idx = int(near[best])
+    return idx, cb.words_h[idx].conj().T, float(min(max(dist[best], 0.0), cb.N))
 
 
 def dump_codebook(cb: Codebook, path: str) -> None:
@@ -129,7 +131,8 @@ def quantized_decoder(
     d_s: int,
 ) -> np.ndarray:
     """Zero-forcing decoders of every user built from quantized patterns, as
-    one (L, K, N_B, d_s) array from one stacked SVD.
+    one (..., L, K, N_B, d_s) array from one stacked SVD of (..., L, K, N_U, d_s)
+    ``q_patterns``.
 
     Everything except the provider cell is nulled using the quantized
     patterns the base station knows exactly; the provider's contribution is
@@ -142,7 +145,8 @@ def quantized_decoder(
         for k in range(K):
             prov = assignment.provider(k)
             provider_blocks[(i, k)] = ch.H[i, prov, k] @ ideal_patterns[i, prov]
-    return zf_decoder(ch, assignment, q_patterns, provider_blocks, d_s).reshape(L, K, N_B, d_s)
+    decoders = zf_decoder(ch, assignment, q_patterns, provider_blocks, d_s)
+    return decoders.reshape(q_patterns.shape[:-4] + (L, K, N_B, d_s))
 
 
 @dataclass(frozen=True)
@@ -379,4 +383,7 @@ def model_quantize(frame: GeodesicFrame, users: list, bits: list) -> tuple[np.nd
         q = -math.expm1(-frame.E[u] * 2.0 ** (-B))  # 1 - (1-p)^(2^-B) for p = 1 - e^-E
         dist.append(min((q / C) ** (1.0 / T), float(N)))
     V_hat = geodesic_points(frame, users, dist)
-    return V_hat, [chordal_distance_sq(frame.patterns[u], w) for u, w in zip(users, V_hat)]
+    # one BLAS dot per slice, as np.linalg.norm: a stacked sum would move last bits
+    overlap = (frame.patterns[users].conj().swapaxes(-1, -2) @ V_hat).reshape(len(users), -1)
+    sq = [np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) ** 2 for x in overlap]
+    return V_hat, [float(min(max(N - s, 0.0), N)) for s in sq]

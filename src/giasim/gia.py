@@ -104,23 +104,23 @@ def direct_channels(ch: ChannelRealization) -> np.ndarray:
 def link_images(
     ch: ChannelRealization, decoders: np.ndarray, patterns: np.ndarray
 ) -> np.ndarray:
-    """Every transmitter's image through every user's decoder, (L, K, L, K, d_s, d_s):
-    ``[i, k, m, l]`` is U^H H[m, l, k] X[m, l] with U the decoder of user (i, k).
+    """Every transmitter's image through every user's decoder, (..., L, K, L, K, d_s, d_s):
+    ``[..., i, k, m, l]`` is U^H H[m, l, k] X[m, l] with U the decoder of user (i, k),
+    for (..., L, K, N_B, d_s) decoders and (..., L, K, N_U, d_s) patterns X.
 
     The one place where patterns are carried through the channels and the
-    receive filters; rates and residual interference only read it. Each
-    user's stack is one product, associated as (U^H H) X for every pair.
+    receive filters; rates and residual interference only read it. It is one
+    stacked product, associated as (U^H H) X for every pair.
     """
-    return np.array([
-        [U.conj().T @ ch.H[:, :, k] @ patterns for k, U in enumerate(row)] for row in decoders
-    ])
+    U_h = decoders.conj().swapaxes(-1, -2)[..., None, None, :, :]
+    return U_h @ np.moveaxis(ch.H, 2, 0) @ patterns[..., None, None, :, :, :, :]
 
 
 def nulling_stacks(
     ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: dict
 ) -> np.ndarray:
     """What the decoders of the users (i, k) keyed in ``provider_blocks`` must
-    null, in key order, as one (n, N_B, columns) array.
+    null, in key order, as one (..., n, N_B, columns) array of (..., L, K, ...) ``patterns``.
 
     User (i, k)'s stack holds, in order: same-cell interference from other
     users, per-user interference from every cell that is neither k nor k's
@@ -132,11 +132,12 @@ def nulling_stacks(
     L, K, _, N_B, _ = ch.H.shape
     users = tuple(provider_blocks)
     cells, rows = _nulling_index(K, L, users, tuple(assignment.provider(k) for _, k in users))
-    images = np.moveaxis(ch.H[:, :, cells], 2, 0) @ patterns
-    table = np.concatenate([images.reshape(-1, N_B, patterns.shape[-1]),
-                            list(provider_blocks.values())])
-    stacks = table[rows]  # (n, blocks, N_B, columns)
-    return stacks.swapaxes(1, 2).reshape(len(rows), N_B, -1)
+    lead, d_s = patterns.shape[:-4], patterns.shape[-1]
+    images = np.moveaxis(ch.H[:, :, cells], 2, 0) @ patterns[..., None, :, :, :, :]
+    blocks = np.broadcast_to(list(provider_blocks.values()), lead + (len(users), N_B, d_s))
+    table = np.concatenate([images.reshape(lead + (-1, N_B, d_s)), blocks], axis=-3)
+    stacks = table[..., rows, :, :]  # (..., n, blocks, N_B, columns)
+    return stacks.swapaxes(-3, -2).reshape(lead + (len(rows), N_B, -1))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -153,7 +154,7 @@ def zf_decoder(
     ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: dict, d_s: int
 ) -> np.ndarray:
     """Zero-forcing decoders of the users (i, k) keyed in ``provider_blocks``, in
-    key order, as one (n, N_B, d_s) array from one SVD of their ``nulling_stacks``."""
+    key order, as one (..., n, N_B, d_s) array from one SVD of their ``nulling_stacks``."""
     return select_null_basis(nulling_stacks(ch, assignment, patterns, provider_blocks), d_s)
 
 

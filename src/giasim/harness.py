@@ -154,18 +154,25 @@ class TrialBuild:
 
     Each piece is computed by the same call on the same operands as a
     from-scratch evaluation would use, so sharing it changes no bit of any
-    result. Of what it keeps, only the receiver side of the preferences
-    depends on P; it is kept per configuration.
+    result. Of what it keeps, the receiver side of the preferences and the
+    assignments that read it depend on P; they are kept per configuration.
+    ``plan`` maps each (assignment rule, proposer, codebook seed) of the sweep
+    to the (bit allocation, budget) entries its cells feed back, in order.
     """
 
-    def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int):
+    def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int,
+                 plan: dict | None = None):
         rng = trial_rng(seed, trial_index, stream=attempt)
         self.trial_index = trial_index
         self.ch = draw_channels(cfg, rng)
         self._rng_after_draw = rng  # the rb baseline continues a copy of this stream
+        self._plan = plan or {}
+        # a matching or centralized rule reads every pair: form them all at the first request
+        self._all_pairs = any(rule not in ("fixed", "rb", "fdma") for rule, _, _ in self._plan)
         self._potentials = gia.Potentials(self.ch, cfg)
         self._provider_side = None
         self._two_sided = {}        # config -> profile with both sides
+        self._choices = {}          # (rule[, config, proposer]) -> (assignment, stability verdicts)
         self._tsets = {}            # assignment key -> TransceiverSet
         self._leakage = {}          # assignment key -> (L, K) lambda1, patterns' null bases
         self._frames = {}           # (assignment key, codebook seed) -> GeodesicFrame
@@ -173,8 +180,9 @@ class TrialBuild:
         self._baselines = {}        # baseline name -> its power-free part
 
     def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
-        """The pair pieces, formed at least for ``pairs`` (all if None)."""
-        if pairs is None:
+        """The pair pieces, formed at least for ``pairs`` (all if None, or if the
+        plan holds a rule that reads every pair)."""
+        if pairs is None or self._all_pairs:
             pairs = gia.cell_pairs(cfg.K)
         missing = [pr for pr in pairs if pr not in self._potentials]
         if missing:
@@ -214,6 +222,37 @@ class TrialBuild:
                 self._baselines[name] = gains[..., ::-1][..., : cfg.d_s]
         return self._baselines[name]
 
+    def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> tuple:
+        """(strict assignment, stability verdicts) of ``scheme``'s rule, chosen once
+        per key: the rule alone for ``fixed`` and ``one_sided``, whose provider
+        side does not depend on P, else the rule, the config and the proposer."""
+        rule = scheme.assignment
+        key = (rule,) if rule in ("fixed", "one_sided") else (rule, cfg, scheme.proposer)
+        if key not in self._choices:
+            stability = {}
+            if rule == "fixed":
+                chosen = asg.fixed_cyclic(cfg.K)
+            elif rule == "one_sided":
+                prefs = self.preferences(cfg, two_sided=False)
+                weak, _ = asg.fca_match(prefs)
+                if cfg.K <= 6:
+                    stability["one_sided"] = asg.is_stable(weak, prefs, "one_sided")
+                chosen = asg.breaking_step(weak, prefs)
+            elif rule == "two_sided":
+                prefs = self.preferences(cfg, two_sided=True)
+                matched, _ = asg.gale_shapley(prefs, scheme.proposer)
+                if matched.lone is None:
+                    stability["two_sided"] = asg.is_stable(matched, prefs, "two_sided")
+                chosen = asg.breaking_step(matched, prefs)
+            else:
+                objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
+                sense = "worst" if rule.startswith("worst") else "best"
+                chosen, _ = asg.centralized_search(
+                    self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg))
+            self._choices[key] = chosen, stability
+        chosen, stability = self._choices[key]
+        return chosen, dict(stability)
+
     def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
         key = _assignment_key(chosen)
         tset = self._tsets.get(key)
@@ -236,22 +275,26 @@ class TrialBuild:
 
     def quantized(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet,
                   bits: list) -> tuple[np.ndarray, np.ndarray]:
-        """Every pattern quantized at its count in ``bits`` (flat (cell, user)
-        order): the (L, K, N_U, d_s) quantized patterns and the (L, K) squared
-        chordal distances. Explicit codebook search up to the limit, one per
-        user, on codebooks fixed per (user, bit count) across trials, as
-        offline books would be; above it, every such user emulated in one call
-        on the frame of the assignment and codebook seed, formed on first use
-        from each user's stream [codebook_seed, 211, trial, user]."""
+        """Every pattern quantized at its count in each row of ``bits`` (one per
+        entry, users in flat (cell, user) order): the (entries, L, K, N_U, d_s)
+        quantized patterns and the (entries, L, K) squared chordal distances.
+        Explicit codebook search up to the limit, one per entry and user, on
+        codebooks fixed per (user, bit count) across trials, as offline books
+        would be; above it, every such entry and user emulated in one call on
+        the frame of the assignment and codebook seed, formed on first use from
+        each user's stream [codebook_seed, 211, trial, user]."""
         L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
-        q, dist = np.empty_like(patterns), np.empty(n)
-        for user, b in enumerate(bits):
-            if b <= EXPLICIT_BIT_LIMIT:
-                cb = _cached_codebook(N_U, d_s, b, user, scheme.codebook_seed)
-                _, q[user], dist[user] = fb.quantize(patterns[user], cb)
-        emulated = [user for user, b in enumerate(bits) if b > EXPLICIT_BIT_LIMIT]
+        q, dist = np.empty((len(bits),) + patterns.shape, complex), np.empty((len(bits), n))
+        emulated = []  # (entry, user)
+        for entry, counts in enumerate(bits):
+            for user, b in enumerate(counts):
+                if b <= EXPLICIT_BIT_LIMIT:
+                    cb = _cached_codebook(N_U, d_s, b, user, scheme.codebook_seed)
+                    _, q[entry, user], dist[entry, user] = fb.quantize(patterns[user], cb)
+                else:
+                    emulated.append((entry, user))
         if emulated:
             key = (_assignment_key(tset.assignment), scheme.codebook_seed)
             if key not in self._frames:
@@ -259,60 +302,40 @@ class TrialBuild:
                            for u in range(n)]
                 self._frames[key] = fb.GeodesicFrame(
                     patterns, flat(self.leakage(cfg, tset)[1]), streams)
-            q[emulated], dist[emulated] = fb.model_quantize(
-                self._frames[key], emulated, [bits[u] for u in emulated])
-        return q.reshape(K, L, N_U, d_s).swapaxes(0, 1), dist.reshape(K, L).T
+            entries, users = (list(axis) for axis in zip(*emulated))
+            q[entries, users], dist[entries, users] = fb.model_quantize(
+                self._frames[key], users, [bits[e][u] for e, u in emulated])
+        return q.reshape(-1, K, L, N_U, d_s).swapaxes(1, 2), dist.reshape(-1, K, L).swapaxes(1, 2)
 
     def feedback(
         self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet
     ) -> Feedback:
-        """The power-free part of the limited-feedback stage for ``scheme``."""
-        key = (
-            _assignment_key(tset.assignment),
-            scheme.bit_alloc,
-            scheme.bits_budget,
-            scheme.codebook_seed,
-        )
-        fed = self._feedback.get(key)
-        if fed is None:
-            lam, _ = self.leakage(cfg, tset)
-            if scheme.bit_alloc == "dba":
-                # flat (cell, user) order, as cfg.user_index numbers the users
-                alloc = fb.dba_allocate(lam.T.ravel(), scheme.bits_budget, cfg.d_s, cfg.N_U)
-            else:
-                alloc = fb.eba_allocate(scheme.bits_budget, cfg.user_count)
-            q_patterns, dist = self.quantized(cfg, scheme, tset, alloc.bits.tolist())
-            q_decoders = fb.quantized_decoder(
-                self.ch, tset.assignment, q_patterns, tset.patterns, cfg.d_s
-            )
-            images = gia.link_images(self.ch, q_decoders, q_patterns)
-            fed = self._feedback[key] = Feedback(alloc, dist, images)
-        return fed
+        """The power-free part of the limited-feedback stage for ``scheme``.
 
-
-def _choose_assignment(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec):
-    """Returns (strict assignment, stability verdicts)."""
-    stability = {}
-    if scheme.assignment == "fixed":
-        return asg.fixed_cyclic(cfg.K), stability
-    if scheme.assignment == "one_sided":
-        prefs = build.preferences(cfg, two_sided=False)
-        weak, _ = asg.fca_match(prefs)
-        if cfg.K <= 6:
-            stability["one_sided"] = asg.is_stable(weak, prefs, "one_sided")
-        return asg.breaking_step(weak, prefs), stability
-    if scheme.assignment == "two_sided":
-        prefs = build.preferences(cfg, two_sided=True)
-        matched, _ = asg.gale_shapley(prefs, scheme.proposer)
-        if matched.lone is None:
-            stability["two_sided"] = asg.is_stable(matched, prefs, "two_sided")
-        return asg.breaking_step(matched, prefs), stability
-    objective = "sum_rate" if scheme.assignment.endswith("_sum") else "min_cell_rate"
-    sense = "worst" if scheme.assignment.startswith("worst") else "best"
-    chosen, _ = asg.centralized_search(
-        build.ch, cfg, objective=objective, sense=sense, potentials=build.potentials(cfg)
-    )
-    return chosen, stability
+        A miss forms it together with every other (allocation, budget) entry
+        that the plan lists for the scheme's rule, proposer and codebook seed
+        and that this assignment lacks: the bit splits, then per chunk of
+        entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized`` pass,
+        one stacked ``quantized_decoder`` and one ``link_images`` stack."""
+        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
+        entry = (scheme.bit_alloc, scheme.bits_budget)
+        if (akey, *entry, seed) not in self._feedback:
+            group = self._plan.get((scheme.assignment, scheme.proposer, seed), ())
+            entries = [e for e in dict.fromkeys([entry, *group])
+                       if (akey, *e, seed) not in self._feedback]
+            # flat (cell, user) order, as cfg.user_index numbers the users
+            lam = self.leakage(cfg, tset)[0].T.ravel()
+            allocs = [fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
+                      else fb.eba_allocate(budget, cfg.user_count) for rule, budget in entries]
+            chunk = max(1, asg.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
+            for start in range(0, len(entries), chunk):
+                part = allocs[start:start + chunk]
+                q, dist = self.quantized(cfg, scheme, tset, [a.bits.tolist() for a in part])
+                U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns, cfg.d_s)
+                images = gia.link_images(self.ch, U, q)
+                for e, alloc, d, im in zip(entries[start:], part, dist, images):
+                    self._feedback[(akey, *e, seed)] = Feedback(alloc, d, im)
+        return self._feedback[(akey, *entry, seed)]
 
 
 def _evaluate_trial(
@@ -327,7 +350,7 @@ def _evaluate_trial(
     elif scheme.assignment == "fdma":
         result = baseline_fdma(build, cfg)
     else:
-        chosen, stability = _choose_assignment(build, cfg, scheme)
+        chosen, stability = build.assignment(cfg, scheme)
         tset = build.transceivers(cfg, chosen)
         if scheme.bit_alloc == "none":
             rates = gia.user_rate(build.ch, tset, cfg)
@@ -389,16 +412,18 @@ def _run_cell(
     scheme: SchemeSpec,
     trial_index: int,
     seed: int,
+    plan: dict | None = None,
 ) -> TrialResult:
     """One cell of trial ``trial_index``; a degenerate draw is resampled once.
 
-    ``builds`` holds the trial's builds by attempt. The resampled draw is
-    made the first time a cell needs it and is then shared like the first.
+    ``builds`` holds the trial's builds by attempt, made with the sweep's
+    ``plan``. The resampled draw is made the first time a cell needs it and
+    is then shared like the first.
     """
     last = None
     for attempt in range(2):
         if attempt == len(builds):
-            builds.append(TrialBuild(cfg, seed, trial_index, attempt))
+            builds.append(TrialBuild(cfg, seed, trial_index, attempt, plan))
         try:
             return _evaluate_trial(builds[attempt], cfg, scheme, trial_index, attempt)
         except DegenerateChannel as exc:
@@ -559,11 +584,16 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
         for value in spec.grid
         for scheme in spec.schemes
     ]
+    plan = {}  # what the cells will ask of each draw (see TrialBuild)
+    for _, _, s in cells:
+        entries = plan.setdefault((s.assignment, s.proposer, s.codebook_seed), {})
+        if s.bit_alloc != "none":
+            entries[s.bit_alloc, s.bits_budget] = None
     summaries = [[] for _ in cells]
     for t in range(spec.trials):
         builds = []  # this trial's builds by attempt; dropped after the trial
         for (_, point_cfg, point_scheme), cell in zip(cells, summaries):
-            cell.append(_summary(_run_cell(builds, point_cfg, point_scheme, t, spec.seed)))
+            cell.append(_summary(_run_cell(builds, point_cfg, point_scheme, t, spec.seed, plan)))
     rows = []
     for (value, _, point_scheme), cell in zip(cells, summaries):
         row = {"variable": spec.variable, "value": value, "scheme": point_scheme.label}

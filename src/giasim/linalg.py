@@ -1,10 +1,9 @@
 """Dense complex linear-algebra kernel.
 
-All functions operate on 2-D complex ``numpy`` arrays, and all but
-:func:`chordal_distance_sq` also on (..., m, n) stacks of them, one LAPACK
-call for the whole stack; a check that fails on any slice raises as it
-would for that slice alone. Subspaces are
-represented by their semi-unitary basis matrices (columns orthonormal).
+All functions operate on 2-D complex ``numpy`` arrays and also on
+(..., m, n) stacks of them, one LAPACK call for the whole stack; a check
+that fails on any slice raises as it would for that slice alone. Subspaces
+are represented by their semi-unitary basis matrices (columns orthonormal).
 Everything here is deterministic: the same input always produces the same
 basis, which keeps whole Monte-Carlo trials reproducible from a single seed.
 """
@@ -22,9 +21,9 @@ RANK_REL_TOL = 1e-10
 HERM_TOL = 1e-9
 
 
-def _as_cmatrix(M, stacked: bool = False) -> np.ndarray:
+def _as_cmatrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if (M.ndim < 2 if stacked else M.ndim != 2) or min(M.shape) < 1:
+    if M.ndim < 2 or min(M.shape) < 1:
         raise ContractViolation(f"expected a 2-D matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):  # finite in both real and imaginary parts
         raise ContractViolation("matrix has non-finite entries")
@@ -34,7 +33,7 @@ def _as_cmatrix(M, stacked: bool = False) -> np.ndarray:
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD with non-convergence translated to :class:`NumericalFailure`; a
     (..., m, n) stack is decomposed slice by slice in one call."""
-    M = _as_cmatrix(M, stacked=True)
+    M = _as_cmatrix(M)
     try:
         return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -44,7 +43,7 @@ def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def full_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD (square U) with the same input check and failure mapping as
     :func:`svd`; a (..., m, n) stack is decomposed slice by slice in one call."""
-    M = _as_cmatrix(M, stacked=True)
+    M = _as_cmatrix(M)
     try:
         return np.linalg.svd(M, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -81,7 +80,7 @@ def projectors(X) -> tuple[np.ndarray, np.ndarray]:
     P = X (X^H X)^-1 X^H; P_perp is constructed elementwise as I - P so the
     pair always sums to the identity exactly.
     """
-    X = _as_cmatrix(X, stacked=True)
+    X = _as_cmatrix(X)
     if np.any(matrix_rank(svd(X)[1]) < X.shape[-1]):
         raise RankDeficient(f"projector input of shape {X.shape[-2:]} is rank deficient")
     X_h = X.conj().swapaxes(-1, -2)
@@ -92,7 +91,7 @@ def projectors(X) -> tuple[np.ndarray, np.ndarray]:
 
 def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of each Hermitian matrix of a stack, eigenvalues descending."""
-    M = _as_cmatrix(M, stacked=True)
+    M = _as_cmatrix(M)
     if M.shape[-2] != M.shape[-1]:
         raise ContractViolation(f"herm_eig needs a square matrix, got {M.shape}")
     M_h = M.conj().swapaxes(-1, -2)
@@ -113,20 +112,9 @@ def psd_eigvals(G) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh((G + G.conj().swapaxes(-1, -2)) / 2.0), 0.0, None)
 
 
-def chordal_distance_sq(V1, V2) -> float:
-    """Squared chordal distance N - Tr(V1 V1^H V2 V2^H) between two subspaces."""
-    V1 = _as_cmatrix(V1)
-    V2 = _as_cmatrix(V2)
-    if V1.shape != V2.shape:
-        raise ContractViolation(f"subspace shape mismatch: {V1.shape} vs {V2.shape}")
-    N = V1.shape[1]
-    overlap = np.linalg.norm(V1.conj().T @ V2) ** 2
-    return float(min(max(N - overlap, 0.0), N))
-
-
 def orthonormalize(M) -> np.ndarray:
     """M (M^H M)^(-1/2) per slice: the closest semi-unitary matrix with the same span."""
-    M = _as_cmatrix(M, stacked=True)
+    M = _as_cmatrix(M)
     U, s, Vh = svd(M)
     if np.any(matrix_rank(s) < M.shape[-1]):
         raise RankDeficient(f"cannot orthonormalize rank-deficient {M.shape[-2:]} matrix")

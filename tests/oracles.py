@@ -23,7 +23,6 @@ from giasim.errors import (
 from giasim.feedback import Codebook, omega_matrix
 from giasim.gia import ALIGN_TOL, full_precoder, rate_logdet
 from giasim.linalg import (
-    chordal_distance_sq,
     complex_gaussian,
     full_svd,
     herm_inv_sqrt,
@@ -34,6 +33,16 @@ from giasim.linalg import (
     psd_eigvals,
 )
 from giasim.system import SystemConfig, require_feasible
+
+
+def chordal_distance_sq(V1, V2):
+    """Squared chordal distance N - Tr(V1 V1^H V2 V2^H) between two subspaces,
+    from the 2-D ``np.linalg.norm`` that ``feedback.model_quantize`` reproduces."""
+    if V1.shape != V2.shape:
+        raise ContractViolation(f"subspace shape mismatch: {V1.shape} vs {V2.shape}")
+    N = V1.shape[1]
+    overlap = np.linalg.norm(V1.conj().T @ V2) ** 2
+    return float(min(max(N - overlap, 0.0), N))
 
 
 def per_user(cfg, fn):
@@ -317,6 +326,15 @@ def search_codewords(V, codewords):
     dist = N - np.sum(np.abs(inner) ** 2, axis=(1, 2))
     idx = int(np.argmin(dist))
     return idx, codewords[idx], float(min(max(dist[idx], 0.0), N))
+
+
+def search_words_h(V, cb):
+    """``feedback.quantize`` without its screen: the ``einsum`` search over every
+    word of the book's search layout."""
+    inner = np.einsum("nkm,ml->nkl", cb.words_h, V)
+    dist = cb.N - np.sum(np.abs(inner) ** 2, axis=(1, 2))
+    idx = int(np.argmin(dist))
+    return idx, cb.words_h[idx].conj().T, float(min(max(dist[idx], 0.0), cb.N))
 
 
 def sample_min_distortion(M, N, B, rng):

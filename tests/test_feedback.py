@@ -21,10 +21,11 @@ from giasim.feedback import (
     rinr_upper_bound,
 )
 from giasim.gia import build_transceivers, link_images
-from giasim.linalg import chordal_distance_sq, complex_gaussian, left_null_space, orthonormalize
+from giasim.linalg import complex_gaussian, left_null_space, orthonormalize
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
     allocation_objective,
+    chordal_distance_sq,
     codebook_of,
     dba_active_count,
     frame_of,

@@ -20,10 +20,11 @@ from giasim.gia import (
     user_rate,
     verify_alignment,
 )
-from giasim.linalg import chordal_distance_sq, complex_gaussian, orthonormalize
+from giasim.linalg import complex_gaussian, orthonormalize
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
     aligned_interference_basis,
+    chordal_distance_sq,
     effective_link_gains,
     inner_precoder,
     is_semi_unitary,

@@ -32,6 +32,8 @@ SINGLE_USER = SystemConfig(K=4, L=1, N_B=8, N_U=4, d_s=2)
 # 300 bits all emulated. The edge budgets give every user zero bits (a
 # one-word codebook) or over 1074 bits, where 2^-B is 0, the emulated
 # distortion is 0 and the quantized pattern is a copy of the pattern. The
+# batched sweep steps the budget across 96 bits, where the reference
+# config's users leave the explicit search, under two codebook seeds. The
 # schemes_log2 sweep covers the remaining assignment schemes and the rate
 # scaling of log_base="2". The tight K=5 sweep puts the centralized search
 # and its worst-case mirror on a config whose decoder null space is exactly
@@ -70,6 +72,16 @@ SWEEPS = {
             (SchemeSpec(assignment="two_sided", bit_alloc="dba"),
              SchemeSpec(assignment="fixed", bit_alloc="eba")),
             seed=14,
+        ),
+        REFERENCE.at_snr_db(25.0),
+    ),
+    "bit_sweep_batched": (
+        SweepSpec(
+            "B", (60, 96, 97, 130, 250), 2,
+            (SchemeSpec(assignment="two_sided", bit_alloc="dba"),
+             SchemeSpec(assignment="fixed", bit_alloc="eba"),
+             SchemeSpec(assignment="two_sided", bit_alloc="eba", codebook_seed=2)),
+            seed=16,
         ),
         REFERENCE.at_snr_db(25.0),
     ),

@@ -3,7 +3,6 @@ import pytest
 
 from giasim.errors import ContractViolation, EmptySubspace, RankDeficient
 from giasim.linalg import (
-    chordal_distance_sq,
     complex_gaussian,
     herm_eig,
     left_null_space,
@@ -11,7 +10,7 @@ from giasim.linalg import (
     projectors,
     svd,
 )
-from oracles import is_semi_unitary
+from oracles import chordal_distance_sq, is_semi_unitary
 
 rng = np.random.default_rng(101)
 

@@ -130,9 +130,9 @@ def test_failed_piece_resamples_only_the_cells_that_read_it(monkeypatch):
     assert BAD not in fixed_cyclic(CFG.K).receivers().items()
     formed = _deficient_on_first_draw(monkeypatch)
     rows = run_sweep(spec, CFG)
-    # first draw: the fixed cell's K pairs, then the rest for the one-sided
-    # cell; the resampled draw serves the one-sided cell alone
-    assert formed == [(4, 0), (8, 1), (12, 0)]
+    # the sweep runs a matching, so the fixed cell's first request forms every
+    # pair of the first draw; the resampled draw serves the one-sided cell alone
+    assert formed == [(12, 1), (12, 0)]
     for row, ref in zip(rows, clean):
         if row["scheme"] == "fixed":
             assert row == ref

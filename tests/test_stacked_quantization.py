@@ -1,11 +1,14 @@
 """Stacked quantization against the per-user path.
 
 ``TrialBuild.quantized`` searches explicit users one by one on the search
-layout of the codebooks and emulates all of a cell's other users in one
+layout of the codebooks and emulates all of a pass's other users in one
 ``model_quantize`` call on the draw's geodesic frame. The oracles do each
 user alone, as the per-user loop did: the explicit search on the (2^B, M, N)
 codewords and the emulation from the user's own stream. Quantized patterns
-and distances must be equal with ``==``.
+and distances must be equal with ``==``. ``feedback.quantize`` screens its
+book with one GEMM before the exact search, and ``TrialBuild.feedback``
+forms every entry of a plan in one pass: both are checked with ``==``
+against their unscreened and one-entry forms.
 """
 
 from dataclasses import replace
@@ -17,8 +20,9 @@ import giasim.harness as hmod
 from giasim.assignment import fixed_cyclic
 from giasim.errors import ContractViolation
 from giasim.harness import SchemeSpec, SweepSpec, run_sweep
+from giasim.linalg import complex_gaussian, orthonormalize
 from giasim.system import SystemConfig
-from oracles import feasible_configs, leakage, quantize_patterns
+from oracles import codebook_of, feasible_configs, leakage, quantize_patterns, search_words_h
 
 SEED = 2718
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
@@ -44,7 +48,7 @@ def test_stacked_quantization_equals_per_user_oracle(t, cfg, monkeypatch):
     bits = [EDGE_BITS[u % len(EDGE_BITS)] for u in range(cfg.user_count)]
     for shift in (0, 1):  # the second split reuses the frame the first one built
         split = bits[shift:] + bits[:shift]
-        q, dist = build.quantized(cfg, scheme, tset, split)
+        (q,), (dist,) = build.quantized(cfg, scheme, tset, [split])
         q_ref, dist_ref = quantize_patterns(cfg, scheme, tset, t, split)
         assert np.array_equal(q, q_ref)
         assert np.array_equal(dist, dist_ref)
@@ -87,3 +91,83 @@ def test_frame_is_built_once_per_draw_and_only_for_emulated_users(monkeypatch):
     # both budgets and both splits of a trial share the fixed assignment's frame
     run_sweep(SweepSpec("B", (300, 400), trials, (eba, dba), seed=8), CFG)
     assert len(built) == trials
+
+
+def _same_search(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert float.hex(got[2]) == float.hex(want[2])
+
+
+@pytest.mark.parametrize(
+    "M, N", sorted({(c.N_U, c.d_s) for c in feasible_configs(SEED) if c.N_U > c.d_s}))
+def test_screened_search_equals_einsum_search(M, N):
+    rng = np.random.default_rng([SEED, M, N])
+    for B in range(hmod.EXPLICIT_BIT_LIMIT + 1):
+        cb = hmod.fb.generate_codebook(M, N, B, rng)
+        for _ in range(3):
+            V = orthonormalize(complex_gaussian(rng, (M, N)))
+            _same_search(hmod.fb.quantize(V, cb), search_words_h(V, cb))
+
+
+def test_screen_keeps_every_exact_minimizer():
+    rng = np.random.default_rng(SEED)
+    M, N = 8, 2
+    for trial in range(120):
+        words = hmod.fb.generate_codebook(M, N, 6, rng).codewords.copy()
+        V = orthonormalize(complex_gaussian(rng, (M, N)))
+        best = search_words_h(V, codebook_of(words))[0]
+        other = int(rng.integers(len(words) - 1))
+        other += other >= best
+        if trial % 2:  # an exact copy: the lower index wins
+            words[other] = words[best]
+        else:  # the same subspace in another basis: equal distances up to roundoff
+            words[other] = words[best] @ orthonormalize(complex_gaussian(rng, (N, N)))
+        cb = codebook_of(words)
+        got = hmod.fb.quantize(V, cb)
+        _same_search(got, search_words_h(V, cb))
+        if trial % 2:
+            assert got[0] == min(best, other)
+    # a pattern that is a codeword is found at distance 0 or within roundoff of it
+    for k in (0, 17, len(words) - 1):
+        got = hmod.fb.quantize(cb.codewords[k], cb)
+        _same_search(got, search_words_h(cb.codewords[k], cb))
+        assert got[2] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "t, cfg",
+    [(t, cfg) for t, cfg in enumerate(feasible_configs(SEED)) if cfg.N_U >= 2 * cfg.d_s],
+    ids=lambda v: str(v) if isinstance(v, int) else f"K{v.K}L{v.L}NB{v.N_B}NU{v.N_U}d{v.d_s}",
+)
+def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
+    monkeypatch.setattr(hmod.fb, "_calibrate_small_ball", lambda M, N: 0.01)
+    # five entries per chunk: the twelve below take two full chunks and a partial one
+    monkeypatch.setattr(hmod.asg, "SCREEN_CHUNK_BYTES", 5 * 16 * cfg.user_count * cfg.N_B ** 2)
+    calls = []
+    decoder = hmod.fb.quantized_decoder
+
+    def counted(ch, assignment, q, *args):
+        calls.append(q.shape[0])
+        return decoder(ch, assignment, q, *args)
+
+    monkeypatch.setattr(hmod.fb, "quantized_decoder", counted)
+    n = cfg.user_count
+    # all explicit, explicit and emulated users mixed, all emulated, and copies
+    budgets = (0, 4 * n, 12 * n, 12 * n + 1, 30 * n, 1075 * n)
+    schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b, codebook_seed=3)
+               for b in budgets for rule in ("dba", "eba")]
+    plan = {("fixed", "receivers", 3): dict.fromkeys((s.bit_alloc, s.bits_budget) for s in schemes)}
+    batched = hmod.TrialBuild(cfg, SEED, t, 0, plan)
+    lone = hmod.TrialBuild(cfg, SEED, t, 0)
+    tset = batched.transceivers(cfg, fixed_cyclic(cfg.K))
+    first = batched.feedback(cfg, schemes[7], tset)  # the entry asked for goes first
+    assert calls == [5, 5, 2]
+    for scheme in schemes:
+        got = batched.feedback(cfg, scheme, tset)
+        want = lone.feedback(cfg, scheme, lone.transceivers(cfg, fixed_cyclic(cfg.K)))
+        assert np.array_equal(got.alloc.bits, want.alloc.bits)
+        assert np.array_equal(got.dist, want.dist)
+        assert np.array_equal(got.images, want.images)
+    assert batched.feedback(cfg, schemes[7], tset) is first
+    assert calls == [5, 5, 2] + [1] * len(schemes)

@@ -211,3 +211,45 @@ def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
         "psd_eigvals": trials + 2 * trials * len(grid),
     }
     assert rows == grid_major_reference(spec, CFG)
+
+
+def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
+    calls = {}
+
+    def count(module, name, record=lambda *args: None):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(name, []).append(record(*args))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("fca_match", "gale_shapley", "is_stable"):
+        count(hmod.asg, name)
+    count(hmod.gia, "build_potentials", lambda ch, cfg, pairs: len(pairs))
+    trials = 2
+    # the matchings read only P-free pieces at a fixed config: one per draw
+    spec = SweepSpec(
+        variable="B",
+        grid=(40, 100, 300),
+        trials=trials,
+        schemes=(
+            SchemeSpec(assignment="fixed", bit_alloc="eba"),
+            SchemeSpec(assignment="two_sided", bit_alloc="dba"),
+            SchemeSpec(assignment="two_sided", bit_alloc="eba"),
+            SchemeSpec(assignment="one_sided", bit_alloc="eba"),
+        ),
+        seed=46,
+    )
+    rows = run_sweep(spec, CFG)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "fca_match": trials, "gale_shapley": trials, "is_stable": 2 * trials,
+        "build_potentials": trials}
+    # a matching in the sweep makes the fixed cell's request form every pair
+    assert calls["build_potentials"] == [CFG.K * (CFG.K - 1)] * trials
+    assert rows == grid_major_reference(spec, CFG)
+    # a fixed-only sweep keeps to its K pairs
+    calls.clear()
+    run_sweep(SweepSpec("snr_db", (10.0, 30.0), trials, (SchemeSpec(),), seed=46), CFG)
+    assert calls == {"build_potentials": [CFG.K] * trials}
