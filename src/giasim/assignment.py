@@ -19,7 +19,7 @@ import numpy as np
 from . import gia
 from .errors import CapacityExceeded, ContractViolation
 from .linalg import projectors, psd_eigvals
-from .system import ChannelRealization, SystemConfig
+from .system import ChannelRealization, SystemConfig, per_config
 
 ENUMERATION_CAP = 10 ** 6  # most derangements centralized_search enumerates
 COALITION_CAP = 8          # largest K whose one-sided coalitions is_stable searches
@@ -86,16 +86,22 @@ def rank_by_utility(scores: dict) -> list:
     return [c for c, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
-def _rank_cells(cfg: SystemConfig, grams: np.ndarray) -> tuple[dict, dict]:
+def _rank_cells(cfg, grams: np.ndarray):
     """Rankings and utilities of every cell from the (L, K(K-1), n, n) PSD stack
     of its users' terms, candidates in ``gia.cell_pairs`` order (k, candidate):
     each term is log2 det(I + G) from one eigenvalue call, and each utility
-    sums its L terms in user order."""
-    terms = (np.sum(np.log1p(psd_eigvals(grams)), axis=-1) / math.log(2.0)).T.tolist()
-    scores = {k: {} for k in range(cfg.K)}
-    for (k, cand), row in zip(gia.cell_pairs(cfg.K), terms):
-        scores[k][cand] = sum(row)
-    return {k: rank_by_utility(s) for k, s in scores.items()}, scores
+    sums its L terms in user order. For a tuple of configs the stack has a
+    leading config axis, and the pairs come one per config in a list."""
+    terms = np.sum(np.log1p(psd_eigvals(grams)), axis=-1) / math.log(2.0)
+    K = (cfg if isinstance(cfg, SystemConfig) else cfg[0]).K
+
+    def rank(cell_terms):
+        scores = {k: {} for k in range(K)}
+        for (k, cand), row in zip(gia.cell_pairs(K), cell_terms.T.tolist()):
+            scores[k][cand] = sum(row)
+        return {k: rank_by_utility(s) for k, s in scores.items()}, scores
+
+    return rank(terms) if isinstance(cfg, SystemConfig) else [rank(t) for t in terms]
 
 
 def _cell_direct_channels(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarray:
@@ -117,44 +123,44 @@ def provider_preferences(
     return _rank_cells(cfg, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)
 
 
-def receiver_preferences(
-    ch: ChannelRealization, cfg: SystemConfig, potentials: gia.Potentials
-) -> tuple[dict, dict]:
+def receiver_preferences(ch: ChannelRealization, cfg, potentials: gia.Potentials):
     """Rank every cell's candidate receivers of its alignment by own-cell rate
-    proxy, at the signal-to-noise ratio P / sigma2."""
-    patterns = potentials.take("patterns", gia.cell_pairs(cfg.K))
-    V = gia.full_precoder(patterns.swapaxes(0, 1), cfg.P / cfg.sigma2, cfg.d_s)
-    Hd = _cell_direct_channels(ch, cfg)
+    proxy, at the signal-to-noise ratio P / sigma2. A tuple of configs of one
+    system gives one (ranks, utilities) pair per config in a list, from one
+    stacked evaluation of the same products."""
+    dims = potentials.cfg
+    patterns = potentials.take("patterns", gia.cell_pairs(dims.K)).swapaxes(0, 1)
+    snr = per_config(cfg, lambda c: c.P / c.sigma2, patterns.ndim)
+    V = gia.full_precoder(patterns, snr, dims.d_s)
+    Hd = _cell_direct_channels(ch, dims)
     V_h = V.conj().swapaxes(-1, -2)
     return _rank_cells(cfg, V_h @ Hd.conj().swapaxes(-1, -2) @ Hd @ V)
 
 
 def build_preferences(
     ch: ChannelRealization,
-    cfg: SystemConfig,
+    cfg,
     potentials: gia.Potentials,
     two_sided: bool = False,
     provider_side: PreferenceProfile | None = None,
-) -> PreferenceProfile:
+):
     """Preference profile of every cell on one realization.
 
     The provider side does not depend on the transmit power; a profile built
     earlier on the same realization may be passed as ``provider_side`` so
-    that only the receiver side is computed.
+    that only the receiver side is computed. Two-sided, a tuple of configs of
+    one system gives one profile per config in a list, their receiver sides
+    from one stacked call.
     """
     if provider_side is None:
-        provider, p_util = provider_preferences(ch, cfg, potentials)
+        provider, p_util = provider_preferences(ch, potentials.cfg, potentials)
     else:
         provider, p_util = provider_side.provider, provider_side.provider_utility
-    receiver, r_util = None, None
-    if two_sided:
-        receiver, r_util = receiver_preferences(ch, cfg, potentials)
-    return PreferenceProfile(
-        provider=provider,
-        receiver=receiver,
-        provider_utility=p_util,
-        receiver_utility=r_util,
-    )
+    profile = lambda side: PreferenceProfile(provider, side[0], p_util, side[1])
+    if not two_sided:
+        return profile((None, None))
+    sides = receiver_preferences(ch, cfg, potentials)
+    return profile(sides) if isinstance(cfg, SystemConfig) else list(map(profile, sides))
 
 
 def fca_match(prefs: PreferenceProfile) -> tuple[Assignment, int]:

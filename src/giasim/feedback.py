@@ -27,9 +27,10 @@ import numpy as np
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
 from .gia import zf_decoder
 from .linalg import complex_gaussian, herm_eig, orthonormalize, projectors
-from .system import ChannelRealization, SystemConfig
+from .system import ChannelRealization, per_config
 
 CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
+BITS_BUDGET_CAP = 2 ** 53  # largest bit budget that float64, and so the bit split, holds exactly
 _CALIBRATION_SEED = 0x5EED
 
 
@@ -149,6 +150,15 @@ def quantized_decoder(
     return decoders.reshape(q_patterns.shape[:-4] + (L, K, N_B, d_s))
 
 
+def check_budget(budget) -> None:
+    """A feedback bit budget is a whole number (not a bool) in [0, BITS_BUDGET_CAP]."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise ContractViolation(f"bit budget {budget!r} is not a whole number")
+    if not 0 <= budget <= BITS_BUDGET_CAP:
+        raise ContractViolation(f"negative bit budget {budget}" if budget < 0 else
+                                f"bit budget {budget} exceeds the cap 2^53 = {BITS_BUDGET_CAP}")
+
+
 @dataclass(frozen=True)
 class BitAllocation:
     """Per-user feedback bit counts in flat (cell, user) order."""
@@ -164,8 +174,7 @@ def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAll
     to integers and repairs the budget greedily by marginal benefit.
     """
     lam = np.asarray(lambda1, dtype=float)
-    if budget < 0:
-        raise ContractViolation("negative bit budget")
+    check_budget(budget)
     if np.any(lam <= 0):
         raise ContractViolation("leakage eigenvalues must be positive")
     n = lam.size
@@ -203,56 +212,54 @@ def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAll
 
 def eba_allocate(budget: int, user_count: int) -> BitAllocation:
     """Equal split; the remainder goes one bit each to the first users in order."""
-    if budget < 0:
-        raise ContractViolation("negative bit budget")
+    check_budget(budget)
     base, extra = divmod(budget, user_count)
     bits = np.full(user_count, base, dtype=int)
     bits[:extra] += 1
     return BitAllocation(bits=bits)
 
 
-def rinr(assignment, images: np.ndarray, cfg: SystemConfig) -> dict:
-    """Measured residual interference-to-noise per cell.
+def rinr(assignment, images: np.ndarray, cfg) -> np.ndarray:
+    """Measured residual interference-to-noise of every cell, as a (..., K) array.
 
     Only the provider cell's users can leak through the quantized-pattern
     decoder; each user's term sums their residual powers over the noise.
-    ``images`` is the ``link_images`` stack of the quantized-pattern
-    decoders and the quantized patterns, as the rate evaluation reads it.
+    ``images`` is the (..., L, K, L, K, d_s, d_s) ``link_images`` stack of the
+    quantized-pattern decoders and the quantized patterns, as the rate
+    evaluation reads it; a tuple of configs puts a config axis in front. Each
+    power-free squared norm is ``np.linalg.norm``'s (BLAS dot, root, power),
+    and every config's scale is applied term by term in the per-user order.
     """
-    per_cell = {}
-    scale = cfg.P / (cfg.d_s * cfg.sigma2)
-    for k in range(cfg.K):
-        prov = assignment.provider(k)
-        total = 0.0
-        for i in range(cfg.L):
-            leak = 0.0
-            for X in images[i, k, :, prov]:
-                leak += scale * float(np.linalg.norm(X) ** 2)
-            total += leak
-        per_cell[k] = total
-    return per_cell
+    L, K = images.shape[-6:-4]
+    X = images.swapaxes(-4, -3)[..., range(K), [assignment.provider(k) for k in range(K)], :, :, :]
+    x = X.reshape(-1, 1, X.shape[-2] * X.shape[-1])  # [..., i, k, j]: user j of k's provider
+    dots = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+    sq = np.reshape([s ** 2 for s in np.sqrt(dots).ravel().tolist()], X.shape[:-2])
+    scale = per_config(cfg, lambda c: c.P / (c.d_s * c.sigma2), sq.ndim - 2)
+    total = 0.0
+    for i in range(L):
+        leak = 0.0
+        for j in range(L):
+            leak = leak + scale * sq[..., i, :, j]
+        total = total + leak
+    return total
 
 
-def rinr_upper_bound(
-    assignment,
-    cfg: SystemConfig,
-    dist_sq: np.ndarray,
-    lambda1: np.ndarray,
-) -> dict:
-    """Per-cell ceiling on the residual interference.
+def rinr_upper_bound(assignment, cfg, dist_sq: np.ndarray, lambda1: np.ndarray) -> np.ndarray:
+    """Ceiling on the residual interference of every cell, as a (..., K) array.
 
     Uses each user's actual squared quantization distance ``dist_sq``, an
-    (L, K) array, so it holds pathwise for any codebook, and each user's
-    leakage eigenvalue ``lambda1`` (L, K) at its receiver.
+    (..., L, K) array, so it holds pathwise for any codebook, and each user's
+    leakage eigenvalue ``lambda1`` (L, K) at its receiver; a tuple of configs
+    puts a config axis in front.
     """
-    out = {}
-    for k in range(cfg.K):
-        prov = assignment.provider(k)
-        acc = 0.0
-        for j in range(cfg.L):
-            acc += (cfg.P / (cfg.sigma2 * cfg.d_s)) * lambda1[j, prov] * dist_sq[j, prov]
-        out[k] = cfg.L * acc
-    return out
+    L, K = dist_sq.shape[-2:]
+    prov = [assignment.provider(k) for k in range(K)]
+    scale = per_config(cfg, lambda c: c.P / (c.sigma2 * c.d_s), dist_sq.ndim - 1)
+    acc = 0.0
+    for j in range(L):
+        acc = acc + scale * lambda1[j, prov] * dist_sq[..., j, prov]
+    return L * acc
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ after which zero-forcing decoders remove everything in closed form.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,14 +31,15 @@ from .linalg import (
     orthonormalize,
     psd_eigvals,
 )
-from .system import ChannelRealization, SystemConfig
+from .system import ChannelRealization, SystemConfig, per_config
 
 ALIGN_TOL = 1e-8
 
 
-def rate_logdet(M: np.ndarray, scale: float):
+def rate_logdet(M: np.ndarray, scale):
     """log det(I + scale * M M^H) in nats, evaluated through Hermitian eigenvalues:
-    a float for one matrix, an array of one value per slice for a (..., r, c) stack."""
+    a float for one matrix, an array of one value per slice for a (..., r, c) stack
+    (``scale`` may then be an array that broadcasts over the eigenvalues)."""
     terms = np.log1p(scale * psd_eigvals(M @ M.conj().swapaxes(-1, -2)))
     return float(np.sum(terms)) if M.ndim == 2 else np.sum(terms, axis=-1)
 
@@ -60,9 +60,10 @@ class TransceiverSet:
     whiteners: np.ndarray    # (L, K, d_s, d_s) (slice^H slice)^(-1/2) of each inner-precoder slice
 
 
-def full_precoder(pattern: np.ndarray, P: float, d_s: int) -> np.ndarray:
-    """Uniform power loading: sqrt(P/d_s) times the pattern."""
-    return math.sqrt(P / d_s) * pattern
+def full_precoder(pattern: np.ndarray, P, d_s: int) -> np.ndarray:
+    """Uniform power loading: sqrt(P/d_s) times the pattern; an array of powers P
+    that broadcasts over the pattern gives one loading per power."""
+    return np.sqrt(P / d_s) * pattern
 
 
 def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
@@ -375,19 +376,22 @@ def screen_candidates(cfg: SystemConfig, potentials: Potentials, providers) -> n
     return rates
 
 
-def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig) -> np.ndarray:
-    """Achievable rate of every user in nats, as an (L, K) array.
+def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg) -> np.ndarray:
+    """Achievable rate of every user in nats, as an (L, K) array; for a tuple of
+    configs of one system, (configs, L, K).
 
     Uses the effective-channel form: the decoder output channel U^H H[i, k, k]
     times the user's inner-precoder slice, composed with the uniform-power
     outer scaling of the power-free whitener, all users in one stack.
     Numerically equal to evaluating the plain log-det rate on decoder, direct
-    channel and full precoder.
+    channel and full precoder. The power-free H_eff is formed once; only the
+    outer scaling and what follows it are stacked over the configs.
     """
-    slices = tset.inner.reshape(cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1)
+    L, K, N_U, d_s = tset.patterns.shape
+    slices = tset.inner.reshape(K, L, N_U, d_s).swapaxes(0, 1)
     H_eff = tset.decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices
-    V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners
-    return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
+    V_out = full_precoder(tset.whiteners, per_config(cfg, lambda c: c.P, 4), d_s)
+    return rate_logdet(H_eff @ V_out, per_config(cfg, lambda c: 1.0 / c.sigma2, 3))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from . import feedback as fb
 from . import gia
 from .errors import ContractViolation, DegenerateChannel
 from .linalg import complex_gaussian, left_null_space, orthonormalize, psd_eigvals
-from .system import SystemConfig, draw_channels, require_feasible, trial_rng
+from .system import SystemConfig, draw_channels, per_config, require_feasible, trial_rng
 
 ASSIGNMENT_SCHEMES = (
     "fixed",
@@ -68,8 +68,7 @@ class SchemeSpec:
             raise ContractViolation(f"unknown assignment scheme {self.assignment!r}")
         if self.bit_alloc not in ("none", "dba", "eba"):
             raise ContractViolation(f"unknown bit allocation {self.bit_alloc!r}")
-        if self.bits_budget < 0:
-            raise ContractViolation(f"negative bit budget {self.bits_budget}")
+        fb.check_budget(self.bits_budget)
         if self.codebook_seed < 0:
             raise ContractViolation(f"negative codebook seed {self.codebook_seed}")
         if self.proposer not in ("receivers", "providers"):
@@ -105,8 +104,8 @@ class TrialResult:
     resamples: int = 0
 
 
-def throughput(images: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Rate of every user in nats, as an (L, K) array, treating residual
+def throughput(images: np.ndarray, cfg) -> np.ndarray:
+    """Rate of every user in nats, as an (..., L, K) array, treating residual
     interference as noise.
 
     Every transmitter's image through a user's decoder gives one
@@ -115,16 +114,19 @@ def throughput(images: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     Evaluated as logdet(I + C + A) - logdet(I + C); both arguments are
     Hermitian positive definite, which keeps the evaluation stable. With
     perfect feedback C vanishes on the desired links and this reduces to the
-    alignment rate. ``images`` is the ``link_images`` stack of the decoders
-    and the transmit patterns.
+    alignment rate. ``images`` is the (..., L, K, L, K, d_s, d_s)
+    ``link_images`` stack of the decoders and the transmit patterns. The
+    power-free Gram of every image is formed once and scaled by P/(d_s sigma2)
+    elementwise; a tuple of configs puts one scaling per config in front.
     """
-    L, K = cfg.L, cfg.K
-    cov = (cfg.P / (cfg.d_s * cfg.sigma2)) * (images @ images.conj().swapaxes(-1, -2))
+    L, K, d_s = images.shape[-6], images.shape[-5], images.shape[-1]
+    gram = images @ images.conj().swapaxes(-1, -2)
+    cov = per_config(cfg, lambda c: c.P / (c.d_s * c.sigma2), gram.ndim) * gram
     own = np.eye(L * K, dtype=bool).reshape(L, K, L, K, 1, 1)
     others = np.where(own, 0.0, cov)
-    C = sum(others[:, :, j, l] for l in range(K) for j in range(L))
-    A = np.einsum("ikikab->ikab", cov)
-    eye = np.eye(cfg.d_s)
+    C = sum(others[..., j, l, :, :] for l in range(K) for j in range(L))
+    A = np.einsum("...ikikab->...ikab", cov)
+    eye = np.eye(d_s)
     full = np.sum(np.log(psd_eigvals(eye + C + A)), axis=-1)
     return full - np.sum(np.log(psd_eigvals(eye + C)), axis=-1)
 
@@ -137,6 +139,16 @@ def _cached_codebook(M: int, N: int, B: int, user_key: int, seed: int) -> fb.Cod
 
 def _assignment_key(assignment: asg.Assignment) -> tuple:
     return tuple(sorted(assignment.provider_of.items()))
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What the cells of a sweep ask of each draw: the configs they run at, in grid
+    order, and per (assignment rule, proposer, codebook seed) the (bit allocation,
+    budget) entries they feed back, in order."""
+
+    configs: tuple = ()
+    entries: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -154,21 +166,21 @@ class TrialBuild:
 
     Each piece is computed by the same call on the same operands as a
     from-scratch evaluation would use, so sharing it changes no bit of any
-    result. Of what it keeps, the receiver side of the preferences and the
-    assignments that read it depend on P; they are kept per configuration.
-    ``plan`` maps each (assignment rule, proposer, codebook seed) of the sweep
-    to the (bit allocation, budget) entries its cells feed back, in order.
+    result. Of what it keeps, the receiver side of the preferences, the
+    assignments that read it and the rates depend on P; they are kept per
+    configuration, and each is evaluated at once for every config of the
+    ``plan`` (a ``Plan``) known to need it, one slice per config.
     """
 
     def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int,
-                 plan: dict | None = None):
+                 plan: Plan | None = None):
         rng = trial_rng(seed, trial_index, stream=attempt)
         self.trial_index = trial_index
         self.ch = draw_channels(cfg, rng)
         self._rng_after_draw = rng  # the rb baseline continues a copy of this stream
-        self._plan = plan or {}
+        self._plan = plan or Plan()
         # a matching or centralized rule reads every pair: form them all at the first request
-        self._all_pairs = any(rule not in ("fixed", "rb", "fdma") for rule, _, _ in self._plan)
+        self._all_pairs = any(rule not in ("fixed", "rb", "fdma") for rule, _, _ in self._plan.entries)
         self._potentials = gia.Potentials(self.ch, cfg)
         self._provider_side = None
         self._two_sided = {}        # config -> profile with both sides
@@ -178,6 +190,8 @@ class TrialBuild:
         self._frames = {}           # (assignment key, codebook seed) -> GeodesicFrame
         self._feedback = {}         # (assignment key, allocation, budget, seed) -> Feedback
         self._baselines = {}        # baseline name -> its power-free part
+        self._users = {}            # assignment key -> the configs known to run it
+        self._rates = {}            # (rate key, config) -> value
 
     def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
         """The pair pieces, formed at least for ``pairs`` (all if None, or if the
@@ -195,13 +209,13 @@ class TrialBuild:
             self._provider_side = asg.build_preferences(self.ch, cfg, self.potentials(cfg))
         if not two_sided:
             return self._provider_side
-        prefs = self._two_sided.get(cfg)
-        if prefs is None:
-            prefs = self._two_sided[cfg] = asg.build_preferences(
-                self.ch, cfg, self.potentials(cfg), two_sided=True,
-                provider_side=self._provider_side,
-            )
-        return prefs
+        if cfg not in self._two_sided:  # every planned config's receiver side in one call
+            configs = tuple(c for c in dict.fromkeys((cfg, *self._plan.configs))
+                            if c not in self._two_sided)
+            self._two_sided.update(zip(configs, asg.build_preferences(
+                self.ch, configs, self.potentials(cfg), two_sided=True,
+                provider_side=self._provider_side)))
+        return self._two_sided[cfg]
 
     def baseline(self, cfg: SystemConfig, name: str) -> np.ndarray:
         """The power-free part of baseline ``name``, formed once per draw. rb: the
@@ -225,33 +239,64 @@ class TrialBuild:
     def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> tuple:
         """(strict assignment, stability verdicts) of ``scheme``'s rule, chosen once
         per key: the rule alone for ``fixed`` and ``one_sided``, whose provider
-        side does not depend on P, else the rule, the config and the proposer."""
+        side does not depend on P, else the rule, the config and the proposer. A
+        two-sided miss matches at every planned config, whose receiver sides came
+        in one call, so that their rates can be evaluated together."""
         rule = scheme.assignment
-        key = (rule,) if rule in ("fixed", "one_sided") else (rule, cfg, scheme.proposer)
-        if key not in self._choices:
-            stability = {}
-            if rule == "fixed":
-                chosen = asg.fixed_cyclic(cfg.K)
-            elif rule == "one_sided":
-                prefs = self.preferences(cfg, two_sided=False)
-                weak, _ = asg.fca_match(prefs)
-                if cfg.K <= 6:
-                    stability["one_sided"] = asg.is_stable(weak, prefs, "one_sided")
-                chosen = asg.breaking_step(weak, prefs)
-            elif rule == "two_sided":
-                prefs = self.preferences(cfg, two_sided=True)
-                matched, _ = asg.gale_shapley(prefs, scheme.proposer)
-                if matched.lone is None:
-                    stability["two_sided"] = asg.is_stable(matched, prefs, "two_sided")
-                chosen = asg.breaking_step(matched, prefs)
-            else:
-                objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
-                sense = "worst" if rule.startswith("worst") else "best"
-                chosen, _ = asg.centralized_search(
-                    self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg))
-            self._choices[key] = chosen, stability
-        chosen, stability = self._choices[key]
+        shared = rule in ("fixed", "one_sided")
+        for c in dict.fromkeys([cfg, *(self._plan.configs if rule == "two_sided" else ())]):
+            key = (rule,) if shared else (rule, c, scheme.proposer)
+            if key not in self._choices:
+                self._choices[key] = chosen, _ = self._choose(c, scheme)
+                self._users.setdefault(_assignment_key(chosen), {}).update(
+                    dict.fromkeys(self._plan.configs if shared else (c,)))
+        chosen, stability = self._choices[(rule,) if shared else (rule, cfg, scheme.proposer)]
         return chosen, dict(stability)
+
+    def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> tuple:
+        rule, stability = scheme.assignment, {}
+        if rule == "fixed":
+            chosen = asg.fixed_cyclic(cfg.K)
+        elif rule == "one_sided":
+            prefs = self.preferences(cfg, two_sided=False)
+            weak, _ = asg.fca_match(prefs)
+            if cfg.K <= 6:
+                stability["one_sided"] = asg.is_stable(weak, prefs, "one_sided")
+            chosen = asg.breaking_step(weak, prefs)
+        elif rule == "two_sided":
+            prefs = self.preferences(cfg, two_sided=True)
+            matched, _ = asg.gale_shapley(prefs, scheme.proposer)
+            if matched.lone is None:
+                stability["two_sided"] = asg.is_stable(matched, prefs, "two_sided")
+            chosen = asg.breaking_step(matched, prefs)
+        else:
+            objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
+            sense = "worst" if rule.startswith("worst") else "best"
+            chosen, _ = asg.centralized_search(
+                self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg))
+        return chosen, stability
+
+    def rates(self, cfg: SystemConfig, key, evaluate, configs=None):
+        """The value of ``key`` at ``cfg``, memoized per (key, config). A miss calls
+        ``evaluate(configs)`` once for ``cfg`` and every config of ``configs``
+        (default: the planned ones) that lacks ``key``; it gives one {key: value}
+        dict per config, holding ``key`` and any keys evaluated alongside."""
+        value = self._rates.get((key, cfg))
+        if value is None:
+            todo = tuple(c for c in dict.fromkeys((cfg, *(self._plan.configs if configs is None
+                                                         else configs)))
+                         if (key, c) not in self._rates)
+            for c, values in zip(todo, evaluate(todo)):
+                self._rates.update(((k, c), v) for k, v in values.items())
+            value = self._rates[key, cfg]
+        return value
+
+    def user_rates(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
+        """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every config known
+        to run its assignment in one call."""
+        key = _assignment_key(tset.assignment)
+        return self.rates(cfg, key, lambda configs: [
+            {key: rates} for rates in gia.user_rate(self.ch, tset, configs)], self._users.get(key, ()))
 
     def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
         key = _assignment_key(chosen)
@@ -282,19 +327,22 @@ class TrialBuild:
         codebooks fixed per (user, bit count) across trials, as offline books
         would be; above it, every such entry and user emulated in one call on
         the frame of the assignment and codebook seed, formed on first use from
-        each user's stream [codebook_seed, 211, trial, user]."""
+        each user's stream [codebook_seed, 211, trial, user]. A (user, bit count)
+        that several entries share is searched once."""
         L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
         q, dist = np.empty((len(bits),) + patterns.shape, complex), np.empty((len(bits), n))
-        emulated = []  # (entry, user)
+        emulated, searched = [], {}  # (entry, user); (user, bits) -> (codeword, distance)
         for entry, counts in enumerate(bits):
             for user, b in enumerate(counts):
-                if b <= EXPLICIT_BIT_LIMIT:
-                    cb = _cached_codebook(N_U, d_s, b, user, scheme.codebook_seed)
-                    _, q[entry, user], dist[entry, user] = fb.quantize(patterns[user], cb)
-                else:
+                if b > EXPLICIT_BIT_LIMIT:
                     emulated.append((entry, user))
+                    continue
+                if (user, b) not in searched:
+                    cb = _cached_codebook(N_U, d_s, b, user, scheme.codebook_seed)
+                    searched[user, b] = fb.quantize(patterns[user], cb)[1:]
+                q[entry, user], dist[entry, user] = searched[user, b]
         if emulated:
             key = (_assignment_key(tset.assignment), scheme.codebook_seed)
             if key not in self._frames:
@@ -320,7 +368,7 @@ class TrialBuild:
         akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
         entry = (scheme.bit_alloc, scheme.bits_budget)
         if (akey, *entry, seed) not in self._feedback:
-            group = self._plan.get((scheme.assignment, scheme.proposer, seed), ())
+            group = self._plan.entries.get((scheme.assignment, scheme.proposer, seed), ())
             entries = [e for e in dict.fromkeys([entry, *group])
                        if (akey, *e, seed) not in self._feedback]
             # flat (cell, user) order, as cfg.user_index numbers the users
@@ -336,6 +384,27 @@ class TrialBuild:
                 for e, alloc, d, im in zip(entries[start:], part, dist, images):
                     self._feedback[(akey, *e, seed)] = Feedback(alloc, d, im)
         return self._feedback[(akey, *entry, seed)]
+
+    def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
+        """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry
+        at ``cfg``, once ``feedback`` formed the entry and so the rest of its group.
+        A miss evaluates every entry of the group at every config known to run the
+        assignment, in one call each of ``throughput``, ``rinr`` and
+        ``rinr_upper_bound`` over a leading (config, entry) axis."""
+        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
+        entry = (scheme.bit_alloc, scheme.bits_budget)
+
+        def evaluate(configs):
+            group = self._plan.entries.get((scheme.assignment, scheme.proposer, seed), ())
+            keys = [(akey, *e, seed) for e in dict.fromkeys([entry, *group])]
+            images = np.stack([self._feedback[key].images for key in keys])
+            dist = np.stack([self._feedback[key].dist for key in keys])
+            parts = (throughput(images, configs), fb.rinr(tset.assignment, images, configs),
+                     fb.rinr_upper_bound(tset.assignment, configs, dist,
+                                         self.leakage(cfg, tset)[0]))
+            return [dict(zip(keys, zip(*row))) for row in zip(*parts)]
+
+        return self.rates(cfg, (akey, *entry, seed), evaluate, self._users.get(akey, ()))
 
 
 def _evaluate_trial(
@@ -353,8 +422,7 @@ def _evaluate_trial(
         chosen, stability = build.assignment(cfg, scheme)
         tset = build.transceivers(cfg, chosen)
         if scheme.bit_alloc == "none":
-            rates = gia.user_rate(build.ch, tset, cfg)
-            result = _pack_result(scheme, trial_index, rates, cfg, chosen)
+            result = _pack_result(scheme, trial_index, build.user_rates(cfg, tset), cfg, chosen)
         else:
             result = _limited_feedback_stage(build, cfg, scheme, trial_index, tset)
         result.stability = stability
@@ -375,15 +443,12 @@ def _limited_feedback_stage(
             "limited feedback needs N_U > d_s: with square patterns there is "
             "nothing to quantize"
         )
-    chosen = tset.assignment
-    fed = build.feedback(cfg, scheme, tset)
-    rates = throughput(fed.images, cfg)
-    rinr_cell = fb.rinr(chosen, fed.images, cfg)
-    bound_cell = fb.rinr_upper_bound(chosen, cfg, fed.dist, build.leakage(cfg, tset)[0])
-    result = _pack_result(scheme, trial_index, rates, cfg, chosen)
-    result.rinr_per_cell = rinr_cell
-    result.bound_per_cell = bound_cell
-    result.bits = fed.alloc.bits
+    bits = build.feedback(cfg, scheme, tset).alloc.bits
+    rates, rinr_cell, bound_cell = build.feedback_rates(cfg, scheme, tset)
+    result = _pack_result(scheme, trial_index, rates, cfg, tset.assignment)
+    result.rinr_per_cell = dict(enumerate(rinr_cell.tolist()))
+    result.bound_per_cell = dict(enumerate(bound_cell.tolist()))
+    result.bits = bits
     return result
 
 
@@ -435,19 +500,24 @@ def _run_cell(
 
 def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> TrialResult:
     """Random subspace precoders with matched-filter receivers (no alignment),
-    on the images the build keeps (see ``TrialBuild.baseline``)."""
-    rates = throughput(build.baseline(cfg, "rb"), cfg)
+    on the images the build keeps (see ``TrialBuild.baseline``), every planned
+    config in one ``throughput`` call."""
+    images = build.baseline(cfg, "rb")
+    rates = build.rates(cfg, "rb", lambda configs: [{"rb": r} for r in throughput(images, configs)])
     return _pack_result(SchemeSpec(assignment="rb"), 0, rates, cfg)
 
 
 def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> TrialResult:
     """Orthogonal sharing: each user gets 1/(KL) of the band, eigen-beamforms
     its top d_s modes and spends its full power there (noise scales with the
-    band fraction, hence the KL power boost)."""
-    n_share = cfg.user_count
-    boost = n_share * cfg.P / (cfg.d_s * cfg.sigma2)
-    rates = np.sum(np.log1p(boost * build.baseline(cfg, "fdma")), axis=-1) / n_share
-    return _pack_result(SchemeSpec(assignment="fdma"), 0, rates, cfg)
+    band fraction, hence the KL power boost). Every planned config in one call."""
+    gains = build.baseline(cfg, "fdma")
+
+    def evaluate(configs):
+        boost = per_config(configs, lambda c: c.user_count * c.P / (c.d_s * c.sigma2), gains.ndim)
+        return [{"fdma": r} for r in np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count]
+
+    return _pack_result(SchemeSpec(assignment="fdma"), 0, build.rates(cfg, "fdma", evaluate), cfg)
 
 
 @dataclass(frozen=True)
@@ -483,49 +553,33 @@ def backhaul_overhead(scheme: str, cfg: SystemConfig, B: int = 0, N_C: int = 1) 
     raise ContractViolation(f"no overhead row for scheme {scheme!r}")
 
 
-def _mean_stderr(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
 def _summary(result: TrialResult) -> tuple:
     """The fields of a trial that aggregation reads; the interference and its
-    bound are summed over the cluster, or None without limited feedback."""
-    rinr = bound = None
+    bound are summed over the cluster, or NaN without limited feedback."""
+    rinr = bound = math.nan
     if result.rinr_per_cell is not None:
         rinr = sum(result.rinr_per_cell.values())
         bound = sum(result.bound_per_cell.values())
     return result.sum_rate, result.min_cell_rate, rinr, bound, result.resamples
 
 
-def _aggregate(summaries: list) -> dict:
-    """The CSV columns ``r_sum`` to ``resamples``, rates in nats: sample means
-    with standard errors; interference reported in dB of the mean
-    sum-cluster level."""
-    if not summaries:
+def _aggregate(records: np.ndarray) -> list:
+    """The CSV columns ``r_sum`` to ``resamples`` of every cell, rates in nats, from
+    the (5, cells, trials) ``_summary`` records of a sweep, each statistic in one
+    call over all cells: sample means with standard errors; interference
+    reported in dB of the mean sum-cluster level, None without feedback."""
+    trials = records.shape[-1]
+    if trials == 0:
         raise ContractViolation("cannot aggregate zero trials")
-    sum_rates, min_rates, rinrs, bounds, resamples = zip(*summaries)
-    r_sum, se_sum = _mean_stderr(sum_rates)
-    r_min, se_min = _mean_stderr(min_rates)
-    rinr_db = bound_db = None
-    if all(v is not None for v in rinrs):
-        mean_rinr = float(np.mean(rinrs))
-        rinr_db = 10.0 * math.log10(mean_rinr) if mean_rinr > 0 else -math.inf
-        mean_bound = float(np.mean(bounds))
-        bound_db = 10.0 * math.log10(mean_bound) if mean_bound > 0 else -math.inf
-    return {
-        "r_sum": r_sum,
-        "r_sum_stderr": se_sum,
-        "r_min": r_min,
-        "r_min_stderr": se_min,
-        "rinr_db": rinr_db,
-        "bound_db": bound_db,
-        "trials": len(summaries),
-        "resamples": sum(resamples),
-    }
+    records = np.ascontiguousarray(records)  # trials last: the per-cell pairwise sums
+    means = records[:4].mean(axis=-1).tolist()
+    stderrs = (records[:2].std(axis=-1, ddof=1) / math.sqrt(trials) if trials > 1
+               else np.zeros(records[:2].shape[:-1])).tolist()
+    db = lambda v: None if math.isnan(v) else 10.0 * math.log10(v) if v > 0 else -math.inf
+    return [{"r_sum": r_sum, "r_sum_stderr": se_sum, "r_min": r_min, "r_min_stderr": se_min,
+             "rinr_db": db(rinr), "bound_db": db(bound), "trials": trials, "resamples": int(n)}
+            for r_sum, r_min, rinr, bound, se_sum, se_min, n
+            in zip(*means, *stderrs, records[4].sum(axis=-1).tolist())]
 
 
 @dataclass(frozen=True)
@@ -569,35 +623,35 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
     rates converted from nats to ``spec.log_base``.
 
     Trials run one after another; each trial's channel draw and power-free
-    work is built once and shared by all of its cells (see ``TrialBuild``).
-    Rows come out grid-major, in the order of ``spec.grid`` then
-    ``spec.schemes``.
+    work is built once and shared by all of its cells (see ``TrialBuild``), and
+    every cell is aggregated in one stacked call once all trials ran. Rows
+    come out grid-major, in the order of ``spec.grid`` then ``spec.schemes``.
     """
     unit = log_scale(spec.log_base)
     require_feasible(cfg)
-    cells = [
-        (
-            value,
-            cfg.at_snr_db(value) if spec.variable == "snr_db" else cfg,
-            replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme,
-        )
+    cells = [  # one config object per grid point, shared by its schemes
+        (value, point_cfg,
+         replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme)
         for value in spec.grid
+        for point_cfg in [cfg.at_snr_db(value) if spec.variable == "snr_db" else cfg]
         for scheme in spec.schemes
     ]
-    plan = {}  # what the cells will ask of each draw (see TrialBuild)
+    plan = Plan(tuple(dict.fromkeys(c for _, c, _ in cells)))  # what cells ask of each draw
     for _, _, s in cells:
-        entries = plan.setdefault((s.assignment, s.proposer, s.codebook_seed), {})
+        entries = plan.entries.setdefault((s.assignment, s.proposer, s.codebook_seed), {})
         if s.bit_alloc != "none":
             entries[s.bit_alloc, s.bits_budget] = None
-    summaries = [[] for _ in cells]
+    summaries = []  # trial-major, then cell
     for t in range(spec.trials):
         builds = []  # this trial's builds by attempt; dropped after the trial
-        for (_, point_cfg, point_scheme), cell in zip(cells, summaries):
-            cell.append(_summary(_run_cell(builds, point_cfg, point_scheme, t, spec.seed, plan)))
+        for _, point_cfg, point_scheme in cells:
+            summaries.append(_summary(
+                _run_cell(builds, point_cfg, point_scheme, t, spec.seed, plan)))
+    records = np.reshape(summaries, (spec.trials, len(cells), 5)).T  # (field, cell, trial)
     rows = []
-    for (value, _, point_scheme), cell in zip(cells, summaries):
+    for (value, _, point_scheme), aggregate in zip(cells, _aggregate(records)):
         row = {"variable": spec.variable, "value": value, "scheme": point_scheme.label}
-        row.update(_aggregate(cell))
+        row.update(aggregate)
         for column in ("r_sum", "r_sum_stderr", "r_min", "r_min_stderr"):
             row[column] *= unit
         rows.append(row)

@@ -54,6 +54,15 @@ class SystemConfig:
         return k * self.L + i
 
 
+def per_config(cfg, value, ndim: int = 0):
+    """``value(cfg)`` of one config. Of a tuple of configs (one system at several
+    powers), the values on a leading axis followed by ``ndim`` unit axes, so that
+    they broadcast over an operand of ``ndim`` axes and give one slice per config."""
+    if isinstance(cfg, SystemConfig):
+        return value(cfg)
+    return np.reshape([value(c) for c in cfg], (-1,) + (1,) * ndim)
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Outcome of the two alignment feasibility inequalities plus derived limits."""

@@ -61,9 +61,38 @@ def run_trial(cfg, scheme, trial_index, seed=0):
     return harness._run_cell([], cfg, scheme, trial_index, seed)
 
 
+def _mean_stderr(values):
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
+    if arr.size < 2:
+        return mean, 0.0
+    return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
+
+
 def aggregate_metrics(results):
-    """The sweep's aggregate of a list of trial results."""
-    return harness._aggregate([harness._summary(r) for r in results])
+    """The CSV columns ``r_sum`` to ``resamples`` of one cell from its trial
+    results, rates in nats: the per-cell aggregation that ``harness._aggregate``
+    stacks over every cell of a sweep."""
+    if not results:
+        raise ContractViolation("cannot aggregate zero trials")
+    r_sum, se_sum = _mean_stderr([r.sum_rate for r in results])
+    r_min, se_min = _mean_stderr([r.min_cell_rate for r in results])
+    rinr_db = bound_db = None
+    if all(r.rinr_per_cell is not None for r in results):
+        mean_rinr = float(np.mean([sum(r.rinr_per_cell.values()) for r in results]))
+        rinr_db = 10.0 * math.log10(mean_rinr) if mean_rinr > 0 else -math.inf
+        mean_bound = float(np.mean([sum(r.bound_per_cell.values()) for r in results]))
+        bound_db = 10.0 * math.log10(mean_bound) if mean_bound > 0 else -math.inf
+    return {
+        "r_sum": r_sum,
+        "r_sum_stderr": se_sum,
+        "r_min": r_min,
+        "r_min_stderr": se_min,
+        "rinr_db": rinr_db,
+        "bound_db": bound_db,
+        "trials": len(results),
+        "resamples": sum(r.resamples for r in results),
+    }
 
 
 def stack_alignment_matrix(ch, provider, receiver):

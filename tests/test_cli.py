@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +208,32 @@ def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "alloc, bits",
+    [("dba", "9223372036854775807"), ("eba", "99999999999999999999999")],
+    ids=["dba_int64_max", "eba_beyond_int64"],
+)
+def test_huge_bit_budget_is_an_error_line(tmp_path, config_file, capsys, alloc, bits):
+    # dba's int64 bit sum once wrapped at 2^63 - 1, so its repair loop never
+    # ended, and eba's np.full overflowed with a traceback: the budget cap
+    # rejects both before any draw. The alarm turns a hang into a failure.
+    def hung(signum, frame):
+        raise TimeoutError(f"--bit-alloc {alloc} --bits {bits} did not end")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        code = main(["simulate", "--config", config_file, "--bit-alloc", alloc,
+                     "--bits", bits, "--out", str(tmp_path / "x.csv")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "2^53" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,4 @@
-"""Bit-level golden rows: ten small sweeps replayed with ``==`` on every float.
+"""Bit-level golden rows: twelve small sweeps replayed with ``==`` on every float.
 
 The golden CSVs (``test_golden.py``) print 12 significant digits, so a change
 in the last bits of a rate passes them unseen. ``golden_rows.json`` keeps the
@@ -40,7 +40,10 @@ SINGLE_USER = SystemConfig(K=4, L=1, N_B=8, N_U=4, d_s=2)
 # d_s wide; the tight K=6 sweep does the same over D(6) = 265 candidates,
 # which the centralized screen walks in chunks, the last one partial. The
 # last two sweeps run the SNR schemes at L = 3 with one stream, and at
-# L = 1, where the alignment system is empty.
+# L = 1, where the alignment system is empty. The stacked SNR sweep mixes
+# `two_sided`, whose assignment in trial 1 changes between -30 and 10 dB and
+# then holds, with two feedback entries of the same rule (so rates are
+# evaluated over powers and entries at once), `rb` and `fdma`.
 SNR_SCHEMES = tuple(SchemeSpec(assignment=a) for a in
                     ("fixed", "one_sided", "two_sided", "centralized_sum", "rb"))
 SWEEPS = {
@@ -131,6 +134,18 @@ SWEEPS = {
     "snr_sweep_l1": (
         SweepSpec("snr_db", (0.0, 20.0, 40.0), 2, SNR_SCHEMES, seed=13),
         SINGLE_USER,
+    ),
+    "snr_sweep_stacked": (
+        SweepSpec(
+            "snr_db", (-30.0, 10.0, 50.0), 3,
+            (SchemeSpec(assignment="two_sided"),
+             SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100),
+             SchemeSpec(assignment="two_sided", bit_alloc="eba", bits_budget=40),
+             SchemeSpec(assignment="rb"),
+             SchemeSpec(assignment="fdma")),
+            seed=41,
+        ),
+        REFERENCE,
     ),
 }
 

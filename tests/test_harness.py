@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import giasim.harness as hmod
 from giasim.assignment import fixed_cyclic
 from giasim.errors import AlignmentFailure, ContractViolation, DegenerateChannel, InfeasibleConfig
 from giasim.gia import build_transceivers, link_images, user_rate
@@ -166,8 +167,6 @@ class TestBackhaulOverhead:
 def test_rates_depend_on_powers_only_through_snr():
     # P and sigma2 scaled together leave every scheme's rates unchanged; the
     # receiver side of the two-sided preferences once read P alone
-    import giasim.harness as hmod
-
     base = CFG.at_snr_db(10.0)
     schemes = [SchemeSpec(assignment=name) for name in ASSIGNMENT_SCHEMES]
     schemes.append(SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100))
@@ -215,8 +214,6 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("failure", [DegenerateChannel, AlignmentFailure])
     def test_degenerate_draw_resampled_once(self, monkeypatch, failure):
-        import giasim.harness as hmod
-
         real = hmod._evaluate_trial
         calls = {"n": 0}
 
@@ -232,8 +229,6 @@ class TestRunTrial:
         assert calls["n"] == 2
 
     def test_two_degenerate_draws_abort_with_diagnostics(self, monkeypatch):
-        import giasim.harness as hmod
-
         def always_bad(*args, **kwargs):
             raise DegenerateChannel("synthetic rank collapse")
 
@@ -346,6 +341,33 @@ class TestAggregation:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             aggregate_metrics([])
+        with pytest.raises(ContractViolation):
+            hmod._aggregate(np.empty((5, 3, 0)))
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 16, 17, 129, 200])
+    def test_stacked_aggregate_equals_per_cell_oracle(self, trials):
+        # numpy sums 8 or more values pairwise: every cell of the stacked call
+        # must take the same sums as its own 1-D reduction
+        rng = np.random.default_rng(trials)
+
+        def synth(feedback):
+            r = TrialResult(scheme="x", trial_index=0, user_rates={}, cell_rates={},
+                            sum_rate=float(rng.lognormal(3.0, 2.0)),
+                            min_cell_rate=float(rng.lognormal(0.0, 2.0)),
+                            resamples=int(rng.integers(2)))
+            if feedback:
+                r.rinr_per_cell = dict(enumerate(rng.lognormal(0.0, 3.0, 4).tolist()))
+                r.bound_per_cell = dict(enumerate(rng.lognormal(2.0, 3.0, 4).tolist()))
+            return r
+
+        cells = [[synth(c % 3 != 0) for _ in range(trials)] for c in range(7)]
+        cells.append([synth(True) for _ in range(trials)])
+        for r in cells[-1]:  # no residual interference at all: -inf dB
+            r.rinr_per_cell = dict.fromkeys(range(4), 0.0)
+        records = np.array([[hmod._summary(r) for r in cell] for cell in cells])
+        stacked = hmod._aggregate(records.transpose(2, 0, 1))
+        assert stacked == [aggregate_metrics(cell) for cell in cells]
+        assert stacked[-1]["rinr_db"] == -math.inf and stacked[0]["rinr_db"] is None
 
 
 class TestSweep:
@@ -432,6 +454,28 @@ class TestSweep:
     def test_scheme_rejects_negative_bit_budget(self):
         with pytest.raises(ContractViolation, match="negative bit budget"):
             SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=-1)
+
+    @pytest.mark.parametrize("budget", [1.5, 100.0, True, "100", None])
+    def test_scheme_rejects_a_budget_that_is_not_a_whole_number(self, budget):
+        with pytest.raises(ContractViolation, match="not a whole number"):
+            SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=budget)
+
+    def test_bit_budget_cap(self):
+        # float64 holds every budget up to 2^53 exactly, so the water-filling
+        # split still sums to it there; one bit more is refused
+        cap = hmod.fb.BITS_BUDGET_CAP
+        assert SchemeSpec(bit_alloc="dba", bits_budget=np.int64(cap)).bits_budget == cap
+        with pytest.raises(ContractViolation, match="exceeds the cap"):
+            SchemeSpec(bit_alloc="dba", bits_budget=cap + 1)
+        lam = np.random.default_rng(3).uniform(0.1, 2.0, CFG.user_count)
+        for alloc in (hmod.fb.dba_allocate(lam, cap, CFG.d_s, CFG.N_U),
+                      hmod.fb.eba_allocate(cap, CFG.user_count)):
+            assert sum(alloc.bits.tolist()) == cap
+        for budget in (cap + 1, 2 ** 63 - 1, 10 ** 23):
+            with pytest.raises(ContractViolation, match="exceeds the cap"):
+                hmod.fb.dba_allocate(lam, budget, CFG.d_s, CFG.N_U)
+            with pytest.raises(ContractViolation, match="exceeds the cap"):
+                hmod.fb.eba_allocate(budget, CFG.user_count)
 
     def test_negative_seeds_rejected(self):
         with pytest.raises(ContractViolation, match="negative seed"):

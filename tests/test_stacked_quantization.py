@@ -157,7 +157,8 @@ def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
     budgets = (0, 4 * n, 12 * n, 12 * n + 1, 30 * n, 1075 * n)
     schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b, codebook_seed=3)
                for b in budgets for rule in ("dba", "eba")]
-    plan = {("fixed", "receivers", 3): dict.fromkeys((s.bit_alloc, s.bits_budget) for s in schemes)}
+    plan = hmod.Plan(entries={("fixed", "receivers", 3):
+                              dict.fromkeys((s.bit_alloc, s.bits_budget) for s in schemes)})
     batched = hmod.TrialBuild(cfg, SEED, t, 0, plan)
     lone = hmod.TrialBuild(cfg, SEED, t, 0)
     tset = batched.transceivers(cfg, fixed_cyclic(cfg.K))

@@ -131,6 +131,31 @@ def test_degenerate_cell_resamples_alone(monkeypatch):
             assert row["r_sum"] == expected.sum_rate
 
 
+def test_failed_assignment_resamples_only_its_grid_points(monkeypatch):
+    # trial 1 of seed 41 matches two-sided differently at -30 dB than at 10 and
+    # 50 dB: rates are stacked over 10 and 50 only, and a transceiver set that
+    # fails on the first draw resamples the -30 dB cell alone
+    spec = SweepSpec("snr_db", (-30.0, 10.0, 50.0), 2, (SchemeSpec(assignment="two_sided"),),
+                     seed=41)
+    clean = run_sweep(spec, CFG)
+    build = hmod.TrialBuild(CFG, spec.seed, 1, 0)
+    chosen = [hmod._assignment_key(build.assignment(CFG.at_snr_db(v), spec.schemes[0])[0])
+              for v in spec.grid]
+    assert chosen[0] != chosen[1] == chosen[2]
+    real = hmod.gia.build_transceivers
+    first_draw = draw_channels(CFG, trial_rng(spec.seed, 1)).H
+
+    def failing(ch, cfg, assignment, potentials=None):
+        if np.array_equal(ch.H, first_draw) and hmod._assignment_key(assignment) == chosen[0]:
+            raise DegenerateChannel("synthetic rank collapse")
+        return real(ch, cfg, assignment, potentials)
+
+    monkeypatch.setattr(hmod.gia, "build_transceivers", failing)
+    rows = run_sweep(spec, CFG)
+    assert rows[0]["resamples"] == 1 and rows[0] != clean[0]
+    assert rows[1:] == clean[1:]
+
+
 def test_snr_sweep_at_fixed_budget_bit_identical_to_grid_major_loop():
     # 100 bits over 8 users puts users on both sides of the explicit-search limit
     spec = SweepSpec(
@@ -179,7 +204,8 @@ def test_snr_sweep_quantizes_each_user_once_per_trial(monkeypatch):
 
 def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
     # the rb patterns, decoders and images and the fdma eigenvalues do not
-    # depend on P: each trial forms them once for all five grid points
+    # depend on P: each trial forms them once for all five grid points, and
+    # evaluates the rb rates of all five in one call
     calls = {}
 
     def count(module, name):
@@ -207,8 +233,9 @@ def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
         "complex_gaussian": trials * CFG.user_count,  # one pattern per user
         "orthonormalize": 2 * trials,  # every user's pattern, then every decoder, stacked
         "link_images": trials,
-        # the fdma eigenvalues once, and two stacked calls per throughput
-        "psd_eigvals": trials + 2 * trials * len(grid),
+        # the fdma eigenvalues once, and two stacked calls in the one
+        # throughput that serves every grid point
+        "psd_eigvals": trials + 2 * trials,
     }
     assert rows == grid_major_reference(spec, CFG)
 
