@@ -309,6 +309,7 @@ def centralized_search(
     objective: str = "sum_rate",
     sense: str = "best",
     potentials: gia.Potentials | None = None,
+    transceivers=None,
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
@@ -319,7 +320,10 @@ def centralized_search(
     best screened value are evaluated exactly, and all are if one of those was
     screened off by over a quarter of the margin. Ties resolve to the
     lexicographically smallest assignment: the enumeration is lexicographic and
-    the exact values are compared strictly.
+    the exact values are compared strictly. ``transceivers(assignment)`` gives a
+    candidate's transceiver set for the exact evaluation, by default a fresh
+    ``gia.build_transceivers`` on the potentials; a caller that keeps the sets it
+    builds passes its own, so that the winner is not built again.
     """
     if objective not in ("sum_rate", "min_cell_rate"):
         raise ContractViolation(f"unknown objective {objective!r}")
@@ -330,6 +334,7 @@ def centralized_search(
             f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
     potentials = gia.build_potentials(ch, cfg) if potentials is None else potentials
+    transceivers = transceivers or (lambda a: gia.build_transceivers(ch, cfg, a, potentials))
     reduce = sum if objective == "sum_rate" else min
     providers = _derangements(cfg.K)
     candidate = lambda c: Assignment(dict(enumerate(providers[c].tolist())))
@@ -337,7 +342,7 @@ def centralized_search(
 
     def confirm(c):  # exact user rates of the candidate's full transceiver set
         if c not in exact:
-            tset = gia.build_transceivers(ch, cfg, candidate(c), potentials)
+            tset = transceivers(candidate(c))
             exact[c] = reduce([sum(cell) for cell in gia.user_rate(ch, tset, cfg).T.tolist()])
 
     chunk = max(1, SCREEN_CHUNK_BYTES // (16 * cfg.K * cfg.N_B ** 2))  # N_B^2 bounds a cell matrix

@@ -79,17 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _whole(value) -> int:
-    """A config count as an int; a JSON boolean or a fractional number is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
-
-
 def _simulate(args) -> int:
     raw = load_run_config(args.config)
     try:
-        cfg = SystemConfig(**{key: _whole(raw[key]) for key in ("K", "L", "N_B", "N_U", "d_s")})
+        cfg = SystemConfig(**{key: raw[key] for key in ("K", "L", "N_B", "N_U", "d_s")})
         snr_spec = args.snr if args.snr is not None else raw.get("snr_db", 25.0)
         if isinstance(snr_spec, (int, float)) and not isinstance(snr_spec, bool):
             snr_grid = (float(snr_spec),)
@@ -99,8 +92,8 @@ def _simulate(args) -> int:
         else:
             snr_grid = parse_grid(str(snr_spec))
         bits_grid = parse_grid(args.bits, cast=int) if args.bits is not None else None
-        trials = args.trials if args.trials is not None else _whole(raw.get("trials", 100))
-        seed = args.seed if args.seed is not None else _whole(raw.get("seed", 0))
+        trials = args.trials if args.trials is not None else raw.get("trials", 100)
+        seed = args.seed if args.seed is not None else raw.get("seed", 0)
     except (TypeError, ValueError) as exc:
         raise ContractViolation(f"bad configuration or grid value: {exc}") from exc
     require_feasible(cfg)

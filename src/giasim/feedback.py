@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
 from .gia import zf_decoder
 from .linalg import complex_gaussian, herm_eig, orthonormalize, projectors
-from .system import ChannelRealization, per_config
+from .system import ChannelRealization, check_whole, per_config
 
 CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
 BITS_BUDGET_CAP = 2 ** 53  # largest bit budget that float64, and so the bit split, holds exactly
@@ -152,8 +152,7 @@ def quantized_decoder(
 
 def check_budget(budget) -> None:
     """A feedback bit budget is a whole number (not a bool) in [0, BITS_BUDGET_CAP]."""
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-        raise ContractViolation(f"bit budget {budget!r} is not a whole number")
+    check_whole(budget, "bit budget")
     if not 0 <= budget <= BITS_BUDGET_CAP:
         raise ContractViolation(f"negative bit budget {budget}" if budget < 0 else
                                 f"bit budget {budget} exceeds the cap 2^53 = {BITS_BUDGET_CAP}")

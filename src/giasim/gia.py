@@ -34,6 +34,7 @@ from .linalg import (
 from .system import ChannelRealization, SystemConfig, per_config
 
 ALIGN_TOL = 1e-8
+CERTIFIED_RATIO = 1e-6  # sigma_min(M) / |M|_F of a certified cell matrix, at least
 
 
 def rate_logdet(M: np.ndarray, scale):
@@ -159,33 +160,36 @@ def zf_decoder(
     return select_null_basis(nulling_stacks(ch, assignment, patterns, provider_blocks), d_s)
 
 
-def certified_inverse(M: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """M^-1 of each slice of a (..., m, n) stack and which slices are certified, silently:
-    finite, square (null spaces exactly d_s wide) and 1 / (|M|_F |M^-1|_F) > 10 *
-    RANK_REL_TOL. That bounds sigma_min / sigma_max of every column subset of M, so
-    the SVD path finds exactly d_s null directions of each nulling stack in M."""
-    certified = np.isfinite(M).all(axis=(-2, -1)) & (M.shape[-2] == M.shape[-1])
+def certified_factor(M: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Cholesky factor C of M^H M = C C^H of each slice of a (..., m, n) stack and which
+    slices are certified, silently: finite, square (null spaces exactly d_s wide) and with
+    M^H M - tau I positive definite to LAPACK, tau = (CERTIFIED_RATIO^2 + 8 (n + 2) 2^-53)
+    tr M^H M. Past the rounding of the product and of the factorization, that bounds
+    sigma_min / sigma_max of every column subset of M below by CERTIFIED_RATIO, so the SVD
+    path finds exactly d_s null directions of each nulling stack in M."""
+    n = M.shape[-1]
+    certified = np.isfinite(M).all(axis=(-2, -1)) & (M.shape[-2] == n)
     if not certified.any():
         return None, certified
     if not certified.all():  # LAPACK sees the identity in place of a refused slice
-        M = np.where(certified[..., None, None], M, np.eye(M.shape[-1]))
-    try:
-        M_inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:  # an exactly singular slice fails the whole stack:
-        certified &= np.linalg.slogdet(M)[0] != 0  # the same LU finds it silently
-        M_inv = np.linalg.inv(np.where(certified[..., None, None], M, np.eye(M.shape[-1])))
-    cond = np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(M_inv, axis=(-2, -1))
-    return M_inv, certified & (cond < 0.1 / RANK_REL_TOL)
+        M = np.where(certified[..., None, None], M, np.eye(n))
+    gram = M.conj().swapaxes(-1, -2) @ M
+    factor, refused = _each(np.linalg.cholesky, gram)
+    diagonal = np.einsum("...ii->...i", gram)  # a view: tau I comes off in place, no copy
+    diagonal -= (CERTIFIED_RATIO ** 2 + 8 * (n + 2) * 2.0 ** -53) * diagonal.real.sum(-1)[..., None]
+    for idx in (*refused, *_each(np.linalg.cholesky, gram)[1]):
+        certified[idx] = False
+    return factor, certified
 
 
 @functools.lru_cache(maxsize=None)
 def _cell_template(K: int, L: int) -> np.ndarray:
     """(cell, block) in the pair table of each block of cell k's matrix when k's provider
-    is p, at [:, k, p]: the images at k of k's users, then of those of every cell but k
-    and p, then p's aligned basis; ``nulling_stacks``' order plus the own block."""
+    is p, at [:, k, p]: the images at k of the users of every cell but k and p, then p's
+    aligned basis, then k's own users' images, which ``screen_candidates`` needs last."""
     def blocks(k, p):
-        return ([(l, m * K + k) for l in [k] + [l for l in range(K) if l not in (k, p)]
-                 for m in range(L)] + [(p, L * K)])
+        return ([(l, m * K + k) for l in range(K) if l not in (k, p) for m in range(L)]
+                + [(p, L * K)] + [(k, m * K + k) for m in range(L)])
     return np.moveaxis(np.array([[blocks(k, p if p != k else (k + 1) % K) for p in range(K)]
                                  for k in range(K)]), -1, 0)
 
@@ -197,16 +201,16 @@ def cell_pairs(K: int) -> list:
 
 def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, dict]:
     """fn of a stack of matrices in one call, and {slice index: exception} of the
-    slices that fail its check. Then fn runs on each slice alone, so a failed slice
-    keeps its own exception, and NaN in place of its result."""
+    slices that fail its check (or LAPACK's). Then fn runs on each slice alone, so a
+    failed slice keeps its own exception, and NaN in place of its result."""
     try:
         return fn(stack), {}
-    except GiaSimError:
+    except (GiaSimError, np.linalg.LinAlgError):
         out, errors = np.full(stack.shape, np.nan, complex), {}
         for idx in np.ndindex(stack.shape[:-2]):
             try:
                 out[idx] = fn(stack[idx])
-            except GiaSimError as exc:
+            except (GiaSimError, np.linalg.LinAlgError) as exc:
                 errors[idx] = exc
         return out, errors
 
@@ -362,15 +366,19 @@ def build_transceivers(
 def screen_candidates(cfg: SystemConfig, potentials: Potentials, providers) -> np.ndarray:
     """Every user's rate in nats, (n, L, K), at ``cfg``'s power (the potentials may come
     from another power), of the strict assignments with providers the rows of the (n, K)
-    array ``providers``, from one ``certified_inverse`` of their cell matrices; NaN,
+    array ``providers``, from one ``certified_factor`` C of their cell matrices; NaN,
     silently, if a cell is uncertified, as one reading a failed pair piece is. The rows
     Z of M_k^-1 at user (i, k)'s block null its stack and map its image H V W to I, so
-    Z^H spans its decoders' space and its rate is log det(I + P/(d_s sigma^2) (Z Z^H)^-1)."""
-    M_inv, certified = certified_inverse(potentials.cell_matrices(providers))
+    Z^H spans its decoders' space and its rate is log det(I + P/(d_s sigma^2) (Z Z^H)^-1).
+    The own blocks come last, and C's trailing block there has C_oo C_oo^H = (Z_o Z_o^H)^-1
+    for the own rows Z_o, so C_oo^-H holds each user's Z up to a unitary on the right."""
+    own = cfg.L * cfg.d_s
+    factor, certified = certified_factor(potentials.cell_matrices(providers))
     ok = certified.all(axis=-1)
     rates = np.full((len(providers), cfg.L, cfg.K), np.nan)
     if ok.any():
-        Z = M_inv[ok, :, :cfg.L * cfg.d_s].reshape(-1, cfg.K, cfg.L, cfg.d_s, M_inv.shape[-1])
+        Z = np.linalg.inv(factor[ok, :, -own:, -own:].conj().swapaxes(-1, -2))
+        Z = Z.reshape(-1, cfg.K, cfg.L, cfg.d_s, own)
         inv_gains = psd_eigvals(Z @ Z.conj().swapaxes(-1, -2))
         rates[ok] = np.log1p(cfg.P / (cfg.d_s * cfg.sigma2) / inv_gains).sum(-1).swapaxes(-1, -2)
     return rates

@@ -21,8 +21,9 @@ from . import assignment as asg
 from . import feedback as fb
 from . import gia
 from .errors import ContractViolation, DegenerateChannel
-from .linalg import complex_gaussian, left_null_space, orthonormalize, psd_eigvals
-from .system import SystemConfig, draw_channels, per_config, require_feasible, trial_rng
+from .linalg import left_null_space, orthonormalize, psd_eigvals
+from .system import (SystemConfig, check_real, check_whole, draw_channels, per_config,
+                     require_feasible, trial_rng)
 
 ASSIGNMENT_SCHEMES = (
     "fixed",
@@ -69,6 +70,7 @@ class SchemeSpec:
         if self.bit_alloc not in ("none", "dba", "eba"):
             raise ContractViolation(f"unknown bit allocation {self.bit_alloc!r}")
         fb.check_budget(self.bits_budget)
+        check_whole(self.codebook_seed, "codebook seed")
         if self.codebook_seed < 0:
             raise ContractViolation(f"negative codebook seed {self.codebook_seed}")
         if self.proposer not in ("receivers", "providers"):
@@ -224,9 +226,10 @@ class TrialBuild:
         the top d_s eigenvalues of every user's direct-channel Gram, (L, K, d_s)."""
         if name not in self._baselines:
             if name == "rb":
-                rng = copy.deepcopy(self._rng_after_draw)
-                draws = [complex_gaussian(rng, (cfg.N_U, cfg.d_s)) for _ in range(cfg.user_count)]
-                patterns = orthonormalize(np.array(draws).reshape(
+                # one draw in the order of a complex_gaussian call per user: real, then imaginary
+                x = copy.deepcopy(self._rng_after_draw).standard_normal(
+                    (cfg.user_count, 2, cfg.N_U, cfg.d_s))
+                patterns = orthonormalize(((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)).reshape(
                     cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1))
                 decoders = orthonormalize(gia.direct_channels(self.ch) @ patterns)
                 self._baselines[name] = gia.link_images(self.ch, decoders, patterns)
@@ -273,7 +276,8 @@ class TrialBuild:
             objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
             sense = "worst" if rule.startswith("worst") else "best"
             chosen, _ = asg.centralized_search(
-                self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg))
+                self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg),
+                transceivers=lambda a: self.transceivers(cfg, a))
         return chosen, stability
 
     def rates(self, cfg: SystemConfig, key, evaluate, configs=None):
@@ -596,6 +600,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("snr_db", "B"):
             raise ContractViolation(f"unknown sweep variable {self.variable!r}")
+        check_whole(self.trials, "trial count")
+        check_whole(self.seed, "seed")
+        if not isinstance(self.grid, tuple) or not isinstance(self.schemes, tuple):
+            raise ContractViolation("the grid and the schemes must be tuples")
+        if not all(isinstance(s, SchemeSpec) for s in self.schemes):
+            raise ContractViolation(f"schemes must be SchemeSpec records, got {self.schemes!r}")
         if self.seed < 0:
             raise ContractViolation(f"negative seed {self.seed}")
         if not self.grid or not self.schemes or self.trials < 1:
@@ -603,9 +613,13 @@ class SweepSpec:
         if self.variable == "B" and any(s.bit_alloc == "none" for s in self.schemes):
             raise ContractViolation("a bit-budget sweep needs schemes with dba or eba allocation")
         if self.variable == "B" and not all(
-            not isinstance(v, bool) and float(v).is_integer() for v in self.grid
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and float(v).is_integer()
+            for v in self.grid
         ):
             raise ContractViolation(f"bit budgets must be whole numbers, got {self.grid}")
+        for value in self.grid:
+            check_real(value, "grid value")
         log_scale(self.log_base)
 
 

@@ -12,6 +12,20 @@ from .errors import ContractViolation, InfeasibleConfig
 from .linalg import complex_gaussian
 
 
+def check_whole(value, what: str) -> None:
+    """A count, seed or budget is a whole number: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolation(f"{what} {value!r} is not a whole number")
+
+
+def check_real(value, what: str) -> None:
+    """A power or grid value is a finite real number: a Python or numpy integer or
+    float, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)):
+        raise ContractViolation(f"{what} {value!r} is not a finite real number")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Dimensions and powers of a K-cell interfering MIMO uplink cluster.
@@ -30,6 +44,10 @@ class SystemConfig:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        for name in ("K", "L", "N_B", "N_U", "d_s"):
+            check_whole(getattr(self, name), name)
+        check_real(self.P, "P")
+        check_real(self.sigma2, "sigma2")
         if self.K < 3:
             raise ContractViolation("need at least 3 cells")
         if self.L < 1 or self.d_s < 1 or self.N_B < 1 or self.N_U < 1:

@@ -3,8 +3,8 @@ null basis behind its decoders.
 
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
 across candidates and calls. It screens the candidates in chunks, each from
-the inverse of each of its cell matrices, gathered from a per-draw pair
-table, and evaluates exactly, through ``build_transceivers`` and
+a Cholesky factor of the Gram of each of its cell matrices, gathered from a
+per-draw pair table, and evaluates exactly, through ``build_transceivers`` and
 ``user_rate``, only the candidates the screen cannot certify and those near
 the best screened value. The reference below is the plain loop: for every
 derangement a fresh ``build_transceivers`` with no potentials, so each builds
@@ -33,7 +33,7 @@ from giasim.errors import ContractViolation, GiaSimError
 from giasim.gia import (
     build_potentials,
     build_transceivers,
-    certified_inverse,
+    certified_factor,
     nulling_stacks,
     rate_logdet,
     select_null_basis,
@@ -201,24 +201,65 @@ def test_rank_deficient_candidates_warn_as_in_the_plain_loop(monkeypatch):
     assert value == ref_value
 
 
-def _screened_rate(M_inv, d_s, scale):
-    """Each user's rate from the rows of M^-1 at its own block, the first d_s."""
-    Z = M_inv[..., :d_s, :]
+def test_candidates_in_the_certificate_band_take_the_exact_path(monkeypatch):
+    # cell 0's aligned basis from cell 1 gets the columns b0 and b0 + 2e-5 b1,
+    # so the three candidates with 1 -> 0 have sigma_min / sigma_max between
+    # 1e-9 and 1e-6 at cell 0 (6.9e-7 to 8.4e-7): the bound
+    # 1 / (|M|_F |M^-1|_F) > 1e-9 of the inverse-based certificate accepted
+    # them, the Cholesky certificate with CERTIFIED_RATIO = 1e-6 refuses them
+    # (at 1e-7 it would not). The search evaluates them exactly at their place
+    # in the enumeration, before any near-best candidate, and the SVD path
+    # rates them without a warning (pytest turns a RuntimeWarning into a failure)
+    take = gia.Potentials.take
+
+    def tilted(self, name, pairs):
+        pieces = take(self, name, pairs)
+        if name == "aligned" and (1, 0) in pairs:
+            b = pieces[pairs.index((1, 0))]
+            pieces[pairs.index((1, 0))] = np.stack([b[:, 0], b[:, 0] + 2e-5 * b[:, 1]], axis=-1)
+        return pieces
+
+    monkeypatch.setattr(gia.Potentials, "take", tilted)
+    ch = draw_channels(REFERENCE, trial_rng(41, 5))
+    potentials = build_potentials(ch, REFERENCE)
+    providers = np.array(list(enumerate_derangements(REFERENCE.K)))
+    band = providers[:, 0] == 1
+    M = potentials.cell_matrices(providers)[band, 0]
+    s = np.linalg.svd(M, compute_uv=False)
+    assert ((1e-9 < s[:, -1] / s[:, 0]) & (s[:, -1] / s[:, 0] < 1e-6)).all()
+    norms = np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(M), axis=(-2, -1))
+    assert (1 / norms > 1e-9).all()  # the inverse-based bound
+    assert not certified_factor(M)[1].any()
+    builds = _count_calls(monkeypatch, "build_transceivers")
+    chosen, value = centralized_search(ch, REFERENCE, potentials=potentials)
+    band_candidates = [dict(enumerate(p)) for p in providers[band].tolist()]
+    assert [a.provider_of for a in builds[:3]] == band_candidates
+    ref_chosen, ref_value = reference_pick(reference_candidates(ch, REFERENCE), "sum_rate", "best")
+    assert chosen.provider_of == ref_chosen.provider_of
+    assert value == ref_value
+
+
+def _screened_rate(factor, d_s, scale):
+    """Each user's rate from the trailing d_s x d_s block C_oo of the Cholesky factor
+    of M^H M, its own block last: C_oo^-H has the Gram of the own rows of M^-1."""
+    Z = np.linalg.inv(factor[..., -d_s:, -d_s:].conj().swapaxes(-1, -2))
     return np.sum(np.log1p(scale / np.linalg.eigvalsh(Z @ Z.conj().swapaxes(-1, -2))), axis=-1)
 
 
 def test_certified_null_basis_gives_the_svd_rate():
-    # the first d_s rows Z of [A | F]^-1 null F and map A to I, so Z^H spans
-    # F's left null space: the rate through the SVD's null basis is the same
+    # the last d_s rows Z of [F | A]^-1 null F and map A to I, so Z^H spans
+    # F's left null space, and the trailing block C_oo of the Cholesky factor
+    # of the Gram has C_oo C_oo^H = (Z Z^H)^-1: the rate through the SVD's
+    # null basis is the same
     rng = np.random.default_rng(8)
     F = complex_gaussian(rng, (3, 2, 14, 12))
     U_svd = select_null_basis(F, 2)
     assert U_svd.shape == (3, 2, 14, 2)
     A = complex_gaussian(rng, (3, 2, 14, 2))
-    M_inv, certified = certified_inverse(np.concatenate([A, F], axis=-1))
-    assert M_inv.shape == (3, 2, 14, 14) and certified.all()
+    factor, certified = certified_factor(np.concatenate([F, A], axis=-1))
+    assert factor.shape == (3, 2, 14, 14) and certified.all()
     assert np.allclose(U_svd.conj().swapaxes(-1, -2) @ U_svd, np.eye(2), rtol=0, atol=1e-13)
-    screened = _screened_rate(M_inv, 2, 300.0)
+    screened = _screened_rate(factor, 2, 300.0)
     for idx in np.ndindex(3, 2):
         exact = rate_logdet(U_svd[idx].conj().T @ A[idx], 300.0)
         assert abs(screened[idx] - exact) <= 1e-12 * exact
@@ -239,19 +280,23 @@ TIGHT_D1 = SystemConfig(K=4, L=2, N_B=7, N_U=4, d_s=1).at_snr_db(25.0)
 def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
     # the pair table holds the very products nulling_stacks forms, so a cell
     # matrix without user (i, k)'s own block must be that user's nulling stack
-    # bit for bit, in its block order, and the own block the user's image
+    # bit for bit, in its block order once the other own users, which the cell
+    # matrix puts last, come first, and the own block the user's image
     ch = draw_channels(cfg, trial_rng(seed, 0))
     potentials = build_potentials(ch, cfg)
     L, K, N_B, d_s = cfg.L, cfg.K, cfg.N_B, cfg.d_s
     cells = potentials.cell_matrices(np.array(list(enumerate_derangements(K))))
     assert cells.shape == (len(_derangements(cfg)), K, N_B, N_B)  # tight: square
+    first_own = N_B - L * d_s
     for assignment, M in zip(_derangements(cfg), cells):
         tset = build_transceivers(ch, cfg, assignment, potentials)
         blocks = {(i, k): tset.aligned[assignment.provider(k)] for i in range(L) for k in range(K)}
         F = nulling_stacks(ch, assignment, tset.patterns, blocks).reshape(L, K, N_B, N_B - d_s)
         for i, k in np.ndindex(L, K):
-            own = np.arange(i * d_s, (i + 1) * d_s)
-            assert np.array_equal(np.delete(M[k], own, axis=-1), F[i, k]), (assignment, i, k)
+            own = np.arange(first_own + i * d_s, first_own + (i + 1) * d_s)
+            others = [first_own + m * d_s + c for m in range(L) if m != i for c in range(d_s)]
+            stack = M[k][:, others + list(range(first_own))]
+            assert np.array_equal(stack, F[i, k]), (assignment, i, k)
             image = ch.H[i, k, k] @ tset.patterns[i, k]
             assert np.array_equal(M[k][:, own], image), (assignment, i, k)
 
@@ -284,9 +329,10 @@ def test_cell_relabeling_maps_assignments(cfg, seed):
 
 
 def test_screened_rates_equal_user_rates():
-    # user by user, not cell by cell: swapping two users' row blocks of M^-1
-    # leaves every cell's sum unchanged. TIGHT_K5's 44 derangements, then every
-    # tight fuzz shape (L in {1, 2, 3}, d_s in {1, 2}), each screened in one call
+    # user by user, not cell by cell: swapping two users' diagonal blocks of
+    # C_oo^-H C_oo^-1 leaves every cell's sum unchanged. TIGHT_K5's 44
+    # derangements, then every tight fuzz shape (L in {1, 2, 3}, d_s in
+    # {1, 2}), each screened in one call
     shapes = [(TIGHT_K5, trial_rng(49, 0))] + [
         (cfg, trial_rng(2718, 6 * n)) for n, cfg in enumerate(feasible_configs(2718)[::3])]
     for cfg, rng in shapes:
@@ -302,7 +348,7 @@ def test_screened_rates_equal_user_rates():
 
 
 @pytest.mark.parametrize("m, bad", [
-    (6, "low_rank"),    # numerically rank deficient: |M^-1| is huge
+    (6, "low_rank"),    # numerically rank deficient: M^H M - tau I is indefinite
     (6, "singular"),    # exactly singular, a zero column: LAPACK refuses the whole stack
     (6, "non_finite"),  # NaN and infinite entries
     (8, None),          # full column rank, but a decoder null space wider than d_s
@@ -316,12 +362,13 @@ def test_certificate_refuses(monkeypatch, m, bad):
         stack[2, :, 1] = 0.0
     elif bad == "non_finite":
         stack[2, 1, 1], stack[2, 3, 0] = np.nan, np.inf
-    inv, seen = np.linalg.inv, []
-    monkeypatch.setattr(np.linalg, "inv", lambda A: seen.append(np.isfinite(A).all()) or inv(A))
+    cholesky, seen = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda A: seen.append(np.isfinite(A).all()) or cholesky(A))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no LinAlgError and no numpy warning escapes
-        _, certified = certified_inverse(stack)
-        _, clean = certified_inverse(np.delete(stack, 2, axis=0))
+        _, certified = certified_factor(stack)
+        _, clean = certified_factor(np.delete(stack, 2, axis=0))
     assert certified.tolist() == [m == 6, m == 6, False, m == 6]
     assert clean.tolist() == [m == 6] * 3  # certified where tight
     assert all(seen)  # LAPACK never sees a non-finite slice
@@ -337,7 +384,7 @@ def test_certificate_sees_ill_conditioning_off_the_diagonal(coupling, certified)
     R = np.eye(n, dtype=complex)
     R[:n // 2, n // 2:] = coupling
     Q, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
-    assert certified_inverse((Q @ R)[None])[1].tolist() == [certified]
+    assert certified_factor((Q @ R)[None])[1].tolist() == [certified]
 
 
 def test_potentials_of_another_draw_are_refused():

@@ -424,6 +424,34 @@ class TestSweep:
         with pytest.raises(ContractViolation):
             SweepSpec(variable="B", grid=(), trials=1, schemes=())
 
+    @pytest.mark.parametrize("make", [
+        lambda: SystemConfig(K=4.0, L=2, N_B=14, N_U=8, d_s=2),
+        lambda: SystemConfig(K=4, L=True, N_B=14, N_U=8, d_s=2),
+        lambda: SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P="100"),
+        lambda: SweepSpec("snr_db", (25.0,), 2.5, (SchemeSpec(),)),
+        lambda: SweepSpec("snr_db", (25.0,), 2, (SchemeSpec(),), seed=1.5),
+        lambda: SweepSpec("snr_db", ("25",), 2, (SchemeSpec(),)),
+        lambda: SweepSpec("snr_db", (math.nan,), 2, (SchemeSpec(),)),
+        lambda: SweepSpec("snr_db", (25.0,), 2, ("fixed",)),
+        lambda: SweepSpec("snr_db", (25.0,), 2, SchemeSpec()),
+        lambda: SweepSpec("snr_db", 25.0, 2, (SchemeSpec(),)),
+        lambda: SchemeSpec(codebook_seed=1.5),
+    ], ids=["K_float", "L_bool", "P_string", "trials_fractional", "seed_fractional",
+            "grid_string", "grid_nan", "scheme_name", "scheme_not_in_a_tuple",
+            "grid_not_a_tuple", "codebook_seed_fractional"])
+    def test_records_check_types(self, make):
+        # each once ended in an untyped TypeError or AttributeError inside
+        # run_sweep, or was accepted outright
+        with pytest.raises(ContractViolation):
+            make()
+
+    def test_records_take_numpy_numbers(self):
+        cfg = SystemConfig(K=np.int64(4), L=2, N_B=14, N_U=8, d_s=2, P=np.float64(10.0))
+        spec = SweepSpec("snr_db", (np.float64(25.0), 30), np.int32(2), (SchemeSpec(),),
+                         np.uint8(3))
+        plain = SweepSpec("snr_db", (25.0, 30.0), 2, (SchemeSpec(),), 3)
+        assert run_sweep(spec, cfg) == run_sweep(plain, replace(cfg, K=4, P=10.0))
+
     def test_fractional_bit_budget_rejected(self):
         # the budget is cast to int, so 40.9 would run at 40 bits under a 40.9 label
         with pytest.raises(ContractViolation, match="whole numbers"):

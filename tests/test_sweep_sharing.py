@@ -204,7 +204,8 @@ def test_snr_sweep_quantizes_each_user_once_per_trial(monkeypatch):
 
 def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
     # the rb patterns, decoders and images and the fdma eigenvalues do not
-    # depend on P: each trial forms them once for all five grid points, and
+    # depend on P: each trial forms them once for all five grid points (the
+    # patterns of all users from one draw, orthonormalized in one call), and
     # evaluates the rb rates of all five in one call
     calls = {}
 
@@ -217,7 +218,7 @@ def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((hmod, "complex_gaussian"), (hmod, "orthonormalize"),
+    for module, name in ((hmod, "orthonormalize"),
                          (hmod.gia, "link_images"), (hmod, "psd_eigvals")):
         count(module, name)
     trials, grid = 3, (15.0, 20.0, 25.0, 30.0, 35.0)
@@ -230,7 +231,6 @@ def test_snr_sweep_forms_baseline_pieces_once_per_trial(monkeypatch):
     )
     rows = run_sweep(spec, CFG)
     assert calls == {
-        "complex_gaussian": trials * CFG.user_count,  # one pattern per user
         "orthonormalize": 2 * trials,  # every user's pattern, then every decoder, stacked
         "link_images": trials,
         # the fdma eigenvalues once, and two stacked calls in the one
@@ -280,3 +280,33 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
     calls.clear()
     run_sweep(SweepSpec("snr_db", (10.0, 30.0), trials, (SchemeSpec(),), seed=46), CFG)
     assert calls == {"build_potentials": [CFG.K] * trials}
+
+
+def test_centralized_cell_builds_each_confirmed_candidate_once(monkeypatch):
+    # the search builds the candidates it confirms through the trial's build,
+    # so the winner's transceiver set is built once, by the search, and its
+    # rates read that set: one build per confirmed candidate, where a confirm
+    # is one user_rate call, and the trial's own rate call is one more
+    calls = {"build_transceivers": [], "user_rate": []}
+
+    def count(name):
+        inner = getattr(hmod.gia, name)
+
+        def counted(ch, cfg, *args):
+            calls[name].append(ch)
+            return inner(ch, cfg, *args)
+
+        monkeypatch.setattr(hmod.gia, name, counted)
+
+    count("build_transceivers")
+    count("user_rate")
+    trials = 3
+    spec = SweepSpec("snr_db", (25.0,), trials, (SchemeSpec(assignment="centralized_sum"),),
+                     seed=47)
+    rows = run_sweep(spec, CFG)
+    draws = list(dict.fromkeys(map(id, calls["user_rate"])))  # calls keeps every draw alive
+    assert len(draws) == trials
+    for ch in draws:
+        confirms = sum(id(c) == ch for c in calls["user_rate"]) - 1
+        assert sum(id(c) == ch for c in calls["build_transceivers"]) == confirms >= 1
+    assert rows == grid_major_reference(spec, CFG)
