@@ -32,7 +32,6 @@ from .errors import (
     RankDeficient,
 )
 from .feedback import (
-    BitAllocation,
     Codebook,
     dba_allocate,
     eba_allocate,
@@ -57,7 +56,6 @@ from .gia import (
 from .harness import (
     SchemeSpec,
     SweepSpec,
-    TrialResult,
     backhaul_overhead,
     baseline_fdma,
     baseline_rb,

@@ -61,14 +61,13 @@ class PreferenceProfile:
     """Ranked candidate lists per cell; a cell never lists itself.
 
     provider[k] ranks who cell k wants as its interference provider;
-    receiver[k] ranks toward whom cell k wants to align. Utility maps are
-    kept for reporting and stability checks.
+    receiver[k] ranks toward whom cell k wants to align. The provider
+    utilities are kept so that a later profile can reuse the provider side.
     """
 
     provider: dict
     receiver: dict | None = None
     provider_utility: dict | None = None
-    receiver_utility: dict | None = None
 
     @property
     def K(self) -> int:
@@ -156,11 +155,11 @@ def build_preferences(
         provider, p_util = provider_preferences(ch, potentials.cfg, potentials)
     else:
         provider, p_util = provider_side.provider, provider_side.provider_utility
-    profile = lambda side: PreferenceProfile(provider, side[0], p_util, side[1])
+    profile = lambda receiver: PreferenceProfile(provider, receiver, p_util)
     if not two_sided:
-        return profile((None, None))
+        return profile(None)
     sides = receiver_preferences(ch, cfg, potentials)
-    return profile(sides) if isinstance(cfg, SystemConfig) else list(map(profile, sides))
+    return profile(sides[0]) if isinstance(cfg, SystemConfig) else [profile(r) for r, _ in sides]
 
 
 def fca_match(prefs: PreferenceProfile) -> tuple[Assignment, int]:

@@ -158,15 +158,9 @@ def check_budget(budget) -> None:
                                 f"bit budget {budget} exceeds the cap 2^53 = {BITS_BUDGET_CAP}")
 
 
-@dataclass(frozen=True)
-class BitAllocation:
-    """Per-user feedback bit counts in flat (cell, user) order."""
-
-    bits: np.ndarray
-
-
-def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAllocation:
-    """Water-filling feedback-bit split minimizing the residual-interference bound.
+def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> np.ndarray:
+    """Water-filling feedback-bit split minimizing the residual-interference bound:
+    the per-user bit counts, in the order of ``lambda1``.
 
     Sorts users by log2 of their leakage eigenvalue, finds the active set via
     the bracket condition, evaluates the closed-form real allocation, rounds
@@ -206,16 +200,17 @@ def dba_allocate(lambda1: np.ndarray, budget: int, d_s: int, N_U: int) -> BitAll
         marginal = lam * np.power(2.0, -(bits - 1) / m)
         marginal[bits == 0] = math.inf
         bits[int(np.argmin(marginal))] -= 1
-    return BitAllocation(bits=bits)
+    return bits
 
 
-def eba_allocate(budget: int, user_count: int) -> BitAllocation:
-    """Equal split; the remainder goes one bit each to the first users in order."""
+def eba_allocate(budget: int, user_count: int) -> np.ndarray:
+    """Equal split of the per-user bit counts; the remainder goes one bit each to
+    the first users in order."""
     check_budget(budget)
     base, extra = divmod(budget, user_count)
     bits = np.full(user_count, base, dtype=int)
     bits[:extra] += 1
-    return BitAllocation(bits=bits)
+    return bits
 
 
 def rinr(assignment, images: np.ndarray, cfg) -> np.ndarray:

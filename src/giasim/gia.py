@@ -57,7 +57,6 @@ class TransceiverSet:
     inner: np.ndarray        # (K, L*N_U, d_s) joint precoder of each cell
     patterns: np.ndarray     # (L, K, N_U, d_s) semi-unitary precoder patterns
     decoders: np.ndarray     # (L, K, N_B, d_s) semi-unitary zero-forcing decoders
-    aligned: dict            # provider cell -> aligned-interference basis at its receiver
     whiteners: np.ndarray    # (L, K, d_s, d_s) (slice^H slice)^(-1/2) of each inner-precoder slice
 
 
@@ -355,11 +354,11 @@ def build_transceivers(
         raise ContractViolation("potentials were built on another channel draw")
     pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
     inner, patterns, aligned = (potentials.take(n, pairs) for n in ("inner", "patterns", "aligned"))
-    patterns, aligned = patterns.swapaxes(0, 1), dict(enumerate(aligned))
+    patterns = patterns.swapaxes(0, 1)
     blocks = {(i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)}
     decoders = zf_decoder(ch, assignment, patterns, blocks, cfg.d_s)
     return TransceiverSet(assignment, inner, patterns,
-                          decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s), aligned,
+                          decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s),
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
 
 

@@ -23,7 +23,7 @@ from . import gia
 from .errors import ContractViolation, DegenerateChannel
 from .linalg import left_null_space, orthonormalize, psd_eigvals
 from .system import (SystemConfig, check_real, check_whole, draw_channels, per_config,
-                     require_feasible, trial_rng)
+                     require_draw_fits, require_feasible, trial_rng)
 
 ASSIGNMENT_SCHEMES = (
     "fixed",
@@ -88,24 +88,6 @@ class SchemeSpec:
         return f"{self.assignment}+{self.bit_alloc}"
 
 
-@dataclass
-class TrialResult:
-    """Everything measured on one channel realization."""
-
-    scheme: str
-    trial_index: int
-    user_rates: dict
-    cell_rates: dict
-    sum_rate: float
-    min_cell_rate: float
-    assignment: asg.Assignment | None = None
-    rinr_per_cell: dict | None = None
-    bound_per_cell: dict | None = None
-    bits: np.ndarray | None = None
-    stability: dict = field(default_factory=dict)
-    resamples: int = 0
-
-
 def throughput(images: np.ndarray, cfg) -> np.ndarray:
     """Rate of every user in nats, as an (..., L, K) array, treating residual
     interference as noise.
@@ -157,7 +139,6 @@ class Plan:
 class Feedback:
     """What limited feedback fixes for one assignment, before P enters."""
 
-    alloc: fb.BitAllocation
     dist: np.ndarray         # (L, K) squared chordal quantization distances
     images: np.ndarray       # (L, K, L, K, d_s, d_s) link_images of the quantized patterns
 
@@ -186,7 +167,7 @@ class TrialBuild:
         self._potentials = gia.Potentials(self.ch, cfg)
         self._provider_side = None
         self._two_sided = {}        # config -> profile with both sides
-        self._choices = {}          # (rule[, config, proposer]) -> (assignment, stability verdicts)
+        self._choices = {}          # (rule[, config, proposer]) -> assignment
         self._tsets = {}            # assignment key -> TransceiverSet
         self._leakage = {}          # assignment key -> (L, K) lambda1, patterns' null bases
         self._frames = {}           # (assignment key, codebook seed) -> GeodesicFrame
@@ -239,46 +220,43 @@ class TrialBuild:
                 self._baselines[name] = gains[..., ::-1][..., : cfg.d_s]
         return self._baselines[name]
 
-    def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> tuple:
-        """(strict assignment, stability verdicts) of ``scheme``'s rule, chosen once
-        per key: the rule alone for ``fixed`` and ``one_sided``, whose provider
-        side does not depend on P, else the rule, the config and the proposer. A
-        two-sided miss matches at every planned config, whose receiver sides came
-        in one call, so that their rates can be evaluated together."""
+    def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
+        """The strict assignment of ``scheme``'s rule, chosen once per key: the rule
+        alone for ``fixed`` and ``one_sided``, whose provider side does not depend
+        on P, else the rule, the config and the proposer. A two-sided miss matches
+        at every planned config, whose receiver sides came in one call, so that
+        their rates can be evaluated together."""
         rule = scheme.assignment
         shared = rule in ("fixed", "one_sided")
         for c in dict.fromkeys([cfg, *(self._plan.configs if rule == "two_sided" else ())]):
             key = (rule,) if shared else (rule, c, scheme.proposer)
             if key not in self._choices:
-                self._choices[key] = chosen, _ = self._choose(c, scheme)
+                self._choices[key] = chosen = self._choose(c, scheme)
                 self._users.setdefault(_assignment_key(chosen), {}).update(
                     dict.fromkeys(self._plan.configs if shared else (c,)))
-        chosen, stability = self._choices[(rule,) if shared else (rule, cfg, scheme.proposer)]
-        return chosen, dict(stability)
+        return self._choices[(rule,) if shared else (rule, cfg, scheme.proposer)]
 
-    def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> tuple:
-        rule, stability = scheme.assignment, {}
+    def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
+        rule = scheme.assignment
         if rule == "fixed":
-            chosen = asg.fixed_cyclic(cfg.K)
-        elif rule == "one_sided":
+            return asg.fixed_cyclic(cfg.K)
+        if rule == "one_sided":
             prefs = self.preferences(cfg, two_sided=False)
             weak, _ = asg.fca_match(prefs)
-            if cfg.K <= 6:
-                stability["one_sided"] = asg.is_stable(weak, prefs, "one_sided")
-            chosen = asg.breaking_step(weak, prefs)
-        elif rule == "two_sided":
+            if cfg.K <= 6:  # unread: the traced benchmark counts these verdicts
+                asg.is_stable(weak, prefs, "one_sided")
+            return asg.breaking_step(weak, prefs)
+        if rule == "two_sided":
             prefs = self.preferences(cfg, two_sided=True)
             matched, _ = asg.gale_shapley(prefs, scheme.proposer)
-            if matched.lone is None:
-                stability["two_sided"] = asg.is_stable(matched, prefs, "two_sided")
-            chosen = asg.breaking_step(matched, prefs)
-        else:
-            objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
-            sense = "worst" if rule.startswith("worst") else "best"
-            chosen, _ = asg.centralized_search(
-                self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg),
-                transceivers=lambda a: self.transceivers(cfg, a))
-        return chosen, stability
+            if matched.lone is None:  # unread: the traced benchmark counts these verdicts
+                asg.is_stable(matched, prefs, "two_sided")
+            return asg.breaking_step(matched, prefs)
+        objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
+        sense = "worst" if rule.startswith("worst") else "best"
+        return asg.centralized_search(
+            self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg),
+            transceivers=lambda a: self.transceivers(cfg, a))[0]
 
     def rates(self, cfg: SystemConfig, key, evaluate, configs=None):
         """The value of ``key`` at ``cfg``, memoized per (key, config). A miss calls
@@ -369,36 +347,41 @@ class TrialBuild:
         and that this assignment lacks: the bit splits, then per chunk of
         entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized`` pass,
         one stacked ``quantized_decoder`` and one ``link_images`` stack."""
+        if cfg.N_U <= cfg.d_s:
+            raise ContractViolation(
+                "limited feedback needs N_U > d_s: with square patterns there is "
+                "nothing to quantize"
+            )
         akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
         entry = (scheme.bit_alloc, scheme.bits_budget)
         if (akey, *entry, seed) not in self._feedback:
             group = self._plan.entries.get((scheme.assignment, scheme.proposer, seed), ())
             entries = [e for e in dict.fromkeys([entry, *group])
                        if (akey, *e, seed) not in self._feedback]
-            # flat (cell, user) order, as cfg.user_index numbers the users
-            lam = self.leakage(cfg, tset)[0].T.ravel()
-            allocs = [fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
-                      else fb.eba_allocate(budget, cfg.user_count) for rule, budget in entries]
+            lam = self.leakage(cfg, tset)[0].T.ravel()  # users in flat (cell, user) order
+            bits = [(fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
+                     else fb.eba_allocate(budget, cfg.user_count)).tolist()
+                    for rule, budget in entries]
             chunk = max(1, asg.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
             for start in range(0, len(entries), chunk):
-                part = allocs[start:start + chunk]
-                q, dist = self.quantized(cfg, scheme, tset, [a.bits.tolist() for a in part])
+                q, dist = self.quantized(cfg, scheme, tset, bits[start:start + chunk])
                 U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns, cfg.d_s)
                 images = gia.link_images(self.ch, U, q)
-                for e, alloc, d, im in zip(entries[start:], part, dist, images):
-                    self._feedback[(akey, *e, seed)] = Feedback(alloc, d, im)
+                for e, d, im in zip(entries[start:], dist, images):
+                    self._feedback[(akey, *e, seed)] = Feedback(d, im)
         return self._feedback[(akey, *entry, seed)]
 
     def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
         """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry
-        at ``cfg``, once ``feedback`` formed the entry and so the rest of its group.
-        A miss evaluates every entry of the group at every config known to run the
-        assignment, in one call each of ``throughput``, ``rinr`` and
+        at ``cfg``. A miss forms the entry, and so the rest of its group, through
+        ``feedback``, then evaluates every entry of the group at every config known to
+        run the assignment, in one call each of ``throughput``, ``rinr`` and
         ``rinr_upper_bound`` over a leading (config, entry) axis."""
         akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
         entry = (scheme.bit_alloc, scheme.bits_budget)
 
         def evaluate(configs):
+            self.feedback(cfg, scheme, tset)
             group = self._plan.entries.get((scheme.assignment, scheme.proposer, seed), ())
             keys = [(akey, *e, seed) for e in dict.fromkeys([entry, *group])]
             images = np.stack([self._feedback[key].images for key in keys])
@@ -411,68 +394,25 @@ class TrialBuild:
         return self.rates(cfg, (akey, *entry, seed), evaluate, self._users.get(akey, ()))
 
 
-def _evaluate_trial(
-    build: TrialBuild,
-    cfg: SystemConfig,
-    scheme: SchemeSpec,
-    trial_index: int,
-    resamples: int,
-) -> TrialResult:
+def _evaluate_trial(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec,
+                    resamples: int) -> tuple:
+    """(sum rate, minimum cell rate, summed RINR, summed RINR bound, resamples) of one
+    cell, rates in nats. The rates are Python sums over floats in (cell, user) order;
+    the interference and its bound are summed over the cluster, NaN without feedback."""
+    rinr = bound = math.nan
     if scheme.assignment == "rb":
-        result = baseline_rb(build, cfg)
+        rates = baseline_rb(build, cfg)
     elif scheme.assignment == "fdma":
-        result = baseline_fdma(build, cfg)
+        rates = baseline_fdma(build, cfg)
     else:
-        chosen, stability = build.assignment(cfg, scheme)
-        tset = build.transceivers(cfg, chosen)
+        tset = build.transceivers(cfg, build.assignment(cfg, scheme))
         if scheme.bit_alloc == "none":
-            result = _pack_result(scheme, trial_index, build.user_rates(cfg, tset), cfg, chosen)
+            rates = build.user_rates(cfg, tset)
         else:
-            result = _limited_feedback_stage(build, cfg, scheme, trial_index, tset)
-        result.stability = stability
-    result.resamples = resamples
-    result.trial_index = trial_index
-    return result
-
-
-def _limited_feedback_stage(
-    build: TrialBuild,
-    cfg: SystemConfig,
-    scheme: SchemeSpec,
-    trial_index: int,
-    tset: gia.TransceiverSet,
-) -> TrialResult:
-    if cfg.N_U <= cfg.d_s:
-        raise ContractViolation(
-            "limited feedback needs N_U > d_s: with square patterns there is "
-            "nothing to quantize"
-        )
-    bits = build.feedback(cfg, scheme, tset).alloc.bits
-    rates, rinr_cell, bound_cell = build.feedback_rates(cfg, scheme, tset)
-    result = _pack_result(scheme, trial_index, rates, cfg, tset.assignment)
-    result.rinr_per_cell = dict(enumerate(rinr_cell.tolist()))
-    result.bound_per_cell = dict(enumerate(bound_cell.tolist()))
-    result.bits = bits
-    return result
-
-
-def _pack_result(scheme, trial_index, rates, cfg, chosen=None) -> TrialResult:
-    """The trial record of the (L, K) user rates ``rates``; cell and sum rates
-    are Python sums over floats in (cell, user) order."""
-    rows = rates.tolist()
-    user_rates = {(i, k): rows[i][k] for k in range(cfg.K) for i in range(cfg.L)}
-    cell_rates = {
-        k: sum(user_rates[(i, k)] for i in range(cfg.L)) for k in range(cfg.K)
-    }
-    return TrialResult(
-        scheme=scheme.label,
-        trial_index=trial_index,
-        user_rates=user_rates,
-        cell_rates=cell_rates,
-        sum_rate=sum(user_rates.values()),
-        min_cell_rate=min(cell_rates.values()),
-        assignment=chosen,
-    )
+            rates, rinr_cell, bound_cell = build.feedback_rates(cfg, scheme, tset)
+            rinr, bound = sum(rinr_cell.tolist()), sum(bound_cell.tolist())
+    cells = rates.T.tolist()
+    return sum(r for cell in cells for r in cell), min(map(sum, cells)), rinr, bound, resamples
 
 
 def _run_cell(
@@ -481,9 +421,10 @@ def _run_cell(
     scheme: SchemeSpec,
     trial_index: int,
     seed: int,
-    plan: dict | None = None,
-) -> TrialResult:
-    """One cell of trial ``trial_index``; a degenerate draw is resampled once.
+    plan: Plan | None = None,
+) -> tuple:
+    """The ``_evaluate_trial`` summary of one cell of trial ``trial_index``; a
+    degenerate draw is resampled once.
 
     ``builds`` holds the trial's builds by attempt, made with the sweep's
     ``plan``. The resampled draw is made the first time a cell needs it and
@@ -494,7 +435,7 @@ def _run_cell(
         if attempt == len(builds):
             builds.append(TrialBuild(cfg, seed, trial_index, attempt, plan))
         try:
-            return _evaluate_trial(builds[attempt], cfg, scheme, trial_index, attempt)
+            return _evaluate_trial(builds[attempt], cfg, scheme, attempt)
         except DegenerateChannel as exc:
             last = exc
     raise DegenerateChannel(
@@ -502,26 +443,25 @@ def _run_cell(
     )
 
 
-def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> TrialResult:
-    """Random subspace precoders with matched-filter receivers (no alignment),
-    on the images the build keeps (see ``TrialBuild.baseline``), every planned
-    config in one ``throughput`` call."""
+def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
+    """(L, K) user rates of random subspace precoders with matched-filter receivers
+    (no alignment), on the images the build keeps (see ``TrialBuild.baseline``),
+    every planned config in one ``throughput`` call."""
     images = build.baseline(cfg, "rb")
-    rates = build.rates(cfg, "rb", lambda configs: [{"rb": r} for r in throughput(images, configs)])
-    return _pack_result(SchemeSpec(assignment="rb"), 0, rates, cfg)
+    return build.rates(cfg, "rb", lambda configs: [{"rb": r} for r in throughput(images, configs)])
 
 
-def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> TrialResult:
-    """Orthogonal sharing: each user gets 1/(KL) of the band, eigen-beamforms
-    its top d_s modes and spends its full power there (noise scales with the
-    band fraction, hence the KL power boost). Every planned config in one call."""
+def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
+    """(L, K) user rates of orthogonal sharing: each user gets 1/(KL) of the band,
+    eigen-beamforms its top d_s modes and spends its full power there (noise scales
+    with the band fraction, hence the KL power boost). Every planned config in one call."""
     gains = build.baseline(cfg, "fdma")
 
     def evaluate(configs):
         boost = per_config(configs, lambda c: c.user_count * c.P / (c.d_s * c.sigma2), gains.ndim)
         return [{"fdma": r} for r in np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count]
 
-    return _pack_result(SchemeSpec(assignment="fdma"), 0, build.rates(cfg, "fdma", evaluate), cfg)
+    return build.rates(cfg, "fdma", evaluate)
 
 
 @dataclass(frozen=True)
@@ -557,20 +497,10 @@ def backhaul_overhead(scheme: str, cfg: SystemConfig, B: int = 0, N_C: int = 1) 
     raise ContractViolation(f"no overhead row for scheme {scheme!r}")
 
 
-def _summary(result: TrialResult) -> tuple:
-    """The fields of a trial that aggregation reads; the interference and its
-    bound are summed over the cluster, or NaN without limited feedback."""
-    rinr = bound = math.nan
-    if result.rinr_per_cell is not None:
-        rinr = sum(result.rinr_per_cell.values())
-        bound = sum(result.bound_per_cell.values())
-    return result.sum_rate, result.min_cell_rate, rinr, bound, result.resamples
-
-
 def _aggregate(records: np.ndarray) -> list:
     """The CSV columns ``r_sum`` to ``resamples`` of every cell, rates in nats, from
-    the (5, cells, trials) ``_summary`` records of a sweep, each statistic in one
-    call over all cells: sample means with standard errors; interference
+    the (5, cells, trials) ``_evaluate_trial`` summaries of a sweep, each statistic in
+    one call over all cells: sample means with standard errors; interference
     reported in dB of the mean sum-cluster level, None without feedback."""
     trials = records.shape[-1]
     if trials == 0:
@@ -643,6 +573,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
     """
     unit = log_scale(spec.log_base)
     require_feasible(cfg)
+    require_draw_fits(cfg)
     cells = [  # one config object per grid point, shared by its schemes
         (value, point_cfg,
          replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme)
@@ -659,8 +590,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
     for t in range(spec.trials):
         builds = []  # this trial's builds by attempt; dropped after the trial
         for _, point_cfg, point_scheme in cells:
-            summaries.append(_summary(
-                _run_cell(builds, point_cfg, point_scheme, t, spec.seed, plan)))
+            summaries.append(_run_cell(builds, point_cfg, point_scheme, t, spec.seed, plan))
     records = np.reshape(summaries, (spec.trials, len(cells), 5)).T  # (field, cell, trial)
     rows = []
     for (value, _, point_scheme), aggregate in zip(cells, _aggregate(records)):

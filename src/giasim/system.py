@@ -8,8 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, InfeasibleConfig
+from .errors import CapacityExceeded, ContractViolation, InfeasibleConfig
 from .linalg import complex_gaussian
+
+DRAW_BYTE_GUARD = 2 ** 30  # largest working set of one channel draw, in bytes
 
 
 def check_whole(value, what: str) -> None:
@@ -56,20 +58,12 @@ class SystemConfig:
             raise ContractViolation("powers must be positive and finite")
 
     @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.P / self.sigma2)
-
-    @property
     def user_count(self) -> int:
         return self.K * self.L
 
     def at_snr_db(self, snr_db: float) -> "SystemConfig":
         """Same system with transmit power set so that P/sigma2 hits snr_db."""
         return replace(self, P=self.sigma2 * 10.0 ** (snr_db / 10.0))
-
-    def user_index(self, i: int, k: int) -> int:
-        """Flat index of user (i, k) in (cell, user) order."""
-        return k * self.L + i
 
 
 def per_config(cfg, value, ndim: int = 0):
@@ -83,15 +77,10 @@ def per_config(cfg, value, ndim: int = 0):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the two alignment feasibility inequalities plus derived limits."""
+    """Outcome of the two alignment feasibility inequalities."""
 
     user_antennas_ok: bool       # L*N_U >= (L-1)*N_B + d_s
     bs_antennas_ok: bool         # N_B >= ((K-1)L + 1) d_s
-    worst_case: bool             # both inequalities tight (minimum antennas)
-    max_streams: int             # largest supportable d_s for these antennas
-    min_user_antennas: int       # smallest N_U supporting d_s at minimal N_B
-    max_users_per_cell: int | None
-    max_cells: int
 
     @property
     def feasible(self) -> bool:
@@ -101,27 +90,8 @@ class FeasibilityReport:
 def validate_feasibility(cfg: SystemConfig) -> FeasibilityReport:
     """Check whether the grouped alignment supports d_s streams per user."""
     K, L, N_B, N_U, d_s = cfg.K, cfg.L, cfg.N_B, cfg.N_U, cfg.d_s
-    user_ok = L * N_U >= (L - 1) * N_B + d_s
-    bs_ok = N_B >= ((K - 1) * L + 1) * d_s
-    min_nb = ((K - 1) * L + 1) * d_s
-    min_nu = -(-((L - 1) * N_B + d_s) // L)  # ceil over integers
-    worst = N_B == min_nb and N_U == min_nu
-    max_streams = min(L * N_U - (L - 1) * N_B, N_B // ((K - 1) * L + 1))
-    min_user_antennas = ((L - 1) * (K - 1) + 1) * d_s
-    if N_B > N_U:
-        max_users = min((N_B - d_s) // (N_B - N_U), (N_B - d_s) // ((K - 1) * d_s))
-    else:
-        max_users = None  # first constraint vacuous when users match BS antennas
-    max_cells = (N_B - d_s) // (L * d_s) + 1
-    return FeasibilityReport(
-        user_antennas_ok=user_ok,
-        bs_antennas_ok=bs_ok,
-        worst_case=worst,
-        max_streams=max_streams,
-        min_user_antennas=min_user_antennas,
-        max_users_per_cell=max_users,
-        max_cells=max_cells,
-    )
+    return FeasibilityReport(user_antennas_ok=L * N_U >= (L - 1) * N_B + d_s,
+                             bs_antennas_ok=N_B >= ((K - 1) * L + 1) * d_s)
 
 
 def require_feasible(cfg: SystemConfig) -> FeasibilityReport:
@@ -134,17 +104,28 @@ def require_feasible(cfg: SystemConfig) -> FeasibilityReport:
     return report
 
 
+def require_draw_fits(cfg: SystemConfig) -> None:
+    """Refuse, before anything is allocated, a config whose per-draw working set
+    exceeds the byte guard: the complex channels H, every pair's pieces
+    (``gia.Potentials``) and the centralized screen's pair table."""
+    K, L, N_B, N_U, d_s = cfg.K, cfg.L, cfg.N_B, cfg.N_U, cfg.d_s
+    size = 16 * K * K * (L * N_B * N_U + 2 * L * N_U * d_s + L * d_s * d_s
+                         + (L * K + 2) * N_B * d_s)
+    if size > DRAW_BYTE_GUARD:
+        raise CapacityExceeded(
+            f"one channel draw needs {size} bytes, over the {DRAW_BYTE_GUARD}-byte guard")
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One quasi-static channel draw.
 
     H has shape (L, K, K, N_B, N_U); H[i, k, l] is the channel from user
-    (i, k) to base station l, already scaled by sqrt(eta). eta has shape
-    (L, K, K) with eta[i, k, k] = 1 on direct links.
+    (i, k) to base station l, scaled by the square root of its path loss
+    (1 on direct links).
     """
 
     H: np.ndarray
-    eta: np.ndarray
 
 
 def trial_rng(seed: int, trial_index: int, stream: int = 0) -> np.random.Generator:
@@ -160,7 +141,7 @@ def draw_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealiza
     for k in range(K):
         eta[:, k, k] = 1.0
     H = np.sqrt(eta)[..., None, None] * Hbar
-    return ChannelRealization(H=H, eta=eta)
+    return ChannelRealization(H=H)
 
 
 def load_run_config(path: str) -> dict:

@@ -4,8 +4,10 @@ The package keeps only what the simulator runs; what the tests compare
 against, or use to drive the package one piece at a time, lives here.
 """
 
+import copy
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from giasim.linalg import (
     projectors,
     psd_eigvals,
 )
-from giasim.system import SystemConfig, require_feasible
+from giasim.system import SystemConfig, draw_channels, require_feasible
 
 
 def chordal_distance_sq(V1, V2):
@@ -54,11 +56,112 @@ def per_user(cfg, fn):
     return np.array(out)
 
 
+def user_index(cfg, i, k):
+    """Flat index of user (i, k) in (cell, user) order."""
+    return k * cfg.L + i
+
+
+def snr_db(cfg):
+    return 10.0 * math.log10(cfg.P / cfg.sigma2)
+
+
+@dataclass
+class TrialRecord:
+    """What the tests read of one cell of one trial, rates in nats."""
+
+    user_rates: dict
+    sum_rate: float
+    min_cell_rate: float
+    rinr_per_cell: dict | None = None
+    bound_per_cell: dict | None = None
+    bits: np.ndarray | None = None
+    assignment: object = None
+    resamples: int = 0
+
+
+def record_of(rates, cfg, **fields):
+    """The record of the (L, K) user rates ``rates``; cell and sum rates are
+    Python sums over floats in (cell, user) order."""
+    rows = rates.tolist()
+    user_rates = {(i, k): rows[i][k] for k in range(cfg.K) for i in range(cfg.L)}
+    cell_rates = {k: sum(user_rates[(i, k)] for i in range(cfg.L)) for k in range(cfg.K)}
+    return TrialRecord(user_rates, sum(user_rates.values()), min(cell_rates.values()), **fields)
+
+
+def feedback_bits(build, cfg, scheme, tset):
+    """The per-user bit split ``harness.TrialBuild.feedback`` quantizes at, users
+    in flat (cell, user) order."""
+    if scheme.bit_alloc == "eba":
+        return fb.eba_allocate(scheme.bits_budget, cfg.user_count)
+    lam = build.leakage(cfg, tset)[0].T.ravel()
+    return fb.dba_allocate(lam, scheme.bits_budget, cfg.d_s, cfg.N_U)
+
+
 def run_trial(cfg, scheme, trial_index, seed=0):
     """One fully seeded trial on a fresh build, rates in nats; a degenerate
     draw is resampled once, as in a sweep."""
     require_feasible(cfg)
-    return harness._run_cell([], cfg, scheme, trial_index, seed)
+    return run_cell([], cfg, scheme, trial_index, seed)
+
+
+def run_cell(builds, cfg, scheme, trial_index, seed):
+    """``harness._run_cell`` on the trial's ``builds``, as a ``TrialRecord`` read
+    off the build the cell used."""
+    resamples = harness._run_cell(builds, cfg, scheme, trial_index, seed)[-1]
+    build = builds[resamples]
+    if scheme.assignment in ("rb", "fdma"):
+        baseline = harness.baseline_rb if scheme.assignment == "rb" else harness.baseline_fdma
+        return record_of(baseline(build, cfg), cfg, resamples=resamples)
+    chosen = build.assignment(cfg, scheme)
+    tset = build.transceivers(cfg, chosen)
+    if scheme.bit_alloc == "none":
+        return record_of(build.user_rates(cfg, tset), cfg, assignment=chosen, resamples=resamples)
+    rates, rinr, bound = build.feedback_rates(cfg, scheme, tset)
+    return record_of(rates, cfg, assignment=chosen, resamples=resamples,
+                     rinr_per_cell=dict(enumerate(rinr.tolist())),
+                     bound_per_cell=dict(enumerate(bound.tolist())),
+                     bits=feedback_bits(build, cfg, scheme, tset))
+
+
+def summary(record):
+    """The five numbers ``harness._evaluate_trial`` gives of a cell, from its record:
+    the interference and its bound summed over the cluster, NaN without feedback."""
+    rinr = bound = math.nan
+    if record.rinr_per_cell is not None:
+        rinr = sum(record.rinr_per_cell.values())
+        bound = sum(record.bound_per_cell.values())
+    return record.sum_rate, record.min_cell_rate, rinr, bound, record.resamples
+
+
+def feasibility_limits(cfg):
+    """The limits the two feasibility inequalities imply for ``cfg``: whether both
+    are tight (minimum antennas), the largest d_s, the smallest N_U at minimal N_B,
+    the most users per cell (None when N_B <= N_U) and the most cells."""
+    K, L, N_B, N_U, d_s = cfg.K, cfg.L, cfg.N_B, cfg.N_U, cfg.d_s
+    min_nu = -(-((L - 1) * N_B + d_s) // L)  # ceil over integers
+    max_users = None  # the first constraint is vacuous when users match BS antennas
+    if N_B > N_U:
+        max_users = min((N_B - d_s) // (N_B - N_U), (N_B - d_s) // ((K - 1) * d_s))
+    return {
+        "worst_case": N_B == ((K - 1) * L + 1) * d_s and N_U == min_nu,
+        "max_streams": min(L * N_U - (L - 1) * N_B, N_B // ((K - 1) * L + 1)),
+        "min_user_antennas": ((L - 1) * (K - 1) + 1) * d_s,
+        "max_users_per_cell": max_users,
+        "max_cells": (N_B - d_s) // (L * d_s) + 1,
+    }
+
+
+def draw_with_path_loss(cfg, rng):
+    """``system.draw_channels(cfg, rng)`` and its (L, K, K) path loss eta, replayed
+    from a copy of the stream: the unit-variance channels Hbar, then eta, uniform
+    on [0, 1) with 1 on direct links. Asserts H == sqrt(eta) Hbar exactly."""
+    replay = copy.deepcopy(rng)
+    ch = draw_channels(cfg, rng)
+    Hbar = complex_gaussian(replay, (cfg.L, cfg.K, cfg.K, cfg.N_B, cfg.N_U))
+    eta = replay.uniform(0.0, 1.0, size=(cfg.L, cfg.K, cfg.K))
+    eta[:, range(cfg.K), range(cfg.K)] = 1.0
+    assert np.array_equal(ch.H, np.sqrt(eta)[..., None, None] * Hbar)
+    return ch, eta
 
 
 def _mean_stderr(values):
@@ -445,7 +548,7 @@ def quantize_patterns(cfg, scheme, tset, trial_index, bits):
     dist = np.empty(tset.patterns.shape[:2])
     for k in range(cfg.K):
         for i in range(cfg.L):
-            user = cfg.user_index(i, k)
+            user = user_index(cfg, i, k)
             V = tset.patterns[i, k]
             if bits[user] <= harness.EXPLICIT_BIT_LIMIT:
                 cb = harness._cached_codebook(

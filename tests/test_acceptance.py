@@ -206,21 +206,21 @@ def test_06_bit_allocation_optimality():
         lam = rng.uniform(0.05, 20.0, size=users)
         alloc = dba_allocate(lam, budget, d_s, N_U)
         opt = dp_optimum(lam, budget, m)
-        objective = allocation_objective(lam, alloc.bits, d_s, N_U)
+        objective = allocation_objective(lam, alloc, d_s, N_U)
         neighborhood = [objective]
         for u in range(users):
-            if alloc.bits[u] == 0:
+            if alloc[u] == 0:
                 continue
             for v in range(users):
                 if v == u:
                     continue
-                moved = alloc.bits.copy()
+                moved = alloc.copy()
                 moved[u] -= 1
                 moved[v] += 1
                 neighborhood.append(allocation_objective(lam, moved, d_s, N_U))
         if min(neighborhood) <= opt * (1 + 1e-9):
             within_one_move += 1
-        if objective <= allocation_objective(lam, eba_allocate(budget, users).bits, d_s, N_U) * (1 + 1e-12):
+        if objective <= allocation_objective(lam, eba_allocate(budget, users), d_s, N_U) * (1 + 1e-12):
             beats_eba += 1
     ok = within_one_move == 50 and beats_eba == 50
     report(

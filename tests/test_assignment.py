@@ -250,7 +250,7 @@ def _handmade_channels(H_entries, cfg):
          + 1j * g.standard_normal((cfg.L, cfg.K, cfg.K, cfg.N_B, cfg.N_U))) / np.sqrt(2)
     for (i, k, l), value in H_entries.items():
         H[i, k, l] = value
-    return ChannelRealization(H=H, eta=np.ones((cfg.L, cfg.K, cfg.K)))
+    return ChannelRealization(H=H)
 
 
 class TestPreferenceOrdering:
@@ -282,12 +282,13 @@ class TestPreferenceOrdering:
 class TestChannelPreferences:
     def test_list_cardinality_and_nonneg(self, realization, potentials):
         prefs = build_preferences(realization, CFG, potentials, two_sided=True)
+        _, receiver_utility = receiver_preferences(realization, CFG, potentials)
         for k in range(CFG.K):
             assert len(prefs.provider[k]) == CFG.K - 1
             assert len(prefs.receiver[k]) == CFG.K - 1
             assert k not in prefs.provider[k]
             assert all(u >= 0.0 for u in prefs.provider_utility[k].values())
-            assert all(u >= 0.0 for u in prefs.receiver_utility[k].values())
+            assert all(u >= 0.0 for u in receiver_utility[k].values())
 
     def test_provider_utility_prefers_orthogonal_interference(self, realization, potentials):
         # a candidate whose aligned subspace is orthogonal to the direct
@@ -309,7 +310,7 @@ class TestChannelPreferences:
         from giasim.gia import full_precoder as fp
         from oracles import user_pattern as up
 
-        prefs = build_preferences(realization, CFG, potentials, two_sided=True)
+        _, receiver_utility = receiver_preferences(realization, CFG, potentials)
         k = 2
         for cand in range(CFG.K):
             if cand == k:
@@ -320,7 +321,7 @@ class TestChannelPreferences:
                 Hd = realization.H[i, k, k]
                 M = np.eye(CFG.d_s) + V.conj().T @ Hd.conj().T @ Hd @ V
                 expected += float(np.linalg.slogdet(M)[1]) / np.log(2.0)
-            assert prefs.receiver_utility[k][cand] == pytest.approx(expected, rel=1e-9)
+            assert receiver_utility[k][cand] == pytest.approx(expected, rel=1e-9)
 
 
 class TestCentralizedSearch:

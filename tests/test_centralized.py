@@ -290,7 +290,8 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
     first_own = N_B - L * d_s
     for assignment, M in zip(_derangements(cfg), cells):
         tset = build_transceivers(ch, cfg, assignment, potentials)
-        blocks = {(i, k): tset.aligned[assignment.provider(k)] for i in range(L) for k in range(K)}
+        blocks = {(i, k): potentials.take("aligned", [(assignment.provider(k), k)])[0]
+                  for i in range(L) for k in range(K)}
         F = nulling_stacks(ch, assignment, tset.patterns, blocks).reshape(L, K, N_B, N_B - d_s)
         for i, k in np.ndindex(L, K):
             own = np.arange(first_own + i * d_s, first_own + (i + 1) * d_s)
@@ -315,7 +316,7 @@ def test_cell_relabeling_maps_assignments(cfg, seed):
     relabel = lambda a: {int(perm[r]): int(perm[p]) for r, p in a.provider_of.items()}
     for t in range(2):
         ch = draw_channels(cfg, trial_rng(seed, t))
-        moved = ChannelRealization(H=ch.H[:, inv][:, :, inv], eta=ch.eta[:, inv][:, :, inv])
+        moved = ChannelRealization(H=ch.H[:, inv][:, :, inv])
         for objective, sense in SEARCHES:
             chosen, value = centralized_search(ch, cfg, objective, sense)
             chosen_moved, value_moved = centralized_search(moved, cfg, objective, sense)
@@ -415,12 +416,14 @@ def test_stacked_null_basis_equals_each_slice():
 
 def test_stacked_decoders_equal_single_user_decoders():
     ch = draw_channels(REFERENCE, trial_rng(43, 0))
-    tset = build_transceivers(ch, REFERENCE, fixed_cyclic(REFERENCE.K))
+    potentials = gia.Potentials(ch, REFERENCE)
+    tset = build_transceivers(ch, REFERENCE, fixed_cyclic(REFERENCE.K), potentials)
     prov = tset.assignment.provider
     for k in range(REFERENCE.K):
         for i in range(REFERENCE.L):
+            aligned = potentials.take("aligned", [(prov(k), k)])[0]
             single = zf_decoder(
-                ch, tset.assignment, tset.patterns, {(i, k): tset.aligned[prov(k)]}, REFERENCE.d_s
+                ch, tset.assignment, tset.patterns, {(i, k): aligned}, REFERENCE.d_s
             )
             assert np.array_equal(single[0], tset.decoders[i, k])
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from giasim import harness
 from giasim.cli import GRID_POINT_CAP, main, parse_grid
 from oracles import read_codebook
 
@@ -233,6 +234,24 @@ def test_huge_bit_budget_is_an_error_line(tmp_path, config_file, capsys, alloc, 
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "2^53" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_oversized_draw_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a feasible config whose channels H alone take 16 L K^2 N_B N_U bytes, about
+    # 7 PiB, once ended in numpy's _ArrayMemoryError traceback: the byte guard
+    # refuses it before any draw, and a draw here fails the test, allocating nothing
+    def no_draw(*args):
+        raise AssertionError("the byte guard let an oversized draw through")
+
+    monkeypatch.setattr(harness, "draw_channels", no_draw)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"K": 100000, "L": 1, "N_B": 100000, "N_U": 1, "d_s": 1}))
+    code = main(["simulate", "--config", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "byte guard" in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -14,7 +14,7 @@ from giasim.assignment import Assignment, enumerate_derangements, fixed_cyclic
 from giasim.gia import build_potentials, build_transceivers, verify_alignment
 from giasim.harness import SchemeSpec
 from giasim.system import draw_channels, trial_rng, validate_feasibility
-from oracles import feasible_configs, run_trial
+from oracles import feasibility_limits, feasible_configs, run_trial
 
 SEED = 2718
 
@@ -23,7 +23,7 @@ def test_drawn_configs_are_feasible_and_cover_tight_counts():
     cfgs = feasible_configs(SEED)
     reports = [validate_feasibility(cfg) for cfg in cfgs]
     assert all(r.feasible for r in reports)
-    assert sum(r.worst_case for r in reports) >= len(cfgs) // 3
+    assert sum(feasibility_limits(cfg)["worst_case"] for cfg in cfgs) >= len(cfgs) // 3
     assert {cfg.d_s for cfg in cfgs} == {1, 2} and {cfg.L for cfg in cfgs} == {1, 2, 3}
 
 

@@ -274,12 +274,12 @@ def exhaustive_optimum(lam, budget, m):
 class TestBitAllocation:
     def test_symmetric_instance(self):
         alloc = dba_allocate(np.full(6, 3.3), budget=30, d_s=1, N_U=4)
-        assert np.array_equal(alloc.bits, np.full(6, 5))
+        assert np.array_equal(alloc, np.full(6, 5))
         assert dba_active_count(np.full(6, 3.3), budget=30, d_s=1, N_U=4) == 6
 
     def test_budget_zero(self):
         alloc = dba_allocate(np.array([1.0, 2.0, 4.0]), budget=0, d_s=1, N_U=4)
-        assert np.array_equal(alloc.bits, np.zeros(3, dtype=int))
+        assert np.array_equal(alloc, np.zeros(3, dtype=int))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ContractViolation):
@@ -290,7 +290,7 @@ class TestBitAllocation:
         lam = g.uniform(0.1, 10.0, size=8)
         a = dba_allocate(lam, 64, d_s=2, N_U=8)
         b = dba_allocate(lam * 531.0, 64, d_s=2, N_U=8)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
     def test_beats_or_ties_equal_split(self):
         g = np.random.default_rng(42)
@@ -298,9 +298,9 @@ class TestBitAllocation:
             lam = g.uniform(0.05, 20.0, size=6)
             dba = dba_allocate(lam, 30, d_s=1, N_U=4)
             eba = eba_allocate(30, 6)
-            assert dba.bits.sum() == 30
-            f_dba = allocation_objective(lam, dba.bits, 1, 4)
-            f_eba = allocation_objective(lam, eba.bits, 1, 4)
+            assert dba.sum() == 30
+            f_dba = allocation_objective(lam, dba, 1, 4)
+            f_eba = allocation_objective(lam, eba, 1, 4)
             assert f_dba <= f_eba * (1 + 1e-12)
 
     def test_within_one_move_of_integer_optimum(self):
@@ -310,14 +310,14 @@ class TestBitAllocation:
             lam = g.uniform(0.05, 20.0, size=6)
             dba = dba_allocate(lam, 30, d_s=1, N_U=4)
             opt = exhaustive_optimum(lam, 30, m)
-            neighborhood = [allocation_objective(lam, dba.bits, 1, 4)]
+            neighborhood = [allocation_objective(lam, dba, 1, 4)]
             for u in range(6):
-                if dba.bits[u] == 0:
+                if dba[u] == 0:
                     continue
                 for v in range(6):
                     if v == u:
                         continue
-                    moved = dba.bits.copy()
+                    moved = dba.copy()
                     moved[u] -= 1
                     moved[v] += 1
                     neighborhood.append(allocation_objective(lam, moved, 1, 4))
@@ -325,13 +325,13 @@ class TestBitAllocation:
 
     def test_eba_remainder_rule(self):
         alloc = eba_allocate(300, 8)
-        assert list(alloc.bits) == [38, 38, 38, 38, 37, 37, 37, 37]
-        assert alloc.bits.sum() == 300
-        assert np.all(eba_allocate(32, 8).bits == 4)
+        assert list(alloc) == [38, 38, 38, 38, 37, 37, 37, 37]
+        assert alloc.sum() == 300
+        assert np.all(eba_allocate(32, 8) == 4)
 
     def test_eba_sums_to_budget(self):
         for budget in (0, 1, 7, 100, 301):
-            assert eba_allocate(budget, 8).bits.sum() == budget
+            assert eba_allocate(budget, 8).sum() == budget
 
 
 class TestEmulatedQuantization:

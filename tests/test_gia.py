@@ -11,6 +11,7 @@ from giasim.errors import (
     InfeasibleConfig,
 )
 from giasim.gia import (
+    Potentials,
     build_potentials,
     build_transceivers,
     full_precoder,
@@ -42,8 +43,13 @@ def realization():
 
 
 @pytest.fixture(scope="module")
-def transceivers(realization):
-    return build_transceivers(realization, CFG, fixed_cyclic(CFG.K))
+def potentials(realization):
+    return Potentials(realization, CFG)
+
+
+@pytest.fixture(scope="module")
+def transceivers(realization, potentials):
+    return build_transceivers(realization, CFG, fixed_cyclic(CFG.K), potentials)
 
 
 def test_stack_layout_two_users(realization):
@@ -123,7 +129,7 @@ def test_aligned_basis_negative_control(realization):
         aligned_interference_basis(realization, 0, 1, bogus)
 
 
-def test_decoder_dimensions_and_nulling(realization, transceivers):
+def test_decoder_dimensions_and_nulling(realization, potentials, transceivers):
     assignment = transceivers.assignment
     for k in range(CFG.K):
         for i in range(CFG.L):
@@ -139,7 +145,7 @@ def test_decoder_dimensions_and_nulling(realization, transceivers):
                     continue
                 for m in range(CFG.L):
                     blocks.append(realization.H[m, l, k] @ transceivers.patterns[(m, l)])
-            blocks.append(transceivers.aligned[assignment.provider(k)])
+            blocks.append(potentials.take("aligned", [(assignment.provider(k), k)])[0])
             F = np.concatenate(blocks, axis=1)
             assert F.shape == (CFG.N_B, (CFG.K - 1) * CFG.L * CFG.d_s)  # 14 x 12
             assert np.linalg.norm(U.conj().T @ F) < 1e-8

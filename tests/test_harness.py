@@ -13,7 +13,6 @@ from giasim.harness import (
     SchemeSpec,
     SweepSpec,
     TrialBuild,
-    TrialResult,
     backhaul_overhead,
     baseline_fdma,
     baseline_rb,
@@ -23,7 +22,8 @@ from giasim.harness import (
 )
 from giasim.linalg import complex_gaussian
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import aggregate_metrics, effective_link_gains, is_semi_unitary, run_trial
+from oracles import (TrialRecord, aggregate_metrics, effective_link_gains, feasibility_limits,
+                     is_semi_unitary, record_of, run_cell, run_trial, summary)
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 
@@ -71,7 +71,7 @@ class TestBaselines:
     def test_rb_no_alignment(self):
         g = trial_rng(17, 0)
         ch = draw_channels(CFG, g)  # the baseline's patterns continue this stream
-        result = baseline_rb(TrialBuild(CFG, 17, 0, 0), CFG)
+        result = record_of(baseline_rb(TrialBuild(CFG, 17, 0, 0), CFG), CFG)
         assert result.sum_rate > 0
         # residual interference is strictly positive: no nulling happened
         patterns = {}
@@ -109,7 +109,7 @@ class TestBaselines:
 
     def test_fdma_rate_formula(self):
         ch = draw_channels(CFG, trial_rng(18, 0))
-        result = baseline_fdma(TrialBuild(CFG, 18, 0, 0), CFG)
+        result = record_of(baseline_fdma(TrialBuild(CFG, 18, 0, 0), CFG), CFG)
         n = CFG.user_count
         for k in range(CFG.K):
             for i in range(CFG.L):
@@ -175,8 +175,8 @@ def test_rates_depend_on_powers_only_through_snr():
         for t in range(8):
             builds, scaled_builds = [], []  # each trial's draw, shared by its schemes
             for scheme in schemes:
-                want = hmod._run_cell(builds, base, scheme, t, 52).user_rates
-                got = hmod._run_cell(scaled_builds, scaled, scheme, t, 52).user_rates
+                want = run_cell(builds, base, scheme, t, 52).user_rates
+                got = run_cell(scaled_builds, scaled, scheme, t, 52).user_rates
                 assert got == pytest.approx(want, rel=1e-12), (c, scheme.label, t)
 
 
@@ -217,11 +217,11 @@ class TestRunTrial:
         real = hmod._evaluate_trial
         calls = {"n": 0}
 
-        def flaky(build, cfg, scheme, trial_index, resamples):
+        def flaky(build, cfg, scheme, resamples):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise failure("synthetic rank collapse")
-            return real(build, cfg, scheme, trial_index, resamples)
+            return real(build, cfg, scheme, resamples)
 
         monkeypatch.setattr(hmod, "_evaluate_trial", flaky)
         result = run_trial(CFG, SchemeSpec(assignment="fixed"), 5, seed=31)
@@ -270,7 +270,7 @@ class TestOtherGeometries:
 
         cfg = SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U, d_s=d_s, P=316.0)
         rep = validate_feasibility(cfg)
-        assert rep.feasible and rep.worst_case == worst
+        assert rep.feasible and feasibility_limits(cfg)["worst_case"] == worst
         r = run_trial(
             cfg, SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=15 * K * L),
             0, seed=K * 100 + L,
@@ -327,10 +327,7 @@ class TestAggregation:
 
     def test_hand_computed_means(self):
         def synth(s, m):
-            return TrialResult(
-                scheme="x", trial_index=0, user_rates={}, cell_rates={},
-                sum_rate=s, min_cell_rate=m,
-            )
+            return TrialRecord(user_rates={}, sum_rate=s, min_cell_rate=m)
 
         agg = aggregate_metrics([synth(1.0, 0.5), synth(2.0, 1.0), synth(3.0, 4.5)])
         assert agg["r_sum"] == pytest.approx(2.0)
@@ -351,8 +348,7 @@ class TestAggregation:
         rng = np.random.default_rng(trials)
 
         def synth(feedback):
-            r = TrialResult(scheme="x", trial_index=0, user_rates={}, cell_rates={},
-                            sum_rate=float(rng.lognormal(3.0, 2.0)),
+            r = TrialRecord(user_rates={}, sum_rate=float(rng.lognormal(3.0, 2.0)),
                             min_cell_rate=float(rng.lognormal(0.0, 2.0)),
                             resamples=int(rng.integers(2)))
             if feedback:
@@ -364,7 +360,7 @@ class TestAggregation:
         cells.append([synth(True) for _ in range(trials)])
         for r in cells[-1]:  # no residual interference at all: -inf dB
             r.rinr_per_cell = dict.fromkeys(range(4), 0.0)
-        records = np.array([[hmod._summary(r) for r in cell] for cell in cells])
+        records = np.array([[summary(r) for r in cell] for cell in cells])
         stacked = hmod._aggregate(records.transpose(2, 0, 1))
         assert stacked == [aggregate_metrics(cell) for cell in cells]
         assert stacked[-1]["rinr_db"] == -math.inf and stacked[0]["rinr_db"] is None
@@ -496,9 +492,9 @@ class TestSweep:
         with pytest.raises(ContractViolation, match="exceeds the cap"):
             SchemeSpec(bit_alloc="dba", bits_budget=cap + 1)
         lam = np.random.default_rng(3).uniform(0.1, 2.0, CFG.user_count)
-        for alloc in (hmod.fb.dba_allocate(lam, cap, CFG.d_s, CFG.N_U),
-                      hmod.fb.eba_allocate(cap, CFG.user_count)):
-            assert sum(alloc.bits.tolist()) == cap
+        for bits in (hmod.fb.dba_allocate(lam, cap, CFG.d_s, CFG.N_U),
+                     hmod.fb.eba_allocate(cap, CFG.user_count)):
+            assert sum(bits.tolist()) == cap
         for budget in (cap + 1, 2 ** 63 - 1, 10 ** 23):
             with pytest.raises(ContractViolation, match="exceeds the cap"):
                 hmod.fb.dba_allocate(lam, budget, CFG.d_s, CFG.N_U)

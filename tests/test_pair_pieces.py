@@ -116,10 +116,10 @@ def test_failed_piece_raises_at_its_read_only(monkeypatch):
     assert potentials.take("inner", [BAD]).shape == (1, CFG.L * CFG.N_U, CFG.d_s)
     # the fixed cell reads other pairs only; the one-sided cell reads every
     # aligned basis and raises the per-pair construction's error
-    fixed = hmod._evaluate_trial(build, CFG, SchemeSpec(assignment="fixed"), 0, 0)
-    assert fixed.resamples == 0
+    fixed = hmod._evaluate_trial(build, CFG, SchemeSpec(assignment="fixed"), 0)
+    assert fixed[-1] == 0  # resamples
     with pytest.raises(DegenerateChannel) as caught:
-        hmod._evaluate_trial(build, CFG, SchemeSpec(assignment="one_sided"), 0, 0)
+        hmod._evaluate_trial(build, CFG, SchemeSpec(assignment="one_sided"), 0)
     assert (type(caught.value), str(caught.value)) == _outcome(oracle["aligned"])
 
 
@@ -139,5 +139,5 @@ def test_failed_piece_resamples_only_the_cells_that_read_it(monkeypatch):
         else:
             assert row["resamples"] == 1
             fresh = TrialBuild(CFG, 31, 0, 1)
-            expected = hmod._evaluate_trial(fresh, CFG.at_snr_db(row["value"]), schemes[1], 0, 1)
-            assert row["r_sum"] == expected.sum_rate
+            expected = hmod._evaluate_trial(fresh, CFG.at_snr_db(row["value"]), schemes[1], 1)
+            assert row["r_sum"] == expected[0]  # the sum rate

@@ -1,10 +1,12 @@
-"""The package exports only what it runs.
+"""The package exports only what it runs, and its records hold only what it reads.
 
 Every public module-level function and class in ``src/giasim`` must be
 referenced by package code other than its own definition. A name that only
 tests call belongs in ``tests/oracles.py``. References are AST ``Name`` and
 ``Attribute`` nodes, so a mention in a docstring or an ``__init__`` re-export
-does not count.
+does not count. Likewise every dataclass field and every property must be
+read, as an attribute, somewhere in package code; a member that only tests
+read is computed in ``tests/oracles.py`` instead.
 """
 
 import ast
@@ -44,3 +46,44 @@ def test_every_public_name_has_a_package_caller():
             break
         unused = set(defs) - used
     assert sorted(unused) == [], f"public names with no caller in src/giasim: {sorted(unused)}"
+
+
+MEMBER_EXEMPT = {
+    # the record of verify_alignment, the alignment diagnostic exempted above
+    "AlignmentReport",
+    # the paper's backhaul table, the record backhaul_overhead returns
+    "OverheadReport",
+}
+
+
+def test_every_record_member_has_a_package_reader():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert MEMBER_EXEMPT <= {c.name for c in classes}, "an exempted record is gone"
+    members = {}  # (class, member) -> the definition's node
+    for cls in classes:
+        if cls.name in MEMBER_EXEMPT:
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                members[cls.name, node.target.id] = node
+            elif isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(d) == "property" for d in node.decorator_list):
+                members[cls.name, node.name] = node
+    owner = {id(n): key for key, node in members.items() for n in ast.walk(node)}
+    reads = {  # (attribute read, member definition the read sits in)
+        (node.attr, owner.get(id(node)))
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    # a member read only from unread properties is unread too
+    unread = set()
+    while True:
+        read = {attr for attr, where in reads if where not in unread}
+        now = {key for key in members if key[1] not in read}
+        if now == unread:
+            break
+        unread = now
+    assert sorted(unread) == [], f"record members nothing in src/giasim reads: {sorted(unread)}"

@@ -22,7 +22,8 @@ from giasim.errors import ContractViolation
 from giasim.harness import SchemeSpec, SweepSpec, run_sweep
 from giasim.linalg import complex_gaussian, orthonormalize
 from giasim.system import SystemConfig
-from oracles import codebook_of, feasible_configs, leakage, quantize_patterns, search_words_h
+from oracles import (codebook_of, feasible_configs, feedback_bits, leakage, quantize_patterns,
+                     search_words_h, user_index)
 
 SEED = 2718
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
@@ -54,7 +55,7 @@ def test_stacked_quantization_equals_per_user_oracle(t, cfg, monkeypatch):
         assert np.array_equal(dist, dist_ref)
         for i in range(cfg.L):
             for k in range(cfg.K):
-                if split[cfg.user_index(i, k)] > 1074:
+                if split[user_index(cfg, i, k)] > 1074:
                     assert np.array_equal(q[i, k], tset.patterns[i, k])
     assert len(build._frames) == 1
 
@@ -166,8 +167,10 @@ def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
     assert calls == [5, 5, 2]
     for scheme in schemes:
         got = batched.feedback(cfg, scheme, tset)
-        want = lone.feedback(cfg, scheme, lone.transceivers(cfg, fixed_cyclic(cfg.K)))
-        assert np.array_equal(got.alloc.bits, want.alloc.bits)
+        lone_tset = lone.transceivers(cfg, fixed_cyclic(cfg.K))
+        want = lone.feedback(cfg, scheme, lone_tset)
+        assert np.array_equal(feedback_bits(batched, cfg, scheme, tset),
+                              feedback_bits(lone, cfg, scheme, lone_tset))
         assert np.array_equal(got.dist, want.dist)
         assert np.array_equal(got.images, want.images)
     assert batched.feedback(cfg, schemes[7], tset) is first

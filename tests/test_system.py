@@ -12,6 +12,7 @@ from giasim.system import (
     trial_rng,
     validate_feasibility,
 )
+from oracles import draw_with_path_loss, feasibility_limits, snr_db
 
 
 def test_config_validation():
@@ -20,18 +21,19 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=-1.0)
     cfg = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=100.0)
-    assert cfg.snr_db == pytest.approx(20.0)
+    assert snr_db(cfg) == pytest.approx(20.0)
     assert cfg.user_count == 8
     assert cfg.at_snr_db(30.0).P == pytest.approx(1000.0)
 
 
 def test_reference_config_feasible_and_worst_case():
-    rep = validate_feasibility(SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2))
-    assert rep.feasible and rep.worst_case
-    assert rep.max_streams == 2
-    assert rep.min_user_antennas == 8
-    assert rep.max_users_per_cell == 2
-    assert rep.max_cells == 4
+    cfg = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2)
+    limits = feasibility_limits(cfg)
+    assert validate_feasibility(cfg).feasible and limits["worst_case"]
+    assert limits["max_streams"] == 2
+    assert limits["min_user_antennas"] == 8
+    assert limits["max_users_per_cell"] == 2
+    assert limits["max_cells"] == 4
 
 
 def test_three_cell_config_feasible():
@@ -61,19 +63,19 @@ def test_feasibility_monotone_in_antennas():
 
 def test_draw_is_deterministic():
     cfg = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2)
-    a = draw_channels(cfg, trial_rng(9, 4))
-    b = draw_channels(cfg, trial_rng(9, 4))
-    assert np.array_equal(a.H, b.H) and np.array_equal(a.eta, b.eta)
+    a, a_eta = draw_with_path_loss(cfg, trial_rng(9, 4))
+    b, b_eta = draw_with_path_loss(cfg, trial_rng(9, 4))
+    assert np.array_equal(a.H, b.H) and np.array_equal(a_eta, b_eta)
     c = draw_channels(cfg, trial_rng(9, 5))
     assert not np.array_equal(a.H, c.H)
 
 
 def test_direct_links_have_unit_path_loss():
     cfg = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2)
-    ch = draw_channels(cfg, trial_rng(0, 0))
+    _, eta = draw_with_path_loss(cfg, trial_rng(0, 0))  # checks H == sqrt(eta) Hbar
     for k in range(cfg.K):
-        assert np.all(ch.eta[:, k, k] == 1.0)
-    assert np.all((ch.eta >= 0.0) & (ch.eta <= 1.0))
+        assert np.all(eta[:, k, k] == 1.0)
+    assert np.all((eta >= 0.0) & (eta <= 1.0))
 
 
 def test_entry_statistics():
@@ -83,12 +85,12 @@ def test_entry_statistics():
     power = []
     cross = []
     for t in range(600):
-        ch = draw_channels(cfg, trial_rng(123, t))
+        ch, eta = draw_with_path_loss(cfg, trial_rng(123, t))
         for k in range(cfg.K):
             power.append(np.abs(ch.H[:, k, k]) ** 2)
             for l in range(cfg.K):
                 if l != k:
-                    cross.extend(ch.eta[:, k, l].ravel())
+                    cross.extend(eta[:, k, l].ravel())
     mean_power = float(np.mean([p.mean() for p in power]))
     assert abs(mean_power - 1.0) < 0.02
     assert len(cross) >= 7000
