@@ -61,13 +61,11 @@ class PreferenceProfile:
     """Ranked candidate lists per cell; a cell never lists itself.
 
     provider[k] ranks who cell k wants as its interference provider;
-    receiver[k] ranks toward whom cell k wants to align. The provider
-    utilities are kept so that a later profile can reuse the provider side.
+    receiver[k] ranks toward whom cell k wants to align.
     """
 
     provider: dict
     receiver: dict | None = None
-    provider_utility: dict | None = None
 
     @property
     def K(self) -> int:
@@ -151,11 +149,9 @@ def build_preferences(
     one system gives one profile per config in a list, their receiver sides
     from one stacked call.
     """
-    if provider_side is None:
-        provider, p_util = provider_preferences(ch, potentials.cfg, potentials)
-    else:
-        provider, p_util = provider_side.provider, provider_side.provider_utility
-    profile = lambda receiver: PreferenceProfile(provider, receiver, p_util)
+    provider = (provider_preferences(ch, potentials.cfg, potentials)[0] if provider_side is None
+                else provider_side.provider)
+    profile = lambda receiver: PreferenceProfile(provider, receiver)
     if not two_sided:
         return profile(None)
     sides = receiver_preferences(ch, cfg, potentials)
@@ -308,7 +304,7 @@ def centralized_search(
     objective: str = "sum_rate",
     sense: str = "best",
     potentials: gia.Potentials | None = None,
-    transceivers=None,
+    user_rates=None,
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
@@ -319,10 +315,10 @@ def centralized_search(
     best screened value are evaluated exactly, and all are if one of those was
     screened off by over a quarter of the margin. Ties resolve to the
     lexicographically smallest assignment: the enumeration is lexicographic and
-    the exact values are compared strictly. ``transceivers(assignment)`` gives a
-    candidate's transceiver set for the exact evaluation, by default a fresh
-    ``gia.build_transceivers`` on the potentials; a caller that keeps the sets it
-    builds passes its own, so that the winner is not built again.
+    the exact values are compared strictly. ``user_rates(assignment)`` gives a
+    candidate's exact (L, K) user rates at ``cfg``, by default ``gia.user_rate`` of a
+    fresh ``gia.build_transceivers``; a caller that keeps the sets it builds and
+    their rates passes its own, so that the winner is neither built nor rated again.
     """
     if objective not in ("sum_rate", "min_cell_rate"):
         raise ContractViolation(f"unknown objective {objective!r}")
@@ -333,7 +329,8 @@ def centralized_search(
             f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
     potentials = gia.build_potentials(ch, cfg) if potentials is None else potentials
-    transceivers = transceivers or (lambda a: gia.build_transceivers(ch, cfg, a, potentials))
+    user_rates = user_rates or (
+        lambda a: gia.user_rate(ch, gia.build_transceivers(ch, cfg, a, potentials), cfg))
     reduce = sum if objective == "sum_rate" else min
     providers = _derangements(cfg.K)
     candidate = lambda c: Assignment(dict(enumerate(providers[c].tolist())))
@@ -341,8 +338,7 @@ def centralized_search(
 
     def confirm(c):  # exact user rates of the candidate's full transceiver set
         if c not in exact:
-            tset = transceivers(candidate(c))
-            exact[c] = reduce([sum(cell) for cell in gia.user_rate(ch, tset, cfg).T.tolist()])
+            exact[c] = reduce([sum(cell) for cell in user_rates(candidate(c)).T.tolist()])
 
     chunk = max(1, SCREEN_CHUNK_BYTES // (16 * cfg.K * cfg.N_B ** 2))  # N_B^2 bounds a cell matrix
     for start in range(0, len(providers), chunk):

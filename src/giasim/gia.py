@@ -247,14 +247,6 @@ class Potentials(dict):
                 raise self._errors[name, p, r]
         return self._pieces[name][[p * self.cfg.K + r for p, r in pairs]]
 
-    def update(self, other: "Potentials") -> None:
-        """Take in the pairs of ``other``, formed on the same draw, with their pieces."""
-        index = [p * self.cfg.K + r for p, r in other]
-        for name, pieces in self._pieces.items():
-            pieces[index] = other._pieces[name][index]
-        self._errors.update(other._errors)
-        super().update(other)
-
     def _form(self, pairs: list) -> None:
         """Every piece of the distinct, new ``pairs`` in one stacked call per kind. A
         pair's exception for a piece is its first failing check in the order of the

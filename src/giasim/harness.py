@@ -135,24 +135,17 @@ class Plan:
     entries: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Feedback:
-    """What limited feedback fixes for one assignment, before P enters."""
-
-    dist: np.ndarray         # (L, K) squared chordal quantization distances
-    images: np.ndarray       # (L, K, L, K, d_s, d_s) link_images of the quantized patterns
-
-
 class TrialBuild:
     """The power-free work on one channel draw, computed once and shared by
     every cell (grid point and scheme) of a trial.
 
     Each piece is computed by the same call on the same operands as a
     from-scratch evaluation would use, so sharing it changes no bit of any
-    result. Of what it keeps, the receiver side of the preferences, the
-    assignments that read it and the rates depend on P; they are kept per
-    configuration, and each is evaluated at once for every config of the
-    ``plan`` (a ``Plan``) known to need it, one slice per config.
+    result. Two memos hold it: ``_once`` the power-free pieces, by stage and
+    key, and ``rates`` everything that depends on P (the receiver side of the
+    preferences, the assignments that read it or P, the rates), by key and
+    configuration, each evaluated at once for every config of the ``plan``
+    (a ``Plan``) known to need it, one slice per config.
     """
 
     def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int,
@@ -164,48 +157,55 @@ class TrialBuild:
         self._plan = plan or Plan()
         # a matching or centralized rule reads every pair: form them all at the first request
         self._all_pairs = any(rule not in ("fixed", "rb", "fdma") for rule, _, _ in self._plan.entries)
-        self._potentials = gia.Potentials(self.ch, cfg)
-        self._provider_side = None
-        self._two_sided = {}        # config -> profile with both sides
-        self._choices = {}          # (rule[, config, proposer]) -> assignment
-        self._tsets = {}            # assignment key -> TransceiverSet
-        self._leakage = {}          # assignment key -> (L, K) lambda1, patterns' null bases
-        self._frames = {}           # (assignment key, codebook seed) -> GeodesicFrame
-        self._feedback = {}         # (assignment key, allocation, budget, seed) -> Feedback
-        self._baselines = {}        # baseline name -> its power-free part
-        self._users = {}            # assignment key -> the configs known to run it
-        self._rates = {}            # (rate key, config) -> value
+        self._pieces = {}  # (stage, key) -> power-free piece
+        self._rates = {}   # (key, config) -> value that depends on P; keys lead with their kind
+        self._users = {}   # assignment key -> the configs known to run it
+
+    def _once(self, stage: str, key, build):
+        """Piece ``stage`` of ``key``, ``build()`` on the first request."""
+        if (stage, key) not in self._pieces:
+            self._pieces[stage, key] = build()
+        return self._pieces[stage, key]
+
+    def rates(self, cfg: SystemConfig, key: tuple, evaluate, configs=None):
+        """The value of ``key`` at ``cfg``, memoized per (key, config). A miss calls
+        ``evaluate(configs)`` once for ``cfg`` and every config of ``configs``
+        (default: the planned ones) that lacks ``key``; it gives one {key: value}
+        dict per config, holding ``key`` and any keys evaluated alongside."""
+        value = self._rates.get((key, cfg))
+        if value is None:
+            todo = tuple(c for c in dict.fromkeys((cfg, *(self._plan.configs if configs is None
+                                                         else configs)))
+                         if (key, c) not in self._rates)
+            for c, values in zip(todo, evaluate(todo)):
+                self._rates.update(((k, c), v) for k, v in values.items())
+            value = self._rates[key, cfg]
+        return value
 
     def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
-        """The pair pieces, formed at least for ``pairs`` (all if None, or if the
-        plan holds a rule that reads every pair)."""
-        if pairs is None or self._all_pairs:
-            pairs = gia.cell_pairs(cfg.K)
-        missing = [pr for pr in pairs if pr not in self._potentials]
-        if missing:
-            self._potentials.update(gia.build_potentials(self.ch, cfg, missing))
-        return self._potentials
+        """The pair pieces, the first request forming ``pairs`` (all if None, or if
+        the plan holds a rule that reads every pair); ``take`` forms any pair that
+        a later read lacks."""
+        return self._once("potentials", None, lambda: gia.build_potentials(
+            self.ch, cfg, gia.cell_pairs(cfg.K) if pairs is None or self._all_pairs else pairs))
 
     def preferences(self, cfg: SystemConfig, two_sided: bool) -> asg.PreferenceProfile:
         """The provider side, plus the receiver side for ``cfg`` when two-sided."""
-        if self._provider_side is None:
-            self._provider_side = asg.build_preferences(self.ch, cfg, self.potentials(cfg))
+        provider_side = self._once("provider side", None, lambda: asg.build_preferences(
+            self.ch, cfg, self.potentials(cfg)))
         if not two_sided:
-            return self._provider_side
-        if cfg not in self._two_sided:  # every planned config's receiver side in one call
-            configs = tuple(c for c in dict.fromkeys((cfg, *self._plan.configs))
-                            if c not in self._two_sided)
-            self._two_sided.update(zip(configs, asg.build_preferences(
+            return provider_side
+        return self.rates(cfg, ("receiver side",), lambda configs: [
+            {("receiver side",): prefs} for prefs in asg.build_preferences(
                 self.ch, configs, self.potentials(cfg), two_sided=True,
-                provider_side=self._provider_side)))
-        return self._two_sided[cfg]
+                provider_side=provider_side)])
 
     def baseline(self, cfg: SystemConfig, name: str) -> np.ndarray:
         """The power-free part of baseline ``name``, formed once per draw. rb: the
         ``link_images`` of random patterns, drawn in flat (cell, user) order from
         the stream after the channel draw, through matched-filter decoders. fdma:
         the top d_s eigenvalues of every user's direct-channel Gram, (L, K, d_s)."""
-        if name not in self._baselines:
+        def build():
             if name == "rb":
                 # one draw in the order of a complex_gaussian call per user: real, then imaginary
                 x = copy.deepcopy(self._rng_after_draw).standard_normal(
@@ -213,28 +213,32 @@ class TrialBuild:
                 patterns = orthonormalize(((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)).reshape(
                     cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1))
                 decoders = orthonormalize(gia.direct_channels(self.ch) @ patterns)
-                self._baselines[name] = gia.link_images(self.ch, decoders, patterns)
-            else:
-                direct = gia.direct_channels(self.ch)
-                gains = psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)
-                self._baselines[name] = gains[..., ::-1][..., : cfg.d_s]
-        return self._baselines[name]
+                return gia.link_images(self.ch, decoders, patterns)
+            direct = gia.direct_channels(self.ch)
+            gains = psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)
+            return gains[..., ::-1][..., : cfg.d_s]
+
+        return self._once("baseline", name, build)
 
     def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
-        """The strict assignment of ``scheme``'s rule, chosen once per key: the rule
-        alone for ``fixed`` and ``one_sided``, whose provider side does not depend
-        on P, else the rule, the config and the proposer. A two-sided miss matches
-        at every planned config, whose receiver sides came in one call, so that
-        their rates can be evaluated together."""
+        """The strict assignment of ``scheme``'s rule: once per draw for ``fixed`` and
+        ``one_sided``, whose provider side does not depend on P, else per config
+        and proposer. A two-sided miss matches at every planned config, whose
+        receiver sides came in one call, so that their rates can be evaluated
+        together; a centralized search runs at its own config alone."""
         rule = scheme.assignment
-        shared = rule in ("fixed", "one_sided")
-        for c in dict.fromkeys([cfg, *(self._plan.configs if rule == "two_sided" else ())]):
-            key = (rule,) if shared else (rule, c, scheme.proposer)
-            if key not in self._choices:
-                self._choices[key] = chosen = self._choose(c, scheme)
-                self._users.setdefault(_assignment_key(chosen), {}).update(
-                    dict.fromkeys(self._plan.configs if shared else (c,)))
-        return self._choices[(rule,) if shared else (rule, cfg, scheme.proposer)]
+        if rule in ("fixed", "one_sided"):
+            return self._once("assignment", rule, lambda: self._note(
+                self._choose(cfg, scheme), self._plan.configs))
+        key = ("assignment", rule, scheme.proposer)
+        return self.rates(cfg, key, lambda configs: [
+            {key: self._note(self._choose(c, scheme), (c,))} for c in configs],
+            None if rule == "two_sided" else ())
+
+    def _note(self, chosen: asg.Assignment, configs) -> asg.Assignment:
+        """``chosen``, noted as run at ``configs`` for its rate evaluations."""
+        self._users.setdefault(_assignment_key(chosen), {}).update(dict.fromkeys(configs))
+        return chosen
 
     def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
         rule = scheme.assignment
@@ -256,49 +260,31 @@ class TrialBuild:
         sense = "worst" if rule.startswith("worst") else "best"
         return asg.centralized_search(
             self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg),
-            transceivers=lambda a: self.transceivers(cfg, a))[0]
-
-    def rates(self, cfg: SystemConfig, key, evaluate, configs=None):
-        """The value of ``key`` at ``cfg``, memoized per (key, config). A miss calls
-        ``evaluate(configs)`` once for ``cfg`` and every config of ``configs``
-        (default: the planned ones) that lacks ``key``; it gives one {key: value}
-        dict per config, holding ``key`` and any keys evaluated alongside."""
-        value = self._rates.get((key, cfg))
-        if value is None:
-            todo = tuple(c for c in dict.fromkeys((cfg, *(self._plan.configs if configs is None
-                                                         else configs)))
-                         if (key, c) not in self._rates)
-            for c, values in zip(todo, evaluate(todo)):
-                self._rates.update(((k, c), v) for k, v in values.items())
-            value = self._rates[key, cfg]
-        return value
+            user_rates=lambda a: self.user_rates(cfg, self.transceivers(cfg, a)))[0]
 
     def user_rates(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
         """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every config known
         to run its assignment in one call."""
-        key = _assignment_key(tset.assignment)
+        key = ("user rates", _assignment_key(tset.assignment))
         return self.rates(cfg, key, lambda configs: [
-            {key: rates} for rates in gia.user_rate(self.ch, tset, configs)], self._users.get(key, ()))
+            {key: rates} for rates in gia.user_rate(self.ch, tset, configs)], self._users.get(key[1], ()))
 
     def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
         key = _assignment_key(chosen)
-        tset = self._tsets.get(key)
-        if tset is None:
-            potentials = self.potentials(cfg, [(p, r) for r, p in key])
-            tset = self._tsets[key] = gia.build_transceivers(self.ch, cfg, chosen, potentials)
-        return tset
+        return self._once("transceivers", key, lambda: gia.build_transceivers(
+            self.ch, cfg, chosen, self.potentials(cfg, [(p, r) for r, p in key])))
 
     def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> tuple:
         """Largest leakage eigenvalue of every user, as an (L, K) array, and the
         left null bases of the patterns, (L, K, N_U, N_U - d_s), both stacked."""
-        key = _assignment_key(tset.assignment)
-        if key not in self._leakage:
+        def build():
             receivers = [r for _, r in sorted(tset.assignment.receivers().items())]
             null_bases = np.reshape(left_null_space(tset.patterns), (cfg.L, cfg.K, cfg.N_U, -1))
             _, lam = fb.omega_matrix(
                 self.ch.H[:, range(cfg.K), receivers], tset.patterns, null_bases)
-            self._leakage[key] = lam, null_bases
-        return self._leakage[key]
+            return lam, null_bases
+
+        return self._once("leakage", _assignment_key(tset.assignment), build)
 
     def quantized(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet,
                   bits: list) -> tuple[np.ndarray, np.ndarray]:
@@ -326,72 +312,67 @@ class TrialBuild:
                     searched[user, b] = fb.quantize(patterns[user], cb)[1:]
                 q[entry, user], dist[entry, user] = searched[user, b]
         if emulated:
-            key = (_assignment_key(tset.assignment), scheme.codebook_seed)
-            if key not in self._frames:
-                streams = [np.random.default_rng([scheme.codebook_seed, 211, self.trial_index, u])
-                           for u in range(n)]
-                self._frames[key] = fb.GeodesicFrame(
-                    patterns, flat(self.leakage(cfg, tset)[1]), streams)
+            akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
+            frame = self._once("frame", (akey, seed), lambda: fb.GeodesicFrame(
+                patterns, flat(self.leakage(cfg, tset)[1]),
+                [np.random.default_rng([seed, 211, self.trial_index, u]) for u in range(n)]))
             entries, users = (list(axis) for axis in zip(*emulated))
             q[entries, users], dist[entries, users] = fb.model_quantize(
-                self._frames[key], users, [bits[e][u] for e, u in emulated])
+                frame, users, [bits[e][u] for e, u in emulated])
         return q.reshape(-1, K, L, N_U, d_s).swapaxes(1, 2), dist.reshape(-1, K, L).swapaxes(1, 2)
 
-    def feedback(
-        self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet
-    ) -> Feedback:
-        """The power-free part of the limited-feedback stage for ``scheme``.
+    def feedback(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet) -> tuple:
+        """The power-free part of the limited-feedback stage of ``scheme``'s plan
+        group: its (bit allocation, budget) entries, in plan order and then the
+        scheme's own if the plan lacks it, with their (entries, L, K) squared
+        quantization distances and (entries, L, K, L, K, d_s, d_s) ``link_images``
+        of the quantized patterns through their decoders.
 
-        A miss forms it together with every other (allocation, budget) entry
-        that the plan lists for the scheme's rule, proposer and codebook seed
-        and that this assignment lacks: the bit splits, then per chunk of
-        entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized`` pass,
-        one stacked ``quantized_decoder`` and one ``link_images`` stack."""
+        Formed once per (assignment, entries, codebook seed), so rules that pick
+        the same assignment with the same entries share it: the bit splits, then
+        per chunk of entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized``
+        pass, one stacked ``quantized_decoder`` and one ``link_images`` stack."""
         if cfg.N_U <= cfg.d_s:
             raise ContractViolation(
                 "limited feedback needs N_U > d_s: with square patterns there is "
                 "nothing to quantize"
             )
-        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
-        entry = (scheme.bit_alloc, scheme.bits_budget)
-        if (akey, *entry, seed) not in self._feedback:
-            group = self._plan.entries.get((scheme.assignment, scheme.proposer, seed), ())
-            entries = [e for e in dict.fromkeys([entry, *group])
-                       if (akey, *e, seed) not in self._feedback]
+        group = self._plan.entries.get((scheme.assignment, scheme.proposer, scheme.codebook_seed))
+        entries = tuple(dict.fromkeys([*(group or ()), (scheme.bit_alloc, scheme.bits_budget)]))
+
+        def build():
             lam = self.leakage(cfg, tset)[0].T.ravel()  # users in flat (cell, user) order
             bits = [(fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
                      else fb.eba_allocate(budget, cfg.user_count)).tolist()
                     for rule, budget in entries]
             chunk = max(1, asg.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
+            chunks = []  # (dist, images) of each chunk
             for start in range(0, len(entries), chunk):
                 q, dist = self.quantized(cfg, scheme, tset, bits[start:start + chunk])
                 U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns, cfg.d_s)
-                images = gia.link_images(self.ch, U, q)
-                for e, d, im in zip(entries[start:], dist, images):
-                    self._feedback[(akey, *e, seed)] = Feedback(d, im)
-        return self._feedback[(akey, *entry, seed)]
+                chunks.append((dist, gia.link_images(self.ch, U, q)))
+            return (entries, *(np.concatenate(part) for part in zip(*chunks)))
+
+        return self._once("feedback", (_assignment_key(tset.assignment), entries,
+                                       scheme.codebook_seed), build)
 
     def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
         """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry
-        at ``cfg``. A miss forms the entry, and so the rest of its group, through
-        ``feedback``, then evaluates every entry of the group at every config known to
-        run the assignment, in one call each of ``throughput``, ``rinr`` and
-        ``rinr_upper_bound`` over a leading (config, entry) axis."""
+        at ``cfg``. A miss evaluates every entry of its ``feedback`` group at every
+        config known to run the assignment, in one call each of ``throughput``,
+        ``rinr`` and ``rinr_upper_bound`` over a leading (config, entry) axis."""
         akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
-        entry = (scheme.bit_alloc, scheme.bits_budget)
 
         def evaluate(configs):
-            self.feedback(cfg, scheme, tset)
-            group = self._plan.entries.get((scheme.assignment, scheme.proposer, seed), ())
-            keys = [(akey, *e, seed) for e in dict.fromkeys([entry, *group])]
-            images = np.stack([self._feedback[key].images for key in keys])
-            dist = np.stack([self._feedback[key].dist for key in keys])
+            entries, dist, images = self.feedback(cfg, scheme, tset)
+            keys = [("feedback", akey, entry, seed) for entry in entries]
             parts = (throughput(images, configs), fb.rinr(tset.assignment, images, configs),
                      fb.rinr_upper_bound(tset.assignment, configs, dist,
                                          self.leakage(cfg, tset)[0]))
             return [dict(zip(keys, zip(*row))) for row in zip(*parts)]
 
-        return self.rates(cfg, (akey, *entry, seed), evaluate, self._users.get(akey, ()))
+        key = ("feedback", akey, (scheme.bit_alloc, scheme.bits_budget), seed)
+        return self.rates(cfg, key, evaluate, self._users.get(akey, ()))
 
 
 def _evaluate_trial(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec,
@@ -447,21 +428,21 @@ def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
     """(L, K) user rates of random subspace precoders with matched-filter receivers
     (no alignment), on the images the build keeps (see ``TrialBuild.baseline``),
     every planned config in one ``throughput`` call."""
-    images = build.baseline(cfg, "rb")
-    return build.rates(cfg, "rb", lambda configs: [{"rb": r} for r in throughput(images, configs)])
+    images, key = build.baseline(cfg, "rb"), ("baseline", "rb")
+    return build.rates(cfg, key, lambda configs: [{key: r} for r in throughput(images, configs)])
 
 
 def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
     """(L, K) user rates of orthogonal sharing: each user gets 1/(KL) of the band,
     eigen-beamforms its top d_s modes and spends its full power there (noise scales
     with the band fraction, hence the KL power boost). Every planned config in one call."""
-    gains = build.baseline(cfg, "fdma")
+    gains, key = build.baseline(cfg, "fdma"), ("baseline", "fdma")
 
     def evaluate(configs):
         boost = per_config(configs, lambda c: c.user_count * c.P / (c.d_s * c.sigma2), gains.ndim)
-        return [{"fdma": r} for r in np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count]
+        return [{key: r} for r in np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count]
 
-    return build.rates(cfg, "fdma", evaluate)
+    return build.rates(cfg, key, evaluate)
 
 
 @dataclass(frozen=True)

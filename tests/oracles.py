@@ -371,15 +371,14 @@ def strict_count_formula(K):
     return derangement_count(K) - 1
 
 
-def assignment_utility(assignment, prefs):
-    """Sum of provider-side utilities; a lone cell contributes its self utility."""
-    if prefs.provider_utility is None:
-        raise ContractViolation("profile carries no utilities")
+def assignment_utility(assignment, utility):
+    """Sum of the provider-side utilities ``utility[receiver][provider]`` of an
+    assignment; a lone cell contributes its self utility."""
     total = 0.0
     for r, p in assignment.provider_of.items():
-        total += prefs.provider_utility[r][p]
+        total += utility[r][p]
     if assignment.lone is not None:
-        total += prefs.provider_utility[assignment.lone].get(assignment.lone, 0.0)
+        total += utility[assignment.lone].get(assignment.lone, 0.0)
     return total
 
 

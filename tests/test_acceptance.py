@@ -134,21 +134,21 @@ def test_04_toy_example_regression():
     utility = {c: {p: 3 - pos for pos, p in enumerate(lst)} for c, lst in provider.items()}
     for c in utility:
         utility[c][c] = 0
-    prefs = PreferenceProfile(provider=provider, provider_utility=utility)
+    prefs = PreferenceProfile(provider=provider)
     weak, n_cycles = fca_match(prefs)
     strict = breaking_step(weak, prefs)
     ok = (
         weak.provider_of == {0: 2, 2: 1, 1: 0}
         and weak.lone == 3
-        and assignment_utility(weak, prefs) == 9
+        and assignment_utility(weak, utility) == 9
         and strict.is_strict(4)
-        and assignment_utility(strict, prefs) == 10
+        and assignment_utility(strict, utility) == 10
     )
     report(
         "criterion 4: toy 4-cell regression",
         ok,
-        f"weak utility {assignment_utility(weak, prefs)} (cycles {n_cycles}), "
-        f"strict utility {assignment_utility(strict, prefs)}",
+        f"weak utility {assignment_utility(weak, utility)} (cycles {n_cycles}), "
+        f"strict utility {assignment_utility(strict, utility)}",
     )
 
 

@@ -47,15 +47,21 @@ def random_profile(K: int, rng, two_sided: bool = False) -> PreferenceProfile:
     )
 
 
+# the 4-cell toy example: ranked providers with utilities 3/2/1 and 0 for self
+TABLE_PROVIDERS = {0: [2, 1, 3], 1: [0, 2, 3], 2: [1, 0, 3], 3: [0, 1, 2]}
+
+
 def table_profile() -> PreferenceProfile:
-    # the 4-cell toy example: ranked providers with utilities 3/2/1 and 0 for self
-    provider = {0: [2, 1, 3], 1: [0, 2, 3], 2: [1, 0, 3], 3: [0, 1, 2]}
+    return PreferenceProfile(provider=TABLE_PROVIDERS)
+
+
+def table_utility() -> dict:
     utility = {
-        c: {p: 3 - pos for pos, p in enumerate(lst)} for c, lst in provider.items()
+        c: {p: 3 - pos for pos, p in enumerate(lst)} for c, lst in TABLE_PROVIDERS.items()
     }
     for c in utility:
         utility[c][c] = 0
-    return PreferenceProfile(provider=provider, provider_utility=utility)
+    return utility
 
 
 class TestDerangements:
@@ -89,7 +95,7 @@ class TestToyExampleRegression:
         assert weak.provider_of == {0: 2, 2: 1, 1: 0}
         assert weak.lone == 3
         assert n_cycles == 2
-        assert assignment_utility(weak, prefs) == 9
+        assert assignment_utility(weak, table_utility()) == 9
 
     def test_breaking_step_on_table(self):
         prefs = table_profile()
@@ -97,7 +103,7 @@ class TestToyExampleRegression:
         strict = breaking_step(weak, prefs)
         validate_assignment(strict)
         assert strict.is_strict(4)
-        assert assignment_utility(strict, prefs) == 10
+        assert assignment_utility(strict, table_utility()) == 10
         # the repaired matching is one 4-cycle through the lone cell
         assert sorted(len(c) for c in assignment_cycles(strict)) == [4]
 
@@ -282,12 +288,13 @@ class TestPreferenceOrdering:
 class TestChannelPreferences:
     def test_list_cardinality_and_nonneg(self, realization, potentials):
         prefs = build_preferences(realization, CFG, potentials, two_sided=True)
+        _, provider_utility = provider_preferences(realization, CFG, potentials)
         _, receiver_utility = receiver_preferences(realization, CFG, potentials)
         for k in range(CFG.K):
             assert len(prefs.provider[k]) == CFG.K - 1
             assert len(prefs.receiver[k]) == CFG.K - 1
             assert k not in prefs.provider[k]
-            assert all(u >= 0.0 for u in prefs.provider_utility[k].values())
+            assert all(u >= 0.0 for u in provider_utility[k].values())
             assert all(u >= 0.0 for u in receiver_utility[k].values())
 
     def test_provider_utility_prefers_orthogonal_interference(self, realization, potentials):
@@ -295,7 +302,7 @@ class TestChannelPreferences:
         # channels beats one that eats into them; engineered via projector
         # monotonicity: utility of zero interference equals the no-projection
         # capacity, an upper bound for every candidate
-        prefs = build_preferences(realization, CFG, potentials)
+        _, provider_utility = provider_preferences(realization, CFG, potentials)
         for k in range(CFG.K):
             free = 0.0
             for i in range(CFG.L):
@@ -303,7 +310,7 @@ class TestChannelPreferences:
                 g = Hd.conj().T @ Hd
                 ev = np.clip(np.linalg.eigvalsh((g + g.conj().T) / 2).real, 0, None)
                 free += float(np.sum(np.log1p(ev))) / np.log(2.0)
-            for cand, util in prefs.provider_utility[k].items():
+            for cand, util in provider_utility[k].items():
                 assert util <= free + 1e-9
 
     def test_receiver_utilities_match_recomputation(self, realization, potentials):

@@ -6,7 +6,8 @@ tests call belongs in ``tests/oracles.py``. References are AST ``Name`` and
 ``Attribute`` nodes, so a mention in a docstring or an ``__init__`` re-export
 does not count. Likewise every dataclass field and every property must be
 read, as an attribute, somewhere in package code; a member that only tests
-read is computed in ``tests/oracles.py`` instead.
+read is computed in ``tests/oracles.py`` instead. A read through ``self``
+counts only for the members of the class it sits in.
 """
 
 import ast
@@ -72,8 +73,10 @@ def test_every_record_member_has_a_package_reader():
                     ast.unparse(d) == "property" for d in node.decorator_list):
                 members[cls.name, node.name] = node
     owner = {id(n): key for key, node in members.items() for n in ast.walk(node)}
-    reads = {  # (attribute read, member definition the read sits in)
-        (node.attr, owner.get(id(node)))
+    enclosing = {id(n): cls.name for cls in classes for n in ast.walk(cls)}
+    reads = {  # (attribute read, class of a read through self or None, member the read sits in)
+        (node.attr, enclosing.get(id(node)) if ast.unparse(node.value) == "self" else None,
+         owner.get(id(node)))
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
@@ -81,8 +84,8 @@ def test_every_record_member_has_a_package_reader():
     # a member read only from unread properties is unread too
     unread = set()
     while True:
-        read = {attr for attr, where in reads if where not in unread}
-        now = {key for key in members if key[1] not in read}
+        read = {(attr, cls) for attr, cls, where in reads if where not in unread}
+        now = {key for key in members if {(key[1], None), key[::-1]}.isdisjoint(read)}
         if now == unread:
             break
         unread = now

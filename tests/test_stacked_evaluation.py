@@ -15,6 +15,7 @@ from giasim.assignment import (
     build_preferences,
     enumerate_derangements,
     fixed_cyclic,
+    provider_preferences,
     receiver_preferences,
 )
 from giasim.gia import link_images, user_rate
@@ -60,9 +61,10 @@ def test_preferences_equal_per_cell_loops():
     for cfg, build in builds():
         potentials = build.potentials(cfg)
         prefs = build_preferences(build.ch, cfg, potentials, two_sided=True)
+        _, provider_utility = provider_preferences(build.ch, cfg, potentials)
         _, receiver_utility = receiver_preferences(build.ch, cfg, potentials)
         for k in range(cfg.K):
             ranked, utility = oracles.provider_preferences(build.ch, cfg, k, potentials)
-            assert (prefs.provider[k], prefs.provider_utility[k]) == (ranked, utility), cfg
+            assert (prefs.provider[k], provider_utility[k]) == (ranked, utility), cfg
             ranked, utility = oracles.receiver_preferences(build.ch, cfg, k, potentials)
             assert (prefs.receiver[k], receiver_utility[k]) == (ranked, utility), cfg

@@ -57,7 +57,7 @@ def test_stacked_quantization_equals_per_user_oracle(t, cfg, monkeypatch):
             for k in range(cfg.K):
                 if split[user_index(cfg, i, k)] > 1074:
                     assert np.array_equal(q[i, k], tset.patterns[i, k])
-    assert len(build._frames) == 1
+    assert [stage for stage, _ in build._pieces].count("frame") == 1
 
 
 def test_narrow_patterns_raise_only_when_a_user_is_emulated():
@@ -163,15 +163,16 @@ def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
     batched = hmod.TrialBuild(cfg, SEED, t, 0, plan)
     lone = hmod.TrialBuild(cfg, SEED, t, 0)
     tset = batched.transceivers(cfg, fixed_cyclic(cfg.K))
-    first = batched.feedback(cfg, schemes[7], tset)  # the entry asked for goes first
+    first = batched.feedback(cfg, schemes[7], tset)  # the whole group, in plan order
     assert calls == [5, 5, 2]
+    entries, dist, images = first
     for scheme in schemes:
-        got = batched.feedback(cfg, scheme, tset)
+        e = entries.index((scheme.bit_alloc, scheme.bits_budget))
         lone_tset = lone.transceivers(cfg, fixed_cyclic(cfg.K))
-        want = lone.feedback(cfg, scheme, lone_tset)
+        _, want_dist, want_images = lone.feedback(cfg, scheme, lone_tset)
         assert np.array_equal(feedback_bits(batched, cfg, scheme, tset),
                               feedback_bits(lone, cfg, scheme, lone_tset))
-        assert np.array_equal(got.dist, want.dist)
-        assert np.array_equal(got.images, want.images)
-    assert batched.feedback(cfg, schemes[7], tset) is first
+        assert np.array_equal(dist[e], want_dist[0])
+        assert np.array_equal(images[e], want_images[0])
+        assert batched.feedback(cfg, scheme, tset) is first
     assert calls == [5, 5, 2] + [1] * len(schemes)

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 import giasim.harness as hmod
+from giasim.assignment import fixed_cyclic
 from giasim.errors import DegenerateChannel
 from giasim.harness import (
     ASSIGNMENT_SCHEMES,
@@ -282,11 +283,44 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
     assert calls == {"build_potentials": [CFG.K] * trials}
 
 
+def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
+    # on trial 0 of seed 3 the one-sided match is the ring that fixed runs, on
+    # trial 1 it is not; both rules list the same budgets, so the feedback pass
+    # and its rates are keyed by assignment, not by rule, and serve both on trial 0
+    calls = []
+    decoder = hmod.fb.quantized_decoder
+
+    def counted(ch, *args):
+        calls.append(ch)
+        return decoder(ch, *args)
+
+    monkeypatch.setattr(hmod.fb, "quantized_decoder", counted)
+    schemes = (SchemeSpec(assignment="fixed", bit_alloc="dba"),
+               SchemeSpec(assignment="one_sided", bit_alloc="dba"))
+    spec = SweepSpec("B", (40, 100, 300), 2, schemes, seed=3)
+    rows = run_sweep(spec, CFG)
+    ring = hmod._assignment_key(fixed_cyclic(CFG.K))
+    assert [hmod._assignment_key(hmod.TrialBuild(CFG, spec.seed, t, 0).assignment(CFG, schemes[1]))
+            == ring for t in range(spec.trials)] == [True, False]
+    draws = list(dict.fromkeys(map(id, calls)))  # calls keeps every draw alive
+    assert [sum(id(c) == ch for c in calls) for ch in draws] == [1, 2]
+    assert rows == grid_major_reference(spec, CFG)
+    # the pass itself, asked for by each rule on a build of the sweep's plan
+    budgets = dict.fromkeys(("dba", b) for b in spec.grid)
+    plan = hmod.Plan((CFG,), {(s.assignment, s.proposer, s.codebook_seed): budgets for s in schemes})
+    build = hmod.TrialBuild(CFG, spec.seed, 0, 0, plan)
+    fixed, one_sided = (replace(s, bits_budget=spec.grid[0]) for s in schemes)
+    tset = build.transceivers(CFG, build.assignment(CFG, one_sided))
+    calls.clear()
+    assert build.feedback(CFG, fixed, tset) is build.feedback(CFG, one_sided, tset)
+    assert len(calls) == 1
+
+
 def test_centralized_cell_builds_each_confirmed_candidate_once(monkeypatch):
-    # the search builds the candidates it confirms through the trial's build,
-    # so the winner's transceiver set is built once, by the search, and its
-    # rates read that set: one build per confirmed candidate, where a confirm
-    # is one user_rate call, and the trial's own rate call is one more
+    # the search builds and rates the candidates it confirms through the
+    # trial's build, so the winner's transceiver set is built and rated once,
+    # by the search, and the cell reads those rates: one build per confirmed
+    # candidate, where a confirm is one user_rate call
     calls = {"build_transceivers": [], "user_rate": []}
 
     def count(name):
@@ -307,6 +341,6 @@ def test_centralized_cell_builds_each_confirmed_candidate_once(monkeypatch):
     draws = list(dict.fromkeys(map(id, calls["user_rate"])))  # calls keeps every draw alive
     assert len(draws) == trials
     for ch in draws:
-        confirms = sum(id(c) == ch for c in calls["user_rate"]) - 1
+        confirms = sum(id(c) == ch for c in calls["user_rate"])
         assert sum(id(c) == ch for c in calls["build_transceivers"]) == confirms >= 1
     assert rows == grid_major_reference(spec, CFG)
