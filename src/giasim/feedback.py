@@ -385,6 +385,7 @@ def model_quantize(frame: GeodesicFrame, users: list, bits: list) -> tuple[np.nd
         dist.append(min((q / C) ** (1.0 / T), float(N)))
     V_hat = geodesic_points(frame, users, dist)
     # one BLAS dot per slice, as np.linalg.norm: a stacked sum would move last bits
-    overlap = (frame.patterns[users].conj().swapaxes(-1, -2) @ V_hat).reshape(len(users), -1)
-    sq = [np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) ** 2 for x in overlap]
+    x = (frame.patterns[users].conj().swapaxes(-1, -2) @ V_hat).reshape(len(users), 1, -1)
+    dots = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+    sq = [s ** 2 for s in np.sqrt(dots).ravel().tolist()]
     return V_hat, [float(min(max(N - s, 0.0), N)) for s in sq]

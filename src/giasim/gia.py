@@ -26,7 +26,7 @@ from .linalg import (
     RANK_REL_TOL,
     full_svd,
     herm_inv_sqrt,
-    left_null_space,
+    left_basis_and_rank,
     matrix_rank,
     orthonormalize,
     psd_eigvals,
@@ -53,11 +53,19 @@ class TransceiverSet:
     front, so ``[i, k]`` is user i of cell k.
     """
 
+    ch: ChannelRealization
     assignment: object
     inner: np.ndarray        # (K, L*N_U, d_s) joint precoder of each cell
     patterns: np.ndarray     # (L, K, N_U, d_s) semi-unitary precoder patterns
-    decoders: np.ndarray     # (L, K, N_B, d_s) semi-unitary zero-forcing decoders
+    blocks: dict             # (i, k) -> aligned basis through which k's provider arrives
     whiteners: np.ndarray    # (L, K, d_s, d_s) (slice^H slice)^(-1/2) of each inner-precoder slice
+
+    @functools.cached_property
+    def decoders(self) -> np.ndarray:
+        """(L, K, N_B, d_s) semi-unitary zero-forcing decoders, formed at the first read."""
+        L, K, _, d_s = self.patterns.shape
+        return zf_decoder(self.ch, self.assignment, self.patterns, self.blocks, d_s).reshape(
+            L, K, -1, d_s)
 
 
 def full_precoder(pattern: np.ndarray, P, d_s: int) -> np.ndarray:
@@ -72,29 +80,24 @@ def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
     Picks the left singular vectors of the d_s smallest singular values. When
     the stack is rank deficient beyond its generic rank the pick is still the
     canonical one, with a warning. A (..., m, n) array of stacks takes one SVD
-    call, and every slice is checked as it would be alone.
+    call and one rank check, and each slice is checked, in C order, as if alone.
     """
     try:
-        nulls = left_null_space(F)
+        U, ranks = left_basis_and_rank(F)
     except EmptySubspace as exc:
         raise InfeasibleConfig(f"interference stack has no null space, need {d_s}") from exc
     m, n = np.shape(F)[-2:]
-    picks = []
-    for null in nulls if np.ndim(F) > 2 else [nulls]:
-        null_dim = null.shape[1]
-        if null_dim < d_s:
-            raise InfeasibleConfig(
-                f"interference stack leaves a {null_dim}-dimensional null space, need {d_s}"
-            )
-        rank = m - null_dim
-        if rank < min(m, n) and null_dim > d_s:
+    for rank in ranks.ravel().tolist():
+        if m - rank < d_s:
+            raise InfeasibleConfig(f"interference stack leaves a {m - rank}-dimensional "
+                                   f"null space, need {d_s}")
+        if rank < min(m, n) and m - rank > d_s:
             warnings.warn(
                 f"interference stack unexpectedly rank deficient ({rank} < {min(m, n)}); "
                 f"using canonical smallest-singular-value directions",
                 RuntimeWarning,
             )
-        picks.append(null[:, null_dim - d_s:])
-    return np.array(picks).reshape(np.shape(F)[:-2] + (m, d_s))
+    return U[..., m - d_s:]
 
 
 def direct_channels(ch: ChannelRealization) -> np.ndarray:
@@ -336,8 +339,8 @@ def build_transceivers(
 ) -> TransceiverSet:
     """Complete transceiver set for a strict assignment on one realization.
 
-    Gathers the assignment's pair pieces; only the decoders are computed here,
-    in one stacked SVD. Nothing depends on P: ``user_rate`` applies it.
+    Gathers the assignment's pair pieces; the decoders are formed at their first
+    read (``TransceiverSet.decoders``). Nothing depends on P: ``user_rate`` applies it.
     """
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
@@ -346,11 +349,8 @@ def build_transceivers(
         raise ContractViolation("potentials were built on another channel draw")
     pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
     inner, patterns, aligned = (potentials.take(n, pairs) for n in ("inner", "patterns", "aligned"))
-    patterns = patterns.swapaxes(0, 1)
     blocks = {(i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)}
-    decoders = zf_decoder(ch, assignment, patterns, blocks, cfg.d_s)
-    return TransceiverSet(assignment, inner, patterns,
-                          decoders.reshape(cfg.L, cfg.K, cfg.N_B, cfg.d_s),
+    return TransceiverSet(ch, assignment, inner, patterns.swapaxes(0, 1), blocks,
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
 
 

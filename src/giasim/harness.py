@@ -279,7 +279,7 @@ class TrialBuild:
         left null bases of the patterns, (L, K, N_U, N_U - d_s), both stacked."""
         def build():
             receivers = [r for _, r in sorted(tset.assignment.receivers().items())]
-            null_bases = np.reshape(left_null_space(tset.patterns), (cfg.L, cfg.K, cfg.N_U, -1))
+            null_bases = left_null_space(tset.patterns)
             _, lam = fb.omega_matrix(
                 self.ch.H[:, range(cfg.K), receivers], tset.patterns, null_bases)
             return lam, null_bases
@@ -296,23 +296,22 @@ class TrialBuild:
         would be; above it, every such entry and user emulated in one call on
         the frame of the assignment and codebook seed, formed on first use from
         each user's stream [codebook_seed, 211, trial, user]. A (user, bit count)
-        that several entries share is searched once."""
+        is searched once per (assignment, codebook seed), whichever entries share it."""
         L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
+        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
         q, dist = np.empty((len(bits),) + patterns.shape, complex), np.empty((len(bits), n))
-        emulated, searched = [], {}  # (entry, user); (user, bits) -> (codeword, distance)
+        emulated = []  # (entry, user)
         for entry, counts in enumerate(bits):
             for user, b in enumerate(counts):
                 if b > EXPLICIT_BIT_LIMIT:
                     emulated.append((entry, user))
                     continue
-                if (user, b) not in searched:
-                    cb = _cached_codebook(N_U, d_s, b, user, scheme.codebook_seed)
-                    searched[user, b] = fb.quantize(patterns[user], cb)[1:]
-                q[entry, user], dist[entry, user] = searched[user, b]
+                key = (akey, seed, user, b)
+                q[entry, user], dist[entry, user] = self._once("search", key, lambda: fb.quantize(
+                    patterns[user], _cached_codebook(N_U, d_s, b, user, seed)))[1:]
         if emulated:
-            akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
             frame = self._once("frame", (akey, seed), lambda: fb.GeodesicFrame(
                 patterns, flat(self.leakage(cfg, tset)[1]),
                 [np.random.default_rng([seed, 211, self.trial_index, u]) for u in range(n)]))
@@ -328,10 +327,10 @@ class TrialBuild:
         quantization distances and (entries, L, K, L, K, d_s, d_s) ``link_images``
         of the quantized patterns through their decoders.
 
-        Formed once per (assignment, entries, codebook seed), so rules that pick
-        the same assignment with the same entries share it: the bit splits, then
-        per chunk of entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized``
-        pass, one stacked ``quantized_decoder`` and one ``link_images`` stack."""
+        Formed once per (assignment, entries, codebook seed) from entries formed once
+        per (assignment, codebook seed), whichever group asks first: per chunk of new
+        entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized`` pass, one stacked
+        ``quantized_decoder`` and one ``link_images`` stack."""
         if cfg.N_U <= cfg.d_s:
             raise ContractViolation(
                 "limited feedback needs N_U > d_s: with square patterns there is "
@@ -339,22 +338,24 @@ class TrialBuild:
             )
         group = self._plan.entries.get((scheme.assignment, scheme.proposer, scheme.codebook_seed))
         entries = tuple(dict.fromkeys([*(group or ()), (scheme.bit_alloc, scheme.bits_budget)]))
+        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
 
         def build():
+            key = lambda e: ("feedback entry", (akey, e, seed))  # -> its (dist, images)
+            new = [e for e in entries if key(e) not in self._pieces]
             lam = self.leakage(cfg, tset)[0].T.ravel()  # users in flat (cell, user) order
             bits = [(fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
                      else fb.eba_allocate(budget, cfg.user_count)).tolist()
-                    for rule, budget in entries]
+                    for rule, budget in new]
             chunk = max(1, asg.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
-            chunks = []  # (dist, images) of each chunk
-            for start in range(0, len(entries), chunk):
+            for start in range(0, len(new), chunk):
                 q, dist = self.quantized(cfg, scheme, tset, bits[start:start + chunk])
                 U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns, cfg.d_s)
-                chunks.append((dist, gia.link_images(self.ch, U, q)))
-            return (entries, *(np.concatenate(part) for part in zip(*chunks)))
+                images = gia.link_images(self.ch, U, q)
+                self._pieces.update(zip(map(key, new[start:]), zip(dist, images)))
+            return (entries, *map(np.array, zip(*(self._pieces[key(e)] for e in entries))))
 
-        return self._once("feedback", (_assignment_key(tset.assignment), entries,
-                                       scheme.codebook_seed), build)
+        return self._once("feedback", (akey, entries, seed), build)
 
     def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
         """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry

@@ -55,23 +55,28 @@ def matrix_rank(singular_values: np.ndarray):
     return np.sum(singular_values > RANK_REL_TOL * singular_values[..., :1], axis=-1)
 
 
-def left_null_space(M) -> np.ndarray | list:
+def left_basis_and_rank(M) -> tuple[np.ndarray, np.ndarray]:
+    """Square left singular basis U of M and its rank, per slice of a stack, from one SVD
+    call. :class:`EmptySubspace` if M, or a slice, has full row rank ("infeasible here")."""
+    U, s, _ = full_svd(M)
+    ranks = matrix_rank(s)
+    if np.any(ranks == U.shape[-1]):
+        raise EmptySubspace(f"matrix of shape {np.shape(M)[-2:]} has full row rank {U.shape[-1]}")
+    return U, ranks
+
+
+def left_null_space(M) -> np.ndarray:
     """Semi-unitary basis N of the left null space of M, i.e. N^H M = 0.
 
-    For an m x n matrix of rank r this returns an m x (m - r) basis built
-    from the trailing left singular vectors; a (..., m, n) stack gives a list
-    of bases, one per slice in C order, from one SVD call. Raises
-    :class:`EmptySubspace` when M, or a slice of it, has full row rank, which
-    downstream code treats as "alignment infeasible here".
+    For an m x n matrix of rank r this returns the m x (m - r) basis of the
+    trailing left singular vectors; a (..., m, n) stack of one rank r gives the
+    (..., m, m - r) stack from one SVD call, and :class:`ContractViolation` if
+    its ranks differ. :class:`EmptySubspace` as in :func:`left_basis_and_rank`.
     """
-    U, s, _ = full_svd(M)
-    bases = []
-    for idx in np.ndindex(s.shape[:-1]):
-        r = matrix_rank(s[idx])
-        if r == U.shape[-1]:
-            raise EmptySubspace(f"matrix of shape {np.shape(M)[-2:]} has full row rank {r}")
-        bases.append(U[idx][:, r:])
-    return bases if s.ndim > 1 else bases[0]
+    U, ranks = left_basis_and_rank(M)
+    if ranks.min() != ranks.max():
+        raise ContractViolation(f"stack slices differ in rank ({ranks.min()} to {ranks.max()})")
+    return U[..., int(ranks.max()):]
 
 
 def projectors(X) -> tuple[np.ndarray, np.ndarray]:

@@ -62,6 +62,19 @@ class TestLeftNullSpace:
             assert np.linalg.norm(N.conj().T @ M) < 1e-9 * max(1.0, np.linalg.norm(M))
             assert is_semi_unitary(N)
 
+    def test_stack_of_one_rank_equals_each_slice(self):
+        M = complex_gaussian(rng, (3, 2, 6, 3))
+        N = left_null_space(M)
+        assert N.shape == (3, 2, 6, 3)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(N[idx], left_null_space(M[idx]))
+
+    def test_stack_of_ragged_ranks_raises(self):
+        M = complex_gaussian(rng, (2, 6, 3))
+        M[1, :, 2] = M[1, :, 0]  # slice 1 has rank 2, slice 0 rank 3
+        with pytest.raises(ContractViolation):
+            left_null_space(M)
+
 
 class TestProjectors:
     def test_axis(self):

@@ -4,8 +4,8 @@ Every public module-level function and class in ``src/giasim`` must be
 referenced by package code other than its own definition. A name that only
 tests call belongs in ``tests/oracles.py``. References are AST ``Name`` and
 ``Attribute`` nodes, so a mention in a docstring or an ``__init__`` re-export
-does not count. Likewise every dataclass field and every property must be
-read, as an attribute, somewhere in package code; a member that only tests
+does not count. Likewise every dataclass field and every property, plain or
+``functools.cached_property``, must be read, as an attribute, somewhere in package code; a member that only tests
 read is computed in ``tests/oracles.py`` instead. A read through ``self``
 counts only for the members of the class it sits in.
 """
@@ -70,7 +70,8 @@ def test_every_record_member_has_a_package_reader():
                     "dataclass" in ast.unparse(d) for d in cls.decorator_list):
                 members[cls.name, node.target.id] = node
             elif isinstance(node, ast.FunctionDef) and any(
-                    ast.unparse(d) == "property" for d in node.decorator_list):
+                    ast.unparse(d) in ("property", "functools.cached_property")
+                    for d in node.decorator_list):
                 members[cls.name, node.name] = node
     owner = {id(n): key for key, node in members.items() for n in ast.walk(node)}
     enclosing = {id(n): cls.name for cls in classes for n in ast.walk(cls)}

@@ -316,6 +316,31 @@ def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_feedback_entry_is_formed_once_per_assignment_and_seed(monkeypatch):
+    # on some draws of seed 20 the two-sided match is the ring that fixed runs,
+    # so the fixed group's dba entries, and (user, bits) searches of its eba
+    # entries, are the two-sided group's too: whichever group runs first forms them
+    calls = []
+    quantize = hmod.fb.quantize
+
+    def counted(V, cb):
+        calls.append(cb.B)
+        return quantize(V, cb)
+
+    monkeypatch.setattr(hmod.fb, "quantize", counted)
+    fixed, *two_sided = (SchemeSpec(assignment="fixed", bit_alloc="dba"),
+                         SchemeSpec(assignment="two_sided", bit_alloc="dba"),
+                         SchemeSpec(assignment="two_sided", bit_alloc="eba"))
+    counts = []
+    for schemes in ((fixed, *two_sided), (*two_sided, fixed)):
+        spec = SweepSpec("B", (40, 100, 300), 2, schemes, seed=20)
+        calls.clear()
+        rows = run_sweep(spec, CFG)
+        counts.append(len(calls))
+        assert rows == grid_major_reference(spec, CFG)
+    assert counts[0] == counts[1]
+
+
 def test_centralized_cell_builds_each_confirmed_candidate_once(monkeypatch):
     # the search builds and rates the candidates it confirms through the
     # trial's build, so the winner's transceiver set is built and rated once,
