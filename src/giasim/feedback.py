@@ -74,21 +74,31 @@ def generate_codebook(M: int, N: int, B: int, rng: np.random.Generator) -> Codeb
 
 
 def quantize(V: np.ndarray, cb: Codebook) -> tuple[int, np.ndarray, float]:
-    """Closest codeword in chordal distance; lowest index wins ties. One GEMM
-    screens every codeword, then the exact ``einsum`` search runs, in index
-    order, on those within 16 N^2 (M + N + 4) roundoffs of the best screened:
-    both evaluations are within a quarter of that of the exact distance (README)."""
+    """Closest codeword in chordal distance; lowest index wins ties. One real
+    GEMM of the words' float view and a real embedding of V screens every
+    codeword, then the exact ``einsum`` search runs, in index order, on those
+    within ``_screen_margin`` of the best screened overlap (README)."""
     if V.shape != (cb.M, cb.N):
         raise ContractViolation(f"pattern {V.shape} does not fit codebook ({cb.M}, {cb.N})")
-    G = (cb.words_h.reshape(-1, cb.M) @ V).view(float).reshape(len(cb), -1)
+    # the float views of v and iv per antenna, rows (Re v, Im v) and (-Im v, Re v):
+    # a word row's (Re, Im) pairs times them give its inner products' (Re, Im) pairs
+    embed = np.ascontiguousarray(np.concatenate((V, 1j * V), axis=1), complex)
+    embed = embed.view(float).reshape(2 * cb.M, 2 * cb.N)
+    words = np.ascontiguousarray(cb.words_h, complex).view(float)  # no copy for a generated book
+    G = (words.reshape(-1, 2 * cb.M) @ embed).reshape(len(cb), -1)
     overlap = np.einsum("ij,ij->i", G, G)
-    margin = 16 * cb.N ** 2 * (cb.M + cb.N + 4) * 2.0 ** -53
-    near = np.flatnonzero(overlap >= overlap.max() - margin)
+    near = np.flatnonzero(overlap >= overlap.max() - _screen_margin(cb.M, cb.N))
     inner = np.einsum("nkm,ml->nkl", cb.words_h[near], V)
     dist = cb.N - np.sum(np.abs(inner) ** 2, axis=(1, 2))
     best = int(np.argmin(dist))
     idx = int(near[best])
     return idx, cb.words_h[idx].conj().T, float(min(max(dist[best], 0.0), cb.N))
+
+
+def _screen_margin(M: int, N: int) -> float:
+    """6 N^2 (3M + N + 4) roundoffs: twice the screened and the exact overlap's
+    worst errors, so every exact minimizer passes the screen (README)."""
+    return 6 * N ** 2 * (3 * M + N + 4) * 2.0 ** -53
 
 
 def dump_codebook(cb: Codebook, path: str) -> None:
@@ -315,12 +325,14 @@ class GeodesicFrame:
         self.E = [rng.exponential() for rng in rngs]
         G = np.array([complex_gaussian(rng, (M - N, N)) for rng in rngs])
         self.Sg, sig, self.Rgh = np.linalg.svd(G, full_matrices=False)
-        self.sig = [s / np.linalg.norm(s) for s in sig]
+        self.sig = np.array([s / np.linalg.norm(s) for s in sig])
 
 
-def _geodesic_time(sig: np.ndarray, dist_sq: float) -> float:
+def _geodesic_time(sig: np.ndarray, dist_sq: float, guide: float) -> float:
     """The t at which sum_j sin^2(sig_j t) reaches dist_sq on [0, pi / (2 sig_0)],
-    by bisection; the upper end when even that falls short."""
+    by bisection; the upper end when even that falls short. Certified anchors
+    just below and above ``guide`` set every midpoint outside them unevaluated,
+    to what its evaluation would give (README)."""
     if sig.size < 8:
         # numpy sums fewer than 8 elements in order, so this loop gives the
         # same bits as the numpy expression below, without its call overhead
@@ -338,15 +350,24 @@ def _geodesic_time(sig: np.ndarray, dist_sq: float) -> float:
 
     # invariant: spread(lo) < dist_sq <= spread(hi). Once the midpoint rounds
     # onto an end, no later step can move either end, so stopping there
-    # gives the same t as running all 80 steps.
+    # gives the same t as running all 80 steps. spread increases on [0, hi]
+    # and, above 2^-900, its float value is within 2^-48 of it, relative:
+    # every midpoint at most a certified a has its float spread below
+    # dist_sq, and every one at least a certified b, hi included, above
     lo, hi = 0.0, math.pi / 2.0 / float(sig[0])
-    if spread(hi) <= dist_sq:
-        return hi
+    a, b = guide * (1.0 - 2.0 ** -44), guide * (1.0 + 2.0 ** -44)
+    certify = dist_sq > 2.0 ** -900 and sig.size <= 64
+    if not (certify and 0.0 < b < hi and spread(b) > dist_sq * (1.0 + 2.0 ** -46)):
+        b = math.inf
+        if spread(hi) <= dist_sq:
+            return hi
+    if not (certify and 0.0 < a < hi and spread(a) < dist_sq * (1.0 - 2.0 ** -46)):
+        a = -1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if spread(mid) < dist_sq:
+        if mid <= a or (mid < b and spread(mid) < dist_sq):
             lo = mid
         else:
             hi = mid
@@ -357,12 +378,24 @@ def geodesic_points(frame: GeodesicFrame, users: list, dist_sq: list) -> np.ndar
     """Semi-unitary matrices at exactly the squared chordal distances ``dist_sq``
     from the frame's patterns ``users``, reached along each one's random
     geodesic (isotropic error direction), as one (n, M, N) stack; distance 0
-    gives a copy of the pattern."""
+    gives a copy of the pattern. Each bisection is guided by four numpy Newton
+    steps on all users at once from t = sqrt(dist_sq), clipped to the bracket;
+    a guide only saves evaluations, so its bits do not matter."""
     N = frame.patterns.shape[-1]
+    sig, d = frame.sig[users], np.array(dist_sq, dtype=float)
+    sig_t = sig.T
+    hi = np.pi / 2.0 / sig_t[0]
+    guide = np.minimum(np.sqrt(d), hi)
+    with np.errstate(all="ignore"):  # a NaN guide only turns its anchors off
+        for _ in range(4):
+            x = sig_t * guide
+            sin_x = np.sin(x)
+            step = (np.add.reduce(sin_x * sin_x) - d) / np.add.reduce(sig_t * np.sin(x + x))
+            guide = np.minimum(np.maximum(guide - step, 0.0), hi)
     angles = np.array([
-        frame.sig[u] * (_geodesic_time(frame.sig[u], d) if d else 0.0)
-        for u, d in zip(users, dist_sq)
-    ])
+        s * (_geodesic_time(s, dist, g) if dist else 0.0)
+        for s, dist, g in zip(sig, dist_sq, guide.tolist())
+    ]).reshape(len(users), N)
     scale = np.zeros((2, len(users), N, N))
     scale[:, :, range(N), range(N)] = np.cos(angles), np.sin(angles)
     V, V_perp, Sg, Rgh = (a[users] for a in (frame.patterns, frame.null_bases, frame.Sg, frame.Rgh))

@@ -296,7 +296,8 @@ class TrialBuild:
         would be; above it, every such entry and user emulated in one call on
         the frame of the assignment and codebook seed, formed on first use from
         each user's stream [codebook_seed, 211, trial, user]. A (user, bit count)
-        is searched once per (assignment, codebook seed), whichever entries share it."""
+        is searched once per (assignment, codebook seed), whichever entries share it,
+        and emulated once per call."""
         L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
@@ -315,9 +316,11 @@ class TrialBuild:
             frame = self._once("frame", (akey, seed), lambda: fb.GeodesicFrame(
                 patterns, flat(self.leakage(cfg, tset)[1]),
                 [np.random.default_rng([seed, 211, self.trial_index, u]) for u in range(n)]))
+            row = {}  # each (user, bit count) once, in first-seen order
+            at = [row.setdefault((u, bits[e][u]), len(row)) for e, u in emulated]
+            V_hat, d = fb.model_quantize(frame, *(list(axis) for axis in zip(*row)))
             entries, users = (list(axis) for axis in zip(*emulated))
-            q[entries, users], dist[entries, users] = fb.model_quantize(
-                frame, users, [bits[e][u] for e, u in emulated])
+            q[entries, users], dist[entries, users] = V_hat[at], np.array(d)[at]
         return q.reshape(-1, K, L, N_U, d_s).swapaxes(1, 2), dist.reshape(-1, K, L).swapaxes(1, 2)
 
     def feedback(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet) -> tuple:

@@ -478,6 +478,34 @@ def sample_min_distortion(M, N, B, rng):
     return min((u / C) ** (1.0 / T), float(N))
 
 
+def bisection_walk(sig, dist_sq):
+    """``feedback._geodesic_time`` without its anchors: every midpoint's spread
+    is evaluated, until the midpoint rounds onto an end or 80 steps pass."""
+    sig_list = sig.tolist()
+
+    def spread(t):
+        if sig.size >= 8:
+            return float(np.sum(np.sin(sig * t) ** 2))
+        acc = 0.0
+        for s in sig_list:
+            x = math.sin(s * t)
+            acc += x * x
+        return acc
+
+    lo, hi = 0.0, math.pi / 2.0 / float(sig[0])
+    if spread(hi) <= dist_sq:
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if spread(mid) < dist_sq:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def subspace_at_distance(V, dist_sq, rng):
     """Semi-unitary matrix at exactly the given squared chordal distance from V,
     reached along a random geodesic drawn from ``rng``: one user's form of
@@ -493,30 +521,7 @@ def subspace_at_distance(V, dist_sq, rng):
     G = complex_gaussian(rng, (M - N, N))
     Sg, sig, Rgh = np.linalg.svd(G, full_matrices=False)
     sig = sig / np.linalg.norm(sig)
-    sig_list = sig.tolist()
-
-    def spread(t):
-        if N >= 8:
-            return float(np.sum(np.sin(sig * t) ** 2))
-        acc = 0.0
-        for s in sig_list:
-            x = math.sin(s * t)
-            acc += x * x
-        return acc
-
-    lo, hi = 0.0, math.pi / 2.0 / float(sig[0])
-    if spread(hi) <= dist_sq:
-        t = hi
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if spread(mid) < dist_sq:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
+    t = bisection_walk(sig, dist_sq)
     theta = sig * t
     Rg = Rgh.conj().T
     return (

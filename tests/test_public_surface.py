@@ -7,11 +7,16 @@ tests call belongs in ``tests/oracles.py``. References are AST ``Name`` and
 does not count. Likewise every dataclass field and every property, plain or
 ``functools.cached_property``, must be read, as an attribute, somewhere in package code; a member that only tests
 read is computed in ``tests/oracles.py`` instead. A read through ``self``
-counts only for the members of the class it sits in.
+counts only for the members of the class it sits in. The package root
+exports what README's library example imports, and the error classes.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import giasim
+from giasim import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "giasim"
 
@@ -91,3 +96,19 @@ def test_every_record_member_has_a_package_reader():
             break
         unread = now
     assert sorted(unread) == [], f"record members nothing in src/giasim reads: {sorted(unread)}"
+
+
+def test_package_root_exports_the_readme_example_and_the_errors():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python", 1)[1]
+    line = example[example.index("from giasim import"):]
+    line = line[:line.index(")") + 1]
+    imported = {}
+    exec(line, imported)
+    example_names = {name for name in imported if not name.startswith("__")}
+    assert len(example_names) == 10
+    error_names = {name for name, obj in vars(errors).items()
+                   if inspect.isclass(obj) and issubclass(obj, errors.GiaSimError)}
+    root = {name for name, obj in vars(giasim).items()
+            if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert root == example_names | error_names

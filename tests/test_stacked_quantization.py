@@ -6,7 +6,7 @@ layout of the codebooks and emulates all of a pass's other users in one
 user alone, as the per-user loop did: the explicit search on the (2^B, M, N)
 codewords and the emulation from the user's own stream. Quantized patterns
 and distances must be equal with ``==``. ``feedback.quantize`` screens its
-book with one GEMM before the exact search, and ``TrialBuild.feedback``
+book with one real GEMM before the exact search, and ``TrialBuild.feedback``
 forms every entry of a plan in one pass: both are checked with ``==``
 against their unscreened and one-entry forms.
 """
@@ -136,6 +136,20 @@ def test_screen_keeps_every_exact_minimizer():
         assert got[2] < 1e-12
 
 
+def test_screen_reads_a_book_in_any_layout():
+    rng = np.random.default_rng(SEED)
+    cb = hmod.fb.generate_codebook(8, 2, 8, rng)
+    V = orthonormalize(complex_gaussian(rng, (8, 2)))
+    fortran = hmod.fb.Codebook(M=8, N=2, B=8, words_h=np.asfortranarray(cb.words_h))
+    _same_search(hmod.fb.quantize(V, fortran), search_words_h(V, cb))
+
+
+def test_screen_margin_is_the_readme_bound():
+    # README "Screened search": 6 N^2 (3M + N + 4) u, u = 2^-53
+    for M, N in [(2, 1), (8, 2), (6, 3), (16, 8)]:
+        assert hmod.fb._screen_margin(M, N) == 6 * N ** 2 * (3 * M + N + 4) * 2.0 ** -53
+
+
 @pytest.mark.parametrize(
     "t, cfg",
     [(t, cfg) for t, cfg in enumerate(feasible_configs(SEED)) if cfg.N_U >= 2 * cfg.d_s],
@@ -176,3 +190,27 @@ def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
         assert np.array_equal(images[e], want_images[0])
         assert batched.feedback(cfg, scheme, tset) is first
     assert calls == [5, 5, 2] + [1] * len(schemes)
+
+
+def test_each_emulated_user_and_count_is_synthesized_once_per_pass(monkeypatch):
+    pairs = []
+    model = hmod.fb.model_quantize
+
+    def recorded(frame, users, bits):
+        pairs.append(list(zip(users, bits)))
+        return model(frame, users, bits)
+
+    monkeypatch.setattr(hmod.fb, "model_quantize", recorded)
+    n = CFG.user_count
+    schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b, codebook_seed=3)
+               for b in (30 * n, 31 * n, 40 * n) for rule in ("dba", "eba")]
+    plan = hmod.Plan(entries={("fixed", "receivers", 3):
+                              dict.fromkeys((s.bit_alloc, s.bits_budget) for s in schemes)})
+    build = hmod.TrialBuild(CFG, SEED, 0, 0, plan)
+    tset = build.transceivers(CFG, fixed_cyclic(CFG.K))
+    build.feedback(CFG, schemes[0], tset)
+    emulated = [(u, b) for s in schemes
+                for u, b in enumerate(feedback_bits(build, CFG, s, tset).tolist())
+                if b > hmod.EXPLICIT_BIT_LIMIT]
+    assert pairs == [list(dict.fromkeys(emulated))]
+    assert len(pairs[0]) < len(emulated)  # some (user, bit count) is shared by entries
