@@ -299,12 +299,7 @@ def derangement_count(K: int) -> int:
 
 
 def centralized_search(
-    ch: ChannelRealization,
-    cfg: SystemConfig,
-    objective: str = "sum_rate",
-    sense: str = "best",
-    potentials: gia.Potentials | None = None,
-    user_rates=None,
+    cfg: SystemConfig, potentials: gia.Potentials, user_rates, objective: str, sense: str
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
@@ -316,9 +311,9 @@ def centralized_search(
     screened off by over a quarter of the margin. Ties resolve to the
     lexicographically smallest assignment: the enumeration is lexicographic and
     the exact values are compared strictly. ``user_rates(assignment)`` gives a
-    candidate's exact (L, K) user rates at ``cfg``, by default ``gia.user_rate`` of a
-    fresh ``gia.build_transceivers``; a caller that keeps the sets it builds and
-    their rates passes its own, so that the winner is neither built nor rated again.
+    candidate's exact (L, K) user rates at ``cfg``, ``gia.user_rate`` of its
+    ``gia.build_transceivers`` on ``potentials``; a caller that keeps the sets it
+    builds and their rates reads the winner's without building or rating it again.
     """
     if objective not in ("sum_rate", "min_cell_rate"):
         raise ContractViolation(f"unknown objective {objective!r}")
@@ -328,9 +323,6 @@ def centralized_search(
         raise CapacityExceeded(
             f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    potentials = gia.build_potentials(ch, cfg) if potentials is None else potentials
-    user_rates = user_rates or (
-        lambda a: gia.user_rate(ch, gia.build_transceivers(ch, cfg, a, potentials), cfg))
     reduce = sum if objective == "sum_rate" else min
     providers = _derangements(cfg.K)
     candidate = lambda c: Assignment(dict(enumerate(providers[c].tolist())))

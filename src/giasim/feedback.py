@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
 from .gia import zf_decoder
-from .linalg import complex_gaussian, herm_eig, orthonormalize, projectors
+from .linalg import complex_gaussian, herm_eig, norm_sq, orthonormalize, projectors
 from .system import ChannelRealization, check_whole, per_config
 
 CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
@@ -63,6 +63,9 @@ def codebook_bytes(M: int, N: int, B: int) -> int | None:
 
 
 def generate_codebook(M: int, N: int, B: int, rng: np.random.Generator) -> Codebook:
+    check_whole(B, "bit count")
+    if B < 0:
+        raise ContractViolation(f"negative bit count {B}")
     if not 1 <= N < M:
         raise ContractViolation(f"codeword dimension {N} must be positive and below ambient {M}")
     if codebook_bytes(M, N, B) is None:
@@ -135,11 +138,7 @@ def omega_matrix(
 
 
 def quantized_decoder(
-    ch: ChannelRealization,
-    assignment,
-    q_patterns: np.ndarray,
-    ideal_patterns: np.ndarray,
-    d_s: int,
+    ch: ChannelRealization, assignment, q_patterns: np.ndarray, ideal_patterns: np.ndarray
 ) -> np.ndarray:
     """Zero-forcing decoders of every user built from quantized patterns, as
     one (..., L, K, N_B, d_s) array from one stacked SVD of (..., L, K, N_U, d_s)
@@ -150,14 +149,10 @@ def quantized_decoder(
     nulled along its ideal aligned direction, so only that cell's
     quantization error leaks through.
     """
-    L, K, _, N_B, _ = ch.H.shape
-    provider_blocks = {}
-    for i in range(L):
-        for k in range(K):
-            prov = assignment.provider(k)
-            provider_blocks[(i, k)] = ch.H[i, prov, k] @ ideal_patterns[i, prov]
-    decoders = zf_decoder(ch, assignment, q_patterns, provider_blocks, d_s)
-    return decoders.reshape(q_patterns.shape[:-4] + (L, K, N_B, d_s))
+    K = ch.H.shape[1]
+    prov = [assignment.provider(k) for k in range(K)]
+    ideal_images = ch.H[:, prov, range(K)] @ ideal_patterns[:, prov]  # (L, K, N_B, d_s)
+    return zf_decoder(ch, assignment, q_patterns, ideal_images)
 
 
 def check_budget(budget) -> None:
@@ -231,14 +226,12 @@ def rinr(assignment, images: np.ndarray, cfg) -> np.ndarray:
     ``images`` is the (..., L, K, L, K, d_s, d_s) ``link_images`` stack of the
     quantized-pattern decoders and the quantized patterns, as the rate
     evaluation reads it; a tuple of configs puts a config axis in front. Each
-    power-free squared norm is ``np.linalg.norm``'s (BLAS dot, root, power),
-    and every config's scale is applied term by term in the per-user order.
+    power-free squared norm is ``linalg.norm_sq``'s, and every config's scale
+    is applied term by term in the per-user order.
     """
     L, K = images.shape[-6:-4]
     X = images.swapaxes(-4, -3)[..., range(K), [assignment.provider(k) for k in range(K)], :, :, :]
-    x = X.reshape(-1, 1, X.shape[-2] * X.shape[-1])  # [..., i, k, j]: user j of k's provider
-    dots = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
-    sq = np.reshape([s ** 2 for s in np.sqrt(dots).ravel().tolist()], X.shape[:-2])
+    sq = norm_sq(X)  # [..., i, k, j]: user j of k's provider
     scale = per_config(cfg, lambda c: c.P / (c.d_s * c.sigma2), sq.ndim - 2)
     total = 0.0
     for i in range(L):
@@ -417,8 +410,5 @@ def model_quantize(frame: GeodesicFrame, users: list, bits: list) -> tuple[np.nd
         q = -math.expm1(-frame.E[u] * 2.0 ** (-B))  # 1 - (1-p)^(2^-B) for p = 1 - e^-E
         dist.append(min((q / C) ** (1.0 / T), float(N)))
     V_hat = geodesic_points(frame, users, dist)
-    # one BLAS dot per slice, as np.linalg.norm: a stacked sum would move last bits
-    x = (frame.patterns[users].conj().swapaxes(-1, -2) @ V_hat).reshape(len(users), 1, -1)
-    dots = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
-    sq = [s ** 2 for s in np.sqrt(dots).ravel().tolist()]
+    sq = norm_sq(frame.patterns[users].conj().swapaxes(-1, -2) @ V_hat).tolist()
     return V_hat, [float(min(max(N - s, 0.0), N)) for s in sq]

@@ -24,12 +24,12 @@ from .errors import (
 )
 from .linalg import (
     RANK_REL_TOL,
-    full_svd,
     herm_inv_sqrt,
     left_basis_and_rank,
     matrix_rank,
     orthonormalize,
     psd_eigvals,
+    svd,
 )
 from .system import ChannelRealization, SystemConfig, per_config
 
@@ -38,11 +38,9 @@ CERTIFIED_RATIO = 1e-6  # sigma_min(M) / |M|_F of a certified cell matrix, at le
 
 
 def rate_logdet(M: np.ndarray, scale):
-    """log det(I + scale * M M^H) in nats, evaluated through Hermitian eigenvalues:
-    a float for one matrix, an array of one value per slice for a (..., r, c) stack
-    (``scale`` may then be an array that broadcasts over the eigenvalues)."""
-    terms = np.log1p(scale * psd_eigvals(M @ M.conj().swapaxes(-1, -2)))
-    return float(np.sum(terms)) if M.ndim == 2 else np.sum(terms, axis=-1)
+    """log det(I + scale * M M^H) in nats of each slice of a (..., r, c) stack, evaluated
+    through Hermitian eigenvalues; ``scale`` may be an array that broadcasts over them."""
+    return np.sum(np.log1p(scale * psd_eigvals(M @ M.conj().swapaxes(-1, -2))), axis=-1)
 
 
 @dataclass
@@ -57,15 +55,13 @@ class TransceiverSet:
     assignment: object
     inner: np.ndarray        # (K, L*N_U, d_s) joint precoder of each cell
     patterns: np.ndarray     # (L, K, N_U, d_s) semi-unitary precoder patterns
-    blocks: dict             # (i, k) -> aligned basis through which k's provider arrives
+    blocks: np.ndarray       # (K, N_B, d_s) aligned basis through which cell k's provider arrives
     whiteners: np.ndarray    # (L, K, d_s, d_s) (slice^H slice)^(-1/2) of each inner-precoder slice
 
     @functools.cached_property
     def decoders(self) -> np.ndarray:
         """(L, K, N_B, d_s) semi-unitary zero-forcing decoders, formed at the first read."""
-        L, K, _, d_s = self.patterns.shape
-        return zf_decoder(self.ch, self.assignment, self.patterns, self.blocks, d_s).reshape(
-            L, K, -1, d_s)
+        return zf_decoder(self.ch, self.assignment, self.patterns, self.blocks)
 
 
 def full_precoder(pattern: np.ndarray, P, d_s: int) -> np.ndarray:
@@ -121,45 +117,48 @@ def link_images(
 
 
 def nulling_stacks(
-    ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: dict
+    ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: np.ndarray
 ) -> np.ndarray:
-    """What the decoders of the users (i, k) keyed in ``provider_blocks`` must
-    null, in key order, as one (..., n, N_B, columns) array of (..., L, K, ...) ``patterns``.
+    """What every user's decoders must null, as one (..., L, K, N_B, columns) array of
+    (..., L, K, N_U, d_s) ``patterns``.
 
     User (i, k)'s stack holds, in order: same-cell interference from other
     users, per-user interference from every cell that is neither k nor k's
-    provider, and ``provider_blocks[(i, k)]``, the span through which k's
-    provider cell arrives (its aligned basis under perfect feedback). Each
-    cell's images ``ch.H[:, :, k] @ patterns`` are formed once, and every
-    stack is gathered from them in one cached index.
+    provider, and its block of ``provider_blocks`` (which broadcasts to (..., L,
+    K, N_B, d_s)), the span through which k's provider cell arrives (its aligned
+    basis under perfect feedback). The images ``ch.H[:, :, k] @ patterns`` at
+    every station k come from one product, and every stack is gathered from
+    them in one cached index.
     """
     L, K, _, N_B, _ = ch.H.shape
-    users = tuple(provider_blocks)
-    cells, rows = _nulling_index(K, L, users, tuple(assignment.provider(k) for _, k in users))
+    rows = _nulling_index(K, L, tuple(assignment.provider(k) for k in range(K)))
     lead, d_s = patterns.shape[:-4], patterns.shape[-1]
-    images = np.moveaxis(ch.H[:, :, cells], 2, 0) @ patterns[..., None, :, :, :, :]
-    blocks = np.broadcast_to(list(provider_blocks.values()), lead + (len(users), N_B, d_s))
-    table = np.concatenate([images.reshape(lead + (-1, N_B, d_s)), blocks], axis=-3)
-    stacks = table[..., rows, :, :]  # (..., n, blocks, N_B, columns)
-    return stacks.swapaxes(-3, -2).reshape(lead + (len(rows), N_B, -1))
+    images = np.moveaxis(ch.H, 2, 0) @ patterns[..., None, :, :, :, :]
+    flat = lead + (-1, N_B, d_s)
+    blocks = np.broadcast_to(provider_blocks, lead + (L, K, N_B, d_s)).reshape(flat)
+    table = np.concatenate([images.reshape(flat), blocks], axis=-3)
+    stacks = table[..., rows, :, :]  # (..., L K, blocks, N_B, columns)
+    return stacks.swapaxes(-3, -2).reshape(lead + (L, K, N_B, -1))
 
 
 @functools.lru_cache(maxsize=1024)
-def _nulling_index(K: int, L: int, users: tuple, providers: tuple) -> tuple[list, np.ndarray]:
-    """``nulling_stacks``' cells, and each user's rows of its table of images."""
-    cells = sorted({k for _, k in users})  # user (m, l) at cells[c]: row (c * L + m) * K + l
-    return cells, np.array([[(cells.index(k) * L + m) * K + l
-                             for l in [k] + [l for l in range(K) if l not in (k, p)]
-                             for m in range(L) if (m, l) != (i, k)] + [len(cells) * L * K + n]
-                            for n, ((i, k), p) in enumerate(zip(users, providers))])
+def _nulling_index(K: int, L: int, providers: tuple) -> np.ndarray:
+    """Each user's rows of ``nulling_stacks``' table, users in (L, K) order: user (m, l)
+    at station k is row (k * L + m) * K + l, and user (i, k)'s provider block row
+    K * L * K + i * K + k."""
+    return np.array([[(k * L + m) * K + l
+                      for l in [k] + [l for l in range(K) if l not in (k, providers[k])]
+                      for m in range(L) if (m, l) != (i, k)] + [K * L * K + i * K + k]
+                     for i in range(L) for k in range(K)])
 
 
 def zf_decoder(
-    ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: dict, d_s: int
+    ch: ChannelRealization, assignment, patterns: np.ndarray, provider_blocks: np.ndarray
 ) -> np.ndarray:
-    """Zero-forcing decoders of the users (i, k) keyed in ``provider_blocks``, in
-    key order, as one (..., n, N_B, d_s) array from one SVD of their ``nulling_stacks``."""
-    return select_null_basis(nulling_stacks(ch, assignment, patterns, provider_blocks), d_s)
+    """Zero-forcing decoders of every user, as one (..., L, K, N_B, d_s) array from one
+    SVD of their ``nulling_stacks``, d_s the patterns' column count."""
+    return select_null_basis(nulling_stacks(ch, assignment, patterns, provider_blocks),
+                             patterns.shape[-1])
 
 
 def certified_factor(M: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
@@ -271,7 +270,7 @@ class Potentials(dict):
             A[..., 0, :] = H[:, :1]
             for j in range(1, L):
                 A[:, j - 1, :, j] = -H[:, j]
-            _, s, Vh = full_svd(A.reshape(len(p), (L - 1) * N_B, n))
+            _, s, Vh = svd(A.reshape(len(p), (L - 1) * N_B, n), full_matrices=True)
             # the right singular vectors of the d_s smallest singular values, ties by index
             V, null_dim = Vh[:, n - d_s:].conj().swapaxes(-1, -2), n - matrix_rank(s)
         slices = V.reshape(-1, L, N_U, d_s)
@@ -349,7 +348,7 @@ def build_transceivers(
         raise ContractViolation("potentials were built on another channel draw")
     pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
     inner, patterns, aligned = (potentials.take(n, pairs) for n in ("inner", "patterns", "aligned"))
-    blocks = {(i, k): aligned[assignment.provider(k)] for i in range(cfg.L) for k in range(cfg.K)}
+    blocks = aligned[[assignment.provider(k) for k in range(cfg.K)]]
     return TransceiverSet(ch, assignment, inner, patterns.swapaxes(0, 1), blocks,
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
 

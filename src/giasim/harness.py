@@ -145,7 +145,8 @@ class TrialBuild:
     key, and ``rates`` everything that depends on P (the receiver side of the
     preferences, the assignments that read it or P, the rates), by key and
     configuration, each evaluated at once for every config of the ``plan``
-    (a ``Plan``) known to need it, one slice per config.
+    (a ``Plan``), one slice per config; a centralized search runs at its own
+    config alone.
     """
 
     def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int,
@@ -159,7 +160,6 @@ class TrialBuild:
         self._all_pairs = any(rule not in ("fixed", "rb", "fdma") for rule, _, _ in self._plan.entries)
         self._pieces = {}  # (stage, key) -> power-free piece
         self._rates = {}   # (key, config) -> value that depends on P; keys lead with their kind
-        self._users = {}   # assignment key -> the configs known to run it
 
     def _once(self, stage: str, key, build):
         """Piece ``stage`` of ``key``, ``build()`` on the first request."""
@@ -167,15 +167,14 @@ class TrialBuild:
             self._pieces[stage, key] = build()
         return self._pieces[stage, key]
 
-    def rates(self, cfg: SystemConfig, key: tuple, evaluate, configs=None):
+    def rates(self, cfg: SystemConfig, key: tuple, evaluate, alone: bool = False):
         """The value of ``key`` at ``cfg``, memoized per (key, config). A miss calls
-        ``evaluate(configs)`` once for ``cfg`` and every config of ``configs``
-        (default: the planned ones) that lacks ``key``; it gives one {key: value}
-        dict per config, holding ``key`` and any keys evaluated alongside."""
+        ``evaluate(configs)`` once for ``cfg`` and, unless ``alone``, every planned
+        config that lacks ``key``; it gives one {key: value} dict per config, holding
+        ``key`` and any keys evaluated alongside."""
         value = self._rates.get((key, cfg))
         if value is None:
-            todo = tuple(c for c in dict.fromkeys((cfg, *(self._plan.configs if configs is None
-                                                         else configs)))
+            todo = tuple(c for c in dict.fromkeys((cfg, *(() if alone else self._plan.configs)))
                          if (key, c) not in self._rates)
             for c, values in zip(todo, evaluate(todo)):
                 self._rates.update(((k, c), v) for k, v in values.items())
@@ -224,21 +223,14 @@ class TrialBuild:
         """The strict assignment of ``scheme``'s rule: once per draw for ``fixed`` and
         ``one_sided``, whose provider side does not depend on P, else per config
         and proposer. A two-sided miss matches at every planned config, whose
-        receiver sides came in one call, so that their rates can be evaluated
-        together; a centralized search runs at its own config alone."""
+        receiver sides came in one call; a centralized search runs at its own
+        config alone, so that a search error stays with its grid point's cell."""
         rule = scheme.assignment
         if rule in ("fixed", "one_sided"):
-            return self._once("assignment", rule, lambda: self._note(
-                self._choose(cfg, scheme), self._plan.configs))
+            return self._once("assignment", rule, lambda: self._choose(cfg, scheme))
         key = ("assignment", rule, scheme.proposer)
         return self.rates(cfg, key, lambda configs: [
-            {key: self._note(self._choose(c, scheme), (c,))} for c in configs],
-            None if rule == "two_sided" else ())
-
-    def _note(self, chosen: asg.Assignment, configs) -> asg.Assignment:
-        """``chosen``, noted as run at ``configs`` for its rate evaluations."""
-        self._users.setdefault(_assignment_key(chosen), {}).update(dict.fromkeys(configs))
-        return chosen
+            {key: self._choose(c, scheme)} for c in configs], alone=rule != "two_sided")
 
     def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
         rule = scheme.assignment
@@ -259,15 +251,15 @@ class TrialBuild:
         objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
         sense = "worst" if rule.startswith("worst") else "best"
         return asg.centralized_search(
-            self.ch, cfg, objective=objective, sense=sense, potentials=self.potentials(cfg),
-            user_rates=lambda a: self.user_rates(cfg, self.transceivers(cfg, a)))[0]
+            cfg, self.potentials(cfg), lambda a: self.user_rates(cfg, self.transceivers(cfg, a)),
+            objective, sense)[0]
 
     def user_rates(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
-        """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every config known
-        to run its assignment in one call."""
+        """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every planned config
+        in one call."""
         key = ("user rates", _assignment_key(tset.assignment))
         return self.rates(cfg, key, lambda configs: [
-            {key: rates} for rates in gia.user_rate(self.ch, tset, configs)], self._users.get(key[1], ()))
+            {key: rates} for rates in gia.user_rate(self.ch, tset, configs)])
 
     def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
         key = _assignment_key(chosen)
@@ -353,7 +345,7 @@ class TrialBuild:
             chunk = max(1, asg.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
             for start in range(0, len(new), chunk):
                 q, dist = self.quantized(cfg, scheme, tset, bits[start:start + chunk])
-                U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns, cfg.d_s)
+                U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns)
                 images = gia.link_images(self.ch, U, q)
                 self._pieces.update(zip(map(key, new[start:]), zip(dist, images)))
             return (entries, *map(np.array, zip(*(self._pieces[key(e)] for e in entries))))
@@ -363,8 +355,8 @@ class TrialBuild:
     def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
         """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry
         at ``cfg``. A miss evaluates every entry of its ``feedback`` group at every
-        config known to run the assignment, in one call each of ``throughput``,
-        ``rinr`` and ``rinr_upper_bound`` over a leading (config, entry) axis."""
+        planned config, in one call each of ``throughput``, ``rinr`` and
+        ``rinr_upper_bound`` over a leading (config, entry) axis."""
         akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
 
         def evaluate(configs):
@@ -376,7 +368,7 @@ class TrialBuild:
             return [dict(zip(keys, zip(*row))) for row in zip(*parts)]
 
         key = ("feedback", akey, (scheme.bit_alloc, scheme.bits_budget), seed)
-        return self.rates(cfg, key, evaluate, self._users.get(akey, ()))
+        return self.rates(cfg, key, evaluate)
 
 
 def _evaluate_trial(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec,

@@ -30,22 +30,12 @@ def _as_cmatrix(M) -> np.ndarray:
     return M
 
 
-def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD with non-convergence translated to :class:`NumericalFailure`; a
-    (..., m, n) stack is decomposed slice by slice in one call."""
+def svd(M, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD, thin or full (square U), with non-convergence translated to
+    :class:`NumericalFailure`; a (..., m, n) stack is decomposed slice by slice in one call."""
     M = _as_cmatrix(M)
     try:
-        return np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("svd", M.shape[-2], M.shape[-1]) from exc
-
-
-def full_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD (square U) with the same input check and failure mapping as
-    :func:`svd`; a (..., m, n) stack is decomposed slice by slice in one call."""
-    M = _as_cmatrix(M)
-    try:
-        return np.linalg.svd(M, full_matrices=True)
+        return np.linalg.svd(M, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("svd", M.shape[-2], M.shape[-1]) from exc
 
@@ -58,7 +48,7 @@ def matrix_rank(singular_values: np.ndarray):
 def left_basis_and_rank(M) -> tuple[np.ndarray, np.ndarray]:
     """Square left singular basis U of M and its rank, per slice of a stack, from one SVD
     call. :class:`EmptySubspace` if M, or a slice, has full row rank ("infeasible here")."""
-    U, s, _ = full_svd(M)
+    U, s, _ = svd(M, full_matrices=True)
     ranks = matrix_rank(s)
     if np.any(ranks == U.shape[-1]):
         raise EmptySubspace(f"matrix of shape {np.shape(M)[-2:]} has full row rank {U.shape[-1]}")
@@ -86,7 +76,7 @@ def projectors(X) -> tuple[np.ndarray, np.ndarray]:
     pair always sums to the identity exactly.
     """
     X = _as_cmatrix(X)
-    if np.any(matrix_rank(svd(X)[1]) < X.shape[-1]):
+    if np.any(matrix_rank(svd(X, full_matrices=False)[1]) < X.shape[-1]):
         raise RankDeficient(f"projector input of shape {X.shape[-2:]} is rank deficient")
     X_h = X.conj().swapaxes(-1, -2)
     P = X @ np.linalg.solve(X_h @ X, X_h)
@@ -119,10 +109,9 @@ def psd_eigvals(G) -> np.ndarray:
 
 def orthonormalize(M) -> np.ndarray:
     """M (M^H M)^(-1/2) per slice: the closest semi-unitary matrix with the same span."""
-    M = _as_cmatrix(M)
-    U, s, Vh = svd(M)
-    if np.any(matrix_rank(s) < M.shape[-1]):
-        raise RankDeficient(f"cannot orthonormalize rank-deficient {M.shape[-2:]} matrix")
+    U, s, Vh = svd(M, full_matrices=False)
+    if np.any(matrix_rank(s) < Vh.shape[-1]):
+        raise RankDeficient(f"cannot orthonormalize rank-deficient {np.shape(M)[-2:]} matrix")
     return U @ Vh
 
 
@@ -132,6 +121,15 @@ def herm_inv_sqrt(M) -> np.ndarray:
     if np.any(w[..., -1] <= 0):
         raise RankDeficient("inverse square root of a singular matrix")
     return (V * (1.0 / np.sqrt(w))[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+def norm_sq(X: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a complex (..., m, n) stack, bit for bit
+    ``np.linalg.norm(slice) ** 2``: one BLAS dot per slice, its root, then a Python
+    power (a stacked sum would move last bits)."""
+    x = X.reshape(-1, 1, X.shape[-2] * X.shape[-1])
+    dots = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+    return np.reshape([s ** 2 for s in np.sqrt(dots).ravel().tolist()], X.shape[:-2])
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

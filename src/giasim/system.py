@@ -62,8 +62,12 @@ class SystemConfig:
         return self.K * self.L
 
     def at_snr_db(self, snr_db: float) -> "SystemConfig":
-        """Same system with transmit power set so that P/sigma2 hits snr_db."""
-        return replace(self, P=self.sigma2 * 10.0 ** (snr_db / 10.0))
+        """Same system with transmit power set so that P/sigma2 hits snr_db;
+        :class:`ContractViolation` if that power is not a finite float."""
+        try:
+            return replace(self, P=self.sigma2 * 10.0 ** (snr_db / 10.0))
+        except OverflowError as exc:
+            raise ContractViolation(f"SNR {snr_db} dB overflows the transmit power") from exc
 
 
 def per_config(cfg, value, ndim: int = 0):

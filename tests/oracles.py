@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from giasim import assignment as asg
 from giasim import feedback as fb
-from giasim import harness
+from giasim import gia, harness
 from giasim.assignment import derangement_count, rank_by_utility
 from giasim.errors import (
     AlignmentFailure,
@@ -23,16 +24,16 @@ from giasim.errors import (
     RankDeficient,
 )
 from giasim.feedback import Codebook, omega_matrix
-from giasim.gia import ALIGN_TOL, full_precoder, rate_logdet
+from giasim.gia import ALIGN_TOL, full_precoder, rate_logdet, select_null_basis
 from giasim.linalg import (
     complex_gaussian,
-    full_svd,
     herm_inv_sqrt,
     left_null_space,
     matrix_rank,
     orthonormalize,
     projectors,
     psd_eigvals,
+    svd,
 )
 from giasim.system import SystemConfig, draw_channels, require_feasible
 
@@ -220,7 +221,7 @@ def inner_precoder(A, d_s):
     n = A.shape[1]
     if A.shape[0] == 0:
         return np.eye(n, dtype=complex)[:, :d_s]
-    _, s, Vh = full_svd(A)
+    _, s, Vh = svd(A, full_matrices=True)
     null_dim = n - matrix_rank(s)
     if null_dim < d_s:
         raise InfeasibleConfig(
@@ -275,6 +276,28 @@ def user_rate(ch, tset, i, k, cfg):
     H_eff = U.conj().T @ ch.H[i, k, k] @ slice_ik
     V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners[(i, k)]
     return rate_logdet(H_eff @ V_out, 1.0 / cfg.sigma2)
+
+
+def zf_decoder(ch, assignment, patterns, i, k, block, d_s):
+    """User (i, k)'s zero-forcing decoder from its own nulling stack: its cell's
+    other users, then every cell but k and k's provider user by user, each image
+    ``H[m, l, k] @ patterns[m, l]`` formed alone, then ``block``, the span
+    through which k's provider arrives. The user-by-user form of ``gia.zf_decoder``."""
+    L, K = patterns.shape[:2]
+    cells = [k] + [l for l in range(K) if l not in (k, assignment.provider(k))]
+    images = [ch.H[m, l, k] @ patterns[m, l] for l in cells for m in range(L) if (m, l) != (i, k)]
+    return select_null_basis(np.concatenate(images + [block], axis=1), d_s)
+
+
+def centralized_search(ch, cfg, objective="sum_rate", sense="best", potentials=None):
+    """``assignment.centralized_search`` on ``potentials`` (fresh ones if None) with
+    the plain confirm: each candidate it confirms gets its own
+    ``gia.build_transceivers`` and ``gia.user_rate``, nothing kept between them."""
+    potentials = gia.build_potentials(ch, cfg) if potentials is None else potentials
+    return asg.centralized_search(
+        cfg, potentials,
+        lambda a: gia.user_rate(ch, gia.build_transceivers(ch, cfg, a, potentials), cfg),
+        objective, sense)
 
 
 def throughput(images, i, k, cfg):

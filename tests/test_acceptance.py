@@ -323,7 +323,7 @@ def test_10_perfect_feedback_limit():
     for t in range(50):
         ch = draw_channels(CFG, trial_rng(SEED + 7, t))
         tset = build_transceivers(ch, CFG, fixed_cyclic(CFG.K))
-        decoders = quantized_decoder(ch, tset.assignment, tset.patterns, tset.patterns, CFG.d_s)
+        decoders = quantized_decoder(ch, tset.assignment, tset.patterns, tset.patterns)
         images = link_images(ch, decoders, tset.patterns)
         for k in range(CFG.K):
             for i in range(CFG.L):

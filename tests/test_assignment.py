@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from giasim import assignment as asg
 from giasim.assignment import (
     Assignment,
     PreferenceProfile,
     breaking_step,
     build_preferences,
-    centralized_search,
     derangement_count,
     enumerate_derangements,
     fca_match,
@@ -21,7 +21,13 @@ from giasim.assignment import (
 from giasim.errors import CapacityExceeded, ContractViolation
 from giasim.gia import build_potentials, build_transceivers, user_rate
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import assignment_cycles, assignment_utility, strict_count_formula, validate_assignment
+from oracles import (
+    assignment_cycles,
+    assignment_utility,
+    centralized_search,
+    strict_count_formula,
+    validate_assignment,
+)
 
 
 def recurrence_derangements(n: int) -> int:
@@ -352,11 +358,13 @@ class TestCentralizedSearch:
     def test_enumeration_cap(self):
         big = SystemConfig(K=10, L=1, N_B=10, N_U=10, d_s=1)
         with pytest.raises(CapacityExceeded):
-            centralized_search(None, big, "sum_rate", "best")
+            asg.centralized_search(big, None, None, "sum_rate", "best")
 
-    def test_rejects_unknown_objective(self, realization):
+    def test_rejects_unknown_objective(self, realization, potentials):
         with pytest.raises(ContractViolation):
-            centralized_search(realization, CFG, "median_rate", "best")
+            centralized_search(realization, CFG, "median_rate", "best", potentials)
+        with pytest.raises(ContractViolation):
+            centralized_search(realization, CFG, "sum_rate", "median", potentials)
 
 
 def test_fixed_cyclic_structure():

@@ -6,7 +6,9 @@ across candidates and calls. It screens the candidates in chunks, each from
 a Cholesky factor of the Gram of each of its cell matrices, gathered from a
 per-draw pair table, and evaluates exactly, through ``build_transceivers`` and
 ``user_rate``, only the candidates the screen cannot certify and those near
-the best screened value. The reference below is the plain loop: for every
+the best screened value. The searches below confirm through
+``oracles.centralized_search``, a fresh ``build_transceivers`` and ``user_rate``
+per confirmed candidate. The reference is the plain loop: for every
 derangement a fresh ``build_transceivers`` with no potentials, so each builds
 its own and nothing is shared between candidates, and its rates user by user
 through ``oracles.user_rate``. Both must agree with ``==``.
@@ -23,7 +25,6 @@ from giasim.assignment import (
     Assignment,
     breaking_step,
     build_preferences,
-    centralized_search,
     enumerate_derangements,
     fca_match,
     fixed_cyclic,
@@ -38,11 +39,10 @@ from giasim.gia import (
     rate_logdet,
     select_null_basis,
     user_rate,
-    zf_decoder,
 )
 from giasim.linalg import complex_gaussian
 from giasim.system import ChannelRealization, SystemConfig, draw_channels, trial_rng
-from oracles import feasible_configs, user_rate as per_user_rate
+from oracles import centralized_search, feasible_configs, user_rate as per_user_rate, zf_decoder
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
@@ -290,9 +290,9 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
     first_own = N_B - L * d_s
     for assignment, M in zip(_derangements(cfg), cells):
         tset = build_transceivers(ch, cfg, assignment, potentials)
-        blocks = {(i, k): potentials.take("aligned", [(assignment.provider(k), k)])[0]
-                  for i in range(L) for k in range(K)}
-        F = nulling_stacks(ch, assignment, tset.patterns, blocks).reshape(L, K, N_B, N_B - d_s)
+        blocks = potentials.take("aligned", [(assignment.provider(k), k) for k in range(K)])
+        F = nulling_stacks(ch, assignment, tset.patterns, blocks)
+        assert F.shape == (L, K, N_B, N_B - d_s)
         for i, k in np.ndindex(L, K):
             own = np.arange(first_own + i * d_s, first_own + (i + 1) * d_s)
             others = [first_own + m * d_s + c for m in range(L) if m != i for c in range(d_s)]
@@ -422,10 +422,8 @@ def test_stacked_decoders_equal_single_user_decoders():
     for k in range(REFERENCE.K):
         for i in range(REFERENCE.L):
             aligned = potentials.take("aligned", [(prov(k), k)])[0]
-            single = zf_decoder(
-                ch, tset.assignment, tset.patterns, {(i, k): aligned}, REFERENCE.d_s
-            )
-            assert np.array_equal(single[0], tset.decoders[i, k])
+            single = zf_decoder(ch, tset.assignment, tset.patterns, i, k, aligned, REFERENCE.d_s)
+            assert np.array_equal(single, tset.decoders[i, k])
 
 
 def _low_rank(rng, m, n, r):

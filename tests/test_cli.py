@@ -100,8 +100,9 @@ def test_codebook_guard_exit_code(tmp_path):
     [
         ["--ambient", "8", "--sub", "2", "--bits", "2", "--seed", "-1"],
         ["--ambient", "0", "--sub", "-1", "--bits", "2"],
+        ["--ambient", "8", "--sub", "2", "--bits", "-1"],
     ],
-    ids=["negative_seed", "nonpositive_dimensions"],
+    ids=["negative_seed", "nonpositive_dimensions", "negative_bits"],
 )
 def test_codebook_bad_input_is_an_error_line(tmp_path, capsys, extra):
     out = tmp_path / "book.bin"
@@ -109,6 +110,8 @@ def test_codebook_bad_input_is_an_error_line(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out.exists()
+    if extra[extra.index("--bits") + 1] == "-1":  # named, not a 2^-1-entry book over the guard
+        assert err == "error: negative bit count -1\n"
 
 
 def test_codebook_unwritable_out_is_an_error_line(tmp_path, capsys):
@@ -178,6 +181,9 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("snr_infinite_end", []),
         ("ok", ["--snr", "0:1e-9:100"]),
         ("snr_tiny_step", []),
+        ("ok", ["--snr", "4000"]),
+        ("ok", ["--snr", "4000", "--bit-alloc", "eba", "--bits", "16:16:48"]),
+        ("snr_overflow", []),
     ],
     ids=[
         "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
@@ -185,7 +191,8 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         "negative_seed", "negative_codebook_seed", "config_trials_not_an_int",
         "config_seed_not_an_int", "config_fractional_K", "config_boolean_snr",
         "config_fractional_trials", "snr_infinite_end", "snr_nan_step", "snr_infinite_step",
-        "config_infinite_snr_end", "snr_tiny_step", "config_tiny_step",
+        "config_infinite_snr_end", "snr_tiny_step", "config_tiny_step", "snr_overflow",
+        "snr_overflow_at_bit_sweep", "config_snr_overflow",
     ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):
@@ -200,6 +207,7 @@ def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra
         ("trials_fractional", {**dims, "trials": 2.5}),
         ("snr_infinite_end", {**dims, "snr_db": [0, 1, math.inf]}),
         ("snr_tiny_step", {**dims, "snr_db": [0, 1e-9, 100]}),
+        ("snr_overflow", {**dims, "snr_db": [3000, 100, 3200]}),
     ):
         path[name] = str(tmp_path / f"{name}.json")
         Path(path[name]).write_text(json.dumps(raw))

@@ -62,6 +62,14 @@ class TestCodebook:
         with pytest.raises(CapacityExceeded):
             generate_codebook(8, 2, 25, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("B", [-1, 2.5, True, np.float64(2.0)],
+                             ids=["negative", "fractional", "boolean", "numpy_float"])
+    def test_bit_count_is_a_whole_nonnegative_number(self, B):
+        # checked before the byte guard: -1 would read as a 2^-1-entry book over
+        # it, 2.5 fails inside 2 ** B with a TypeError and True passes as 1
+        with pytest.raises(ContractViolation, match="bit count"):
+            generate_codebook(8, 2, B, np.random.default_rng(0))
+
     def test_byte_guard_refuses_4gib_book_before_drawing(self, monkeypatch):
         # G(8,2) at 24 bits is 2^24 * 8 * 2 * 16 bytes = 4 GiB of codewords
         assert codebook_bytes(8, 2, 24) is None
@@ -187,7 +195,7 @@ def quantize_all(tset, B, seed):
 
 
 def decoders_for(ch, tset, q):
-    return quantized_decoder(ch, tset.assignment, q, tset.patterns, CFG.d_s)
+    return quantized_decoder(ch, tset.assignment, q, tset.patterns)
 
 
 class TestQuantizedDecoder:
@@ -200,7 +208,7 @@ class TestQuantizedDecoder:
     def test_dimensions_and_nulling(self, pipeline):
         ch, tset = pipeline
         q, _ = quantize_all(tset, B=6, seed=17)
-        decoders = quantized_decoder(ch, tset.assignment, q, tset.patterns, CFG.d_s)
+        decoders = quantized_decoder(ch, tset.assignment, q, tset.patterns)
         assert decoders.shape == (CFG.L, CFG.K, 14, 2)
         for k in range(CFG.K):
             prov = tset.assignment.provider(k)

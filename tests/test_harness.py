@@ -410,6 +410,15 @@ class TestSweep:
         r_2 = run_sweep(spec_2, CFG)[0]["r_sum"]
         assert r_2 == pytest.approx(r_e / math.log(2.0), rel=1e-12)
 
+    def test_snr_beyond_the_float_range_is_a_contract_violation(self, tmp_path):
+        # 10 ** (snr_db / 10) overflows a float above about 3082 dB, which
+        # must end in a typed error before any draw or CSV, not an OverflowError
+        spec = SweepSpec(variable="snr_db", grid=(25.0, 4000.0), trials=1,
+                         schemes=(SchemeSpec(assignment="fixed"),))
+        with pytest.raises(ContractViolation, match="4000.0 dB overflows"):
+            run_sweep(spec, CFG, out_path=str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
     def test_write_failure_surfaces_path(self, tmp_path):
         with pytest.raises(ContractViolation, match="no/such/dir"):
             write_csv([], str(tmp_path / "no" / "such" / "dir" / "x.csv"))

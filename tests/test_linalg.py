@@ -6,6 +6,7 @@ from giasim.linalg import (
     complex_gaussian,
     herm_eig,
     left_null_space,
+    norm_sq,
     orthonormalize,
     projectors,
     svd,
@@ -17,23 +18,37 @@ rng = np.random.default_rng(101)
 
 class TestSvd:
     def test_identity(self):
-        _, s, _ = svd(np.eye(3))
+        _, s, _ = svd(np.eye(3), full_matrices=False)
         assert np.allclose(s, [1.0, 1.0, 1.0])
 
     def test_diagonal(self):
-        _, s, _ = svd(np.diag([3.0, 2.0]))
+        _, s, _ = svd(np.diag([3.0, 2.0]), full_matrices=False)
         assert np.allclose(s, [3.0, 2.0])
 
     def test_reconstruction(self):
         M = complex_gaussian(rng, (4, 2))
-        U, s, Vh = svd(M)
+        U, s, Vh = svd(M, full_matrices=False)
         err = np.linalg.norm(U @ np.diag(s) @ Vh - M) / np.linalg.norm(M)
         assert err < 1e-10
         assert is_semi_unitary(U) and is_semi_unitary(Vh.conj().T)
+        U_full, s_full, _ = svd(M, full_matrices=True)
+        assert U_full.shape == (4, 4) and is_semi_unitary(U_full)
+        assert np.array_equal(s_full, s)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolation):
-            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]), full_matrices=True)
+
+
+def test_norm_sq_equals_each_slice_norm_squared():
+    # bit for bit: the RINR and the emulated distortions were defined by the
+    # 2-D np.linalg.norm; a stacked einsum sum differs from it in last bits
+    for shape in [(2, 2), (300, 2, 2), (2, 3, 4, 3, 1)]:
+        X = complex_gaussian(rng, shape)
+        sq = norm_sq(X)
+        assert sq.shape == shape[:-2]
+        for idx in np.ndindex(shape[:-2]):
+            assert sq[idx] == np.linalg.norm(X[idx]) ** 2
 
 
 class TestLeftNullSpace:

@@ -72,12 +72,12 @@ def _deficient_on_first_draw(monkeypatch):
     seed 31: that pair's patterns, aligned image and whiteners then fail their
     checks, as the per-pair construction's would. Returns the pair counts of the
     formations, and how many of them held BAD on that draw."""
-    real, formed = gia.full_svd, []
+    real, formed = gia.svd, []
     n = CFG.L * CFG.N_U
     target = stack_alignment_matrix(TrialBuild(CFG, 31, 0, 0).ch, *BAD)
 
-    def deficient(A):
-        U, s, Vh = real(A)
+    def deficient(A, full_matrices):
+        U, s, Vh = real(A, full_matrices)
         hit = [j for j in range(len(A)) if np.array_equal(A[j], target)]
         for j in hit:
             Vh = Vh.copy()
@@ -85,7 +85,7 @@ def _deficient_on_first_draw(monkeypatch):
         formed.append((len(A), len(hit)))
         return U, s, Vh
 
-    monkeypatch.setattr(gia, "full_svd", deficient)
+    monkeypatch.setattr(gia, "svd", deficient)
     return formed
 
 

@@ -66,10 +66,15 @@ def test_snr_sweep_bit_identical_to_grid_major_loop():
         variable="snr_db", grid=(-30.0, 10.0, 50.0), trials=3, schemes=schemes, seed=41
     )
     # trial 1 ranks receivers differently at the two ends of the grid, so the
-    # power-keyed receiver side is exercised, not only its first entry
+    # power-keyed receiver side is exercised, not only its first entry, and its
+    # two-sided matchings differ across the grid, so every planned config rates
+    # an assignment that some of them do not run
     build = hmod.TrialBuild(CFG, spec.seed, 1, 0)
     ends = [build.preferences(CFG.at_snr_db(v), two_sided=True).receiver for v in (-30.0, 50.0)]
     assert ends[0] != ends[1]
+    matched = {hmod._assignment_key(build.assignment(CFG.at_snr_db(v), schemes[2]))
+               for v in spec.grid}
+    assert schemes[2] == SchemeSpec(assignment="two_sided") and len(matched) > 1
     rows = run_sweep(spec, CFG)
     assert [row["scheme"] for row in rows[: len(schemes)]] == [s.label for s in schemes]
     assert rows == grid_major_reference(spec, CFG)
@@ -134,8 +139,8 @@ def test_degenerate_cell_resamples_alone(monkeypatch):
 
 def test_failed_assignment_resamples_only_its_grid_points(monkeypatch):
     # trial 1 of seed 41 matches two-sided differently at -30 dB than at 10 and
-    # 50 dB: rates are stacked over 10 and 50 only, and a transceiver set that
-    # fails on the first draw resamples the -30 dB cell alone
+    # 50 dB: a transceiver set that fails on the first draw resamples the -30 dB
+    # cell alone, though each set's rates are evaluated at every grid point
     spec = SweepSpec("snr_db", (-30.0, 10.0, 50.0), 2, (SchemeSpec(assignment="two_sided"),),
                      seed=41)
     clean = run_sweep(spec, CFG)
