@@ -24,7 +24,6 @@ from .system import ChannelRealization, SystemConfig, per_config
 ENUMERATION_CAP = 10 ** 6  # most derangements centralized_search enumerates
 COALITION_CAP = 8          # largest K whose one-sided coalitions is_stable searches
 SCREEN_MARGIN = 1e-9       # screened values this near the best (relative) are confirmed exactly
-SCREEN_CHUNK_BYTES = 2 ** 19  # cell matrices of the candidates one screen call holds
 
 
 @dataclass
@@ -303,17 +302,17 @@ def centralized_search(
 ) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
-    ``gia.screen_candidates`` screens chunks of SCREEN_CHUNK_BYTES of cell
-    matrices. It raises and warns nothing, and a candidate it cannot certify is
-    evaluated exactly at its place in the enumeration, so warnings and errors
-    come as from a plain loop. Certified candidates within SCREEN_MARGIN of the
-    best screened value are evaluated exactly, and all are if one of those was
-    screened off by over a quarter of the margin. Ties resolve to the
-    lexicographically smallest assignment: the enumeration is lexicographic and
-    the exact values are compared strictly. ``user_rates(assignment)`` gives a
-    candidate's exact (L, K) user rates at ``cfg``, ``gia.user_rate`` of its
-    ``gia.build_transceivers`` on ``potentials``; a caller that keeps the sets it
-    builds and their rates reads the winner's without building or rating it again.
+    ``gia.screen_candidates`` screens every candidate in one call. It raises and
+    warns nothing, and a candidate it cannot certify is evaluated exactly first,
+    in enumeration order, so warnings and errors come as from a plain loop.
+    Certified candidates within SCREEN_MARGIN of the best screened value are
+    evaluated exactly, and all are if one of those was screened off by over a
+    quarter of the margin. Ties resolve to the lexicographically smallest
+    assignment: the enumeration is lexicographic and the exact values are
+    compared strictly. ``user_rates(assignment)`` gives a candidate's exact (L, K)
+    user rates at ``cfg``, ``gia.user_rate`` of its ``gia.build_transceivers`` on
+    ``potentials``; a caller that keeps the sets it builds and their rates reads
+    the winner's without building or rating it again.
     """
     if objective not in ("sum_rate", "min_cell_rate"):
         raise ContractViolation(f"unknown objective {objective!r}")
@@ -326,25 +325,26 @@ def centralized_search(
     reduce = sum if objective == "sum_rate" else min
     providers = _derangements(cfg.K)
     candidate = lambda c: Assignment(dict(enumerate(providers[c].tolist())))
-    exact, screened = {}, {}
+    exact = {}
 
     def confirm(c):  # exact user rates of the candidate's full transceiver set
         if c not in exact:
             exact[c] = reduce([sum(cell) for cell in user_rates(candidate(c)).T.tolist()])
 
-    chunk = max(1, SCREEN_CHUNK_BYTES // (16 * cfg.K * cfg.N_B ** 2))  # N_B^2 bounds a cell matrix
-    for start in range(0, len(providers), chunk):
-        cell_rates = gia.screen_candidates(cfg, potentials, providers[start:start + chunk]).sum(1)
-        for c, rates in enumerate(cell_rates.tolist(), start):
-            if all(map(math.isfinite, rates)):
-                screened[c] = reduce(rates)
-            else:
-                confirm(c)
-    edge = (max if sense == "best" else min)(screened.values(), default=0.0)
-    near = [c for c, v in screened.items() if abs(v - edge) <= SCREEN_MARGIN * abs(edge)]
+    cell_rates = gia.screen_candidates(cfg, potentials, providers).sum(1)  # (D(K), K)
+    certified = np.isfinite(cell_rates).all(axis=-1)
+    for c in np.flatnonzero(~certified).tolist():
+        confirm(c)
+    ok = np.flatnonzero(certified)
+    # each cell in turn, as the Python sum of a candidate's cell rates adds them
+    screened = sum(cell_rates[ok].T) if objective == "sum_rate" else cell_rates[ok].min(-1)
+    edge = (screened.max() if sense == "best" else screened.min()) if len(ok) else 0.0
+    close = np.abs(screened - edge) <= SCREEN_MARGIN * abs(edge)
+    near = ok[close].tolist()
     for c in near:
         confirm(c)
-    if not all(abs(screened[c] - exact[c]) <= SCREEN_MARGIN / 4 * abs(exact[c]) for c in near):
+    if not all(abs(v - exact[c]) <= SCREEN_MARGIN / 4 * abs(exact[c])
+               for c, v in zip(near, screened[close].tolist())):
         for c in range(len(providers)):
             confirm(c)
     best = best_value = None

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     AlignmentFailure,
+    CapacityExceeded,
     ContractViolation,
     DegenerateChannel,
     EmptySubspace,
@@ -35,6 +36,8 @@ from .system import ChannelRealization, SystemConfig, per_config
 
 ALIGN_TOL = 1e-8
 CERTIFIED_RATIO = 1e-6  # sigma_min(M) / |M|_F of a certified cell matrix, at least
+SCREEN_CHUNK_BYTES = 2 ** 19  # cell matrices of the candidates one screen chunk holds
+SCREEN_TABLE_BYTES = 2 ** 28  # most bytes of P-free screen values one candidate list keeps
 
 
 def rate_logdet(M: np.ndarray, scale):
@@ -236,6 +239,7 @@ class Potentials(dict):
             ("aligned", (cfg.N_B, d_s)), ("whiteners", (L, d_s, d_s)))}  # pair (p, r) at p * K + r
         self._errors = {}  # (name, p, r) -> what a read of that piece raises
         self._table = None  # the pair table of ``cell_matrices``
+        self._screens = {}  # candidate providers -> their P-free screen values
 
     def take(self, name: str, pairs: list) -> np.ndarray:
         """The pieces ``name`` of ``pairs``, one per pair along a leading axis: the
@@ -323,6 +327,33 @@ class Potentials(dict):
         gathered = self._table[cells, receivers, blocks]
         return gathered.reshape(len(providers), K, -1, N_B).swapaxes(-1, -2)
 
+    def inverse_gains(self, providers: np.ndarray) -> np.ndarray:
+        """The eigenvalues of Z Z^H of every user, (n, K, L, d_s), of the strict assignments
+        with providers the rows of ``providers`` (n, K), NaN in each row with an uncertified
+        cell: the P-free part of ``screen_candidates``, formed on first use in chunks of
+        SCREEN_CHUNK_BYTES of cell matrices from one ``certified_factor`` C of each, and
+        kept. The rows Z of M_k^-1 at user (i, k)'s block null its stack and map its image
+        H V W to I, so Z^H spans its decoders' space and its rate is log det(I + P/(d_s
+        sigma^2) (Z Z^H)^-1). The own blocks come last, and C's trailing block there has
+        C_oo C_oo^H = (Z_o Z_o^H)^-1 for the own rows Z_o, so C_oo^-H holds each user's Z
+        up to a unitary on the right. :class:`CapacityExceeded`, before any factorization,
+        if the values would take over SCREEN_TABLE_BYTES."""
+        key = providers.tobytes()  # the candidate rows, as a dict key
+        if key in self._screens:
+            return self._screens[key]
+        K, L, N_B, d_s = self.cfg.K, self.cfg.L, self.cfg.N_B, self.cfg.d_s
+        size = 8 * len(providers) * K * L * d_s
+        if size > SCREEN_TABLE_BYTES:
+            raise CapacityExceeded(f"the screen of {len(providers)} candidates keeps {size} "
+                                   f"bytes, over the {SCREEN_TABLE_BYTES}-byte guard")
+        gains = np.empty((len(providers), K, L, d_s))
+        chunk = max(1, SCREEN_CHUNK_BYTES // (16 * K * N_B ** 2))  # N_B^2 bounds a cell matrix
+        for start in range(0, len(providers), chunk):
+            gains[start:start + chunk] = _chunk_gains(
+                self.cell_matrices(providers[start:start + chunk]), L, d_s)
+        self._screens[key] = gains
+        return gains
+
 
 def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs=None) -> Potentials:
     """Every piece of the (provider, receiver) pairs ``pairs``, one stacked call
@@ -356,22 +387,38 @@ def build_transceivers(
 def screen_candidates(cfg: SystemConfig, potentials: Potentials, providers) -> np.ndarray:
     """Every user's rate in nats, (n, L, K), at ``cfg``'s power (the potentials may come
     from another power), of the strict assignments with providers the rows of the (n, K)
-    array ``providers``, from one ``certified_factor`` C of their cell matrices; NaN,
-    silently, if a cell is uncertified, as one reading a failed pair piece is. The rows
-    Z of M_k^-1 at user (i, k)'s block null its stack and map its image H V W to I, so
-    Z^H spans its decoders' space and its rate is log det(I + P/(d_s sigma^2) (Z Z^H)^-1).
-    The own blocks come last, and C's trailing block there has C_oo C_oo^H = (Z_o Z_o^H)^-1
-    for the own rows Z_o, so C_oo^-H holds each user's Z up to a unitary on the right."""
-    own = cfg.L * cfg.d_s
-    factor, certified = certified_factor(potentials.cell_matrices(providers))
+    array ``providers``; NaN, silently, if a cell is uncertified, as one reading a failed
+    pair piece is. Only log1p(P/(d_s sigma^2) / lambda) and its sums depend on the power:
+    the inverse gains lambda are ``Potentials.inverse_gains``, formed once per draw."""
+    scale = cfg.P / (cfg.d_s * cfg.sigma2)
+    return np.log1p(scale / potentials.inverse_gains(providers)).sum(-1).swapaxes(-1, -2)
+
+
+def _chunk_gains(M: np.ndarray, L: int, d_s: int) -> np.ndarray:
+    """``Potentials.inverse_gains`` of one chunk of cell matrices M, (n, K, N_B, N_B), as an
+    (n, K, L, d_s) array; its factors are freed at the return, before the next chunk's."""
+    factor, certified = certified_factor(M)
     ok = certified.all(axis=-1)
-    rates = np.full((len(providers), cfg.L, cfg.K), np.nan)
+    gains = np.full(M.shape[:2] + (L, d_s), np.nan)
     if ok.any():
-        Z = np.linalg.inv(factor[ok, :, -own:, -own:].conj().swapaxes(-1, -2))
-        Z = Z.reshape(-1, cfg.K, cfg.L, cfg.d_s, own)
-        inv_gains = psd_eigvals(Z @ Z.conj().swapaxes(-1, -2))
-        rates[ok] = np.log1p(cfg.P / (cfg.d_s * cfg.sigma2) / inv_gains).sum(-1).swapaxes(-1, -2)
-    return rates
+        own = factor[..., -L * d_s:, -L * d_s:]
+        own = own if ok.all() else own[ok]  # no copy when every cell is certified
+        Z = np.linalg.inv(own.conj().swapaxes(-1, -2))
+        gains[ok] = _gram_eigvals(Z.reshape(-1, M.shape[1], L, d_s, L * d_s))
+    return gains
+
+
+def _gram_eigvals(Z: np.ndarray) -> np.ndarray:
+    """The eigenvalues of Z Z^H of each (d_s, n) slice of a stack; for d_s = 2 in closed
+    form from its entries a, d and b: (a + d)/2 + sqrt((a - d)^2/4 + |b|^2), and the other
+    as the determinant over it."""
+    if Z.shape[-2] != 2:
+        return psd_eigvals(Z @ Z.conj().swapaxes(-1, -2))
+    a, d = np.moveaxis((Z.real ** 2 + Z.imag ** 2).sum(-1), -1, 0)
+    b = (Z[..., 0, :] * Z[..., 1, :].conj()).sum(-1)
+    b_sq = b.real ** 2 + b.imag ** 2
+    top = (a + d) / 2 + np.sqrt(((a - d) / 2) ** 2 + b_sq)
+    return np.stack([(a * d - b_sq) / top, top], axis=-1)
 
 
 def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg) -> np.ndarray:

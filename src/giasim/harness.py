@@ -342,7 +342,7 @@ class TrialBuild:
             bits = [(fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
                      else fb.eba_allocate(budget, cfg.user_count)).tolist()
                     for rule, budget in new]
-            chunk = max(1, asg.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
+            chunk = max(1, gia.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
             for start in range(0, len(new), chunk):
                 q, dist = self.quantized(cfg, scheme, tset, bits[start:start + chunk])
                 U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns)

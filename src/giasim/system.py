@@ -12,6 +12,12 @@ from .errors import CapacityExceeded, ContractViolation, InfeasibleConfig
 from .linalg import complex_gaussian
 
 DRAW_BYTE_GUARD = 2 ** 30  # largest working set of one channel draw, in bytes
+# Largest P/sigma2 (1000 dB), and largest P, a config takes. The rate path's largest
+# products are P and P/(d_s sigma2) times a squared gain g of the channel images (the
+# Grams of ``gia.user_rate`` and ``harness.throughput``, the screen's P/(d_s sigma2)/lambda).
+# Under the ceiling they stay below 1e154 for any g below 1e54, so the kernels that square
+# them (norms, eigenvalue solvers) stay inside the double range; 3080 dB gave NaN rows.
+SNR_CEILING = 1e100
 
 
 def check_whole(value, what: str) -> None:
@@ -56,6 +62,10 @@ class SystemConfig:
             raise ContractViolation("counts must be positive")
         if not (0 < self.P < math.inf and 0 < self.sigma2 < math.inf):  # also rejects NaN
             raise ContractViolation("powers must be positive and finite")
+        snr = float(self.P) / float(self.sigma2)  # Python floats: inf, not a numpy warning
+        if max(self.P, snr) > SNR_CEILING:
+            raise ContractViolation(f"P {self.P!r} and P/sigma2 {snr!r} must be at most the "
+                                    f"ceiling {SNR_CEILING!r} (1000 dB)")
 
     @property
     def user_count(self) -> int:

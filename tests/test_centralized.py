@@ -2,10 +2,11 @@
 null basis behind its decoders.
 
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
-across candidates and calls. It screens the candidates in chunks, each from
-a Cholesky factor of the Gram of each of its cell matrices, gathered from a
-per-draw pair table, and evaluates exactly, through ``build_transceivers`` and
-``user_rate``, only the candidates the screen cannot certify and those near
+across candidates and calls. It screens every candidate in one call, from a
+Cholesky factor of the Gram of each of their cell matrices, gathered from a
+per-draw pair table and formed in chunks once per draw, and evaluates
+exactly, through ``build_transceivers`` and ``user_rate``, only the
+candidates the screen cannot certify and those near
 the best screened value. The searches below confirm through
 ``oracles.centralized_search``, a fresh ``build_transceivers`` and ``user_rate``
 per confirmed candidate. The reference is the plain loop: for every
@@ -15,6 +16,7 @@ through ``oracles.user_rate``. Both must agree with ``==``.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from giasim.assignment import (
     fixed_cyclic,
     gale_shapley,
 )
-from giasim.errors import ContractViolation, GiaSimError
+from giasim.errors import CapacityExceeded, ContractViolation, GiaSimError
 from giasim.gia import (
     build_potentials,
     build_transceivers,
@@ -41,7 +43,7 @@ from giasim.gia import (
     user_rate,
 )
 from giasim.linalg import complex_gaussian
-from giasim.system import ChannelRealization, SystemConfig, draw_channels, trial_rng
+from giasim.system import SNR_CEILING, ChannelRealization, SystemConfig, draw_channels, trial_rng
 from oracles import centralized_search, feasible_configs, user_rate as per_user_rate, zf_decoder
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
@@ -333,9 +335,13 @@ def test_screened_rates_equal_user_rates():
     # user by user, not cell by cell: swapping two users' diagonal blocks of
     # C_oo^-H C_oo^-1 leaves every cell's sum unchanged. TIGHT_K5's 44
     # derangements, then every tight fuzz shape (L in {1, 2, 3}, d_s in
-    # {1, 2}), each screened in one call
+    # {1, 2}) and two tight d_s = 3 shapes, each screened in one call: the
+    # eigenvalues of Z Z^H come in closed form at d_s = 2 and from eigvalsh else
     shapes = [(TIGHT_K5, trial_rng(49, 0))] + [
-        (cfg, trial_rng(2718, 6 * n)) for n, cfg in enumerate(feasible_configs(2718)[::3])]
+        (cfg, trial_rng(2718, 6 * n)) for n, cfg in enumerate(feasible_configs(2718)[::3])] + [
+        (SystemConfig(K=3, L=L, N_B=N_B, N_U=N_U, d_s=3).at_snr_db(25.0), trial_rng(50, L))
+        for L, N_B, N_U in ((1, 9, 4), (2, 15, 9))]
+    assert {cfg.d_s for cfg, _ in shapes} == {1, 2, 3}
     for cfg, rng in shapes:
         ch = draw_channels(cfg, rng)
         potentials = build_potentials(ch, cfg)
@@ -346,6 +352,37 @@ def test_screened_rates_equal_user_rates():
             exact = user_rate(ch, build_transceivers(ch, cfg, assignment, potentials), cfg)
             for (i, k), rate in np.ndenumerate(rates):
                 assert abs(rate - exact[i, k]) <= 1e-12 * exact[i, k], (cfg, assignment, i, k)
+
+
+def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypatch):
+    # the screen keeps 8 K L d_s bytes of inverse gains per candidate on the
+    # potentials, and counts them before it gathers or factors a cell matrix
+    ch = draw_channels(REFERENCE, trial_rng(41, 0))
+    potentials = build_potentials(ch, REFERENCE)
+    providers = np.array(list(enumerate_derangements(REFERENCE.K)))
+    factored = []
+    factor = gia.certified_factor
+    monkeypatch.setattr(gia, "certified_factor", lambda M: factored.append(len(M)) or factor(M))
+    size = 8 * len(providers) * REFERENCE.K * REFERENCE.L * REFERENCE.d_s
+    monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size - 1)
+    with pytest.raises(CapacityExceeded, match=f"{size} bytes"):
+        gia.screen_candidates(REFERENCE, potentials, providers)
+    assert factored == []
+    monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size)
+    assert np.isfinite(gia.screen_candidates(REFERENCE, potentials, providers)).all()
+    assert factored == [len(providers)]
+
+
+def test_screen_is_finite_at_the_snr_ceiling():
+    # the largest P/sigma2 a config takes, on TIGHT_K6's 265 candidates, whose
+    # inverse gains come from the d_s = 2 closed form
+    ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
+    potentials = build_potentials(ch, TIGHT_K6)
+    providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
+    for cfg in (replace(TIGHT_K6, P=SNR_CEILING), replace(TIGHT_K6, P=1.0, sigma2=1 / SNR_CEILING)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(gia.screen_candidates(cfg, potentials, providers)).all()
 
 
 @pytest.mark.parametrize("m, bad", [

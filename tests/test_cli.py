@@ -184,6 +184,7 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("ok", ["--snr", "4000"]),
         ("ok", ["--snr", "4000", "--bit-alloc", "eba", "--bits", "16:16:48"]),
         ("snr_overflow", []),
+        ("ok", ["--assignment", "fixed", "--snr", "3080", "--trials", "1"]),
     ],
     ids=[
         "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
@@ -192,7 +193,7 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         "config_seed_not_an_int", "config_fractional_K", "config_boolean_snr",
         "config_fractional_trials", "snr_infinite_end", "snr_nan_step", "snr_infinite_step",
         "config_infinite_snr_end", "snr_tiny_step", "config_tiny_step", "snr_overflow",
-        "snr_overflow_at_bit_sweep", "config_snr_overflow",
+        "snr_overflow_at_bit_sweep", "config_snr_overflow", "snr_over_the_ceiling",
     ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):

@@ -419,6 +419,30 @@ class TestSweep:
             run_sweep(spec, CFG, out_path=str(tmp_path / "x.csv"))
         assert not (tmp_path / "x.csv").exists()
 
+    def test_snr_over_the_ceiling_is_a_contract_violation(self, tmp_path):
+        # 3080 dB is a finite power, but the rate path's products overflowed
+        # there and the rows came out NaN or inf
+        spec = SweepSpec(variable="snr_db", grid=(25.0, 3080.0), trials=1,
+                         schemes=(SchemeSpec(assignment="fixed"),))
+        with pytest.raises(ContractViolation, match="ceiling"):
+            run_sweep(spec, CFG, out_path=str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_every_scheme_is_finite_at_the_snr_ceiling(self):
+        # 1000 dB is SNR_CEILING itself; pytest turns any numpy overflow
+        # warning into a failure
+        schemes = tuple(SchemeSpec(assignment=a) for a in ASSIGNMENT_SCHEMES) + (
+            SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100),
+            SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=300),
+            SchemeSpec(assignment="two_sided", bit_alloc="eba", bits_budget=300))
+        spec = SweepSpec(variable="snr_db", grid=(1000.0,), trials=1, schemes=schemes, seed=1)
+        rows = run_sweep(spec, CFG)
+        assert len(rows) == len(schemes)
+        for row in rows:
+            fed_back = "+" in row["scheme"]
+            assert math.isfinite(row["r_sum"]) and math.isfinite(row["r_min"]), row
+            assert math.isfinite(row["rinr_db"]) if fed_back else row["rinr_db"] is None, row
+
     def test_write_failure_surfaces_path(self, tmp_path):
         with pytest.raises(ContractViolation, match="no/such/dir"):
             write_csv([], str(tmp_path / "no" / "such" / "dir" / "x.csv"))

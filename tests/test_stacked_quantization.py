@@ -158,7 +158,7 @@ def test_screen_margin_is_the_readme_bound():
 def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
     monkeypatch.setattr(hmod.fb, "_calibrate_small_ball", lambda M, N: 0.01)
     # five entries per chunk: the twelve below take two full chunks and a partial one
-    monkeypatch.setattr(hmod.asg, "SCREEN_CHUNK_BYTES", 5 * 16 * cfg.user_count * cfg.N_B ** 2)
+    monkeypatch.setattr(hmod.gia, "SCREEN_CHUNK_BYTES", 5 * 16 * cfg.user_count * cfg.N_B ** 2)
     calls = []
     decoder = hmod.fb.quantized_decoder
 

@@ -5,6 +5,7 @@ import pytest
 
 from giasim.errors import ContractViolation, InfeasibleConfig
 from giasim.system import (
+    SNR_CEILING,
     SystemConfig,
     draw_channels,
     load_run_config,
@@ -24,6 +25,18 @@ def test_config_validation():
     assert snr_db(cfg) == pytest.approx(20.0)
     assert cfg.user_count == 8
     assert cfg.at_snr_db(30.0).P == pytest.approx(1000.0)
+
+
+def test_power_over_the_snr_ceiling_is_refused():
+    dims = dict(K=4, L=2, N_B=14, N_U=8, d_s=2)
+    assert SystemConfig(**dims).at_snr_db(1000.0).P == SNR_CEILING
+    SystemConfig(**dims, P=1.0, sigma2=1 / SNR_CEILING)
+    for P, sigma2 in ((SNR_CEILING * 1.5, 1.0), (1.0, 1e-300), (np.float64(1e300), 1e-300),
+                      (1e200, 1e150)):  # over it, a tiny sigma2, beyond a float, P alone
+        with pytest.raises(ContractViolation, match="ceiling"):
+            SystemConfig(**dims, P=P, sigma2=sigma2)
+    with pytest.raises(ContractViolation, match="ceiling"):
+        SystemConfig(**dims).at_snr_db(1000.1)
 
 
 def test_reference_config_feasible_and_worst_case():
