@@ -82,22 +82,20 @@ def rank_by_utility(scores: dict) -> list:
     return [c for c, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
-def _rank_cells(cfg, grams: np.ndarray):
-    """Rankings and utilities of every cell from the (L, K(K-1), n, n) PSD stack
-    of its users' terms, candidates in ``gia.cell_pairs`` order (k, candidate):
-    each term is log2 det(I + G) from one eigenvalue call, and each utility
-    sums its L terms in user order. For a tuple of configs the stack has a
-    leading config axis, and the pairs come one per config in a list."""
+def _rank_cells(K: int, grams: np.ndarray) -> list:
+    """The ranking of every cell, {cell: candidates}, of each (L, K(K-1), n, n) PSD
+    stack of its users' terms in ``grams`` (..., L, K(K-1), n, n), in C order of
+    the leading axes, candidates in ``gia.cell_pairs`` order (k, candidate): each
+    term is log2 det(I + G), all from one eigenvalue call, and each utility sums
+    its L terms in user order."""
     terms = np.sum(np.log1p(psd_eigvals(grams)), axis=-1) / math.log(2.0)
-    K = (cfg if isinstance(cfg, SystemConfig) else cfg[0]).K
-
-    def rank(cell_terms):
+    rankings = []
+    for cell_terms in terms.reshape((-1,) + terms.shape[-2:]):
         scores = {k: {} for k in range(K)}
         for (k, cand), row in zip(gia.cell_pairs(K), cell_terms.T.tolist()):
             scores[k][cand] = sum(row)
-        return {k: rank_by_utility(s) for k, s in scores.items()}, scores
-
-    return rank(terms) if isinstance(cfg, SystemConfig) else [rank(t) for t in terms]
+        rankings.append({k: rank_by_utility(s) for k, s in scores.items()})
+    return rankings
 
 
 def _cell_direct_channels(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarray:
@@ -105,9 +103,8 @@ def _cell_direct_channels(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarr
     return gia.direct_channels(ch)[:, [k for k, _ in gia.cell_pairs(cfg.K)]]
 
 
-def provider_preferences(
-    ch: ChannelRealization, cfg: SystemConfig, potentials: gia.Potentials
-) -> tuple[dict, dict]:
+def provider_preferences(ch: ChannelRealization, cfg: SystemConfig,
+                         potentials: gia.Potentials) -> dict:
     """Rank every cell's candidate providers by projected direct-channel capacity.
 
     Each candidate's aligned subspace is projected away from the direct
@@ -116,45 +113,38 @@ def provider_preferences(
     """
     perps = projectors(potentials.take("aligned", [(c, k) for k, c in gia.cell_pairs(cfg.K)]))[1]
     Hd = _cell_direct_channels(ch, cfg)
-    return _rank_cells(cfg, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)
+    return _rank_cells(cfg.K, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)[0]
 
 
-def receiver_preferences(ch: ChannelRealization, cfg, potentials: gia.Potentials):
+def receiver_preferences(ch: ChannelRealization, configs: tuple,
+                         potentials: gia.Potentials) -> list:
     """Rank every cell's candidate receivers of its alignment by own-cell rate
-    proxy, at the signal-to-noise ratio P / sigma2. A tuple of configs of one
-    system gives one (ranks, utilities) pair per config in a list, from one
-    stacked evaluation of the same products."""
+    proxy, at the signal-to-noise ratio P / sigma2 of each config of the tuple
+    ``configs`` (one system at several powers): one ranking dict per config, from
+    one stacked evaluation of the same products."""
     dims = potentials.cfg
     patterns = potentials.take("patterns", gia.cell_pairs(dims.K)).swapaxes(0, 1)
-    snr = per_config(cfg, lambda c: c.P / c.sigma2, patterns.ndim)
+    snr = per_config(configs, lambda c: c.P / c.sigma2, patterns.ndim)
     V = gia.full_precoder(patterns, snr, dims.d_s)
     Hd = _cell_direct_channels(ch, dims)
     V_h = V.conj().swapaxes(-1, -2)
-    return _rank_cells(cfg, V_h @ Hd.conj().swapaxes(-1, -2) @ Hd @ V)
+    return _rank_cells(dims.K, V_h @ Hd.conj().swapaxes(-1, -2) @ Hd @ V)
 
 
-def build_preferences(
-    ch: ChannelRealization,
-    cfg,
-    potentials: gia.Potentials,
-    two_sided: bool = False,
-    provider_side: PreferenceProfile | None = None,
-):
-    """Preference profile of every cell on one realization.
+def build_preferences(ch: ChannelRealization, configs, potentials: gia.Potentials,
+                      provider_side: PreferenceProfile | None = None):
+    """Preference profiles of every cell on one realization.
 
-    The provider side does not depend on the transmit power; a profile built
-    earlier on the same realization may be passed as ``provider_side`` so
-    that only the receiver side is computed. Two-sided, a tuple of configs of
-    one system gives one profile per config in a list, their receiver sides
-    from one stacked call.
+    Without ``provider_side``, the one-sided profile: the provider side, which
+    does not depend on the transmit power. With the one-sided profile of the
+    same realization as ``provider_side``, one two-sided profile per config of
+    the tuple ``configs`` (one system at several powers) in a list, their
+    receiver sides from one stacked call.
     """
-    provider = (provider_preferences(ch, potentials.cfg, potentials)[0] if provider_side is None
-                else provider_side.provider)
-    profile = lambda receiver: PreferenceProfile(provider, receiver)
-    if not two_sided:
-        return profile(None)
-    sides = receiver_preferences(ch, cfg, potentials)
-    return profile(sides[0]) if isinstance(cfg, SystemConfig) else [profile(r) for r, _ in sides]
+    if provider_side is None:
+        return PreferenceProfile(provider_preferences(ch, potentials.cfg, potentials))
+    return [PreferenceProfile(provider_side.provider, receiver)
+            for receiver in receiver_preferences(ch, configs, potentials)]
 
 
 def fca_match(prefs: PreferenceProfile) -> tuple[Assignment, int]:

@@ -97,7 +97,8 @@ def _simulate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ContractViolation(f"bad configuration or grid value: {exc}") from exc
     require_feasible(cfg)
-    if bits_grid is not None and len(bits_grid) > 1 and len(snr_grid) > 1:
+    bit_sweep = bits_grid is not None and len(bits_grid) > 1
+    if bit_sweep and len(snr_grid) > 1:
         raise GiaSimError("sweep over either SNR or bits, not both")
     if bits_grid is not None and args.bit_alloc == "none":
         raise GiaSimError("--bits requires --bit-alloc dba or eba")
@@ -109,18 +110,10 @@ def _simulate(args) -> int:
         codebook_seed=args.codebook_seed,
         proposer=args.proposer,
     )
-    if bits_grid is not None and len(bits_grid) > 1:
-        spec = SweepSpec(
-            variable="B", grid=bits_grid, trials=trials, schemes=(scheme,),
-            seed=seed, log_base=args.log_base,
-        )
-        cfg = cfg.at_snr_db(snr_grid[0])
-    else:
-        spec = SweepSpec(
-            variable="snr_db", grid=snr_grid, trials=trials, schemes=(scheme,),
-            seed=seed, log_base=args.log_base,
-        )
-    rows = run_sweep(spec, cfg, out_path=args.out)
+    spec = SweepSpec(variable="B" if bit_sweep else "snr_db",
+                     grid=bits_grid if bit_sweep else snr_grid, trials=trials,
+                     schemes=(scheme,), seed=seed, log_base=args.log_base)
+    rows = run_sweep(spec, cfg.at_snr_db(snr_grid[0]) if bit_sweep else cfg, out_path=args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -224,8 +224,8 @@ def _caused(exc: Exception, cause: Exception) -> Exception:
     return exc
 
 
-class Potentials(dict):
-    """Inner precoders keyed by (provider, receiver) pair, plus the pieces that
+class Potentials:
+    """The inner precoder of each (provider, receiver) pair, plus the pieces that
     depend on that pair alone, shared by every assignment that uses the pair, at
     every transmit power. Pieces are formed for many pairs at once, one stacked
     call per kind; a pair whose piece fails a check keeps the exception, and
@@ -237,6 +237,7 @@ class Potentials(dict):
         self._pieces = {name: np.empty((K * K,) + shape, complex) for name, shape in (
             ("inner", (L * N_U, d_s)), ("patterns", (L, N_U, d_s)),
             ("aligned", (cfg.N_B, d_s)), ("whiteners", (L, d_s, d_s)))}  # pair (p, r) at p * K + r
+        self._formed = set()  # the (provider, receiver) pairs whose pieces are formed
         self._errors = {}  # (name, p, r) -> what a read of that piece raises
         self._table = None  # the pair table of ``cell_matrices``
         self._screens = {}  # candidate providers -> their P-free screen values
@@ -247,7 +248,7 @@ class Potentials(dict):
         (L, d_s, d_s), (slice^H slice)^(-1/2) of each inner-precoder slice, or the
         aligned basis (N_B, d_s) at the receiver. Formed first where missing; the
         first pair in order whose piece failed raises its exception."""
-        self._form([pr for pr in dict.fromkeys(pairs) if pr not in self])
+        self._form([pr for pr in dict.fromkeys(pairs) if pr not in self._formed])
         for p, r in pairs if self._errors else ():
             if (name, p, r) in self._errors:
                 raise self._errors[name, p, r]
@@ -305,7 +306,7 @@ class Potentials(dict):
         for name, piece in zip(self._pieces, (V, patterns, bases[:, 0], whiteners)):
             self._pieces[name][p * K + r] = piece
         self._errors.update({(name, *pairs[j]): exc for (name, j), exc in errors.items()})
-        super().update(zip(pairs, self._pieces["inner"][p * K + r]))
+        self._formed.update(pairs)
 
     def cell_matrices(self, providers: np.ndarray) -> np.ndarray:
         """Matrix of every cell of the strict assignments with providers ``providers``
@@ -313,7 +314,7 @@ class Potentials(dict):
         from a table of every pair's images and aligned basis, written on first use."""
         L, K, N_B, d_s = self.cfg.L, self.cfg.K, self.cfg.N_B, self.cfg.d_s
         if self._table is None:  # transposed blocks; user m's image at station k is m * K + k
-            self._form([pr for pr in cell_pairs(K) if pr not in self])
+            self._form([pr for pr in cell_pairs(K) if pr not in self._formed])
             failed = {(p, r) for _, p, r in self._errors}
             good = [pr for pr in cell_pairs(K) if pr not in failed]  # failed pairs stay NaN
             self._table = np.full((K, K, L * K + 1, d_s, N_B), np.nan, complex)

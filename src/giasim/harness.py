@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -125,16 +125,6 @@ def _assignment_key(assignment: asg.Assignment) -> tuple:
     return tuple(sorted(assignment.provider_of.items()))
 
 
-@dataclass(frozen=True)
-class Plan:
-    """What the cells of a sweep ask of each draw: the configs they run at, in grid
-    order, and per (assignment rule, proposer, codebook seed) the (bit allocation,
-    budget) entries they feed back, in order."""
-
-    configs: tuple = ()
-    entries: dict = field(default_factory=dict)
-
-
 class TrialBuild:
     """The power-free work on one channel draw, computed once and shared by
     every cell (grid point and scheme) of a trial.
@@ -143,21 +133,25 @@ class TrialBuild:
     from-scratch evaluation would use, so sharing it changes no bit of any
     result. Two memos hold it: ``_once`` the power-free pieces, by stage and
     key, and ``rates`` everything that depends on P (the receiver side of the
-    preferences, the assignments that read it or P, the rates), by key and
-    configuration, each evaluated at once for every config of the ``plan``
-    (a ``Plan``), one slice per config; a centralized search runs at its own
-    config alone.
+    preferences, the assignments that read it or P, the rates), one value per
+    key and configuration, each evaluated at once for every config of the
+    ``cells``, the sweep's (config, scheme) pairs, one slice per config; a
+    centralized search runs at its own config alone.
     """
 
-    def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int,
-                 plan: Plan | None = None):
+    def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int, cells):
         rng = trial_rng(seed, trial_index, stream=attempt)
         self.trial_index = trial_index
         self.ch = draw_channels(cfg, rng)
         self._rng_after_draw = rng  # the rb baseline continues a copy of this stream
-        self._plan = plan or Plan()
+        self._configs = tuple(dict.fromkeys(c for c, _ in cells))  # in grid order
         # a matching or centralized rule reads every pair: form them all at the first request
-        self._all_pairs = any(rule not in ("fixed", "rb", "fdma") for rule, _, _ in self._plan.entries)
+        self._all_pairs = any(s.assignment not in ("fixed", "rb", "fdma") for _, s in cells)
+        groups, self._entries = {}, {}  # a feedback scheme -> its group's entries, its position
+        for _, s in cells:
+            if s.bit_alloc != "none":  # a group: {(bit allocation, budget): position}
+                group = groups.setdefault((s.assignment, s.proposer, s.codebook_seed), {})
+                self._entries[s] = group, group.setdefault((s.bit_alloc, s.bits_budget), len(group))
         self._pieces = {}  # (stage, key) -> power-free piece
         self._rates = {}   # (key, config) -> value that depends on P; keys lead with their kind
 
@@ -170,21 +164,19 @@ class TrialBuild:
     def rates(self, cfg: SystemConfig, key: tuple, evaluate, alone: bool = False):
         """The value of ``key`` at ``cfg``, memoized per (key, config). A miss calls
         ``evaluate(configs)`` once for ``cfg`` and, unless ``alone``, every planned
-        config that lacks ``key``; it gives one {key: value} dict per config, holding
-        ``key`` and any keys evaluated alongside."""
+        config that lacks ``key``; it gives one value per config."""
         value = self._rates.get((key, cfg))
         if value is None:
-            todo = tuple(c for c in dict.fromkeys((cfg, *(() if alone else self._plan.configs)))
+            todo = tuple(c for c in dict.fromkeys((cfg, *(() if alone else self._configs)))
                          if (key, c) not in self._rates)
-            for c, values in zip(todo, evaluate(todo)):
-                self._rates.update(((k, c), v) for k, v in values.items())
+            self._rates.update(zip(((key, c) for c in todo), evaluate(todo)))
             value = self._rates[key, cfg]
         return value
 
     def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
         """The pair pieces, the first request forming ``pairs`` (all if None, or if
-        the plan holds a rule that reads every pair); ``take`` forms any pair that
-        a later read lacks."""
+        a cell's rule reads every pair); ``take`` forms any pair that a later read
+        lacks."""
         return self._once("potentials", None, lambda: gia.build_potentials(
             self.ch, cfg, gia.cell_pairs(cfg.K) if pairs is None or self._all_pairs else pairs))
 
@@ -194,10 +186,8 @@ class TrialBuild:
             self.ch, cfg, self.potentials(cfg)))
         if not two_sided:
             return provider_side
-        return self.rates(cfg, ("receiver side",), lambda configs: [
-            {("receiver side",): prefs} for prefs in asg.build_preferences(
-                self.ch, configs, self.potentials(cfg), two_sided=True,
-                provider_side=provider_side)])
+        return self.rates(cfg, ("receiver side",), lambda configs: asg.build_preferences(
+            self.ch, configs, self.potentials(cfg), provider_side))
 
     def baseline(self, cfg: SystemConfig, name: str) -> np.ndarray:
         """The power-free part of baseline ``name``, formed once per draw. rb: the
@@ -229,8 +219,8 @@ class TrialBuild:
         if rule in ("fixed", "one_sided"):
             return self._once("assignment", rule, lambda: self._choose(cfg, scheme))
         key = ("assignment", rule, scheme.proposer)
-        return self.rates(cfg, key, lambda configs: [
-            {key: self._choose(c, scheme)} for c in configs], alone=rule != "two_sided")
+        return self.rates(cfg, key, lambda configs: [self._choose(c, scheme) for c in configs],
+                          alone=rule != "two_sided")
 
     def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
         rule = scheme.assignment
@@ -258,8 +248,7 @@ class TrialBuild:
         """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every planned config
         in one call."""
         key = ("user rates", _assignment_key(tset.assignment))
-        return self.rates(cfg, key, lambda configs: [
-            {key: rates} for rates in gia.user_rate(self.ch, tset, configs)])
+        return self.rates(cfg, key, lambda configs: gia.user_rate(self.ch, tset, configs))
 
     def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
         key = _assignment_key(chosen)
@@ -316,23 +305,20 @@ class TrialBuild:
         return q.reshape(-1, K, L, N_U, d_s).swapaxes(1, 2), dist.reshape(-1, K, L).swapaxes(1, 2)
 
     def feedback(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet) -> tuple:
-        """The power-free part of the limited-feedback stage of ``scheme``'s plan
-        group: its (bit allocation, budget) entries, in plan order and then the
-        scheme's own if the plan lacks it, with their (entries, L, K) squared
-        quantization distances and (entries, L, K, L, K, d_s, d_s) ``link_images``
-        of the quantized patterns through their decoders.
+        """The power-free part of the limited-feedback stage of ``scheme``'s feedback
+        group: its (bit allocation, budget) entries, in the order of the build's
+        cells, with their (entries, L, K) squared quantization distances and
+        (entries, L, K, L, K, d_s, d_s) ``link_images`` of the quantized patterns
+        through their decoders.
 
         Formed once per (assignment, entries, codebook seed) from entries formed once
         per (assignment, codebook seed), whichever group asks first: per chunk of new
         entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized`` pass, one stacked
         ``quantized_decoder`` and one ``link_images`` stack."""
         if cfg.N_U <= cfg.d_s:
-            raise ContractViolation(
-                "limited feedback needs N_U > d_s: with square patterns there is "
-                "nothing to quantize"
-            )
-        group = self._plan.entries.get((scheme.assignment, scheme.proposer, scheme.codebook_seed))
-        entries = tuple(dict.fromkeys([*(group or ()), (scheme.bit_alloc, scheme.bits_budget)]))
+            raise ContractViolation("limited feedback needs N_U > d_s: with square patterns "
+                                    "there is nothing to quantize")
+        entries = tuple(self._entries[scheme][0])
         akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
 
         def build():
@@ -354,21 +340,25 @@ class TrialBuild:
 
     def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
         """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry
-        at ``cfg``. A miss evaluates every entry of its ``feedback`` group at every
-        planned config, in one call each of ``throughput``, ``rinr`` and
-        ``rinr_upper_bound`` over a leading (config, entry) axis."""
-        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
+        at ``cfg``, read at the entry's position in the stacks of its group, which are
+        kept once per (assignment, group). A miss evaluates every entry of the
+        group's ``feedback`` at every planned config, in one call each of
+        ``throughput``, ``rinr`` and ``rinr_upper_bound`` over a leading (config,
+        entry) axis. :class:`ContractViolation` if no cell of the build runs ``scheme``."""
+        if scheme not in self._entries:
+            raise ContractViolation(f"scheme {scheme.label} at {scheme.bits_budget} bits is "
+                                    f"not among the cells of the trial's build")
+        position = self._entries[scheme][1]
 
         def evaluate(configs):
-            entries, dist, images = self.feedback(cfg, scheme, tset)
-            keys = [("feedback", akey, entry, seed) for entry in entries]
-            parts = (throughput(images, configs), fb.rinr(tset.assignment, images, configs),
-                     fb.rinr_upper_bound(tset.assignment, configs, dist,
-                                         self.leakage(cfg, tset)[0]))
-            return [dict(zip(keys, zip(*row))) for row in zip(*parts)]
+            _, dist, images = self.feedback(cfg, scheme, tset)
+            return zip(throughput(images, configs), fb.rinr(tset.assignment, images, configs),
+                       fb.rinr_upper_bound(tset.assignment, configs, dist,
+                                           self.leakage(cfg, tset)[0]))
 
-        key = ("feedback", akey, (scheme.bit_alloc, scheme.bits_budget), seed)
-        return self.rates(cfg, key, evaluate)
+        key = ("feedback", _assignment_key(tset.assignment), scheme.assignment,
+               scheme.proposer, scheme.codebook_seed)
+        return tuple(stack[position] for stack in self.rates(cfg, key, evaluate))
 
 
 def _evaluate_trial(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec,
@@ -398,19 +388,19 @@ def _run_cell(
     scheme: SchemeSpec,
     trial_index: int,
     seed: int,
-    plan: Plan | None = None,
+    cells,
 ) -> tuple:
     """The ``_evaluate_trial`` summary of one cell of trial ``trial_index``; a
     degenerate draw is resampled once.
 
-    ``builds`` holds the trial's builds by attempt, made with the sweep's
-    ``plan``. The resampled draw is made the first time a cell needs it and
-    is then shared like the first.
+    ``builds`` holds the trial's builds by attempt, made for the sweep's
+    (config, scheme) ``cells``. The resampled draw is made the first time a
+    cell needs it and is then shared like the first.
     """
     last = None
     for attempt in range(2):
         if attempt == len(builds):
-            builds.append(TrialBuild(cfg, seed, trial_index, attempt, plan))
+            builds.append(TrialBuild(cfg, seed, trial_index, attempt, cells))
         try:
             return _evaluate_trial(builds[attempt], cfg, scheme, attempt)
         except DegenerateChannel as exc:
@@ -425,7 +415,7 @@ def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
     (no alignment), on the images the build keeps (see ``TrialBuild.baseline``),
     every planned config in one ``throughput`` call."""
     images, key = build.baseline(cfg, "rb"), ("baseline", "rb")
-    return build.rates(cfg, key, lambda configs: [{key: r} for r in throughput(images, configs)])
+    return build.rates(cfg, key, lambda configs: throughput(images, configs))
 
 
 def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
@@ -436,7 +426,7 @@ def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
 
     def evaluate(configs):
         boost = per_config(configs, lambda c: c.user_count * c.P / (c.d_s * c.sigma2), gains.ndim)
-        return [{key: r} for r in np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count]
+        return np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count
 
     return build.rates(cfg, key, evaluate)
 
@@ -551,26 +541,21 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, out_path: str | None = None) -
     unit = log_scale(spec.log_base)
     require_feasible(cfg)
     require_draw_fits(cfg)
+    values = [value for value in spec.grid for _ in spec.schemes]  # grid value of each cell
     cells = [  # one config object per grid point, shared by its schemes
-        (value, point_cfg,
-         replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme)
+        (point_cfg, replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme)
         for value in spec.grid
         for point_cfg in [cfg.at_snr_db(value) if spec.variable == "snr_db" else cfg]
         for scheme in spec.schemes
     ]
-    plan = Plan(tuple(dict.fromkeys(c for _, c, _ in cells)))  # what cells ask of each draw
-    for _, _, s in cells:
-        entries = plan.entries.setdefault((s.assignment, s.proposer, s.codebook_seed), {})
-        if s.bit_alloc != "none":
-            entries[s.bit_alloc, s.bits_budget] = None
     summaries = []  # trial-major, then cell
     for t in range(spec.trials):
         builds = []  # this trial's builds by attempt; dropped after the trial
-        for _, point_cfg, point_scheme in cells:
-            summaries.append(_run_cell(builds, point_cfg, point_scheme, t, spec.seed, plan))
+        for point_cfg, point_scheme in cells:
+            summaries.append(_run_cell(builds, point_cfg, point_scheme, t, spec.seed, cells))
     records = np.reshape(summaries, (spec.trials, len(cells), 5)).T  # (field, cell, trial)
     rows = []
-    for (value, _, point_scheme), aggregate in zip(cells, _aggregate(records)):
+    for value, (_, point_scheme), aggregate in zip(values, cells, _aggregate(records)):
         row = {"variable": spec.variable, "value": value, "scheme": point_scheme.label}
         row.update(aggregate)
         for column in ("r_sum", "r_sum_stderr", "r_min", "r_min_stderr"):

@@ -18,6 +18,9 @@ DRAW_BYTE_GUARD = 2 ** 30  # largest working set of one channel draw, in bytes
 # Under the ceiling they stay below 1e154 for any g below 1e54, so the kernels that square
 # them (norms, eigenvalue solvers) stay inside the double range; 3080 dB gave NaN rows.
 SNR_CEILING = 1e100
+# Smallest P/sigma2 (-120 dB) a config takes: ``harness.throughput``'s difference of log-dets
+# cancels as P/sigma2 vanishes (rb rates 1e-4 off at -120 dB, negative at -200 dB).
+SNR_FLOOR = 1e-12
 
 
 def check_whole(value, what: str) -> None:
@@ -66,6 +69,9 @@ class SystemConfig:
         if max(self.P, snr) > SNR_CEILING:
             raise ContractViolation(f"P {self.P!r} and P/sigma2 {snr!r} must be at most the "
                                     f"ceiling {SNR_CEILING!r} (1000 dB)")
+        if snr < SNR_FLOOR:
+            raise ContractViolation(f"P/sigma2 {snr!r} must be at least the floor "
+                                    f"{SNR_FLOOR!r} (-120 dB)")
 
     @property
     def user_count(self) -> int:

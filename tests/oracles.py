@@ -7,7 +7,7 @@ against, or use to drive the package one piece at a time, lives here.
 import copy
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,14 @@ def feedback_bits(build, cfg, scheme, tset):
     return fb.dba_allocate(lam, scheme.bits_budget, cfg.d_s, cfg.N_U)
 
 
+def sweep_cells(spec, cfg):
+    """The (config, scheme) cells of ``spec`` that ``harness.run_sweep`` builds each
+    trial for, grid-major."""
+    return [(cfg.at_snr_db(value) if spec.variable == "snr_db" else cfg,
+             replace(scheme, bits_budget=int(value)) if spec.variable == "B" else scheme)
+            for value in spec.grid for scheme in spec.schemes]
+
+
 def run_trial(cfg, scheme, trial_index, seed=0):
     """One fully seeded trial on a fresh build, rates in nats; a degenerate
     draw is resampled once, as in a sweep."""
@@ -105,10 +113,12 @@ def run_trial(cfg, scheme, trial_index, seed=0):
     return run_cell([], cfg, scheme, trial_index, seed)
 
 
-def run_cell(builds, cfg, scheme, trial_index, seed):
-    """``harness._run_cell`` on the trial's ``builds``, as a ``TrialRecord`` read
-    off the build the cell used."""
-    resamples = harness._run_cell(builds, cfg, scheme, trial_index, seed)[-1]
+def run_cell(builds, cfg, scheme, trial_index, seed, cells=None):
+    """``harness._run_cell`` on the trial's ``builds``, made for the (config, scheme)
+    ``cells`` (this cell alone if None), as a ``TrialRecord`` read off the build
+    the cell used."""
+    cells = [(cfg, scheme)] if cells is None else cells
+    resamples = harness._run_cell(builds, cfg, scheme, trial_index, seed, cells)[-1]
     build = builds[resamples]
     if scheme.assignment in ("rb", "fdma"):
         baseline = harness.baseline_rb if scheme.assignment == "rb" else harness.baseline_fdma

@@ -304,6 +304,11 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
             assert np.array_equal(M[k][:, own], image), (assignment, i, k)
 
 
+def two_sided_profile(ch, cfg):
+    potentials = build_potentials(ch, cfg)
+    return build_preferences(ch, (cfg,), potentials, build_preferences(ch, cfg, potentials))[0]
+
+
 @pytest.mark.parametrize("cfg, seed", [(REFERENCE, 53), (TIGHT_L3, 54), (TIGHT_D1, 55)],
                          ids=["k4", "tight_l3", "tight_d1"])
 def test_cell_relabeling_maps_assignments(cfg, seed):
@@ -324,8 +329,7 @@ def test_cell_relabeling_maps_assignments(cfg, seed):
             chosen_moved, value_moved = centralized_search(moved, cfg, objective, sense)
             assert chosen_moved.provider_of == relabel(chosen), (t, objective, sense)
             assert abs(value_moved - value) <= 1e-12 * abs(value), (t, objective, sense)
-        prefs, prefs_moved = (build_preferences(c, cfg, build_potentials(c, cfg), two_sided=True)
-                              for c in (ch, moved))
+        prefs, prefs_moved = map(two_sided_profile, (ch, moved), (cfg, cfg))
         for match in (lambda pr: fca_match(pr)[0], lambda pr: gale_shapley(pr)[0]):
             strict, strict_moved = (breaking_step(match(pr), pr) for pr in (prefs, prefs_moved))
             assert strict_moved.provider_of == relabel(strict), t

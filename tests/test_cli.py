@@ -185,6 +185,7 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         ("ok", ["--snr", "4000", "--bit-alloc", "eba", "--bits", "16:16:48"]),
         ("snr_overflow", []),
         ("ok", ["--assignment", "fixed", "--snr", "3080", "--trials", "1"]),
+        ("ok", ["--assignment", "rb", "--snr", "-200", "--trials", "2"]),
     ],
     ids=[
         "missing_config", "snr_not_a_number", "snr_zero_step", "config_without_L", "snr_nan",
@@ -194,6 +195,7 @@ def test_bits_without_allocator_rejected(tmp_path, config_file):
         "config_fractional_trials", "snr_infinite_end", "snr_nan_step", "snr_infinite_step",
         "config_infinite_snr_end", "snr_tiny_step", "config_tiny_step", "snr_overflow",
         "snr_overflow_at_bit_sweep", "config_snr_overflow", "snr_over_the_ceiling",
+        "snr_under_the_floor",
     ],
 )
 def test_bad_input_is_an_error_line(tmp_path, config_file, capsys, config, extra):

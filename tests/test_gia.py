@@ -14,6 +14,7 @@ from giasim.gia import (
     Potentials,
     build_potentials,
     build_transceivers,
+    cell_pairs,
     full_precoder,
     link_images,
     rate_logdet,
@@ -237,9 +238,11 @@ def test_verify_alignment_perfect_and_corrupted(realization, transceivers):
 
 def test_potentials_cover_requested_pairs(realization):
     pots = build_potentials(realization, CFG, pairs=[(0, 1), (2, 3)])
-    assert set(pots) == {(0, 1), (2, 3)}
+    assert pots._formed == {(0, 1), (2, 3)}
     full = build_potentials(realization, CFG)
-    assert len(full) == CFG.K * (CFG.K - 1)
+    assert full._formed == set(cell_pairs(CFG.K)) and len(cell_pairs(CFG.K)) == CFG.K * (CFG.K - 1)
+    for name in ("inner", "patterns", "aligned", "whiteners"):
+        assert np.array_equal(pots.take(name, [(0, 1), (2, 3)]), full.take(name, [(0, 1), (2, 3)]))
 
 
 def test_build_transceivers_rejects_weak(realization):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,7 +72,8 @@ class TestBaselines:
     def test_rb_no_alignment(self):
         g = trial_rng(17, 0)
         ch = draw_channels(CFG, g)  # the baseline's patterns continue this stream
-        result = record_of(baseline_rb(TrialBuild(CFG, 17, 0, 0), CFG), CFG)
+        build = TrialBuild(CFG, 17, 0, 0, [(CFG, SchemeSpec(assignment="rb"))])
+        result = record_of(baseline_rb(build, CFG), CFG)
         assert result.sum_rate > 0
         # residual interference is strictly positive: no nulling happened
         patterns = {}
@@ -109,7 +111,8 @@ class TestBaselines:
 
     def test_fdma_rate_formula(self):
         ch = draw_channels(CFG, trial_rng(18, 0))
-        result = record_of(baseline_fdma(TrialBuild(CFG, 18, 0, 0), CFG), CFG)
+        result = record_of(baseline_fdma(
+            TrialBuild(CFG, 18, 0, 0, [(CFG, SchemeSpec(assignment="fdma"))]), CFG), CFG)
         n = CFG.user_count
         for k in range(CFG.K):
             for i in range(CFG.L):
@@ -172,11 +175,12 @@ def test_rates_depend_on_powers_only_through_snr():
     schemes.append(SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100))
     for c in (1e-3, 1e3):
         scaled = replace(base, P=base.P * c, sigma2=base.sigma2 * c)
+        cells, scaled_cells = ([(point, s) for s in schemes] for point in (base, scaled))
         for t in range(8):
             builds, scaled_builds = [], []  # each trial's draw, shared by its schemes
             for scheme in schemes:
-                want = run_cell(builds, base, scheme, t, 52).user_rates
-                got = run_cell(scaled_builds, scaled, scheme, t, 52).user_rates
+                want = run_cell(builds, base, scheme, t, 52, cells).user_rates
+                got = run_cell(scaled_builds, scaled, scheme, t, 52, scaled_cells).user_rates
                 assert got == pytest.approx(want, rel=1e-12), (c, scheme.label, t)
 
 
@@ -442,6 +446,29 @@ class TestSweep:
             fed_back = "+" in row["scheme"]
             assert math.isfinite(row["r_sum"]) and math.isfinite(row["r_min"]), row
             assert math.isfinite(row["rinr_db"]) if fed_back else row["rinr_db"] is None, row
+
+    def test_snr_under_the_floor_is_a_contract_violation(self, tmp_path):
+        # -200 dB wrote r_min -6.7e-16 for rb: the log-det difference of the
+        # throughput cancels far below the floor
+        spec = SweepSpec(variable="snr_db", grid=(25.0, -200.0), trials=1,
+                         schemes=(SchemeSpec(assignment="rb"),))
+        with pytest.raises(ContractViolation, match="floor"):
+            run_sweep(spec, CFG, out_path=str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_every_scheme_is_non_negative_at_the_snr_floor(self):
+        # -120 dB is SNR_FLOOR itself; every warning is an error here
+        schemes = tuple(SchemeSpec(assignment=a) for a in ASSIGNMENT_SCHEMES) + (
+            SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100),
+            SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=300),
+            SchemeSpec(assignment="two_sided", bit_alloc="eba", bits_budget=300))
+        spec = SweepSpec(variable="snr_db", grid=(-120.0,), trials=2, schemes=schemes, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(spec, CFG)
+        assert len(rows) == len(schemes)
+        for row in rows:
+            assert 0.0 <= row["r_min"] <= row["r_sum"] < math.inf, row
 
     def test_write_failure_surfaces_path(self, tmp_path):
         with pytest.raises(ContractViolation, match="no/such/dir"):

@@ -61,12 +61,12 @@ def test_perfect_feedback_forms_each_sets_decoders_once(monkeypatch):
     draws = list({id(ch): ch for ch in built}.values())
     assert len(draws) >= 2 and _per_draw(ideal, draws) == _per_draw(built, draws)
     # a config outside the first batch rates the set again, on the decoders it formed
-    plan = hmod.Plan((CFG.at_snr_db(10.0), CFG.at_snr_db(20.0)))
-    build = hmod.TrialBuild(CFG, 12, 0, 0, plan)
+    planned = (CFG.at_snr_db(10.0), CFG.at_snr_db(20.0))
+    build = hmod.TrialBuild(CFG, 12, 0, 0, [(c, SchemeSpec()) for c in planned])
     tset = build.transceivers(CFG, fixed_cyclic(CFG.K))
     ideal.clear()
     rated.clear()
-    build.user_rates(plan.configs[0], tset)
+    build.user_rates(planned[0], tset)
     later = build.user_rates(CFG.at_snr_db(30.0), tset)
     assert len(rated) == 2 and len(ideal) == 1
     fresh = gia.build_transceivers(build.ch, CFG, fixed_cyclic(CFG.K))

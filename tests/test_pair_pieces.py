@@ -37,28 +37,26 @@ def test_stacked_pieces_equal_per_pair_oracle(n):
     ch = draw_channels(cfg, trial_rng(SEED, n))
     potentials = build_potentials(ch, cfg)
     pairs = cell_pairs(cfg.K)
-    assert set(potentials) == set(pairs)
+    assert potentials._formed == set(pairs)
     for name in ("inner", "patterns", "aligned", "whiteners"):
         stacked = potentials.take(name, pairs)
         for (p, r), piece in zip(pairs, stacked):
             assert np.array_equal(piece, pair_pieces(ch, cfg, p, r)[name]), (cfg, p, r, name)
-    for p, r in pairs:
-        assert np.array_equal(potentials[(p, r)], potentials.take("inner", [(p, r)])[0])
 
 
 def test_pieces_formed_in_any_batches_are_the_same_bits():
     # an empty build forms pairs at their first read, one batch per read
     ch = draw_channels(CFG, trial_rng(SEED, 0))
     empty = build_potentials(ch, CFG, pairs=[])
-    assert len(empty) == 0
+    assert empty._formed == set()
     full = build_potentials(ch, CFG)
     pairs = cell_pairs(CFG.K)
     for batch in ([(2, 1)], [(0, 1), (2, 1), (3, 0)], pairs):
         for name in ("inner", "patterns", "aligned", "whiteners"):
             assert np.array_equal(empty.take(name, batch), full.take(name, batch)), (batch, name)
-    assert set(empty) == set(pairs)
+    assert empty._formed == set(pairs)
     twice = build_potentials(ch, CFG, pairs=[(1, 2), (1, 2)])
-    assert list(twice) == [(1, 2)]
+    assert twice._formed == {(1, 2)}
     assert twice.take("aligned", []).shape == (0, CFG.N_B, CFG.d_s)
     with pytest.raises(ContractViolation):
         build_potentials(ch, CFG, pairs=[(2, 2)])
@@ -74,7 +72,7 @@ def _deficient_on_first_draw(monkeypatch):
     formations, and how many of them held BAD on that draw."""
     real, formed = gia.svd, []
     n = CFG.L * CFG.N_U
-    target = stack_alignment_matrix(TrialBuild(CFG, 31, 0, 0).ch, *BAD)
+    target = stack_alignment_matrix(draw_channels(CFG, trial_rng(31, 0)), *BAD)
 
     def deficient(A, full_matrices):
         U, s, Vh = real(A, full_matrices)
@@ -99,9 +97,10 @@ def _outcome(fn):
 
 def test_failed_piece_raises_at_its_read_only(monkeypatch):
     formed = _deficient_on_first_draw(monkeypatch)
-    build = TrialBuild(CFG, 31, 0, 0)
+    schemes = (SchemeSpec(assignment="fixed"), SchemeSpec(assignment="one_sided"))
+    build = TrialBuild(CFG, 31, 0, 0, [(CFG, s) for s in schemes])
     potentials = build.potentials(CFG)
-    V = potentials[BAD]
+    V = potentials.take("inner", [BAD])[0]
     assert not V[CFG.N_U:].any() and formed == [(12, 1)]
     # the per-pair construction on the same inner precoder gives each read's error
     oracle = {
@@ -116,10 +115,10 @@ def test_failed_piece_raises_at_its_read_only(monkeypatch):
     assert potentials.take("inner", [BAD]).shape == (1, CFG.L * CFG.N_U, CFG.d_s)
     # the fixed cell reads other pairs only; the one-sided cell reads every
     # aligned basis and raises the per-pair construction's error
-    fixed = hmod._evaluate_trial(build, CFG, SchemeSpec(assignment="fixed"), 0)
+    fixed = hmod._evaluate_trial(build, CFG, schemes[0], 0)
     assert fixed[-1] == 0  # resamples
     with pytest.raises(DegenerateChannel) as caught:
-        hmod._evaluate_trial(build, CFG, SchemeSpec(assignment="one_sided"), 0)
+        hmod._evaluate_trial(build, CFG, schemes[1], 0)
     assert (type(caught.value), str(caught.value)) == _outcome(oracle["aligned"])
 
 
@@ -138,6 +137,7 @@ def test_failed_piece_resamples_only_the_cells_that_read_it(monkeypatch):
             assert row == ref
         else:
             assert row["resamples"] == 1
-            fresh = TrialBuild(CFG, 31, 0, 1)
-            expected = hmod._evaluate_trial(fresh, CFG.at_snr_db(row["value"]), schemes[1], 1)
+            point = CFG.at_snr_db(row["value"])
+            fresh = TrialBuild(CFG, 31, 0, 1, [(point, schemes[1])])
+            expected = hmod._evaluate_trial(fresh, point, schemes[1], 1)
             assert row["r_sum"] == expected[0]  # the sum rate

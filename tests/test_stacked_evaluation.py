@@ -19,7 +19,7 @@ from giasim.assignment import (
     receiver_preferences,
 )
 from giasim.gia import link_images, user_rate
-from giasim.harness import TrialBuild, throughput
+from giasim.harness import SchemeSpec, TrialBuild, throughput
 from oracles import feasible_configs
 
 SEED = 2718
@@ -27,7 +27,8 @@ SEED = 2718
 
 def builds():
     """One build per fuzz shape, on the draw ``test_dimension_fuzz`` aligns."""
-    return [(cfg, TrialBuild(cfg, SEED, t, 0)) for t, cfg in enumerate(feasible_configs(SEED))]
+    return [(cfg, TrialBuild(cfg, SEED, t, 0, [(cfg, SchemeSpec(assignment="two_sided"))]))
+            for t, cfg in enumerate(feasible_configs(SEED))]
 
 
 def per_user_array(cfg, fn):
@@ -60,11 +61,13 @@ def test_throughput_equals_per_user_loop():
 def test_preferences_equal_per_cell_loops():
     for cfg, build in builds():
         potentials = build.potentials(cfg)
-        prefs = build_preferences(build.ch, cfg, potentials, two_sided=True)
-        _, provider_utility = provider_preferences(build.ch, cfg, potentials)
-        _, receiver_utility = receiver_preferences(build.ch, cfg, potentials)
+        one_sided = build_preferences(build.ch, cfg, potentials)
+        (prefs,) = build_preferences(build.ch, (cfg,), potentials, one_sided)
+        assert prefs.provider is one_sided.provider and one_sided.receiver is None
+        assert provider_preferences(build.ch, cfg, potentials) == prefs.provider
+        assert receiver_preferences(build.ch, (cfg,), potentials) == [prefs.receiver]
         for k in range(cfg.K):
-            ranked, utility = oracles.provider_preferences(build.ch, cfg, k, potentials)
-            assert (prefs.provider[k], provider_utility[k]) == (ranked, utility), cfg
-            ranked, utility = oracles.receiver_preferences(build.ch, cfg, k, potentials)
-            assert (prefs.receiver[k], receiver_utility[k]) == (ranked, utility), cfg
+            ranked, _ = oracles.provider_preferences(build.ch, cfg, k, potentials)
+            assert prefs.provider[k] == ranked, cfg
+            ranked, _ = oracles.receiver_preferences(build.ch, cfg, k, potentials)
+            assert prefs.receiver[k] == ranked, cfg

@@ -42,10 +42,10 @@ def test_stacked_quantization_equals_per_user_oracle(t, cfg, monkeypatch):
     # both paths read one small-ball constant; a fixed one spares calibrating
     # the shapes that are not checked in, about 7 s
     monkeypatch.setattr(hmod.fb, "_calibrate_small_ball", lambda M, N: 0.01)
-    build = hmod.TrialBuild(cfg, SEED, t, 0)
+    scheme = SchemeSpec(assignment="fixed", bit_alloc="eba", codebook_seed=3)
+    build = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, scheme)])
     tset = build.transceivers(cfg, fixed_cyclic(cfg.K))
     assert np.array_equal(build.leakage(cfg, tset)[0], leakage(build.ch, tset, cfg))
-    scheme = SchemeSpec(assignment="fixed", bit_alloc="eba", codebook_seed=3)
     bits = [EDGE_BITS[u % len(EDGE_BITS)] for u in range(cfg.user_count)]
     for shift in (0, 1):  # the second split reuses the frame the first one built
         split = bits[shift:] + bits[:shift]
@@ -172,16 +172,14 @@ def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
     budgets = (0, 4 * n, 12 * n, 12 * n + 1, 30 * n, 1075 * n)
     schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b, codebook_seed=3)
                for b in budgets for rule in ("dba", "eba")]
-    plan = hmod.Plan(entries={("fixed", "receivers", 3):
-                              dict.fromkeys((s.bit_alloc, s.bits_budget) for s in schemes)})
-    batched = hmod.TrialBuild(cfg, SEED, t, 0, plan)
-    lone = hmod.TrialBuild(cfg, SEED, t, 0)
+    batched = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, s) for s in schemes])
     tset = batched.transceivers(cfg, fixed_cyclic(cfg.K))
-    first = batched.feedback(cfg, schemes[7], tset)  # the whole group, in plan order
+    first = batched.feedback(cfg, schemes[7], tset)  # the whole group, in the cells' order
     assert calls == [5, 5, 2]
     entries, dist, images = first
     for scheme in schemes:
         e = entries.index((scheme.bit_alloc, scheme.bits_budget))
+        lone = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, scheme)])  # a one-entry group
         lone_tset = lone.transceivers(cfg, fixed_cyclic(cfg.K))
         _, want_dist, want_images = lone.feedback(cfg, scheme, lone_tset)
         assert np.array_equal(feedback_bits(batched, cfg, scheme, tset),
@@ -204,9 +202,7 @@ def test_each_emulated_user_and_count_is_synthesized_once_per_pass(monkeypatch):
     n = CFG.user_count
     schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b, codebook_seed=3)
                for b in (30 * n, 31 * n, 40 * n) for rule in ("dba", "eba")]
-    plan = hmod.Plan(entries={("fixed", "receivers", 3):
-                              dict.fromkeys((s.bit_alloc, s.bits_budget) for s in schemes)})
-    build = hmod.TrialBuild(CFG, SEED, 0, 0, plan)
+    build = hmod.TrialBuild(CFG, SEED, 0, 0, [(CFG, s) for s in schemes])
     tset = build.transceivers(CFG, fixed_cyclic(CFG.K))
     build.feedback(CFG, schemes[0], tset)
     emulated = [(u, b) for s in schemes

@@ -11,10 +11,11 @@ digits and would miss a change in the last bits.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import giasim.harness as hmod
 from giasim.assignment import fixed_cyclic
-from giasim.errors import DegenerateChannel
+from giasim.errors import ContractViolation, DegenerateChannel
 from giasim.harness import (
     ASSIGNMENT_SCHEMES,
     SchemeSpec,
@@ -23,7 +24,7 @@ from giasim.harness import (
     run_sweep,
 )
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import aggregate_metrics, run_trial
+from oracles import aggregate_metrics, run_trial, sweep_cells
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 
@@ -69,7 +70,7 @@ def test_snr_sweep_bit_identical_to_grid_major_loop():
     # power-keyed receiver side is exercised, not only its first entry, and its
     # two-sided matchings differ across the grid, so every planned config rates
     # an assignment that some of them do not run
-    build = hmod.TrialBuild(CFG, spec.seed, 1, 0)
+    build = hmod.TrialBuild(CFG, spec.seed, 1, 0, sweep_cells(spec, CFG))
     ends = [build.preferences(CFG.at_snr_db(v), two_sided=True).receiver for v in (-30.0, 50.0)]
     assert ends[0] != ends[1]
     matched = {hmod._assignment_key(build.assignment(CFG.at_snr_db(v), schemes[2]))
@@ -132,8 +133,9 @@ def test_degenerate_cell_resamples_alone(monkeypatch):
     assert np.array_equal(build.ch.H, draw_channels(CFG, trial_rng(31, 0, stream=1)).H)
     for row in rows:
         if row["scheme"] == "one_sided":
-            fresh = hmod.TrialBuild(CFG, 31, 0, 1)
-            expected = real(fresh, CFG.at_snr_db(row["value"]), schemes[1], 1)
+            point = CFG.at_snr_db(row["value"])
+            fresh = hmod.TrialBuild(CFG, 31, 0, 1, [(point, schemes[1])])
+            expected = real(fresh, point, schemes[1], 1)
             assert row["r_sum"] == expected[0]  # the sum rate
 
 
@@ -144,7 +146,7 @@ def test_failed_assignment_resamples_only_its_grid_points(monkeypatch):
     spec = SweepSpec("snr_db", (-30.0, 10.0, 50.0), 2, (SchemeSpec(assignment="two_sided"),),
                      seed=41)
     clean = run_sweep(spec, CFG)
-    build = hmod.TrialBuild(CFG, spec.seed, 1, 0)
+    build = hmod.TrialBuild(CFG, spec.seed, 1, 0, sweep_cells(spec, CFG))
     chosen = [hmod._assignment_key(build.assignment(CFG.at_snr_db(v), spec.schemes[0]))
               for v in spec.grid]
     assert chosen[0] != chosen[1] == chosen[2]
@@ -291,7 +293,7 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
 def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
     # on trial 0 of seed 3 the one-sided match is the ring that fixed runs, on
     # trial 1 it is not; both rules list the same budgets, so the feedback pass
-    # and its rates are keyed by assignment, not by rule, and serve both on trial 0
+    # is keyed by assignment, not by rule, and serves both on trial 0
     calls = []
     decoder = hmod.fb.quantized_decoder
 
@@ -305,15 +307,14 @@ def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
     spec = SweepSpec("B", (40, 100, 300), 2, schemes, seed=3)
     rows = run_sweep(spec, CFG)
     ring = hmod._assignment_key(fixed_cyclic(CFG.K))
-    assert [hmod._assignment_key(hmod.TrialBuild(CFG, spec.seed, t, 0).assignment(CFG, schemes[1]))
-            == ring for t in range(spec.trials)] == [True, False]
+    cells = sweep_cells(spec, CFG)
+    assert [hmod._assignment_key(hmod.TrialBuild(CFG, spec.seed, t, 0, cells).assignment(
+        CFG, schemes[1])) == ring for t in range(spec.trials)] == [True, False]
     draws = list(dict.fromkeys(map(id, calls)))  # calls keeps every draw alive
     assert [sum(id(c) == ch for c in calls) for ch in draws] == [1, 2]
     assert rows == grid_major_reference(spec, CFG)
-    # the pass itself, asked for by each rule on a build of the sweep's plan
-    budgets = dict.fromkeys(("dba", b) for b in spec.grid)
-    plan = hmod.Plan((CFG,), {(s.assignment, s.proposer, s.codebook_seed): budgets for s in schemes})
-    build = hmod.TrialBuild(CFG, spec.seed, 0, 0, plan)
+    # the pass itself, asked for by each rule on a build of the sweep's cells
+    build = hmod.TrialBuild(CFG, spec.seed, 0, 0, cells)
     fixed, one_sided = (replace(s, bits_budget=spec.grid[0]) for s in schemes)
     tset = build.transceivers(CFG, build.assignment(CFG, one_sided))
     calls.clear()
@@ -392,3 +393,37 @@ def test_centralized_cells_of_a_draw_share_one_screen(monkeypatch):
     assert calls == [9] * trials
     assert hmod.gia.SCREEN_CHUNK_BYTES // (16 * CFG.K * CFG.N_B ** 2) >= 9
     assert rows == grid_major_reference(spec, CFG)
+
+
+def test_feedback_pass_runs_once_per_draw_assignment_and_group(monkeypatch):
+    # a cell whose rates are kept reads them at its entry's position: it neither
+    # forms its group's entries nor asks for the feedback pass, so the pass count
+    # does not grow with the budgets, and a 10,000-budget grid stays linear
+    calls = []
+    feedback = hmod.TrialBuild.feedback
+
+    def counted(self, cfg, scheme, tset):
+        calls.append((id(self), hmod._assignment_key(tset.assignment),
+                      scheme.assignment, scheme.proposer, scheme.codebook_seed))
+        return feedback(self, cfg, scheme, tset)
+
+    monkeypatch.setattr(hmod.TrialBuild, "feedback", counted)
+    schemes = (SchemeSpec(assignment="two_sided", bit_alloc="dba"),
+               SchemeSpec(assignment="fixed", bit_alloc="eba"))
+    spec = SweepSpec("B", tuple(range(300, 500)), 2, schemes, seed=5)
+    rows = run_sweep(spec, CFG)
+    assert len(rows) == 400
+    assert len(calls) == len(set(calls)) == 2 * spec.trials  # one per group of each draw
+
+
+def test_scheme_outside_the_builds_cells_is_refused():
+    cells = [(CFG, SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100))]
+    build = hmod.TrialBuild(CFG, 6, 0, 0, cells)
+    assert hmod._evaluate_trial(build, CFG, cells[0][1], 0)[-1] == 0
+    for scheme in (SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=200),
+                   SchemeSpec(assignment="fixed", bit_alloc="eba", bits_budget=100),
+                   SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100,
+                              codebook_seed=2),
+                   SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100)):
+        with pytest.raises(ContractViolation, match="not among the cells"):
+            hmod._evaluate_trial(build, CFG, scheme, 0)

@@ -6,6 +6,7 @@ import pytest
 from giasim.errors import ContractViolation, InfeasibleConfig
 from giasim.system import (
     SNR_CEILING,
+    SNR_FLOOR,
     SystemConfig,
     draw_channels,
     load_run_config,
@@ -37,6 +38,18 @@ def test_power_over_the_snr_ceiling_is_refused():
             SystemConfig(**dims, P=P, sigma2=sigma2)
     with pytest.raises(ContractViolation, match="ceiling"):
         SystemConfig(**dims).at_snr_db(1000.1)
+
+
+def test_power_under_the_snr_floor_is_refused():
+    dims = dict(K=4, L=2, N_B=14, N_U=8, d_s=2)
+    assert SystemConfig(**dims).at_snr_db(-120.0).P == SNR_FLOOR
+    for P, sigma2 in ((1.0, 1e12), (1e-300, 1e-300), (SNR_FLOOR, 1.0)):  # at the floor, tiny powers
+        SystemConfig(**dims, P=P, sigma2=sigma2)
+    for P, sigma2 in ((SNR_FLOOR / 1.5, 1.0), (1.0, 1e13), (1e-300, 1.0), (5e-324, 1.0)):
+        with pytest.raises(ContractViolation, match="floor"):
+            SystemConfig(**dims, P=P, sigma2=sigma2)
+    with pytest.raises(ContractViolation, match="floor"):
+        SystemConfig(**dims).at_snr_db(-120.1)
 
 
 def test_reference_config_feasible_and_worst_case():
