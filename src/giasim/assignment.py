@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,33 +26,29 @@ COALITION_CAP = 8          # largest K whose one-sided coalitions is_stable sear
 SCREEN_MARGIN = 1e-9       # screened values this near the best (relative) are confirmed exactly
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assignment:
-    """Map from each receiver cell to the cell providing it aligned interference.
+    """The provider of every cell: ``providers[k]`` is the cell whose aligned
+    interference cell k absorbs. A weak assignment leaves one cell, ``lone``, as
+    its own provider; a strict one is a derangement of range(K)."""
 
-    ``lone`` marks the single cell (if any) left unmatched by a weak
-    assignment; it appears neither as a key nor as a value of provider_of.
-    """
+    providers: tuple
 
-    provider_of: dict = field(default_factory=dict)
-    lone: int | None = None
+    def __post_init__(self):
+        if not isinstance(self.providers, tuple):  # a memo key: hashable, fixed
+            raise ContractViolation(f"providers must be a tuple, got {self.providers!r}")
 
-    def provider(self, k: int) -> int:
-        return self.provider_of[k]
-
-    def receivers(self) -> dict:
-        return {p: r for r, p in self.provider_of.items()}
+    @property
+    def lone(self) -> int | None:
+        return next((k for k, p in enumerate(self.providers) if k == p), None)
 
     def is_strict(self, K: int) -> bool:
-        if self.lone is not None or len(self.provider_of) != K:
-            return False
-        providers = set(self.provider_of.values())
-        return len(providers) == K and all(p != r for r, p in self.provider_of.items())
+        return sorted(self.providers) == list(range(K)) and self.lone is None
 
 
 def fixed_cyclic(K: int) -> Assignment:
     """The conventional ring: each cell aligns toward its index successor."""
-    return Assignment(provider_of={k: (k - 1) % K for k in range(K)})
+    return Assignment(tuple((k - 1) % K for k in range(K)))
 
 
 @dataclass
@@ -157,7 +153,6 @@ def fca_match(prefs: PreferenceProfile) -> tuple[Assignment, int]:
     """
     remaining = set(prefs.provider.keys())
     provider_of = {}
-    lone = None
     n_cycles = 0
     while remaining:
         point = {
@@ -177,15 +172,12 @@ def fca_match(prefs: PreferenceProfile) -> tuple[Assignment, int]:
             if state[node] == 1:  # walk closed a new cycle
                 n_cycles += 1
                 for c in path[path.index(node):]:
-                    if point[c] == c:
-                        lone = c
-                    else:
-                        provider_of[c] = point[c]
+                    provider_of[c] = point[c]  # a self-cycle's cell is its own provider
                     assigned.add(c)
             for c in path:
                 state[c] = 2
         remaining -= assigned  # a functional graph always has a cycle: progress
-    return Assignment(provider_of=provider_of, lone=lone), n_cycles
+    return Assignment(tuple(provider_of[c] for c in range(prefs.K))), n_cycles
 
 
 def breaking_step(weak: Assignment, prefs: PreferenceProfile) -> Assignment:
@@ -195,20 +187,17 @@ def breaking_step(weak: Assignment, prefs: PreferenceProfile) -> Assignment:
     receiver, leaving every other edge untouched. Already-strict input passes
     through unchanged.
     """
-    if weak.lone is None:
-        return weak
     lone = weak.lone
+    if lone is None:
+        return weak
     p = prefs.provider[lone][0]
-    displaced = next(r for r, pr in weak.provider_of.items() if pr == p)
-    provider_of = dict(weak.provider_of)
-    provider_of[lone] = p
-    provider_of[displaced] = lone
-    return Assignment(provider_of=provider_of, lone=None)
+    providers = list(weak.providers)
+    displaced = providers.index(p)  # before the lone cell takes p, which index would find
+    providers[lone], providers[displaced] = p, lone
+    return Assignment(tuple(providers))
 
 
-def gale_shapley(
-    prefs: PreferenceProfile, proposer: str = "receivers"
-) -> tuple[Assignment, int]:
+def gale_shapley(prefs: PreferenceProfile, proposer: str) -> tuple[Assignment, int]:
     """Deferred acceptance between the receiver and provider roles of the cells.
 
     With proposer="receivers" each cell walks down its provider list making
@@ -261,8 +250,7 @@ def gale_shapley(
             f"deferred acceptance ended inconsistently: receivers {unmatched_r} "
             f"vs providers {unmatched_p} unmatched"
         )
-    lone = next(iter(unmatched_r)) if unmatched_r else None
-    return Assignment(provider_of=provider_of, lone=lone), proposals
+    return Assignment(tuple(provider_of.get(c, c) for c in range(prefs.K))), proposals
 
 
 def enumerate_derangements(K: int):
@@ -314,7 +302,7 @@ def centralized_search(
         )
     reduce = sum if objective == "sum_rate" else min
     providers = _derangements(cfg.K)
-    candidate = lambda c: Assignment(dict(enumerate(providers[c].tolist())))
+    candidate = lambda c: Assignment(tuple(providers[c].tolist()))
     exact = {}
 
     def confirm(c):  # exact user rates of the candidate's full transceiver set
@@ -345,11 +333,7 @@ def centralized_search(
     return candidate(best), best_value
 
 
-def is_stable(
-    assignment: Assignment,
-    prefs: PreferenceProfile,
-    mode: str = "one_sided",
-) -> bool:
+def is_stable(assignment: Assignment, prefs: PreferenceProfile, mode: str) -> bool:
     """Exhaustive stability oracle.
 
     one_sided: searches every coalition and every reallocation of the
@@ -362,7 +346,7 @@ def is_stable(
         if K > COALITION_CAP:
             raise CapacityExceeded(f"coalition search is exhaustive only up to K={COALITION_CAP}")
         ranks = {c: prefs.provider_rank(c) for c in range(K)}
-        holding = {c: assignment.provider_of.get(c, c) for c in range(K)}
+        holding = assignment.providers
         cells = list(range(K))
         for size in range(2, K + 1):
             for S in itertools.combinations(cells, size):
@@ -389,16 +373,12 @@ def is_stable(
         }
         for c in range(K):
             r_rank[c][c] = len(prefs.receiver[c])
-        receiver_of = assignment.receivers()
+        providers = assignment.providers  # an unmatched cell is its own partner, ranked last
+        receiver_of = np.argsort(providers).tolist()
         for r in range(K):
             for p in range(K):
-                if p == r:
-                    continue
-                cur_p = assignment.provider_of.get(r)
-                cur_r = receiver_of.get(p)
-                r_prefers = cur_p is None or p_rank[r][p] < p_rank[r][cur_p]
-                p_prefers = cur_r is None or r_rank[p][r] < r_rank[p][cur_r]
-                if r_prefers and p_prefers:
+                if (p != r and p_rank[r][p] < p_rank[r][providers[r]]
+                        and r_rank[p][r] < r_rank[p][receiver_of[p]]):
                     return False
         return True
     raise ContractViolation(f"unknown stability mode {mode!r}")

@@ -149,9 +149,8 @@ def quantized_decoder(
     nulled along its ideal aligned direction, so only that cell's
     quantization error leaks through.
     """
-    K = ch.H.shape[1]
-    prov = [assignment.provider(k) for k in range(K)]
-    ideal_images = ch.H[:, prov, range(K)] @ ideal_patterns[:, prov]  # (L, K, N_B, d_s)
+    prov = list(assignment.providers)
+    ideal_images = ch.H[:, prov, range(len(prov))] @ ideal_patterns[:, prov]  # (L, K, N_B, d_s)
     return zf_decoder(ch, assignment, q_patterns, ideal_images)
 
 
@@ -230,7 +229,7 @@ def rinr(assignment, images: np.ndarray, cfg) -> np.ndarray:
     is applied term by term in the per-user order.
     """
     L, K = images.shape[-6:-4]
-    X = images.swapaxes(-4, -3)[..., range(K), [assignment.provider(k) for k in range(K)], :, :, :]
+    X = images.swapaxes(-4, -3)[..., range(K), list(assignment.providers), :, :, :]
     sq = norm_sq(X)  # [..., i, k, j]: user j of k's provider
     scale = per_config(cfg, lambda c: c.P / (c.d_s * c.sigma2), sq.ndim - 2)
     total = 0.0
@@ -250,8 +249,7 @@ def rinr_upper_bound(assignment, cfg, dist_sq: np.ndarray, lambda1: np.ndarray) 
     leakage eigenvalue ``lambda1`` (L, K) at its receiver; a tuple of configs
     puts a config axis in front.
     """
-    L, K = dist_sq.shape[-2:]
-    prov = [assignment.provider(k) for k in range(K)]
+    L, prov = dist_sq.shape[-2], list(assignment.providers)
     scale = per_config(cfg, lambda c: c.P / (c.sigma2 * c.d_s), dist_sq.ndim - 1)
     acc = 0.0
     for j in range(L):

@@ -134,7 +134,7 @@ def nulling_stacks(
     them in one cached index.
     """
     L, K, _, N_B, _ = ch.H.shape
-    rows = _nulling_index(K, L, tuple(assignment.provider(k) for k in range(K)))
+    rows = _nulling_index(K, L, assignment.providers)
     lead, d_s = patterns.shape[:-4], patterns.shape[-1]
     images = np.moveaxis(ch.H, 2, 0) @ patterns[..., None, :, :, :, :]
     flat = lead + (-1, N_B, d_s)
@@ -378,9 +378,9 @@ def build_transceivers(
     potentials = Potentials(ch, cfg) if potentials is None else potentials
     if potentials.ch is not ch:
         raise ContractViolation("potentials were built on another channel draw")
-    pairs = sorted(assignment.receivers().items())  # (k, receiver of k), cell order
+    pairs = list(enumerate(np.argsort(assignment.providers).tolist()))  # (k, receiver of k)
     inner, patterns, aligned = (potentials.take(n, pairs) for n in ("inner", "patterns", "aligned"))
-    blocks = aligned[[assignment.provider(k) for k in range(cfg.K)]]
+    blocks = aligned[list(assignment.providers)]
     return TransceiverSet(ch, assignment, inner, patterns.swapaxes(0, 1), blocks,
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
 

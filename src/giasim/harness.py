@@ -9,7 +9,6 @@ overhead accounting per assignment scheme.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -21,7 +20,7 @@ from . import assignment as asg
 from . import feedback as fb
 from . import gia
 from .errors import ContractViolation, DegenerateChannel
-from .linalg import left_null_space, orthonormalize, psd_eigvals
+from .linalg import orthonormalize, psd_eigvals
 from .system import (SystemConfig, check_real, check_whole, draw_channels, per_config,
                      require_draw_fits, require_feasible, trial_rng)
 
@@ -121,10 +120,6 @@ def _cached_codebook(M: int, N: int, B: int, user_key: int, seed: int) -> fb.Cod
     return fb.generate_codebook(M, N, B, rng)
 
 
-def _assignment_key(assignment: asg.Assignment) -> tuple:
-    return tuple(sorted(assignment.provider_of.items()))
-
-
 class TrialBuild:
     """The power-free work on one channel draw, computed once and shared by
     every cell (grid point and scheme) of a trial.
@@ -143,7 +138,7 @@ class TrialBuild:
         rng = trial_rng(seed, trial_index, stream=attempt)
         self.trial_index = trial_index
         self.ch = draw_channels(cfg, rng)
-        self._rng_after_draw = rng  # the rb baseline continues a copy of this stream
+        self._rng_after_draw = rng  # the rb baseline continues this stream, once per draw
         self._configs = tuple(dict.fromkeys(c for c, _ in cells))  # in grid order
         # a matching or centralized rule reads every pair: form them all at the first request
         self._all_pairs = any(s.assignment not in ("fixed", "rb", "fdma") for _, s in cells)
@@ -180,34 +175,15 @@ class TrialBuild:
         return self._once("potentials", None, lambda: gia.build_potentials(
             self.ch, cfg, gia.cell_pairs(cfg.K) if pairs is None or self._all_pairs else pairs))
 
-    def preferences(self, cfg: SystemConfig, two_sided: bool) -> asg.PreferenceProfile:
-        """The provider side, plus the receiver side for ``cfg`` when two-sided."""
-        provider_side = self._once("provider side", None, lambda: asg.build_preferences(
+    def provider_side(self, cfg: SystemConfig) -> asg.PreferenceProfile:
+        """The one-sided profile, which does not depend on P: once per draw."""
+        return self._once("provider side", None, lambda: asg.build_preferences(
             self.ch, cfg, self.potentials(cfg)))
-        if not two_sided:
-            return provider_side
+
+    def receiver_side(self, cfg: SystemConfig) -> asg.PreferenceProfile:
+        """The two-sided profile at ``cfg``: the provider side with the receiver side."""
         return self.rates(cfg, ("receiver side",), lambda configs: asg.build_preferences(
-            self.ch, configs, self.potentials(cfg), provider_side))
-
-    def baseline(self, cfg: SystemConfig, name: str) -> np.ndarray:
-        """The power-free part of baseline ``name``, formed once per draw. rb: the
-        ``link_images`` of random patterns, drawn in flat (cell, user) order from
-        the stream after the channel draw, through matched-filter decoders. fdma:
-        the top d_s eigenvalues of every user's direct-channel Gram, (L, K, d_s)."""
-        def build():
-            if name == "rb":
-                # one draw in the order of a complex_gaussian call per user: real, then imaginary
-                x = copy.deepcopy(self._rng_after_draw).standard_normal(
-                    (cfg.user_count, 2, cfg.N_U, cfg.d_s))
-                patterns = orthonormalize(((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)).reshape(
-                    cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1))
-                decoders = orthonormalize(gia.direct_channels(self.ch) @ patterns)
-                return gia.link_images(self.ch, decoders, patterns)
-            direct = gia.direct_channels(self.ch)
-            gains = psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)
-            return gains[..., ::-1][..., : cfg.d_s]
-
-        return self._once("baseline", name, build)
+            self.ch, configs, self.potentials(cfg), self.provider_side(cfg)))
 
     def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
         """The strict assignment of ``scheme``'s rule: once per draw for ``fixed`` and
@@ -227,13 +203,13 @@ class TrialBuild:
         if rule == "fixed":
             return asg.fixed_cyclic(cfg.K)
         if rule == "one_sided":
-            prefs = self.preferences(cfg, two_sided=False)
+            prefs = self.provider_side(cfg)
             weak, _ = asg.fca_match(prefs)
             if cfg.K <= 6:  # unread: the traced benchmark counts these verdicts
                 asg.is_stable(weak, prefs, "one_sided")
             return asg.breaking_step(weak, prefs)
         if rule == "two_sided":
-            prefs = self.preferences(cfg, two_sided=True)
+            prefs = self.receiver_side(cfg)
             matched, _ = asg.gale_shapley(prefs, scheme.proposer)
             if matched.lone is None:  # unread: the traced benchmark counts these verdicts
                 asg.is_stable(matched, prefs, "two_sided")
@@ -247,25 +223,25 @@ class TrialBuild:
     def user_rates(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
         """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every planned config
         in one call."""
-        key = ("user rates", _assignment_key(tset.assignment))
+        key = ("user rates", tset.assignment.providers)
         return self.rates(cfg, key, lambda configs: gia.user_rate(self.ch, tset, configs))
 
     def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
-        key = _assignment_key(chosen)
-        return self._once("transceivers", key, lambda: gia.build_transceivers(
-            self.ch, cfg, chosen, self.potentials(cfg, [(p, r) for r, p in key])))
+        pairs = [(p, r) for r, p in enumerate(chosen.providers)]  # receiver order
+        return self._once("transceivers", chosen.providers, lambda: gia.build_transceivers(
+            self.ch, cfg, chosen, self.potentials(cfg, pairs)))
 
     def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> tuple:
         """Largest leakage eigenvalue of every user, as an (L, K) array, and the
         left null bases of the patterns, (L, K, N_U, N_U - d_s), both stacked."""
         def build():
-            receivers = [r for _, r in sorted(tset.assignment.receivers().items())]
-            null_bases = left_null_space(tset.patterns)
+            receivers = np.argsort(tset.assignment.providers)  # of each cell, provider order
+            null_bases = gia.select_null_basis(tset.patterns, cfg.N_U - cfg.d_s)
             _, lam = fb.omega_matrix(
                 self.ch.H[:, range(cfg.K), receivers], tset.patterns, null_bases)
             return lam, null_bases
 
-        return self._once("leakage", _assignment_key(tset.assignment), build)
+        return self._once("leakage", tset.assignment.providers, build)
 
     def quantized(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet,
                   bits: list) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +258,7 @@ class TrialBuild:
         L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
-        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
+        akey, seed = tset.assignment.providers, scheme.codebook_seed
         q, dist = np.empty((len(bits),) + patterns.shape, complex), np.empty((len(bits), n))
         emulated = []  # (entry, user)
         for entry, counts in enumerate(bits):
@@ -319,7 +295,7 @@ class TrialBuild:
             raise ContractViolation("limited feedback needs N_U > d_s: with square patterns "
                                     "there is nothing to quantize")
         entries = tuple(self._entries[scheme][0])
-        akey, seed = _assignment_key(tset.assignment), scheme.codebook_seed
+        akey, seed = tset.assignment.providers, scheme.codebook_seed
 
         def build():
             key = lambda e: ("feedback entry", (akey, e, seed))  # -> its (dist, images)
@@ -356,7 +332,7 @@ class TrialBuild:
                        fb.rinr_upper_bound(tset.assignment, configs, dist,
                                            self.leakage(cfg, tset)[0]))
 
-        key = ("feedback", _assignment_key(tset.assignment), scheme.assignment,
+        key = ("feedback", tset.assignment.providers, scheme.assignment,
                scheme.proposer, scheme.codebook_seed)
         return tuple(stack[position] for stack in self.rates(cfg, key, evaluate))
 
@@ -412,17 +388,33 @@ def _run_cell(
 
 def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
     """(L, K) user rates of random subspace precoders with matched-filter receivers
-    (no alignment), on the images the build keeps (see ``TrialBuild.baseline``),
-    every planned config in one ``throughput`` call."""
-    images, key = build.baseline(cfg, "rb"), ("baseline", "rb")
+    (no alignment), every planned config in one ``throughput`` call. The power-free
+    part, formed once per draw: the ``link_images`` of random patterns, drawn in flat
+    (cell, user) order from the stream after the channel draw, through matched-filter
+    decoders."""
+    def build_images():
+        # one draw in the order of a complex_gaussian call per user: real, then imaginary
+        x = build._rng_after_draw.standard_normal((cfg.user_count, 2, cfg.N_U, cfg.d_s))
+        patterns = orthonormalize(((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)).reshape(
+            cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1))
+        decoders = orthonormalize(gia.direct_channels(build.ch) @ patterns)
+        return gia.link_images(build.ch, decoders, patterns)
+
+    images, key = build._once("baseline", "rb", build_images), ("baseline", "rb")
     return build.rates(cfg, key, lambda configs: throughput(images, configs))
 
 
 def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
     """(L, K) user rates of orthogonal sharing: each user gets 1/(KL) of the band,
     eigen-beamforms its top d_s modes and spends its full power there (noise scales
-    with the band fraction, hence the KL power boost). Every planned config in one call."""
-    gains, key = build.baseline(cfg, "fdma"), ("baseline", "fdma")
+    with the band fraction, hence the KL power boost). Every planned config in one call.
+    The power-free part, formed once per draw: the top d_s eigenvalues of every user's
+    direct-channel Gram, (L, K, d_s)."""
+    def build_gains():
+        direct = gia.direct_channels(build.ch)
+        return psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)[..., ::-1][..., :cfg.d_s]
+
+    gains, key = build._once("baseline", "fdma", build_gains), ("baseline", "fdma")
 
     def evaluate(configs):
         boost = per_config(configs, lambda c: c.user_count * c.P / (c.d_s * c.sigma2), gains.ndim)

@@ -55,20 +55,6 @@ def left_basis_and_rank(M) -> tuple[np.ndarray, np.ndarray]:
     return U, ranks
 
 
-def left_null_space(M) -> np.ndarray:
-    """Semi-unitary basis N of the left null space of M, i.e. N^H M = 0.
-
-    For an m x n matrix of rank r this returns the m x (m - r) basis of the
-    trailing left singular vectors; a (..., m, n) stack of one rank r gives the
-    (..., m, m - r) stack from one SVD call, and :class:`ContractViolation` if
-    its ranks differ. :class:`EmptySubspace` as in :func:`left_basis_and_rank`.
-    """
-    U, ranks = left_basis_and_rank(M)
-    if ranks.min() != ranks.max():
-        raise ContractViolation(f"stack slices differ in rank ({ranks.min()} to {ranks.max()})")
-    return U[..., int(ranks.max()):]
-
-
 def projectors(X) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projector onto span(X) and its complement, per slice of a stack.
 

@@ -86,7 +86,7 @@ class SystemConfig:
             raise ContractViolation(f"SNR {snr_db} dB overflows the transmit power") from exc
 
 
-def per_config(cfg, value, ndim: int = 0):
+def per_config(cfg, value, ndim: int):
     """``value(cfg)`` of one config. Of a tuple of configs (one system at several
     powers), the values on a leading axis followed by ``ndim`` unit axes, so that
     they broadcast over an operand of ``ndim`` axes and give one slice per config."""

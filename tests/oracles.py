@@ -28,7 +28,7 @@ from giasim.gia import ALIGN_TOL, full_precoder, rate_logdet, select_null_basis
 from giasim.linalg import (
     complex_gaussian,
     herm_inv_sqrt,
-    left_null_space,
+    left_basis_and_rank,
     matrix_rank,
     orthonormalize,
     projectors,
@@ -36,6 +36,20 @@ from giasim.linalg import (
     svd,
 )
 from giasim.system import SystemConfig, draw_channels, require_feasible
+
+
+def left_null_space(M):
+    """Semi-unitary basis N of the left null space of M, i.e. N^H M = 0.
+
+    For an m x n matrix of rank r this returns the m x (m - r) basis of the
+    trailing left singular vectors; a (..., m, n) stack of one rank r gives the
+    (..., m, m - r) stack from one SVD call, and :class:`ContractViolation` if
+    its ranks differ. :class:`EmptySubspace` as in ``linalg.left_basis_and_rank``.
+    """
+    U, ranks = left_basis_and_rank(M)
+    if ranks.min() != ranks.max():
+        raise ContractViolation(f"stack slices differ in rank ({ranks.min()} to {ranks.max()})")
+    return U[..., int(ranks.max()):]
 
 
 def chordal_distance_sq(V1, V2):
@@ -294,7 +308,7 @@ def zf_decoder(ch, assignment, patterns, i, k, block, d_s):
     ``H[m, l, k] @ patterns[m, l]`` formed alone, then ``block``, the span
     through which k's provider arrives. The user-by-user form of ``gia.zf_decoder``."""
     L, K = patterns.shape[:2]
-    cells = [k] + [l for l in range(K) if l not in (k, assignment.provider(k))]
+    cells = [k] + [l for l in range(K) if l not in (k, assignment.providers[k])]
     images = [ch.H[m, l, k] @ patterns[m, l] for l in cells for m in range(L) if (m, l) != (i, k)]
     return select_null_basis(np.concatenate(images + [block], axis=1), d_s)
 
@@ -384,7 +398,7 @@ def effective_link_gains(ch, tset, i, k):
 def leakage(ch, tset, cfg):
     """Largest leakage eigenvalue of every user at its receiver, (L, K), as
     the harness computes it for the bit split and the RINR bound."""
-    receiver_of = tset.assignment.receivers()
+    receiver_of = {p: r for r, p in enumerate(tset.assignment.providers)}
     return per_user(cfg, lambda i, k: omega_matrix(
         ch.H[i, k, receiver_of[k]], tset.patterns[i, k], left_null_space(tset.patterns[i, k])
     )[1])
@@ -406,46 +420,118 @@ def strict_count_formula(K):
 
 def assignment_utility(assignment, utility):
     """Sum of the provider-side utilities ``utility[receiver][provider]`` of an
-    assignment; a lone cell contributes its self utility."""
-    total = 0.0
-    for r, p in assignment.provider_of.items():
-        total += utility[r][p]
-    if assignment.lone is not None:
-        total += utility[assignment.lone].get(assignment.lone, 0.0)
-    return total
+    assignment; a lone cell, its own provider, contributes its self utility."""
+    return sum(utility[r].get(p, 0.0) if r == p else utility[r][p]
+               for r, p in enumerate(assignment.providers))
 
 
 def validate_assignment(assignment):
     """Raise ContractViolation unless the (possibly weak) assignment is a
-    valid partial matching: no self-loop, injective, lone cell outside it."""
-    for r, p in assignment.provider_of.items():
-        if p == r:
-            raise ContractViolation(f"cell {r} assigned to itself")
-    if len(set(assignment.provider_of.values())) != len(assignment.provider_of):
+    valid partial matching: injective, and at most one cell, the lone one, its
+    own provider."""
+    providers = assignment.providers
+    fixed = [k for k, p in enumerate(providers) if p == k]
+    if len(fixed) > 1:
+        raise ContractViolation(f"cells {fixed} assigned to themselves")
+    if sorted(providers) != list(range(len(providers))):
         raise ContractViolation("provider map is not injective")
-    if assignment.lone is not None and (
-        assignment.lone in assignment.provider_of
-        or assignment.lone in assignment.provider_of.values()
-    ):
+    if assignment.lone != (fixed[0] if fixed else None):
         raise ContractViolation("lone cell participates in the matching")
 
 
 def assignment_cycles(assignment):
-    """Provider cycles, each starting from its smallest member."""
-    seen = set()
+    """Provider cycles of the matched cells, each starting from its smallest member."""
+    seen = {assignment.lone}
     out = []
-    for start in sorted(assignment.provider_of):
+    for start in range(len(assignment.providers)):
         if start in seen:
             continue
         cyc = [start]
         seen.add(start)
-        node = assignment.provider_of[start]
+        node = assignment.providers[start]
         while node != start:
             cyc.append(node)
             seen.add(node)
-            node = assignment.provider_of[node]
+            node = assignment.providers[node]
         out.append(cyc)
     return out
+
+
+# The assignment algorithms in the dict form the package once used: a
+# {receiver: provider} map of the matched cells and the lone cell apart.
+
+def dict_is_strict(provider_of, lone, K):
+    """A strict assignment in dict form: K matched cells, a derangement."""
+    if lone is not None or len(provider_of) != K:
+        return False
+    providers = set(provider_of.values())
+    return len(providers) == K and all(p != r for r, p in provider_of.items())
+
+
+def dict_fca_match(prefs):
+    """``assignment.fca_match`` in dict form: (provider_of, lone, cycle count)."""
+    remaining = set(prefs.provider.keys())
+    provider_of, lone, n_cycles = {}, None, 0
+    while remaining:
+        point = {c: next((p for p in prefs.provider[c] if p in remaining), c)
+                 for c in sorted(remaining)}
+        state = {c: 0 for c in remaining}
+        assigned = set()
+        for start in sorted(remaining):
+            if state[start]:
+                continue
+            path, node = [], start
+            while state[node] == 0:
+                state[node] = 1
+                path.append(node)
+                node = point[node]
+            if state[node] == 1:
+                n_cycles += 1
+                for c in path[path.index(node):]:
+                    if point[c] == c:
+                        lone = c
+                    else:
+                        provider_of[c] = point[c]
+                    assigned.add(c)
+            for c in path:
+                state[c] = 2
+        remaining -= assigned
+    return provider_of, lone, n_cycles
+
+
+def dict_breaking_step(provider_of, lone, prefs):
+    """``assignment.breaking_step`` in dict form: the strict provider_of."""
+    if lone is None:
+        return provider_of
+    p = prefs.provider[lone][0]
+    displaced = next(r for r, pr in provider_of.items() if pr == p)
+    return {**provider_of, lone: p, displaced: lone}
+
+
+def dict_gale_shapley(prefs, proposer):
+    """``assignment.gale_shapley`` in dict form: (provider_of, lone, proposals)."""
+    propose_lists, accept_lists = ((prefs.provider, prefs.receiver) if proposer == "receivers"
+                                   else (prefs.receiver, prefs.provider))
+    accept_rank = {c: {cand: pos for pos, cand in enumerate(lst)}
+                   for c, lst in accept_lists.items()}
+    next_choice = {c: 0 for c in propose_lists}
+    held, free, proposals = {}, sorted(propose_lists), 0
+    while free:
+        a = free.pop(0)
+        while next_choice[a] < len(propose_lists[a]):
+            target = propose_lists[a][next_choice[a]]
+            next_choice[a] += 1
+            proposals += 1
+            if target not in held:
+                held[target] = a
+                break
+            if accept_rank[target][a] < accept_rank[target][held[target]]:
+                free.insert(0, held[target])
+                held[target] = a
+                break
+    provider_of = {r: p for p, r in held.items()} if proposer == "receivers" else dict(held)
+    unmatched = set(propose_lists) - set(provider_of)
+    return provider_of, next(iter(unmatched)) if unmatched else None, proposals
 
 
 def is_semi_unitary(V, tol=1e-10):

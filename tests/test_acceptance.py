@@ -57,7 +57,7 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def all_strict_assignments(K):
-    return [Assignment(provider_of={k: p[k] for k in range(K)}) for p in enumerate_derangements(K)]
+    return [Assignment(p) for p in enumerate_derangements(K)]
 
 
 def test_01_perfect_alignment_invariant():
@@ -138,7 +138,7 @@ def test_04_toy_example_regression():
     weak, n_cycles = fca_match(prefs)
     strict = breaking_step(weak, prefs)
     ok = (
-        weak.provider_of == {0: 2, 2: 1, 1: 0}
+        weak.providers == (2, 0, 1, 3)
         and weak.lone == 3
         and assignment_utility(weak, utility) == 9
         and strict.is_strict(4)
@@ -167,7 +167,7 @@ def test_05_stability_on_random_profiles():
         weak, _ = fca_match(prefs)
         if is_stable(weak, prefs, mode="one_sided"):
             fca_pass += 1
-        matched, _ = gale_shapley(prefs)
+        matched, _ = gale_shapley(prefs, "receivers")
         if matched.lone is None:
             gs_checked += 1
             if is_stable(matched, prefs, mode="two_sided"):

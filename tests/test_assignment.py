@@ -25,6 +25,10 @@ from oracles import (
     assignment_cycles,
     assignment_utility,
     centralized_search,
+    dict_breaking_step,
+    dict_fca_match,
+    dict_gale_shapley,
+    dict_is_strict,
     strict_count_formula,
     validate_assignment,
 )
@@ -100,7 +104,7 @@ class TestToyExampleRegression:
     def test_trading_cycles_on_table(self):
         prefs = table_profile()
         weak, n_cycles = fca_match(prefs)
-        assert weak.provider_of == {0: 2, 2: 1, 1: 0}
+        assert weak.providers == (2, 0, 1, 3)
         assert weak.lone == 3
         assert n_cycles == 2
         assert assignment_utility(weak, table_utility()) == 9
@@ -128,13 +132,78 @@ class TestToyExampleRegression:
         assert isinstance(verdict, bool)
 
 
+def matched_dict(assignment):
+    """The {receiver: provider} map of the matched cells of an assignment."""
+    return {r: p for r, p in enumerate(assignment.providers) if r != assignment.lone}
+
+
+class TestProvidersFormat:
+    @pytest.mark.parametrize("K", [3, 4, 5, 6])
+    def test_derangements_agree_with_dict_form(self, K):
+        for perm in enumerate_derangements(K):
+            provider_of = {k: perm[k] for k in range(K)}
+            a = Assignment(perm)
+            assert a.providers == perm and a.lone is None
+            assert matched_dict(a) == provider_of
+            assert a.is_strict(K) == dict_is_strict(provider_of, None, K) is True
+
+    @pytest.mark.parametrize("K", [3, 4, 5, 6])
+    def test_weak_matchings_agree_with_dict_form(self, K):
+        # the matchings' outputs, lone cell and repair against the algorithms
+        # as they ran on the dict form, over 30 seeded profiles
+        rng = np.random.default_rng(60 + K)
+        lone_cells = 0
+        for _ in range(30):
+            prefs = random_profile(K, rng, two_sided=True)
+            runs = [(fca_match(prefs), dict_fca_match(prefs))] + [
+                (gale_shapley(prefs, side), dict_gale_shapley(prefs, side))
+                for side in ("receivers", "providers")]
+            for (weak, count), (provider_of, lone, ref_count) in runs:
+                assert matched_dict(weak) == provider_of and weak.lone == lone
+                assert count == ref_count
+                assert weak.is_strict(K) == dict_is_strict(provider_of, lone, K)
+                strict = breaking_step(weak, prefs)
+                repaired = dict_breaking_step(provider_of, lone, prefs)
+                assert strict.providers == tuple(repaired[k] for k in range(K))
+                assert strict.is_strict(K) == dict_is_strict(repaired, None, K) is True
+                lone_cells += lone is not None
+        assert lone_cells > 0
+
+    @pytest.mark.parametrize("weak, top, strict", [
+        ((0, 3, 1, 2), 1, (1, 3, 0, 2)),  # lone cell 0 before the displaced receiver 2
+        ((2, 0, 1, 3), 0, (2, 3, 1, 0)),  # lone cell 3 after the displaced receiver 1
+    ])
+    def test_breaking_step_on_either_side_of_the_displaced_receiver(self, weak, top, strict):
+        lone = Assignment(weak).lone
+        provider = {c: [x for x in range(4) if x != c] for c in range(4)}
+        provider[lone] = [top] + [x for x in range(4) if x not in (lone, top)]
+        prefs = PreferenceProfile(provider=provider)
+        repaired = breaking_step(Assignment(weak), prefs)
+        assert repaired.providers == strict and repaired.is_strict(4)
+        ref = dict_breaking_step({r: p for r, p in enumerate(weak) if r != lone}, lone, prefs)
+        assert strict == tuple(ref[k] for k in range(4))
+
+    def test_is_strict_rejects_a_fixed_point_a_repeat_and_a_wrong_length(self):
+        assert Assignment((1, 2, 3, 0)).is_strict(4)
+        assert not Assignment((0, 2, 3, 1)).is_strict(4)  # cell 0 is its own provider
+        assert not Assignment((1, 0, 0)).is_strict(3)     # provider 0 twice, none fixed
+        assert not Assignment((1, 2, 0)).is_strict(4)     # a derangement of 3 cells
+        assert not Assignment((1, 2, 3, 0)).is_strict(3)
+
+    def test_providers_must_be_a_tuple(self):
+        # a list or an array would reach the memos unhashable
+        for providers in ([1, 2, 0], np.array([1, 2, 0]), {0: 1, 1: 2, 2: 0}):
+            with pytest.raises(ContractViolation):
+                Assignment(providers)
+
+
 class TestTradingCycles:
     def test_unanimous_cycle(self):
         prefs = PreferenceProfile(provider={0: [1, 2], 1: [2, 0], 2: [0, 1]})
         weak, n_cycles = fca_match(prefs)
         assert n_cycles == 1
         assert weak.lone is None
-        assert weak.provider_of == {0: 1, 1: 2, 2: 0}
+        assert weak.providers == (1, 2, 0)
 
     def test_at_most_one_lone_cell(self):
         rng = np.random.default_rng(11)
@@ -142,10 +211,10 @@ class TestTradingCycles:
             K = 4 + t % 3
             prefs = random_profile(K, rng)
             weak, _ = fca_match(prefs)
-            matched = set(weak.provider_of)
-            assert len(matched) >= K - 1
-            if weak.lone is not None:
-                assert weak.lone not in matched
+            unmatched = [c for c, p in enumerate(weak.providers) if p == c]
+            assert len(unmatched) <= 1
+            assert weak.lone == (unmatched[0] if unmatched else None)
+            validate_assignment(weak)
 
     def test_core_stability_random_profiles(self):
         rng = np.random.default_rng(12)
@@ -176,15 +245,15 @@ class TestDeferredAcceptance:
             provider={0: [1, 2], 1: [2, 0], 2: [0, 1]},
             receiver={0: [2, 1], 1: [0, 2], 2: [1, 0]},
         )
-        matched, proposals = gale_shapley(prefs)
+        matched, proposals = gale_shapley(prefs, "receivers")
         assert matched.lone is None
-        assert matched.provider_of == {0: 1, 1: 2, 2: 0}
+        assert matched.providers == (1, 2, 0)
         assert proposals == 3
 
     def test_requires_receiver_side(self):
         prefs = PreferenceProfile(provider={0: [1, 2], 1: [2, 0], 2: [0, 1]})
         with pytest.raises(ContractViolation):
-            gale_shapley(prefs)
+            gale_shapley(prefs, "receivers")
 
     def test_random_profiles_bounded_and_stable(self):
         rng = np.random.default_rng(21)
@@ -192,7 +261,7 @@ class TestDeferredAcceptance:
         for t in range(1000):
             K = 4 + t % 3
             prefs = random_profile(K, rng, two_sided=True)
-            matched, proposals = gale_shapley(prefs)
+            matched, proposals = gale_shapley(prefs, "receivers")
             assert proposals <= K * (K - 1) + 1
             if matched.lone is None:
                 full_matches += 1
@@ -215,13 +284,13 @@ class TestDeferredAcceptance:
 class TestStabilityOracle:
     def test_unanimous_single_cycle_is_stable(self):
         prefs = PreferenceProfile(provider={0: [1, 2], 1: [2, 0], 2: [0, 1]})
-        assignment = Assignment(provider_of={0: 1, 1: 2, 2: 0})
+        assignment = Assignment((1, 2, 0))
         assert is_stable(assignment, prefs, mode="one_sided")
 
     def test_detects_blocking_swap(self):
         # 0 and 1 top-rank each other but are matched elsewhere
         prefs = PreferenceProfile(provider={0: [1, 2], 1: [0, 2], 2: [0, 1]})
-        ring = Assignment(provider_of={0: 2, 2: 1, 1: 0})
+        ring = Assignment((2, 0, 1))
         assert not is_stable(ring, prefs, mode="one_sided")
 
     def test_capacity_guard(self):
@@ -238,7 +307,7 @@ class TestStabilityOracle:
             provider={0: [1, 2], 1: [0, 2], 2: [0, 1]},
             receiver={0: [1, 2], 1: [0, 2], 2: [0, 1]},
         )
-        ring = Assignment(provider_of={0: 2, 2: 1, 1: 0})
+        ring = Assignment((2, 0, 1))
         assert not is_stable(ring, prefs, mode="two_sided")
 
 
@@ -378,7 +447,7 @@ def test_fixed_cyclic_structure():
     a = fixed_cyclic(5)
     validate_assignment(a)
     assert a.is_strict(5)
-    assert all(a.provider(k) == (k - 1) % 5 for k in range(5))
+    assert a.providers == (4, 0, 1, 2, 3)
     assert len(assignment_cycles(a)) == 1
 
 
@@ -390,7 +459,7 @@ def test_exhaustive_core_check_matches_bruteforce_definition():
         prefs = random_profile(K, rng)
         assignment, _ = fca_match(prefs)
         ranks = {c: prefs.provider_rank(c) for c in range(K)}
-        holding = {c: assignment.provider_of.get(c, c) for c in range(K)}
+        holding = dict(enumerate(assignment.providers))  # a lone cell holds itself
         blocked = False
         for size in range(2, K + 1):
             for S in itertools.combinations(range(K), size):

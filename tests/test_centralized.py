@@ -56,7 +56,7 @@ def reference_candidates(ch, cfg):
     """Each derangement's cell rates, from a fresh build per candidate."""
     out = []
     for perm in enumerate_derangements(cfg.K):
-        assignment = Assignment(provider_of={k: perm[k] for k in range(cfg.K)})
+        assignment = Assignment(perm)
         tset = build_transceivers(ch, cfg, assignment)
         cell_rates = [
             sum(per_user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
@@ -89,7 +89,7 @@ def test_search_equals_fresh_build_per_candidate(cfg, seed, draws):
         for objective, sense in SEARCHES:
             chosen, value = centralized_search(ch, cfg, objective, sense, potentials)
             ref_chosen, ref_value = reference_pick(candidates, objective, sense)
-            assert chosen.provider_of == ref_chosen.provider_of, (t, objective, sense)
+            assert chosen.providers == ref_chosen.providers, (t, objective, sense)
             assert value == ref_value, (t, objective, sense)
 
 
@@ -104,7 +104,7 @@ def test_search_equals_fresh_build_on_fuzz_shapes():
             for objective, sense in SEARCHES:
                 chosen, value = centralized_search(ch, cfg, objective, sense, potentials)
                 ref_chosen, ref_value = reference_pick(candidates, objective, sense)
-                assert chosen.provider_of == ref_chosen.provider_of, (cfg, t, objective, sense)
+                assert chosen.providers == ref_chosen.providers, (cfg, t, objective, sense)
                 assert value == ref_value, (cfg, t, objective, sense)
 
 
@@ -134,7 +134,7 @@ def test_search_confirms_few_candidates(monkeypatch):
             builds.clear()
             chosen, _ = centralized_search(ch, REFERENCE, objective, sense, potentials)
             assert 1 <= len(builds) <= 3, (t, objective, sense)  # of D(4) = 9
-            assert chosen.provider_of in [a.provider_of for a in builds]
+            assert chosen.providers in [a.providers for a in builds]
 
 
 def test_wider_null_space_evaluates_every_candidate_exactly(monkeypatch):
@@ -146,7 +146,7 @@ def test_wider_null_space_evaluates_every_candidate_exactly(monkeypatch):
     chosen, value = centralized_search(ch, cfg)
     assert len(builds) == 9
     ref_chosen, ref_value = reference_pick(reference_candidates(ch, cfg), "sum_rate", "best")
-    assert chosen.provider_of == ref_chosen.provider_of
+    assert chosen.providers == ref_chosen.providers
     assert value == ref_value
 
 
@@ -159,7 +159,7 @@ def test_screen_error_falls_back_to_every_candidate(monkeypatch):
     def low_on_winner(cfg, potentials, providers):
         rates = screen(cfg, potentials, providers)
         for row, rate in zip(providers.tolist(), rates):
-            if dict(enumerate(row)) == ref_chosen.provider_of:
+            if tuple(row) == ref_chosen.providers:
                 rate *= 1 - 10 * SCREEN_MARGIN
         return rates
 
@@ -167,7 +167,7 @@ def test_screen_error_falls_back_to_every_candidate(monkeypatch):
     builds = _count_calls(monkeypatch, "build_transceivers")
     chosen, value = centralized_search(ch, REFERENCE, "sum_rate", "best", potentials)
     assert len(builds) == 9  # the self-check sent every candidate down the exact path
-    assert chosen.provider_of == ref_chosen.provider_of
+    assert chosen.providers == ref_chosen.providers
     assert value == ref_value
 
 
@@ -199,7 +199,7 @@ def test_rank_deficient_candidates_warn_as_in_the_plain_loop(monkeypatch):
     assert {c for c, _ in ref_warnings} == {RuntimeWarning}
     assert search_warnings == ref_warnings
     ref_chosen, ref_value = reference_pick(candidates, "sum_rate", "best")
-    assert chosen.provider_of == ref_chosen.provider_of
+    assert chosen.providers == ref_chosen.providers
     assert value == ref_value
 
 
@@ -234,10 +234,10 @@ def test_candidates_in_the_certificate_band_take_the_exact_path(monkeypatch):
     assert not certified_factor(M)[1].any()
     builds = _count_calls(monkeypatch, "build_transceivers")
     chosen, value = centralized_search(ch, REFERENCE, potentials=potentials)
-    band_candidates = [dict(enumerate(p)) for p in providers[band].tolist()]
-    assert [a.provider_of for a in builds[:3]] == band_candidates
+    band_candidates = [tuple(p) for p in providers[band].tolist()]
+    assert [a.providers for a in builds[:3]] == band_candidates
     ref_chosen, ref_value = reference_pick(reference_candidates(ch, REFERENCE), "sum_rate", "best")
-    assert chosen.provider_of == ref_chosen.provider_of
+    assert chosen.providers == ref_chosen.providers
     assert value == ref_value
 
 
@@ -268,7 +268,7 @@ def test_certified_null_basis_gives_the_svd_rate():
 
 
 def _derangements(cfg):
-    return [Assignment(dict(enumerate(perm))) for perm in enumerate_derangements(cfg.K)]
+    return [Assignment(perm) for perm in enumerate_derangements(cfg.K)]
 
 
 TIGHT_L1 = SystemConfig(K=4, L=1, N_B=8, N_U=2, d_s=2).at_snr_db(25.0)
@@ -292,7 +292,7 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
     first_own = N_B - L * d_s
     for assignment, M in zip(_derangements(cfg), cells):
         tset = build_transceivers(ch, cfg, assignment, potentials)
-        blocks = potentials.take("aligned", [(assignment.provider(k), k) for k in range(K)])
+        blocks = potentials.take("aligned", [(p, k) for k, p in enumerate(assignment.providers)])
         F = nulling_stacks(ch, assignment, tset.patterns, blocks)
         assert F.shape == (L, K, N_B, N_B - d_s)
         for i, k in np.ndindex(L, K):
@@ -320,19 +320,20 @@ def test_cell_relabeling_maps_assignments(cfg, seed):
     # on both sides.
     perm = np.array({3: [2, 0, 1], 4: [2, 3, 1, 0]}[cfg.K])  # no cell keeps its label
     inv = np.argsort(perm)
-    relabel = lambda a: {int(perm[r]): int(perm[p]) for r, p in a.provider_of.items()}
+    # cell perm[r] takes perm[p] for provider where cell r took p
+    relabel = lambda a: tuple(int(perm[a.providers[r]]) for r in inv)
     for t in range(2):
         ch = draw_channels(cfg, trial_rng(seed, t))
         moved = ChannelRealization(H=ch.H[:, inv][:, :, inv])
         for objective, sense in SEARCHES:
             chosen, value = centralized_search(ch, cfg, objective, sense)
             chosen_moved, value_moved = centralized_search(moved, cfg, objective, sense)
-            assert chosen_moved.provider_of == relabel(chosen), (t, objective, sense)
+            assert chosen_moved.providers == relabel(chosen), (t, objective, sense)
             assert abs(value_moved - value) <= 1e-12 * abs(value), (t, objective, sense)
         prefs, prefs_moved = map(two_sided_profile, (ch, moved), (cfg, cfg))
-        for match in (lambda pr: fca_match(pr)[0], lambda pr: gale_shapley(pr)[0]):
+        for match in (lambda pr: fca_match(pr)[0], lambda pr: gale_shapley(pr, "receivers")[0]):
             strict, strict_moved = (breaking_step(match(pr), pr) for pr in (prefs, prefs_moved))
-            assert strict_moved.provider_of == relabel(strict), t
+            assert strict_moved.providers == relabel(strict), t
 
 
 def test_screened_rates_equal_user_rates():
@@ -459,10 +460,10 @@ def test_stacked_decoders_equal_single_user_decoders():
     ch = draw_channels(REFERENCE, trial_rng(43, 0))
     potentials = gia.Potentials(ch, REFERENCE)
     tset = build_transceivers(ch, REFERENCE, fixed_cyclic(REFERENCE.K), potentials)
-    prov = tset.assignment.provider
+    prov = tset.assignment.providers
     for k in range(REFERENCE.K):
         for i in range(REFERENCE.L):
-            aligned = potentials.take("aligned", [(prov(k), k)])[0]
+            aligned = potentials.take("aligned", [(prov[k], k)])[0]
             single = zf_decoder(ch, tset.assignment, tset.patterns, i, k, aligned, REFERENCE.d_s)
             assert np.array_equal(single, tset.decoders[i, k])
 

@@ -32,7 +32,7 @@ def test_alignment_and_pathwise_bound_on_feasible_draws():
         ch = draw_channels(cfg, trial_rng(SEED, t))
         potentials = build_potentials(ch, cfg)
         derangements = list(enumerate_derangements(cfg.K))
-        last = Assignment(provider_of=dict(enumerate(derangements[-1])))
+        last = Assignment(derangements[-1])
         for assignment in (fixed_cyclic(cfg.K), last):
             rep = verify_alignment(ch, build_transceivers(ch, cfg, assignment, potentials), cfg)
             assert rep.max_residual < 1e-8 * math.sqrt(cfg.P), (cfg, rep)

@@ -22,7 +22,7 @@ from giasim.feedback import (
     rinr_upper_bound,
 )
 from giasim.gia import build_transceivers, link_images
-from giasim.linalg import complex_gaussian, left_null_space, orthonormalize
+from giasim.linalg import complex_gaussian, orthonormalize
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
     allocation_objective,
@@ -33,6 +33,7 @@ from oracles import (
     frame_of,
     is_semi_unitary,
     leakage,
+    left_null_space,
     read_codebook,
     sample_min_distortion,
     subspace_at_distance_80_steps,
@@ -211,7 +212,7 @@ class TestQuantizedDecoder:
         decoders = quantized_decoder(ch, tset.assignment, q, tset.patterns)
         assert decoders.shape == (CFG.L, CFG.K, 14, 2)
         for k in range(CFG.K):
-            prov = tset.assignment.provider(k)
+            prov = tset.assignment.providers[k]
             for i in range(CFG.L):
                 U = decoders[i, k]
                 blocks = [ch.H[j, k, k] @ q[(j, k)] for j in range(CFG.L) if j != i]

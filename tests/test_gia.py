@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from giasim.assignment import fixed_cyclic
+from giasim.assignment import Assignment, fixed_cyclic
 from giasim.errors import (
     AlignmentFailure,
     ContractViolation,
@@ -142,11 +142,11 @@ def test_decoder_dimensions_and_nulling(realization, potentials, transceivers):
                 if j != i:
                     blocks.append(realization.H[j, k, k] @ transceivers.patterns[(j, k)])
             for l in range(CFG.K):
-                if l in (k, assignment.provider(k)):
+                if l in (k, assignment.providers[k]):
                     continue
                 for m in range(CFG.L):
                     blocks.append(realization.H[m, l, k] @ transceivers.patterns[(m, l)])
-            blocks.append(potentials.take("aligned", [(assignment.provider(k), k)])[0])
+            blocks.append(potentials.take("aligned", [(assignment.providers[k], k)])[0])
             F = np.concatenate(blocks, axis=1)
             assert F.shape == (CFG.N_B, (CFG.K - 1) * CFG.L * CFG.d_s)  # 14 x 12
             assert np.linalg.norm(U.conj().T @ F) < 1e-8
@@ -246,9 +246,8 @@ def test_potentials_cover_requested_pairs(realization):
 
 
 def test_build_transceivers_rejects_weak(realization):
-    weak = fixed_cyclic(CFG.K)
-    weak.provider_of.pop(0)
-    weak.lone = 0
+    weak = Assignment((0, 3, 1, 2))  # cell 0 lone, the others one 3-cycle
+    assert weak.lone == 0
     with pytest.raises(ContractViolation):
         build_transceivers(realization, CFG, weak)
 
@@ -256,12 +255,12 @@ def test_build_transceivers_rejects_weak(realization):
 def test_high_snr_slope_shared_across_assignments(realization):
     # on one fixed realization, every strict assignment climbs at the same
     # high-SNR slope even though absolute rates differ
-    from giasim.assignment import Assignment, enumerate_derangements
+    from giasim.assignment import enumerate_derangements
 
     pots = build_potentials(realization, CFG)
     slopes, rates_30 = [], []
     for perm in enumerate_derangements(CFG.K):
-        a = Assignment(provider_of={k: perm[k] for k in range(CFG.K)})
+        a = Assignment(perm)
         tset = build_transceivers(realization, CFG, a, pots)
         totals = []
         for snr in (1e3, 1e4):

@@ -5,13 +5,12 @@ from giasim.errors import ContractViolation, EmptySubspace, RankDeficient
 from giasim.linalg import (
     complex_gaussian,
     herm_eig,
-    left_null_space,
     norm_sq,
     orthonormalize,
     projectors,
     svd,
 )
-from oracles import chordal_distance_sq, is_semi_unitary
+from oracles import chordal_distance_sq, is_semi_unitary, left_null_space
 
 rng = np.random.default_rng(101)
 

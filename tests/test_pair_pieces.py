@@ -126,7 +126,7 @@ def test_failed_piece_resamples_only_the_cells_that_read_it(monkeypatch):
     schemes = (SchemeSpec(assignment="fixed"), SchemeSpec(assignment="one_sided"))
     spec = SweepSpec("snr_db", (10.0, 30.0), 1, schemes, seed=31)
     clean = run_sweep(spec, CFG)
-    assert BAD not in fixed_cyclic(CFG.K).receivers().items()
+    assert BAD not in [(p, r) for r, p in enumerate(fixed_cyclic(CFG.K).providers)]
     formed = _deficient_on_first_draw(monkeypatch)
     rows = run_sweep(spec, CFG)
     # the sweep runs a matching, so the fixed cell's first request forms every

@@ -19,7 +19,7 @@ from giasim.assignment import (
     receiver_preferences,
 )
 from giasim.gia import link_images, user_rate
-from giasim.harness import SchemeSpec, TrialBuild, throughput
+from giasim.harness import SchemeSpec, TrialBuild, baseline_rb, throughput
 from oracles import feasible_configs
 
 SEED = 2718
@@ -31,13 +31,19 @@ def builds():
             for t, cfg in enumerate(feasible_configs(SEED))]
 
 
+def rb_images(build, cfg):
+    """The power-free images of the rb baseline, as ``baseline_rb`` keeps them."""
+    baseline_rb(build, cfg)
+    return build._pieces["baseline", "rb"]
+
+
 def per_user_array(cfg, fn):
     return np.array([[fn(i, k) for k in range(cfg.K)] for i in range(cfg.L)])
 
 
 def test_user_rate_equals_per_user_loop():
     for cfg, build in builds():
-        last = Assignment(dict(enumerate(list(enumerate_derangements(cfg.K))[-1])))
+        last = Assignment(list(enumerate_derangements(cfg.K))[-1])
         for assignment in (fixed_cyclic(cfg.K), last):
             tset = build.transceivers(cfg, assignment)
             stacked = user_rate(build.ch, tset, cfg)
@@ -51,7 +57,7 @@ def test_throughput_equals_per_user_loop():
     for cfg, build in builds():
         tset = build.transceivers(cfg, fixed_cyclic(cfg.K))
         for images in (link_images(build.ch, tset.decoders, tset.patterns),
-                       build.baseline(cfg, "rb")):
+                       rb_images(build, cfg)):
             stacked = throughput(images, cfg)
             loop = per_user_array(cfg, lambda i, k: oracles.throughput(images, i, k, cfg))
             assert stacked.shape == (cfg.L, cfg.K)

@@ -71,10 +71,9 @@ def test_snr_sweep_bit_identical_to_grid_major_loop():
     # two-sided matchings differ across the grid, so every planned config rates
     # an assignment that some of them do not run
     build = hmod.TrialBuild(CFG, spec.seed, 1, 0, sweep_cells(spec, CFG))
-    ends = [build.preferences(CFG.at_snr_db(v), two_sided=True).receiver for v in (-30.0, 50.0)]
+    ends = [build.receiver_side(CFG.at_snr_db(v)).receiver for v in (-30.0, 50.0)]
     assert ends[0] != ends[1]
-    matched = {hmod._assignment_key(build.assignment(CFG.at_snr_db(v), schemes[2]))
-               for v in spec.grid}
+    matched = {build.assignment(CFG.at_snr_db(v), schemes[2]).providers for v in spec.grid}
     assert schemes[2] == SchemeSpec(assignment="two_sided") and len(matched) > 1
     rows = run_sweep(spec, CFG)
     assert [row["scheme"] for row in rows[: len(schemes)]] == [s.label for s in schemes]
@@ -147,14 +146,13 @@ def test_failed_assignment_resamples_only_its_grid_points(monkeypatch):
                      seed=41)
     clean = run_sweep(spec, CFG)
     build = hmod.TrialBuild(CFG, spec.seed, 1, 0, sweep_cells(spec, CFG))
-    chosen = [hmod._assignment_key(build.assignment(CFG.at_snr_db(v), spec.schemes[0]))
-              for v in spec.grid]
+    chosen = [build.assignment(CFG.at_snr_db(v), spec.schemes[0]).providers for v in spec.grid]
     assert chosen[0] != chosen[1] == chosen[2]
     real = hmod.gia.build_transceivers
     first_draw = draw_channels(CFG, trial_rng(spec.seed, 1)).H
 
     def failing(ch, cfg, assignment, potentials=None):
-        if np.array_equal(ch.H, first_draw) and hmod._assignment_key(assignment) == chosen[0]:
+        if np.array_equal(ch.H, first_draw) and assignment.providers == chosen[0]:
             raise DegenerateChannel("synthetic rank collapse")
         return real(ch, cfg, assignment, potentials)
 
@@ -306,10 +304,10 @@ def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
                SchemeSpec(assignment="one_sided", bit_alloc="dba"))
     spec = SweepSpec("B", (40, 100, 300), 2, schemes, seed=3)
     rows = run_sweep(spec, CFG)
-    ring = hmod._assignment_key(fixed_cyclic(CFG.K))
+    ring = fixed_cyclic(CFG.K).providers
     cells = sweep_cells(spec, CFG)
-    assert [hmod._assignment_key(hmod.TrialBuild(CFG, spec.seed, t, 0, cells).assignment(
-        CFG, schemes[1])) == ring for t in range(spec.trials)] == [True, False]
+    assert [hmod.TrialBuild(CFG, spec.seed, t, 0, cells).assignment(CFG, schemes[1]).providers
+            == ring for t in range(spec.trials)] == [True, False]
     draws = list(dict.fromkeys(map(id, calls)))  # calls keeps every draw alive
     assert [sum(id(c) == ch for c in calls) for ch in draws] == [1, 2]
     assert rows == grid_major_reference(spec, CFG)
@@ -320,6 +318,19 @@ def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
     calls.clear()
     assert build.feedback(CFG, fixed, tset) is build.feedback(CFG, one_sided, tset)
     assert len(calls) == 1
+
+
+def test_rules_that_pick_one_assignment_share_its_transceivers():
+    # the same draw as above: on trial 0 of seed 3 the one-sided match is the
+    # ring, a record of its own but equal to fixed's, and the two rules read one
+    # transceiver set, kept under the ring's providers
+    schemes = (SchemeSpec(assignment="fixed"), SchemeSpec(assignment="one_sided"))
+    build = hmod.TrialBuild(CFG, 3, 0, 0, [(CFG, s) for s in schemes])
+    fixed, one_sided = (build.assignment(CFG, s) for s in schemes)
+    assert fixed is not one_sided and fixed == one_sided
+    assert build.transceivers(CFG, fixed) is build.transceivers(CFG, one_sided)
+    assert [key for key in build._pieces if key[0] == "transceivers"] == [
+        ("transceivers", fixed_cyclic(CFG.K).providers)]
 
 
 def test_each_feedback_entry_is_formed_once_per_assignment_and_seed(monkeypatch):
@@ -403,7 +414,7 @@ def test_feedback_pass_runs_once_per_draw_assignment_and_group(monkeypatch):
     feedback = hmod.TrialBuild.feedback
 
     def counted(self, cfg, scheme, tset):
-        calls.append((id(self), hmod._assignment_key(tset.assignment),
+        calls.append((id(self), tset.assignment.providers,
                       scheme.assignment, scheme.proposer, scheme.codebook_seed))
         return feedback(self, cfg, scheme, tset)
 
