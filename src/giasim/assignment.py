@@ -51,47 +51,43 @@ def fixed_cyclic(K: int) -> Assignment:
     return Assignment(tuple((k - 1) % K for k in range(K)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreferenceProfile:
-    """Ranked candidate lists per cell; a cell never lists itself.
+    """Every cell's ranked candidates, in the format of an assignment: indexed by
+    cell, ``provider[k]`` ranks who cell k wants as its interference provider and
+    ``receiver[k]`` toward whom cell k wants to align (None on a one-sided
+    profile). A cell never lists itself."""
 
-    provider[k] ranks who cell k wants as its interference provider;
-    receiver[k] ranks toward whom cell k wants to align.
-    """
-
-    provider: dict
-    receiver: dict | None = None
+    provider: list
+    receiver: list | None
 
     @property
     def K(self) -> int:
         return len(self.provider)
 
-    def provider_rank(self, cell: int) -> dict:
-        """Candidate -> position; the cell itself ranks strictly last."""
-        ranks = {cand: pos for pos, cand in enumerate(self.provider[cell])}
-        ranks[cell] = len(self.provider[cell])
-        return ranks
 
-
-def rank_by_utility(scores: dict) -> list:
-    """Candidates in decreasing utility, ties broken by ascending index."""
-    return [c for c, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
+def _positions(rankings: list) -> list:
+    """``[k][c]``, where cell k ranks candidate c, the cell itself strictly last."""
+    K = len(rankings)
+    table = [[K - 1] * K for _ in range(K)]  # a cell is absent from its own ranking
+    for row, ranking in zip(table, rankings):
+        for pos, c in enumerate(ranking):
+            row[c] = pos
+    return table
 
 
 def _rank_cells(K: int, grams: np.ndarray) -> list:
-    """The ranking of every cell, {cell: candidates}, of each (L, K(K-1), n, n) PSD
-    stack of its users' terms in ``grams`` (..., L, K(K-1), n, n), in C order of
-    the leading axes, candidates in ``gia.cell_pairs`` order (k, candidate): each
-    term is log2 det(I + G), all from one eigenvalue call, and each utility sums
-    its L terms in user order."""
+    """The rankings of every cell, ``[k]`` cell k's candidates best first, of each
+    (L, K(K-1), n, n) PSD stack of its users' terms in ``grams`` (..., L, K(K-1), n, n),
+    nested as the leading axes by ``tolist``, candidates in ``gia.cell_pairs`` order
+    (k, candidate): each term is log2 det(I + G), all from one eigenvalue call, each
+    utility adds its L terms in user order, and equal utilities rank by ascending
+    candidate."""
     terms = np.sum(np.log1p(psd_eigvals(grams)), axis=-1) / math.log(2.0)
-    rankings = []
-    for cell_terms in terms.reshape((-1,) + terms.shape[-2:]):
-        scores = {k: {} for k in range(K)}
-        for (k, cand), row in zip(gia.cell_pairs(K), cell_terms.T.tolist()):
-            scores[k][cand] = sum(row)
-        rankings.append({k: rank_by_utility(s) for k, s in scores.items()})
-    return rankings
+    utility = np.add.reduce(terms, axis=-2).reshape(terms.shape[:-2] + (K, K - 1))
+    candidates = np.array([c for _, c in gia.cell_pairs(K)]).reshape(K, K - 1)
+    order = np.argsort(-utility, axis=-1, kind="stable")
+    return candidates[np.arange(K)[:, None], order].tolist()
 
 
 def _cell_direct_channels(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarray:
@@ -100,7 +96,7 @@ def _cell_direct_channels(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarr
 
 
 def provider_preferences(ch: ChannelRealization, cfg: SystemConfig,
-                         potentials: gia.Potentials) -> dict:
+                         potentials: gia.Potentials) -> list:
     """Rank every cell's candidate providers by projected direct-channel capacity.
 
     Each candidate's aligned subspace is projected away from the direct
@@ -109,22 +105,22 @@ def provider_preferences(ch: ChannelRealization, cfg: SystemConfig,
     """
     perps = projectors(potentials.take("aligned", [(c, k) for k, c in gia.cell_pairs(cfg.K)]))[1]
     Hd = _cell_direct_channels(ch, cfg)
-    return _rank_cells(cfg.K, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)[0]
+    return _rank_cells(cfg.K, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)
 
 
 def receiver_preferences(ch: ChannelRealization, configs: tuple,
                          potentials: gia.Potentials) -> list:
     """Rank every cell's candidate receivers of its alignment by own-cell rate
     proxy, at the signal-to-noise ratio P / sigma2 of each config of the tuple
-    ``configs`` (one system at several powers): one ranking dict per config, from
-    one stacked evaluation of the same products."""
+    ``configs`` (one system at several powers): one set of rankings per config.
+    The power-free Gram X^H Hd^H Hd X of every user's pattern X through its
+    direct channel is formed once and scaled by P/(d_s sigma2) per config."""
     dims = potentials.cfg
     patterns = potentials.take("patterns", gia.cell_pairs(dims.K)).swapaxes(0, 1)
-    snr = per_config(configs, lambda c: c.P / c.sigma2, patterns.ndim)
-    V = gia.full_precoder(patterns, snr, dims.d_s)
-    Hd = _cell_direct_channels(ch, dims)
-    V_h = V.conj().swapaxes(-1, -2)
-    return _rank_cells(dims.K, V_h @ Hd.conj().swapaxes(-1, -2) @ Hd @ V)
+    images = _cell_direct_channels(ch, dims) @ patterns
+    gram = images.conj().swapaxes(-1, -2) @ images
+    return _rank_cells(dims.K, per_config(configs, lambda c: c.P / (c.d_s * c.sigma2),
+                                          gram.ndim) * gram)
 
 
 def build_preferences(ch: ChannelRealization, configs, potentials: gia.Potentials,
@@ -138,7 +134,7 @@ def build_preferences(ch: ChannelRealization, configs, potentials: gia.Potential
     receiver sides from one stacked call.
     """
     if provider_side is None:
-        return PreferenceProfile(provider_preferences(ch, potentials.cfg, potentials))
+        return PreferenceProfile(provider_preferences(ch, potentials.cfg, potentials), None)
     return [PreferenceProfile(provider_side.provider, receiver)
             for receiver in receiver_preferences(ch, configs, potentials)]
 
@@ -151,17 +147,14 @@ def fca_match(prefs: PreferenceProfile) -> tuple[Assignment, int]:
     removed, and the process repeats. A self-cycle leaves that cell lone; at
     most one can occur. Returns the weak assignment and the cycle count.
     """
-    remaining = set(prefs.provider.keys())
-    provider_of = {}
+    providers = [None] * prefs.K  # None until the cell's cycle is resolved
     n_cycles = 0
-    while remaining:
-        point = {
-            c: next((p for p in prefs.provider[c] if p in remaining), c)
-            for c in sorted(remaining)
-        }
-        state = {c: 0 for c in remaining}  # 0 unvisited, 1 on current walk, 2 done
-        assigned = set()
-        for start in sorted(remaining):
+    while None in providers:  # a functional graph always has a cycle: progress
+        free = [p is None for p in providers]
+        point = [next((p for p in ranking if free[p]), c) if free[c] else c
+                 for c, ranking in enumerate(prefs.provider)]
+        state = [0 if f else 2 for f in free]  # 0 unvisited, 1 on current walk, 2 done
+        for start in range(prefs.K):
             if state[start]:
                 continue
             path, node = [], start
@@ -172,12 +165,10 @@ def fca_match(prefs: PreferenceProfile) -> tuple[Assignment, int]:
             if state[node] == 1:  # walk closed a new cycle
                 n_cycles += 1
                 for c in path[path.index(node):]:
-                    provider_of[c] = point[c]  # a self-cycle's cell is its own provider
-                    assigned.add(c)
+                    providers[c] = point[c]  # a self-cycle's cell is its own provider
             for c in path:
                 state[c] = 2
-        remaining -= assigned  # a functional graph always has a cycle: progress
-    return Assignment(tuple(provider_of[c] for c in range(prefs.K))), n_cycles
+    return Assignment(tuple(providers)), n_cycles
 
 
 def breaking_step(weak: Assignment, prefs: PreferenceProfile) -> Assignment:
@@ -215,12 +206,11 @@ def gale_shapley(prefs: PreferenceProfile, proposer: str) -> tuple[Assignment, i
     else:
         raise ContractViolation(f"unknown proposer side {proposer!r}")
 
-    accept_rank = {
-        c: {cand: pos for pos, cand in enumerate(lst)} for c, lst in accept_lists.items()
-    }
-    next_choice = {c: 0 for c in propose_lists}
-    held = {}     # acceptor -> proposer currently held
-    free = sorted(propose_lists.keys())
+    K = prefs.K
+    accept_rank = _positions(accept_lists)
+    next_choice = [0] * K
+    held = [None] * K  # acceptor -> proposer currently held
+    free = list(range(K))
     proposals = 0
     while free:
         a = free.pop(0)
@@ -228,7 +218,7 @@ def gale_shapley(prefs: PreferenceProfile, proposer: str) -> tuple[Assignment, i
             target = propose_lists[a][next_choice[a]]
             next_choice[a] += 1
             proposals += 1
-            if target not in held:
+            if held[target] is None:
                 held[target] = a
                 break
             rival = held[target]
@@ -238,19 +228,17 @@ def gale_shapley(prefs: PreferenceProfile, proposer: str) -> tuple[Assignment, i
                 break
         # an exhausted list leaves the proposer unmatched
 
-    if proposer == "receivers":
-        provider_of = {r: p for p, r in held.items()}
-    else:
-        provider_of = dict(held)
-    cells = set(propose_lists)
-    unmatched_r = cells - set(provider_of)
-    unmatched_p = cells - set(provider_of.values())
-    if unmatched_r != unmatched_p or len(unmatched_r) > 1:
+    idle = [c for c, h in enumerate(held) if h is None]
+    unheld = sorted(set(range(K)) - set(held))
+    if idle != unheld or len(idle) > 1:
         raise ContractViolation(
-            f"deferred acceptance ended inconsistently: receivers {unmatched_r} "
-            f"vs providers {unmatched_p} unmatched"
+            f"deferred acceptance ended inconsistently: acceptors {idle} vs "
+            f"proposers {unheld} unmatched"
         )
-    return Assignment(tuple(provider_of.get(c, c) for c in range(prefs.K))), proposals
+    matched = [c if h is None else h for c, h in enumerate(held)]  # an idle cell holds itself
+    if proposer == "receivers":  # held by each provider: its receiver
+        matched = np.argsort(matched).tolist()
+    return Assignment(tuple(matched)), proposals
 
 
 def enumerate_derangements(K: int):
@@ -345,7 +333,7 @@ def is_stable(assignment: Assignment, prefs: PreferenceProfile, mode: str) -> bo
     if mode == "one_sided":
         if K > COALITION_CAP:
             raise CapacityExceeded(f"coalition search is exhaustive only up to K={COALITION_CAP}")
-        ranks = {c: prefs.provider_rank(c) for c in range(K)}
+        ranks = _positions(prefs.provider)
         holding = assignment.providers
         cells = list(range(K))
         for size in range(2, K + 1):
@@ -367,12 +355,7 @@ def is_stable(assignment: Assignment, prefs: PreferenceProfile, mode: str) -> bo
     if mode == "two_sided":
         if prefs.receiver is None:
             raise ContractViolation("two-sided stability needs receiver preferences")
-        p_rank = {c: prefs.provider_rank(c) for c in range(K)}
-        r_rank = {
-            c: {cand: pos for pos, cand in enumerate(prefs.receiver[c])} for c in range(K)
-        }
-        for c in range(K):
-            r_rank[c][c] = len(prefs.receiver[c])
+        p_rank, r_rank = _positions(prefs.provider), _positions(prefs.receiver)
         providers = assignment.providers  # an unmatched cell is its own partner, ranked last
         receiver_of = np.argsort(providers).tolist()
         for r in range(K):

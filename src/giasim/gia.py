@@ -461,7 +461,7 @@ def verify_alignment(
     images = link_images(ch, tset.decoders, full_precoder(tset.patterns, cfg.P, cfg.d_s))
     resid = np.linalg.norm(images, axis=(-2, -1))  # [i, k, m, l]: user (m, l) at user (i, k)
     i, k, m, l = np.ix_(range(cfg.L), range(cfg.K), range(cfg.L), range(cfg.K))
-    s = np.linalg.svd(np.einsum("ikikab->ikab", images), compute_uv=False)  # desired links
+    s = svd(np.einsum("ikikab->ikab", images), full_matrices=False)[1]  # desired links
     return AlignmentReport(
         max_iui_residual=float(np.where((l == k) & (m != i), resid, 0.0).max()),
         max_ici_residual=float(np.where(l != k, resid, 0.0).max()),

@@ -142,10 +142,22 @@ class ChannelRealization:
 
     H has shape (L, K, K, N_B, N_U); H[i, k, l] is the channel from user
     (i, k) to base station l, scaled by the square root of its path loss
-    (1 on direct links).
+    (1 on direct links). Anything but a finite complex array of that shape, with
+    no empty axis, raises :class:`ContractViolation`: a NaN would reach the rates
+    unnoticed.
     """
 
     H: np.ndarray
+
+    def __post_init__(self):
+        H = self.H
+        if not isinstance(H, np.ndarray):
+            raise ContractViolation(f"channels must be a numpy array, got {type(H).__name__}")
+        if H.dtype.kind != "c" or H.ndim != 5 or H.shape[1] != H.shape[2] or H.size == 0:
+            raise ContractViolation(f"channels must be a complex (L, K, K, N_B, N_U) array, "
+                                    f"got {H.dtype} of shape {H.shape}")
+        if not np.isfinite(H).all():
+            raise ContractViolation("channels have non-finite entries")
 
 
 def trial_rng(seed: int, trial_index: int, stream: int = 0) -> np.random.Generator:

@@ -15,7 +15,7 @@ import numpy as np
 from giasim import assignment as asg
 from giasim import feedback as fb
 from giasim import gia, harness
-from giasim.assignment import derangement_count, rank_by_utility
+from giasim.assignment import derangement_count
 from giasim.errors import (
     AlignmentFailure,
     ContractViolation,
@@ -336,6 +336,12 @@ def throughput(images, i, k, cfg):
     return full - float(np.sum(np.log(psd_eigvals(eye + C))))
 
 
+def rank_by_utility(scores):
+    """Candidates of a {candidate: utility} dict in decreasing utility, ties broken
+    by ascending index."""
+    return [c for c, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
 def _logdet2_eye_plus(psd):
     return float(np.sum(np.log1p(psd_eigvals(psd)))) / math.log(2.0)
 
@@ -459,6 +465,12 @@ def assignment_cycles(assignment):
 
 # The assignment algorithms in the dict form the package once used: a
 # {receiver: provider} map of the matched cells and the lone cell apart.
+
+def dict_profile(prefs):
+    """A ``PreferenceProfile`` in the dict form: {cell: ranking} on each side."""
+    return asg.PreferenceProfile(*(None if side is None else dict(enumerate(side))
+                                   for side in (prefs.provider, prefs.receiver)))
+
 
 def dict_is_strict(provider_of, lone, K):
     """A strict assignment in dict form: K matched cells, a derangement."""

@@ -130,11 +130,11 @@ def test_03_derangement_machinery():
 
 
 def test_04_toy_example_regression():
-    provider = {0: [2, 1, 3], 1: [0, 2, 3], 2: [1, 0, 3], 3: [0, 1, 2]}
-    utility = {c: {p: 3 - pos for pos, p in enumerate(lst)} for c, lst in provider.items()}
+    provider = [[2, 1, 3], [0, 2, 3], [1, 0, 3], [0, 1, 2]]
+    utility = {c: {p: 3 - pos for pos, p in enumerate(lst)} for c, lst in enumerate(provider)}
     for c in utility:
         utility[c][c] = 0
-    prefs = PreferenceProfile(provider=provider)
+    prefs = PreferenceProfile(provider, None)
     weak, n_cycles = fca_match(prefs)
     strict = breaking_step(weak, prefs)
     ok = (
@@ -158,12 +158,12 @@ def test_05_stability_on_random_profiles():
     total = 500
     for t in range(total):
         K = 4 if t % 2 == 0 else 5
-        provider, receiver = {}, {}
+        provider, receiver = [], []
         for c in range(K):
             others = [x for x in range(K) if x != c]
-            provider[c] = list(rng.permutation(others))
-            receiver[c] = list(rng.permutation(others))
-        prefs = PreferenceProfile(provider=provider, receiver=receiver)
+            provider.append(rng.permutation(others).tolist())
+            receiver.append(rng.permutation(others).tolist())
+        prefs = PreferenceProfile(provider, receiver)
         weak, _ = fca_match(prefs)
         if is_stable(weak, prefs, mode="one_sided"):
             fca_pass += 1

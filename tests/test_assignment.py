@@ -19,7 +19,8 @@ from giasim.assignment import (
     receiver_preferences,
 )
 from giasim.errors import CapacityExceeded, ContractViolation
-from giasim.gia import build_potentials, build_transceivers, user_rate
+from giasim.gia import build_potentials, build_transceivers, cell_pairs, user_rate
+from giasim.linalg import complex_gaussian, psd_eigvals
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
     assignment_cycles,
@@ -29,6 +30,8 @@ from oracles import (
     dict_fca_match,
     dict_gale_shapley,
     dict_is_strict,
+    dict_profile,
+    rank_by_utility,
     strict_count_formula,
     validate_assignment,
 )
@@ -49,27 +52,25 @@ def recurrence_derangements(n: int) -> int:
 
 
 def random_profile(K: int, rng, two_sided: bool = False) -> PreferenceProfile:
-    provider, receiver = {}, {}
+    provider, receiver = [], []
     for c in range(K):
         others = [x for x in range(K) if x != c]
-        provider[c] = list(rng.permutation(others))
-        receiver[c] = list(rng.permutation(others))
-    return PreferenceProfile(
-        provider=provider, receiver=receiver if two_sided else None
-    )
+        provider.append(rng.permutation(others).tolist())
+        receiver.append(rng.permutation(others).tolist())
+    return PreferenceProfile(provider, receiver if two_sided else None)
 
 
 # the 4-cell toy example: ranked providers with utilities 3/2/1 and 0 for self
-TABLE_PROVIDERS = {0: [2, 1, 3], 1: [0, 2, 3], 2: [1, 0, 3], 3: [0, 1, 2]}
+TABLE_PROVIDERS = [[2, 1, 3], [0, 2, 3], [1, 0, 3], [0, 1, 2]]
 
 
 def table_profile() -> PreferenceProfile:
-    return PreferenceProfile(provider=TABLE_PROVIDERS)
+    return PreferenceProfile(TABLE_PROVIDERS, None)
 
 
 def table_utility() -> dict:
     utility = {
-        c: {p: 3 - pos for pos, p in enumerate(lst)} for c, lst in TABLE_PROVIDERS.items()
+        c: {p: 3 - pos for pos, p in enumerate(lst)} for c, lst in enumerate(TABLE_PROVIDERS)
     }
     for c in utility:
         utility[c][c] = 0
@@ -155,15 +156,16 @@ class TestProvidersFormat:
         lone_cells = 0
         for _ in range(30):
             prefs = random_profile(K, rng, two_sided=True)
-            runs = [(fca_match(prefs), dict_fca_match(prefs))] + [
-                (gale_shapley(prefs, side), dict_gale_shapley(prefs, side))
+            as_dicts = dict_profile(prefs)
+            runs = [(fca_match(prefs), dict_fca_match(as_dicts))] + [
+                (gale_shapley(prefs, side), dict_gale_shapley(as_dicts, side))
                 for side in ("receivers", "providers")]
             for (weak, count), (provider_of, lone, ref_count) in runs:
                 assert matched_dict(weak) == provider_of and weak.lone == lone
                 assert count == ref_count
                 assert weak.is_strict(K) == dict_is_strict(provider_of, lone, K)
                 strict = breaking_step(weak, prefs)
-                repaired = dict_breaking_step(provider_of, lone, prefs)
+                repaired = dict_breaking_step(provider_of, lone, as_dicts)
                 assert strict.providers == tuple(repaired[k] for k in range(K))
                 assert strict.is_strict(K) == dict_is_strict(repaired, None, K) is True
                 lone_cells += lone is not None
@@ -175,12 +177,13 @@ class TestProvidersFormat:
     ])
     def test_breaking_step_on_either_side_of_the_displaced_receiver(self, weak, top, strict):
         lone = Assignment(weak).lone
-        provider = {c: [x for x in range(4) if x != c] for c in range(4)}
+        provider = [[x for x in range(4) if x != c] for c in range(4)]
         provider[lone] = [top] + [x for x in range(4) if x not in (lone, top)]
-        prefs = PreferenceProfile(provider=provider)
+        prefs = PreferenceProfile(provider, None)
         repaired = breaking_step(Assignment(weak), prefs)
         assert repaired.providers == strict and repaired.is_strict(4)
-        ref = dict_breaking_step({r: p for r, p in enumerate(weak) if r != lone}, lone, prefs)
+        ref = dict_breaking_step({r: p for r, p in enumerate(weak) if r != lone}, lone,
+                                 dict_profile(prefs))
         assert strict == tuple(ref[k] for k in range(4))
 
     def test_is_strict_rejects_a_fixed_point_a_repeat_and_a_wrong_length(self):
@@ -199,7 +202,7 @@ class TestProvidersFormat:
 
 class TestTradingCycles:
     def test_unanimous_cycle(self):
-        prefs = PreferenceProfile(provider={0: [1, 2], 1: [2, 0], 2: [0, 1]})
+        prefs = PreferenceProfile([[1, 2], [2, 0], [0, 1]], None)
         weak, n_cycles = fca_match(prefs)
         assert n_cycles == 1
         assert weak.lone is None
@@ -234,24 +237,21 @@ class TestTradingCycles:
             assert strict.is_strict(K)
 
     def test_pass_through_when_already_strict(self):
-        prefs = PreferenceProfile(provider={0: [1, 2], 1: [2, 0], 2: [0, 1]})
+        prefs = PreferenceProfile([[1, 2], [2, 0], [0, 1]], None)
         weak, _ = fca_match(prefs)
         assert breaking_step(weak, prefs) is weak
 
 
 class TestDeferredAcceptance:
     def test_mutual_first_choices(self):
-        prefs = PreferenceProfile(
-            provider={0: [1, 2], 1: [2, 0], 2: [0, 1]},
-            receiver={0: [2, 1], 1: [0, 2], 2: [1, 0]},
-        )
+        prefs = PreferenceProfile([[1, 2], [2, 0], [0, 1]], [[2, 1], [0, 2], [1, 0]])
         matched, proposals = gale_shapley(prefs, "receivers")
         assert matched.lone is None
         assert matched.providers == (1, 2, 0)
         assert proposals == 3
 
     def test_requires_receiver_side(self):
-        prefs = PreferenceProfile(provider={0: [1, 2], 1: [2, 0], 2: [0, 1]})
+        prefs = PreferenceProfile([[1, 2], [2, 0], [0, 1]], None)
         with pytest.raises(ContractViolation):
             gale_shapley(prefs, "receivers")
 
@@ -283,30 +283,25 @@ class TestDeferredAcceptance:
 
 class TestStabilityOracle:
     def test_unanimous_single_cycle_is_stable(self):
-        prefs = PreferenceProfile(provider={0: [1, 2], 1: [2, 0], 2: [0, 1]})
+        prefs = PreferenceProfile([[1, 2], [2, 0], [0, 1]], None)
         assignment = Assignment((1, 2, 0))
         assert is_stable(assignment, prefs, mode="one_sided")
 
     def test_detects_blocking_swap(self):
         # 0 and 1 top-rank each other but are matched elsewhere
-        prefs = PreferenceProfile(provider={0: [1, 2], 1: [0, 2], 2: [0, 1]})
+        prefs = PreferenceProfile([[1, 2], [0, 2], [0, 1]], None)
         ring = Assignment((2, 0, 1))
         assert not is_stable(ring, prefs, mode="one_sided")
 
     def test_capacity_guard(self):
         K = 9
-        prefs = PreferenceProfile(
-            provider={c: [x for x in range(K) if x != c] for c in range(K)}
-        )
+        prefs = PreferenceProfile([[x for x in range(K) if x != c] for c in range(K)], None)
         assignment = fixed_cyclic(K)
         with pytest.raises(CapacityExceeded):
             is_stable(assignment, prefs, mode="one_sided")
 
     def test_two_sided_blocking_pair(self):
-        prefs = PreferenceProfile(
-            provider={0: [1, 2], 1: [0, 2], 2: [0, 1]},
-            receiver={0: [1, 2], 1: [0, 2], 2: [0, 1]},
-        )
+        prefs = PreferenceProfile([[1, 2], [0, 2], [0, 1]], [[1, 2], [0, 2], [0, 1]])
         ring = Assignment((2, 0, 1))
         assert not is_stable(ring, prefs, mode="two_sided")
 
@@ -360,6 +355,27 @@ class TestPreferenceOrdering:
         ranked, utils = receiver_oracle(ch, self.CFG1, 1, pots)
         assert receiver_preferences(ch, (self.CFG1,), pots)[0][1] == ranked == [0, 2]
         assert all(u == pytest.approx(0.0, abs=1e-12) for u in utils.values())
+
+
+    def test_stacked_ranking_breaks_exact_ties_by_ascending_candidate(self):
+        # (config, user, pair) Grams; cell 1 sees candidates 0 and 3 through
+        # one Gram stack, and cell 2 all three of its candidates
+        K, L, n, configs = 4, 3, 2, 3
+        A = complex_gaussian(np.random.default_rng(8), (configs, L, K * (K - 1), n, n))
+        grams = A @ A.conj().swapaxes(-1, -2)
+        at = {pair: j for j, pair in enumerate(cell_pairs(K))}
+        grams[:, :, at[1, 3]] = grams[:, :, at[1, 0]]
+        for cand in (1, 3):
+            grams[:, :, at[2, cand]] = grams[:, :, at[2, 0]]
+        ranked = asg._rank_cells(K, grams)
+        for c in range(configs):
+            for k in range(K):
+                utility = {cand: sum(float(np.sum(np.log1p(psd_eigvals(grams[c, i, at[k, cand]]))))
+                                     / np.log(2.0) for i in range(L))
+                           for cand in range(K) if cand != k}
+                assert ranked[c][k] == rank_by_utility(utility), (c, k)
+            assert ranked[c][2] == [0, 1, 3]
+            assert ranked[c][1].index(0) + 1 == ranked[c][1].index(3)
 
 
 class TestChannelPreferences:
@@ -458,7 +474,8 @@ def test_exhaustive_core_check_matches_bruteforce_definition():
         K = 4
         prefs = random_profile(K, rng)
         assignment, _ = fca_match(prefs)
-        ranks = {c: prefs.provider_rank(c) for c in range(K)}
+        ranks = [{**{p: pos for pos, p in enumerate(lst)}, c: K - 1}  # itself last
+                 for c, lst in enumerate(prefs.provider)]
         holding = dict(enumerate(assignment.providers))  # a lone cell holds itself
         blocked = False
         for size in range(2, K + 1):

@@ -1,0 +1,80 @@
+"""Choices and rates do not depend on the antenna bases or on the cell labels.
+
+A unitary change of basis at every base station l (Q_l) and at every user
+(i, k) (W_ik) maps the channel H[i, k, l] to Q_l H[i, k, l] W_ik. Everything a
+rule reads is invariant under it: the preference utilities, log-dets of Grams
+whose factors rotate together, the rates and the centralized objective. So
+every rule must pick the same assignment, and every user keep its rate to
+rounding. Relabeling the cells must carry the matchings' choices and rates
+with the labels. Both shapes are tight: every decoder's null space is exactly
+d_s wide, so no basis choice inside a wider one can move a rate.
+"""
+
+import numpy as np
+import pytest
+
+from giasim.assignment import (
+    breaking_step,
+    build_preferences,
+    fca_match,
+    fixed_cyclic,
+    gale_shapley,
+)
+from giasim.gia import build_potentials, build_transceivers, user_rate
+from giasim.linalg import complex_gaussian
+from giasim.system import ChannelRealization, SystemConfig, draw_channels, trial_rng
+from oracles import centralized_search
+
+SHAPES = {
+    "k4": SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0),
+    "single_stream": SystemConfig(K=3, L=3, N_B=7, N_U=5, d_s=1).at_snr_db(25.0),
+}
+SEED, DRAWS = 77, 20
+
+
+def choices(ch, cfg):
+    """{rule: (assignment, (L, K) user rates)} of the four rules on ``ch``."""
+    potentials = build_potentials(ch, cfg)
+    one_sided = build_preferences(ch, cfg, potentials)
+    (two_sided,) = build_preferences(ch, (cfg,), potentials, one_sided)
+    chosen = {
+        "fixed": fixed_cyclic(cfg.K),
+        "one_sided": breaking_step(fca_match(one_sided)[0], one_sided),
+        "two_sided": breaking_step(gale_shapley(two_sided, "receivers")[0], two_sided),
+        "centralized_sum": centralized_search(ch, cfg, "sum_rate", "best", potentials)[0],
+    }
+    return {rule: (a, user_rate(ch, build_transceivers(ch, cfg, a, potentials), cfg))
+            for rule, a in chosen.items()}
+
+
+def unitaries(rng, shape, n):
+    """A stack of random n x n unitaries, from the QR factors of Gaussian matrices."""
+    return np.linalg.qr(complex_gaussian(rng, shape + (n, n)))[0]
+
+
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_antenna_rotations_move_no_choice_and_no_rate(cfg):
+    rng = np.random.default_rng(SEED)
+    for t in range(DRAWS):
+        ch = draw_channels(cfg, trial_rng(SEED, t))
+        Q = unitaries(rng, (cfg.K,), cfg.N_B)[None, None]             # station l
+        W = unitaries(rng, (cfg.L, cfg.K), cfg.N_U)[:, :, None]       # user (i, k)
+        rotated = choices(ChannelRealization(H=Q @ ch.H @ W), cfg)
+        for rule, (chosen, rates) in choices(ch, cfg).items():
+            assert rotated[rule][0] == chosen, (t, rule)
+            np.testing.assert_allclose(rotated[rule][1], rates, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_cell_relabeling_carries_the_matchings(cfg):
+    perm = np.array([2, 0, 1] if cfg.K == 3 else [2, 3, 1, 0])  # cell k becomes perm[k]
+    inv = np.argsort(perm)
+    for t in range(DRAWS):
+        ch = draw_channels(cfg, trial_rng(SEED, t))
+        moved = choices(ChannelRealization(H=ch.H[:, inv][:, :, inv]), cfg)
+        for rule, (chosen, rates) in choices(ch, cfg).items():
+            if rule not in ("one_sided", "two_sided"):
+                continue
+            # cell perm[r] takes provider perm[p] where cell r took p
+            assert moved[rule][0].providers == tuple(perm[list(chosen.providers)][inv].tolist())
+            np.testing.assert_allclose(moved[rule][1][:, perm], rates, rtol=1e-12, atol=0)

@@ -6,6 +6,7 @@ import pytest
 from giasim.errors import ContractViolation, InfeasibleConfig
 from giasim.system import (
     SNR_CEILING,
+    ChannelRealization,
     SNR_FLOOR,
     SystemConfig,
     draw_channels,
@@ -94,6 +95,26 @@ def test_draw_is_deterministic():
     assert np.array_equal(a.H, b.H) and np.array_equal(a_eta, b_eta)
     c = draw_channels(cfg, trial_rng(9, 5))
     assert not np.array_equal(a.H, c.H)
+
+
+def _nan_direct_link(H):
+    H = H.copy()
+    H[0, 0, 0, 0, 0] = np.nan
+    return H
+
+
+@pytest.mark.parametrize("corrupt", [
+    _nan_direct_link,
+    lambda H: H[0],           # one user index short: (K, K, N_B, N_U)
+    lambda H: H[:, :, :3],    # three stations for four user cells
+    lambda H: H.real,
+], ids=["nan_direct_link", "rank_4", "unequal_cell_axes", "real"])
+def test_channels_outside_the_contract_are_refused(corrupt):
+    # a NaN channel once passed build_transceivers and gave a NaN user rate
+    H = draw_channels(SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2), trial_rng(0, 0)).H
+    ChannelRealization(H=H)
+    with pytest.raises(ContractViolation):
+        ChannelRealization(H=corrupt(H))
 
 
 def test_direct_links_have_unit_path_loss():
