@@ -5,14 +5,14 @@ subspace codebooks. Residual interference after zero-forcing with quantized
 patterns is measured and bounded, and the per-user feedback bit split is
 optimized by a closed-form water-filling rule.
 
-Explicit codebooks are only practical up to a couple dozen bits. Above a
-configurable limit, quantization is emulated by sampling the minimum
-chordal distortion a random codebook of that size would achieve (the
-small-ball law on the manifold, calibrated against explicit searches, with
-the constants of the common shapes checked in) and synthesizing a codeword
-at exactly that distance along a random geodesic. The emulated "codeword"
-is still a genuine semi-unitary matrix, so every downstream quantity is
-computed, not modeled.
+Explicit codebooks are only practical up to a couple dozen bits. Above the
+constant ``harness.EXPLICIT_BIT_LIMIT`` of bits per user, quantization is
+emulated by sampling the minimum chordal distortion a random codebook of
+that size would achieve (the small-ball law on the manifold, calibrated
+against explicit searches, with the constants of the common shapes checked
+in) and synthesizing a codeword at exactly that distance along a random
+geodesic. The emulated "codeword" is still a genuine semi-unitary matrix,
+so every downstream quantity is computed, not modeled.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
 from .gia import zf_decoder
-from .linalg import complex_gaussian, herm_eig, norm_sq, orthonormalize, projectors
+from .linalg import complex_gaussian, herm_eig, norm_sq, orthonormalize, projectors, svd
 from .system import ChannelRealization, check_whole, per_config
 
 CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
@@ -315,7 +315,7 @@ class GeodesicFrame:
         self.patterns, self.null_bases = patterns, null_bases
         self.E = [rng.exponential() for rng in rngs]
         G = np.array([complex_gaussian(rng, (M - N, N)) for rng in rngs])
-        self.Sg, sig, self.Rgh = np.linalg.svd(G, full_matrices=False)
+        self.Sg, sig, self.Rgh = svd(G, full_matrices=False)
         self.sig = np.array([s / np.linalg.norm(s) for s in sig])
 
 

@@ -126,20 +126,20 @@ class TrialBuild:
 
     Each piece is computed by the same call on the same operands as a
     from-scratch evaluation would use, so sharing it changes no bit of any
-    result. Two memos hold it: ``_once`` the power-free pieces, by stage and
-    key, and ``rates`` everything that depends on P (the receiver side of the
-    preferences, the assignments that read it or P, the rates), one value per
-    key and configuration, each evaluated at once for every config of the
-    ``cells``, the sweep's (config, scheme) pairs, one slice per config; a
-    centralized search runs at its own config alone.
+    result. One memo, ``_once``, holds every piece by stage and a key that names
+    exactly what it depends on. The power-free pieces read the build's own
+    dimensions, ``cfg``, which every cell shares. What depends on P (the receiver
+    side of the preferences, the two-sided assignments, the rates) is the
+    ``rates`` stage: evaluated at once at every config of the ``cells``, the
+    sweep's (config, scheme) pairs, one value per config.
     """
 
     def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int, cells):
         rng = trial_rng(seed, trial_index, stream=attempt)
-        self.trial_index = trial_index
+        self.cfg, self.trial_index = cfg, trial_index
         self.ch = draw_channels(cfg, rng)
         self._rng_after_draw = rng  # the rb baseline continues this stream, once per draw
-        self._configs = tuple(dict.fromkeys(c for c, _ in cells))  # in grid order
+        self._position = {c: i for i, c in enumerate(dict.fromkeys(c for c, _ in cells))}
         # a matching or centralized rule reads every pair: form them all at the first request
         self._all_pairs = any(s.assignment not in ("fixed", "rb", "fdma") for _, s in cells)
         groups, self._entries = {}, {}  # a feedback scheme -> its group's entries, its position
@@ -147,8 +147,8 @@ class TrialBuild:
             if s.bit_alloc != "none":  # a group: {(bit allocation, budget): position}
                 group = groups.setdefault((s.assignment, s.proposer, s.codebook_seed), {})
                 self._entries[s] = group, group.setdefault((s.bit_alloc, s.bits_budget), len(group))
-        self._pieces = {}  # (stage, key) -> power-free piece
-        self._rates = {}   # (key, config) -> value that depends on P; keys lead with their kind
+        self._entries = {s: (tuple(group), at) for s, (group, at) in self._entries.items()}
+        self._pieces = {}  # (stage, key) -> piece
 
     def _once(self, stage: str, key, build):
         """Piece ``stage`` of ``key``, ``build()`` on the first request."""
@@ -156,54 +156,51 @@ class TrialBuild:
             self._pieces[stage, key] = build()
         return self._pieces[stage, key]
 
-    def rates(self, cfg: SystemConfig, key: tuple, evaluate, alone: bool = False):
-        """The value of ``key`` at ``cfg``, memoized per (key, config). A miss calls
-        ``evaluate(configs)`` once for ``cfg`` and, unless ``alone``, every planned
-        config that lacks ``key``; it gives one value per config."""
-        value = self._rates.get((key, cfg))
-        if value is None:
-            todo = tuple(c for c in dict.fromkeys((cfg, *(() if alone else self._configs)))
-                         if (key, c) not in self._rates)
-            self._rates.update(zip(((key, c) for c in todo), evaluate(todo)))
-            value = self._rates[key, cfg]
-        return value
+    def rates(self, cfg: SystemConfig, key: tuple, evaluate):
+        """The value of ``key`` at ``cfg``: the first request calls ``evaluate(configs)``
+        once at every planned config, in grid order, which gives one value per config.
+        :class:`ContractViolation` if ``cfg`` is not a config of the build's cells."""
+        position = self._position.get(cfg)
+        if position is None:
+            raise ContractViolation(f"config {cfg} is not among the cells of the trial's build")
+        return self._once("rates", key, lambda: evaluate(tuple(self._position)))[position]
 
-    def potentials(self, cfg: SystemConfig, pairs=None) -> gia.Potentials:
+    def potentials(self, pairs=None) -> gia.Potentials:
         """The pair pieces, the first request forming ``pairs`` (all if None, or if
         a cell's rule reads every pair); ``take`` forms any pair that a later read
         lacks."""
-        return self._once("potentials", None, lambda: gia.build_potentials(
-            self.ch, cfg, gia.cell_pairs(cfg.K) if pairs is None or self._all_pairs else pairs))
+        return self._once("potentials", None, lambda: gia.build_potentials(self.ch, self.cfg, (
+            gia.cell_pairs(self.cfg.K) if pairs is None or self._all_pairs else pairs)))
 
-    def provider_side(self, cfg: SystemConfig) -> asg.PreferenceProfile:
+    def provider_side(self) -> asg.PreferenceProfile:
         """The one-sided profile, which does not depend on P: once per draw."""
         return self._once("provider side", None, lambda: asg.build_preferences(
-            self.ch, cfg, self.potentials(cfg)))
+            self.ch, self.cfg, self.potentials()))
 
     def receiver_side(self, cfg: SystemConfig) -> asg.PreferenceProfile:
         """The two-sided profile at ``cfg``: the provider side with the receiver side."""
         return self.rates(cfg, ("receiver side",), lambda configs: asg.build_preferences(
-            self.ch, configs, self.potentials(cfg), self.provider_side(cfg)))
+            self.ch, configs, self.potentials(), self.provider_side()))
 
     def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
         """The strict assignment of ``scheme``'s rule: once per draw for ``fixed`` and
-        ``one_sided``, whose provider side does not depend on P, else per config
-        and proposer. A two-sided miss matches at every planned config, whose
-        receiver sides came in one call; a centralized search runs at its own
-        config alone, so that a search error stays with its grid point's cell."""
+        ``one_sided``, whose provider side does not depend on P; per config and
+        proposer for ``two_sided``, matched at every planned config, whose receiver
+        sides came in one call; per config for a centralized search, which runs at
+        its own config alone, so that a search error stays with its grid point's cell."""
         rule = scheme.assignment
-        if rule in ("fixed", "one_sided"):
-            return self._once("assignment", rule, lambda: self._choose(cfg, scheme))
-        key = ("assignment", rule, scheme.proposer)
-        return self.rates(cfg, key, lambda configs: [self._choose(c, scheme) for c in configs],
-                          alone=rule != "two_sided")
+        if rule == "two_sided":
+            return self.rates(cfg, ("assignment", rule, scheme.proposer),
+                              lambda configs: [self._choose(c, scheme) for c in configs])
+        key = rule if rule in ("fixed", "one_sided") else (rule, cfg)
+        return self._once("assignment", key, lambda: self._choose(cfg, scheme))
 
     def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
         rule = scheme.assignment
         if rule == "fixed":
             return asg.fixed_cyclic(cfg.K)
         if rule == "one_sided":
-            prefs = self.provider_side(cfg)
+            prefs = self.provider_side()
             weak, _ = asg.fca_match(prefs)
             if cfg.K <= 6:  # unread: the traced benchmark counts these verdicts
                 asg.is_stable(weak, prefs, "one_sided")
@@ -217,7 +214,7 @@ class TrialBuild:
         objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
         sense = "worst" if rule.startswith("worst") else "best"
         return asg.centralized_search(
-            cfg, self.potentials(cfg), lambda a: self.user_rates(cfg, self.transceivers(cfg, a)),
+            cfg, self.potentials(), lambda a: self.user_rates(cfg, self.transceivers(a)),
             objective, sense)[0]
 
     def user_rates(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
@@ -226,16 +223,16 @@ class TrialBuild:
         key = ("user rates", tset.assignment.providers)
         return self.rates(cfg, key, lambda configs: gia.user_rate(self.ch, tset, configs))
 
-    def transceivers(self, cfg: SystemConfig, chosen: asg.Assignment) -> gia.TransceiverSet:
+    def transceivers(self, chosen: asg.Assignment) -> gia.TransceiverSet:
         pairs = [(p, r) for r, p in enumerate(chosen.providers)]  # receiver order
         return self._once("transceivers", chosen.providers, lambda: gia.build_transceivers(
-            self.ch, cfg, chosen, self.potentials(cfg, pairs)))
+            self.ch, self.cfg, chosen, self.potentials(pairs)))
 
-    def leakage(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> tuple:
+    def leakage(self, tset: gia.TransceiverSet) -> tuple:
         """Largest leakage eigenvalue of every user, as an (L, K) array, and the
         left null bases of the patterns, (L, K, N_U, N_U - d_s), both stacked."""
         def build():
-            receivers = np.argsort(tset.assignment.providers)  # of each cell, provider order
+            cfg, receivers = self.cfg, np.argsort(tset.assignment.providers)  # provider order
             null_bases = gia.select_null_basis(tset.patterns, cfg.N_U - cfg.d_s)
             _, lam = fb.omega_matrix(
                 self.ch.H[:, range(cfg.K), receivers], tset.patterns, null_bases)
@@ -243,7 +240,7 @@ class TrialBuild:
 
         return self._once("leakage", tset.assignment.providers, build)
 
-    def quantized(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet,
+    def quantized(self, scheme: SchemeSpec, tset: gia.TransceiverSet,
                   bits: list) -> tuple[np.ndarray, np.ndarray]:
         """Every pattern quantized at its count in each row of ``bits`` (one per
         entry, users in flat (cell, user) order): the (entries, L, K, N_U, d_s)
@@ -255,6 +252,7 @@ class TrialBuild:
         each user's stream [codebook_seed, 211, trial, user]. A (user, bit count)
         is searched once per (assignment, codebook seed), whichever entries share it,
         and emulated once per call."""
+        cfg = self.cfg
         L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
@@ -271,7 +269,7 @@ class TrialBuild:
                     patterns[user], _cached_codebook(N_U, d_s, b, user, seed)))[1:]
         if emulated:
             frame = self._once("frame", (akey, seed), lambda: fb.GeodesicFrame(
-                patterns, flat(self.leakage(cfg, tset)[1]),
+                patterns, flat(self.leakage(tset)[1]),
                 [np.random.default_rng([seed, 211, self.trial_index, u]) for u in range(n)]))
             row = {}  # each (user, bit count) once, in first-seen order
             at = [row.setdefault((u, bits[e][u]), len(row)) for e, u in emulated]
@@ -280,60 +278,55 @@ class TrialBuild:
             q[entries, users], dist[entries, users] = V_hat[at], np.array(d)[at]
         return q.reshape(-1, K, L, N_U, d_s).swapaxes(1, 2), dist.reshape(-1, K, L).swapaxes(1, 2)
 
-    def feedback(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet) -> tuple:
+    def feedback(self, scheme: SchemeSpec, tset: gia.TransceiverSet) -> tuple:
         """The power-free part of the limited-feedback stage of ``scheme``'s feedback
         group: its (bit allocation, budget) entries, in the order of the build's
         cells, with their (entries, L, K) squared quantization distances and
         (entries, L, K, L, K, d_s, d_s) ``link_images`` of the quantized patterns
         through their decoders.
 
-        Formed once per (assignment, entries, codebook seed) from entries formed once
-        per (assignment, codebook seed), whichever group asks first: per chunk of new
-        entries (SCREEN_CHUNK_BYTES of decoder SVDs) one ``quantized`` pass, one stacked
-        ``quantized_decoder`` and one ``link_images`` stack."""
+        Each entry is formed once per (assignment, codebook seed), whichever group asks
+        first: per chunk of new entries (SCREEN_CHUNK_BYTES of decoder SVDs) one
+        ``quantized`` pass, one stacked ``quantized_decoder``, one ``link_images`` stack."""
+        cfg = self.cfg
         if cfg.N_U <= cfg.d_s:
             raise ContractViolation("limited feedback needs N_U > d_s: with square patterns "
                                     "there is nothing to quantize")
-        entries = tuple(self._entries[scheme][0])
+        entries = self._entries[scheme][0]
         akey, seed = tset.assignment.providers, scheme.codebook_seed
-
-        def build():
-            key = lambda e: ("feedback entry", (akey, e, seed))  # -> its (dist, images)
-            new = [e for e in entries if key(e) not in self._pieces]
-            lam = self.leakage(cfg, tset)[0].T.ravel()  # users in flat (cell, user) order
-            bits = [(fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
-                     else fb.eba_allocate(budget, cfg.user_count)).tolist()
-                    for rule, budget in new]
-            chunk = max(1, gia.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
-            for start in range(0, len(new), chunk):
-                q, dist = self.quantized(cfg, scheme, tset, bits[start:start + chunk])
-                U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns)
-                images = gia.link_images(self.ch, U, q)
-                self._pieces.update(zip(map(key, new[start:]), zip(dist, images)))
-            return (entries, *map(np.array, zip(*(self._pieces[key(e)] for e in entries))))
-
-        return self._once("feedback", (akey, entries, seed), build)
+        key = lambda e: ("feedback entry", (akey, e, seed))  # -> its (dist, images)
+        new = [e for e in entries if key(e) not in self._pieces]
+        lam = self.leakage(tset)[0].T.ravel()  # users in flat (cell, user) order
+        bits = [(fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
+                 else fb.eba_allocate(budget, cfg.user_count)).tolist()
+                for rule, budget in new]
+        chunk = max(1, gia.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
+        for start in range(0, len(new), chunk):
+            q, dist = self.quantized(scheme, tset, bits[start:start + chunk])
+            U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns)
+            images = gia.link_images(self.ch, U, q)
+            self._pieces.update(zip(map(key, new[start:]), zip(dist, images)))
+        return (entries, *map(np.array, zip(*(self._pieces[key(e)] for e in entries))))
 
     def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
         """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry
-        at ``cfg``, read at the entry's position in the stacks of its group, which are
-        kept once per (assignment, group). A miss evaluates every entry of the
-        group's ``feedback`` at every planned config, in one call each of
-        ``throughput``, ``rinr`` and ``rinr_upper_bound`` over a leading (config,
-        entry) axis. :class:`ContractViolation` if no cell of the build runs ``scheme``."""
+        at ``cfg``, read at the entry's position in the stacks of its group, kept under
+        the key of the group's ``feedback`` pass. A miss evaluates every entry of the
+        pass at every planned config, in one call each of ``throughput``, ``rinr`` and
+        ``rinr_upper_bound`` over a leading (config, entry) axis.
+        :class:`ContractViolation` if no cell of the build runs ``scheme``."""
         if scheme not in self._entries:
             raise ContractViolation(f"scheme {scheme.label} at {scheme.bits_budget} bits is "
                                     f"not among the cells of the trial's build")
-        position = self._entries[scheme][1]
+        entries, position = self._entries[scheme]
 
         def evaluate(configs):
-            _, dist, images = self.feedback(cfg, scheme, tset)
-            return zip(throughput(images, configs), fb.rinr(tset.assignment, images, configs),
-                       fb.rinr_upper_bound(tset.assignment, configs, dist,
-                                           self.leakage(cfg, tset)[0]))
+            _, dist, images = self.feedback(scheme, tset)
+            return list(zip(throughput(images, configs), fb.rinr(tset.assignment, images, configs),
+                            fb.rinr_upper_bound(tset.assignment, configs, dist,
+                                                self.leakage(tset)[0])))
 
-        key = ("feedback", tset.assignment.providers, scheme.assignment,
-               scheme.proposer, scheme.codebook_seed)
+        key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed)
         return tuple(stack[position] for stack in self.rates(cfg, key, evaluate))
 
 
@@ -348,7 +341,7 @@ def _evaluate_trial(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec,
     elif scheme.assignment == "fdma":
         rates = baseline_fdma(build, cfg)
     else:
-        tset = build.transceivers(cfg, build.assignment(cfg, scheme))
+        tset = build.transceivers(build.assignment(cfg, scheme))
         if scheme.bit_alloc == "none":
             rates = build.user_rates(cfg, tset)
         else:

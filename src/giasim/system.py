@@ -95,33 +95,16 @@ def per_config(cfg, value, ndim: int):
     return np.reshape([value(c) for c in cfg], (-1,) + (1,) * ndim)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of the two alignment feasibility inequalities."""
-
-    user_antennas_ok: bool       # L*N_U >= (L-1)*N_B + d_s
-    bs_antennas_ok: bool         # N_B >= ((K-1)L + 1) d_s
-
-    @property
-    def feasible(self) -> bool:
-        return self.user_antennas_ok and self.bs_antennas_ok
-
-
-def validate_feasibility(cfg: SystemConfig) -> FeasibilityReport:
-    """Check whether the grouped alignment supports d_s streams per user."""
+def require_feasible(cfg: SystemConfig) -> None:
+    """Refuse, with :class:`InfeasibleConfig`, a config on which the grouped alignment
+    cannot carry d_s streams per user; the message names each inequality that fails."""
     K, L, N_B, N_U, d_s = cfg.K, cfg.L, cfg.N_B, cfg.N_U, cfg.d_s
-    return FeasibilityReport(user_antennas_ok=L * N_U >= (L - 1) * N_B + d_s,
-                             bs_antennas_ok=N_B >= ((K - 1) * L + 1) * d_s)
-
-
-def require_feasible(cfg: SystemConfig) -> FeasibilityReport:
-    report = validate_feasibility(cfg)
-    if not report.feasible:
-        raise InfeasibleConfig(
-            f"(K,L,N_B,N_U,d_s)=({cfg.K},{cfg.L},{cfg.N_B},{cfg.N_U},{cfg.d_s}) "
-            f"violates the alignment dimension conditions"
-        )
-    return report
+    failed = [condition for holds, condition in (
+        (L * N_U >= (L - 1) * N_B + d_s, "users: L*N_U >= (L-1)*N_B + d_s"),
+        (N_B >= ((K - 1) * L + 1) * d_s, "stations: N_B >= ((K-1)*L + 1)*d_s")) if not holds]
+    if failed:
+        raise InfeasibleConfig(f"(K,L,N_B,N_U,d_s)=({K},{L},{N_B},{N_U},{d_s}) violates the "
+                               f"alignment dimension condition on {'; and on '.join(failed)}")
 
 
 def require_draw_fits(cfg: SystemConfig) -> None:

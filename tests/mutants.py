@@ -1,0 +1,207 @@
+"""The mutation gate: every recorded mutant of the source, run again.
+
+Each row of ``MUTANTS`` names a mutant and gives the file it changes, an exact
+string that must occur in that file exactly once, its replacement, the tests
+that must fail on the mutant, and the change that recorded it (its title in
+CHANGES.md). The runner applies each row to a fresh temporary copy of
+``src/``, ``tests/`` and ``pyproject.toml`` and runs the row's tests there with
+``pytest -x``. It exits 1 if a mutant survives (its tests pass) or if a row's
+string no longer occurs exactly once: a change that moves the mutated code
+re-anchors the row instead of dropping it.
+
+Run from the repository root, with the standard library and pytest only:
+
+    python3 tests/mutants.py            # every row
+    python3 tests/mutants.py NAME ...   # the named rows
+
+It re-runs test files once per row, so tier-1 does not include it; CI runs it
+as a step of its own.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str      # relative to the repository root
+    old: str       # occurs in ``file`` exactly once
+    new: str
+    tests: tuple   # pytest node ids or files, relative to the root; the run must fail
+    recorded: str  # the change that recorded the mutant, as CHANGES.md titles it
+
+
+SHARING = "tests/test_sweep_sharing.py"
+PROVIDERS_FORMAT = "tests/test_assignment.py::TestProvidersFormat"
+
+MUTANTS = (
+    Mutant("feedback-pass-on-every-cell", "src/giasim/harness.py",
+           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed)',
+           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed, '
+           'scheme.bits_budget)',
+           (f"{SHARING}::test_feedback_pass_runs_once_per_draw_assignment_and_group",),
+           "plan from the cells"),
+    Mutant("scheme-outside-the-cells-read", "src/giasim/harness.py",
+           "        if scheme not in self._entries:\n",
+           "        if False:\n",
+           (f"{SHARING}::test_scheme_outside_the_builds_cells_is_refused",),
+           "plan from the cells"),
+    Mutant("transceivers-keyed-by-object", "src/giasim/harness.py",
+           'return self._once("transceivers", chosen.providers,',
+           'return self._once("transceivers", id(chosen),',
+           (f"{SHARING}::test_rules_that_pick_one_assignment_share_its_transceivers",),
+           "one assignment format"),
+    Mutant("lone-never-found", "src/giasim/assignment.py",
+           "return next((k for k, p in enumerate(self.providers) if k == p), None)",
+           "return None",
+           (PROVIDERS_FORMAT,), "one assignment format"),
+    Mutant("strict-allows-fixed-point", "src/giasim/assignment.py",
+           "return sorted(self.providers) == list(range(K)) and self.lone is None",
+           "return sorted(self.providers) == list(range(K))",
+           (PROVIDERS_FORMAT,), "one assignment format"),
+    Mutant("strict-skips-permutation", "src/giasim/assignment.py",
+           "return sorted(self.providers) == list(range(K)) and self.lone is None",
+           "return len(self.providers) == K and self.lone is None",
+           (PROVIDERS_FORMAT,), "one assignment format"),
+    Mutant("strict-own-length", "src/giasim/assignment.py",
+           "return sorted(self.providers) == list(range(K)) and self.lone is None",
+           "return sorted(self.providers) == list(range(len(self.providers))) "
+           "and self.lone is None",
+           (PROVIDERS_FORMAT,), "one assignment format"),
+    Mutant("breaking-step-writes-first", "src/giasim/assignment.py",
+           "    displaced = providers.index(p)  # before the lone cell takes p, which index would "
+           "find\n    providers[lone], providers[displaced] = p, lone\n",
+           "    providers[lone] = p\n    displaced = providers.index(p)\n"
+           "    providers[displaced] = lone\n",
+           (PROVIDERS_FORMAT,), "one assignment format"),
+    Mutant("assignment-takes-any-sequence", "src/giasim/assignment.py",
+           "if not isinstance(self.providers, tuple):",
+           "if not isinstance(self.providers, (tuple, list)):",
+           (PROVIDERS_FORMAT,), "one assignment format"),
+    Mutant("reversed-argsort-ranking", "src/giasim/assignment.py",
+           'order = np.argsort(-utility, axis=-1, kind="stable")',
+           "order = np.argsort(utility, axis=-1)[..., ::-1]",
+           ("tests/test_assignment.py",), "one preference format"),
+    Mutant("receiver-gram-without-conj", "src/giasim/assignment.py",
+           "gram = images.conj().swapaxes(-1, -2) @ images",
+           "gram = images.swapaxes(-1, -2) @ images",
+           ("tests/test_invariance.py::test_antenna_rotations_move_no_choice_and_no_rate",),
+           "one preference format"),
+    Mutant("user-rate-without-conj", "src/giasim/gia.py",
+           "H_eff = tset.decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices",
+           "H_eff = tset.decoders.swapaxes(-1, -2) @ direct_channels(ch) @ slices",
+           ("tests/test_invariance.py::test_antenna_rotations_move_no_choice_and_no_rate",),
+           "one preference format"),
+    Mutant("unplanned-config-read", "src/giasim/harness.py",
+           "position = self._position.get(cfg)",
+           "position = self._position.get(cfg, 0)",
+           (f"{SHARING}::test_config_outside_the_builds_cells_is_refused",),
+           "one memo per trial build"),
+    Mutant("centralized-keyed-by-proposer", "src/giasim/harness.py",
+           'key = rule if rule in ("fixed", "one_sided") else (rule, cfg)',
+           'key = rule if rule in ("fixed", "one_sided") else (rule, scheme.proposer, cfg)',
+           (f"{SHARING}::test_centralized_schemes_that_differ_in_proposer_search_once_per_config",),
+           "one memo per trial build"),
+    Mutant("feedback-rates-keyed-by-rule", "src/giasim/harness.py",
+           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed)',
+           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed, '
+           "scheme.assignment)",
+           (f"{SHARING}::test_rules_that_pick_one_assignment_share_its_feedback_rates",),
+           "one memo per trial build"),
+    Mutant("rb-decoder-off-the-channel", "src/giasim/harness.py",
+           "decoders = orthonormalize(gia.direct_channels(build.ch) @ patterns)",
+           "decoders = orthonormalize(gia.direct_channels(build.ch).conj() @ patterns)",
+           ("tests/test_invariance.py::test_antenna_rotations_move_no_baseline_rate",),
+           "one memo per trial build"),
+    Mutant("fdma-gram-without-conj", "src/giasim/harness.py",
+           "psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)",
+           "psd_eigvals(direct.swapaxes(-1, -2) @ direct)",
+           ("tests/test_invariance.py::test_antenna_rotations_move_no_baseline_rate",),
+           "one memo per trial build"),
+    Mutant("utility-of-the-first-user", "src/giasim/assignment.py",
+           "utility = np.add.reduce(terms, axis=-2)",
+           "utility = np.add.reduce(terms[..., :1, :], axis=-2)",
+           ("tests/test_invariance.py::"
+            "test_user_relabeling_within_a_cell_moves_no_choice_and_carries_the_rates",),
+           "one memo per trial build"),
+    Mutant("frame-svd-unwrapped", "src/giasim/feedback.py",
+           "self.Sg, sig, self.Rgh = svd(G, full_matrices=False)",
+           "self.Sg, sig, self.Rgh = np.linalg.svd(G, full_matrices=False)",
+           ("tests/test_feedback.py::TestEmulatedQuantization::"
+            "test_frame_svd_that_does_not_converge_is_a_numerical_failure",),
+           "one memo per trial build"),
+    Mutant("feasibility-sides-swapped", "src/giasim/system.py",
+           '"users: L*N_U >= (L-1)*N_B + d_s"',
+           '"stations: L*N_U >= (L-1)*N_B + d_s"',
+           ("tests/test_system.py",), "one memo per trial build"),
+)
+
+
+def pytest_exit(tests, mutant: Mutant | None = None) -> subprocess.CompletedProcess:
+    """``pytest -x`` of ``tests`` on a temporary copy of the tree, with ``mutant``
+    applied if one is given."""
+    with tempfile.TemporaryDirectory(prefix="giasim-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        if mutant is not None:
+            target = copy / mutant.file
+            target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                              encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=600)
+
+
+def verdict(mutant: Mutant) -> str:
+    """"killed", "survived" or "broken: <why>" for one row."""
+    count = (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+    if count != 1:
+        return f"broken: the old string occurs {count} times in {mutant.file}"
+    done = pytest_exit(mutant.tests, mutant)
+    # 1: a test failed; 2: collection failed, as an import of a broken module does
+    if done.returncode in (1, 2):
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    return f"broken: pytest exited {done.returncode}: {done.stdout.strip()[-300:]}"
+
+
+def main(rows=MUTANTS, names=()) -> int:
+    unknown = set(names) - {m.name for m in rows}
+    if unknown:
+        print(f"unknown mutant names: {sorted(unknown)}")
+        return 1
+    rows = [m for m in rows if not names or m.name in names]
+    start = time.perf_counter()
+    # a kill counts only if the same tests pass on the unmutated tree
+    clean = pytest_exit(list(dict.fromkeys(t for m in rows for t in m.tests)))
+    if clean.returncode != 0:
+        print(f"the named tests fail on the unmutated tree:\n{clean.stdout[-2000:]}")
+        return 1
+    print(f"the named tests pass on the unmutated tree ({time.perf_counter() - start:.1f} s)")
+    bad = 0
+    for mutant in rows:
+        t0 = time.perf_counter()
+        outcome = verdict(mutant)
+        bad += outcome != "killed"
+        print(f"{mutant.name:<34} {outcome} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(rows) - bad} of {len(rows)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(names=sys.argv[1:]))

@@ -108,7 +108,7 @@ def feedback_bits(build, cfg, scheme, tset):
     in flat (cell, user) order."""
     if scheme.bit_alloc == "eba":
         return fb.eba_allocate(scheme.bits_budget, cfg.user_count)
-    lam = build.leakage(cfg, tset)[0].T.ravel()
+    lam = build.leakage(tset)[0].T.ravel()
     return fb.dba_allocate(lam, scheme.bits_budget, cfg.d_s, cfg.N_U)
 
 
@@ -138,7 +138,7 @@ def run_cell(builds, cfg, scheme, trial_index, seed, cells=None):
         baseline = harness.baseline_rb if scheme.assignment == "rb" else harness.baseline_fdma
         return record_of(baseline(build, cfg), cfg, resamples=resamples)
     chosen = build.assignment(cfg, scheme)
-    tset = build.transceivers(cfg, chosen)
+    tset = build.transceivers(chosen)
     if scheme.bit_alloc == "none":
         return record_of(build.user_rates(cfg, tset), cfg, assignment=chosen, resamples=resamples)
     rates, rinr, bound = build.feedback_rates(cfg, scheme, tset)
@@ -156,6 +156,16 @@ def summary(record):
         rinr = sum(record.rinr_per_cell.values())
         bound = sum(record.bound_per_cell.values())
     return record.sum_rate, record.min_cell_rate, rinr, bound, record.resamples
+
+
+def failed_conditions(cfg):
+    """The sides, of "users" and "stations", whose feasibility inequality
+    ``system.require_feasible`` names as failed for ``cfg``: empty if it accepts."""
+    try:
+        require_feasible(cfg)
+    except InfeasibleConfig as exc:
+        return {side for side in ("users", "stations") if f"on {side}: " in str(exc)}
+    return set()
 
 
 def feasibility_limits(cfg):

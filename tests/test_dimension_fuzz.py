@@ -1,6 +1,6 @@
 """Seeded fuzz over feasible system dimensions.
 
-Draws (K, L, N_B, N_U, d_s) that ``validate_feasibility`` accepts, tight
+Draws (K, L, N_B, N_U, d_s) that ``require_feasible`` accepts, tight
 (worst-case) antenna counts among them, and checks two acceptance criteria on
 each draw: perfect alignment (criterion 1, ``verify_alignment`` on the
 stacked-SVD decoders) and the pathwise interference bound under quantized
@@ -13,16 +13,15 @@ import math
 from giasim.assignment import Assignment, enumerate_derangements, fixed_cyclic
 from giasim.gia import build_potentials, build_transceivers, verify_alignment
 from giasim.harness import SchemeSpec
-from giasim.system import draw_channels, trial_rng, validate_feasibility
-from oracles import feasibility_limits, feasible_configs, run_trial
+from giasim.system import draw_channels, trial_rng
+from oracles import failed_conditions, feasibility_limits, feasible_configs, run_trial
 
 SEED = 2718
 
 
 def test_drawn_configs_are_feasible_and_cover_tight_counts():
     cfgs = feasible_configs(SEED)
-    reports = [validate_feasibility(cfg) for cfg in cfgs]
-    assert all(r.feasible for r in reports)
+    assert all(failed_conditions(cfg) == set() for cfg in cfgs)
     assert sum(feasibility_limits(cfg)["worst_case"] for cfg in cfgs) >= len(cfgs) // 3
     assert {cfg.d_s for cfg in cfgs} == {1, 2} and {cfg.L for cfg in cfgs} == {1, 2, 3}
 

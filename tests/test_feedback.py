@@ -6,7 +6,7 @@ import pytest
 
 import giasim.feedback as fb
 from giasim.assignment import fixed_cyclic
-from giasim.errors import CapacityExceeded, ContractViolation, DegenerateChannel
+from giasim.errors import CapacityExceeded, ContractViolation, DegenerateChannel, NumericalFailure
 from giasim.feedback import (
     codebook_bytes,
     dba_allocate,
@@ -355,6 +355,20 @@ class TestEmulatedQuantization:
         for j, d in enumerate(ds):
             assert is_semi_unitary(V_hat[j])
             assert chordal_distance_sq(V[j], V_hat[j]) == pytest.approx(d, abs=1e-9)
+
+    def test_frame_svd_that_does_not_converge_is_a_numerical_failure(self, monkeypatch):
+        # the frame's SVD goes through the package's one SVD wrapper, so LAPACK's
+        # non-convergence is NumericalFailure (CLI exit 3), not a bare LinAlgError
+        g = np.random.default_rng(53)
+        V = np.array([random_subspace(8, 2, g)])
+        null_bases = np.array([left_null_space(v) for v in V])
+
+        def unconverged(M, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        with pytest.raises(NumericalFailure):
+            fb.GeodesicFrame(V, null_bases, [g])
 
     def test_sampled_distortion_decreases_in_bits(self):
         g = np.random.default_rng(52)

@@ -23,8 +23,8 @@ from giasim.harness import (
 )
 from giasim.linalg import complex_gaussian
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import (TrialRecord, aggregate_metrics, effective_link_gains, feasibility_limits,
-                     is_semi_unitary, record_of, run_cell, run_trial, summary)
+from oracles import (TrialRecord, aggregate_metrics, effective_link_gains, failed_conditions,
+                     feasibility_limits, is_semi_unitary, record_of, run_cell, run_trial, summary)
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 
@@ -270,11 +270,8 @@ class TestOtherGeometries:
         ],
     )
     def test_quantized_trial_end_to_end(self, K, L, N_B, N_U, d_s, worst):
-        from giasim.system import validate_feasibility
-
         cfg = SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U, d_s=d_s, P=316.0)
-        rep = validate_feasibility(cfg)
-        assert rep.feasible and feasibility_limits(cfg)["worst_case"] == worst
+        assert failed_conditions(cfg) == set() and feasibility_limits(cfg)["worst_case"] == worst
         r = run_trial(
             cfg, SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=15 * K * L),
             0, seed=K * 100 + L,

@@ -6,13 +6,21 @@ rule reads is invariant under it: the preference utilities, log-dets of Grams
 whose factors rotate together, the rates and the centralized objective. So
 every rule must pick the same assignment, and every user keep its rate to
 rounding. Relabeling the cells must carry the matchings' choices and rates
-with the labels. Both shapes are tight: every decoder's null space is exactly
-d_s wide, so no basis choice inside a wider one can move a rate.
+with the labels, and relabeling the users within a cell must move no choice
+and carry every rate with its user. Both shapes are tight: every decoder's
+null space is exactly d_s wide, so no basis choice inside a wider one can
+move a rate.
+
+The baselines read no assignment. The ``fdma`` rates depend on each direct
+channel's singular values only, so both rotations leave them. The ``rb``
+patterns are drawn in user coordinates, so only a station rotation applies:
+it turns every matched-filter decoder with the channel and leaves the rates.
 """
 
 import numpy as np
 import pytest
 
+import giasim.harness as hmod
 from giasim.assignment import (
     breaking_step,
     build_preferences,
@@ -22,6 +30,7 @@ from giasim.assignment import (
 )
 from giasim.gia import build_potentials, build_transceivers, user_rate
 from giasim.linalg import complex_gaussian
+from giasim.harness import SchemeSpec
 from giasim.system import ChannelRealization, SystemConfig, draw_channels, trial_rng
 from oracles import centralized_search
 
@@ -78,3 +87,41 @@ def test_cell_relabeling_carries_the_matchings(cfg):
             # cell perm[r] takes provider perm[p] where cell r took p
             assert moved[rule][0].providers == tuple(perm[list(chosen.providers)][inv].tolist())
             np.testing.assert_allclose(moved[rule][1][:, perm], rates, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_user_relabeling_within_a_cell_moves_no_choice_and_carries_the_rates(cfg):
+    rng = np.random.default_rng(SEED)
+    for t in range(DRAWS):
+        ch = draw_channels(cfg, trial_rng(SEED, t))
+        # user i of cell k becomes the user that sigma[i, k] was: H'[i, k] = H[sigma[i, k], k]
+        sigma = np.array([rng.permutation(cfg.L) for _ in range(cfg.K)]).T
+        moved = choices(ChannelRealization(H=ch.H[sigma, np.arange(cfg.K)]), cfg)
+        for rule, (chosen, rates) in choices(ch, cfg).items():
+            assert moved[rule][0] == chosen, (t, rule)
+            np.testing.assert_allclose(moved[rule][1], rates[sigma, np.arange(cfg.K)],
+                                       rtol=1e-12, atol=0)
+
+
+def baseline_rates(cfg, rule, t, transform):
+    """The (L, K) rates of baseline ``rule`` on draw ``t`` after ``transform`` of its
+    channel; the rb patterns still come from the stream after the draw."""
+    draw = hmod.draw_channels
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmod, "draw_channels", lambda c, rng: transform(draw(c, rng)))
+        build = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, SchemeSpec(assignment=rule))])
+    baseline = hmod.baseline_rb if rule == "rb" else hmod.baseline_fdma
+    return baseline(build, cfg)
+
+
+@pytest.mark.parametrize("rule, users_too", [("rb", False), ("fdma", True)])
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_antenna_rotations_move_no_baseline_rate(cfg, rule, users_too):
+    rng = np.random.default_rng(SEED)
+    for t in range(DRAWS):
+        Q = unitaries(rng, (cfg.K,), cfg.N_B)[None, None]
+        W = (unitaries(rng, (cfg.L, cfg.K), cfg.N_U)[:, :, None] if users_too
+             else np.eye(cfg.N_U))
+        rates = baseline_rates(cfg, rule, t, lambda ch: ch)
+        rotated = baseline_rates(cfg, rule, t, lambda ch: ChannelRealization(H=Q @ ch.H @ W))
+        np.testing.assert_allclose(rotated, rates, rtol=1e-12, atol=0)

@@ -16,7 +16,7 @@ import giasim.feedback as fb
 import giasim.gia as gia
 import giasim.harness as hmod
 from giasim.assignment import fixed_cyclic
-from giasim.errors import InfeasibleConfig
+from giasim.errors import ContractViolation, InfeasibleConfig
 from giasim.harness import SchemeSpec, SweepSpec, run_sweep
 from giasim.system import SystemConfig, draw_channels, trial_rng
 
@@ -60,17 +60,20 @@ def test_perfect_feedback_forms_each_sets_decoders_once(monkeypatch):
     run_sweep(SweepSpec("snr_db", (10.0, 30.0), 2, schemes, seed=12), CFG)
     draws = list({id(ch): ch for ch in built}.values())
     assert len(draws) >= 2 and _per_draw(ideal, draws) == _per_draw(built, draws)
-    # a config outside the first batch rates the set again, on the decoders it formed
+    # the first read rates the set at every planned config, on the decoders it
+    # formed; a config outside the build's cells is refused, and rates nothing
     planned = (CFG.at_snr_db(10.0), CFG.at_snr_db(20.0))
     build = hmod.TrialBuild(CFG, 12, 0, 0, [(c, SchemeSpec()) for c in planned])
-    tset = build.transceivers(CFG, fixed_cyclic(CFG.K))
+    tset = build.transceivers(fixed_cyclic(CFG.K))
     ideal.clear()
     rated.clear()
     build.user_rates(planned[0], tset)
-    later = build.user_rates(CFG.at_snr_db(30.0), tset)
-    assert len(rated) == 2 and len(ideal) == 1
+    with pytest.raises(ContractViolation, match="not among the cells"):
+        build.user_rates(CFG.at_snr_db(30.0), tset)
+    later = build.user_rates(planned[1], tset)
+    assert len(rated) == 1 and len(ideal) == 1
     fresh = gia.build_transceivers(build.ch, CFG, fixed_cyclic(CFG.K))
-    assert np.array_equal(later, gia.user_rate(build.ch, fresh, CFG.at_snr_db(30.0)))
+    assert np.array_equal(later, gia.user_rate(build.ch, fresh, planned[1]))
 
 
 @pytest.mark.parametrize("N_B, message", [

@@ -99,7 +99,7 @@ def test_failed_piece_raises_at_its_read_only(monkeypatch):
     formed = _deficient_on_first_draw(monkeypatch)
     schemes = (SchemeSpec(assignment="fixed"), SchemeSpec(assignment="one_sided"))
     build = TrialBuild(CFG, 31, 0, 0, [(CFG, s) for s in schemes])
-    potentials = build.potentials(CFG)
+    potentials = build.potentials()
     V = potentials.take("inner", [BAD])[0]
     assert not V[CFG.N_U:].any() and formed == [(12, 1)]
     # the per-pair construction on the same inner precoder gives each read's error

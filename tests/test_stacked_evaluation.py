@@ -45,7 +45,7 @@ def test_user_rate_equals_per_user_loop():
     for cfg, build in builds():
         last = Assignment(list(enumerate_derangements(cfg.K))[-1])
         for assignment in (fixed_cyclic(cfg.K), last):
-            tset = build.transceivers(cfg, assignment)
+            tset = build.transceivers(assignment)
             stacked = user_rate(build.ch, tset, cfg)
             loop = per_user_array(cfg, lambda i, k: oracles.user_rate(build.ch, tset, i, k, cfg))
             assert stacked.shape == (cfg.L, cfg.K)
@@ -55,7 +55,7 @@ def test_user_rate_equals_per_user_loop():
 def test_throughput_equals_per_user_loop():
     # aligned images leave rounding-level interference; the rb images a full one
     for cfg, build in builds():
-        tset = build.transceivers(cfg, fixed_cyclic(cfg.K))
+        tset = build.transceivers(fixed_cyclic(cfg.K))
         for images in (link_images(build.ch, tset.decoders, tset.patterns),
                        rb_images(build, cfg)):
             stacked = throughput(images, cfg)
@@ -66,7 +66,7 @@ def test_throughput_equals_per_user_loop():
 
 def test_preferences_equal_per_cell_loops():
     for cfg, build in builds():
-        potentials = build.potentials(cfg)
+        potentials = build.potentials()
         one_sided = build_preferences(build.ch, cfg, potentials)
         (prefs,) = build_preferences(build.ch, (cfg,), potentials, one_sided)
         assert prefs.provider is one_sided.provider and one_sided.receiver is None

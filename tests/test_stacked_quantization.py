@@ -44,12 +44,12 @@ def test_stacked_quantization_equals_per_user_oracle(t, cfg, monkeypatch):
     monkeypatch.setattr(hmod.fb, "_calibrate_small_ball", lambda M, N: 0.01)
     scheme = SchemeSpec(assignment="fixed", bit_alloc="eba", codebook_seed=3)
     build = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, scheme)])
-    tset = build.transceivers(cfg, fixed_cyclic(cfg.K))
-    assert np.array_equal(build.leakage(cfg, tset)[0], leakage(build.ch, tset, cfg))
+    tset = build.transceivers(fixed_cyclic(cfg.K))
+    assert np.array_equal(build.leakage(tset)[0], leakage(build.ch, tset, cfg))
     bits = [EDGE_BITS[u % len(EDGE_BITS)] for u in range(cfg.user_count)]
     for shift in (0, 1):  # the second split reuses the frame the first one built
         split = bits[shift:] + bits[:shift]
-        (q,), (dist,) = build.quantized(cfg, scheme, tset, [split])
+        (q,), (dist,) = build.quantized(scheme, tset, [split])
         q_ref, dist_ref = quantize_patterns(cfg, scheme, tset, t, split)
         assert np.array_equal(q, q_ref)
         assert np.array_equal(dist, dist_ref)
@@ -173,20 +173,22 @@ def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
     schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b, codebook_seed=3)
                for b in budgets for rule in ("dba", "eba")]
     batched = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, s) for s in schemes])
-    tset = batched.transceivers(cfg, fixed_cyclic(cfg.K))
-    first = batched.feedback(cfg, schemes[7], tset)  # the whole group, in the cells' order
+    tset = batched.transceivers(fixed_cyclic(cfg.K))
+    first = batched.feedback(schemes[7], tset)  # the whole group, in the cells' order
     assert calls == [5, 5, 2]
     entries, dist, images = first
     for scheme in schemes:
         e = entries.index((scheme.bit_alloc, scheme.bits_budget))
         lone = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, scheme)])  # a one-entry group
-        lone_tset = lone.transceivers(cfg, fixed_cyclic(cfg.K))
-        _, want_dist, want_images = lone.feedback(cfg, scheme, lone_tset)
+        lone_tset = lone.transceivers(fixed_cyclic(cfg.K))
+        _, want_dist, want_images = lone.feedback(scheme, lone_tset)
         assert np.array_equal(feedback_bits(batched, cfg, scheme, tset),
                               feedback_bits(lone, cfg, scheme, lone_tset))
         assert np.array_equal(dist[e], want_dist[0])
         assert np.array_equal(images[e], want_images[0])
-        assert batched.feedback(cfg, scheme, tset) is first
+        again = batched.feedback(scheme, tset)  # every entry is kept: no decoder is formed
+        assert again[0] == entries
+        assert np.array_equal(again[1], dist) and np.array_equal(again[2], images)
     assert calls == [5, 5, 2] + [1] * len(schemes)
 
 
@@ -203,8 +205,8 @@ def test_each_emulated_user_and_count_is_synthesized_once_per_pass(monkeypatch):
     schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b, codebook_seed=3)
                for b in (30 * n, 31 * n, 40 * n) for rule in ("dba", "eba")]
     build = hmod.TrialBuild(CFG, SEED, 0, 0, [(CFG, s) for s in schemes])
-    tset = build.transceivers(CFG, fixed_cyclic(CFG.K))
-    build.feedback(CFG, schemes[0], tset)
+    tset = build.transceivers(fixed_cyclic(CFG.K))
+    build.feedback(schemes[0], tset)
     emulated = [(u, b) for s in schemes
                 for u, b in enumerate(feedback_bits(build, CFG, s, tset).tolist())
                 if b > hmod.EXPLICIT_BIT_LIMIT]

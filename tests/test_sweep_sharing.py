@@ -314,9 +314,11 @@ def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
     # the pass itself, asked for by each rule on a build of the sweep's cells
     build = hmod.TrialBuild(CFG, spec.seed, 0, 0, cells)
     fixed, one_sided = (replace(s, bits_budget=spec.grid[0]) for s in schemes)
-    tset = build.transceivers(CFG, build.assignment(CFG, one_sided))
+    tset = build.transceivers(build.assignment(CFG, one_sided))
     calls.clear()
-    assert build.feedback(CFG, fixed, tset) is build.feedback(CFG, one_sided, tset)
+    (entries, dist, images), again = (build.feedback(s, tset) for s in (fixed, one_sided))
+    assert again[0] == entries
+    assert np.array_equal(again[1], dist) and np.array_equal(again[2], images)
     assert len(calls) == 1
 
 
@@ -328,7 +330,7 @@ def test_rules_that_pick_one_assignment_share_its_transceivers():
     build = hmod.TrialBuild(CFG, 3, 0, 0, [(CFG, s) for s in schemes])
     fixed, one_sided = (build.assignment(CFG, s) for s in schemes)
     assert fixed is not one_sided and fixed == one_sided
-    assert build.transceivers(CFG, fixed) is build.transceivers(CFG, one_sided)
+    assert build.transceivers(fixed) is build.transceivers(one_sided)
     assert [key for key in build._pieces if key[0] == "transceivers"] == [
         ("transceivers", fixed_cyclic(CFG.K).providers)]
 
@@ -413,10 +415,10 @@ def test_feedback_pass_runs_once_per_draw_assignment_and_group(monkeypatch):
     calls = []
     feedback = hmod.TrialBuild.feedback
 
-    def counted(self, cfg, scheme, tset):
+    def counted(self, scheme, tset):
         calls.append((id(self), tset.assignment.providers,
                       scheme.assignment, scheme.proposer, scheme.codebook_seed))
-        return feedback(self, cfg, scheme, tset)
+        return feedback(self, scheme, tset)
 
     monkeypatch.setattr(hmod.TrialBuild, "feedback", counted)
     schemes = (SchemeSpec(assignment="two_sided", bit_alloc="dba"),
@@ -438,3 +440,55 @@ def test_scheme_outside_the_builds_cells_is_refused():
                    SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100)):
         with pytest.raises(ContractViolation, match="not among the cells"):
             hmod._evaluate_trial(build, CFG, scheme, 0)
+
+
+def test_config_outside_the_builds_cells_is_refused():
+    # every value that depends on P is kept at the build's planned configs only:
+    # a cell at another config is refused, whatever its scheme, and its planned
+    # neighbours still read their values
+    planned = (CFG.at_snr_db(10.0), CFG.at_snr_db(30.0))
+    schemes = [SchemeSpec(assignment=rule) for rule in ASSIGNMENT_SCHEMES] + [
+        SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100)]
+    build = hmod.TrialBuild(CFG, 6, 0, 0, [(c, s) for c in planned for s in schemes])
+    for scheme in schemes:
+        with pytest.raises(ContractViolation, match="not among the cells"):
+            hmod._evaluate_trial(build, CFG.at_snr_db(20.0), scheme, 0)
+        expected = run_trial(planned[1], scheme, 0, seed=6)
+        assert hmod._evaluate_trial(build, planned[1], scheme, 0)[:2] == (
+            expected.sum_rate, expected.min_cell_rate)
+
+
+def test_centralized_schemes_that_differ_in_proposer_search_once_per_config(monkeypatch):
+    # a centralized search does not read the proposer: it is kept per (rule, config)
+    calls = []
+    search = hmod.asg.centralized_search
+    monkeypatch.setattr(hmod.asg, "centralized_search",
+                        lambda cfg, *args: calls.append(cfg.P) or search(cfg, *args))
+    schemes = tuple(SchemeSpec(assignment=rule, proposer=side)
+                    for rule in ("centralized_sum", "worst_min")
+                    for side in ("receivers", "providers"))
+    trials, grid = 2, (10.0, 30.0)
+    spec = SweepSpec("snr_db", grid, trials, schemes, seed=49)
+    rows = run_sweep(spec, CFG)
+    assert sorted(calls) == sorted([CFG.at_snr_db(v).P for v in grid] * 2 * trials)
+    assert rows[0::2] == rows[1::2]  # grid-major: each rule's two proposers side by side
+    assert rows == grid_major_reference(spec, CFG)
+
+
+def test_rules_that_pick_one_assignment_share_its_feedback_rates(monkeypatch):
+    # the draws of the test above: on trial 0 of seed 3 fixed and one-sided pick
+    # the ring with the same entries, so they read one set of feedback rates, all
+    # budgets and grid points from one throughput call; on trial 1 they do not
+    calls = []
+    real = hmod.throughput
+    monkeypatch.setattr(hmod, "throughput", lambda *args: calls.append(1) or real(*args))
+    schemes = (SchemeSpec(assignment="fixed", bit_alloc="dba"),
+               SchemeSpec(assignment="one_sided", bit_alloc="dba"))
+    spec = SweepSpec("B", (40, 100, 300), 2, schemes, seed=3)
+    cells = sweep_cells(spec, CFG)
+    for trial, expected in ((0, 1), (1, 2)):
+        build = hmod.TrialBuild(CFG, spec.seed, trial, 0, cells)
+        calls.clear()
+        for cfg, scheme in cells:
+            hmod._evaluate_trial(build, cfg, scheme, 0)
+        assert len(calls) == expected

@@ -13,9 +13,8 @@ from giasim.system import (
     load_run_config,
     require_feasible,
     trial_rng,
-    validate_feasibility,
 )
-from oracles import draw_with_path_loss, feasibility_limits, snr_db
+from oracles import draw_with_path_loss, failed_conditions, feasibility_limits, snr_db
 
 
 def test_config_validation():
@@ -56,7 +55,7 @@ def test_power_under_the_snr_floor_is_refused():
 def test_reference_config_feasible_and_worst_case():
     cfg = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2)
     limits = feasibility_limits(cfg)
-    assert validate_feasibility(cfg).feasible and limits["worst_case"]
+    assert failed_conditions(cfg) == set() and limits["worst_case"]
     assert limits["max_streams"] == 2
     assert limits["min_user_antennas"] == 8
     assert limits["max_users_per_cell"] == 2
@@ -64,15 +63,25 @@ def test_reference_config_feasible_and_worst_case():
 
 
 def test_three_cell_config_feasible():
-    rep = validate_feasibility(SystemConfig(K=3, L=2, N_B=10, N_U=6, d_s=2))
-    assert rep.feasible
+    assert require_feasible(SystemConfig(K=3, L=2, N_B=10, N_U=6, d_s=2)) is None
 
 
 def test_insufficient_bs_antennas():
-    rep = validate_feasibility(SystemConfig(K=3, L=2, N_B=9, N_U=6, d_s=2))
-    assert not rep.bs_antennas_ok and not rep.feasible
-    with pytest.raises(InfeasibleConfig):
+    assert failed_conditions(SystemConfig(K=3, L=2, N_B=9, N_U=6, d_s=2)) == {"stations"}
+    with pytest.raises(InfeasibleConfig, match=r"on stations: N_B >= \(\(K-1\)\*L \+ 1\)\*d_s$"):
         require_feasible(SystemConfig(K=3, L=2, N_B=9, N_U=6, d_s=2))
+
+
+@pytest.mark.parametrize("N_B, N_U, failed", [
+    (14, 7, "users: L*N_U >= (L-1)*N_B + d_s"),
+    (13, 8, "stations: N_B >= ((K-1)*L + 1)*d_s"),
+    (13, 6, "users: L*N_U >= (L-1)*N_B + d_s; and on stations: N_B >= ((K-1)*L + 1)*d_s"),
+])
+def test_infeasible_config_names_each_failed_inequality(N_B, N_U, failed):
+    with pytest.raises(InfeasibleConfig) as caught:
+        require_feasible(SystemConfig(K=4, L=2, N_B=N_B, N_U=N_U, d_s=2))
+    assert str(caught.value) == (f"(K,L,N_B,N_U,d_s)=(4,2,{N_B},{N_U},2) violates the "
+                                 f"alignment dimension condition on {failed}")
 
 
 def test_feasibility_monotone_in_antennas():
@@ -80,12 +89,12 @@ def test_feasibility_monotone_in_antennas():
     # inequality while the user-side inequality re-tightens per its formula
     base = [(4, 2, 14, 8, 2), (3, 2, 10, 6, 2), (5, 1, 5, 2, 1)]
     for K, L, N_B, N_U, d_s in base:
-        assert validate_feasibility(SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U, d_s=d_s)).feasible
-        up_user = validate_feasibility(SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U + 1, d_s=d_s))
-        assert up_user.feasible
-        up_bs = validate_feasibility(SystemConfig(K=K, L=L, N_B=N_B + 1, N_U=N_U, d_s=d_s))
-        assert up_bs.bs_antennas_ok
-        assert up_bs.user_antennas_ok == (L * N_U >= (L - 1) * (N_B + 1) + d_s)
+        assert failed_conditions(SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U, d_s=d_s)) == set()
+        up_user = failed_conditions(SystemConfig(K=K, L=L, N_B=N_B, N_U=N_U + 1, d_s=d_s))
+        assert up_user == set()
+        up_bs = failed_conditions(SystemConfig(K=K, L=L, N_B=N_B + 1, N_U=N_U, d_s=d_s))
+        assert "stations" not in up_bs
+        assert ("users" not in up_bs) == (L * N_U >= (L - 1) * (N_B + 1) + d_s)
 
 
 def test_draw_is_deterministic():
