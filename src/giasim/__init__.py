@@ -14,7 +14,6 @@ from .errors import (
     CapacityExceeded,
     ContractViolation,
     DegenerateChannel,
-    EmptySubspace,
     GiaSimError,
     InfeasibleConfig,
     NumericalFailure,

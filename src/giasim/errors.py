@@ -28,10 +28,6 @@ class RankDeficient(GiaSimError):
     """Input matrix does not have full column rank."""
 
 
-class EmptySubspace(GiaSimError):
-    """Requested null space is zero-dimensional (full-row-rank input)."""
-
-
 class InfeasibleConfig(GiaSimError):
     """System dimensions cannot support the requested alignment."""
 

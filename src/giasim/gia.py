@@ -19,14 +19,12 @@ from .errors import (
     CapacityExceeded,
     ContractViolation,
     DegenerateChannel,
-    EmptySubspace,
     GiaSimError,
     InfeasibleConfig,
 )
 from .linalg import (
     RANK_REL_TOL,
     herm_inv_sqrt,
-    left_basis_and_rank,
     matrix_rank,
     orthonormalize,
     psd_eigvals,
@@ -81,12 +79,11 @@ def select_null_basis(F: np.ndarray, d_s: int) -> np.ndarray:
     canonical one, with a warning. A (..., m, n) array of stacks takes one SVD
     call and one rank check, and each slice is checked, in C order, as if alone.
     """
-    try:
-        U, ranks = left_basis_and_rank(F)
-    except EmptySubspace as exc:
-        raise InfeasibleConfig(f"interference stack has no null space, need {d_s}") from exc
+    U, s, _ = svd(F, full_matrices=True)
     m, n = np.shape(F)[-2:]
-    for rank in ranks.ravel().tolist():
+    for rank in matrix_rank(s).ravel().tolist():
+        if rank == m:
+            raise InfeasibleConfig(f"interference stack has no null space, need {d_s}")
         if m - rank < d_s:
             raise InfeasibleConfig(f"interference stack leaves a {m - rank}-dimensional "
                                    f"null space, need {d_s}")

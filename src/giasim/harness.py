@@ -165,12 +165,11 @@ class TrialBuild:
             raise ContractViolation(f"config {cfg} is not among the cells of the trial's build")
         return self._once("rates", key, lambda: evaluate(tuple(self._position)))[position]
 
-    def potentials(self, pairs=None) -> gia.Potentials:
-        """The pair pieces, the first request forming ``pairs`` (all if None, or if
-        a cell's rule reads every pair); ``take`` forms any pair that a later read
-        lacks."""
-        return self._once("potentials", None, lambda: gia.build_potentials(self.ch, self.cfg, (
-            gia.cell_pairs(self.cfg.K) if pairs is None or self._all_pairs else pairs)))
+    def potentials(self) -> gia.Potentials:
+        """The pair pieces: every pair formed at once if a cell's rule reads every
+        pair, none otherwise; ``take`` forms the pairs that a read lacks."""
+        return self._once("potentials", None, lambda: gia.build_potentials(
+            self.ch, self.cfg, gia.cell_pairs(self.cfg.K) if self._all_pairs else []))
 
     def provider_side(self) -> asg.PreferenceProfile:
         """The one-sided profile, which does not depend on P: once per draw."""
@@ -224,9 +223,8 @@ class TrialBuild:
         return self.rates(cfg, key, lambda configs: gia.user_rate(self.ch, tset, configs))
 
     def transceivers(self, chosen: asg.Assignment) -> gia.TransceiverSet:
-        pairs = [(p, r) for r, p in enumerate(chosen.providers)]  # receiver order
         return self._once("transceivers", chosen.providers, lambda: gia.build_transceivers(
-            self.ch, self.cfg, chosen, self.potentials(pairs)))
+            self.ch, self.cfg, chosen, self.potentials()))
 
     def leakage(self, tset: gia.TransceiverSet) -> tuple:
         """Largest leakage eigenvalue of every user, as an (L, K) array, and the
@@ -245,68 +243,62 @@ class TrialBuild:
         """Every pattern quantized at its count in each row of ``bits`` (one per
         entry, users in flat (cell, user) order): the (entries, L, K, N_U, d_s)
         quantized patterns and the (entries, L, K) squared chordal distances.
-        Explicit codebook search up to the limit, one per entry and user, on
-        codebooks fixed per (user, bit count) across trials, as offline books
-        would be; above it, every such entry and user emulated in one call on
-        the frame of the assignment and codebook seed, formed on first use from
-        each user's stream [codebook_seed, 211, trial, user]. A (user, bit count)
-        is searched once per (assignment, codebook seed), whichever entries share it,
-        and emulated once per call."""
+        Explicit codebook search up to the limit, on codebooks fixed per (user, bit
+        count) across trials, as offline books would be; above it, emulation on the
+        frame of the assignment and codebook seed, formed on first use from each
+        user's stream [codebook_seed, 211, trial, user], every new (user, bit count)
+        of the call in one ``model_quantize``. Each (user, bit count) is quantized
+        once per (assignment, codebook seed), whichever entries, chunks or groups
+        share it."""
         cfg = self.cfg
         L, K, N_U, d_s, n = cfg.L, cfg.K, cfg.N_U, cfg.d_s, cfg.user_count
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
         akey, seed = tset.assignment.providers, scheme.codebook_seed
-        q, dist = np.empty((len(bits),) + patterns.shape, complex), np.empty((len(bits), n))
-        emulated = []  # (entry, user)
-        for entry, counts in enumerate(bits):
-            for user, b in enumerate(counts):
-                if b > EXPLICIT_BIT_LIMIT:
-                    emulated.append((entry, user))
-                    continue
-                key = (akey, seed, user, b)
-                q[entry, user], dist[entry, user] = self._once("search", key, lambda: fb.quantize(
-                    patterns[user], _cached_codebook(N_U, d_s, b, user, seed)))[1:]
+        keys = [[(akey, seed, user, b) for user, b in enumerate(counts)] for counts in bits]
+        emulated = []  # the new (user, bit count) keys above the limit, in first-seen order
+        for key in dict.fromkeys(key for row in keys for key in row):
+            _, _, user, b = key
+            if b <= EXPLICIT_BIT_LIMIT:
+                self._once("quantized", key, lambda: fb.quantize(
+                    patterns[user], _cached_codebook(N_U, d_s, b, user, seed))[1:])
+            elif ("quantized", key) not in self._pieces:
+                emulated.append(key)
         if emulated:
             frame = self._once("frame", (akey, seed), lambda: fb.GeodesicFrame(
                 patterns, flat(self.leakage(tset)[1]),
                 [np.random.default_rng([seed, 211, self.trial_index, u]) for u in range(n)]))
-            row = {}  # each (user, bit count) once, in first-seen order
-            at = [row.setdefault((u, bits[e][u]), len(row)) for e, u in emulated]
-            V_hat, d = fb.model_quantize(frame, *(list(axis) for axis in zip(*row)))
-            entries, users = (list(axis) for axis in zip(*emulated))
-            q[entries, users], dist[entries, users] = V_hat[at], np.array(d)[at]
+            _, _, users, counts = zip(*emulated)
+            V_hat, dist = fb.model_quantize(frame, list(users), list(counts))
+            self._pieces.update(zip((("quantized", key) for key in emulated), zip(V_hat, dist)))
+        q, dist = (np.array(a) for a in zip(*(self._pieces["quantized", key]
+                                              for row in keys for key in row)))
         return q.reshape(-1, K, L, N_U, d_s).swapaxes(1, 2), dist.reshape(-1, K, L).swapaxes(1, 2)
 
     def feedback(self, scheme: SchemeSpec, tset: gia.TransceiverSet) -> tuple:
         """The power-free part of the limited-feedback stage of ``scheme``'s feedback
-        group: its (bit allocation, budget) entries, in the order of the build's
-        cells, with their (entries, L, K) squared quantization distances and
-        (entries, L, K, L, K, d_s, d_s) ``link_images`` of the quantized patterns
-        through their decoders.
-
-        Each entry is formed once per (assignment, codebook seed), whichever group asks
-        first: per chunk of new entries (SCREEN_CHUNK_BYTES of decoder SVDs) one
-        ``quantized`` pass, one stacked ``quantized_decoder``, one ``link_images`` stack."""
+        group, over its (bit allocation, budget) entries in the order of the build's
+        cells: the (entries, L, K) squared quantization distances and the (entries, L,
+        K, L, K, d_s, d_s) ``link_images`` of the quantized patterns through their
+        decoders. Per chunk of entries (SCREEN_CHUNK_BYTES of decoder SVDs) one
+        ``quantized`` call, one stacked ``quantized_decoder``, one ``link_images``
+        stack. Kept by no memo: its one reader, ``feedback_rates``, keeps the rates."""
         cfg = self.cfg
         if cfg.N_U <= cfg.d_s:
             raise ContractViolation("limited feedback needs N_U > d_s: with square patterns "
                                     "there is nothing to quantize")
-        entries = self._entries[scheme][0]
-        akey, seed = tset.assignment.providers, scheme.codebook_seed
-        key = lambda e: ("feedback entry", (akey, e, seed))  # -> its (dist, images)
-        new = [e for e in entries if key(e) not in self._pieces]
         lam = self.leakage(tset)[0].T.ravel()  # users in flat (cell, user) order
         bits = [(fb.dba_allocate(lam, budget, cfg.d_s, cfg.N_U) if rule == "dba"
                  else fb.eba_allocate(budget, cfg.user_count)).tolist()
-                for rule, budget in new]
+                for rule, budget in self._entries[scheme][0]]
         chunk = max(1, gia.SCREEN_CHUNK_BYTES // (16 * cfg.user_count * cfg.N_B ** 2))
-        for start in range(0, len(new), chunk):
-            q, dist = self.quantized(scheme, tset, bits[start:start + chunk])
+        dist, images = [], []
+        for start in range(0, len(bits), chunk):
+            q, d = self.quantized(scheme, tset, bits[start:start + chunk])
             U = fb.quantized_decoder(self.ch, tset.assignment, q, tset.patterns)
-            images = gia.link_images(self.ch, U, q)
-            self._pieces.update(zip(map(key, new[start:]), zip(dist, images)))
-        return (entries, *map(np.array, zip(*(self._pieces[key(e)] for e in entries))))
+            dist.append(d)
+            images.append(gia.link_images(self.ch, U, q))
+        return np.concatenate(dist), np.concatenate(images)
 
     def feedback_rates(self, cfg: SystemConfig, scheme: SchemeSpec, tset: gia.TransceiverSet):
         """(user rates, per-cell RINR, per-cell bound) of ``scheme``'s feedback entry
@@ -321,7 +313,7 @@ class TrialBuild:
         entries, position = self._entries[scheme]
 
         def evaluate(configs):
-            _, dist, images = self.feedback(scheme, tset)
+            dist, images = self.feedback(scheme, tset)
             return list(zip(throughput(images, configs), fb.rinr(tset.assignment, images, configs),
                             fb.rinr_upper_bound(tset.assignment, configs, dist,
                                                 self.leakage(tset)[0])))
@@ -381,39 +373,33 @@ def _run_cell(
 
 def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
     """(L, K) user rates of random subspace precoders with matched-filter receivers
-    (no alignment), every planned config in one ``throughput`` call. The power-free
-    part, formed once per draw: the ``link_images`` of random patterns, drawn in flat
-    (cell, user) order from the stream after the channel draw, through matched-filter
-    decoders."""
-    def build_images():
+    (no alignment), every planned config in one ``throughput`` call, whose images are
+    formed there: random patterns, drawn in flat (cell, user) order from the stream
+    after the channel draw, through matched-filter decoders. The rates memo keeps
+    the value, so the stream is read once per draw."""
+    def evaluate(configs):
         # one draw in the order of a complex_gaussian call per user: real, then imaginary
         x = build._rng_after_draw.standard_normal((cfg.user_count, 2, cfg.N_U, cfg.d_s))
         patterns = orthonormalize(((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)).reshape(
             cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1))
         decoders = orthonormalize(gia.direct_channels(build.ch) @ patterns)
-        return gia.link_images(build.ch, decoders, patterns)
+        return throughput(gia.link_images(build.ch, decoders, patterns), configs)
 
-    images, key = build._once("baseline", "rb", build_images), ("baseline", "rb")
-    return build.rates(cfg, key, lambda configs: throughput(images, configs))
+    return build.rates(cfg, ("baseline", "rb"), evaluate)
 
 
 def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
     """(L, K) user rates of orthogonal sharing: each user gets 1/(KL) of the band,
     eigen-beamforms its top d_s modes and spends its full power there (noise scales
-    with the band fraction, hence the KL power boost). Every planned config in one call.
-    The power-free part, formed once per draw: the top d_s eigenvalues of every user's
-    direct-channel Gram, (L, K, d_s)."""
-    def build_gains():
-        direct = gia.direct_channels(build.ch)
-        return psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)[..., ::-1][..., :cfg.d_s]
-
-    gains, key = build._once("baseline", "fdma", build_gains), ("baseline", "fdma")
-
+    with the band fraction, hence the KL power boost). Every planned config in one call,
+    from the top d_s eigenvalues of every user's direct-channel Gram, (L, K, d_s)."""
     def evaluate(configs):
+        direct = gia.direct_channels(build.ch)
+        gains = psd_eigvals(direct.conj().swapaxes(-1, -2) @ direct)[..., ::-1][..., :cfg.d_s]
         boost = per_config(configs, lambda c: c.user_count * c.P / (c.d_s * c.sigma2), gains.ndim)
         return np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count
 
-    return build.rates(cfg, key, evaluate)
+    return build.rates(cfg, ("baseline", "fdma"), evaluate)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, EmptySubspace, NumericalFailure, RankDeficient
+from .errors import ContractViolation, NumericalFailure, RankDeficient
 
 # Singular value s_i counts as nonzero iff s_i > RANK_REL_TOL * s_max.
 # Safe in double precision for the stacked matrices this simulator builds.
@@ -43,16 +43,6 @@ def svd(M, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def matrix_rank(singular_values: np.ndarray):
     """Numerical rank from descending singular values, one per slice of a stack."""
     return np.sum(singular_values > RANK_REL_TOL * singular_values[..., :1], axis=-1)
-
-
-def left_basis_and_rank(M) -> tuple[np.ndarray, np.ndarray]:
-    """Square left singular basis U of M and its rank, per slice of a stack, from one SVD
-    call. :class:`EmptySubspace` if M, or a slice, has full row rank ("infeasible here")."""
-    U, s, _ = svd(M, full_matrices=True)
-    ranks = matrix_rank(s)
-    if np.any(ranks == U.shape[-1]):
-        raise EmptySubspace(f"matrix of shape {np.shape(M)[-2:]} has full row rank {U.shape[-1]}")
-    return U, ranks
 
 
 def projectors(X) -> tuple[np.ndarray, np.ndarray]:

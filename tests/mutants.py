@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 
 SHARING = "tests/test_sweep_sharing.py"
+QUANTIZATION = "tests/test_stacked_quantization.py"
+ONE_READER = "form each piece inside its one reader"
 PROVIDERS_FORMAT = "tests/test_assignment.py::TestProvidersFormat"
 
 MUTANTS = (
@@ -144,6 +146,58 @@ MUTANTS = (
            '"users: L*N_U >= (L-1)*N_B + d_s"',
            '"stations: L*N_U >= (L-1)*N_B + d_s"',
            ("tests/test_system.py",), "one memo per trial build"),
+    Mutant("quantized-memo-without-seed", "src/giasim/harness.py",
+           "keys = [[(akey, seed, user, b) for",
+           "keys = [[(akey, 0, user, b) for",
+           (f"{QUANTIZATION}::test_emulated_pair_that_two_groups_share_is_synthesized_once_per_seed",),
+           ONE_READER),
+    Mutant("emulation-per-call", "src/giasim/harness.py",
+           'elif ("quantized", key) not in self._pieces:',
+           "else:",
+           (f"{QUANTIZATION}::test_emulated_pair_that_two_chunks_share_is_synthesized_once",),
+           ONE_READER),
+    Mutant("rb-images-per-cell", "src/giasim/harness.py",
+           'return build.rates(cfg, ("baseline", "rb"), evaluate)',
+           "return evaluate((cfg,))[0]",
+           (f"{SHARING}::test_snr_sweep_forms_baseline_pieces_once_per_trial",),
+           ONE_READER),
+    Mutant("potentials-form-every-pair", "src/giasim/harness.py",
+           "gia.cell_pairs(self.cfg.K) if self._all_pairs else []",
+           "gia.cell_pairs(self.cfg.K)",
+           (f"{SHARING}::test_each_draw_matches_once_per_rule_and_forms_pairs_once",),
+           ONE_READER),
+    Mutant("leakage-gram-without-conj", "src/giasim/feedback.py",
+           "omega = core.conj().swapaxes(-1, -2) @ P_perp @ core",
+           "omega = core.swapaxes(-1, -2) @ P_perp @ core",
+           ("tests/test_invariance.py::"
+            "test_station_rotations_move_no_bit_split_distance_or_explicit_pick",),
+           ONE_READER),
+    Mutant("full-row-rank-unnamed", "src/giasim/gia.py",
+           '        if rank == m:\n'
+           '            raise InfeasibleConfig(f"interference stack has no null space, need {d_s}")\n',
+           "",
+           ("tests/test_lazy_decoders.py::test_infeasible_ideal_stack_raises_at_first_read",),
+           ONE_READER),
+    Mutant("take-index-provider-receiver-swapped", "src/giasim/gia.py",
+           "[p * self.cfg.K + r for p, r in pairs]",
+           "[r * self.cfg.K + p for p, r in pairs]",
+           ("tests/test_pair_pieces.py::test_stacked_pieces_equal_per_pair_oracle",),
+           "pair pieces in stacked calls"),
+    Mutant("no-confirm-step", "src/giasim/assignment.py",
+           "    near = ok[close].tolist()\n",
+           "    near = []\n",
+           ("tests/test_centralized.py::test_search_equals_fresh_build_on_fuzz_shapes",),
+           "feed back every budget of a draw at once"),
+    Mutant("flat-sum-by-cells", "src/giasim/harness.py",
+           "sum(r for cell in cells for r in cell)",
+           "sum(map(sum, cells))",
+           (f"{SHARING}::test_snr_sweep_bit_identical_to_grid_major_loop",),
+           "a cell returns its five summary numbers"),
+    Mutant("bisection-anchor-below-zero", "src/giasim/feedback.py",
+           "0.0 < b < hi and spread(b)",
+           "b < hi and spread(b)",
+           ("tests/test_feedback.py::TestBisection::test_nan_and_far_off_guides_give_the_walks_time",),
+           "faster feedback quantization with the same bits"),
 )
 
 

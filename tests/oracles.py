@@ -28,14 +28,13 @@ from giasim.gia import ALIGN_TOL, full_precoder, rate_logdet, select_null_basis
 from giasim.linalg import (
     complex_gaussian,
     herm_inv_sqrt,
-    left_basis_and_rank,
     matrix_rank,
     orthonormalize,
     projectors,
     psd_eigvals,
     svd,
 )
-from giasim.system import SystemConfig, draw_channels, require_feasible
+from giasim.system import SystemConfig, draw_channels, require_feasible, trial_rng
 
 
 def left_null_space(M):
@@ -44,9 +43,12 @@ def left_null_space(M):
     For an m x n matrix of rank r this returns the m x (m - r) basis of the
     trailing left singular vectors; a (..., m, n) stack of one rank r gives the
     (..., m, m - r) stack from one SVD call, and :class:`ContractViolation` if
-    its ranks differ. :class:`EmptySubspace` as in ``linalg.left_basis_and_rank``.
+    its ranks differ or if a slice has full row rank (no left null space).
     """
-    U, ranks = left_basis_and_rank(M)
+    U, s, _ = svd(M, full_matrices=True)
+    ranks = matrix_rank(s)
+    if ranks.max() == U.shape[-1]:
+        raise ContractViolation(f"matrix of shape {np.shape(M)[-2:]} has full row rank")
     if ranks.min() != ranks.max():
         raise ContractViolation(f"stack slices differ in rank ({ranks.min()} to {ranks.max()})")
     return U[..., int(ranks.max()):]
@@ -344,6 +346,21 @@ def throughput(images, i, k, cfg):
     eye = np.eye(cfg.d_s)
     full = float(np.sum(np.log(psd_eigvals(eye + C + A))))
     return full - float(np.sum(np.log(psd_eigvals(eye + C))))
+
+
+def rb_images(cfg, seed, trial_index):
+    """The power-free images of the rb baseline on the first draw of trial
+    ``trial_index``, user by user: each pattern one ``complex_gaussian`` call on the
+    stream after the channel draw, in flat (cell, user) order, orthonormalized alone,
+    through its own matched-filter decoder."""
+    rng = trial_rng(seed, trial_index)
+    ch = draw_channels(cfg, rng)
+    patterns = np.empty((cfg.L, cfg.K, cfg.N_U, cfg.d_s), complex)
+    for k in range(cfg.K):
+        for i in range(cfg.L):
+            patterns[i, k] = orthonormalize(complex_gaussian(rng, (cfg.N_U, cfg.d_s)))
+    decoders = per_user(cfg, lambda i, k: orthonormalize(ch.H[i, k, k] @ patterns[i, k]))
+    return gia.link_images(ch, decoders, patterns)
 
 
 def rank_by_utility(scores):

@@ -11,6 +11,15 @@ and carry every rate with its user. Both shapes are tight: every decoder's
 null space is exactly d_s wide, so no basis choice inside a wider one can
 move a rate.
 
+Limited feedback on the fixed ring keeps its bit splits, squared quantization
+distances and RINR bound under a station rotation: the leakage eigenvalues and
+the distances depend on subspaces only. At budgets that search every user
+explicitly, the codeword picks, the rates and the RINR hold too. An emulated
+user's rates do not: its geodesic direction is drawn in the coordinates of its
+pattern basis and null basis, and both come out of SVDs whose basis inside a
+subspace turns with the channel's. The emulated point is at the same distance
+in another direction, so only the distances, splits and bound are checked there.
+
 The baselines read no assignment. The ``fdma`` rates depend on each direct
 channel's singular values only, so both rotations leave them. The ``rb``
 patterns are drawn in user coordinates, so only a station rotation applies:
@@ -30,9 +39,9 @@ from giasim.assignment import (
 )
 from giasim.gia import build_potentials, build_transceivers, user_rate
 from giasim.linalg import complex_gaussian
-from giasim.harness import SchemeSpec
+from giasim.harness import EXPLICIT_BIT_LIMIT, SchemeSpec
 from giasim.system import ChannelRealization, SystemConfig, draw_channels, trial_rng
-from oracles import centralized_search
+from oracles import centralized_search, feedback_bits, user_index
 
 SHAPES = {
     "k4": SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0),
@@ -103,13 +112,19 @@ def test_user_relabeling_within_a_cell_moves_no_choice_and_carries_the_rates(cfg
                                        rtol=1e-12, atol=0)
 
 
-def baseline_rates(cfg, rule, t, transform):
-    """The (L, K) rates of baseline ``rule`` on draw ``t`` after ``transform`` of its
-    channel; the rb patterns still come from the stream after the draw."""
+def transformed_build(cfg, t, schemes, transform):
+    """The trial build of ``schemes`` on draw ``t`` after ``transform`` of its channel;
+    the streams after the draw are the untransformed build's."""
     draw = hmod.draw_channels
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hmod, "draw_channels", lambda c, rng: transform(draw(c, rng)))
-        build = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, SchemeSpec(assignment=rule))])
+        return hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, s) for s in schemes])
+
+
+def baseline_rates(cfg, rule, t, transform):
+    """The (L, K) rates of baseline ``rule`` on draw ``t`` after ``transform`` of its
+    channel; the rb patterns still come from the stream after the draw."""
+    build = transformed_build(cfg, t, [SchemeSpec(assignment=rule)], transform)
     baseline = hmod.baseline_rb if rule == "rb" else hmod.baseline_fdma
     return baseline(build, cfg)
 
@@ -125,3 +140,59 @@ def test_antenna_rotations_move_no_baseline_rate(cfg, rule, users_too):
         rates = baseline_rates(cfg, rule, t, lambda ch: ch)
         rotated = baseline_rates(cfg, rule, t, lambda ch: ChannelRealization(H=Q @ ch.H @ W))
         np.testing.assert_allclose(rotated, rates, rtol=1e-12, atol=0)
+
+
+def feedback_of(build, cfg, scheme):
+    """(bit split, quantized patterns, squared distances, (rates, RINR, bound)) of the
+    fixed ring's feedback entry ``scheme`` on ``build``."""
+    tset = build.transceivers(fixed_cyclic(cfg.K))
+    bits = feedback_bits(build, cfg, scheme, tset)
+    (q,), (dist,) = build.quantized(scheme, tset, [bits.tolist()])
+    return bits, q, dist, build.feedback_rates(cfg, scheme, tset)
+
+
+def near_tie(cfg, scheme, user, bits, pattern):
+    """Whether the two best codewords of ``user``'s book at ``bits`` lie within 1e-10
+    of each other in squared chordal distance from ``pattern``."""
+    cb = hmod._cached_codebook(cfg.N_U, cfg.d_s, bits, user, scheme.codebook_seed)
+    dist = np.sort(cfg.d_s - np.sum(np.abs(cb.words_h @ pattern) ** 2, axis=(1, 2)))
+    return len(dist) > 1 and dist[1] - dist[0] <= 1e-10
+
+
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_station_rotations_move_no_bit_split_distance_or_explicit_pick(cfg):
+    rng = np.random.default_rng(SEED)
+    n = cfg.user_count
+    # all explicit under eba; dba emulates its high-leakage users at 6 and 10 bits each
+    schemes = [SchemeSpec(assignment="fixed", bit_alloc=rule, bits_budget=b * n, codebook_seed=5)
+               for b in (2, 6, 10) for rule in ("dba", "eba")]
+    explicit = emulated = ties = 0
+    for t in range(DRAWS):
+        Q = unitaries(rng, (cfg.K,), cfg.N_B)[None, None]
+        build = transformed_build(cfg, t, schemes, lambda ch: ch)
+        rotated = transformed_build(cfg, t, schemes, lambda ch: ChannelRealization(H=Q @ ch.H))
+        for scheme in schemes:
+            bits, q, dist, (rates, rinr, bound) = feedback_of(build, cfg, scheme)
+            bits_r, q_r, dist_r, (rates_r, rinr_r, bound_r) = feedback_of(rotated, cfg, scheme)
+            assert np.array_equal(bits_r, bits), (t, scheme)
+            # a distance is d_s - |V^H W|^2: its rounding is a few ulps of d_s, absolute
+            np.testing.assert_allclose(dist_r, dist, rtol=1e-12, atol=cfg.d_s * 2.0 ** -48)
+            np.testing.assert_allclose(bound_r, bound, rtol=1e-12, atol=0)
+            if bits.max() > EXPLICIT_BIT_LIMIT:
+                emulated += 1
+                continue
+            explicit += 1
+            patterns = build.transceivers(fixed_cyclic(cfg.K)).patterns
+            for i in range(cfg.L):
+                for k in range(cfg.K):
+                    b = int(bits[user_index(cfg, i, k)])
+                    if near_tie(cfg, scheme, user_index(cfg, i, k), b, patterns[i, k]):
+                        ties += 1
+                    else:  # the pick is the codeword itself: the same bits
+                        assert np.array_equal(q_r[i, k], q[i, k]), (t, scheme, i, k)
+            # a rate is logdet(I + C + A) - logdet(I + C): its rounding is a few ulps
+            # of those log-dets, absolute, where a user's residual interference C is high
+            np.testing.assert_allclose(rates_r, rates, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(rinr_r, rinr, rtol=1e-12, atol=0)
+    # both kinds of entry are met, and no pick is a near tie, so every one is compared
+    assert explicit > 0 and emulated > 0 and ties == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from giasim.errors import ContractViolation, EmptySubspace, RankDeficient
+from giasim.errors import ContractViolation, RankDeficient
 from giasim.linalg import (
     complex_gaussian,
     herm_eig,
@@ -57,7 +57,7 @@ class TestLeftNullSpace:
         assert abs(abs(N[1, 0]) - 1.0) < 1e-12 and abs(N[0, 0]) < 1e-12
 
     def test_full_rank_raises(self):
-        with pytest.raises(EmptySubspace):
+        with pytest.raises(ContractViolation, match="full row rank"):
             left_null_space(np.eye(3))
 
     def test_constructed_rank_two(self):

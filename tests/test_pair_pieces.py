@@ -69,13 +69,16 @@ def _deficient_on_first_draw(monkeypatch):
     """Zero user 1's slice of BAD's inner precoder on the first draw of trial 0,
     seed 31: that pair's patterns, aligned image and whiteners then fail their
     checks, as the per-pair construction's would. Returns the pair counts of the
-    formations, and how many of them held BAD on that draw."""
+    formations, and how many of them held BAD on that draw; the other SVDs that
+    read ``gia.svd`` (the null bases) pass through unrecorded."""
     real, formed = gia.svd, []
     n = CFG.L * CFG.N_U
     target = stack_alignment_matrix(draw_channels(CFG, trial_rng(31, 0)), *BAD)
 
     def deficient(A, full_matrices):
         U, s, Vh = real(A, full_matrices)
+        if A.shape[-2:] != target.shape:  # not a stack of alignment systems
+            return U, s, Vh
         hit = [j for j in range(len(A)) if np.array_equal(A[j], target)]
         for j in hit:
             Vh = Vh.copy()

@@ -31,12 +31,6 @@ def builds():
             for t, cfg in enumerate(feasible_configs(SEED))]
 
 
-def rb_images(build, cfg):
-    """The power-free images of the rb baseline, as ``baseline_rb`` keeps them."""
-    baseline_rb(build, cfg)
-    return build._pieces["baseline", "rb"]
-
-
 def per_user_array(cfg, fn):
     return np.array([[fn(i, k) for k in range(cfg.K)] for i in range(cfg.L)])
 
@@ -54,10 +48,11 @@ def test_user_rate_equals_per_user_loop():
 
 def test_throughput_equals_per_user_loop():
     # aligned images leave rounding-level interference; the rb images a full one
-    for cfg, build in builds():
+    for t, (cfg, build) in enumerate(builds()):
         tset = build.transceivers(fixed_cyclic(cfg.K))
-        for images in (link_images(build.ch, tset.decoders, tset.patterns),
-                       rb_images(build, cfg)):
+        rb = oracles.rb_images(cfg, SEED, t)
+        assert np.array_equal(baseline_rb(build, cfg), throughput(rb, cfg)), cfg
+        for images in (link_images(build.ch, tset.decoders, tset.patterns), rb):
             stacked = throughput(images, cfg)
             loop = per_user_array(cfg, lambda i, k: oracles.throughput(images, i, k, cfg))
             assert stacked.shape == (cfg.L, cfg.K)

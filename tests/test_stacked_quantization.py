@@ -1,8 +1,9 @@
 """Stacked quantization against the per-user path.
 
 ``TrialBuild.quantized`` searches explicit users one by one on the search
-layout of the codebooks and emulates all of a pass's other users in one
-``model_quantize`` call on the draw's geodesic frame. The oracles do each
+layout of the codebooks and emulates the new (user, bit count) pairs of each
+call in one ``model_quantize`` call on the draw's geodesic frame, keeping
+every quantization once per (assignment, codebook seed). The oracles do each
 user alone, as the per-user loop did: the explicit search on the (2^B, M, N)
 codewords and the emulation from the user's own stream. Quantized patterns
 and distances must be equal with ``==``. ``feedback.quantize`` screens its
@@ -174,22 +175,23 @@ def test_batched_feedback_equals_per_entry_feedback(t, cfg, monkeypatch):
                for b in budgets for rule in ("dba", "eba")]
     batched = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, s) for s in schemes])
     tset = batched.transceivers(fixed_cyclic(cfg.K))
-    first = batched.feedback(schemes[7], tset)  # the whole group, in the cells' order
+    dist, images = batched.feedback(schemes[7], tset)  # the whole group, in the cells' order
     assert calls == [5, 5, 2]
-    entries, dist, images = first
-    for scheme in schemes:
-        e = entries.index((scheme.bit_alloc, scheme.bits_budget))
+    rates = [batched.feedback_rates(cfg, s, tset) for s in schemes]  # one more pass, for all
+    assert calls == [5, 5, 2] * 2
+    for e, scheme in enumerate(schemes):
         lone = hmod.TrialBuild(cfg, SEED, t, 0, [(cfg, scheme)])  # a one-entry group
         lone_tset = lone.transceivers(fixed_cyclic(cfg.K))
-        _, want_dist, want_images = lone.feedback(scheme, lone_tset)
+        want_dist, want_images = lone.feedback(scheme, lone_tset)
         assert np.array_equal(feedback_bits(batched, cfg, scheme, tset),
                               feedback_bits(lone, cfg, scheme, lone_tset))
         assert np.array_equal(dist[e], want_dist[0])
         assert np.array_equal(images[e], want_images[0])
-        again = batched.feedback(scheme, tset)  # every entry is kept: no decoder is formed
-        assert again[0] == entries
-        assert np.array_equal(again[1], dist) and np.array_equal(again[2], images)
-    assert calls == [5, 5, 2] + [1] * len(schemes)
+        for got, want in zip(rates[e], lone.feedback_rates(cfg, scheme, lone_tset)):
+            assert np.array_equal(got, want)
+        again = batched.feedback_rates(cfg, scheme, tset)  # kept: no decoder is formed
+        assert all(np.array_equal(a, b) for a, b in zip(again, rates[e]))
+    assert calls == [5, 5, 2] * 2 + [1, 1] * len(schemes)
 
 
 def test_each_emulated_user_and_count_is_synthesized_once_per_pass(monkeypatch):
@@ -212,3 +214,67 @@ def test_each_emulated_user_and_count_is_synthesized_once_per_pass(monkeypatch):
                 if b > hmod.EXPLICIT_BIT_LIMIT]
     assert pairs == [list(dict.fromkeys(emulated))]
     assert len(pairs[0]) < len(emulated)  # some (user, bit count) is shared by entries
+
+
+def synthesized(monkeypatch):
+    """The (frame, [(user, bit count), ...]) of every ``model_quantize`` call."""
+    calls, model = [], hmod.fb.model_quantize
+
+    def recorded(frame, users, bits):
+        calls.append((frame, list(zip(users, bits))))
+        return model(frame, users, bits)
+
+    monkeypatch.setattr(hmod.fb, "model_quantize", recorded)
+    return calls
+
+
+def per_frame(calls):
+    """Every frame's synthesized (user, bit count) pairs, frames in first-call order."""
+    frames = list(dict.fromkeys(frame for frame, _ in calls))
+    return [[pair for f, pairs in calls if f is frame for pair in pairs] for frame in frames]
+
+
+def same_rates_as_alone(build, seed, scheme, tset):
+    """Whether ``scheme``'s feedback rates on ``build``, a build of draw 0 of ``seed``,
+    equal those of a build of that one cell."""
+    lone = hmod.TrialBuild(CFG, seed, 0, 0, [(CFG, scheme)])
+    want = lone.feedback_rates(CFG, scheme, lone.transceivers(tset.assignment))
+    return all(np.array_equal(a, b) for a, b in zip(build.feedback_rates(CFG, scheme, tset), want))
+
+
+def test_emulated_pair_that_two_chunks_share_is_synthesized_once(monkeypatch):
+    # one entry per chunk; at 30 bits each, every user's (user, 30) is the first
+    # chunk's, and the second shares all of them but user 0's, which takes 31
+    monkeypatch.setattr(hmod.gia, "SCREEN_CHUNK_BYTES", 16 * CFG.user_count * CFG.N_B ** 2)
+    calls = synthesized(monkeypatch)
+    n = CFG.user_count
+    schemes = [SchemeSpec(assignment="fixed", bit_alloc="eba", bits_budget=b, codebook_seed=3)
+               for b in (30 * n, 30 * n + 1)]
+    build = hmod.TrialBuild(CFG, SEED, 0, 0, [(CFG, s) for s in schemes])
+    tset = build.transceivers(fixed_cyclic(CFG.K))
+    build.feedback_rates(CFG, schemes[0], tset)
+    assert per_frame(calls) == [[(u, 30) for u in range(n)] + [(0, 31)]]
+    assert [len(pairs) for _, pairs in calls] == [n, 1]  # one call per chunk
+    for scheme in schemes:
+        assert same_rates_as_alone(build, SEED, scheme, tset)
+
+
+def test_emulated_pair_that_two_groups_share_is_synthesized_once_per_seed(monkeypatch):
+    # on trial 0 of seed 3 the one-sided match is the ring that fixed runs: the
+    # one-sided group's 31-bit entry shares every (user, 30) but user 0's with the
+    # fixed group's, on one frame; a group with another codebook seed has its own
+    calls = synthesized(monkeypatch)
+    n = CFG.user_count
+    schemes = [SchemeSpec(assignment=rule, bit_alloc="eba", bits_budget=b, codebook_seed=seed)
+               for rule, b, seed in (("fixed", 30 * n, 3), ("one_sided", 30 * n + 1, 3),
+                                     ("fixed", 30 * n, 4))]
+    build = hmod.TrialBuild(CFG, 3, 0, 0, [(CFG, s) for s in schemes])
+    ring = build.assignment(CFG, schemes[0])
+    assert build.assignment(CFG, schemes[1]) == ring
+    tset = build.transceivers(ring)
+    for scheme in schemes:
+        build.feedback_rates(CFG, scheme, tset)
+    assert per_frame(calls) == [[(u, 30) for u in range(n)] + [(0, 31)],
+                                [(u, 30) for u in range(n)]]
+    for scheme in schemes:
+        assert same_rates_as_alone(build, 3, scheme, tset)

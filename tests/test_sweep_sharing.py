@@ -261,6 +261,7 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
     for name in ("fca_match", "gale_shapley", "is_stable"):
         count(hmod.asg, name)
     count(hmod.gia, "build_potentials", lambda ch, cfg, pairs: len(pairs))
+    count(hmod.gia.Potentials, "_form", lambda self, pairs: len(pairs))
     trials = 2
     # the matchings read only P-free pieces at a fixed config: one per draw
     spec = SweepSpec(
@@ -276,16 +277,18 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
         seed=46,
     )
     rows = run_sweep(spec, CFG)
+    formed = [n for n in calls.pop("_form") if n]  # the calls that formed any pair
     assert {name: len(seen) for name, seen in calls.items()} == {
         "fca_match": trials, "gale_shapley": trials, "is_stable": 2 * trials,
         "build_potentials": trials}
-    # a matching in the sweep makes the fixed cell's request form every pair
-    assert calls["build_potentials"] == [CFG.K * (CFG.K - 1)] * trials
+    # a matching in the sweep makes the fixed cell's request form every pair, at once
+    assert calls["build_potentials"] == formed == [CFG.K * (CFG.K - 1)] * trials
     assert rows == grid_major_reference(spec, CFG)
-    # a fixed-only sweep keeps to its K pairs
+    # a fixed-only sweep keeps to its K pairs, formed in one read
     calls.clear()
     run_sweep(SweepSpec("snr_db", (10.0, 30.0), trials, (SchemeSpec(),), seed=46), CFG)
-    assert calls == {"build_potentials": [CFG.K] * trials}
+    formed = [n for n in calls.pop("_form") if n]
+    assert calls == {"build_potentials": [0] * trials} and formed == [CFG.K] * trials
 
 
 def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
@@ -311,14 +314,14 @@ def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
     draws = list(dict.fromkeys(map(id, calls)))  # calls keeps every draw alive
     assert [sum(id(c) == ch for c in calls) for ch in draws] == [1, 2]
     assert rows == grid_major_reference(spec, CFG)
-    # the pass itself, asked for by each rule on a build of the sweep's cells
+    # the pass itself, run by the feedback rates of each rule on a build of the
+    # sweep's cells: the second rule reads the first one's
     build = hmod.TrialBuild(CFG, spec.seed, 0, 0, cells)
     fixed, one_sided = (replace(s, bits_budget=spec.grid[0]) for s in schemes)
     tset = build.transceivers(build.assignment(CFG, one_sided))
     calls.clear()
-    (entries, dist, images), again = (build.feedback(s, tset) for s in (fixed, one_sided))
-    assert again[0] == entries
-    assert np.array_equal(again[1], dist) and np.array_equal(again[2], images)
+    first, again = (build.feedback_rates(CFG, s, tset) for s in (fixed, one_sided))
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert len(calls) == 1
 
 
