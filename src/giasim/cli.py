@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import ContractViolation, GiaSimError, InfeasibleConfig, NumericalFailure
@@ -79,6 +80,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_writable(path: str) -> None:
+    """Refuse a results path that cannot be written, with the message of a failed
+    write: append mode opens it as writing would and truncates nothing, and a file
+    that the check made is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ContractViolation(f"cannot write results to {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _simulate(args) -> int:
     raw = load_run_config(args.config)
     try:
@@ -113,6 +128,7 @@ def _simulate(args) -> int:
     spec = SweepSpec(variable="B" if bit_sweep else "snr_db",
                      grid=bits_grid if bit_sweep else snr_grid, trials=trials,
                      schemes=(scheme,), seed=seed, log_base=args.log_base)
+    _require_writable(args.out)  # before the first trial, not after the sweep
     rows = run_sweep(spec, cfg.at_snr_db(snr_grid[0]) if bit_sweep else cfg, out_path=args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -353,12 +353,12 @@ class Potentials:
         return gains
 
 
-def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs=None) -> Potentials:
+def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs) -> Potentials:
     """Every piece of the (provider, receiver) pairs ``pairs``, one stacked call
-    per kind; with pairs=None every ordered pair, which is what the matching and
-    centralized schemes read. A failed piece raises at its read (``take``)."""
+    per kind; the matching and centralized schemes read every ordered pair,
+    ``cell_pairs(K)``. A failed piece raises at its read (``take``)."""
     potentials = Potentials(ch, cfg)
-    potentials._form(list(dict.fromkeys(cell_pairs(cfg.K) if pairs is None else pairs)))
+    potentials._form(list(dict.fromkeys(pairs)))
     return potentials
 
 

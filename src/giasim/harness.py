@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +37,9 @@ ASSIGNMENT_SCHEMES = (
 )
 
 EXPLICIT_BIT_LIMIT = 12  # per-user bits; above this, random-codebook search is emulated
+# codewords kept across trials, in bytes: room for every explicit book of a K = 6,
+# N_U = 12, d_s = 2 bit sweep (36 MB)
+CODEBOOK_CACHE_BYTES = 2 ** 26
 
 CSV_COLUMNS = (
     "variable",
@@ -114,10 +117,24 @@ def throughput(images: np.ndarray, cfg) -> np.ndarray:
     return full - np.sum(np.log(psd_eigvals(eye + C)), axis=-1)
 
 
-@lru_cache(maxsize=128)
+_codebooks = OrderedDict()  # (M, N, B, user key, seed) -> book, least recently used first
+
+
 def _cached_codebook(M: int, N: int, B: int, user_key: int, seed: int) -> fb.Codebook:
-    rng = np.random.default_rng([seed, 101, user_key, B])
-    return fb.generate_codebook(M, N, B, rng)
+    """The book of one (user, bit count) and codebook seed, kept across trials while
+    the kept books' codewords fit in CODEBOOK_CACHE_BYTES, least recently used out
+    first; a book is a function of its key, so one generated again has the same bits."""
+    key = (M, N, B, user_key, seed)
+    if key in _codebooks:
+        _codebooks.move_to_end(key)
+        return _codebooks[key]
+    book = fb.generate_codebook(M, N, B, np.random.default_rng([seed, 101, user_key, B]))
+    if book.words_h.nbytes <= CODEBOOK_CACHE_BYTES:  # a book over the bound alone is not kept
+        _codebooks[key] = book
+        held = sum(kept.words_h.nbytes for kept in _codebooks.values())
+        while held > CODEBOOK_CACHE_BYTES:
+            held -= _codebooks.popitem(last=False)[1].words_h.nbytes
+    return book
 
 
 class TrialBuild:
@@ -126,13 +143,11 @@ class TrialBuild:
 
     Each piece is computed by the same call on the same operands as a
     from-scratch evaluation would use, so sharing it changes no bit of any
-    result. One memo, ``_once``, holds every piece by stage and a key that names
-    exactly what it depends on. The power-free pieces read the build's own
-    dimensions, ``cfg``, which every cell shares. What depends on P (the receiver
-    side of the preferences, the two-sided assignments, the rates) is the
-    ``rates`` stage: evaluated at once at every config of the ``cells``, the
-    sweep's (config, scheme) pairs, one value per config.
-    """
+    result. One memo, entered only through ``_each``, holds every piece by stage
+    and a key that names exactly what it depends on. The power-free pieces read
+    the build's own dimensions, ``cfg``, which every cell shares. A value that
+    depends on P is kept by ``rates`` under its kind's stage: evaluated at once at
+    every config of the ``cells``, the sweep's (config, scheme) pairs."""
 
     def __init__(self, cfg: SystemConfig, seed: int, trial_index: int, attempt: int, cells):
         rng = trial_rng(seed, trial_index, stream=attempt)
@@ -150,20 +165,30 @@ class TrialBuild:
         self._entries = {s: (tuple(group), at) for s, (group, at) in self._entries.items()}
         self._pieces = {}  # (stage, key) -> piece
 
+    def _each(self, stage: str, keys, build) -> list:
+        """Pieces ``stage`` of ``keys``: ``build(missing)`` returns those of the keys not
+        yet kept, in first-seen order, in one call; nothing is kept if it raises."""
+        pieces = self._pieces
+        try:  # a hit, the common case, looks each key up once
+            return [pieces[stage, key] for key in keys]
+        except KeyError:
+            missing = list(dict.fromkeys(key for key in keys if (stage, key) not in pieces))
+        pieces.update(zip([(stage, key) for key in missing], build(missing), strict=True))
+        return [pieces[stage, key] for key in keys]
+
     def _once(self, stage: str, key, build):
         """Piece ``stage`` of ``key``, ``build()`` on the first request."""
-        if (stage, key) not in self._pieces:
-            self._pieces[stage, key] = build()
-        return self._pieces[stage, key]
+        return self._each(stage, (key,), lambda missing: [build()])[0]
 
-    def rates(self, cfg: SystemConfig, key: tuple, evaluate):
-        """The value of ``key`` at ``cfg``: the first request calls ``evaluate(configs)``
-        once at every planned config, in grid order, which gives one value per config.
-        :class:`ContractViolation` if ``cfg`` is not a config of the build's cells."""
+    def rates(self, cfg: SystemConfig, stage: str, key, evaluate):
+        """The value ``stage`` of ``key`` at ``cfg``: the first request calls
+        ``evaluate(configs)`` once at every planned config, in grid order, which gives
+        one value per config. :class:`ContractViolation` if ``cfg`` is not a config
+        of the build's cells."""
         position = self._position.get(cfg)
         if position is None:
             raise ContractViolation(f"config {cfg} is not among the cells of the trial's build")
-        return self._once("rates", key, lambda: evaluate(tuple(self._position)))[position]
+        return self._once(stage, key, lambda: evaluate(tuple(self._position)))[position]
 
     def potentials(self) -> gia.Potentials:
         """The pair pieces: every pair formed at once if a cell's rule reads every
@@ -176,22 +201,14 @@ class TrialBuild:
         return self._once("provider side", None, lambda: asg.build_preferences(
             self.ch, self.cfg, self.potentials()))
 
-    def receiver_side(self, cfg: SystemConfig) -> asg.PreferenceProfile:
-        """The two-sided profile at ``cfg``: the provider side with the receiver side."""
-        return self.rates(cfg, ("receiver side",), lambda configs: asg.build_preferences(
-            self.ch, configs, self.potentials(), self.provider_side()))
-
     def assignment(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
-        """The strict assignment of ``scheme``'s rule: once per draw for ``fixed`` and
-        ``one_sided``, whose provider side does not depend on P; per config and
-        proposer for ``two_sided``, matched at every planned config, whose receiver
-        sides came in one call; per config for a centralized search, which runs at
-        its own config alone, so that a search error stays with its grid point's cell."""
+        """The strict assignment of ``scheme``'s rule, chosen at the config of the cell
+        that asks for it and kept per (rule, proposer if the rule reads it, config if
+        it reads P): ``fixed`` and ``one_sided`` once per draw; a matching or search
+        error stays with its grid point's cell."""
         rule = scheme.assignment
-        if rule == "two_sided":
-            return self.rates(cfg, ("assignment", rule, scheme.proposer),
-                              lambda configs: [self._choose(c, scheme) for c in configs])
-        key = rule if rule in ("fixed", "one_sided") else (rule, cfg)
+        key = (rule, scheme.proposer if rule == "two_sided" else None,
+               None if rule in ("fixed", "one_sided") else cfg)
         return self._once("assignment", key, lambda: self._choose(cfg, scheme))
 
     def _choose(self, cfg: SystemConfig, scheme: SchemeSpec) -> asg.Assignment:
@@ -204,8 +221,9 @@ class TrialBuild:
             if cfg.K <= 6:  # unread: the traced benchmark counts these verdicts
                 asg.is_stable(weak, prefs, "one_sided")
             return asg.breaking_step(weak, prefs)
-        if rule == "two_sided":
-            prefs = self.receiver_side(cfg)
+        if rule == "two_sided":  # the receiver sides of every planned config in one call
+            prefs = self.rates(cfg, "receiver side", None, lambda configs: asg.build_preferences(
+                self.ch, configs, self.potentials(), self.provider_side()))
             matched, _ = asg.gale_shapley(prefs, scheme.proposer)
             if matched.lone is None:  # unread: the traced benchmark counts these verdicts
                 asg.is_stable(matched, prefs, "two_sided")
@@ -219,8 +237,8 @@ class TrialBuild:
     def user_rates(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
         """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every planned config
         in one call."""
-        key = ("user rates", tset.assignment.providers)
-        return self.rates(cfg, key, lambda configs: gia.user_rate(self.ch, tset, configs))
+        return self.rates(cfg, "user rates", tset.assignment.providers,
+                          lambda configs: gia.user_rate(self.ch, tset, configs))
 
     def transceivers(self, chosen: asg.Assignment) -> gia.TransceiverSet:
         return self._once("transceivers", chosen.providers, lambda: gia.build_transceivers(
@@ -255,24 +273,22 @@ class TrialBuild:
         flat = lambda a: a.swapaxes(0, 1).reshape((n,) + a.shape[2:])
         patterns = flat(tset.patterns)
         akey, seed = tset.assignment.providers, scheme.codebook_seed
-        keys = [[(akey, seed, user, b) for user, b in enumerate(counts)] for counts in bits]
-        emulated = []  # the new (user, bit count) keys above the limit, in first-seen order
-        for key in dict.fromkeys(key for row in keys for key in row):
-            _, _, user, b = key
-            if b <= EXPLICIT_BIT_LIMIT:
-                self._once("quantized", key, lambda: fb.quantize(
-                    patterns[user], _cached_codebook(N_U, d_s, b, user, seed))[1:])
-            elif ("quantized", key) not in self._pieces:
-                emulated.append(key)
-        if emulated:
-            frame = self._once("frame", (akey, seed), lambda: fb.GeodesicFrame(
-                patterns, flat(self.leakage(tset)[1]),
-                [np.random.default_rng([seed, 211, self.trial_index, u]) for u in range(n)]))
-            _, _, users, counts = zip(*emulated)
-            V_hat, dist = fb.model_quantize(frame, list(users), list(counts))
-            self._pieces.update(zip((("quantized", key) for key in emulated), zip(V_hat, dist)))
-        q, dist = (np.array(a) for a in zip(*(self._pieces["quantized", key]
-                                              for row in keys for key in row)))
+        keys = [(akey, seed, user, b) for counts in bits for user, b in enumerate(counts)]
+
+        def build(missing):  # the explicit searches in order, then one model_quantize
+            pieces = {(a, s, u, b): fb.quantize(patterns[u], _cached_codebook(
+                N_U, d_s, b, u, seed))[1:] for a, s, u, b in missing if b <= EXPLICIT_BIT_LIMIT}
+            emulated = [key for key in missing if key[3] > EXPLICIT_BIT_LIMIT]
+            if emulated:
+                frame = self._once("frame", (akey, seed), lambda: fb.GeodesicFrame(
+                    patterns, flat(self.leakage(tset)[1]),
+                    [np.random.default_rng([seed, 211, self.trial_index, u]) for u in range(n)]))
+                _, _, users, counts = zip(*emulated)
+                V_hat, dist = fb.model_quantize(frame, list(users), list(counts))
+                pieces.update(zip(emulated, zip(V_hat, dist)))
+            return [pieces[key] for key in missing]
+
+        q, dist = (np.array(a) for a in zip(*self._each("quantized", keys, build)))
         return q.reshape(-1, K, L, N_U, d_s).swapaxes(1, 2), dist.reshape(-1, K, L).swapaxes(1, 2)
 
     def feedback(self, scheme: SchemeSpec, tset: gia.TransceiverSet) -> tuple:
@@ -318,8 +334,8 @@ class TrialBuild:
                             fb.rinr_upper_bound(tset.assignment, configs, dist,
                                                 self.leakage(tset)[0])))
 
-        key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed)
-        return tuple(stack[position] for stack in self.rates(cfg, key, evaluate))
+        key = (tset.assignment.providers, entries, scheme.codebook_seed)
+        return tuple(stack[position] for stack in self.rates(cfg, "feedback rates", key, evaluate))
 
 
 def _evaluate_trial(build: TrialBuild, cfg: SystemConfig, scheme: SchemeSpec,
@@ -385,7 +401,7 @@ def baseline_rb(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
         decoders = orthonormalize(gia.direct_channels(build.ch) @ patterns)
         return throughput(gia.link_images(build.ch, decoders, patterns), configs)
 
-    return build.rates(cfg, ("baseline", "rb"), evaluate)
+    return build.rates(cfg, "rb rates", None, evaluate)
 
 
 def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
@@ -399,7 +415,7 @@ def baseline_fdma(build: TrialBuild, cfg: SystemConfig) -> np.ndarray:
         boost = per_config(configs, lambda c: c.user_count * c.P / (c.d_s * c.sigma2), gains.ndim)
         return np.sum(np.log1p(boost * gains), axis=-1) / cfg.user_count
 
-    return build.rates(cfg, ("baseline", "fdma"), evaluate)
+    return build.rates(cfg, "fdma rates", None, evaluate)
 
 
 @dataclass(frozen=True)

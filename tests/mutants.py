@@ -7,7 +7,8 @@ CHANGES.md). The runner applies each row to a fresh temporary copy of
 ``src/``, ``tests/`` and ``pyproject.toml`` and runs the row's tests there with
 ``pytest -x``. It exits 1 if a mutant survives (its tests pass) or if a row's
 string no longer occurs exactly once: a change that moves the mutated code
-re-anchors the row instead of dropping it.
+re-anchors the row instead of dropping it. A row that takes over
+``ROW_CEILING_S`` fails too, so that the gate stays cheap as it grows.
 
 Run from the repository root, with the standard library and pytest only:
 
@@ -45,13 +46,15 @@ SHARING = "tests/test_sweep_sharing.py"
 QUANTIZATION = "tests/test_stacked_quantization.py"
 ONE_READER = "form each piece inside its one reader"
 PROVIDERS_FORMAT = "tests/test_assignment.py::TestProvidersFormat"
+RELABELING = "tests/test_invariance.py::test_cell_relabeling_carries_the_harness_rules"
+ONE_WAY_IN = "one way into a trial's memo"
+ROW_CEILING_S = 10.0  # a row that takes longer fails: a slow row is fixed when it is added
 
 MUTANTS = (
     Mutant("feedback-pass-on-every-cell", "src/giasim/harness.py",
-           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed)',
-           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed, '
-           'scheme.bits_budget)',
-           (f"{SHARING}::test_feedback_pass_runs_once_per_draw_assignment_and_group",),
+           "key = (tset.assignment.providers, entries, scheme.codebook_seed)",
+           "key = (tset.assignment.providers, entries, scheme.codebook_seed, scheme.bits_budget)",
+           (f"{SHARING}::test_rules_that_pick_one_assignment_share_its_feedback_rates",),
            "plan from the cells"),
     Mutant("scheme-outside-the-cells-read", "src/giasim/harness.py",
            "        if scheme not in self._entries:\n",
@@ -110,14 +113,13 @@ MUTANTS = (
            (f"{SHARING}::test_config_outside_the_builds_cells_is_refused",),
            "one memo per trial build"),
     Mutant("centralized-keyed-by-proposer", "src/giasim/harness.py",
-           'key = rule if rule in ("fixed", "one_sided") else (rule, cfg)',
-           'key = rule if rule in ("fixed", "one_sided") else (rule, scheme.proposer, cfg)',
+           'scheme.proposer if rule == "two_sided" else None',
+           "scheme.proposer",
            (f"{SHARING}::test_centralized_schemes_that_differ_in_proposer_search_once_per_config",),
            "one memo per trial build"),
     Mutant("feedback-rates-keyed-by-rule", "src/giasim/harness.py",
-           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed)',
-           'key = ("feedback", tset.assignment.providers, entries, scheme.codebook_seed, '
-           "scheme.assignment)",
+           "key = (tset.assignment.providers, entries, scheme.codebook_seed)",
+           "key = (tset.assignment.providers, entries, scheme.codebook_seed, scheme.assignment)",
            (f"{SHARING}::test_rules_that_pick_one_assignment_share_its_feedback_rates",),
            "one memo per trial build"),
     Mutant("rb-decoder-off-the-channel", "src/giasim/harness.py",
@@ -147,17 +149,17 @@ MUTANTS = (
            '"stations: L*N_U >= (L-1)*N_B + d_s"',
            ("tests/test_system.py",), "one memo per trial build"),
     Mutant("quantized-memo-without-seed", "src/giasim/harness.py",
-           "keys = [[(akey, seed, user, b) for",
-           "keys = [[(akey, 0, user, b) for",
+           "keys = [(akey, seed, user, b) for",
+           "keys = [(akey, 0, user, b) for",
            (f"{QUANTIZATION}::test_emulated_pair_that_two_groups_share_is_synthesized_once_per_seed",),
            ONE_READER),
     Mutant("emulation-per-call", "src/giasim/harness.py",
-           'elif ("quantized", key) not in self._pieces:',
-           "else:",
+           "emulated = [key for key in missing if",
+           "emulated = [key for key in dict.fromkeys(keys) if",
            (f"{QUANTIZATION}::test_emulated_pair_that_two_chunks_share_is_synthesized_once",),
            ONE_READER),
     Mutant("rb-images-per-cell", "src/giasim/harness.py",
-           'return build.rates(cfg, ("baseline", "rb"), evaluate)',
+           'return build.rates(cfg, "rb rates", None, evaluate)',
            "return evaluate((cfg,))[0]",
            (f"{SHARING}::test_snr_sweep_forms_baseline_pieces_once_per_trial",),
            ONE_READER),
@@ -198,6 +200,31 @@ MUTANTS = (
            "b < hi and spread(b)",
            ("tests/test_feedback.py::TestBisection::test_nan_and_far_off_guides_give_the_walks_time",),
            "faster feedback quantization with the same bits"),
+    Mutant("fdma-off-a-cross-link", "src/giasim/harness.py",
+           "direct = gia.direct_channels(build.ch)",
+           "direct = build.ch.H[:, range(cfg.K), 0]",
+           (f"{RELABELING}[k4-fdma]",), ONE_WAY_IN),
+    Mutant("search-rates-without-cell-0", "src/giasim/harness.py",
+           "lambda a: self.user_rates(cfg, self.transceivers(a)),",
+           "lambda a: self.user_rates(cfg, self.transceivers(a))[:, 1:],",
+           (f"{RELABELING}[k4-centralized_sum]",), ONE_WAY_IN),
+    Mutant("min-objective-without-the-last-cell", "src/giasim/assignment.py",
+           'reduce = sum if objective == "sum_rate" else min',
+           'reduce = sum if objective == "sum_rate" else (lambda cells: min(cells[:-1]))',
+           (f"{RELABELING}[k4-centralized_min]",), ONE_WAY_IN),
+    Mutant("summary-without-cell-0", "src/giasim/harness.py",
+           "cells = rates.T.tolist()",
+           "cells = rates[:, 1:].T.tolist()",
+           (f"{RELABELING}[k4-worst_sum]",), ONE_WAY_IN),
+    Mutant("minimum-cell-rate-without-cell-0", "src/giasim/harness.py",
+           "min(map(sum, cells))",
+           "min(map(sum, cells[1:]))",
+           (f"{RELABELING}[k4-worst_min]",), ONE_WAY_IN),
+    Mutant("rb-patterns-user-major", "src/giasim/harness.py",
+           "cfg.K, cfg.L, cfg.N_U, cfg.d_s).swapaxes(0, 1))",
+           "cfg.L, cfg.K, cfg.N_U, cfg.d_s))",
+           ("tests/test_invariance.py::test_cell_relabeling_carries_the_rb_rates_with_their_patterns",),
+           ONE_WAY_IN),
 )
 
 
@@ -251,6 +278,8 @@ def main(rows=MUTANTS, names=()) -> int:
     for mutant in rows:
         t0 = time.perf_counter()
         outcome = verdict(mutant)
+        if outcome == "killed" and time.perf_counter() - t0 > ROW_CEILING_S:
+            outcome = f"killed, but slow: over the {ROW_CEILING_S:.0f} s ceiling"
         bad += outcome != "killed"
         print(f"{mutant.name:<34} {outcome} ({time.perf_counter() - t0:.1f} s)", flush=True)
     print(f"{len(rows) - bad} of {len(rows)} mutants killed in {time.perf_counter() - start:.0f} s")

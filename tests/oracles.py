@@ -329,7 +329,8 @@ def centralized_search(ch, cfg, objective="sum_rate", sense="best", potentials=N
     """``assignment.centralized_search`` on ``potentials`` (fresh ones if None) with
     the plain confirm: each candidate it confirms gets its own
     ``gia.build_transceivers`` and ``gia.user_rate``, nothing kept between them."""
-    potentials = gia.build_potentials(ch, cfg) if potentials is None else potentials
+    if potentials is None:
+        potentials = gia.build_potentials(ch, cfg, gia.cell_pairs(cfg.K))
     return asg.centralized_search(
         cfg, potentials,
         lambda a: gia.user_rate(ch, gia.build_transceivers(ch, cfg, a, potentials), cfg),

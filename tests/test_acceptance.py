@@ -31,6 +31,7 @@ from giasim.feedback import (
 from giasim.gia import (
     build_potentials,
     build_transceivers,
+    cell_pairs,
     full_precoder,
     link_images,
     rate_logdet,
@@ -67,7 +68,7 @@ def test_01_perfect_alignment_invariant():
     worst_ratio = math.inf
     for t in range(100):
         ch = draw_channels(CFG, trial_rng(SEED, t))
-        potentials = build_potentials(ch, CFG)
+        potentials = build_potentials(ch, CFG, cell_pairs(CFG.K))
         for a in assignments:
             tset = build_transceivers(ch, CFG, a, potentials)
             rep = verify_alignment(ch, tset, CFG)
@@ -261,7 +262,7 @@ def test_08_dof_slope_per_assignment():
     sums = np.zeros((len(assignments), 2))
     for t in range(trials):
         ch = draw_channels(CFG, trial_rng(SEED + 5, t))
-        potentials = build_potentials(ch, CFG)
+        potentials = build_potentials(ch, CFG, cell_pairs(CFG.K))
         for a_idx, a in enumerate(assignments):
             tset = build_transceivers(ch, CFG, a, potentials)
             for k in range(CFG.K):

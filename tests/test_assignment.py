@@ -316,7 +316,7 @@ def realization():
 
 @pytest.fixture(scope="module")
 def potentials(realization):
-    return build_potentials(realization, CFG)
+    return build_potentials(realization, CFG, cell_pairs(CFG.K))
 
 
 def _handmade_channels(H_entries, cfg):
@@ -342,7 +342,7 @@ class TestPreferenceOrdering:
         ch = _handmade_channels(
             {(0, 0, 0): 3.0 * e2, (0, 1, 0): 2.0 * e1, (0, 2, 0): e2}, self.CFG1
         )
-        pots = build_potentials(ch, self.CFG1)
+        pots = build_potentials(ch, self.CFG1, cell_pairs(self.CFG1.K))
         ranked, utils = provider_oracle(ch, self.CFG1, 0, pots)
         assert provider_preferences(ch, self.CFG1, pots)[0] == ranked == [1, 2]
         assert utils[1] == pytest.approx(np.log2(1.0 + 9.0), rel=1e-9)
@@ -351,7 +351,7 @@ class TestPreferenceOrdering:
     def test_zero_direct_channels_give_index_order(self):
         zero = np.zeros((3, 1), dtype=complex)
         ch = _handmade_channels({(0, 1, 1): zero}, self.CFG1)
-        pots = build_potentials(ch, self.CFG1)
+        pots = build_potentials(ch, self.CFG1, cell_pairs(self.CFG1.K))
         ranked, utils = receiver_oracle(ch, self.CFG1, 1, pots)
         assert receiver_preferences(ch, (self.CFG1,), pots)[0][1] == ranked == [0, 2]
         assert all(u == pytest.approx(0.0, abs=1e-12) for u in utils.values())

@@ -36,6 +36,7 @@ from giasim.errors import CapacityExceeded, ContractViolation, GiaSimError
 from giasim.gia import (
     build_potentials,
     build_transceivers,
+    cell_pairs,
     certified_factor,
     nulling_stacks,
     rate_logdet,
@@ -84,7 +85,7 @@ def reference_pick(candidates, objective, sense):
 def test_search_equals_fresh_build_per_candidate(cfg, seed, draws):
     for t in range(draws):
         ch = draw_channels(cfg, trial_rng(seed, t))
-        potentials = build_potentials(ch, cfg)  # shared by all four searches
+        potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))  # shared by all four searches
         candidates = reference_candidates(ch, cfg)
         for objective, sense in SEARCHES:
             chosen, value = centralized_search(ch, cfg, objective, sense, potentials)
@@ -99,7 +100,7 @@ def test_search_equals_fresh_build_on_fuzz_shapes():
     for n, cfg in enumerate(feasible_configs(2718)):
         for t in (2 * n, 2 * n + 1):
             ch = draw_channels(cfg, trial_rng(2718, t))
-            potentials = build_potentials(ch, cfg)
+            potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
             candidates = reference_candidates(ch, cfg)
             for objective, sense in SEARCHES:
                 chosen, value = centralized_search(ch, cfg, objective, sense, potentials)
@@ -129,7 +130,7 @@ def test_search_confirms_few_candidates(monkeypatch):
     builds = _count_calls(monkeypatch, "build_transceivers")
     for t, built_at in zip(range(5), [REFERENCE, REFERENCE.at_snr_db(0.0)] * 3):
         ch = draw_channels(REFERENCE, trial_rng(41, t))
-        potentials = build_potentials(ch, built_at)
+        potentials = build_potentials(ch, built_at, cell_pairs(built_at.K))
         for objective, sense in SEARCHES:
             builds.clear()
             chosen, _ = centralized_search(ch, REFERENCE, objective, sense, potentials)
@@ -152,7 +153,7 @@ def test_wider_null_space_evaluates_every_candidate_exactly(monkeypatch):
 
 def test_screen_error_falls_back_to_every_candidate(monkeypatch):
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
-    potentials = build_potentials(ch, REFERENCE)
+    potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     ref_chosen, ref_value = reference_pick(reference_candidates(ch, REFERENCE), "sum_rate", "best")
     screen = gia.screen_candidates
 
@@ -223,7 +224,7 @@ def test_candidates_in_the_certificate_band_take_the_exact_path(monkeypatch):
 
     monkeypatch.setattr(gia.Potentials, "take", tilted)
     ch = draw_channels(REFERENCE, trial_rng(41, 5))
-    potentials = build_potentials(ch, REFERENCE)
+    potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = np.array(list(enumerate_derangements(REFERENCE.K)))
     band = providers[:, 0] == 1
     M = potentials.cell_matrices(providers)[band, 0]
@@ -285,7 +286,7 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
     # bit for bit, in its block order once the other own users, which the cell
     # matrix puts last, come first, and the own block the user's image
     ch = draw_channels(cfg, trial_rng(seed, 0))
-    potentials = build_potentials(ch, cfg)
+    potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     L, K, N_B, d_s = cfg.L, cfg.K, cfg.N_B, cfg.d_s
     cells = potentials.cell_matrices(np.array(list(enumerate_derangements(K))))
     assert cells.shape == (len(_derangements(cfg)), K, N_B, N_B)  # tight: square
@@ -305,7 +306,7 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
 
 
 def two_sided_profile(ch, cfg):
-    potentials = build_potentials(ch, cfg)
+    potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     return build_preferences(ch, (cfg,), potentials, build_preferences(ch, cfg, potentials))[0]
 
 
@@ -349,7 +350,7 @@ def test_screened_rates_equal_user_rates():
     assert {cfg.d_s for cfg, _ in shapes} == {1, 2, 3}
     for cfg, rng in shapes:
         ch = draw_channels(cfg, rng)
-        potentials = build_potentials(ch, cfg)
+        potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
         providers = np.array(list(enumerate_derangements(cfg.K)))
         screened = gia.screen_candidates(cfg, potentials, providers)
         assert screened.shape == (len(_derangements(cfg)), cfg.L, cfg.K)
@@ -363,7 +364,7 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     # the screen keeps 8 K L d_s bytes of inverse gains per candidate on the
     # potentials, and counts them before it gathers or factors a cell matrix
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
-    potentials = build_potentials(ch, REFERENCE)
+    potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = np.array(list(enumerate_derangements(REFERENCE.K)))
     factored = []
     factor = gia.certified_factor
@@ -382,7 +383,7 @@ def test_screen_is_finite_at_the_snr_ceiling():
     # the largest P/sigma2 a config takes, on TIGHT_K6's 265 candidates, whose
     # inverse gains come from the d_s = 2 closed form
     ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
-    potentials = build_potentials(ch, TIGHT_K6)
+    potentials = build_potentials(ch, TIGHT_K6, cell_pairs(TIGHT_K6.K))
     providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
     for cfg in (replace(TIGHT_K6, P=SNR_CEILING), replace(TIGHT_K6, P=1.0, sigma2=1 / SNR_CEILING)):
         with warnings.catch_warnings():
@@ -433,7 +434,8 @@ def test_certificate_sees_ill_conditioning_off_the_diagonal(coupling, certified)
 def test_potentials_of_another_draw_are_refused():
     ch_a, ch_b = (draw_channels(REFERENCE, trial_rng(44, t)) for t in (0, 1))
     with pytest.raises(ContractViolation):
-        build_transceivers(ch_b, REFERENCE, fixed_cyclic(REFERENCE.K), build_potentials(ch_a, REFERENCE))
+        build_transceivers(ch_b, REFERENCE, fixed_cyclic(REFERENCE.K),
+                           build_potentials(ch_a, REFERENCE, cell_pairs(REFERENCE.K)))
 
 
 def _outcome(F, d_s):

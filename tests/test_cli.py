@@ -11,6 +11,7 @@ import pytest
 
 from giasim import harness
 from giasim.cli import GRID_POINT_CAP, main, parse_grid
+from giasim.errors import NumericalFailure
 from oracles import read_codebook
 
 
@@ -292,3 +293,40 @@ def test_module_entry_point(tmp_path):
     bad = run_module("simulate", "--config", "configs/reference.json", "--trials", "x")
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:") and "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize("where", [
+    "missing_directory", "directory",
+    pytest.param("read_only_directory", marks=pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0, reason="root writes to any directory")),
+])
+def test_unwritable_out_is_refused_before_the_first_trial(tmp_path, config_file, capsys,
+                                                         monkeypatch, where):
+    def no_build(*args):
+        raise AssertionError("a trial ran before the results path was checked")
+
+    monkeypatch.setattr(harness, "TrialBuild", no_build)
+    out = {"missing_directory": tmp_path / "no" / "such" / "x.csv",
+           "directory": tmp_path,
+           "read_only_directory": tmp_path / "locked" / "x.csv"}[where]
+    if where == "read_only_directory":
+        out.parent.mkdir(mode=0o500)
+    code = main(["simulate", "--config", config_file, "--trials", "30", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write results to {out}: ") and len(err.splitlines()) == 1
+    assert where == "directory" or not out.exists()
+
+
+def test_sweep_that_fails_after_the_check_leaves_the_out_file_as_it_was(
+        tmp_path, config_file, capsys, monkeypatch):
+    def failing(*args):
+        raise NumericalFailure("synthetic svd", 4, 4)
+
+    monkeypatch.setattr(harness, "TrialBuild", failing)
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("earlier results\n")
+    for out in (kept, new):
+        assert main(["simulate", "--config", config_file, "--out", str(out)]) == 3
+        assert "synthetic svd" in capsys.readouterr().err
+    assert kept.read_text() == "earlier results\n" and not new.exists()

@@ -11,7 +11,7 @@ these cover d_s = 1, L = 1 and L = 3 as well.
 import math
 
 from giasim.assignment import Assignment, enumerate_derangements, fixed_cyclic
-from giasim.gia import build_potentials, build_transceivers, verify_alignment
+from giasim.gia import build_potentials, build_transceivers, cell_pairs, verify_alignment
 from giasim.harness import SchemeSpec
 from giasim.system import draw_channels, trial_rng
 from oracles import failed_conditions, feasibility_limits, feasible_configs, run_trial
@@ -29,7 +29,7 @@ def test_drawn_configs_are_feasible_and_cover_tight_counts():
 def test_alignment_and_pathwise_bound_on_feasible_draws():
     for t, cfg in enumerate(feasible_configs(SEED)):
         ch = draw_channels(cfg, trial_rng(SEED, t))
-        potentials = build_potentials(ch, cfg)
+        potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
         derangements = list(enumerate_derangements(cfg.K))
         last = Assignment(derangements[-1])
         for assignment in (fixed_cyclic(cfg.K), last):

@@ -239,7 +239,7 @@ def test_verify_alignment_perfect_and_corrupted(realization, transceivers):
 def test_potentials_cover_requested_pairs(realization):
     pots = build_potentials(realization, CFG, pairs=[(0, 1), (2, 3)])
     assert pots._formed == {(0, 1), (2, 3)}
-    full = build_potentials(realization, CFG)
+    full = build_potentials(realization, CFG, cell_pairs(CFG.K))
     assert full._formed == set(cell_pairs(CFG.K)) and len(cell_pairs(CFG.K)) == CFG.K * (CFG.K - 1)
     for name in ("inner", "patterns", "aligned", "whiteners"):
         assert np.array_equal(pots.take(name, [(0, 1), (2, 3)]), full.take(name, [(0, 1), (2, 3)]))
@@ -257,7 +257,7 @@ def test_high_snr_slope_shared_across_assignments(realization):
     # high-SNR slope even though absolute rates differ
     from giasim.assignment import enumerate_derangements
 
-    pots = build_potentials(realization, CFG)
+    pots = build_potentials(realization, CFG, cell_pairs(CFG.K))
     slopes, rates_30 = [], []
     for perm in enumerate_derangements(CFG.K):
         a = Assignment(perm)

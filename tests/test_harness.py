@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,41 @@ class TestBackhaulOverhead:
     def test_unknown_scheme(self):
         with pytest.raises(ContractViolation):
             backhaul_overhead("oracle", CFG)
+
+
+class TestCodebookCache:
+    """The explicit books kept across trials: bounded in bytes, not in count, and
+    the least recently used goes first."""
+
+    @pytest.fixture()
+    def generated(self, monkeypatch):
+        """The (M, N, B) of every book generated, on a cache of its own."""
+        monkeypatch.setattr(hmod, "_codebooks", OrderedDict())
+        calls, real = [], hmod.fb.generate_codebook
+        monkeypatch.setattr(hmod.fb, "generate_codebook",
+                            lambda M, N, B, rng: calls.append((M, N, B)) or real(M, N, B, rng))
+        return calls
+
+    def test_more_books_than_a_count_bound_are_each_generated_once(self, generated):
+        keys = [(4, 1, 0, user, seed) for seed in range(3) for user in range(43)]  # 129 books
+        first = [hmod._cached_codebook(*key) for key in keys]
+        again = [hmod._cached_codebook(*key) for key in keys]
+        assert len(generated) == len(keys) == 129
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_byte_bound_evicts_the_least_recently_used(self, generated, monkeypatch):
+        book = lambda user, bits=3: hmod._cached_codebook(4, 1, bits, user, 0)
+        monkeypatch.setattr(hmod, "CODEBOOK_CACHE_BYTES", 2 * 16 * 4 * 2 ** 3)  # two 3-bit books
+        a, b = book(0), book(1)
+        assert book(0) is a  # a is now the most recent: a third book evicts b
+        c = book(2)
+        assert list(hmod._codebooks.values()) == [a, c]
+        b_again = book(1)  # generated again, with the same bits; a goes
+        assert np.array_equal(b_again.words_h, b.words_h) and b_again is not b
+        assert list(hmod._codebooks.values()) == [c, b_again] and len(generated) == 4
+        # a book over the bound alone is returned and not kept, and evicts nothing
+        assert len(book(0, bits=5)) == 32
+        assert list(hmod._codebooks.values()) == [c, b_again] and len(generated) == 5
 
 
 def test_rates_depend_on_powers_only_through_snr():

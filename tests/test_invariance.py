@@ -24,7 +24,14 @@ The baselines read no assignment. The ``fdma`` rates depend on each direct
 channel's singular values only, so both rotations leave them. The ``rb``
 patterns are drawn in user coordinates, so only a station rotation applies:
 it turns every matched-filter decoder with the channel and leaves the rates.
+
+Through the trial build, as a sweep runs them, a cell relabeling carries the
+``fdma`` rates and the searches' picks, rates and cell summaries. The ``rb``
+patterns follow the flat (cell, user) order of their stream, so a relabeling
+carries the ``rb`` rates only with the stream's per-user draws relabeled too.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +44,7 @@ from giasim.assignment import (
     fixed_cyclic,
     gale_shapley,
 )
-from giasim.gia import build_potentials, build_transceivers, user_rate
+from giasim.gia import build_potentials, build_transceivers, cell_pairs, user_rate
 from giasim.linalg import complex_gaussian
 from giasim.harness import EXPLICIT_BIT_LIMIT, SchemeSpec
 from giasim.system import ChannelRealization, SystemConfig, draw_channels, trial_rng
@@ -52,7 +59,7 @@ SEED, DRAWS = 77, 20
 
 def choices(ch, cfg):
     """{rule: (assignment, (L, K) user rates)} of the four rules on ``ch``."""
-    potentials = build_potentials(ch, cfg)
+    potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     one_sided = build_preferences(ch, cfg, potentials)
     (two_sided,) = build_preferences(ch, (cfg,), potentials, one_sided)
     chosen = {
@@ -140,6 +147,54 @@ def test_antenna_rotations_move_no_baseline_rate(cfg, rule, users_too):
         rates = baseline_rates(cfg, rule, t, lambda ch: ch)
         rotated = baseline_rates(cfg, rule, t, lambda ch: ChannelRealization(H=Q @ ch.H @ W))
         np.testing.assert_allclose(rotated, rates, rtol=1e-12, atol=0)
+
+
+def cell_relabeling(cfg):
+    """(perm, inv, transform): cell k becomes perm[k] in H's user-cell and station axes."""
+    perm = np.array([2, 0, 1] if cfg.K == 3 else [2, 3, 1, 0])
+    inv = np.argsort(perm)
+    return perm, inv, lambda ch: ChannelRealization(H=ch.H[:, inv][:, :, inv])
+
+
+@pytest.mark.parametrize("rule", ["fdma", "centralized_sum", "centralized_min", "worst_sum",
+                                  "worst_min"])
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_cell_relabeling_carries_the_harness_rules(cfg, rule):
+    # through the trial build, as a sweep runs them: a search picks the relabeled
+    # assignment, every rate moves with its cell, and the cell's summary holds
+    perm, inv, relabel = cell_relabeling(cfg)
+    scheme = SchemeSpec(assignment=rule)
+    for t in range(DRAWS):
+        build, moved = (transformed_build(cfg, t, [scheme], f) for f in (lambda ch: ch, relabel))
+        if rule == "fdma":
+            rates, rates_moved = (hmod.baseline_fdma(b, cfg) for b in (build, moved))
+        else:
+            chosen, chosen_moved = (b.assignment(cfg, scheme) for b in (build, moved))
+            # cell perm[r] takes provider perm[p] where cell r took p
+            assert chosen_moved.providers == tuple(perm[list(chosen.providers)][inv].tolist())
+            rates, rates_moved = (b.user_rates(cfg, b.transceivers(a))
+                                  for b, a in ((build, chosen), (moved, chosen_moved)))
+        np.testing.assert_allclose(rates_moved[:, perm], rates, rtol=1e-12, atol=0)
+        summary, summary_moved = (hmod._evaluate_trial(b, cfg, scheme, 0)[:2]
+                                  for b in (build, moved))
+        assert summary_moved == pytest.approx(summary, rel=1e-12, abs=0), (t, rule)
+
+
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_cell_relabeling_carries_the_rb_rates_with_their_patterns(cfg):
+    # rb draws its patterns from the stream after the channel draw, in flat
+    # (cell, user) order, so a relabeled channel alone leaves each pattern at its
+    # flat position and carries no rate. What a relabeling carries is the channel
+    # and the stream's per-user draws together: then every rate moves with its cell
+    perm, inv, relabel = cell_relabeling(cfg)
+    scheme = SchemeSpec(assignment="rb")
+    for t in range(DRAWS):
+        build, moved = (transformed_build(cfg, t, [scheme], f) for f in (lambda ch: ch, relabel))
+        stream = moved._rng_after_draw
+        moved._rng_after_draw = SimpleNamespace(standard_normal=lambda shape: (
+            stream.standard_normal(shape).reshape((cfg.K, cfg.L) + shape[1:])[inv].reshape(shape)))
+        np.testing.assert_allclose(hmod.baseline_rb(moved, cfg)[:, perm],
+                                   hmod.baseline_rb(build, cfg), rtol=1e-12, atol=0)
 
 
 def feedback_of(build, cfg, scheme):

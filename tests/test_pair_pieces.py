@@ -35,7 +35,7 @@ CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 def test_stacked_pieces_equal_per_pair_oracle(n):
     cfg = feasible_configs(SEED)[n]
     ch = draw_channels(cfg, trial_rng(SEED, n))
-    potentials = build_potentials(ch, cfg)
+    potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     pairs = cell_pairs(cfg.K)
     assert potentials._formed == set(pairs)
     for name in ("inner", "patterns", "aligned", "whiteners"):
@@ -49,7 +49,7 @@ def test_pieces_formed_in_any_batches_are_the_same_bits():
     ch = draw_channels(CFG, trial_rng(SEED, 0))
     empty = build_potentials(ch, CFG, pairs=[])
     assert empty._formed == set()
-    full = build_potentials(ch, CFG)
+    full = build_potentials(ch, CFG, cell_pairs(CFG.K))
     pairs = cell_pairs(CFG.K)
     for batch in ([(2, 1)], [(0, 1), (2, 1), (3, 0)], pairs):
         for name in ("inner", "patterns", "aligned", "whiteners"):

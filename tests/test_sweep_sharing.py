@@ -8,6 +8,8 @@ floats must be equal with ``==``: the golden CSVs print 12 significant
 digits and would miss a change in the last bits.
 """
 
+import ast
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from giasim.harness import (
     run_sweep,
 )
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import aggregate_metrics, run_trial, sweep_cells
+from oracles import aggregate_metrics, receiver_preferences, run_trial, sweep_cells
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
 
@@ -71,7 +73,8 @@ def test_snr_sweep_bit_identical_to_grid_major_loop():
     # two-sided matchings differ across the grid, so every planned config rates
     # an assignment that some of them do not run
     build = hmod.TrialBuild(CFG, spec.seed, 1, 0, sweep_cells(spec, CFG))
-    ends = [build.receiver_side(CFG.at_snr_db(v)).receiver for v in (-30.0, 50.0)]
+    ends = [[receiver_preferences(build.ch, CFG.at_snr_db(v), k, build.potentials())[0]
+             for k in range(CFG.K)] for v in (-30.0, 50.0)]
     assert ends[0] != ends[1]
     matched = {build.assignment(CFG.at_snr_db(v), schemes[2]).providers for v in spec.grid}
     assert schemes[2] == SchemeSpec(assignment="two_sided") and len(matched) > 1
@@ -495,3 +498,52 @@ def test_rules_that_pick_one_assignment_share_its_feedback_rates(monkeypatch):
         for cfg, scheme in cells:
             hmod._evaluate_trial(build, cfg, scheme, 0)
         assert len(calls) == expected
+
+
+# Every stage of a build's memo, each holding one kind of value (README, "How a
+# sweep runs"); the last five are kept one value per planned config.
+MEMO_STAGES = {"potentials", "provider side", "assignment", "transceivers", "leakage",
+               "frame", "quantized", "receiver side", "user rates", "feedback rates",
+               "rb rates", "fdma rates"}
+
+
+def test_memo_pieces_are_read_and_written_only_by_its_entry_point():
+    # a second reader or writer of the memo would go around the one seam that
+    # sees every stage
+    module = ast.parse(inspect.getsource(hmod))
+    users = {fn.name for fn in ast.walk(module) if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(node, ast.Attribute) and node.attr == "_pieces"
+                     for node in ast.walk(fn))}
+    assert users == {"__init__", "_each"}
+
+
+def test_two_sided_assignment_is_matched_at_its_own_config(monkeypatch):
+    # the receiver sides of both planned configs come in one call, but the
+    # matching runs only at the config whose cell asks for it
+    calls = []
+    match = hmod.asg.gale_shapley
+    monkeypatch.setattr(hmod.asg, "gale_shapley",
+                        lambda prefs, side: calls.append(side) or match(prefs, side))
+    planned = (CFG.at_snr_db(10.0), CFG.at_snr_db(30.0))
+    scheme = SchemeSpec(assignment="two_sided")
+    build = hmod.TrialBuild(CFG, 41, 1, 0, [(c, scheme) for c in planned])
+    chosen = build.assignment(planned[1], scheme)
+    assert calls == ["receivers"]
+    assert build.assignment(planned[1], scheme) is chosen and calls == ["receivers"]
+    expected = run_trial(planned[1], scheme, 1, seed=41)
+    assert hmod._evaluate_trial(build, planned[1], scheme, 0)[:2] == (
+        expected.sum_rate, expected.min_cell_rate)
+
+
+def test_each_memo_stage_holds_one_documented_kind_of_value(monkeypatch):
+    stages = set()
+    each = hmod.TrialBuild._each
+    monkeypatch.setattr(hmod.TrialBuild, "_each",
+                        lambda self, stage, *args: stages.add(stage) or each(self, stage, *args))
+    run_sweep(SweepSpec("snr_db", (10.0, 30.0), 1,
+                        tuple(SchemeSpec(assignment=rule) for rule in ASSIGNMENT_SCHEMES),
+                        seed=50), CFG)
+    run_sweep(SweepSpec("B", (40, 300), 1,
+                        (SchemeSpec(assignment="two_sided", bit_alloc="dba"),
+                         SchemeSpec(assignment="fixed", bit_alloc="eba")), seed=50), CFG)
+    assert stages == MEMO_STAGES and "rates" not in stages
