@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gia
 from .errors import CapacityExceeded, ContractViolation
-from .linalg import projectors, psd_eigvals
+from .linalg import complement_projector, psd_eigvals
 from .system import ChannelRealization, SystemConfig, per_config
 
 ENUMERATION_CAP = 10 ** 6  # most derangements centralized_search enumerates
@@ -103,7 +103,8 @@ def provider_preferences(ch: ChannelRealization, cfg: SystemConfig,
     channels; larger residual capacity means the candidate's interference
     costs cell k fewer useful dimensions.
     """
-    perps = projectors(potentials.take("aligned", [(c, k) for k, c in gia.cell_pairs(cfg.K)]))[1]
+    perps = complement_projector(potentials.take("aligned", [(c, k) for k, c
+                                                             in gia.cell_pairs(cfg.K)]))
     Hd = _cell_direct_channels(ch, cfg)
     return _rank_cells(cfg.K, Hd.conj().swapaxes(-1, -2) @ perps @ Hd)
 
@@ -263,22 +264,23 @@ def derangement_count(K: int) -> int:
     return sum((-1) ** j * math.factorial(K) // math.factorial(j) for j in range(K + 1))
 
 
-def centralized_search(
-    cfg: SystemConfig, potentials: gia.Potentials, user_rates, objective: str, sense: str
-) -> tuple[Assignment, float]:
+def centralized_search(cfg: SystemConfig, screen, user_rates, objective: str,
+                       sense: str) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
-    ``gia.screen_candidates`` screens every candidate in one call. It raises and
-    warns nothing, and a candidate it cannot certify is evaluated exactly first,
-    in enumeration order, so warnings and errors come as from a plain loop.
-    Certified candidates within SCREEN_MARGIN of the best screened value are
+    ``screen(providers)`` gives the P-free inverse gains lambda of the (D(K), K)
+    candidate ``providers``, ``gia.Potentials.inverse_gains``; a user's screened rate
+    at ``cfg`` sums log1p(P/(d_s sigma^2) / lambda), NaN in an uncertified cell. The
+    screen raises and warns nothing, and a candidate it cannot certify is evaluated
+    exactly first, in enumeration order, so warnings and errors come as from a plain
+    loop. Certified candidates within SCREEN_MARGIN of the best screened value are
     evaluated exactly, and all are if one of those was screened off by over a
     quarter of the margin. Ties resolve to the lexicographically smallest
-    assignment: the enumeration is lexicographic and the exact values are
-    compared strictly. ``user_rates(assignment)`` gives a candidate's exact (L, K)
-    user rates at ``cfg``, ``gia.user_rate`` of its ``gia.build_transceivers`` on
-    ``potentials``; a caller that keeps the sets it builds and their rates reads
-    the winner's without building or rating it again.
+    assignment: the enumeration is lexicographic and the exact values are compared
+    strictly. ``user_rates(assignment)`` gives a candidate's exact (L, K) user rates
+    at ``cfg``, ``gia.user_rate`` of its ``gia.build_transceivers``; a caller that
+    keeps the screen, the sets it builds and their rates forms the screen once per
+    draw and reads the winner's rates without building or rating it again.
     """
     if objective not in ("sum_rate", "min_cell_rate"):
         raise ContractViolation(f"unknown objective {objective!r}")
@@ -297,7 +299,8 @@ def centralized_search(
         if c not in exact:
             exact[c] = reduce([sum(cell) for cell in user_rates(candidate(c)).T.tolist()])
 
-    cell_rates = gia.screen_candidates(cfg, potentials, providers).sum(1)  # (D(K), K)
+    scale = cfg.P / (cfg.d_s * cfg.sigma2)
+    cell_rates = np.log1p(scale / screen(providers)).sum(-1).swapaxes(-1, -2).sum(1)  # (D(K), K)
     certified = np.isfinite(cell_rates).all(axis=-1)
     for c in np.flatnonzero(~certified).tolist():
         confirm(c)

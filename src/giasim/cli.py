@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_writable(path: str) -> None:
-    """Refuse a results path that cannot be written, with the message of a failed
+def _require_writable(path: str, what: str) -> None:
+    """Refuse a path for ``what`` that cannot be written, with the message of a failed
     write: append mode opens it as writing would and truncates nothing, and a file
     that the check made is removed again."""
     existed = os.path.lexists(path)
@@ -89,7 +89,7 @@ def _require_writable(path: str) -> None:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
-        raise ContractViolation(f"cannot write results to {path}: {exc}") from exc
+        raise ContractViolation(f"cannot write {what} to {path}: {exc}") from exc
     if not existed:
         os.remove(path)
 
@@ -128,7 +128,7 @@ def _simulate(args) -> int:
     spec = SweepSpec(variable="B" if bit_sweep else "snr_db",
                      grid=bits_grid if bit_sweep else snr_grid, trials=trials,
                      schemes=(scheme,), seed=seed, log_base=args.log_base)
-    _require_writable(args.out)  # before the first trial, not after the sweep
+    _require_writable(args.out, "results")  # before the first trial, not after the sweep
     rows = run_sweep(spec, cfg.at_snr_db(snr_grid[0]) if bit_sweep else cfg, out_path=args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -137,6 +137,7 @@ def _simulate(args) -> int:
 def _codebook(args) -> int:
     if args.seed < 0:
         raise ContractViolation(f"negative seed {args.seed}")
+    _require_writable(args.out, "codebook")  # before the book is generated, not after
     cb = generate_codebook(args.ambient, args.sub, args.bits, np.random.default_rng(args.seed))
     dump_codebook(cb, args.out)
     print(f"wrote 2^{args.bits} codewords on G({args.ambient},{args.sub}) to {args.out}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, ContractViolation, DegenerateChannel, RankDeficient
 from .gia import zf_decoder
-from .linalg import complex_gaussian, herm_eig, norm_sq, orthonormalize, projectors, svd
+from .linalg import complement_projector, complex_gaussian, herm_eig, norm_sq, orthonormalize, svd
 from .system import ChannelRealization, check_whole, per_config
 
 CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
@@ -115,26 +115,22 @@ def dump_codebook(cb: Codebook, path: str) -> None:
         raise ContractViolation(f"cannot write codebook to {path}: {exc}") from exc
 
 
-def omega_matrix(
-    H: np.ndarray, pattern: np.ndarray, V_perp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def omega_matrix(H: np.ndarray, pattern: np.ndarray, V_perp: np.ndarray) -> np.ndarray:
     """Leakage curvature of a user: how strongly quantization error couples
     into the receiver subspace that zero-forcing cannot protect.
 
     Omega = (V_perp)^H H^H P_perp H V_perp with V_perp the left null basis
     of the pattern and P_perp projecting away the ideally aligned image
-    span(H pattern). Returns Omega and its largest eigenvalue; stacks of
-    channels (..., N_B, M), patterns and null bases give one of each per
-    slice, from one call per kernel.
+    span(H pattern). Returns the largest eigenvalue of Omega, which ``herm_eig``
+    takes of its Hermitian part; stacks of channels (..., N_B, M), patterns and
+    null bases give one per slice, from one call per kernel.
     """
     try:
-        _, P_perp = projectors(H @ pattern)
+        P_perp = complement_projector(H @ pattern)
     except RankDeficient as exc:
         raise DegenerateChannel("aligned image H @ pattern is rank deficient") from exc
     core = H @ V_perp
-    omega = core.conj().swapaxes(-1, -2) @ P_perp @ core
-    omega = (omega + omega.conj().swapaxes(-1, -2)) / 2.0
-    return omega, herm_eig(omega)[0][..., 0]
+    return herm_eig(core.conj().swapaxes(-1, -2) @ P_perp @ core)[0][..., 0]
 
 
 def quantized_decoder(

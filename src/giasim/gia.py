@@ -187,7 +187,7 @@ def certified_factor(M: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
 def _cell_template(K: int, L: int) -> np.ndarray:
     """(cell, block) in the pair table of each block of cell k's matrix when k's provider
     is p, at [:, k, p]: the images at k of the users of every cell but k and p, then p's
-    aligned basis, then k's own users' images, which ``screen_candidates`` needs last."""
+    aligned basis, then k's own users' images, which ``inverse_gains`` needs last."""
     def blocks(k, p):
         return ([(l, m * K + k) for l in range(K) if l not in (k, p) for m in range(L)]
                 + [(p, L * K)] + [(k, m * K + k) for m in range(L)])
@@ -224,9 +224,9 @@ def _caused(exc: Exception, cause: Exception) -> Exception:
 class Potentials:
     """The inner precoder of each (provider, receiver) pair, plus the pieces that
     depend on that pair alone, shared by every assignment that uses the pair, at
-    every transmit power. Pieces are formed for many pairs at once, one stacked
-    call per kind; a pair whose piece fails a check keeps the exception, and
-    ``take`` raises it at a read of that piece."""
+    every transmit power. ``build_potentials`` forms them, one stacked call per kind,
+    and nothing changes them after; a pair whose piece fails a check keeps the
+    exception, and ``take`` raises it at a read of that piece."""
 
     def __init__(self, ch: ChannelRealization, cfg: SystemConfig):
         self.ch, self.cfg = ch, cfg
@@ -236,26 +236,25 @@ class Potentials:
             ("aligned", (cfg.N_B, d_s)), ("whiteners", (L, d_s, d_s)))}  # pair (p, r) at p * K + r
         self._formed = set()  # the (provider, receiver) pairs whose pieces are formed
         self._errors = {}  # (name, p, r) -> what a read of that piece raises
-        self._table = None  # the pair table of ``cell_matrices``
-        self._screens = {}  # candidate providers -> their P-free screen values
 
     def take(self, name: str, pairs: list) -> np.ndarray:
         """The pieces ``name`` of ``pairs``, one per pair along a leading axis: the
         inner precoder (L*N_U, d_s), the users' patterns (L, N_U, d_s) or whiteners
         (L, d_s, d_s), (slice^H slice)^(-1/2) of each inner-precoder slice, or the
-        aligned basis (N_B, d_s) at the receiver. Formed first where missing; the
-        first pair in order whose piece failed raises its exception."""
-        self._form([pr for pr in dict.fromkeys(pairs) if pr not in self._formed])
+        aligned basis (N_B, d_s) at the receiver. :class:`ContractViolation` for a pair not
+        formed at build; else the first pair in order whose piece failed raises it."""
+        if not self._formed.issuperset(pairs):
+            raise ContractViolation(f"pairs {sorted(set(pairs) - self._formed)} were not formed")
         for p, r in pairs if self._errors else ():
             if (name, p, r) in self._errors:
                 raise self._errors[name, p, r]
         return self._pieces[name][[p * self.cfg.K + r for p, r in pairs]]
 
     def _form(self, pairs: list) -> None:
-        """Every piece of the distinct, new ``pairs`` in one stacked call per kind. A
-        pair's exception for a piece is its first failing check in the order of the
-        per-pair construction: the inner precoder's, then, user by user, the
-        pattern's, the aligned image's and its span's, or the whitener's."""
+        """Every piece of the distinct ``pairs`` in one stacked call per kind, once, by
+        ``build_potentials``. A pair's exception for a piece is its first failing check
+        in the order of the per-pair construction: the inner precoder's, then, user by
+        user, the pattern's, the aligned image's and its span's, or the whitener's."""
         if not pairs:
             return
         if any(p == r for p, r in pairs):
@@ -305,61 +304,68 @@ class Potentials:
         self._errors.update({(name, *pairs[j]): exc for (name, j), exc in errors.items()})
         self._formed.update(pairs)
 
-    def cell_matrices(self, providers: np.ndarray) -> np.ndarray:
+    def pair_table(self) -> np.ndarray:
+        """Every pair's images and aligned basis, (K, K, L K + 1, d_s, N_B): at [p, r] the
+        transposed images at every station of provider p's users through pair (p, r)'s
+        patterns, user m's at station k block m K + k, then the aligned basis; NaN for
+        a pair whose piece failed."""
+        L, K, N_B, d_s = self.cfg.L, self.cfg.K, self.cfg.N_B, self.cfg.d_s
+        failed = {(p, r) for _, p, r in self._errors}
+        good = [pr for pr in cell_pairs(K) if pr not in failed]
+        table = np.full((K, K, L * K + 1, d_s, N_B), np.nan, complex)
+        p, r = np.array(good, int).reshape(-1, 2).T  # two columns even if no pair is good
+        X, B = self.take("patterns", good), self.take("aligned", good)
+        images = (self.ch.H[:, p].swapaxes(0, 1) @ X[:, :, None]).swapaxes(-1, -2)
+        table[p, r, :L * K] = images.reshape(len(p), L * K, d_s, N_B)
+        table[p, r, L * K] = B.swapaxes(-1, -2)
+        return table
+
+    def cell_matrices(self, table: np.ndarray, providers: np.ndarray) -> np.ndarray:
         """Matrix of every cell of the strict assignments with providers ``providers``
         (n, K), (n, K, N_B, (L(K-1)+1) d_s): ``_cell_template``'s blocks in one gather
-        from a table of every pair's images and aligned basis, written on first use."""
-        L, K, N_B, d_s = self.cfg.L, self.cfg.K, self.cfg.N_B, self.cfg.d_s
-        if self._table is None:  # transposed blocks; user m's image at station k is m * K + k
-            self._form([pr for pr in cell_pairs(K) if pr not in self._formed])
-            failed = {(p, r) for _, p, r in self._errors}
-            good = [pr for pr in cell_pairs(K) if pr not in failed]  # failed pairs stay NaN
-            self._table = np.full((K, K, L * K + 1, d_s, N_B), np.nan, complex)
-            p, r = np.array(good, int).reshape(-1, 2).T  # two columns even if no pair is good
-            X, B = self.take("patterns", good), self.take("aligned", good)
-            images = (self.ch.H[:, p].swapaxes(0, 1) @ X[:, :, None]).swapaxes(-1, -2)
-            self._table[p, r, :L * K] = images.reshape(len(p), L * K, d_s, N_B)
-            self._table[p, r, L * K] = B.swapaxes(-1, -2)
-        cells, blocks = _cell_template(K, L)[:, range(K), providers]
+        from ``table``, the ``pair_table``."""
+        K, N_B = self.cfg.K, self.cfg.N_B
+        cells, blocks = _cell_template(K, self.cfg.L)[:, range(K), providers]
         receivers = np.argsort(providers, axis=-1)[np.arange(len(providers))[:, None, None], cells]
-        gathered = self._table[cells, receivers, blocks]
+        gathered = table[cells, receivers, blocks]
         return gathered.reshape(len(providers), K, -1, N_B).swapaxes(-1, -2)
 
     def inverse_gains(self, providers: np.ndarray) -> np.ndarray:
         """The eigenvalues of Z Z^H of every user, (n, K, L, d_s), of the strict assignments
         with providers the rows of ``providers`` (n, K), NaN in each row with an uncertified
-        cell: the P-free part of ``screen_candidates``, formed on first use in chunks of
-        SCREEN_CHUNK_BYTES of cell matrices from one ``certified_factor`` C of each, and
-        kept. The rows Z of M_k^-1 at user (i, k)'s block null its stack and map its image
-        H V W to I, so Z^H spans its decoders' space and its rate is log det(I + P/(d_s
-        sigma^2) (Z Z^H)^-1). The own blocks come last, and C's trailing block there has
-        C_oo C_oo^H = (Z_o Z_o^H)^-1 for the own rows Z_o, so C_oo^-H holds each user's Z
-        up to a unitary on the right. :class:`CapacityExceeded`, before any factorization,
-        if the values would take over SCREEN_TABLE_BYTES."""
-        key = providers.tobytes()  # the candidate rows, as a dict key
-        if key in self._screens:
-            return self._screens[key]
+        cell: the P-free part of the centralized screen, in chunks of SCREEN_CHUNK_BYTES of
+        cell matrices from one ``pair_table``, from one ``certified_factor`` C of each. The
+        rows Z of M_k^-1 at user (i, k)'s block null its stack and map its image H V W to I,
+        so Z^H spans its decoders' space and its rate is log det(I + P/(d_s sigma^2) (Z
+        Z^H)^-1). The own blocks come last, and C's trailing block there has C_oo C_oo^H =
+        (Z_o Z_o^H)^-1 for the own rows Z_o, so C_oo^-H holds each user's Z up to a unitary
+        on the right. :class:`CapacityExceeded`, before any factorization, if the values
+        would take over SCREEN_TABLE_BYTES."""
         K, L, N_B, d_s = self.cfg.K, self.cfg.L, self.cfg.N_B, self.cfg.d_s
         size = 8 * len(providers) * K * L * d_s
         if size > SCREEN_TABLE_BYTES:
             raise CapacityExceeded(f"the screen of {len(providers)} candidates keeps {size} "
                                    f"bytes, over the {SCREEN_TABLE_BYTES}-byte guard")
-        gains = np.empty((len(providers), K, L, d_s))
+        table, gains = self.pair_table(), np.empty((len(providers), K, L, d_s))
         chunk = max(1, SCREEN_CHUNK_BYTES // (16 * K * N_B ** 2))  # N_B^2 bounds a cell matrix
         for start in range(0, len(providers), chunk):
             gains[start:start + chunk] = _chunk_gains(
-                self.cell_matrices(providers[start:start + chunk]), L, d_s)
-        self._screens[key] = gains
+                self.cell_matrices(table, providers[start:start + chunk]), L, d_s)
         return gains
 
 
 def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs) -> Potentials:
-    """Every piece of the (provider, receiver) pairs ``pairs``, one stacked call
-    per kind; the matching and centralized schemes read every ordered pair,
-    ``cell_pairs(K)``. A failed piece raises at its read (``take``)."""
+    """Every piece of the (provider, receiver) pairs ``pairs``, one stacked call per kind:
+    the one place where pieces are formed. Matching and search read every ordered pair,
+    ``cell_pairs(K)``; a failed piece raises at its read (``take``)."""
     potentials = Potentials(ch, cfg)
     potentials._form(list(dict.fromkeys(pairs)))
     return potentials
+
+
+def assignment_pairs(assignment) -> list:
+    """The (provider, receiver) pair of each cell of a strict assignment, provider order."""
+    return list(enumerate(np.argsort(assignment.providers).tolist()))
 
 
 def build_transceivers(
@@ -367,29 +373,20 @@ def build_transceivers(
 ) -> TransceiverSet:
     """Complete transceiver set for a strict assignment on one realization.
 
-    Gathers the assignment's pair pieces; the decoders are formed at their first
-    read (``TransceiverSet.decoders``). Nothing depends on P: ``user_rate`` applies it.
+    Gathers the assignment's pair pieces from ``potentials``, or if None from one
+    ``build_potentials`` of its pairs; the decoders are formed at their first read
+    (``TransceiverSet.decoders``). Nothing depends on P: ``user_rate`` applies it.
     """
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
-    potentials = Potentials(ch, cfg) if potentials is None else potentials
+    pairs = assignment_pairs(assignment)
+    potentials = build_potentials(ch, cfg, pairs) if potentials is None else potentials
     if potentials.ch is not ch:
         raise ContractViolation("potentials were built on another channel draw")
-    pairs = list(enumerate(np.argsort(assignment.providers).tolist()))  # (k, receiver of k)
     inner, patterns, aligned = (potentials.take(n, pairs) for n in ("inner", "patterns", "aligned"))
     blocks = aligned[list(assignment.providers)]
     return TransceiverSet(ch, assignment, inner, patterns.swapaxes(0, 1), blocks,
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
-
-
-def screen_candidates(cfg: SystemConfig, potentials: Potentials, providers) -> np.ndarray:
-    """Every user's rate in nats, (n, L, K), at ``cfg``'s power (the potentials may come
-    from another power), of the strict assignments with providers the rows of the (n, K)
-    array ``providers``; NaN, silently, if a cell is uncertified, as one reading a failed
-    pair piece is. Only log1p(P/(d_s sigma^2) / lambda) and its sums depend on the power:
-    the inverse gains lambda are ``Potentials.inverse_gains``, formed once per draw."""
-    scale = cfg.P / (cfg.d_s * cfg.sigma2)
-    return np.log1p(scale / potentials.inverse_gains(providers)).sum(-1).swapaxes(-1, -2)
 
 
 def _chunk_gains(M: np.ndarray, L: int, d_s: int) -> np.ndarray:

@@ -155,8 +155,9 @@ class TrialBuild:
         self.ch = draw_channels(cfg, rng)
         self._rng_after_draw = rng  # the rb baseline continues this stream, once per draw
         self._position = {c: i for i, c in enumerate(dict.fromkeys(c for c, _ in cells))}
-        # a matching or centralized rule reads every pair: form them all at the first request
-        self._all_pairs = any(s.assignment not in ("fixed", "rb", "fdma") for _, s in cells)
+        # the pairs the rules read: every pair if one matches or searches, else fixed's ring
+        self._pairs = (gia.cell_pairs(cfg.K) if any(s.assignment not in ("fixed", "rb", "fdma")
+                       for _, s in cells) else gia.assignment_pairs(asg.fixed_cyclic(cfg.K)))
         groups, self._entries = {}, {}  # a feedback scheme -> its group's entries, its position
         for _, s in cells:
             if s.bit_alloc != "none":  # a group: {(bit allocation, budget): position}
@@ -191,10 +192,9 @@ class TrialBuild:
         return self._once(stage, key, lambda: evaluate(tuple(self._position)))[position]
 
     def potentials(self) -> gia.Potentials:
-        """The pair pieces: every pair formed at once if a cell's rule reads every
-        pair, none otherwise; ``take`` forms the pairs that a read lacks."""
+        """The pieces of every pair the cells' rules read, formed at once."""
         return self._once("potentials", None, lambda: gia.build_potentials(
-            self.ch, self.cfg, gia.cell_pairs(self.cfg.K) if self._all_pairs else []))
+            self.ch, self.cfg, self._pairs))
 
     def provider_side(self) -> asg.PreferenceProfile:
         """The one-sided profile, which does not depend on P: once per draw."""
@@ -230,9 +230,10 @@ class TrialBuild:
             return asg.breaking_step(matched, prefs)
         objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
         sense = "worst" if rule.startswith("worst") else "best"
+        screen = lambda providers: self._once(  # every derangement of K: once per draw
+            "screen", None, lambda: self.potentials().inverse_gains(providers))
         return asg.centralized_search(
-            cfg, self.potentials(), lambda a: self.user_rates(cfg, self.transceivers(a)),
-            objective, sense)[0]
+            cfg, screen, lambda a: self.user_rates(cfg, self.transceivers(a)), objective, sense)[0]
 
     def user_rates(self, cfg: SystemConfig, tset: gia.TransceiverSet) -> np.ndarray:
         """``gia.user_rate`` of ``tset`` at ``cfg``, evaluated at every planned config
@@ -250,8 +251,7 @@ class TrialBuild:
         def build():
             cfg, receivers = self.cfg, np.argsort(tset.assignment.providers)  # provider order
             null_bases = gia.select_null_basis(tset.patterns, cfg.N_U - cfg.d_s)
-            _, lam = fb.omega_matrix(
-                self.ch.H[:, range(cfg.K), receivers], tset.patterns, null_bases)
+            lam = fb.omega_matrix(self.ch.H[:, range(cfg.K), receivers], tset.patterns, null_bases)
             return lam, null_bases
 
         return self._once("leakage", tset.assignment.providers, build)

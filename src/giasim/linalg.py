@@ -45,19 +45,14 @@ def matrix_rank(singular_values: np.ndarray):
     return np.sum(singular_values > RANK_REL_TOL * singular_values[..., :1], axis=-1)
 
 
-def projectors(X) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projector onto span(X) and its complement, per slice of a stack.
-
-    P = X (X^H X)^-1 X^H; P_perp is constructed elementwise as I - P so the
-    pair always sums to the identity exactly.
-    """
+def complement_projector(X) -> np.ndarray:
+    """Orthogonal projector onto the complement of span(X), per slice of a stack:
+    I - P, elementwise, with P = X (X^H X)^-1 X^H."""
     X = _as_cmatrix(X)
     if np.any(matrix_rank(svd(X, full_matrices=False)[1]) < X.shape[-1]):
         raise RankDeficient(f"projector input of shape {X.shape[-2:]} is rank deficient")
     X_h = X.conj().swapaxes(-1, -2)
-    P = X @ np.linalg.solve(X_h @ X, X_h)
-    P_perp = np.eye(X.shape[-2], dtype=complex) - P
-    return P, P_perp
+    return np.eye(X.shape[-2], dtype=complex) - X @ np.linalg.solve(X_h @ X, X_h)
 
 
 def herm_eig(M) -> tuple[np.ndarray, np.ndarray]:

@@ -48,6 +48,13 @@ ONE_READER = "form each piece inside its one reader"
 PROVIDERS_FORMAT = "tests/test_assignment.py::TestProvidersFormat"
 RELABELING = "tests/test_invariance.py::test_cell_relabeling_carries_the_harness_rules"
 ONE_WAY_IN = "one way into a trial's memo"
+REFERENCE_SHAPE = "[9-K4L2NB14NU8d2]"  # a test_dimension_fuzz shape, the benchmark's reference
+AT_BUILD = "form a draw's pair pieces once, at build"
+PIECES = "tests/test_pair_pieces.py"
+CENTRAL = "tests/test_centralized.py"
+GATHERED = f"{CENTRAL}::test_gathered_stacks_equal_nulling_stacks[k4]"
+CERTIFICATE = f"{CENTRAL}::test_certificate_refuses"
+BISECTION = "tests/test_feedback.py::TestBisection"
 ROW_CEILING_S = 10.0  # a row that takes longer fails: a slow row is fixed when it is added
 
 MUTANTS = (
@@ -164,13 +171,13 @@ MUTANTS = (
            (f"{SHARING}::test_snr_sweep_forms_baseline_pieces_once_per_trial",),
            ONE_READER),
     Mutant("potentials-form-every-pair", "src/giasim/harness.py",
-           "gia.cell_pairs(self.cfg.K) if self._all_pairs else []",
-           "gia.cell_pairs(self.cfg.K)",
+           'if any(s.assignment not in ("fixed", "rb", "fdma")',
+           'if True or any(s.assignment not in ("fixed", "rb", "fdma")',
            (f"{SHARING}::test_each_draw_matches_once_per_rule_and_forms_pairs_once",),
            ONE_READER),
     Mutant("leakage-gram-without-conj", "src/giasim/feedback.py",
-           "omega = core.conj().swapaxes(-1, -2) @ P_perp @ core",
-           "omega = core.swapaxes(-1, -2) @ P_perp @ core",
+           "herm_eig(core.conj().swapaxes(-1, -2) @ P_perp @ core)",
+           "herm_eig(core.swapaxes(-1, -2) @ P_perp @ core)",
            ("tests/test_invariance.py::"
             "test_station_rotations_move_no_bit_split_distance_or_explicit_pick",),
            ONE_READER),
@@ -225,6 +232,114 @@ MUTANTS = (
            "cfg.L, cfg.K, cfg.N_U, cfg.d_s))",
            ("tests/test_invariance.py::test_cell_relabeling_carries_the_rb_rates_with_their_patterns",),
            ONE_WAY_IN),
+    # what a draw's build forms, and the screen kept in the trial's memo
+    Mutant("take-forms-missing-pairs", "src/giasim/gia.py",
+           'raise ContractViolation(f"pairs {sorted(set(pairs) - self._formed)} were not formed")',
+           "self._form([pr for pr in dict.fromkeys(pairs) if pr not in self._formed])",
+           (f"{PIECES}::test_take_of_a_pair_the_build_did_not_form_is_refused",), AT_BUILD),
+    Mutant("screen-keyed-per-config", "src/giasim/harness.py",
+           '"screen", None, lambda:', '"screen", cfg, lambda:',
+           (f"{SHARING}::test_centralized_cells_of_a_draw_share_one_screen",), AT_BUILD),
+    Mutant("fixed-only-build-forms-every-pair", "src/giasim/harness.py",
+           'not in ("fixed", "rb", "fdma")', 'not in ("rb", "fdma")',
+           (f"{PIECES}::test_fixed_only_build_forms_the_ring_once",), AT_BUILD),
+    # the prose mutants of earlier changes, ported to today's code
+    Mutant("direct-channels-cell-major", "src/giasim/gia.py",
+           'return np.einsum("ikkab->ikab", ch.H)', 'return np.einsum("ikkab->kiab", ch.H)',
+           ("tests/test_gia.py::test_rate_paths_agree",), "array-shaped trial evaluation"),
+    Mutant("throughput-keeps-own-term", "src/giasim/harness.py",
+           "others = np.where(own, 0.0, cov)", "others = cov",
+           ("tests/test_harness.py::TestThroughput",), "array-shaped trial evaluation"),
+    Mutant("receiver-preferences-without-noise", "src/giasim/assignment.py",
+           "per_config(configs, lambda c: c.P / (c.d_s * c.sigma2),",
+           "per_config(configs, lambda c: c.P / c.d_s,",
+           ("tests/test_harness.py::test_rates_depend_on_powers_only_through_snr",),
+           "array-shaped trial evaluation"),
+    Mutant("confirm-sums-users", "src/giasim/assignment.py",
+           "user_rates(candidate(c)).T.tolist()", "user_rates(candidate(c)).tolist()",
+           (f"{CENTRAL}::test_search_equals_fresh_build_per_candidate[reference_k4]",),
+           "array-shaped trial evaluation"),
+    Mutant("cell-receivers-are-providers", "src/giasim/gia.py",
+           "receivers = np.argsort(providers, axis=-1)[", "receivers = np.asarray(providers)[",
+           (GATHERED,), "pair pieces in stacked calls"),
+    Mutant("take-ignores-failed-pieces", "src/giasim/gia.py",
+           "for p, r in pairs if self._errors else ():", "for p, r in ():",
+           (f"{PIECES}::test_failed_piece_raises_at_its_read_only",),
+           "pair pieces in stacked calls"),
+    Mutant("frame-draws-reversed", "src/giasim/feedback.py",
+           "self.E = [rng.exponential() for rng in rngs]",
+           "self.E = [rng.exponential() for rng in rngs][::-1]",
+           (f"{QUANTIZATION}::test_stacked_quantization_equals_per_user_oracle{REFERENCE_SHAPE}",),
+           "quantize users, not cells"),
+    Mutant("leakage-receivers-reversed", "src/giasim/harness.py",
+           "np.argsort(tset.assignment.providers)  # provider order",
+           "np.argsort(tset.assignment.providers)[::-1]  # provider order",
+           (f"{QUANTIZATION}::test_stacked_quantization_equals_per_user_oracle{REFERENCE_SHAPE}",),
+           "quantize users, not cells"),
+    Mutant("nulling-provider-block-of-another-cell", "src/giasim/gia.py",
+           "[K * L * K + i * K + k]", "[K * L * K + i * K + (K - 1 - k)]",
+           (GATHERED,), "quantize users, not cells"),
+    Mutant("search-result-unconjugated", "src/giasim/feedback.py",
+           "return idx, cb.words_h[idx].conj().T,", "return idx, cb.words_h[idx].T,",
+           ("tests/test_feedback.py::TestQuantize::test_exact_member_wins",),
+           "quantize users, not cells"),
+    Mutant("screen-embedding-sign", "src/giasim/feedback.py",
+           "np.concatenate((V, 1j * V), axis=1)", "np.concatenate((V, -1j * V), axis=1)",
+           (f"{QUANTIZATION}::test_screened_search_equals_einsum_search",),
+           "faster feedback quantization with the same bits"),
+    Mutant("screen-users-swapped", "src/giasim/gia.py",
+           "gains[ok] = _gram_eigvals(Z.reshape(-1, M.shape[1], L, d_s, L * d_s))",
+           "gains[ok] = _gram_eigvals(Z.reshape(-1, M.shape[1], L, d_s, L * d_s))[..., ::-1, :]",
+           (f"{CENTRAL}::test_screened_rates_equal_user_rates",),
+           "one inverse per cell, not one QR per user"),
+    Mutant("template-without-provider-block", "src/giasim/gia.py",
+           "+ [(p, L * K)] + [(k, m * K + k)", "+ [(k, m * K + k)",
+           (GATHERED,), "one inverse per cell, not one QR per user"),
+    Mutant("certificate-skips-finiteness", "src/giasim/gia.py",
+           "certified = np.isfinite(M).all(axis=(-2, -1)) & (M.shape[-2] == n)",
+           "certified = np.full(M.shape[:-2], M.shape[-2] == n)",
+           (f"{CERTIFICATE}[non_finite]",), "one inverse per cell, not one QR per user"),
+    Mutant("certificate-without-fallback", "src/giasim/gia.py",
+           "factor, refused = _each(np.linalg.cholesky, gram)",
+           "factor, refused = np.linalg.cholesky(gram), {}",
+           (f"{CERTIFICATE}[tight_rank_deficient]",), "one inverse per cell, not one QR per user"),
+    Mutant("certificate-without-conditioning-bound", "src/giasim/gia.py",
+           "    diagonal -= (CERTIFIED_RATIO", "    diagonal -= 0 * (CERTIFIED_RATIO",
+           (f"{CENTRAL}::test_certificate_sees_ill_conditioning_off_the_diagonal",),
+           "one inverse per cell, not one QR per user"),
+    Mutant("quantize-screen-without-margin", "src/giasim/feedback.py",
+           "return 6 * N ** 2 * (3 * M + N + 4) * 2.0 ** -53", "return 0.0",
+           (f"{QUANTIZATION}::test_screen_keeps_every_exact_minimizer",),
+           "feed back every budget of a draw at once"),
+    Mutant("feedback-entry-off-by-one", "src/giasim/harness.py",
+           "tuple(stack[position] for stack", "tuple(stack[position - 1] for stack",
+           (f"{QUANTIZATION}::test_batched_feedback_equals_per_entry_feedback{REFERENCE_SHAPE}",),
+           "feed back every budget of a draw at once"),
+    Mutant("assignment-without-memo", "src/giasim/harness.py",
+           'return self._once("assignment", key, lambda: self._choose(cfg, scheme))',
+           "return self._choose(cfg, scheme)",
+           (f"{SHARING}::test_each_draw_matches_once_per_rule_and_forms_pairs_once",),
+           "feed back every budget of a draw at once"),
+    Mutant("aggregate-without-contiguous-copy", "src/giasim/harness.py",
+           "records = np.ascontiguousarray(records)", "records = records",
+           ("tests/test_harness.py::TestAggregation::test_stacked_aggregate_equals_per_cell_oracle",),
+           "one rate pass per draw"),
+    Mutant("sweep-without-draw-fit-check", "src/giasim/harness.py",
+           "    require_draw_fits(cfg)\n", "",
+           ("tests/test_cli.py::test_oversized_draw_is_an_error_line",),
+           "a cell returns its five summary numbers"),
+    Mutant("certified-ratio-1e-7", "src/giasim/gia.py",
+           "CERTIFIED_RATIO = 1e-6", "CERTIFIED_RATIO = 1e-7",
+           (f"{CENTRAL}::test_candidates_in_the_certificate_band_take_the_exact_path",),
+           "the centralized screen from a Cholesky factor of each cell's Gram"),
+    Mutant("anchor-a-past-the-bracket", "src/giasim/feedback.py",
+           "0.0 < a < hi and spread(a)", "0.0 < a and spread(a)",
+           (f"{BISECTION}::test_anchor_past_the_bracket_is_refused",),
+           "faster feedback quantization with the same bits"),
+    Mutant("anchor-b-without-band", "src/giasim/feedback.py",
+           "spread(b) > dist_sq * (1.0 + 2.0 ** -46)", "spread(b) > dist_sq",
+           (f"{BISECTION}::test_anchor_inside_the_roundoff_band_is_refused",),
+           "faster feedback quantization with the same bits"),
 )
 
 

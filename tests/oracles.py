@@ -29,8 +29,8 @@ from giasim.linalg import (
     complex_gaussian,
     herm_inv_sqrt,
     matrix_rank,
+    complement_projector,
     orthonormalize,
-    projectors,
     psd_eigvals,
     svd,
 )
@@ -52,6 +52,21 @@ def left_null_space(M):
     if ranks.min() != ranks.max():
         raise ContractViolation(f"stack slices differ in rank ({ranks.min()} to {ranks.max()})")
     return U[..., int(ranks.max()):]
+
+
+def projector(X):
+    """The orthogonal projector P = X (X^H X)^-1 X^H onto span(X), formed as
+    ``linalg.complement_projector`` forms it before it returns I - P."""
+    X = np.asarray(X, dtype=complex)
+    X_h = X.conj().swapaxes(-1, -2)
+    return X @ np.linalg.solve(X_h @ X, X_h)
+
+
+def omega(H, pattern, V_perp):
+    """The leakage curvature Omega = V_perp^H H^H P_perp H V_perp of
+    ``feedback.omega_matrix``, whose largest eigenvalue that function returns."""
+    core = H @ V_perp
+    return core.conj().swapaxes(-1, -2) @ complement_projector(H @ pattern) @ core
 
 
 def chordal_distance_sq(V1, V2):
@@ -327,12 +342,13 @@ def zf_decoder(ch, assignment, patterns, i, k, block, d_s):
 
 def centralized_search(ch, cfg, objective="sum_rate", sense="best", potentials=None):
     """``assignment.centralized_search`` on ``potentials`` (fresh ones if None) with
-    the plain confirm: each candidate it confirms gets its own
-    ``gia.build_transceivers`` and ``gia.user_rate``, nothing kept between them."""
+    the plain screen and confirm: ``Potentials.inverse_gains`` formed at the call, and
+    each candidate it confirms gets its own ``gia.build_transceivers`` and
+    ``gia.user_rate``, nothing kept between them."""
     if potentials is None:
         potentials = gia.build_potentials(ch, cfg, gia.cell_pairs(cfg.K))
     return asg.centralized_search(
-        cfg, potentials,
+        cfg, potentials.inverse_gains,
         lambda a: gia.user_rate(ch, gia.build_transceivers(ch, cfg, a, potentials), cfg),
         objective, sense)
 
@@ -381,7 +397,7 @@ def provider_preferences(ch, cfg, k, potentials):
     for cand in range(cfg.K):
         if cand == k:
             continue
-        _, P_perp = projectors(potentials.take("aligned", [(cand, k)])[0])
+        P_perp = complement_projector(potentials.take("aligned", [(cand, k)])[0])
         u = 0.0
         for i in range(cfg.L):
             Hd = ch.H[i, k, k]
@@ -434,8 +450,7 @@ def leakage(ch, tset, cfg):
     the harness computes it for the bit split and the RINR bound."""
     receiver_of = {p: r for r, p in enumerate(tset.assignment.providers)}
     return per_user(cfg, lambda i, k: omega_matrix(
-        ch.H[i, k, receiver_of[k]], tset.patterns[i, k], left_null_space(tset.patterns[i, k])
-    )[1])
+        ch.H[i, k, receiver_of[k]], tset.patterns[i, k], left_null_space(tset.patterns[i, k])))
 
 
 def allocation_objective(lambda1, bits, d_s, N_U):

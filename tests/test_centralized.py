@@ -4,7 +4,7 @@ null basis behind its decoders.
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
 across candidates and calls. It screens every candidate in one call, from a
 Cholesky factor of the Gram of each of their cell matrices, gathered from a
-per-draw pair table and formed in chunks once per draw, and evaluates
+pair table formed once per screen and factored in chunks, and evaluates
 exactly, through ``build_transceivers`` and ``user_rate``, only the
 candidates the screen cannot certify and those near
 the best screened value. The searches below confirm through
@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from giasim import assignment as asg
 from giasim import gia
 from giasim.assignment import (
     SCREEN_MARGIN,
@@ -34,6 +35,7 @@ from giasim.assignment import (
 )
 from giasim.errors import CapacityExceeded, ContractViolation, GiaSimError
 from giasim.gia import (
+    assignment_pairs,
     build_potentials,
     build_transceivers,
     cell_pairs,
@@ -65,6 +67,13 @@ def reference_candidates(ch, cfg):
         ]
         out.append((assignment, cell_rates))
     return out
+
+
+def screened_rates(cfg, potentials, providers):
+    """Every user's screened rate in nats, (n, L, K), at ``cfg``'s power, of the
+    candidates ``providers``, as ``centralized_search`` forms it from the inverse gains."""
+    scale = cfg.P / (cfg.d_s * cfg.sigma2)
+    return np.log1p(scale / potentials.inverse_gains(providers)).sum(-1).swapaxes(-1, -2)
 
 
 def reference_pick(candidates, objective, sense):
@@ -155,18 +164,20 @@ def test_screen_error_falls_back_to_every_candidate(monkeypatch):
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     ref_chosen, ref_value = reference_pick(reference_candidates(ch, REFERENCE), "sum_rate", "best")
-    screen = gia.screen_candidates
+    scale = REFERENCE.P / (REFERENCE.d_s * REFERENCE.sigma2)
 
-    def low_on_winner(cfg, potentials, providers):
-        rates = screen(cfg, potentials, providers)
-        for row, rate in zip(providers.tolist(), rates):
+    def low_on_winner(providers):  # the winner's every screened rate term times 1 - 10 margin
+        gains = potentials.inverse_gains(providers)
+        for row, lam in zip(providers.tolist(), gains):
             if tuple(row) == ref_chosen.providers:
-                rate *= 1 - 10 * SCREEN_MARGIN
-        return rates
+                lam[...] = scale / np.expm1(np.log1p(scale / lam) * (1 - 10 * SCREEN_MARGIN))
+        return gains
 
-    monkeypatch.setattr(gia, "screen_candidates", low_on_winner)
     builds = _count_calls(monkeypatch, "build_transceivers")
-    chosen, value = centralized_search(ch, REFERENCE, "sum_rate", "best", potentials)
+    chosen, value = asg.centralized_search(
+        REFERENCE, low_on_winner,
+        lambda a: user_rate(ch, gia.build_transceivers(ch, REFERENCE, a, potentials), REFERENCE),
+        "sum_rate", "best")
     assert len(builds) == 9  # the self-check sent every candidate down the exact path
     assert chosen.providers == ref_chosen.providers
     assert value == ref_value
@@ -227,7 +238,7 @@ def test_candidates_in_the_certificate_band_take_the_exact_path(monkeypatch):
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = np.array(list(enumerate_derangements(REFERENCE.K)))
     band = providers[:, 0] == 1
-    M = potentials.cell_matrices(providers)[band, 0]
+    M = potentials.cell_matrices(potentials.pair_table(), providers)[band, 0]
     s = np.linalg.svd(M, compute_uv=False)
     assert ((1e-9 < s[:, -1] / s[:, 0]) & (s[:, -1] / s[:, 0] < 1e-6)).all()
     norms = np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(M), axis=(-2, -1))
@@ -288,7 +299,8 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
     ch = draw_channels(cfg, trial_rng(seed, 0))
     potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     L, K, N_B, d_s = cfg.L, cfg.K, cfg.N_B, cfg.d_s
-    cells = potentials.cell_matrices(np.array(list(enumerate_derangements(K))))
+    cells = potentials.cell_matrices(potentials.pair_table(),
+                                     np.array(list(enumerate_derangements(K))))
     assert cells.shape == (len(_derangements(cfg)), K, N_B, N_B)  # tight: square
     first_own = N_B - L * d_s
     for assignment, M in zip(_derangements(cfg), cells):
@@ -352,7 +364,7 @@ def test_screened_rates_equal_user_rates():
         ch = draw_channels(cfg, rng)
         potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
         providers = np.array(list(enumerate_derangements(cfg.K)))
-        screened = gia.screen_candidates(cfg, potentials, providers)
+        screened = screened_rates(cfg, potentials, providers)
         assert screened.shape == (len(_derangements(cfg)), cfg.L, cfg.K)
         for assignment, rates in zip(_derangements(cfg), screened):
             exact = user_rate(ch, build_transceivers(ch, cfg, assignment, potentials), cfg)
@@ -361,8 +373,8 @@ def test_screened_rates_equal_user_rates():
 
 
 def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypatch):
-    # the screen keeps 8 K L d_s bytes of inverse gains per candidate on the
-    # potentials, and counts them before it gathers or factors a cell matrix
+    # the screen keeps 8 K L d_s bytes of inverse gains per candidate in the
+    # trial's memo, and counts them before it gathers or factors a cell matrix
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = np.array(list(enumerate_derangements(REFERENCE.K)))
@@ -372,10 +384,10 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     size = 8 * len(providers) * REFERENCE.K * REFERENCE.L * REFERENCE.d_s
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size - 1)
     with pytest.raises(CapacityExceeded, match=f"{size} bytes"):
-        gia.screen_candidates(REFERENCE, potentials, providers)
+        screened_rates(REFERENCE, potentials, providers)
     assert factored == []
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size)
-    assert np.isfinite(gia.screen_candidates(REFERENCE, potentials, providers)).all()
+    assert np.isfinite(screened_rates(REFERENCE, potentials, providers)).all()
     assert factored == [len(providers)]
 
 
@@ -388,7 +400,7 @@ def test_screen_is_finite_at_the_snr_ceiling():
     for cfg in (replace(TIGHT_K6, P=SNR_CEILING), replace(TIGHT_K6, P=1.0, sigma2=1 / SNR_CEILING)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(gia.screen_candidates(cfg, potentials, providers)).all()
+            assert np.isfinite(screened_rates(cfg, potentials, providers)).all()
 
 
 @pytest.mark.parametrize("m, bad", [
@@ -460,7 +472,7 @@ def test_stacked_null_basis_equals_each_slice():
 
 def test_stacked_decoders_equal_single_user_decoders():
     ch = draw_channels(REFERENCE, trial_rng(43, 0))
-    potentials = gia.Potentials(ch, REFERENCE)
+    potentials = build_potentials(ch, REFERENCE, assignment_pairs(fixed_cyclic(REFERENCE.K)))
     tset = build_transceivers(ch, REFERENCE, fixed_cyclic(REFERENCE.K), potentials)
     prov = tset.assignment.providers
     for k in range(REFERENCE.K):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from giasim import harness
+from giasim import cli, harness
 from giasim.cli import GRID_POINT_CAP, main, parse_grid
 from giasim.errors import NumericalFailure
 from oracles import read_codebook
@@ -115,10 +115,15 @@ def test_codebook_bad_input_is_an_error_line(tmp_path, capsys, extra):
         assert err == "error: negative bit count -1\n"
 
 
-def test_codebook_unwritable_out_is_an_error_line(tmp_path, capsys):
+def test_codebook_unwritable_out_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # refused before the book is generated, which can take seconds and gigabytes
+    generated = []
+    monkeypatch.setattr(cli, "generate_codebook", lambda *args: generated.append(args))
     out = tmp_path / "no" / "such" / "book.bin"
     assert main(["codebook", "--ambient", "8", "--sub", "2", "--bits", "2", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write codebook to {out}: ") and len(err.splitlines()) == 1
+    assert generated == []
 
 
 def test_snr_triple_from_config_file(tmp_path):

@@ -34,6 +34,7 @@ from oracles import (
     is_semi_unitary,
     leakage,
     left_null_space,
+    omega,
     read_codebook,
     sample_min_distortion,
     subspace_at_distance_80_steps,
@@ -150,9 +151,10 @@ class TestOmega:
     def test_identity_channel(self):
         H = np.eye(8, dtype=complex)
         pattern = np.eye(8, dtype=complex)[:, :2]
-        omega, lam1 = omega_matrix(H, pattern, left_null_space(pattern))
-        assert omega.shape == (6, 6)
-        assert np.allclose(omega, np.eye(6), atol=1e-10)
+        Omega, lam1 = omega(H, pattern, left_null_space(pattern)), omega_matrix(
+            H, pattern, left_null_space(pattern))
+        assert Omega.shape == (6, 6)
+        assert np.allclose(Omega, np.eye(6), atol=1e-10)
         assert lam1 == pytest.approx(1.0, abs=1e-10)
 
     def test_psd(self):
@@ -160,8 +162,9 @@ class TestOmega:
         for _ in range(100):
             H = complex_gaussian(g, (14, 8))
             pattern = random_subspace(8, 2, g)
-            omega, lam1 = omega_matrix(H, pattern, left_null_space(pattern))
-            assert np.linalg.eigvalsh(omega).min() >= -1e-10
+            Omega = omega(H, pattern, left_null_space(pattern))
+            lam1 = omega_matrix(H, pattern, left_null_space(pattern))
+            assert np.linalg.eigvalsh(Omega).min() >= -1e-10
             assert lam1 >= 0.0
 
     def test_rotation_invariant(self):
@@ -169,8 +172,8 @@ class TestOmega:
         H = complex_gaussian(g, (14, 8))
         pat = random_subspace(8, 2, g)
         Q = orthonormalize(complex_gaussian(g, (2, 2)))
-        _, lam_a = omega_matrix(H, pat, left_null_space(pat))
-        _, lam_b = omega_matrix(H, pat @ Q, left_null_space(pat @ Q))
+        lam_a = omega_matrix(H, pat, left_null_space(pat))
+        lam_b = omega_matrix(H, pat @ Q, left_null_space(pat @ Q))
         assert lam_a == pytest.approx(lam_b, rel=1e-9)
 
     def test_degenerate_image(self):

@@ -11,7 +11,7 @@ from giasim.errors import (
     InfeasibleConfig,
 )
 from giasim.gia import (
-    Potentials,
+    assignment_pairs,
     build_potentials,
     build_transceivers,
     cell_pairs,
@@ -45,7 +45,7 @@ def realization():
 
 @pytest.fixture(scope="module")
 def potentials(realization):
-    return Potentials(realization, CFG)
+    return build_potentials(realization, CFG, assignment_pairs(fixed_cyclic(CFG.K)))
 
 
 @pytest.fixture(scope="module")

@@ -3,14 +3,14 @@ import pytest
 
 from giasim.errors import ContractViolation, RankDeficient
 from giasim.linalg import (
+    complement_projector,
     complex_gaussian,
     herm_eig,
     norm_sq,
     orthonormalize,
-    projectors,
     svd,
 )
-from oracles import chordal_distance_sq, is_semi_unitary, left_null_space
+from oracles import chordal_distance_sq, is_semi_unitary, left_null_space, projector
 
 rng = np.random.default_rng(101)
 
@@ -92,18 +92,18 @@ class TestLeftNullSpace:
 
 class TestProjectors:
     def test_axis(self):
-        P, Pp = projectors(np.array([[1.0], [0.0]]))
+        P, Pp = projector(np.array([[1.0], [0.0]])), complement_projector(np.array([[1.0], [0.0]]))
         assert np.allclose(P, np.diag([1.0, 0.0]))
         assert np.allclose(Pp, np.diag([0.0, 1.0]))
 
     def test_semi_unitary_shortcut(self):
         X = orthonormalize(complex_gaussian(rng, (5, 2)))
-        P, _ = projectors(X)
+        P = np.eye(5) - complement_projector(X)
         assert np.allclose(P, X @ X.conj().T, atol=1e-12)
 
     def test_defining_identity(self):
         X = complex_gaussian(rng, (5, 2))
-        P, Pp = projectors(X)
+        P, Pp = projector(X), complement_projector(X)
         assert np.linalg.norm(P @ X - X) < 1e-10
         assert np.linalg.norm(P @ P - P) < 1e-10
         assert np.linalg.norm(P - P.conj().T) < 1e-10
@@ -113,7 +113,7 @@ class TestProjectors:
     def test_rank_deficient(self):
         X = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficient):
-            projectors(X)
+            complement_projector(X)
 
 
 class TestHermEig:
@@ -183,7 +183,7 @@ class TestOrthonormalize:
         Q = orthonormalize(M)
         assert is_semi_unitary(Q)
         # same span: projection of original columns is lossless
-        P, _ = projectors(Q)
+        P = projector(Q)
         assert np.linalg.norm(P @ M - M) < 1e-9
         assert chordal_distance_sq(Q, orthonormalize(M)) < 1e-9
 

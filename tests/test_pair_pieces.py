@@ -1,7 +1,8 @@
 """Stacked pair pieces against the per-pair loop they replaced.
 
-``gia.Potentials`` forms every requested (provider, receiver) pair's inner
-precoder, patterns, aligned basis and whiteners in one stacked call per kind.
+``gia.build_potentials`` forms every requested (provider, receiver) pair's inner
+precoder, patterns, aligned basis and whiteners in one stacked call per kind,
+and nothing changes them after: a read of a pair it did not form is refused.
 ``oracles.pair_pieces`` is the per-pair construction, one small call per pair
 and per user, so the two must agree with ``np.array_equal`` on every shape of
 ``test_dimension_fuzz``. A pair whose piece fails a check keeps its exception
@@ -16,7 +17,7 @@ from giasim import gia
 from giasim.assignment import fixed_cyclic
 from giasim.errors import ContractViolation, DegenerateChannel, GiaSimError
 from giasim.gia import build_potentials, cell_pairs
-from giasim.harness import SchemeSpec, SweepSpec, TrialBuild, run_sweep
+from giasim.harness import ASSIGNMENT_SCHEMES, SchemeSpec, SweepSpec, TrialBuild, run_sweep
 from giasim.linalg import herm_inv_sqrt
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
@@ -45,21 +46,96 @@ def test_stacked_pieces_equal_per_pair_oracle(n):
 
 
 def test_pieces_formed_in_any_batches_are_the_same_bits():
-    # an empty build forms pairs at their first read, one batch per read
+    # builds of different pair lists, in any order and batch, form each pair's
+    # pieces with the same bits as the build of every pair
     ch = draw_channels(CFG, trial_rng(SEED, 0))
     empty = build_potentials(ch, CFG, pairs=[])
     assert empty._formed == set()
-    full = build_potentials(ch, CFG, cell_pairs(CFG.K))
     pairs = cell_pairs(CFG.K)
-    for batch in ([(2, 1)], [(0, 1), (2, 1), (3, 0)], pairs):
+    full = build_potentials(ch, CFG, pairs)
+    rest = [pr for pr in pairs if pr not in ((2, 1), (0, 1), (3, 0))]
+    for batch in ([(2, 1)], [(0, 1), (2, 1), (3, 0)], [(0, 1), (3, 0)], rest, pairs[::-1]):
+        part = build_potentials(ch, CFG, batch)
+        assert part._formed == set(batch)
         for name in ("inner", "patterns", "aligned", "whiteners"):
-            assert np.array_equal(empty.take(name, batch), full.take(name, batch)), (batch, name)
-    assert empty._formed == set(pairs)
+            assert np.array_equal(part.take(name, batch), full.take(name, batch)), (batch, name)
     twice = build_potentials(ch, CFG, pairs=[(1, 2), (1, 2)])
     assert twice._formed == {(1, 2)}
     assert twice.take("aligned", []).shape == (0, CFG.N_B, CFG.d_s)
     with pytest.raises(ContractViolation):
         build_potentials(ch, CFG, pairs=[(2, 2)])
+
+
+def test_take_of_a_pair_the_build_did_not_form_is_refused():
+    ch = draw_channels(CFG, trial_rng(SEED, 1))
+    ring = gia.assignment_pairs(fixed_cyclic(CFG.K))
+    potentials = build_potentials(ch, CFG, ring)
+    missing = [pr for pr in cell_pairs(CFG.K) if pr not in ring]
+    for name in ("inner", "patterns", "aligned", "whiteners"):
+        assert potentials.take(name, ring).shape[0] == CFG.K
+        for pair in missing:
+            with pytest.raises(ContractViolation, match="not formed"):
+                potentials.take(name, ring + [pair])
+    assert potentials._formed == set(ring)  # the refused reads formed nothing
+
+
+def test_fixed_only_build_forms_the_ring_once(monkeypatch):
+    # one build_potentials per draw, of the ring's K pairs; no read forms more
+    built, formed = [], []
+    build, form = gia.build_potentials, gia.Potentials._form
+    monkeypatch.setattr(gia, "build_potentials",
+                        lambda ch, cfg, pairs: built.append(list(pairs)) or build(ch, cfg, pairs))
+    monkeypatch.setattr(gia.Potentials, "_form",
+                        lambda self, pairs: formed.append(list(pairs)) or form(self, pairs))
+    schemes = (SchemeSpec(), SchemeSpec(bit_alloc="dba", bits_budget=40),
+               SchemeSpec(assignment="rb"), SchemeSpec(assignment="fdma"))
+    trials = 3
+    run_sweep(SweepSpec("snr_db", (10.0, 20.0, 30.0), trials, schemes, seed=5), CFG)
+    ring = gia.assignment_pairs(fixed_cyclic(CFG.K))
+    assert len(ring) == CFG.K and built == formed == [ring] * trials
+
+
+def _state(potentials) -> dict:
+    """Every attribute of ``potentials``, arrays and sets copied, dicts item by item."""
+    def copy(value):
+        if isinstance(value, dict):
+            return {key: copy(item) for key, item in value.items()}
+        return value.copy() if isinstance(value, (np.ndarray, set)) else value
+    return {name: copy(value) for name, value in vars(potentials).items()}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):  # the pair slots no build forms hold what np.empty left
+        return isinstance(b, np.ndarray) and np.array_equal(a, b, equal_nan=True)
+    return a is b or a == b
+
+
+def test_potentials_do_not_change_after_the_build(monkeypatch):
+    # every read of a sweep, the centralized screen's among them, leaves the
+    # build's pair pieces as build_potentials returned them
+    kept = []
+    build = gia.build_potentials
+
+    def recorded(ch, cfg, pairs):
+        potentials = build(ch, cfg, pairs)
+        kept.append((potentials, _state(potentials)))
+        return potentials
+
+    monkeypatch.setattr(gia, "build_potentials", recorded)
+    every = tuple(SchemeSpec(assignment=rule) for rule in ASSIGNMENT_SCHEMES) + (
+        SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=40),)
+    run_sweep(SweepSpec("snr_db", (10.0, 30.0), 2, every, seed=7), CFG)
+    central = (SchemeSpec(assignment="centralized_sum"), SchemeSpec(assignment="worst_min"))
+    run_sweep(SweepSpec("snr_db", (10.0, 30.0), 2, central, seed=8), CFG)
+    assert len(kept) == 4
+    for potentials, state in kept:
+        assert potentials._formed == set(cell_pairs(CFG.K))
+        now = _state(potentials)
+        assert now.keys() == state.keys()
+        for name in state:
+            assert _same(now[name], state[name]), name
 
 
 BAD = (0, 2)  # fixed aligns each cell toward its successor, so it never reads this pair

@@ -284,14 +284,14 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
     assert {name: len(seen) for name, seen in calls.items()} == {
         "fca_match": trials, "gale_shapley": trials, "is_stable": 2 * trials,
         "build_potentials": trials}
-    # a matching in the sweep makes the fixed cell's request form every pair, at once
+    # a matching in the sweep makes the build form every pair, at once
     assert calls["build_potentials"] == formed == [CFG.K * (CFG.K - 1)] * trials
     assert rows == grid_major_reference(spec, CFG)
-    # a fixed-only sweep keeps to its K pairs, formed in one read
+    # a fixed-only sweep keeps to its K pairs, formed at build
     calls.clear()
     run_sweep(SweepSpec("snr_db", (10.0, 30.0), trials, (SchemeSpec(),), seed=46), CFG)
     formed = [n for n in calls.pop("_form") if n]
-    assert calls == {"build_potentials": [0] * trials} and formed == [CFG.K] * trials
+    assert calls == {"build_potentials": [CFG.K] * trials} and formed == [CFG.K] * trials
 
 
 def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
@@ -397,8 +397,8 @@ def test_centralized_cell_builds_each_confirmed_candidate_once(monkeypatch):
 
 
 def test_centralized_cells_of_a_draw_share_one_screen(monkeypatch):
-    # the screen's P-free part (certificates, factors, inverse gains) is kept on
-    # the draw's potentials, so the three searches at each of three grid points
+    # the screen's P-free part (certificates, factors, inverse gains) is kept in
+    # the build's "screen" stage, so the three searches at each of three grid points
     # all read one: a draw factors its D(4) = 9 candidates once, in one chunk,
     # where a screen per search would take 9 calls per draw
     calls = []
@@ -444,7 +444,9 @@ def test_scheme_outside_the_builds_cells_is_refused():
                    SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100,
                               codebook_seed=2),
                    SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100)):
-        with pytest.raises(ContractViolation, match="not among the cells"):
+        # a matching reads pairs that a fixed-only build did not form: refused at that read
+        refusal = "not formed" if scheme.assignment == "two_sided" else "not among the cells"
+        with pytest.raises(ContractViolation, match=refusal):
             hmod._evaluate_trial(build, CFG, scheme, 0)
 
 
@@ -502,8 +504,8 @@ def test_rules_that_pick_one_assignment_share_its_feedback_rates(monkeypatch):
 
 # Every stage of a build's memo, each holding one kind of value (README, "How a
 # sweep runs"); the last five are kept one value per planned config.
-MEMO_STAGES = {"potentials", "provider side", "assignment", "transceivers", "leakage",
-               "frame", "quantized", "receiver side", "user rates", "feedback rates",
+MEMO_STAGES = {"potentials", "provider side", "assignment", "screen", "transceivers",
+               "leakage", "frame", "quantized", "receiver side", "user rates", "feedback rates",
                "rb rates", "fdma rates"}
 
 
