@@ -121,16 +121,17 @@ def omega_matrix(H: np.ndarray, pattern: np.ndarray, V_perp: np.ndarray) -> np.n
 
     Omega = (V_perp)^H H^H P_perp H V_perp with V_perp the left null basis
     of the pattern and P_perp projecting away the ideally aligned image
-    span(H pattern). Returns the largest eigenvalue of Omega, which ``herm_eig``
-    takes of its Hermitian part; stacks of channels (..., N_B, M), patterns and
-    null bases give one per slice, from one call per kernel.
+    span(H pattern). Returns the largest eigenvalue of Omega's Hermitian part, which
+    ``herm_eig`` would refuse for an ill-conditioned image; stacks of channels
+    (..., N_B, M), patterns and null bases give one per slice, from one call each.
     """
     try:
         P_perp = complement_projector(H @ pattern)
     except RankDeficient as exc:
         raise DegenerateChannel("aligned image H @ pattern is rank deficient") from exc
     core = H @ V_perp
-    return herm_eig(core.conj().swapaxes(-1, -2) @ P_perp @ core)[0][..., 0]
+    omega = core.conj().swapaxes(-1, -2) @ P_perp @ core
+    return herm_eig((omega + omega.conj().swapaxes(-1, -2)) / 2.0)[0][..., 0]
 
 
 def quantized_decoder(

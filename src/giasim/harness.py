@@ -156,8 +156,8 @@ class TrialBuild:
         self._rng_after_draw = rng  # the rb baseline continues this stream, once per draw
         self._position = {c: i for i, c in enumerate(dict.fromkeys(c for c, _ in cells))}
         # the pairs the rules read: every pair if one matches or searches, else fixed's ring
-        self._pairs = (gia.cell_pairs(cfg.K) if any(s.assignment not in ("fixed", "rb", "fdma")
-                       for _, s in cells) else gia.assignment_pairs(asg.fixed_cyclic(cfg.K)))
+        self._pairs = gia.cell_pairs(cfg.K) if any(s.assignment not in ("fixed", "rb", "fdma")
+            for _, s in cells) else gia.assignment_pairs(self._choose(cfg, SchemeSpec("fixed")))
         groups, self._entries = {}, {}  # a feedback scheme -> its group's entries, its position
         for _, s in cells:
             if s.bit_alloc != "none":  # a group: {(bit allocation, budget): position}
@@ -230,8 +230,8 @@ class TrialBuild:
             return asg.breaking_step(matched, prefs)
         objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
         sense = "worst" if rule.startswith("worst") else "best"
-        screen = lambda providers: self._once(  # every derangement of K: once per draw
-            "screen", None, lambda: self.potentials().inverse_gains(providers))
+        screen = lambda providers: self._once(  # keyed by the candidates: once per draw
+            "screen", providers.tobytes(), lambda: self.potentials().inverse_gains(providers))
         return asg.centralized_search(
             cfg, screen, lambda a: self.user_rates(cfg, self.transceivers(a)), objective, sense)[0]
 

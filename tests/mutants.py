@@ -176,11 +176,14 @@ MUTANTS = (
            (f"{SHARING}::test_each_draw_matches_once_per_rule_and_forms_pairs_once",),
            ONE_READER),
     Mutant("leakage-gram-without-conj", "src/giasim/feedback.py",
-           "herm_eig(core.conj().swapaxes(-1, -2) @ P_perp @ core)",
-           "herm_eig(core.swapaxes(-1, -2) @ P_perp @ core)",
+           "omega = core.conj().swapaxes(-1, -2) @ P_perp @ core",
+           "omega = core.swapaxes(-1, -2) @ P_perp @ core",
            ("tests/test_invariance.py::"
             "test_station_rotations_move_no_bit_split_distance_or_explicit_pick",),
            ONE_READER),
+    Mutant("leakage-without-hermitian-part", "src/giasim/feedback.py",
+           "herm_eig((omega + omega.conj().swapaxes(-1, -2)) / 2.0)", "herm_eig(omega)",
+           ("tests/test_feedback.py::TestOmega::test_ill_conditioned_image",), AT_BUILD),
     Mutant("full-row-rank-unnamed", "src/giasim/gia.py",
            '        if rank == m:\n'
            '            raise InfeasibleConfig(f"interference stack has no null space, need {d_s}")\n',
@@ -238,7 +241,7 @@ MUTANTS = (
            "self._form([pr for pr in dict.fromkeys(pairs) if pr not in self._formed])",
            (f"{PIECES}::test_take_of_a_pair_the_build_did_not_form_is_refused",), AT_BUILD),
     Mutant("screen-keyed-per-config", "src/giasim/harness.py",
-           '"screen", None, lambda:', '"screen", cfg, lambda:',
+           '"screen", providers.tobytes(), lambda:', '"screen", (cfg, providers.tobytes()), lambda:',
            (f"{SHARING}::test_centralized_cells_of_a_draw_share_one_screen",), AT_BUILD),
     Mutant("fixed-only-build-forms-every-pair", "src/giasim/harness.py",
            'not in ("fixed", "rb", "fdma")', 'not in ("rb", "fdma")',

@@ -176,6 +176,19 @@ class TestOmega:
         lam_b = omega_matrix(H, pat @ Q, left_null_space(pat @ Q))
         assert lam_a == pytest.approx(lam_b, rel=1e-9)
 
+    def test_ill_conditioned_image(self):
+        # an image of condition number about 2e5 passes the rank check, and the
+        # product through its complement projector is Hermitian only to about
+        # 1e-6 relative: the largest eigenvalue is still that of its Hermitian part
+        g = np.random.default_rng(5)
+        H = complex_gaussian(g, (14, 8))
+        H[:, 1] = H[:, 0] + 1e-5 * complex_gaussian(g, (14,))
+        pattern = np.eye(8, dtype=complex)[:, :2]
+        Omega = omega(H, pattern, left_null_space(pattern))
+        assert np.linalg.cond(H @ pattern) > 1e5
+        assert omega_matrix(H, pattern, left_null_space(pattern)) == pytest.approx(
+            np.linalg.eigvalsh((Omega + Omega.conj().T) / 2).max(), rel=1e-9)
+
     def test_degenerate_image(self):
         pattern = np.eye(8, dtype=complex)[:, :2]
         with pytest.raises(DegenerateChannel):

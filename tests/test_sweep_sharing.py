@@ -436,7 +436,10 @@ def test_feedback_pass_runs_once_per_draw_assignment_and_group(monkeypatch):
 
 
 def test_scheme_outside_the_builds_cells_is_refused():
-    cells = [(CFG, SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100))]
+    # the matching cell without feedback makes the build form every pair, so each
+    # scheme below reaches the feedback read that refuses it
+    cells = [(CFG, SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100)),
+             (CFG, SchemeSpec(assignment="two_sided"))]
     build = hmod.TrialBuild(CFG, 6, 0, 0, cells)
     assert hmod._evaluate_trial(build, CFG, cells[0][1], 0)[-1] == 0
     for scheme in (SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=200),
@@ -444,10 +447,16 @@ def test_scheme_outside_the_builds_cells_is_refused():
                    SchemeSpec(assignment="fixed", bit_alloc="dba", bits_budget=100,
                               codebook_seed=2),
                    SchemeSpec(assignment="two_sided", bit_alloc="dba", bits_budget=100)):
-        # a matching reads pairs that a fixed-only build did not form: refused at that read
-        refusal = "not formed" if scheme.assignment == "two_sided" else "not among the cells"
-        with pytest.raises(ContractViolation, match=refusal):
+        with pytest.raises(ContractViolation, match="not among the cells"):
             hmod._evaluate_trial(build, CFG, scheme, 0)
+
+
+def test_rule_that_reads_pairs_a_fixed_only_build_did_not_form_is_refused():
+    # a fixed-only build forms the ring's K pairs: a matching is refused at its read
+    build = hmod.TrialBuild(CFG, 6, 0, 0, [(CFG, SchemeSpec(assignment="fixed"))])
+    for rule in ("one_sided", "two_sided"):
+        with pytest.raises(ContractViolation, match="not formed"):
+            hmod._evaluate_trial(build, CFG, SchemeSpec(assignment=rule), 0)
 
 
 def test_config_outside_the_builds_cells_is_refused():
