@@ -29,7 +29,11 @@ from .gia import zf_decoder
 from .linalg import complement_projector, complex_gaussian, herm_eig, norm_sq, orthonormalize, svd
 from .system import ChannelRealization, check_whole, per_config
 
-CODEBOOK_BYTE_GUARD = 2 ** 30  # largest codeword array generated, in bytes
+CODEBOOK_BYTE_GUARD = 2 ** 30  # most bytes that generating one codebook may hold
+# what generation holds at its peak, in codeword array sizes: the draw, the SVD's
+# factors and their product are alive at once (tracemalloc reads 3.2-3.3 on G(8, 2)
+# from 10 to 18 bits and on G(12, 2) at 14)
+CODEBOOK_GENERATION_PEAK = 4
 BITS_BUDGET_CAP = 2 ** 53  # largest bit budget that float64, and so the bit split, holds exactly
 _CALIBRATION_SEED = 0x5EED
 
@@ -53,12 +57,13 @@ class Codebook:
 
 
 def codebook_bytes(M: int, N: int, B: int) -> int | None:
-    """Size of 2^B complex128 codewords of shape (M, N), or None when the
-    size exceeds the byte guard."""
+    """Bytes that generating 2^B complex128 codewords of shape (M, N) holds at its peak,
+    CODEBOOK_GENERATION_PEAK times the codewords' own, or None when that exceeds the
+    byte guard."""
     # B is bounded first so that an outside value cannot make 2**B huge
     if not 0 <= B < CODEBOOK_BYTE_GUARD.bit_length():
         return None
-    size = 16 * M * N * 2 ** B
+    size = CODEBOOK_GENERATION_PEAK * 16 * M * N * 2 ** B
     return size if size <= CODEBOOK_BYTE_GUARD else None
 
 

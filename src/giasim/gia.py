@@ -44,25 +44,21 @@ def rate_logdet(M: np.ndarray, scale):
     return np.sum(np.log1p(scale * psd_eigvals(M @ M.conj().swapaxes(-1, -2))), axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransceiverSet:
-    """All per-cell and per-user filters for one assignment on one realization.
+    """The pair pieces of one strict assignment on one realization, gathered from its
+    ``Potentials``; the rates that read the zero-forcing decoders form them
+    (``zf_decoder`` of the assignment, patterns and blocks).
 
     Per-user arrays have the user axes (L, K) of ``ChannelRealization.H`` in
     front, so ``[i, k]`` is user i of cell k.
     """
 
-    ch: ChannelRealization
     assignment: object
     inner: np.ndarray        # (K, L*N_U, d_s) joint precoder of each cell
     patterns: np.ndarray     # (L, K, N_U, d_s) semi-unitary precoder patterns
     blocks: np.ndarray       # (K, N_B, d_s) aligned basis through which cell k's provider arrives
     whiteners: np.ndarray    # (L, K, d_s, d_s) (slice^H slice)^(-1/2) of each inner-precoder slice
-
-    @functools.cached_property
-    def decoders(self) -> np.ndarray:
-        """(L, K, N_B, d_s) semi-unitary zero-forcing decoders, formed at the first read."""
-        return zf_decoder(self.ch, self.assignment, self.patterns, self.blocks)
 
 
 def full_precoder(pattern: np.ndarray, P, d_s: int) -> np.ndarray:
@@ -222,47 +218,27 @@ def _caused(exc: Exception, cause: Exception) -> Exception:
 
 
 class Potentials:
-    """The inner precoder of each (provider, receiver) pair, plus the pieces that
-    depend on that pair alone, shared by every assignment that uses the pair, at
-    every transmit power. ``build_potentials`` forms them, one stacked call per kind,
-    and nothing changes them after; a pair whose piece fails a check keeps the
-    exception, and ``take`` raises it at a read of that piece."""
+    """The inner precoder of each (provider, receiver) pair of ``pairs``, plus the pieces
+    that depend on that pair alone, shared by every assignment that uses the pair, at
+    every transmit power. The constructor forms every piece of the distinct ``pairs`` in
+    one stacked call per kind, and nothing changes them after; :class:`ContractViolation`
+    for no pair or a cell paired with itself. A pair whose piece fails a check keeps the
+    exception, and ``take`` raises it at a read of that piece: its first failing check in
+    the order of the per-pair construction, the inner precoder's, then, user by user, the
+    pattern's, the aligned image's and its span's, or the whitener's."""
 
-    def __init__(self, ch: ChannelRealization, cfg: SystemConfig):
-        self.ch, self.cfg = ch, cfg
-        K, L, N_U, d_s = cfg.K, cfg.L, cfg.N_U, cfg.d_s
-        self._pieces = {name: np.empty((K * K,) + shape, complex) for name, shape in (
-            ("inner", (L * N_U, d_s)), ("patterns", (L, N_U, d_s)),
-            ("aligned", (cfg.N_B, d_s)), ("whiteners", (L, d_s, d_s)))}  # pair (p, r) at p * K + r
-        self._formed = set()  # the (provider, receiver) pairs whose pieces are formed
-        self._errors = {}  # (name, p, r) -> what a read of that piece raises
-
-    def take(self, name: str, pairs: list) -> np.ndarray:
-        """The pieces ``name`` of ``pairs``, one per pair along a leading axis: the
-        inner precoder (L*N_U, d_s), the users' patterns (L, N_U, d_s) or whiteners
-        (L, d_s, d_s), (slice^H slice)^(-1/2) of each inner-precoder slice, or the
-        aligned basis (N_B, d_s) at the receiver. :class:`ContractViolation` for a pair not
-        formed at build; else the first pair in order whose piece failed raises it."""
-        if not self._formed.issuperset(pairs):
-            raise ContractViolation(f"pairs {sorted(set(pairs) - self._formed)} were not formed")
-        for p, r in pairs if self._errors else ():
-            if (name, p, r) in self._errors:
-                raise self._errors[name, p, r]
-        return self._pieces[name][[p * self.cfg.K + r for p, r in pairs]]
-
-    def _form(self, pairs: list) -> None:
-        """Every piece of the distinct ``pairs`` in one stacked call per kind, once, by
-        ``build_potentials``. A pair's exception for a piece is its first failing check
-        in the order of the per-pair construction: the inner precoder's, then, user by
-        user, the pattern's, the aligned image's and its span's, or the whitener's."""
+    def __init__(self, ch: ChannelRealization, cfg: SystemConfig, pairs):
+        pairs = list(dict.fromkeys(pairs))
         if not pairs:
-            return
+            raise ContractViolation("potentials need at least one pair")
         if any(p == r for p, r in pairs):
             raise ContractViolation("a cell cannot align interference to itself")
-        L, N_B, N_U, d_s, K = self.cfg.L, self.cfg.N_B, self.cfg.N_U, self.cfg.d_s, self.cfg.K
+        self.ch, self.cfg = ch, cfg
+        self._rows = {pair: row for row, pair in enumerate(pairs)}  # pair -> its row of a piece
+        L, N_B, N_U, d_s = cfg.L, cfg.N_B, cfg.N_U, cfg.d_s
         n = L * N_U
         p, r = np.array(pairs).T
-        H = self.ch.H[:, p, r].swapaxes(0, 1)  # [pair, i]: user i of the provider at the receiver
+        H = ch.H[:, p, r].swapaxes(0, 1)  # [pair, i]: user i of the provider at the receiver
         if L == 1:
             V = np.broadcast_to(np.eye(n, d_s, dtype=complex), (len(p), n, d_s))
             null_dim = np.full(len(p), n)
@@ -281,7 +257,9 @@ class Potentials:
         dist = np.clip(d_s - overlap ** 2, 0.0, d_s)  # chordal distance^2 to user 0's span
         dist[:, 0] = 0.0  # user 0's image is not checked against its own span
         whiteners, whitener_errors = _each(herm_inv_sqrt, slices.conj().swapaxes(-1, -2) @ slices)
-        errors = {}  # (name, pair index) -> exception; written last user first, so the first wins
+        self._pieces = {"inner": V, "patterns": patterns, "aligned": bases[:, 0],
+                        "whiteners": whiteners}  # a pair's piece at its row
+        errors = {}  # (name, row) -> exception; written last user first, so the first wins
         for (j, i), exc in sorted(whitener_errors.items(), reverse=True):
             errors["whiteners", j] = exc
         for (j, i), exc in sorted(pattern_errors.items(), reverse=True):
@@ -299,10 +277,20 @@ class Potentials:
             exc = InfeasibleConfig(
                 f"alignment system null space has dimension {null_dim[j]} < d_s={d_s}")
             errors.update({(name, j): exc for name in self._pieces})
-        for name, piece in zip(self._pieces, (V, patterns, bases[:, 0], whiteners)):
-            self._pieces[name][p * K + r] = piece
-        self._errors.update({(name, *pairs[j]): exc for (name, j), exc in errors.items()})
-        self._formed.update(pairs)
+        self._errors = {(name, *pairs[j]): exc for (name, j), exc in errors.items()}
+
+    def take(self, name: str, pairs: list) -> np.ndarray:
+        """The pieces ``name`` of ``pairs``, one per pair along a leading axis: the
+        inner precoder (L*N_U, d_s), the users' patterns (L, N_U, d_s) or whiteners
+        (L, d_s, d_s), (slice^H slice)^(-1/2) of each inner-precoder slice, or the
+        aligned basis (N_B, d_s) at the receiver. :class:`ContractViolation` for a pair not
+        formed at build; else the first pair in order whose piece failed raises it."""
+        if not self._rows.keys() >= {*pairs}:
+            raise ContractViolation(f"pairs {sorted({*pairs} - self._rows.keys())} were not formed")
+        for p, r in pairs if self._errors else ():
+            if (name, p, r) in self._errors:
+                raise self._errors[name, p, r]
+        return self._pieces[name][[self._rows[p, r] for p, r in pairs]]
 
     def pair_table(self) -> np.ndarray:
         """Every pair's images and aligned basis, (K, K, L K + 1, d_s, N_B): at [p, r] the
@@ -355,12 +343,10 @@ class Potentials:
 
 
 def build_potentials(ch: ChannelRealization, cfg: SystemConfig, pairs) -> Potentials:
-    """Every piece of the (provider, receiver) pairs ``pairs``, one stacked call per kind:
-    the one place where pieces are formed. Matching and search read every ordered pair,
+    """The ``Potentials`` of the (provider, receiver) pairs ``pairs``: the one place where
+    pair pieces are formed. Matching and search read every ordered pair,
     ``cell_pairs(K)``; a failed piece raises at its read (``take``)."""
-    potentials = Potentials(ch, cfg)
-    potentials._form(list(dict.fromkeys(pairs)))
-    return potentials
+    return Potentials(ch, cfg, pairs)
 
 
 def assignment_pairs(assignment) -> list:
@@ -374,8 +360,7 @@ def build_transceivers(
     """Complete transceiver set for a strict assignment on one realization.
 
     Gathers the assignment's pair pieces from ``potentials``, or if None from one
-    ``build_potentials`` of its pairs; the decoders are formed at their first read
-    (``TransceiverSet.decoders``). Nothing depends on P: ``user_rate`` applies it.
+    ``build_potentials`` of its pairs. Nothing depends on P: ``user_rate`` applies it.
     """
     if not assignment.is_strict(cfg.K):
         raise ContractViolation("transceiver construction needs a strict assignment")
@@ -385,7 +370,7 @@ def build_transceivers(
         raise ContractViolation("potentials were built on another channel draw")
     inner, patterns, aligned = (potentials.take(n, pairs) for n in ("inner", "patterns", "aligned"))
     blocks = aligned[list(assignment.providers)]
-    return TransceiverSet(ch, assignment, inner, patterns.swapaxes(0, 1), blocks,
+    return TransceiverSet(assignment, inner, patterns.swapaxes(0, 1), blocks,
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
 
 
@@ -420,16 +405,17 @@ def user_rate(ch: ChannelRealization, tset: TransceiverSet, cfg) -> np.ndarray:
     """Achievable rate of every user in nats, as an (L, K) array; for a tuple of
     configs of one system, (configs, L, K).
 
-    Uses the effective-channel form: the decoder output channel U^H H[i, k, k]
-    times the user's inner-precoder slice, composed with the uniform-power
-    outer scaling of the power-free whitener, all users in one stack.
-    Numerically equal to evaluating the plain log-det rate on decoder, direct
-    channel and full precoder. The power-free H_eff is formed once; only the
-    outer scaling and what follows it are stacked over the configs.
+    Forms the zero-forcing decoders U (``zf_decoder``) and uses the effective-channel
+    form: the decoder output channel U^H H[i, k, k] times the user's inner-precoder
+    slice, composed with the uniform-power outer scaling of the power-free whitener,
+    all users in one stack. Numerically equal to evaluating the plain log-det rate on
+    decoder, direct channel and full precoder. The power-free H_eff is formed once;
+    only the outer scaling and what follows it are stacked over the configs.
     """
     L, K, N_U, d_s = tset.patterns.shape
     slices = tset.inner.reshape(K, L, N_U, d_s).swapaxes(0, 1)
-    H_eff = tset.decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices
+    decoders = zf_decoder(ch, tset.assignment, tset.patterns, tset.blocks)
+    H_eff = decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices
     V_out = full_precoder(tset.whiteners, per_config(cfg, lambda c: c.P, 4), d_s)
     return rate_logdet(H_eff @ V_out, per_config(cfg, lambda c: 1.0 / c.sigma2, 3))
 
@@ -452,7 +438,8 @@ def verify_alignment(
     ch: ChannelRealization, tset: TransceiverSet, cfg: SystemConfig
 ) -> AlignmentReport:
     """Measure every interference-nulling condition and the desired-link rank."""
-    images = link_images(ch, tset.decoders, full_precoder(tset.patterns, cfg.P, cfg.d_s))
+    decoders = zf_decoder(ch, tset.assignment, tset.patterns, tset.blocks)
+    images = link_images(ch, decoders, full_precoder(tset.patterns, cfg.P, cfg.d_s))
     resid = np.linalg.norm(images, axis=(-2, -1))  # [i, k, m, l]: user (m, l) at user (i, k)
     i, k, m, l = np.ix_(range(cfg.L), range(cfg.K), range(cfg.L), range(cfg.K))
     s = svd(np.einsum("ikikab->ikab", images), full_matrices=False)[1]  # desired links

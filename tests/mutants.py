@@ -50,6 +50,7 @@ RELABELING = "tests/test_invariance.py::test_cell_relabeling_carries_the_harness
 ONE_WAY_IN = "one way into a trial's memo"
 REFERENCE_SHAPE = "[9-K4L2NB14NU8d2]"  # a test_dimension_fuzz shape, the benchmark's reference
 AT_BUILD = "form a draw's pair pieces once, at build"
+BUILT = "draw records hold only what their build formed"
 PIECES = "tests/test_pair_pieces.py"
 CENTRAL = "tests/test_centralized.py"
 GATHERED = f"{CENTRAL}::test_gathered_stacks_equal_nulling_stacks[k4]"
@@ -110,8 +111,8 @@ MUTANTS = (
            ("tests/test_invariance.py::test_antenna_rotations_move_no_choice_and_no_rate",),
            "one preference format"),
     Mutant("user-rate-without-conj", "src/giasim/gia.py",
-           "H_eff = tset.decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices",
-           "H_eff = tset.decoders.swapaxes(-1, -2) @ direct_channels(ch) @ slices",
+           "H_eff = decoders.conj().swapaxes(-1, -2) @ direct_channels(ch) @ slices",
+           "H_eff = decoders.swapaxes(-1, -2) @ direct_channels(ch) @ slices",
            ("tests/test_invariance.py::test_antenna_rotations_move_no_choice_and_no_rate",),
            "one preference format"),
     Mutant("unplanned-config-read", "src/giasim/harness.py",
@@ -191,8 +192,8 @@ MUTANTS = (
            ("tests/test_lazy_decoders.py::test_infeasible_ideal_stack_raises_at_first_read",),
            ONE_READER),
     Mutant("take-index-provider-receiver-swapped", "src/giasim/gia.py",
-           "[p * self.cfg.K + r for p, r in pairs]",
-           "[r * self.cfg.K + p for p, r in pairs]",
+           "[self._rows[p, r] for p, r in pairs]",
+           "[self._rows[r, p] for p, r in pairs]",
            ("tests/test_pair_pieces.py::test_stacked_pieces_equal_per_pair_oracle",),
            "pair pieces in stacked calls"),
     Mutant("no-confirm-step", "src/giasim/assignment.py",
@@ -237,8 +238,8 @@ MUTANTS = (
            ONE_WAY_IN),
     # what a draw's build forms, and the screen kept in the trial's memo
     Mutant("take-forms-missing-pairs", "src/giasim/gia.py",
-           'raise ContractViolation(f"pairs {sorted(set(pairs) - self._formed)} were not formed")',
-           "self._form([pr for pr in dict.fromkeys(pairs) if pr not in self._formed])",
+           'raise ContractViolation(f"pairs {sorted({*pairs} - self._rows.keys())} were not formed")',
+           "return Potentials(self.ch, self.cfg, pairs).take(name, pairs)",
            (f"{PIECES}::test_take_of_a_pair_the_build_did_not_form_is_refused",), AT_BUILD),
     Mutant("screen-keyed-per-config", "src/giasim/harness.py",
            '"screen", providers.tobytes(), lambda:', '"screen", (cfg, providers.tobytes()), lambda:',
@@ -246,6 +247,17 @@ MUTANTS = (
     Mutant("fixed-only-build-forms-every-pair", "src/giasim/harness.py",
            'not in ("fixed", "rb", "fdma")', 'not in ("rb", "fdma")',
            (f"{PIECES}::test_fixed_only_build_forms_the_ring_once",), AT_BUILD),
+    # a Potentials holds exactly its pairs, and the errors of their pieces
+    Mutant("rows-in-sorted-pair-order", "src/giasim/gia.py",
+           "self._rows = {pair: row for row, pair in enumerate(pairs)}",
+           "self._rows = {pair: row for row, pair in enumerate(sorted(pairs))}",
+           (f"{PIECES}::test_pieces_formed_in_any_batches_are_the_same_bits",), BUILT),
+    Mutant("alignment-null-space-unchecked", "src/giasim/gia.py",
+           "np.flatnonzero(null_dim < d_s)", "np.flatnonzero(null_dim < 0)",
+           (f"{PIECES}::test_narrow_alignment_null_space_raises_at_a_read_of_every_piece",), BUILT),
+    Mutant("misalignment-raised-at-patterns", "src/giasim/gia.py",
+           'errors["aligned", j] = AlignmentFailure(', 'errors["patterns", j] = AlignmentFailure(',
+           (f"{PIECES}::test_misaligned_pairs_are_the_pairs_the_per_pair_oracle_flags",), BUILT),
     # the prose mutants of earlier changes, ported to today's code
     Mutant("direct-channels-cell-major", "src/giasim/gia.py",
            'return np.einsum("ikkab->ikab", ch.H)', 'return np.einsum("ikkab->kiab", ch.H)',

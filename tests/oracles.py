@@ -319,10 +319,16 @@ def pair_pieces(ch, cfg, p, r):
             "aligned": aligned_interference_basis(ch, p, r, V), "whiteners": whiteners}
 
 
-def user_rate(ch, tset, i, k, cfg):
-    """Rate of user (i, k) in nats, user by user: the loop ``gia.user_rate``
-    stacks, with the same products in the same association."""
-    U = tset.decoders[(i, k)]
+def decoders(ch, tset):
+    """The ideal zero-forcing decoders of a transceiver set on the draw ``ch`` it was
+    built on, (L, K, N_B, d_s), as ``gia.user_rate`` forms them: once per set."""
+    return gia.zf_decoder(ch, tset.assignment, tset.patterns, tset.blocks)
+
+
+def user_rate(ch, tset, decoders, i, k, cfg):
+    """Rate of user (i, k) in nats, user by user, on the set's ``decoders``: the loop
+    ``gia.user_rate`` stacks, with the same products in the same association."""
+    U = decoders[(i, k)]
     slice_ik = tset.inner[k][i * cfg.N_U:(i + 1) * cfg.N_U, :]
     H_eff = U.conj().T @ ch.H[i, k, k] @ slice_ik
     V_out = math.sqrt(cfg.P / cfg.d_s) * tset.whiteners[(i, k)]
@@ -438,10 +444,10 @@ def feasible_configs(seed):
     return out
 
 
-def effective_link_gains(ch, tset, i, k):
-    """Eigenvalues of (U^H H pattern)(...)^H: rate at power P is
-    sum(log1p(P/(d_s sigma2) * gains))."""
-    M0 = tset.decoders[(i, k)].conj().T @ ch.H[i, k, k] @ tset.patterns[(i, k)]
+def effective_link_gains(ch, tset, decoders, i, k):
+    """Eigenvalues of (U^H H pattern)(...)^H, U user (i, k)'s of the set's ``decoders``:
+    rate at power P is sum(log1p(P/(d_s sigma2) * gains))."""
+    M0 = decoders[(i, k)].conj().T @ ch.H[i, k, k] @ tset.patterns[(i, k)]
     return psd_eigvals(M0 @ M0.conj().T)
 
 

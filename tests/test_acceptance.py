@@ -43,6 +43,7 @@ from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
     allocation_objective,
     assignment_utility,
+    decoders,
     effective_link_gains,
     run_trial,
     strict_count_formula,
@@ -89,12 +90,13 @@ def test_02_rate_path_equivalence():
     for t in range(100):
         ch = draw_channels(CFG, trial_rng(SEED + 1, t))
         tset = build_transceivers(ch, CFG, fixed_cyclic(CFG.K))
+        U = decoders(ch, tset)
         for k in range(CFG.K):
             for i in range(CFG.L):
                 r_eff = user_rate(ch, tset, CFG)[i, k]
                 V_full = full_precoder(tset.patterns[(i, k)], CFG.P, CFG.d_s)
                 r_raw = rate_logdet(
-                    tset.decoders[(i, k)].conj().T @ ch.H[i, k, k] @ V_full, 1.0 / CFG.sigma2
+                    U[(i, k)].conj().T @ ch.H[i, k, k] @ V_full, 1.0 / CFG.sigma2
                 )
                 worst = max(worst, abs(r_eff - r_raw) / max(r_raw, 1e-30))
     report(
@@ -265,9 +267,10 @@ def test_08_dof_slope_per_assignment():
         potentials = build_potentials(ch, CFG, cell_pairs(CFG.K))
         for a_idx, a in enumerate(assignments):
             tset = build_transceivers(ch, CFG, a, potentials)
+            U = decoders(ch, tset)
             for k in range(CFG.K):
                 for i in range(CFG.L):
-                    gains = effective_link_gains(ch, tset, i, k)
+                    gains = effective_link_gains(ch, tset, U, i, k)
                     sums[a_idx, 0] += np.sum(np.log1p(snr_lo / CFG.d_s * gains))
                     sums[a_idx, 1] += np.sum(np.log1p(snr_hi / CFG.d_s * gains))
     means = sums / trials

@@ -47,7 +47,8 @@ from giasim.gia import (
 )
 from giasim.linalg import complex_gaussian
 from giasim.system import SNR_CEILING, ChannelRealization, SystemConfig, draw_channels, trial_rng
-from oracles import centralized_search, feasible_configs, user_rate as per_user_rate, zf_decoder
+from oracles import (centralized_search, decoders, feasible_configs, user_rate as per_user_rate,
+                     zf_decoder)
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
@@ -61,8 +62,9 @@ def reference_candidates(ch, cfg):
     for perm in enumerate_derangements(cfg.K):
         assignment = Assignment(perm)
         tset = build_transceivers(ch, cfg, assignment)
+        U = decoders(ch, tset)
         cell_rates = [
-            sum(per_user_rate(ch, tset, i, k, cfg) for i in range(cfg.L))
+            sum(per_user_rate(ch, tset, U, i, k, cfg) for i in range(cfg.L))
             for k in range(cfg.K)
         ]
         out.append((assignment, cell_rates))
@@ -474,12 +476,12 @@ def test_stacked_decoders_equal_single_user_decoders():
     ch = draw_channels(REFERENCE, trial_rng(43, 0))
     potentials = build_potentials(ch, REFERENCE, assignment_pairs(fixed_cyclic(REFERENCE.K)))
     tset = build_transceivers(ch, REFERENCE, fixed_cyclic(REFERENCE.K), potentials)
-    prov = tset.assignment.providers
+    prov, stacked = tset.assignment.providers, decoders(ch, tset)
     for k in range(REFERENCE.K):
         for i in range(REFERENCE.L):
             aligned = potentials.take("aligned", [(prov[k], k)])[0]
             single = zf_decoder(ch, tset.assignment, tset.patterns, i, k, aligned, REFERENCE.d_s)
-            assert np.array_equal(single, tset.decoders[i, k])
+            assert np.array_equal(single, stacked[i, k])
 
 
 def _low_rank(rng, m, n, r):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,10 +74,11 @@ class TestCodebook:
             generate_codebook(8, 2, B, np.random.default_rng(0))
 
     def test_byte_guard_refuses_4gib_book_before_drawing(self, monkeypatch):
-        # G(8,2) at 24 bits is 2^24 * 8 * 2 * 16 bytes = 4 GiB of codewords
+        # G(8,2) at 24 bits is 2^24 * 8 * 2 * 16 bytes = 4 GiB of codewords, and
+        # generating 20 bits holds four times its 256 MiB at the peak
         assert codebook_bytes(8, 2, 24) is None
-        assert codebook_bytes(8, 2, 22) == 2 ** 30
-        assert codebook_bytes(8, 2, 23) is None
+        assert codebook_bytes(8, 2, 20) == 2 ** 30
+        assert codebook_bytes(8, 2, 21) is None
 
         def no_draw(*args):
             raise AssertionError("the guard let the codeword draw start")
@@ -84,6 +86,18 @@ class TestCodebook:
         monkeypatch.setattr("giasim.feedback.complex_gaussian", no_draw)
         with pytest.raises(CapacityExceeded):
             generate_codebook(8, 2, 24, np.random.default_rng(0))
+
+    def test_generation_holds_at_most_the_bytes_the_guard_counts(self):
+        # the guard bounds what generation holds at its peak, not only the book it
+        # returns; a first call in a process also allocates numpy's one-time state
+        generate_codebook(8, 2, 2, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            generate_codebook(8, 2, 12, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= codebook_bytes(8, 2, 12)
 
     def test_deterministic(self):
         a = generate_codebook(8, 2, 4, np.random.default_rng(9))

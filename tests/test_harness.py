@@ -24,7 +24,7 @@ from giasim.harness import (
 )
 from giasim.linalg import complex_gaussian
 from giasim.system import SystemConfig, draw_channels, trial_rng
-from oracles import (TrialRecord, aggregate_metrics, effective_link_gains, failed_conditions,
+from oracles import (TrialRecord, aggregate_metrics, decoders, effective_link_gains, failed_conditions,
                      feasibility_limits, is_semi_unitary, record_of, run_cell, run_trial, summary)
 
 CFG = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2, P=10 ** 2.5, sigma2=1.0)
@@ -42,7 +42,7 @@ class TestThroughput:
         ch, tset = pipeline
         for k in range(CFG.K):
             for i in range(CFG.L):
-                tp = throughput(link_images(ch, tset.decoders, tset.patterns), CFG)[i, k]
+                tp = throughput(link_images(ch, decoders(ch, tset), tset.patterns), CFG)[i, k]
                 rate = user_rate(ch, tset, CFG)[i, k]
                 assert tp == pytest.approx(rate, rel=1e-9)
 
@@ -50,7 +50,7 @@ class TestThroughput:
         ch, tset = pipeline
         ch2 = draw_channels(CFG, trial_rng(606, 0))
         ch2.H[0, 0, 0] = 0.0
-        images = link_images(ch2, tset.decoders, tset.patterns)
+        images = link_images(ch2, decoders(ch, tset), tset.patterns)
         assert throughput(images, CFG)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_interference_only_hurts(self):
@@ -327,9 +327,10 @@ def test_five_cell_multiplexing_slope():
     for t in range(trials):
         ch = draw_channels(cfg, trial_rng(999, t))
         tset = build_transceivers(ch, cfg, fixed_cyclic(cfg.K))
+        U = decoders(ch, tset)
         for k in range(cfg.K):
             for i in range(cfg.L):
-                g = effective_link_gains(ch, tset, i, k)
+                g = effective_link_gains(ch, tset, U, i, k)
                 for snr in totals:
                     totals[snr] += np.sum(np.log1p(snr / cfg.d_s * g))
     slope = (totals[1e4] - totals[1e3]) / trials / math.log(10.0)

@@ -1,8 +1,8 @@
-"""A transceiver set forms its ideal zero-forcing decoders at their first read.
+"""A transceiver set's ideal zero-forcing decoders are formed inside the rate that reads them.
 
-A perfect-feedback cell reads them in ``gia.user_rate`` and so forms them once
-per set; a feedback cell decodes its quantized patterns through
-``feedback.quantized_decoder`` and never forms them. The ideal decoders reach
+A perfect-feedback cell forms them in ``gia.user_rate``, which the trial memo's
+``user rates`` stage calls once per set; a feedback cell decodes its quantized
+patterns through ``feedback.quantized_decoder`` and never forms them. The ideal decoders reach
 ``gia.zf_decoder`` through gia's module global and the quantized ones through
 feedback's, so patching the two names apart tells the two kinds apart.
 """

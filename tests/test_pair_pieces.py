@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import giasim.harness as hmod
+import oracles
 from giasim import gia
 from giasim.assignment import fixed_cyclic
-from giasim.errors import ContractViolation, DegenerateChannel, GiaSimError
+from giasim.errors import (AlignmentFailure, ContractViolation, DegenerateChannel, GiaSimError,
+                           InfeasibleConfig)
 from giasim.gia import build_potentials, cell_pairs
 from giasim.harness import ASSIGNMENT_SCHEMES, SchemeSpec, SweepSpec, TrialBuild, run_sweep
 from giasim.linalg import herm_inv_sqrt
@@ -38,7 +40,7 @@ def test_stacked_pieces_equal_per_pair_oracle(n):
     ch = draw_channels(cfg, trial_rng(SEED, n))
     potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     pairs = cell_pairs(cfg.K)
-    assert potentials._formed == set(pairs)
+    assert potentials._rows.keys() == set(pairs)
     for name in ("inner", "patterns", "aligned", "whiteners"):
         stacked = potentials.take(name, pairs)
         for (p, r), piece in zip(pairs, stacked):
@@ -49,21 +51,20 @@ def test_pieces_formed_in_any_batches_are_the_same_bits():
     # builds of different pair lists, in any order and batch, form each pair's
     # pieces with the same bits as the build of every pair
     ch = draw_channels(CFG, trial_rng(SEED, 0))
-    empty = build_potentials(ch, CFG, pairs=[])
-    assert empty._formed == set()
     pairs = cell_pairs(CFG.K)
     full = build_potentials(ch, CFG, pairs)
     rest = [pr for pr in pairs if pr not in ((2, 1), (0, 1), (3, 0))]
     for batch in ([(2, 1)], [(0, 1), (2, 1), (3, 0)], [(0, 1), (3, 0)], rest, pairs[::-1]):
         part = build_potentials(ch, CFG, batch)
-        assert part._formed == set(batch)
+        assert part._rows.keys() == set(batch)
         for name in ("inner", "patterns", "aligned", "whiteners"):
             assert np.array_equal(part.take(name, batch), full.take(name, batch)), (batch, name)
     twice = build_potentials(ch, CFG, pairs=[(1, 2), (1, 2)])
-    assert twice._formed == {(1, 2)}
+    assert twice._rows == {(1, 2): 0}
     assert twice.take("aligned", []).shape == (0, CFG.N_B, CFG.d_s)
-    with pytest.raises(ContractViolation):
-        build_potentials(ch, CFG, pairs=[(2, 2)])
+    for refused in ([], [(2, 2)], [(1, 2), (2, 2)]):  # no pair, or a cell paired with itself
+        with pytest.raises(ContractViolation):
+            build_potentials(ch, CFG, refused)
 
 
 def test_take_of_a_pair_the_build_did_not_form_is_refused():
@@ -76,38 +77,41 @@ def test_take_of_a_pair_the_build_did_not_form_is_refused():
         for pair in missing:
             with pytest.raises(ContractViolation, match="not formed"):
                 potentials.take(name, ring + [pair])
-    assert potentials._formed == set(ring)  # the refused reads formed nothing
+    assert potentials._rows.keys() == set(ring)  # the refused reads formed nothing
 
 
 def test_fixed_only_build_forms_the_ring_once(monkeypatch):
-    # one build_potentials per draw, of the ring's K pairs; no read forms more
-    built, formed = [], []
-    build, form = gia.build_potentials, gia.Potentials._form
-    monkeypatch.setattr(gia, "build_potentials",
-                        lambda ch, cfg, pairs: built.append(list(pairs)) or build(ch, cfg, pairs))
-    monkeypatch.setattr(gia.Potentials, "_form",
-                        lambda self, pairs: formed.append(list(pairs)) or form(self, pairs))
+    # one build_potentials per draw, which forms the ring's K pairs and no more
+    built = []
+    build = gia.build_potentials
+
+    def recorded(ch, cfg, pairs):
+        potentials = build(ch, cfg, pairs)
+        built.append(list(potentials._rows))
+        return potentials
+
+    monkeypatch.setattr(gia, "build_potentials", recorded)
     schemes = (SchemeSpec(), SchemeSpec(bit_alloc="dba", bits_budget=40),
                SchemeSpec(assignment="rb"), SchemeSpec(assignment="fdma"))
     trials = 3
     run_sweep(SweepSpec("snr_db", (10.0, 20.0, 30.0), trials, schemes, seed=5), CFG)
     ring = gia.assignment_pairs(fixed_cyclic(CFG.K))
-    assert len(ring) == CFG.K and built == formed == [ring] * trials
+    assert len(ring) == CFG.K and built == [ring] * trials
 
 
 def _state(potentials) -> dict:
-    """Every attribute of ``potentials``, arrays and sets copied, dicts item by item."""
+    """Every attribute of ``potentials``, arrays copied, dicts item by item."""
     def copy(value):
         if isinstance(value, dict):
             return {key: copy(item) for key, item in value.items()}
-        return value.copy() if isinstance(value, (np.ndarray, set)) else value
+        return value.copy() if isinstance(value, np.ndarray) else value
     return {name: copy(value) for name, value in vars(potentials).items()}
 
 
 def _same(a, b) -> bool:
     if isinstance(a, dict):
         return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray):  # the pair slots no build forms hold what np.empty left
+    if isinstance(a, np.ndarray):  # a failed piece holds NaN
         return isinstance(b, np.ndarray) and np.array_equal(a, b, equal_nan=True)
     return a is b or a == b
 
@@ -131,7 +135,7 @@ def test_potentials_do_not_change_after_the_build(monkeypatch):
     run_sweep(SweepSpec("snr_db", (10.0, 30.0), 2, central, seed=8), CFG)
     assert len(kept) == 4
     for potentials, state in kept:
-        assert potentials._formed == set(cell_pairs(CFG.K))
+        assert potentials._rows.keys() == set(cell_pairs(CFG.K))
         now = _state(potentials)
         assert now.keys() == state.keys()
         for name in state:
@@ -199,6 +203,38 @@ def test_failed_piece_raises_at_its_read_only(monkeypatch):
     with pytest.raises(DegenerateChannel) as caught:
         hmod._evaluate_trial(build, CFG, schemes[1], 0)
     assert (type(caught.value), str(caught.value)) == _outcome(oracle["aligned"])
+
+
+def test_narrow_alignment_null_space_raises_at_a_read_of_every_piece():
+    # L N_U <= (L - 1) N_B: each pair's alignment system has full column rank,
+    # so no pair has an inner precoder; built directly, past require_feasible
+    cfg = SystemConfig(K=3, L=2, N_B=8, N_U=4, d_s=1)
+    ch = draw_channels(cfg, trial_rng(SEED, 0))
+    potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
+    for pair in cell_pairs(cfg.K):
+        expected = _outcome(lambda: pair_pieces(ch, cfg, *pair))
+        assert expected == (InfeasibleConfig, "alignment system null space has dimension 0 < d_s=1")
+        for name in ("inner", "patterns", "aligned", "whiteners"):
+            assert _outcome(lambda: potentials.take(name, [pair])) == expected, (pair, name)
+
+
+def test_misaligned_pairs_are_the_pairs_the_per_pair_oracle_flags(monkeypatch):
+    # at a zero tolerance the rounding of the images, about 4e-16 off user 0's
+    # span, flags some users; each raises at a read of its pair's aligned basis
+    # alone, naming the first flagged user as the per-pair construction does
+    monkeypatch.setattr(gia, "ALIGN_TOL", 0.0)
+    monkeypatch.setattr(oracles, "ALIGN_TOL", 0.0)
+    ch = draw_channels(CFG, trial_rng(SEED, 0))
+    potentials = build_potentials(ch, CFG, cell_pairs(CFG.K))
+    raised, flagged = {}, {}
+    for pair in cell_pairs(CFG.K):
+        raised[pair] = _outcome(lambda: potentials.take("aligned", [pair]))
+        V = potentials.take("inner", [pair])[0]
+        flagged[pair] = _outcome(lambda: aligned_interference_basis(ch, *pair, V))
+        assert potentials.take("patterns", [pair]).shape == (1, CFG.L, CFG.N_U, CFG.d_s)
+    assert raised == flagged
+    assert {outcome for outcome in raised.values() if outcome} and all(
+        outcome is None or outcome[0] is AlignmentFailure for outcome in raised.values())
 
 
 def test_failed_piece_resamples_only_the_cells_that_read_it(monkeypatch):

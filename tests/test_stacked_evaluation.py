@@ -41,7 +41,8 @@ def test_user_rate_equals_per_user_loop():
         for assignment in (fixed_cyclic(cfg.K), last):
             tset = build.transceivers(assignment)
             stacked = user_rate(build.ch, tset, cfg)
-            loop = per_user_array(cfg, lambda i, k: oracles.user_rate(build.ch, tset, i, k, cfg))
+            U = oracles.decoders(build.ch, tset)
+            loop = per_user_array(cfg, lambda i, k: oracles.user_rate(build.ch, tset, U, i, k, cfg))
             assert stacked.shape == (cfg.L, cfg.K)
             assert np.array_equal(stacked, loop), cfg
 
@@ -52,7 +53,7 @@ def test_throughput_equals_per_user_loop():
         tset = build.transceivers(fixed_cyclic(cfg.K))
         rb = oracles.rb_images(cfg, SEED, t)
         assert np.array_equal(baseline_rb(build, cfg), throughput(rb, cfg)), cfg
-        for images in (link_images(build.ch, tset.decoders, tset.patterns), rb):
+        for images in (link_images(build.ch, oracles.decoders(build.ch, tset), tset.patterns), rb):
             stacked = throughput(images, cfg)
             loop = per_user_array(cfg, lambda i, k: oracles.throughput(images, i, k, cfg))
             assert stacked.shape == (cfg.L, cfg.K)

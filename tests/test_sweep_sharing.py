@@ -264,7 +264,6 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
     for name in ("fca_match", "gale_shapley", "is_stable"):
         count(hmod.asg, name)
     count(hmod.gia, "build_potentials", lambda ch, cfg, pairs: len(pairs))
-    count(hmod.gia.Potentials, "_form", lambda self, pairs: len(pairs))
     trials = 2
     # the matchings read only P-free pieces at a fixed config: one per draw
     spec = SweepSpec(
@@ -280,18 +279,16 @@ def test_each_draw_matches_once_per_rule_and_forms_pairs_once(monkeypatch):
         seed=46,
     )
     rows = run_sweep(spec, CFG)
-    formed = [n for n in calls.pop("_form") if n]  # the calls that formed any pair
     assert {name: len(seen) for name, seen in calls.items()} == {
         "fca_match": trials, "gale_shapley": trials, "is_stable": 2 * trials,
         "build_potentials": trials}
     # a matching in the sweep makes the build form every pair, at once
-    assert calls["build_potentials"] == formed == [CFG.K * (CFG.K - 1)] * trials
+    assert calls["build_potentials"] == [CFG.K * (CFG.K - 1)] * trials
     assert rows == grid_major_reference(spec, CFG)
     # a fixed-only sweep keeps to its K pairs, formed at build
     calls.clear()
     run_sweep(SweepSpec("snr_db", (10.0, 30.0), trials, (SchemeSpec(),), seed=46), CFG)
-    formed = [n for n in calls.pop("_form") if n]
-    assert calls == {"build_potentials": [CFG.K] * trials} and formed == [CFG.K] * trials
+    assert calls == {"build_potentials": [CFG.K] * trials}
 
 
 def test_rules_that_pick_one_assignment_share_its_feedback_pass(monkeypatch):
