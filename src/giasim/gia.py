@@ -157,36 +157,36 @@ def zf_decoder(
                              patterns.shape[-1])
 
 
-def certified_factor(M: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Cholesky factor C of M^H M = C C^H of each slice of a (..., m, n) stack and which
-    slices are certified, silently: finite, square (null spaces exactly d_s wide) and with
-    M^H M - tau I positive definite to LAPACK, tau = (CERTIFIED_RATIO^2 + 8 (n + 2) 2^-53)
-    tr M^H M. Past the rounding of the product and of the factorization, that bounds
-    sigma_min / sigma_max of every column subset of M below by CERTIFIED_RATIO, so the SVD
-    path finds exactly d_s null directions of each nulling stack in M."""
-    n = M.shape[-1]
-    certified = np.isfinite(M).all(axis=(-2, -1)) & (M.shape[-2] == n)
+def certified_factor(gram: np.ndarray, finite: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Cholesky factor C C^H = G of each Gram G = M^H M of square M, (..., n, n), and which are
+    certified, silently: those ``finite`` marks with G - tau I positive definite to LAPACK, tau =
+    (CERTIFIED_RATIO^2 + 8 (n + 2) 2^-53) tr G. Past the rounding of G's length-n inner
+    products and of the factorization, that bounds sigma_min / sigma_max of each column subset
+    of M below by CERTIFIED_RATIO: the SVD path finds d_s null directions."""
+    n, certified = gram.shape[-1], np.array(finite)
     if not certified.any():
         return None, certified
     if not certified.all():  # LAPACK sees the identity in place of a refused slice
-        M = np.where(certified[..., None, None], M, np.eye(n))
-    gram = M.conj().swapaxes(-1, -2) @ M
-    factor, refused = _each(np.linalg.cholesky, gram)
-    diagonal = np.einsum("...ii->...i", gram)  # a view: tau I comes off in place, no copy
+        gram = np.where(certified[..., None, None], gram, np.eye(n))
+    diagonal = np.einsum("...ii->...i", gram)  # a view: tau I comes off in place and goes back
+    kept = diagonal.copy()
     diagonal -= (CERTIFIED_RATIO ** 2 + 8 * (n + 2) * 2.0 ** -53) * diagonal.real.sum(-1)[..., None]
-    for idx in (*refused, *_each(np.linalg.cholesky, gram)[1]):
+    shifted = _each(np.linalg.cholesky, gram)[1]  # freed before the kept factor is formed
+    diagonal[...] = kept
+    factor, refused = _each(np.linalg.cholesky, gram)
+    for idx in (*refused, *shifted):
         certified[idx] = False
     return factor, certified
 
 
 @functools.lru_cache(maxsize=None)
 def _cell_template(K: int, L: int) -> np.ndarray:
-    """(cell, block) in the pair table of each block of cell k's matrix when k's provider
-    is p, at [:, k, p]: the images at k of the users of every cell but k and p, then p's
-    aligned basis, then k's own users' images, which ``inverse_gains`` needs last."""
+    """(cell, slot) of each block of cell k's matrix when k's provider is p, at [:, k, p]: the
+    images at k of the users (slot m) of every cell but k and p, then p's aligned basis (slot
+    L), then k's own users' images, which ``inverse_gains`` needs last."""
     def blocks(k, p):
-        return ([(l, m * K + k) for l in range(K) if l not in (k, p) for m in range(L)]
-                + [(p, L * K)] + [(k, m * K + k) for m in range(L)])
+        return ([(l, m) for l in range(K) if l not in (k, p) for m in range(L)]
+                + [(p, L)] + [(k, m) for m in range(L)])
     return np.moveaxis(np.array([[blocks(k, p if p != k else (k + 1) % K) for p in range(K)]
                                  for k in range(K)]), -1, 0)
 
@@ -292,53 +292,57 @@ class Potentials:
                 raise self._errors[name, p, r]
         return self._pieces[name][[self._rows[p, r] for p, r in pairs]]
 
-    def pair_table(self) -> np.ndarray:
-        """Every pair's images and aligned basis, (K, K, L K + 1, d_s, N_B): at [p, r] the
-        transposed images at every station of provider p's users through pair (p, r)'s
-        patterns, user m's at station k block m K + k, then the aligned basis; NaN for
-        a pair whose piece failed."""
+    def station_table(self) -> np.ndarray:
+        """Every column a cell matrix can hold, by base station, as (K, K (K-1) L + K - 1, d_s,
+        N_B) transposed blocks: at [k], block j L + m is the image at k of user m of pair j's
+        provider (``cell_pairs`` order) through pair j's patterns, and block K (K-1) L + p -
+        (p > k) the aligned basis of pair (p, k); NaN for a pair whose piece failed."""
         L, K, N_B, d_s = self.cfg.L, self.cfg.K, self.cfg.N_B, self.cfg.d_s
         failed = {(p, r) for _, p, r in self._errors}
-        good = [pr for pr in cell_pairs(K) if pr not in failed]
-        table = np.full((K, K, L * K + 1, d_s, N_B), np.nan, complex)
-        p, r = np.array(good, int).reshape(-1, 2).T  # two columns even if no pair is good
-        X, B = self.take("patterns", good), self.take("aligned", good)
-        images = (self.ch.H[:, p].swapaxes(0, 1) @ X[:, :, None]).swapaxes(-1, -2)
-        table[p, r, :L * K] = images.reshape(len(p), L * K, d_s, N_B)
-        table[p, r, L * K] = B.swapaxes(-1, -2)
-        return table
-
-    def cell_matrices(self, table: np.ndarray, providers: np.ndarray) -> np.ndarray:
-        """Matrix of every cell of the strict assignments with providers ``providers``
-        (n, K), (n, K, N_B, (L(K-1)+1) d_s): ``_cell_template``'s blocks in one gather
-        from ``table``, the ``pair_table``."""
-        K, N_B = self.cfg.K, self.cfg.N_B
-        cells, blocks = _cell_template(K, self.cfg.L)[:, range(K), providers]
-        receivers = np.argsort(providers, axis=-1)[np.arange(len(providers))[:, None, None], cells]
-        gathered = table[cells, receivers, blocks]
-        return gathered.reshape(len(providers), K, -1, N_B).swapaxes(-1, -2)
+        good = [pr not in failed for pr in cell_pairs(K)]
+        p, r = np.array(cell_pairs(K))[good].T
+        images = np.full((K, K * (K - 1), L, d_s, N_B), np.nan, complex)  # [station, pair, m]
+        aligned = np.full((K, K, d_s, N_B), np.nan, complex)  # [receiver, provider]
+        X, B = (self.take(name, [*zip(p.tolist(), r.tolist())]) for name in ("patterns", "aligned"))
+        images[:, good] = (self.ch.H[:, p].swapaxes(0, 1) @ X[:, :, None]).transpose(2, 0, 1, 4, 3)
+        aligned[r, p] = B.swapaxes(-1, -2)
+        return np.concatenate([images.reshape(K, -1, d_s, N_B),
+                               aligned[~np.eye(K, dtype=bool)].reshape(K, K - 1, d_s, N_B)], axis=1)
 
     def inverse_gains(self, providers: np.ndarray) -> np.ndarray:
         """The eigenvalues of Z Z^H of every user, (n, K, L, d_s), of the strict assignments
         with providers the rows of ``providers`` (n, K), NaN in each row with an uncertified
-        cell: the P-free part of the centralized screen, in chunks of SCREEN_CHUNK_BYTES of
-        cell matrices from one ``pair_table``, from one ``certified_factor`` C of each. The
-        rows Z of M_k^-1 at user (i, k)'s block null its stack and map its image H V W to I,
-        so Z^H spans its decoders' space and its rate is log det(I + P/(d_s sigma^2) (Z
-        Z^H)^-1). The own blocks come last, and C's trailing block there has C_oo C_oo^H =
-        (Z_o Z_o^H)^-1 for the own rows Z_o, so C_oo^-H holds each user's Z up to a unitary
-        on the right. :class:`CapacityExceeded`, before any factorization, if the values
-        would take over SCREEN_TABLE_BYTES."""
+        cell (every cell if they are not square): the P-free part of the centralized screen.
+        Station by station, one Gram of its ``station_table`` columns; each cell matrix M_k's
+        Gram is gathered from it, in chunks of SCREEN_CHUNK_BYTES, with one ``certified_factor``
+        C each. The rows Z of M_k^-1 at user (i, k)'s block span its decoders' space, and its
+        rate is log det(I + P/(d_s sigma^2) (Z Z^H)^-1); the own blocks come last, so C_oo^-H
+        of C's trailing block holds each user's Z up to a unitary on the right.
+        :class:`CapacityExceeded`, before any factorization, over SCREEN_TABLE_BYTES of values."""
         K, L, N_B, d_s = self.cfg.K, self.cfg.L, self.cfg.N_B, self.cfg.d_s
         size = 8 * len(providers) * K * L * d_s
         if size > SCREEN_TABLE_BYTES:
             raise CapacityExceeded(f"the screen of {len(providers)} candidates keeps {size} "
                                    f"bytes, over the {SCREEN_TABLE_BYTES}-byte guard")
-        table, gains = self.pair_table(), np.empty((len(providers), K, L, d_s))
-        chunk = max(1, SCREEN_CHUNK_BYTES // (16 * K * N_B ** 2))  # N_B^2 bounds a cell matrix
-        for start in range(0, len(providers), chunk):
-            gains[start:start + chunk] = _chunk_gains(
-                self.cell_matrices(table, providers[start:start + chunk]), L, d_s)
+        gains = np.full((len(providers), K, L, d_s), np.nan)
+        if (L * (K - 1) + 1) * d_s != N_B:  # which directions the SVD picks is part of the output
+            return gains
+        table = self.station_table().reshape(K, -1, N_B)
+        finite = np.isfinite(table).all(axis=-1)  # of each station column, once
+        chunk = max(1, SCREEN_CHUNK_BYTES // (16 * N_B ** 2))
+        for k in range(K):
+            gram = table[k].conj() @ table[k].T  # one station's, freed before the next one's
+            for start in range(0, len(providers), chunk):
+                rows = providers[start:start + chunk]
+                l, m = _cell_template(K, L)[:, k, rows[:, k]]  # cell and slot of each block
+                r = np.argsort(rows, axis=-1)[np.arange(len(rows))[:, None], l]  # l's receiver
+                blocks = np.where(m < L, (l * (K - 1) + r - (r > l)) * L + m,  # station_table's
+                                  K * (K - 1) * L + l - (l > r))
+                columns = (blocks[..., None] * d_s + np.arange(d_s)).reshape(len(rows), -1)
+                gains[start:start + chunk, k] = _cell_gains(  # flat indices gather fastest
+                    np.take(gram, columns[:, :, None] * len(gram) + columns[:, None]),
+                    finite[k, columns].all(-1), L, d_s)
+        gains[np.isnan(gains).any(axis=(1, 2, 3))] = np.nan
         return gains
 
 
@@ -374,17 +378,16 @@ def build_transceivers(
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
 
 
-def _chunk_gains(M: np.ndarray, L: int, d_s: int) -> np.ndarray:
-    """``Potentials.inverse_gains`` of one chunk of cell matrices M, (n, K, N_B, N_B), as an
-    (n, K, L, d_s) array; its factors are freed at the return, before the next chunk's."""
-    factor, certified = certified_factor(M)
-    ok = certified.all(axis=-1)
-    gains = np.full(M.shape[:2] + (L, d_s), np.nan)
-    if ok.any():
+def _cell_gains(gram: np.ndarray, finite: np.ndarray, L: int, d_s: int) -> np.ndarray:
+    """``Potentials.inverse_gains`` of a chunk of cells from their Grams (n, N_B, N_B), (n, L,
+    d_s), NaN at an uncertified cell; its factors are freed at the return, before the next's."""
+    factor, certified = certified_factor(gram, finite)
+    gains = np.full((len(gram), L, d_s), np.nan)
+    if certified.any():
         own = factor[..., -L * d_s:, -L * d_s:]
-        own = own if ok.all() else own[ok]  # no copy when every cell is certified
+        own = own if certified.all() else own[certified]  # no copy when every cell is certified
         Z = np.linalg.inv(own.conj().swapaxes(-1, -2))
-        gains[ok] = _gram_eigvals(Z.reshape(-1, M.shape[1], L, d_s, L * d_s))
+        gains[certified] = _gram_eigvals(Z.reshape(-1, L, d_s, L * d_s))
     return gains
 
 

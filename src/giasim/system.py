@@ -110,7 +110,7 @@ def require_feasible(cfg: SystemConfig) -> None:
 def require_draw_fits(cfg: SystemConfig) -> None:
     """Refuse, before anything is allocated, a config whose per-draw working set
     exceeds the byte guard: the complex channels H, every pair's pieces
-    (``gia.Potentials``) and the centralized screen's pair table."""
+    (``gia.Potentials``) and the centralized screen's station table."""
     K, L, N_B, N_U, d_s = cfg.K, cfg.L, cfg.N_B, cfg.N_U, cfg.d_s
     size = 16 * K * K * (L * N_B * N_U + 2 * L * N_U * d_s + L * d_s * d_s
                          + (L * K + 2) * N_B * d_s)

@@ -55,6 +55,8 @@ PIECES = "tests/test_pair_pieces.py"
 CENTRAL = "tests/test_centralized.py"
 GATHERED = f"{CENTRAL}::test_gathered_stacks_equal_nulling_stacks[k4]"
 CERTIFICATE = f"{CENTRAL}::test_certificate_refuses"
+GRAMS = f"{CENTRAL}::test_gathered_grams_are_within_the_certificates_rounding_bound"
+STATION_GRAM = "screen from one Gram per base station"
 BISECTION = "tests/test_feedback.py::TestBisection"
 ROW_CEILING_S = 10.0  # a row that takes longer fails: a slow row is fixed when it is added
 
@@ -275,8 +277,8 @@ MUTANTS = (
            (f"{CENTRAL}::test_search_equals_fresh_build_per_candidate[reference_k4]",),
            "array-shaped trial evaluation"),
     Mutant("cell-receivers-are-providers", "src/giasim/gia.py",
-           "receivers = np.argsort(providers, axis=-1)[", "receivers = np.asarray(providers)[",
-           (GATHERED,), "pair pieces in stacked calls"),
+           "r = np.argsort(rows, axis=-1)[", "r = np.asarray(rows)[",
+           (GRAMS,), "pair pieces in stacked calls"),
     Mutant("take-ignores-failed-pieces", "src/giasim/gia.py",
            "for p, r in pairs if self._errors else ():", "for p, r in ():",
            (f"{PIECES}::test_failed_piece_raises_at_its_read_only",),
@@ -303,16 +305,16 @@ MUTANTS = (
            (f"{QUANTIZATION}::test_screened_search_equals_einsum_search",),
            "faster feedback quantization with the same bits"),
     Mutant("screen-users-swapped", "src/giasim/gia.py",
-           "gains[ok] = _gram_eigvals(Z.reshape(-1, M.shape[1], L, d_s, L * d_s))",
-           "gains[ok] = _gram_eigvals(Z.reshape(-1, M.shape[1], L, d_s, L * d_s))[..., ::-1, :]",
+           "gains[certified] = _gram_eigvals(Z.reshape(-1, L, d_s, L * d_s))",
+           "gains[certified] = _gram_eigvals(Z.reshape(-1, L, d_s, L * d_s))[..., ::-1, :]",
            (f"{CENTRAL}::test_screened_rates_equal_user_rates",),
            "one inverse per cell, not one QR per user"),
     Mutant("template-without-provider-block", "src/giasim/gia.py",
-           "+ [(p, L * K)] + [(k, m * K + k)", "+ [(k, m * K + k)",
-           (GATHERED,), "one inverse per cell, not one QR per user"),
+           "+ [(p, L)] + [(k, m)", "+ [(k, m)",
+           (GRAMS,), "one inverse per cell, not one QR per user"),
     Mutant("certificate-skips-finiteness", "src/giasim/gia.py",
-           "certified = np.isfinite(M).all(axis=(-2, -1)) & (M.shape[-2] == n)",
-           "certified = np.full(M.shape[:-2], M.shape[-2] == n)",
+           "n, certified = gram.shape[-1], np.array(finite)",
+           "n, certified = gram.shape[-1], np.ones(np.shape(finite), bool)",
            (f"{CERTIFICATE}[non_finite]",), "one inverse per cell, not one QR per user"),
     Mutant("certificate-without-fallback", "src/giasim/gia.py",
            "factor, refused = _each(np.linalg.cholesky, gram)",
@@ -347,6 +349,26 @@ MUTANTS = (
            "CERTIFIED_RATIO = 1e-6", "CERTIFIED_RATIO = 1e-7",
            (f"{CENTRAL}::test_candidates_in_the_certificate_band_take_the_exact_path",),
            "the centralized screen from a Cholesky factor of each cell's Gram"),
+    Mutant("station-index-receiver-swapped", "src/giasim/gia.py",
+           "(l * (K - 1) + r - (r > l)) * L + m", "(r * (K - 1) + l - (l > r)) * L + m",
+           (GRAMS,), STATION_GRAM),
+    Mutant("aligned-basis-at-the-providers-station", "src/giasim/gia.py",
+           "aligned[r, p] = B.swapaxes(-1, -2)", "aligned[p, r] = B.swapaxes(-1, -2)",
+           (GRAMS,), STATION_GRAM),
+    Mutant("station-column-finiteness-ignored", "src/giasim/gia.py",
+           "finite[k, columns].all(-1), L, d_s)", "np.ones(len(rows), bool), L, d_s)",
+           (f"{CENTRAL}::test_failed_pairs_leave_exactly_their_candidates_uncertified",),
+           STATION_GRAM),
+    Mutant("station-grams-held-at-once", "src/giasim/gia.py",
+           "gram = table[k].conj() @ table[k].T", "gram = (table.conj() @ table.swapaxes(-1, -2))[k]",
+           (f"{CENTRAL}::test_screen_memory_stays_within_five_chunks",), STATION_GRAM),
+    Mutant("certificate-factor-held-with-the-kept-one", "src/giasim/gia.py",
+           "shifted = _each(np.linalg.cholesky, gram)[1]",
+           "held = _each(np.linalg.cholesky, gram); shifted = held[1]",
+           (f"{CENTRAL}::test_certificate_holds_one_factor_at_a_time",), STATION_GRAM),
+    Mutant("screen-certifies-wide-cells", "src/giasim/gia.py",
+           "if (L * (K - 1) + 1) * d_s != N_B:", "if False:",
+           (f"{CENTRAL}::test_wider_null_space_evaluates_every_candidate_exactly",), STATION_GRAM),
     Mutant("anchor-a-past-the-bracket", "src/giasim/feedback.py",
            "0.0 < a < hi and spread(a)", "0.0 < a and spread(a)",
            (f"{BISECTION}::test_anchor_past_the_bracket_is_refused",),

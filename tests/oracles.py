@@ -346,6 +346,26 @@ def zf_decoder(ch, assignment, patterns, i, k, block, d_s):
     return select_null_basis(np.concatenate(images + [block], axis=1), d_s)
 
 
+def cell_matrices(ch, cfg, potentials, providers):
+    """Matrix M_k of every cell k of the strict assignments with providers ``providers``
+    (n, K), (n, K, N_B, (L(K-1)+1) d_s), candidate by candidate from the pieces of its
+    pairs: the images at k of the users of every cell but k and its provider p, cell by
+    cell, then p's aligned basis at k, then k's own users' images. The images come from
+    ``gia.nulling_stacks``' product; ``Potentials.inverse_gains`` gathers the Grams M_k^H M_k
+    instead."""
+    L, K = cfg.L, cfg.K
+    out = []
+    for row in np.asarray(providers).tolist():
+        patterns = potentials.take("patterns", gia.assignment_pairs(asg.Assignment(tuple(row))))
+        aligned = potentials.take("aligned", [(p, k) for k, p in enumerate(row)])
+        images = np.moveaxis(ch.H, 2, 0) @ patterns.swapaxes(0, 1)[None]  # [k, m, l]
+        out.append([np.concatenate(
+            [images[k, m, l] for l in range(K) if l not in (k, p) for m in range(L)]
+            + [aligned[k]] + [images[k, m, k] for m in range(L)], axis=-1)
+            for k, p in enumerate(row)])
+    return np.array(out)
+
+
 def centralized_search(ch, cfg, objective="sum_rate", sense="best", potentials=None):
     """``assignment.centralized_search`` on ``potentials`` (fresh ones if None) with
     the plain screen and confirm: ``Potentials.inverse_gains`` formed at the call, and

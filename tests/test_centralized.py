@@ -3,8 +3,9 @@ null basis behind its decoders.
 
 The search reads per-pair pieces (patterns, aligned bases, whiteners) shared
 across candidates and calls. It screens every candidate in one call, from a
-Cholesky factor of the Gram of each of their cell matrices, gathered from a
-pair table formed once per screen and factored in chunks, and evaluates
+Cholesky factor of the Gram of each of their cell matrices, gathered from one
+Gram of every column a cell matrix can hold at each base station and factored
+in chunks, and evaluates
 exactly, through ``build_transceivers`` and ``user_rate``, only the
 candidates the screen cannot certify and those near
 the best screened value. The searches below confirm through
@@ -15,6 +16,7 @@ its own and nothing is shared between candidates, and its rates user by user
 through ``oracles.user_rate``. Both must agree with ``==``.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -47,13 +49,18 @@ from giasim.gia import (
 )
 from giasim.linalg import complex_gaussian
 from giasim.system import SNR_CEILING, ChannelRealization, SystemConfig, draw_channels, trial_rng
-from oracles import (centralized_search, decoders, feasible_configs, user_rate as per_user_rate,
-                     zf_decoder)
+from oracles import (cell_matrices, centralized_search, decoders, feasible_configs,
+                     user_rate as per_user_rate, zf_decoder)
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
 TIGHT_K6 = SystemConfig(K=6, L=2, N_B=22, N_U=12, d_s=2).at_snr_db(25.0)  # central_k6
 SEARCHES = [(o, s) for o in ("sum_rate", "min_cell_rate") for s in ("best", "worst")]
+
+
+def gram(M):
+    """M^H M of each slice of a stack."""
+    return M.conj().swapaxes(-1, -2) @ M
 
 
 def reference_candidates(ch, cfg):
@@ -151,9 +158,15 @@ def test_search_confirms_few_candidates(monkeypatch):
 
 def test_wider_null_space_evaluates_every_candidate_exactly(monkeypatch):
     # N_B = 16 leaves each decoder a 4-dimensional null space for d_s = 2:
-    # which 2 directions the SVD picks is part of the output, so no screen
+    # which 2 directions the SVD picks is part of the output, so no screen.
+    # The cell matrices are 16 x 14 and their Grams positive definite: the
+    # screen refuses them for their shape, before it forms any Gram
     cfg = SystemConfig(K=4, L=2, N_B=16, N_U=9, d_s=2).at_snr_db(25.0)
     ch = draw_channels(cfg, trial_rng(48, 0))
+    potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
+    monkeypatch.setattr(gia, "certified_factor", None)  # a call would raise
+    assert np.isnan(potentials.inverse_gains(np.array(list(enumerate_derangements(4))))).all()
+    monkeypatch.undo()
     builds = _count_calls(monkeypatch, "build_transceivers")
     chosen, value = centralized_search(ch, cfg)
     assert len(builds) == 9
@@ -240,12 +253,12 @@ def test_candidates_in_the_certificate_band_take_the_exact_path(monkeypatch):
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = np.array(list(enumerate_derangements(REFERENCE.K)))
     band = providers[:, 0] == 1
-    M = potentials.cell_matrices(potentials.pair_table(), providers)[band, 0]
+    M = cell_matrices(ch, REFERENCE, potentials, providers)[band, 0]
     s = np.linalg.svd(M, compute_uv=False)
     assert ((1e-9 < s[:, -1] / s[:, 0]) & (s[:, -1] / s[:, 0] < 1e-6)).all()
     norms = np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(M), axis=(-2, -1))
     assert (1 / norms > 1e-9).all()  # the inverse-based bound
-    assert not certified_factor(M)[1].any()
+    assert not certified_factor(gram(M), np.ones(len(M), bool))[1].any()
     builds = _count_calls(monkeypatch, "build_transceivers")
     chosen, value = centralized_search(ch, REFERENCE, potentials=potentials)
     band_candidates = [tuple(p) for p in providers[band].tolist()]
@@ -272,7 +285,8 @@ def test_certified_null_basis_gives_the_svd_rate():
     U_svd = select_null_basis(F, 2)
     assert U_svd.shape == (3, 2, 14, 2)
     A = complex_gaussian(rng, (3, 2, 14, 2))
-    factor, certified = certified_factor(np.concatenate([F, A], axis=-1))
+    factor, certified = certified_factor(gram(np.concatenate([F, A], axis=-1)),
+                                         np.ones((3, 2), bool))
     assert factor.shape == (3, 2, 14, 14) and certified.all()
     assert np.allclose(U_svd.conj().swapaxes(-1, -2) @ U_svd, np.eye(2), rtol=0, atol=1e-13)
     screened = _screened_rate(factor, 2, 300.0)
@@ -294,15 +308,14 @@ TIGHT_D1 = SystemConfig(K=4, L=2, N_B=7, N_U=4, d_s=1).at_snr_db(25.0)
                                        (TIGHT_L3, 51), (TIGHT_D1, 52)],
                          ids=["k4", "tight_k5", "tight_l1", "tight_l3", "tight_d1"])
 def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
-    # the pair table holds the very products nulling_stacks forms, so a cell
-    # matrix without user (i, k)'s own block must be that user's nulling stack
+    # the oracle's cell matrices hold the very products nulling_stacks forms, so
+    # a cell matrix without user (i, k)'s own block must be that user's nulling stack
     # bit for bit, in its block order once the other own users, which the cell
     # matrix puts last, come first, and the own block the user's image
     ch = draw_channels(cfg, trial_rng(seed, 0))
     potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     L, K, N_B, d_s = cfg.L, cfg.K, cfg.N_B, cfg.d_s
-    cells = potentials.cell_matrices(potentials.pair_table(),
-                                     np.array(list(enumerate_derangements(K))))
+    cells = cell_matrices(ch, cfg, potentials, np.array(list(enumerate_derangements(K))))
     assert cells.shape == (len(_derangements(cfg)), K, N_B, N_B)  # tight: square
     first_own = N_B - L * d_s
     for assignment, M in zip(_derangements(cfg), cells):
@@ -317,6 +330,129 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
             assert np.array_equal(stack, F[i, k]), (assignment, i, k)
             image = ch.H[i, k, k] @ tset.patterns[i, k]
             assert np.array_equal(M[k][:, own], image), (assignment, i, k)
+
+
+def _screened_grams(monkeypatch, potentials, providers):
+    """Every cell Gram that the screen of ``providers`` factors, (n, K, c, c), as it gathered
+    them, and the finiteness it hands the certificate with them, (n, K)."""
+    grams, finite, factor = [], [], gia.certified_factor
+
+    def kept(G, f):
+        grams.append(G.copy())
+        finite.append(f.copy())
+        return factor(G, f)
+
+    monkeypatch.setattr(gia, "certified_factor", kept)
+    potentials.inverse_gains(providers)
+    monkeypatch.setattr(gia, "certified_factor", factor)
+    K = potentials.cfg.K  # the screen factors station by station
+    G = np.concatenate(grams).reshape((K, len(providers)) + grams[0].shape[1:]).swapaxes(0, 1)
+    return G, np.concatenate(finite).reshape(K, -1).T
+
+
+def test_gathered_grams_are_within_the_certificates_rounding_bound(monkeypatch):
+    # every gathered entry is a length-N_B inner product of two columns of one
+    # station, as the entry of M^H M of the oracle's cell matrix is, so README's
+    # rounding bound for the certificate, ||G^ - M^H M||_2 <= sqrt(2) (n + 2) u
+    # ||M||_F^2, holds for it. M^H M is formed in extended precision. TIGHT_K6's
+    # 265 candidates, then every tight fuzz shape
+    shapes = [(TIGHT_K6, trial_rng(47, 0))] + [
+        (cfg, trial_rng(2718, n)) for n, cfg in enumerate(feasible_configs(2718))
+        if (cfg.L * (cfg.K - 1) + 1) * cfg.d_s == cfg.N_B]
+    assert len(shapes) == 12  # the slack draws with no spare antenna are tight too
+    for cfg, rng in shapes:
+        ch = draw_channels(cfg, rng)
+        potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
+        providers = np.array(list(enumerate_derangements(cfg.K)))
+        grams, finite = _screened_grams(monkeypatch, potentials, providers)
+        M = cell_matrices(ch, cfg, potentials, providers)
+        assert grams.shape == M.shape and finite.all()
+        error = np.linalg.norm((grams - gram(M.astype(np.clongdouble))).astype(complex), 2,
+                               axis=(-2, -1))
+        bound = np.sqrt(2) * (cfg.N_B + 2) * 2.0 ** -53 * np.linalg.norm(M, axis=(-2, -1)) ** 2
+        assert (error <= bound).all(), cfg
+
+
+def test_failed_pairs_leave_exactly_their_candidates_uncertified(monkeypatch):
+    # at a zero alignment tolerance the rounding of the images flags 12 of this
+    # draw's 30 pairs, whose columns are NaN at every station. Exactly the
+    # candidates that read one of them are not certified, LAPACK never sees a
+    # non-finite Gram, every other candidate's certificate is the oracle cell
+    # matrices', and a search that screens on these pieces and rates on the
+    # same pieces, unflagged, evaluates the uncertified ones exactly and
+    # returns the reference pick
+    cfg = TIGHT_K6
+    ch = draw_channels(cfg, trial_rng(47, 0))
+    potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
+    monkeypatch.setattr(gia, "ALIGN_TOL", 0.0)
+    failing = build_potentials(ch, cfg, cell_pairs(cfg.K))
+    monkeypatch.undo()
+    failed = {(p, r) for _, p, r in failing._errors}
+    assert len(failed) == 12
+    providers = np.array(list(enumerate_derangements(cfg.K)))
+    reads = np.array([bool(failed & {*assignment_pairs(Assignment(tuple(row)))})
+                      for row in providers.tolist()])
+    assert 0 < reads.sum() < len(providers)
+    cholesky, seen = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda A: seen.append(np.isfinite(A).all()) or cholesky(A))
+    uncertified = np.isnan(failing.inverse_gains(providers)).any(axis=(1, 2, 3))
+    assert seen and all(seen)
+    assert uncertified.tolist() == reads.tolist()
+    M = cell_matrices(ch, cfg, potentials, providers[~reads])
+    _, certified = certified_factor(gram(M), np.isfinite(M).all(axis=(-2, -1)))
+    assert certified.all(axis=-1).tolist() == (~uncertified[~reads]).tolist()
+    monkeypatch.undo()
+    builds = _count_calls(monkeypatch, "build_transceivers")
+    chosen, value = asg.centralized_search(
+        cfg, failing.inverse_gains,
+        lambda a: user_rate(ch, gia.build_transceivers(ch, cfg, a, potentials), cfg),
+        "sum_rate", "best")
+    assert {a.providers for a in builds} >= {tuple(p) for p in providers[reads].tolist()}
+    ref_chosen, ref_value = reference_pick(reference_candidates(ch, cfg), "sum_rate", "best")
+    assert chosen.providers == ref_chosen.providers
+    assert value == ref_value
+
+
+def test_screen_memory_stays_within_five_chunks():
+    # beside the inverse gains it returns, the screen holds the station table,
+    # one station's Gram, one chunk of cell Grams and one Cholesky factor: 3.0
+    # chunks of SCREEN_CHUNK_BYTES on TIGHT_K6, and 4.0 while the station table
+    # forms. All K stations' Grams held at once take 7.4, and such a temporary,
+    # which the allocator hands back to the system, costs page faults at every
+    # draw (740 per screen)
+    ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
+    potentials = build_potentials(ch, TIGHT_K6, cell_pairs(TIGHT_K6.K))
+    providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
+    potentials.inverse_gains(providers)  # the cached gather templates form outside the count
+    tracemalloc.start()
+    try:
+        potentials.inverse_gains(providers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * gia.SCREEN_CHUNK_BYTES
+
+
+def test_certificate_holds_one_factor_at_a_time():
+    # the factor of G - tau I that certifies is freed before the kept factor of G
+    # forms, so the certificate holds one chunk-sized factor beside its input,
+    # where two at once grew the heap of a K=6 screen by 0.36 MB past the
+    # allocator's trim threshold: 684 page faults per draw. The diagonal goes
+    # back bit for bit, so the kept factor is the one of G itself
+    rng = np.random.default_rng(7)
+    G = gram(complex_gaussian(rng, (67, 22, 22)))
+    expected = np.linalg.cholesky(G)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        factor, certified = certified_factor(G, np.ones(len(G), bool))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert certified.all() and np.array_equal(factor, expected)
+    assert np.array_equal(G, gram(complex_gaussian(np.random.default_rng(7), (67, 22, 22))))
+    assert peak <= 1.25 * G.nbytes
 
 
 def two_sided_profile(ch, cfg):
@@ -376,13 +512,15 @@ def test_screened_rates_equal_user_rates():
 
 def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypatch):
     # the screen keeps 8 K L d_s bytes of inverse gains per candidate in the
-    # trial's memo, and counts them before it gathers or factors a cell matrix
+    # trial's memo, and counts them before it gathers or factors a cell's Gram;
+    # it factors the cells of one base station at a time
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = np.array(list(enumerate_derangements(REFERENCE.K)))
     factored = []
     factor = gia.certified_factor
-    monkeypatch.setattr(gia, "certified_factor", lambda M: factored.append(len(M)) or factor(M))
+    monkeypatch.setattr(gia, "certified_factor",
+                        lambda G, finite: factored.append(len(G)) or factor(G, finite))
     size = 8 * len(providers) * REFERENCE.K * REFERENCE.L * REFERENCE.d_s
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size - 1)
     with pytest.raises(CapacityExceeded, match=f"{size} bytes"):
@@ -390,7 +528,7 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     assert factored == []
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size)
     assert np.isfinite(screened_rates(REFERENCE, potentials, providers)).all()
-    assert factored == [len(providers)]
+    assert factored == [len(providers)] * REFERENCE.K
 
 
 def test_screen_is_finite_at_the_snr_ceiling():
@@ -405,17 +543,18 @@ def test_screen_is_finite_at_the_snr_ceiling():
             assert np.isfinite(screened_rates(cfg, potentials, providers)).all()
 
 
-@pytest.mark.parametrize("m, bad", [
-    (6, "low_rank"),    # numerically rank deficient: M^H M - tau I is indefinite
-    (6, "singular"),    # exactly singular, a zero column: LAPACK refuses the whole stack
-    (6, "non_finite"),  # NaN and infinite entries
-    (8, None),          # full column rank, but a decoder null space wider than d_s
-], ids=["rank_deficient", "tight_rank_deficient", "non_finite", "wide_null"])
-def test_certificate_refuses(monkeypatch, m, bad):
+@pytest.mark.parametrize("bad", [
+    "low_rank",    # numerically rank deficient: M^H M - tau I is indefinite
+    "singular",    # exactly singular, a zero column: LAPACK refuses the whole stack
+    "non_finite",  # NaN and infinite entries, which the caller flags
+], ids=["rank_deficient", "tight_rank_deficient", "non_finite"])
+def test_certificate_refuses(monkeypatch, bad):
+    # a null space wider than d_s (a non-square cell matrix) is refused before
+    # any Gram is formed: test_wider_null_space_evaluates_every_candidate_exactly
     rng = np.random.default_rng(6)
-    stack = complex_gaussian(rng, (4, m, 6))
+    stack = complex_gaussian(rng, (4, 6, 6))
     if bad == "low_rank":
-        stack[2] = _low_rank(rng, m, 6, 5)
+        stack[2] = _low_rank(rng, 6, 6, 5)
     elif bad == "singular":
         stack[2, :, 1] = 0.0
     elif bad == "non_finite":
@@ -423,12 +562,14 @@ def test_certificate_refuses(monkeypatch, m, bad):
     cholesky, seen = np.linalg.cholesky, []
     monkeypatch.setattr(np.linalg, "cholesky",
                         lambda A: seen.append(np.isfinite(A).all()) or cholesky(A))
+    with np.errstate(invalid="ignore"):  # inf times 0 in the Gram of the non-finite slice
+        grams = gram(stack)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no LinAlgError and no numpy warning escapes
-        _, certified = certified_factor(stack)
-        _, clean = certified_factor(np.delete(stack, 2, axis=0))
-    assert certified.tolist() == [m == 6, m == 6, False, m == 6]
-    assert clean.tolist() == [m == 6] * 3  # certified where tight
+        _, certified = certified_factor(grams, np.isfinite(stack).all(axis=(-2, -1)))
+        _, clean = certified_factor(gram(np.delete(stack, 2, axis=0)), np.ones(3, bool))
+    assert certified.tolist() == [True, True, False, True]
+    assert clean.tolist() == [True] * 3
     assert all(seen)  # LAPACK never sees a non-finite slice
 
 
@@ -442,7 +583,7 @@ def test_certificate_sees_ill_conditioning_off_the_diagonal(coupling, certified)
     R = np.eye(n, dtype=complex)
     R[:n // 2, n // 2:] = coupling
     Q, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
-    assert certified_factor((Q @ R)[None])[1].tolist() == [certified]
+    assert certified_factor(gram((Q @ R)[None]), np.ones(1, bool))[1].tolist() == [certified]
 
 
 def test_potentials_of_another_draw_are_refused():

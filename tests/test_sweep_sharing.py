@@ -396,18 +396,23 @@ def test_centralized_cell_builds_each_confirmed_candidate_once(monkeypatch):
 def test_centralized_cells_of_a_draw_share_one_screen(monkeypatch):
     # the screen's P-free part (certificates, factors, inverse gains) is kept in
     # the build's "screen" stage, so the three searches at each of three grid points
-    # all read one: a draw factors its D(4) = 9 candidates once, in one chunk,
-    # where a screen per search would take 9 calls per draw
-    calls = []
-    factor = hmod.gia.certified_factor
-    monkeypatch.setattr(hmod.gia, "certified_factor", lambda M: calls.append(len(M)) or factor(M))
+    # all read one: a draw screens once, and factors its D(4) = 9 candidates' cells
+    # at each of its K base stations in one chunk, where a screen per search
+    # would take 9 screens and 9 K factorizations per draw
+    screens, calls = [], []
+    screen, factor = hmod.gia.Potentials.inverse_gains, hmod.gia.certified_factor
+    monkeypatch.setattr(hmod.gia.Potentials, "inverse_gains",
+                        lambda self, providers: screens.append(self) or screen(self, providers))
+    monkeypatch.setattr(hmod.gia, "certified_factor",
+                        lambda G, finite: calls.append(len(G)) or factor(G, finite))
     trials = 2
     schemes = tuple(SchemeSpec(assignment=rule)
                     for rule in ("centralized_sum", "centralized_min", "worst_sum"))
     spec = SweepSpec("snr_db", (10.0, 25.0, 40.0), trials, schemes, seed=48)
     rows = run_sweep(spec, CFG)
-    assert calls == [9] * trials
-    assert hmod.gia.SCREEN_CHUNK_BYTES // (16 * CFG.K * CFG.N_B ** 2) >= 9
+    assert len(screens) == len(set(map(id, screens))) == trials
+    assert calls == [9] * (CFG.K * trials)
+    assert hmod.gia.SCREEN_CHUNK_BYTES // (16 * CFG.N_B ** 2) >= 9
     assert rows == grid_major_reference(spec, CFG)
 
 
