@@ -179,16 +179,25 @@ def certified_factor(gram: np.ndarray, finite: np.ndarray) -> tuple[np.ndarray |
     return factor, certified
 
 
-@functools.lru_cache(maxsize=None)
-def _cell_template(K: int, L: int) -> np.ndarray:
-    """(cell, slot) of each block of cell k's matrix when k's provider is p, at [:, k, p]: the
-    images at k of the users (slot m) of every cell but k and p, then p's aligned basis (slot
-    L), then k's own users' images, which ``inverse_gains`` needs last."""
-    def blocks(k, p):
+@functools.lru_cache(maxsize=8)
+def _gather_plan(K: int, L: int, key: bytes, shape: tuple, index: np.dtype) -> np.ndarray:
+    """The ``station_table`` block of each block of each cell matrix, (K, n, L (K-1) + 1) in
+    dtype ``index``, of the candidates ``np.frombuffer(key, np.intp).reshape(shape)`` (n, K).
+    Cell k's matrix, p its provider, holds the images at k of the users (slot m) of every cell
+    but k and p, then p's aligned basis (slot L), then k's own users' images, which come last."""
+    def slots(k, p):  # (cell, slot) of each block of cell k's matrix when p provides
         return ([(l, m) for l in range(K) if l not in (k, p) for m in range(L)]
                 + [(p, L)] + [(k, m) for m in range(L)])
-    return np.moveaxis(np.array([[blocks(k, p if p != k else (k + 1) % K) for p in range(K)]
-                                 for k in range(K)]), -1, 0)
+    providers = np.frombuffer(key, np.intp).reshape(shape)
+    receivers = np.argsort(providers, axis=-1).astype(index)
+    plan = np.empty((K, len(providers), L * (K - 1) + 1), index)
+    for k in range(K):  # a station at a time, in ``index``: all at once in intp took 1 GB at K=9
+        cells = np.array([slots(k, p if p != k else (k + 1) % K) for p in range(K)], index)
+        l, m = np.moveaxis(cells[providers[:, k]], -1, 0)  # cell and slot of each block
+        r = np.take_along_axis(receivers, l, -1)  # l's receiver
+        plan[k] = np.where(m < L, (l * (K - 1) + r - (r > l)) * L + m,
+                           K * (K - 1) * L + l - (l > r))
+    return plan
 
 
 def cell_pairs(K: int) -> list:
@@ -314,34 +323,42 @@ class Potentials:
         with providers the rows of ``providers`` (n, K), NaN in each row with an uncertified
         cell (every cell if they are not square): the P-free part of the centralized screen.
         Station by station, one Gram of its ``station_table`` columns; each cell matrix M_k's
-        Gram is gathered from it, in chunks of SCREEN_CHUNK_BYTES, with one ``certified_factor``
-        C each. The rows Z of M_k^-1 at user (i, k)'s block span its decoders' space, and its
-        rate is log det(I + P/(d_s sigma^2) (Z Z^H)^-1); the own blocks come last, so C_oo^-H
-        of C's trailing block holds each user's Z up to a unitary on the right.
-        :class:`CapacityExceeded`, before any factorization, over SCREEN_TABLE_BYTES of values."""
+        Gram is gathered from it by the candidates' ``_gather_plan``, in chunks of
+        SCREEN_CHUNK_BYTES, with one ``certified_factor`` C each. The rows Z of M_k^-1 at user
+        (i, k)'s block span its decoders' space; the own blocks come last, so C_oo^-H of C's
+        trailing block holds each user's Z up to a unitary on the right, one inverse per
+        station. :class:`CapacityExceeded`, before any factorization, over SCREEN_TABLE_BYTES."""
         K, L, N_B, d_s = self.cfg.K, self.cfg.L, self.cfg.N_B, self.cfg.d_s
-        size = 8 * len(providers) * K * L * d_s
+        n, own, index = len(providers), L * d_s, np.min_scalar_type(K * (K - 1) * L + K - 2)
+        square = (L * (K - 1) + 1) * d_s == N_B  # else which directions the SVD picks is output
+        size = n * K * (8 * own + square * (L * (K - 1) + 1) * index.itemsize)  # gains and plan
         if size > SCREEN_TABLE_BYTES:
-            raise CapacityExceeded(f"the screen of {len(providers)} candidates keeps {size} "
+            raise CapacityExceeded(f"the screen of {n} candidates keeps {size} "
                                    f"bytes, over the {SCREEN_TABLE_BYTES}-byte guard")
-        gains = np.full((len(providers), K, L, d_s), np.nan)
-        if (L * (K - 1) + 1) * d_s != N_B:  # which directions the SVD picks is part of the output
+        gains = np.full((n, K, L, d_s), np.nan)
+        if not square:
             return gains
+        key = np.asarray(providers, np.intp)
+        plan = _gather_plan(K, L, key.tobytes(), key.shape, index)
         table = self.station_table().reshape(K, -1, N_B)
-        finite = np.isfinite(table).all(axis=-1)  # of each station column, once
-        chunk = max(1, SCREEN_CHUNK_BYTES // (16 * N_B ** 2))
-        for k in range(K):
-            gram = table[k].conj() @ table[k].T  # one station's, freed before the next one's
-            for start in range(0, len(providers), chunk):
-                rows = providers[start:start + chunk]
-                l, m = _cell_template(K, L)[:, k, rows[:, k]]  # cell and slot of each block
-                r = np.argsort(rows, axis=-1)[np.arange(len(rows))[:, None], l]  # l's receiver
-                blocks = np.where(m < L, (l * (K - 1) + r - (r > l)) * L + m,  # station_table's
-                                  K * (K - 1) * L + l - (l > r))
-                columns = (blocks[..., None] * d_s + np.arange(d_s)).reshape(len(rows), -1)
-                gains[start:start + chunk, k] = _cell_gains(  # flat indices gather fastest
-                    np.take(gram, columns[:, :, None] * len(gram) + columns[:, None]),
-                    finite[k, columns].all(-1), L, d_s)
+        finite = np.isfinite(table).reshape(K, -1, d_s * N_B).all(-1)  # of each station block, once
+        certified, chunk = np.zeros((n, K), bool), max(1, SCREEN_CHUNK_BYTES // (16 * N_B ** 2))
+        for k in range(K):  # one station's Gram at a time, as [column, block] items of d_s entries
+            gram = (table[k].conj() @ table[k].T).view(np.dtype((np.void, 16 * d_s)))
+            blocks = plan[k].astype(np.intp)
+            columns = (blocks[..., None] * d_s + np.arange(d_s)).reshape(n, -1)
+            rows, cells, owns = columns * gram.shape[1], finite[k, blocks].all(-1), []
+            for start in range(0, n, chunk):
+                cut = slice(start, start + chunk)  # row c of a cell's Gram: item (c, b) per block b
+                factor, ok = certified_factor(
+                    np.take(gram, rows[cut, :, None] + blocks[cut, None]).view(complex), cells[cut])
+                certified[cut, k] = ok
+                if ok.any():  # a small copy per chunk: one station-long array faults pages
+                    owns.append(factor[ok, -own:, -own:])
+                del factor  # freed before the next chunk's Grams: two factors at once fault pages
+            if owns:
+                Z = np.linalg.inv(np.concatenate(owns).conj().swapaxes(-1, -2))
+                gains[certified[:, k], k] = _gram_eigvals(Z.reshape(-1, L, d_s, own))
         gains[np.isnan(gains).any(axis=(1, 2, 3))] = np.nan
         return gains
 
@@ -376,19 +393,6 @@ def build_transceivers(
     blocks = aligned[list(assignment.providers)]
     return TransceiverSet(assignment, inner, patterns.swapaxes(0, 1), blocks,
                           potentials.take("whiteners", pairs).swapaxes(0, 1))
-
-
-def _cell_gains(gram: np.ndarray, finite: np.ndarray, L: int, d_s: int) -> np.ndarray:
-    """``Potentials.inverse_gains`` of a chunk of cells from their Grams (n, N_B, N_B), (n, L,
-    d_s), NaN at an uncertified cell; its factors are freed at the return, before the next's."""
-    factor, certified = certified_factor(gram, finite)
-    gains = np.full((len(gram), L, d_s), np.nan)
-    if certified.any():
-        own = factor[..., -L * d_s:, -L * d_s:]
-        own = own if certified.all() else own[certified]  # no copy when every cell is certified
-        Z = np.linalg.inv(own.conj().swapaxes(-1, -2))
-        gains[certified] = _gram_eigvals(Z.reshape(-1, L, d_s, L * d_s))
-    return gains
 
 
 def _gram_eigvals(Z: np.ndarray) -> np.ndarray:

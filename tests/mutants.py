@@ -8,7 +8,9 @@ CHANGES.md). The runner applies each row to a fresh temporary copy of
 ``pytest -x``. It exits 1 if a mutant survives (its tests pass) or if a row's
 string no longer occurs exactly once: a change that moves the mutated code
 re-anchors the row instead of dropping it. A row that takes over
-``ROW_CEILING_S`` fails too, so that the gate stays cheap as it grows.
+``ROW_CEILING_S`` fails too, so that the gate stays cheap as it grows. Rows run
+``WORKERS`` at a time, each in its own pytest process, beside the check that
+their tests pass on the unmutated tree; the report keeps the rows' order.
 
 Run from the repository root, with the standard library and pytest only:
 
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,7 +61,10 @@ CERTIFICATE = f"{CENTRAL}::test_certificate_refuses"
 GRAMS = f"{CENTRAL}::test_gathered_grams_are_within_the_certificates_rounding_bound"
 STATION_GRAM = "screen from one Gram per base station"
 BISECTION = "tests/test_feedback.py::TestBisection"
+PER_CHUNK = f"{CENTRAL}::test_screen_equals_the_per_chunk_oracle"
+PLAN = "draw-invariant work out of the screen's draw"
 ROW_CEILING_S = 10.0  # a row that takes longer fails: a slow row is fixed when it is added
+WORKERS = min(2, os.cpu_count() or 1)  # pytest processes at once, never more than the cores
 
 MUTANTS = (
     Mutant("feedback-pass-on-every-cell", "src/giasim/harness.py",
@@ -277,7 +283,7 @@ MUTANTS = (
            (f"{CENTRAL}::test_search_equals_fresh_build_per_candidate[reference_k4]",),
            "array-shaped trial evaluation"),
     Mutant("cell-receivers-are-providers", "src/giasim/gia.py",
-           "r = np.argsort(rows, axis=-1)[", "r = np.asarray(rows)[",
+           "receivers = np.argsort(providers, axis=-1)", "receivers = np.asarray(providers)",
            (GRAMS,), "pair pieces in stacked calls"),
     Mutant("take-ignores-failed-pieces", "src/giasim/gia.py",
            "for p, r in pairs if self._errors else ():", "for p, r in ():",
@@ -305,8 +311,8 @@ MUTANTS = (
            (f"{QUANTIZATION}::test_screened_search_equals_einsum_search",),
            "faster feedback quantization with the same bits"),
     Mutant("screen-users-swapped", "src/giasim/gia.py",
-           "gains[certified] = _gram_eigvals(Z.reshape(-1, L, d_s, L * d_s))",
-           "gains[certified] = _gram_eigvals(Z.reshape(-1, L, d_s, L * d_s))[..., ::-1, :]",
+           "gains[certified[:, k], k] = _gram_eigvals(Z.reshape(-1, L, d_s, own))",
+           "gains[certified[:, k], k] = _gram_eigvals(Z.reshape(-1, L, d_s, own))[..., ::-1, :]",
            (f"{CENTRAL}::test_screened_rates_equal_user_rates",),
            "one inverse per cell, not one QR per user"),
     Mutant("template-without-provider-block", "src/giasim/gia.py",
@@ -356,19 +362,34 @@ MUTANTS = (
            "aligned[r, p] = B.swapaxes(-1, -2)", "aligned[p, r] = B.swapaxes(-1, -2)",
            (GRAMS,), STATION_GRAM),
     Mutant("station-column-finiteness-ignored", "src/giasim/gia.py",
-           "finite[k, columns].all(-1), L, d_s)", "np.ones(len(rows), bool), L, d_s)",
+           "finite[k, blocks].all(-1), []", "np.ones(n, bool), []",
            (f"{CENTRAL}::test_failed_pairs_leave_exactly_their_candidates_uncertified",),
            STATION_GRAM),
     Mutant("station-grams-held-at-once", "src/giasim/gia.py",
-           "gram = table[k].conj() @ table[k].T", "gram = (table.conj() @ table.swapaxes(-1, -2))[k]",
+           "gram = (table[k].conj() @ table[k].T)",
+           "gram = ((table.conj() @ table.swapaxes(-1, -2))[k])",
            (f"{CENTRAL}::test_screen_memory_stays_within_five_chunks",), STATION_GRAM),
     Mutant("certificate-factor-held-with-the-kept-one", "src/giasim/gia.py",
            "shifted = _each(np.linalg.cholesky, gram)[1]",
            "held = _each(np.linalg.cholesky, gram); shifted = held[1]",
            (f"{CENTRAL}::test_certificate_holds_one_factor_at_a_time",), STATION_GRAM),
     Mutant("screen-certifies-wide-cells", "src/giasim/gia.py",
-           "if (L * (K - 1) + 1) * d_s != N_B:", "if False:",
+           "        if not square:", "        if False:",
            (f"{CENTRAL}::test_wider_null_space_evaluates_every_candidate_exactly",), STATION_GRAM),
+    Mutant("plan-keyed-without-the-candidates", "src/giasim/gia.py",
+           "@functools.lru_cache(maxsize=8)\ndef _gather_plan(",
+           "@lambda plan, kept={}: lambda K, L, key, shape, index: kept.setdefault(\n"
+           "    (K, L, shape), plan(K, L, key, shape, index))\ndef _gather_plan(",
+           (f"{CENTRAL}::test_gather_plan_is_formed_once_per_candidate_list",), PLAN),
+    Mutant("station-tail-with-another-stations-mask", "src/giasim/gia.py",
+           "gains[certified[:, k], k]", "gains[certified[:, k - 1], k]",
+           (f"{PER_CHUNK}[failed_pairs]",), PLAN),
+    Mutant("own-block-from-the-wrong-corner", "src/giasim/gia.py",
+           "owns.append(factor[ok, -own:, -own:])", "owns.append(factor[ok, :own, :own])",
+           (f"{PER_CHUNK}[tight_k6]",), PLAN),
+    Mutant("chunk-factor-held-into-the-next-chunk", "src/giasim/gia.py",
+           "                del factor  #", "                factor  #",
+           (f"{CENTRAL}::test_each_chunk_factors_with_the_previous_chunks_factor_freed",), PLAN),
     Mutant("anchor-a-past-the-bracket", "src/giasim/feedback.py",
            "0.0 < a < hi and spread(a)", "0.0 < a and spread(a)",
            (f"{BISECTION}::test_anchor_past_the_bracket_is_refused",),
@@ -393,7 +414,9 @@ def pytest_exit(tests, mutant: Mutant | None = None) -> subprocess.CompletedProc
             target = copy / mutant.file
             target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
                               encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        # the named tests need no third-party plugin, whose import can outweigh a row's test
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, capture_output=True, text=True, timeout=600)
@@ -413,6 +436,12 @@ def verdict(mutant: Mutant) -> str:
     return f"broken: pytest exited {done.returncode}: {done.stdout.strip()[-300:]}"
 
 
+def timed(fn, *args):
+    """fn(*args) and the seconds it took."""
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0
+
+
 def main(rows=MUTANTS, names=()) -> int:
     unknown = set(names) - {m.name for m in rows}
     if unknown:
@@ -420,21 +449,25 @@ def main(rows=MUTANTS, names=()) -> int:
         return 1
     rows = [m for m in rows if not names or m.name in names]
     start = time.perf_counter()
-    # a kill counts only if the same tests pass on the unmutated tree
-    clean = pytest_exit(list(dict.fromkeys(t for m in rows for t in m.tests)))
-    if clean.returncode != 0:
-        print(f"the named tests fail on the unmutated tree:\n{clean.stdout[-2000:]}")
-        return 1
-    print(f"the named tests pass on the unmutated tree ({time.perf_counter() - start:.1f} s)")
-    bad = 0
-    for mutant in rows:
-        t0 = time.perf_counter()
-        outcome = verdict(mutant)
-        if outcome == "killed" and time.perf_counter() - t0 > ROW_CEILING_S:
-            outcome = f"killed, but slow: over the {ROW_CEILING_S:.0f} s ceiling"
-        bad += outcome != "killed"
-        print(f"{mutant.name:<34} {outcome} ({time.perf_counter() - t0:.1f} s)", flush=True)
-    print(f"{len(rows) - bad} of {len(rows)} mutants killed in {time.perf_counter() - start:.0f} s")
+    with ThreadPoolExecutor(WORKERS) as pool:
+        # a kill counts only if the same tests pass on the unmutated tree
+        clean = pool.submit(timed, pytest_exit, list(dict.fromkeys(t for m in rows for t in m.tests)))
+        verdicts = [pool.submit(timed, verdict, mutant) for mutant in rows]
+        done, seconds = clean.result()
+        if done.returncode != 0:
+            pool.shutdown(cancel_futures=True)
+            print(f"the named tests fail on the unmutated tree:\n{done.stdout[-2000:]}")
+            return 1
+        print(f"the named tests pass on the unmutated tree ({seconds:.1f} s)")
+        bad = 0
+        for mutant, future in zip(rows, verdicts):
+            outcome, seconds = future.result()
+            if outcome == "killed" and seconds > ROW_CEILING_S:
+                outcome = f"killed, but slow: over the {ROW_CEILING_S:.0f} s ceiling"
+            bad += outcome != "killed"
+            print(f"{mutant.name:<40} {outcome} ({seconds:.1f} s)", flush=True)
+    print(f"{len(rows) - bad} of {len(rows)} mutants killed in {time.perf_counter() - start:.0f} s "
+          f"({WORKERS} at a time)")
     return 1 if bad else 0
 
 

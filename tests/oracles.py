@@ -366,6 +366,53 @@ def cell_matrices(ch, cfg, potentials, providers):
     return np.array(out)
 
 
+def cell_template(K, L):
+    """(cell, slot) of each block of cell k's matrix when k's provider is p, at [:, k, p]: the
+    images at k of the users (slot m) of every cell but k and p, then p's aligned basis (slot
+    L), then k's own users' images."""
+    def blocks(k, p):
+        return ([(l, m) for l in range(K) if l not in (k, p) for m in range(L)]
+                + [(p, L)] + [(k, m) for m in range(L)])
+    return np.moveaxis(np.array([[blocks(k, p if p != k else (k + 1) % K) for p in range(K)]
+                                 for k in range(K)]), -1, 0)
+
+
+def inverse_gains(potentials, providers):
+    """``Potentials.inverse_gains`` chunk by chunk, as it was before the gather plan: each
+    chunk derives its cells' station-table columns from ``cell_template`` and the candidates'
+    receivers, gathers their Grams element by element, and takes its own inverse and
+    eigenvalues of the certified cells' C_oo."""
+    cfg = potentials.cfg
+    K, L, N_B, d_s = cfg.K, cfg.L, cfg.N_B, cfg.d_s
+    gains = np.full((len(providers), K, L, d_s), np.nan)
+    if (L * (K - 1) + 1) * d_s != N_B:
+        return gains
+    table = potentials.station_table().reshape(K, -1, N_B)
+    finite = np.isfinite(table).all(axis=-1)
+    chunk = max(1, gia.SCREEN_CHUNK_BYTES // (16 * N_B ** 2))
+    for k in range(K):
+        gram = table[k].conj() @ table[k].T
+        for start in range(0, len(providers), chunk):
+            rows = providers[start:start + chunk]
+            l, m = cell_template(K, L)[:, k, rows[:, k]]
+            r = np.argsort(rows, axis=-1)[np.arange(len(rows))[:, None], l]  # l's receiver
+            blocks = np.where(m < L, (l * (K - 1) + r - (r > l)) * L + m,
+                              K * (K - 1) * L + l - (l > r))
+            columns = (blocks[..., None] * d_s + np.arange(d_s)).reshape(len(rows), -1)
+            factor, certified = gia.certified_factor(
+                np.take(gram, columns[:, :, None] * len(gram) + columns[:, None]),
+                finite[k, columns].all(-1))
+            cell = np.full((len(rows), L, d_s), np.nan)
+            if certified.any():
+                own = factor[..., -L * d_s:, -L * d_s:]
+                own = own if certified.all() else own[certified]
+                Z = np.linalg.inv(own.conj().swapaxes(-1, -2))
+                cell[certified] = gia._gram_eigvals(Z.reshape(-1, L, d_s, L * d_s))
+            gains[start:start + chunk, k] = cell
+    gains[np.isnan(gains).any(axis=(1, 2, 3))] = np.nan
+    return gains
+
+
 def centralized_search(ch, cfg, objective="sum_rate", sense="best", potentials=None):
     """``assignment.centralized_search`` on ``potentials`` (fresh ones if None) with
     the plain screen and confirm: ``Potentials.inverse_gains`` formed at the call, and

@@ -47,10 +47,12 @@ from giasim.gia import (
     select_null_basis,
     user_rate,
 )
+from giasim.harness import SchemeSpec, SweepSpec, run_sweep
 from giasim.linalg import complex_gaussian
 from giasim.system import SNR_CEILING, ChannelRealization, SystemConfig, draw_channels, trial_rng
 from oracles import (cell_matrices, centralized_search, decoders, feasible_configs,
-                     user_rate as per_user_rate, zf_decoder)
+                     inverse_gains as per_chunk_inverse_gains, user_rate as per_user_rate,
+                     zf_decoder)
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
@@ -332,6 +334,15 @@ def test_gathered_stacks_equal_nulling_stacks(cfg, seed):
             assert np.array_equal(M[k][:, own], image), (assignment, i, k)
 
 
+def tight_fuzz_shapes():
+    """Every tight shape of test_dimension_fuzz with its draw's stream: 11, since the slack
+    draws with no spare antenna are tight too."""
+    shapes = [(cfg, trial_rng(2718, n)) for n, cfg in enumerate(feasible_configs(2718))
+              if (cfg.L * (cfg.K - 1) + 1) * cfg.d_s == cfg.N_B]
+    assert len(shapes) == 11
+    return shapes
+
+
 def _screened_grams(monkeypatch, potentials, providers):
     """Every cell Gram that the screen of ``providers`` factors, (n, K, c, c), as it gathered
     them, and the finiteness it hands the certificate with them, (n, K)."""
@@ -356,10 +367,7 @@ def test_gathered_grams_are_within_the_certificates_rounding_bound(monkeypatch):
     # rounding bound for the certificate, ||G^ - M^H M||_2 <= sqrt(2) (n + 2) u
     # ||M||_F^2, holds for it. M^H M is formed in extended precision. TIGHT_K6's
     # 265 candidates, then every tight fuzz shape
-    shapes = [(TIGHT_K6, trial_rng(47, 0))] + [
-        (cfg, trial_rng(2718, n)) for n, cfg in enumerate(feasible_configs(2718))
-        if (cfg.L * (cfg.K - 1) + 1) * cfg.d_s == cfg.N_B]
-    assert len(shapes) == 12  # the slack draws with no spare antenna are tight too
+    shapes = [(TIGHT_K6, trial_rng(47, 0))] + tight_fuzz_shapes()
     for cfg, rng in shapes:
         ch = draw_channels(cfg, rng)
         potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
@@ -424,7 +432,7 @@ def test_screen_memory_stays_within_five_chunks():
     ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
     potentials = build_potentials(ch, TIGHT_K6, cell_pairs(TIGHT_K6.K))
     providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
-    potentials.inverse_gains(providers)  # the cached gather templates form outside the count
+    potentials.inverse_gains(providers)  # the cached gather plan forms outside the count
     tracemalloc.start()
     try:
         potentials.inverse_gains(providers)
@@ -453,6 +461,96 @@ def test_certificate_holds_one_factor_at_a_time():
     assert certified.all() and np.array_equal(factor, expected)
     assert np.array_equal(G, gram(complex_gaussian(np.random.default_rng(7), (67, 22, 22))))
     assert peak <= 1.25 * G.nbytes
+
+
+@pytest.mark.parametrize("case", ["tight_k6", "fuzz", "failed_pairs", "subset"])
+def test_screen_equals_the_per_chunk_oracle(monkeypatch, case):
+    # the gather plan and the one tail per station change which calls do the
+    # work, not the work: LAPACK factors and inverts each slice alone and the
+    # eigenvalues are elementwise, so every inverse gain, NaN included, is the
+    # per-chunk path's to the bit. Two TIGHT_K6 draws; every tight fuzz shape;
+    # a draw whose 12 failed pairs (ALIGN_TOL = 0) leave a candidate uncertified
+    # at some stations and not at others; every other derangement as the list
+    shapes = (tight_fuzz_shapes() if case == "fuzz" else
+              [(TIGHT_K6, trial_rng(47, t)) for t in ((0, 1) if case == "tight_k6" else (0,))])
+    for cfg, rng in shapes:
+        ch = draw_channels(cfg, rng)
+        if case == "failed_pairs":
+            monkeypatch.setattr(gia, "ALIGN_TOL", 0.0)
+        potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
+        monkeypatch.undo()
+        providers = np.array(list(enumerate_derangements(cfg.K)))[::2 if case == "subset" else 1]
+        gains = potentials.inverse_gains(providers)
+        assert gains.shape == (len(providers), cfg.K, cfg.L, cfg.d_s)
+        assert np.array_equal(gains, per_chunk_inverse_gains(potentials, providers),
+                              equal_nan=True), cfg
+        uncertified = np.isnan(gains).any(axis=(1, 2, 3)).sum()  # not a NaN-only comparison
+        assert 0 < uncertified < len(providers) if case == "failed_pairs" else uncertified == 0
+
+
+def test_gather_plan_is_formed_once_per_candidate_list():
+    # the plan depends on (K, L) and the candidates only. Another list of the
+    # same shape (the derangements reversed) gets a plan of its own, and an
+    # int32 copy of the candidates reads the plan of their intp values. Three
+    # draws of the four centralized searches form one plan
+    ch = draw_channels(REFERENCE, trial_rng(41, 0))
+    potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
+    providers = np.array(list(enumerate_derangements(REFERENCE.K)))
+    gains = potentials.inverse_gains(providers)
+    assert np.array_equal(potentials.inverse_gains(providers[::-1]), gains[::-1])
+    assert np.array_equal(potentials.inverse_gains(providers.astype(np.int32)), gains)
+    gia._gather_plan.cache_clear()
+    schemes = tuple(SchemeSpec(assignment=rule) for rule in
+                    ("centralized_sum", "centralized_min", "worst_sum", "worst_min"))
+    run_sweep(SweepSpec("snr_db", (10.0, 25.0), 3, schemes, seed=41), REFERENCE)
+    assert gia._gather_plan.cache_info().misses == 1
+    potentials.inverse_gains(providers[::-1])
+    potentials.inverse_gains(providers.astype(np.int32))
+    assert gia._gather_plan.cache_info().misses == 2
+
+
+def test_gather_plan_forms_one_station_at_a_time():
+    # the plan keeps D(K) K (L (K-1) + 1) block indices in one byte each up to
+    # K = 9; it is formed station by station in that dtype. Formed for every
+    # station at once through intp temporaries, its peak was 50 plans at K=8
+    # (88 MB for a 1.8 MB plan) and 1.0 GB at K=9; station by station, 2.6
+    K, L = 8, 2
+    providers = np.array(list(enumerate_derangements(K)))
+    index = np.min_scalar_type(K * (K - 1) * L + K - 2)
+    gia._gather_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = gia._gather_plan(K, L, providers.tobytes(), providers.shape, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.shape == (K, len(providers), L * (K - 1) + 1) and plan.dtype == np.uint8
+    assert peak <= 3 * plan.nbytes
+
+
+def test_each_chunk_factors_with_the_previous_chunks_factor_freed(monkeypatch):
+    # a chunk keeps a small copy of its certified C_oo for the station's tail
+    # and frees its factor before the next chunk's Grams are gathered. Every
+    # factorization of a TIGHT_K6 screen starts with at most 2.6 chunks of
+    # SCREEN_CHUNK_BYTES held by the screen (station table, one station's Gram
+    # and columns, the chunk's Grams, the C_oo copies so far); with the previous
+    # factor still held it is 3.5, which grew the heap past the allocator's trim
+    # threshold: 730 page faults per central_k6 draw
+    ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
+    potentials = build_potentials(ch, TIGHT_K6, cell_pairs(TIGHT_K6.K))
+    providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
+    potentials.inverse_gains(providers)  # the cached gather plan forms outside the count
+    held, factor = [], gia.certified_factor
+    monkeypatch.setattr(gia, "certified_factor",
+                        lambda G, f: held.append(tracemalloc.get_traced_memory()[0]) or factor(G, f))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        potentials.inverse_gains(providers)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == TIGHT_K6.K * 4  # 265 candidates in chunks of 67
+    assert max(held) - start <= 3 * gia.SCREEN_CHUNK_BYTES
 
 
 def two_sided_profile(ch, cfg):
@@ -512,8 +610,9 @@ def test_screened_rates_equal_user_rates():
 
 def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypatch):
     # the screen keeps 8 K L d_s bytes of inverse gains per candidate in the
-    # trial's memo, and counts them before it gathers or factors a cell's Gram;
-    # it factors the cells of one base station at a time
+    # trial's memo, and its cached gather plan K (L (K-1) + 1) block indices per
+    # candidate, one byte each here; it counts both before it gathers or factors
+    # a cell's Gram, and factors the cells of one base station at a time
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = np.array(list(enumerate_derangements(REFERENCE.K)))
@@ -521,7 +620,9 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     factor = gia.certified_factor
     monkeypatch.setattr(gia, "certified_factor",
                         lambda G, finite: factored.append(len(G)) or factor(G, finite))
-    size = 8 * len(providers) * REFERENCE.K * REFERENCE.L * REFERENCE.d_s
+    K, L, d_s = REFERENCE.K, REFERENCE.L, REFERENCE.d_s
+    values = 8 * len(providers) * K * L * d_s
+    size = values + len(providers) * K * (L * (K - 1) + 1)
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size - 1)
     with pytest.raises(CapacityExceeded, match=f"{size} bytes"):
         screened_rates(REFERENCE, potentials, providers)
@@ -529,6 +630,9 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size)
     assert np.isfinite(screened_rates(REFERENCE, potentials, providers)).all()
     assert factored == [len(providers)] * REFERENCE.K
+    plan = gia._gather_plan(K, L, providers.astype(np.intp).tobytes(), providers.shape,
+                            np.dtype(np.uint8))
+    assert plan.dtype == np.uint8 and plan.nbytes == size - values
 
 
 def test_screen_is_finite_at_the_snr_ceiling():
