@@ -9,7 +9,6 @@ acceptance, and a centralized brute-force search over all derangements.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -242,23 +241,6 @@ def gale_shapley(prefs: PreferenceProfile, proposer: str) -> tuple[Assignment, i
     return Assignment(tuple(matched)), proposals
 
 
-def enumerate_derangements(K: int):
-    """All fixed-point-free permutations of range(K), lexicographic order."""
-    if K < 2:
-        raise ContractViolation("derangements need at least two elements")
-    for perm in itertools.permutations(range(K)):
-        if all(perm[i] != i for i in range(K)):
-            yield perm
-
-
-@functools.lru_cache(maxsize=None)
-def _derangements(K: int) -> np.ndarray:
-    """The (D(K), K) providers of ``enumerate_derangements(K)``, read-only."""
-    providers = np.array(list(enumerate_derangements(K)))
-    providers.flags.writeable = False
-    return providers
-
-
 def derangement_count(K: int) -> int:
     """D(K) via the inclusion-exclusion sum, computed in exact integers."""
     return sum((-1) ** j * math.factorial(K) // math.factorial(j) for j in range(K + 1))
@@ -268,9 +250,9 @@ def centralized_search(cfg: SystemConfig, screen, user_rates, objective: str,
                        sense: str) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
 
-    ``screen(providers)`` gives the P-free inverse gains lambda of the (D(K), K)
-    candidate ``providers``, ``gia.Potentials.inverse_gains``; a user's screened rate
-    at ``cfg`` sums log1p(P/(d_s sigma^2) / lambda), NaN in an uncertified cell. The
+    ``screen()`` gives the P-free inverse gains lambda of every strict assignment, the
+    candidates ``gia.derangements(K)``, ``gia.Potentials.inverse_gains``; a user's screened
+    rate at ``cfg`` sums log1p(P/(d_s sigma^2) / lambda), NaN in an uncertified cell. The
     screen raises and warns nothing, and a candidate it cannot certify is evaluated
     exactly first, in enumeration order, so warnings and errors come as from a plain
     loop. Certified candidates within SCREEN_MARGIN of the best screened value are
@@ -291,7 +273,7 @@ def centralized_search(cfg: SystemConfig, screen, user_rates, objective: str,
             f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
     reduce = sum if objective == "sum_rate" else min
-    providers = _derangements(cfg.K)
+    providers = gia.derangements(cfg.K)
     candidate = lambda c: Assignment(tuple(providers[c].tolist()))
     exact = {}
 
@@ -300,7 +282,7 @@ def centralized_search(cfg: SystemConfig, screen, user_rates, objective: str,
             exact[c] = reduce([sum(cell) for cell in user_rates(candidate(c)).T.tolist()])
 
     scale = cfg.P / (cfg.d_s * cfg.sigma2)
-    cell_rates = np.log1p(scale / screen(providers)).sum(-1).swapaxes(-1, -2).sum(1)  # (D(K), K)
+    cell_rates = np.log1p(scale / screen()).sum(-1).swapaxes(-1, -2).sum(1)  # (D(K), K)
     certified = np.isfinite(cell_rates).all(axis=-1)
     for c in np.flatnonzero(~certified).tolist():
         confirm(c)

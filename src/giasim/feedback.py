@@ -115,7 +115,7 @@ def dump_codebook(cb: Codebook, path: str) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(struct.pack("<3i", cb.M, cb.N, cb.B))
-            fh.write(np.ascontiguousarray(cb.codewords, dtype="<c16").tobytes())
+            np.ascontiguousarray(cb.codewords, dtype="<c16").tofile(fh)
     except OSError as exc:
         raise ContractViolation(f"cannot write codebook to {path}: {exc}") from exc
 

@@ -179,16 +179,16 @@ def certified_factor(gram: np.ndarray, finite: np.ndarray) -> tuple[np.ndarray |
     return factor, certified
 
 
-@functools.lru_cache(maxsize=8)
-def _gather_plan(K: int, L: int, key: bytes, shape: tuple, index: np.dtype) -> np.ndarray:
-    """The ``station_table`` block of each block of each cell matrix, (K, n, L (K-1) + 1) in
-    dtype ``index``, of the candidates ``np.frombuffer(key, np.intp).reshape(shape)`` (n, K).
+@functools.lru_cache(maxsize=1)  # one (K, L) per sweep: the plan the screen's guard counts
+def _gather_plan(K: int, L: int) -> np.ndarray:
+    """The ``station_table`` block of each block of each cell matrix, (K, D(K), L (K-1) + 1) in
+    the smallest integer type that holds them, of every strict assignment, ``derangements(K)``.
     Cell k's matrix, p its provider, holds the images at k of the users (slot m) of every cell
     but k and p, then p's aligned basis (slot L), then k's own users' images, which come last."""
     def slots(k, p):  # (cell, slot) of each block of cell k's matrix when p provides
         return ([(l, m) for l in range(K) if l not in (k, p) for m in range(L)]
                 + [(p, L)] + [(k, m) for m in range(L)])
-    providers = np.frombuffer(key, np.intp).reshape(shape)
+    providers, index = derangements(K), np.min_scalar_type(K * (K - 1) * L + K - 2)
     receivers = np.argsort(providers, axis=-1).astype(index)
     plan = np.empty((K, len(providers), L * (K - 1) + 1), index)
     for k in range(K):  # a station at a time, in ``index``: all at once in intp took 1 GB at K=9
@@ -203,6 +203,21 @@ def _gather_plan(K: int, L: int, key: bytes, shape: tuple, index: np.dtype) -> n
 def cell_pairs(K: int) -> list:
     """Every ordered (provider, receiver) pair of distinct cells, provider-major."""
     return [(p, r) for p in range(K) for r in range(K) if p != r]
+
+
+@functools.lru_cache(maxsize=1)
+def derangements(K: int) -> np.ndarray:
+    """Every strict assignment of K cells: the (D(K), K) providers of each derangement of
+    range(K), read-only, lexicographic as each prefix takes its free values in turn."""
+    rows = np.zeros((1, 0), np.intp)
+    for k in range(K):
+        free = np.ones((len(rows), K), bool)
+        free[np.arange(len(rows))[:, None], rows] = False
+        free[:, k] = False  # no cell provides for itself
+        prefix, value = np.nonzero(free)
+        rows = np.column_stack([rows[prefix], value])
+    rows.flags.writeable = False
+    return rows
 
 
 def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -318,18 +333,18 @@ class Potentials:
         return np.concatenate([images.reshape(K, -1, d_s, N_B),
                                aligned[~np.eye(K, dtype=bool)].reshape(K, K - 1, d_s, N_B)], axis=1)
 
-    def inverse_gains(self, providers: np.ndarray) -> np.ndarray:
-        """The eigenvalues of Z Z^H of every user, (n, K, L, d_s), of the strict assignments
-        with providers the rows of ``providers`` (n, K), NaN in each row with an uncertified
-        cell (every cell if they are not square): the P-free part of the centralized screen.
-        Station by station, one Gram of its ``station_table`` columns; each cell matrix M_k's
-        Gram is gathered from it by the candidates' ``_gather_plan``, in chunks of
-        SCREEN_CHUNK_BYTES, with one ``certified_factor`` C each. The rows Z of M_k^-1 at user
-        (i, k)'s block span its decoders' space; the own blocks come last, so C_oo^-H of C's
-        trailing block holds each user's Z up to a unitary on the right, one inverse per
-        station. :class:`CapacityExceeded`, before any factorization, over SCREEN_TABLE_BYTES."""
+    def inverse_gains(self) -> np.ndarray:
+        """The eigenvalues of Z Z^H of every user, (D(K), K, L, d_s), of the strict assignments
+        ``derangements(K)``, NaN in each row with an uncertified cell (every cell if they are
+        not square): the P-free part of the centralized screen. Station by station, one Gram
+        of its ``station_table`` columns; each cell matrix M_k's Gram is gathered from it by
+        ``_gather_plan``, in chunks of SCREEN_CHUNK_BYTES, with one ``certified_factor`` C
+        each. The rows Z of M_k^-1 at user (i, k)'s block span its decoders' space; the own
+        blocks come last, so C_oo^-H of C's trailing block holds each user's Z up to a unitary
+        on the right, one inverse per station. :class:`CapacityExceeded`, before any
+        factorization, over SCREEN_TABLE_BYTES."""
         K, L, N_B, d_s = self.cfg.K, self.cfg.L, self.cfg.N_B, self.cfg.d_s
-        n, own, index = len(providers), L * d_s, np.min_scalar_type(K * (K - 1) * L + K - 2)
+        n, own, index = len(derangements(K)), L * d_s, np.min_scalar_type(K * (K - 1) * L + K - 2)
         square = (L * (K - 1) + 1) * d_s == N_B  # else which directions the SVD picks is output
         size = n * K * (8 * own + square * (L * (K - 1) + 1) * index.itemsize)  # gains and plan
         if size > SCREEN_TABLE_BYTES:
@@ -338,8 +353,7 @@ class Potentials:
         gains = np.full((n, K, L, d_s), np.nan)
         if not square:
             return gains
-        key = np.asarray(providers, np.intp)
-        plan = _gather_plan(K, L, key.tobytes(), key.shape, index)
+        plan = _gather_plan(K, L)
         table = self.station_table().reshape(K, -1, N_B)
         finite = np.isfinite(table).reshape(K, -1, d_s * N_B).all(-1)  # of each station block, once
         certified, chunk = np.zeros((n, K), bool), max(1, SCREEN_CHUNK_BYTES // (16 * N_B ** 2))

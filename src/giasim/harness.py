@@ -157,7 +157,7 @@ class TrialBuild:
         self._position = {c: i for i, c in enumerate(dict.fromkeys(c for c, _ in cells))}
         # the pairs the rules read: every pair if one matches or searches, else fixed's ring
         self._pairs = gia.cell_pairs(cfg.K) if any(s.assignment not in ("fixed", "rb", "fdma")
-            for _, s in cells) else gia.assignment_pairs(self._choose(cfg, SchemeSpec("fixed")))
+            for _, s in cells) else gia.assignment_pairs(asg.fixed_cyclic(cfg.K))
         groups, self._entries = {}, {}  # a feedback scheme -> its group's entries, its position
         for _, s in cells:
             if s.bit_alloc != "none":  # a group: {(bit allocation, budget): position}
@@ -230,8 +230,8 @@ class TrialBuild:
             return asg.breaking_step(matched, prefs)
         objective = "sum_rate" if rule.endswith("_sum") else "min_cell_rate"
         sense = "worst" if rule.startswith("worst") else "best"
-        screen = lambda providers: self._once(  # keyed by the candidates: once per draw
-            "screen", providers.tobytes(), lambda: self.potentials().inverse_gains(providers))
+        screen = lambda: self._once(  # every strict assignment, once per draw
+            "screen", None, lambda: self.potentials().inverse_gains())
         return asg.centralized_search(
             cfg, screen, lambda a: self.user_rates(cfg, self.transceivers(a)), objective, sense)[0]
 
@@ -509,9 +509,9 @@ class SweepSpec:
 
 def log_scale(log_base) -> float:
     """Multiplier converting nats to the requested rate unit."""
-    if log_base in ("e", None):
+    if log_base == "e":
         return 1.0
-    if log_base in (2, "2"):
+    if log_base == "2":
         return 1.0 / math.log(2.0)
     raise ContractViolation(f"unsupported log base {log_base!r}")
 

@@ -63,6 +63,7 @@ STATION_GRAM = "screen from one Gram per base station"
 BISECTION = "tests/test_feedback.py::TestBisection"
 PER_CHUNK = f"{CENTRAL}::test_screen_equals_the_per_chunk_oracle"
 PLAN = "draw-invariant work out of the screen's draw"
+TABLE = "the centralized screen covers every strict assignment"
 ROW_CEILING_S = 10.0  # a row that takes longer fails: a slow row is fixed when it is added
 WORKERS = min(2, os.cpu_count() or 1)  # pytest processes at once, never more than the cores
 
@@ -250,7 +251,7 @@ MUTANTS = (
            "return Potentials(self.ch, self.cfg, pairs).take(name, pairs)",
            (f"{PIECES}::test_take_of_a_pair_the_build_did_not_form_is_refused",), AT_BUILD),
     Mutant("screen-keyed-per-config", "src/giasim/harness.py",
-           '"screen", providers.tobytes(), lambda:', '"screen", (cfg, providers.tobytes()), lambda:',
+           '"screen", None, lambda:', '"screen", cfg, lambda:',
            (f"{SHARING}::test_centralized_cells_of_a_draw_share_one_screen",), AT_BUILD),
     Mutant("fixed-only-build-forms-every-pair", "src/giasim/harness.py",
            'not in ("fixed", "rb", "fdma")', 'not in ("rb", "fdma")',
@@ -376,11 +377,6 @@ MUTANTS = (
     Mutant("screen-certifies-wide-cells", "src/giasim/gia.py",
            "        if not square:", "        if False:",
            (f"{CENTRAL}::test_wider_null_space_evaluates_every_candidate_exactly",), STATION_GRAM),
-    Mutant("plan-keyed-without-the-candidates", "src/giasim/gia.py",
-           "@functools.lru_cache(maxsize=8)\ndef _gather_plan(",
-           "@lambda plan, kept={}: lambda K, L, key, shape, index: kept.setdefault(\n"
-           "    (K, L, shape), plan(K, L, key, shape, index))\ndef _gather_plan(",
-           (f"{CENTRAL}::test_gather_plan_is_formed_once_per_candidate_list",), PLAN),
     Mutant("station-tail-with-another-stations-mask", "src/giasim/gia.py",
            "gains[certified[:, k], k]", "gains[certified[:, k - 1], k]",
            (f"{PER_CHUNK}[failed_pairs]",), PLAN),
@@ -390,6 +386,23 @@ MUTANTS = (
     Mutant("chunk-factor-held-into-the-next-chunk", "src/giasim/gia.py",
            "                del factor  #", "                factor  #",
            (f"{CENTRAL}::test_each_chunk_factors_with_the_previous_chunks_factor_freed",), PLAN),
+    # one derangement table, and a gather plan and screen memo keyed by (K, L) alone
+    Mutant("derangements-keep-fixed-points", "src/giasim/gia.py",
+           "        free[:, k] = False  # no cell provides for itself\n", "",
+           ("tests/test_assignment.py::TestDerangements::test_equal_the_filter_of_every_permutation",),
+           TABLE),
+    Mutant("derangements-writable", "src/giasim/gia.py",
+           "    rows.flags.writeable = False\n", "",
+           ("tests/test_assignment.py::TestDerangements::test_equal_the_filter_of_every_permutation",),
+           TABLE),
+    Mutant("plan-cache-keeps-every-shape", "src/giasim/gia.py",
+           "@functools.lru_cache(maxsize=1)  # one (K, L) per sweep",
+           "@functools.lru_cache(maxsize=8)  # one (K, L) per sweep",
+           (f"{CENTRAL}::test_gather_plan_cache_holds_the_one_plan_the_guard_counts",), TABLE),
+    Mutant("log-base-takes-the-integer-two", "src/giasim/harness.py",
+           'if log_base == "2":', 'if log_base in (2, "2"):',
+           ("tests/test_harness.py::TestSweep::test_unsupported_log_base_rejected_at_construction",),
+           TABLE),
     Mutant("anchor-a-past-the-bracket", "src/giasim/feedback.py",
            "0.0 < a < hi and spread(a)", "0.0 < a and spread(a)",
            (f"{BISECTION}::test_anchor_past_the_bracket_is_refused",),

@@ -5,6 +5,7 @@ against, or use to drive the package one piece at a time, lives here.
 """
 
 import copy
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -377,13 +378,14 @@ def cell_template(K, L):
                                  for k in range(K)]), -1, 0)
 
 
-def inverse_gains(potentials, providers):
+def inverse_gains(potentials):
     """``Potentials.inverse_gains`` chunk by chunk, as it was before the gather plan: each
-    chunk derives its cells' station-table columns from ``cell_template`` and the candidates'
-    receivers, gathers their Grams element by element, and takes its own inverse and
-    eigenvalues of the certified cells' C_oo."""
+    chunk of ``enumerate_derangements`` derives its cells' station-table columns from
+    ``cell_template`` and the candidates' receivers, gathers their Grams element by element,
+    and takes its own inverse and eigenvalues of the certified cells' C_oo."""
     cfg = potentials.cfg
     K, L, N_B, d_s = cfg.K, cfg.L, cfg.N_B, cfg.d_s
+    providers = np.array(list(enumerate_derangements(K)))
     gains = np.full((len(providers), K, L, d_s), np.nan)
     if (L * (K - 1) + 1) * d_s != N_B:
         return gains
@@ -530,6 +532,14 @@ def allocation_objective(lambda1, bits, d_s, N_U):
     """The bound-shaped objective the bit split minimizes."""
     m = d_s * (N_U - d_s)
     return float(np.sum(np.asarray(lambda1) * np.power(2.0, -np.asarray(bits) / m)))
+
+
+def enumerate_derangements(K):
+    """All fixed-point-free permutations of range(K), lexicographic, filtered from all K!
+    permutations: the reference for ``gia.derangements``, which extends prefixes instead."""
+    for perm in itertools.permutations(range(K)):
+        if all(perm[i] != i for i in range(K)):
+            yield perm
 
 
 def strict_count_formula(K):

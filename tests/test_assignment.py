@@ -10,7 +10,6 @@ from giasim.assignment import (
     breaking_step,
     build_preferences,
     derangement_count,
-    enumerate_derangements,
     fca_match,
     fixed_cyclic,
     gale_shapley,
@@ -19,7 +18,7 @@ from giasim.assignment import (
     receiver_preferences,
 )
 from giasim.errors import CapacityExceeded, ContractViolation
-from giasim.gia import build_potentials, build_transceivers, cell_pairs, user_rate
+from giasim.gia import build_potentials, build_transceivers, cell_pairs, derangements, user_rate
 from giasim.linalg import complex_gaussian, psd_eigvals
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     dict_gale_shapley,
     dict_is_strict,
     dict_profile,
+    enumerate_derangements,
     rank_by_utility,
     strict_count_formula,
     validate_assignment,
@@ -79,16 +79,26 @@ def table_utility() -> dict:
 
 class TestDerangements:
     def test_three_cells_exact(self):
-        assert list(enumerate_derangements(3)) == [(1, 2, 0), (2, 0, 1)]
+        assert derangements(3).tolist() == [[1, 2, 0], [2, 0, 1]]
 
     @pytest.mark.parametrize("K", [3, 4, 5, 6])
     def test_counts_match_recurrence(self, K):
-        assert sum(1 for _ in enumerate_derangements(K)) == recurrence_derangements(K)
+        assert len(derangements(K)) == recurrence_derangements(K)
 
     def test_lexicographic_order(self):
-        perms = list(enumerate_derangements(4))
+        perms = derangements(4).tolist()
         assert perms == sorted(perms)
         assert len(perms) == 9
+
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_equal_the_filter_of_every_permutation(self, K):
+        # the prefix extension gives the rows of the K! filter, row for row, and
+        # the table every search shares cannot be written through
+        rows = derangements(K)
+        assert rows.tolist() == [list(p) for p in enumerate_derangements(K)]
+        assert rows.shape == (derangement_count(K), K) and rows.dtype == np.intp
+        with pytest.raises(ValueError):
+            rows[0, 0] = rows[0, 1]
 
     def test_closed_form_count_off_by_one(self):
         # the stated closed form undercounts the enumeration by exactly one
@@ -141,7 +151,7 @@ def matched_dict(assignment):
 class TestProvidersFormat:
     @pytest.mark.parametrize("K", [3, 4, 5, 6])
     def test_derangements_agree_with_dict_form(self, K):
-        for perm in enumerate_derangements(K):
+        for perm in map(tuple, derangements(K).tolist()):
             provider_of = {k: perm[k] for k in range(K)}
             a = Assignment(perm)
             assert a.providers == perm and a.lone is None

@@ -30,7 +30,6 @@ from giasim.assignment import (
     Assignment,
     breaking_step,
     build_preferences,
-    enumerate_derangements,
     fca_match,
     fixed_cyclic,
     gale_shapley,
@@ -50,9 +49,9 @@ from giasim.gia import (
 from giasim.harness import SchemeSpec, SweepSpec, run_sweep
 from giasim.linalg import complex_gaussian
 from giasim.system import SNR_CEILING, ChannelRealization, SystemConfig, draw_channels, trial_rng
-from oracles import (cell_matrices, centralized_search, decoders, feasible_configs,
-                     inverse_gains as per_chunk_inverse_gains, user_rate as per_user_rate,
-                     zf_decoder)
+from oracles import (cell_matrices, centralized_search, decoders, enumerate_derangements,
+                     feasible_configs, inverse_gains as per_chunk_inverse_gains,
+                     user_rate as per_user_rate, zf_decoder)
 
 REFERENCE = SystemConfig(K=4, L=2, N_B=14, N_U=8, d_s=2).at_snr_db(25.0)
 TIGHT_K5 = SystemConfig(K=5, L=2, N_B=18, N_U=10, d_s=2).at_snr_db(25.0)
@@ -80,11 +79,11 @@ def reference_candidates(ch, cfg):
     return out
 
 
-def screened_rates(cfg, potentials, providers):
-    """Every user's screened rate in nats, (n, L, K), at ``cfg``'s power, of the
-    candidates ``providers``, as ``centralized_search`` forms it from the inverse gains."""
+def screened_rates(cfg, potentials):
+    """Every user's screened rate in nats, (D(K), L, K), at ``cfg``'s power, of every
+    strict assignment, as ``centralized_search`` forms it from the inverse gains."""
     scale = cfg.P / (cfg.d_s * cfg.sigma2)
-    return np.log1p(scale / potentials.inverse_gains(providers)).sum(-1).swapaxes(-1, -2)
+    return np.log1p(scale / potentials.inverse_gains()).sum(-1).swapaxes(-1, -2)
 
 
 def reference_pick(candidates, objective, sense):
@@ -167,7 +166,7 @@ def test_wider_null_space_evaluates_every_candidate_exactly(monkeypatch):
     ch = draw_channels(cfg, trial_rng(48, 0))
     potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
     monkeypatch.setattr(gia, "certified_factor", None)  # a call would raise
-    assert np.isnan(potentials.inverse_gains(np.array(list(enumerate_derangements(4))))).all()
+    assert np.isnan(potentials.inverse_gains()).all()
     monkeypatch.undo()
     builds = _count_calls(monkeypatch, "build_transceivers")
     chosen, value = centralized_search(ch, cfg)
@@ -183,9 +182,9 @@ def test_screen_error_falls_back_to_every_candidate(monkeypatch):
     ref_chosen, ref_value = reference_pick(reference_candidates(ch, REFERENCE), "sum_rate", "best")
     scale = REFERENCE.P / (REFERENCE.d_s * REFERENCE.sigma2)
 
-    def low_on_winner(providers):  # the winner's every screened rate term times 1 - 10 margin
-        gains = potentials.inverse_gains(providers)
-        for row, lam in zip(providers.tolist(), gains):
+    def low_on_winner():  # the winner's every screened rate term times 1 - 10 margin
+        gains = potentials.inverse_gains()
+        for row, lam in zip(gia.derangements(REFERENCE.K).tolist(), gains):
             if tuple(row) == ref_chosen.providers:
                 lam[...] = scale / np.expm1(np.log1p(scale / lam) * (1 - 10 * SCREEN_MARGIN))
         return gains
@@ -253,7 +252,7 @@ def test_candidates_in_the_certificate_band_take_the_exact_path(monkeypatch):
     monkeypatch.setattr(gia.Potentials, "take", tilted)
     ch = draw_channels(REFERENCE, trial_rng(41, 5))
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
-    providers = np.array(list(enumerate_derangements(REFERENCE.K)))
+    providers = gia.derangements(REFERENCE.K)
     band = providers[:, 0] == 1
     M = cell_matrices(ch, REFERENCE, potentials, providers)[band, 0]
     s = np.linalg.svd(M, compute_uv=False)
@@ -343,9 +342,9 @@ def tight_fuzz_shapes():
     return shapes
 
 
-def _screened_grams(monkeypatch, potentials, providers):
-    """Every cell Gram that the screen of ``providers`` factors, (n, K, c, c), as it gathered
-    them, and the finiteness it hands the certificate with them, (n, K)."""
+def _screened_grams(monkeypatch, potentials):
+    """Every cell Gram that the screen factors, (D(K), K, c, c), as it gathered them, and the
+    finiteness it hands the certificate with them, (D(K), K)."""
     grams, finite, factor = [], [], gia.certified_factor
 
     def kept(G, f):
@@ -354,10 +353,10 @@ def _screened_grams(monkeypatch, potentials, providers):
         return factor(G, f)
 
     monkeypatch.setattr(gia, "certified_factor", kept)
-    potentials.inverse_gains(providers)
+    potentials.inverse_gains()
     monkeypatch.setattr(gia, "certified_factor", factor)
     K = potentials.cfg.K  # the screen factors station by station
-    G = np.concatenate(grams).reshape((K, len(providers)) + grams[0].shape[1:]).swapaxes(0, 1)
+    G = np.concatenate(grams).reshape((K, -1) + grams[0].shape[1:]).swapaxes(0, 1)
     return G, np.concatenate(finite).reshape(K, -1).T
 
 
@@ -371,9 +370,8 @@ def test_gathered_grams_are_within_the_certificates_rounding_bound(monkeypatch):
     for cfg, rng in shapes:
         ch = draw_channels(cfg, rng)
         potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
-        providers = np.array(list(enumerate_derangements(cfg.K)))
-        grams, finite = _screened_grams(monkeypatch, potentials, providers)
-        M = cell_matrices(ch, cfg, potentials, providers)
+        grams, finite = _screened_grams(monkeypatch, potentials)
+        M = cell_matrices(ch, cfg, potentials, gia.derangements(cfg.K))
         assert grams.shape == M.shape and finite.all()
         error = np.linalg.norm((grams - gram(M.astype(np.clongdouble))).astype(complex), 2,
                                axis=(-2, -1))
@@ -397,14 +395,14 @@ def test_failed_pairs_leave_exactly_their_candidates_uncertified(monkeypatch):
     monkeypatch.undo()
     failed = {(p, r) for _, p, r in failing._errors}
     assert len(failed) == 12
-    providers = np.array(list(enumerate_derangements(cfg.K)))
+    providers = gia.derangements(cfg.K)
     reads = np.array([bool(failed & {*assignment_pairs(Assignment(tuple(row)))})
                       for row in providers.tolist()])
     assert 0 < reads.sum() < len(providers)
     cholesky, seen = np.linalg.cholesky, []
     monkeypatch.setattr(np.linalg, "cholesky",
                         lambda A: seen.append(np.isfinite(A).all()) or cholesky(A))
-    uncertified = np.isnan(failing.inverse_gains(providers)).any(axis=(1, 2, 3))
+    uncertified = np.isnan(failing.inverse_gains()).any(axis=(1, 2, 3))
     assert seen and all(seen)
     assert uncertified.tolist() == reads.tolist()
     M = cell_matrices(ch, cfg, potentials, providers[~reads])
@@ -431,11 +429,10 @@ def test_screen_memory_stays_within_five_chunks():
     # draw (740 per screen)
     ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
     potentials = build_potentials(ch, TIGHT_K6, cell_pairs(TIGHT_K6.K))
-    providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
-    potentials.inverse_gains(providers)  # the cached gather plan forms outside the count
+    potentials.inverse_gains()  # the cached gather plan forms outside the count
     tracemalloc.start()
     try:
-        potentials.inverse_gains(providers)
+        potentials.inverse_gains()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,14 +460,14 @@ def test_certificate_holds_one_factor_at_a_time():
     assert peak <= 1.25 * G.nbytes
 
 
-@pytest.mark.parametrize("case", ["tight_k6", "fuzz", "failed_pairs", "subset"])
+@pytest.mark.parametrize("case", ["tight_k6", "fuzz", "failed_pairs"])
 def test_screen_equals_the_per_chunk_oracle(monkeypatch, case):
     # the gather plan and the one tail per station change which calls do the
     # work, not the work: LAPACK factors and inverts each slice alone and the
     # eigenvalues are elementwise, so every inverse gain, NaN included, is the
     # per-chunk path's to the bit. Two TIGHT_K6 draws; every tight fuzz shape;
-    # a draw whose 12 failed pairs (ALIGN_TOL = 0) leave a candidate uncertified
-    # at some stations and not at others; every other derangement as the list
+    # and a draw whose 12 failed pairs (ALIGN_TOL = 0) leave a candidate
+    # uncertified at some stations and not at others
     shapes = (tight_fuzz_shapes() if case == "fuzz" else
               [(TIGHT_K6, trial_rng(47, t)) for t in ((0, 1) if case == "tight_k6" else (0,))])
     for cfg, rng in shapes:
@@ -479,34 +476,42 @@ def test_screen_equals_the_per_chunk_oracle(monkeypatch, case):
             monkeypatch.setattr(gia, "ALIGN_TOL", 0.0)
         potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
         monkeypatch.undo()
-        providers = np.array(list(enumerate_derangements(cfg.K)))[::2 if case == "subset" else 1]
-        gains = potentials.inverse_gains(providers)
-        assert gains.shape == (len(providers), cfg.K, cfg.L, cfg.d_s)
-        assert np.array_equal(gains, per_chunk_inverse_gains(potentials, providers),
-                              equal_nan=True), cfg
+        gains = potentials.inverse_gains()
+        assert gains.shape == (len(_derangements(cfg)), cfg.K, cfg.L, cfg.d_s)
+        assert np.array_equal(gains, per_chunk_inverse_gains(potentials), equal_nan=True), cfg
         uncertified = np.isnan(gains).any(axis=(1, 2, 3)).sum()  # not a NaN-only comparison
-        assert 0 < uncertified < len(providers) if case == "failed_pairs" else uncertified == 0
+        assert 0 < uncertified < len(gains) if case == "failed_pairs" else uncertified == 0
 
 
 def test_gather_plan_is_formed_once_per_candidate_list():
-    # the plan depends on (K, L) and the candidates only. Another list of the
-    # same shape (the derangements reversed) gets a plan of its own, and an
-    # int32 copy of the candidates reads the plan of their intp values. Three
-    # draws of the four centralized searches form one plan
-    ch = draw_channels(REFERENCE, trial_rng(41, 0))
-    potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
-    providers = np.array(list(enumerate_derangements(REFERENCE.K)))
-    gains = potentials.inverse_gains(providers)
-    assert np.array_equal(potentials.inverse_gains(providers[::-1]), gains[::-1])
-    assert np.array_equal(potentials.inverse_gains(providers.astype(np.int32)), gains)
+    # the plan depends on (K, L) alone, as the candidates, every strict
+    # assignment, depend on K: three draws of the four centralized searches
+    # form one plan
     gia._gather_plan.cache_clear()
     schemes = tuple(SchemeSpec(assignment=rule) for rule in
                     ("centralized_sum", "centralized_min", "worst_sum", "worst_min"))
     run_sweep(SweepSpec("snr_db", (10.0, 25.0), 3, schemes, seed=41), REFERENCE)
     assert gia._gather_plan.cache_info().misses == 1
-    potentials.inverse_gains(providers[::-1])
-    potentials.inverse_gains(providers.astype(np.int32))
-    assert gia._gather_plan.cache_info().misses == 2
+
+
+def test_gather_plan_cache_holds_the_one_plan_the_guard_counts(monkeypatch):
+    # a sweep screens one (K, L): after a REFERENCE screen and a TIGHT_K6 one, the
+    # caches keep TIGHT_K6's candidates and plan alone, with no key bytes, and the
+    # plan is the very one the screen's byte guard counts beside its gains
+    for cfg, seed in ((REFERENCE, 41), (TIGHT_K6, 47)):
+        potentials = build_potentials(draw_channels(cfg, trial_rng(seed, 0)), cfg,
+                                      cell_pairs(cfg.K))
+        potentials.inverse_gains()
+    assert gia._gather_plan.cache_info().currsize == gia.derangements.cache_info().currsize == 1
+    K, L, d_s = TIGHT_K6.K, TIGHT_K6.L, TIGHT_K6.d_s
+    misses = gia._gather_plan.cache_info().misses
+    plan = gia._gather_plan(K, L)
+    assert gia._gather_plan.cache_info().misses == misses  # the plan the screen formed
+    monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", 0)
+    with pytest.raises(CapacityExceeded, match=r"keeps \d+ bytes") as refused:
+        potentials.inverse_gains()
+    size = int(str(refused.value).split(" keeps ")[1].split()[0])
+    assert plan.nbytes == size - 8 * len(gia.derangements(K)) * K * L * d_s
 
 
 def test_gather_plan_forms_one_station_at_a_time():
@@ -515,12 +520,11 @@ def test_gather_plan_forms_one_station_at_a_time():
     # station at once through intp temporaries, its peak was 50 plans at K=8
     # (88 MB for a 1.8 MB plan) and 1.0 GB at K=9; station by station, 2.6
     K, L = 8, 2
-    providers = np.array(list(enumerate_derangements(K)))
-    index = np.min_scalar_type(K * (K - 1) * L + K - 2)
+    providers = gia.derangements(K)  # the candidates form outside the count
     gia._gather_plan.cache_clear()
     tracemalloc.start()
     try:
-        plan = gia._gather_plan(K, L, providers.tobytes(), providers.shape, index)
+        plan = gia._gather_plan(K, L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,15 +542,14 @@ def test_each_chunk_factors_with_the_previous_chunks_factor_freed(monkeypatch):
     # threshold: 730 page faults per central_k6 draw
     ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
     potentials = build_potentials(ch, TIGHT_K6, cell_pairs(TIGHT_K6.K))
-    providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
-    potentials.inverse_gains(providers)  # the cached gather plan forms outside the count
+    potentials.inverse_gains()  # the cached gather plan forms outside the count
     held, factor = [], gia.certified_factor
     monkeypatch.setattr(gia, "certified_factor",
                         lambda G, f: held.append(tracemalloc.get_traced_memory()[0]) or factor(G, f))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        potentials.inverse_gains(providers)
+        potentials.inverse_gains()
     finally:
         tracemalloc.stop()
     assert len(held) == TIGHT_K6.K * 4  # 265 candidates in chunks of 67
@@ -599,8 +602,7 @@ def test_screened_rates_equal_user_rates():
     for cfg, rng in shapes:
         ch = draw_channels(cfg, rng)
         potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
-        providers = np.array(list(enumerate_derangements(cfg.K)))
-        screened = screened_rates(cfg, potentials, providers)
+        screened = screened_rates(cfg, potentials)
         assert screened.shape == (len(_derangements(cfg)), cfg.L, cfg.K)
         for assignment, rates in zip(_derangements(cfg), screened):
             exact = user_rate(ch, build_transceivers(ch, cfg, assignment, potentials), cfg)
@@ -615,7 +617,7 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     # a cell's Gram, and factors the cells of one base station at a time
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
-    providers = np.array(list(enumerate_derangements(REFERENCE.K)))
+    providers = gia.derangements(REFERENCE.K)
     factored = []
     factor = gia.certified_factor
     monkeypatch.setattr(gia, "certified_factor",
@@ -625,13 +627,12 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     size = values + len(providers) * K * (L * (K - 1) + 1)
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size - 1)
     with pytest.raises(CapacityExceeded, match=f"{size} bytes"):
-        screened_rates(REFERENCE, potentials, providers)
+        screened_rates(REFERENCE, potentials)
     assert factored == []
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size)
-    assert np.isfinite(screened_rates(REFERENCE, potentials, providers)).all()
+    assert np.isfinite(screened_rates(REFERENCE, potentials)).all()
     assert factored == [len(providers)] * REFERENCE.K
-    plan = gia._gather_plan(K, L, providers.astype(np.intp).tobytes(), providers.shape,
-                            np.dtype(np.uint8))
+    plan = gia._gather_plan(K, L)
     assert plan.dtype == np.uint8 and plan.nbytes == size - values
 
 
@@ -640,11 +641,10 @@ def test_screen_is_finite_at_the_snr_ceiling():
     # inverse gains come from the d_s = 2 closed form
     ch = draw_channels(TIGHT_K6, trial_rng(47, 0))
     potentials = build_potentials(ch, TIGHT_K6, cell_pairs(TIGHT_K6.K))
-    providers = np.array(list(enumerate_derangements(TIGHT_K6.K)))
     for cfg in (replace(TIGHT_K6, P=SNR_CEILING), replace(TIGHT_K6, P=1.0, sigma2=1 / SNR_CEILING)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(screened_rates(cfg, potentials, providers)).all()
+            assert np.isfinite(screened_rates(cfg, potentials)).all()
 
 
 @pytest.mark.parametrize("bad", [

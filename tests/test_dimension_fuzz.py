@@ -10,8 +10,9 @@ these cover d_s = 1, L = 1 and L = 3 as well.
 
 import math
 
-from giasim.assignment import Assignment, enumerate_derangements, fixed_cyclic
-from giasim.gia import build_potentials, build_transceivers, cell_pairs, verify_alignment
+from giasim.assignment import Assignment, fixed_cyclic
+from giasim.gia import (build_potentials, build_transceivers, cell_pairs, derangements,
+                        verify_alignment)
 from giasim.harness import SchemeSpec
 from giasim.system import draw_channels, trial_rng
 from oracles import failed_conditions, feasibility_limits, feasible_configs, run_trial
@@ -30,8 +31,7 @@ def test_alignment_and_pathwise_bound_on_feasible_draws():
     for t, cfg in enumerate(feasible_configs(SEED)):
         ch = draw_channels(cfg, trial_rng(SEED, t))
         potentials = build_potentials(ch, cfg, cell_pairs(cfg.K))
-        derangements = list(enumerate_derangements(cfg.K))
-        last = Assignment(derangements[-1])
+        last = Assignment(tuple(derangements(cfg.K)[-1].tolist()))
         for assignment in (fixed_cyclic(cfg.K), last):
             rep = verify_alignment(ch, build_transceivers(ch, cfg, assignment, potentials), cfg)
             assert rep.max_residual < 1e-8 * math.sqrt(cfg.P), (cfg, rep)

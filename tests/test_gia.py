@@ -15,6 +15,7 @@ from giasim.gia import (
     build_potentials,
     build_transceivers,
     cell_pairs,
+    derangements,
     full_precoder,
     link_images,
     rate_logdet,
@@ -261,12 +262,10 @@ def test_build_transceivers_rejects_weak(realization):
 def test_high_snr_slope_shared_across_assignments(realization):
     # on one fixed realization, every strict assignment climbs at the same
     # high-SNR slope even though absolute rates differ
-    from giasim.assignment import enumerate_derangements
-
     pots = build_potentials(realization, CFG, cell_pairs(CFG.K))
     slopes, rates_30 = [], []
-    for perm in enumerate_derangements(CFG.K):
-        a = Assignment(perm)
+    for perm in derangements(CFG.K).tolist():
+        a = Assignment(tuple(perm))
         tset = build_transceivers(realization, CFG, a, pots)
         U, totals = decoders(realization, tset), []
         for snr in (1e3, 1e4):

@@ -559,11 +559,13 @@ class TestSweep:
             )
 
     def test_unsupported_log_base_rejected_at_construction(self):
-        with pytest.raises(ContractViolation, match="unsupported log base"):
-            SweepSpec(
-                variable="snr_db", grid=(25.0,), trials=1,
-                schemes=(SchemeSpec(assignment="fixed"),), log_base="10",
-            )
+        # the unit is "e" or "2", the CLI's choices: the integer 2 and None are refused too
+        for log_base in ("10", 2, None):
+            with pytest.raises(ContractViolation, match="unsupported log base"):
+                SweepSpec(
+                    variable="snr_db", grid=(25.0,), trials=1,
+                    schemes=(SchemeSpec(assignment="fixed"),), log_base=log_base,
+                )
 
     def test_empty_scheme_tuple_rejected(self):
         with pytest.raises(ContractViolation, match="scheme"):

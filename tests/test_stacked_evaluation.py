@@ -13,12 +13,11 @@ import oracles
 from giasim.assignment import (
     Assignment,
     build_preferences,
-    enumerate_derangements,
     fixed_cyclic,
     provider_preferences,
     receiver_preferences,
 )
-from giasim.gia import link_images, user_rate
+from giasim.gia import derangements, link_images, user_rate
 from giasim.harness import SchemeSpec, TrialBuild, baseline_rb, throughput
 from oracles import feasible_configs
 
@@ -37,7 +36,7 @@ def per_user_array(cfg, fn):
 
 def test_user_rate_equals_per_user_loop():
     for cfg, build in builds():
-        last = Assignment(list(enumerate_derangements(cfg.K))[-1])
+        last = Assignment(tuple(derangements(cfg.K)[-1].tolist()))
         for assignment in (fixed_cyclic(cfg.K), last):
             tset = build.transceivers(assignment)
             stacked = user_rate(build.ch, tset, cfg)

@@ -402,7 +402,7 @@ def test_centralized_cells_of_a_draw_share_one_screen(monkeypatch):
     screens, calls = [], []
     screen, factor = hmod.gia.Potentials.inverse_gains, hmod.gia.certified_factor
     monkeypatch.setattr(hmod.gia.Potentials, "inverse_gains",
-                        lambda self, providers: screens.append(self) or screen(self, providers))
+                        lambda self: screens.append(self) or screen(self))
     monkeypatch.setattr(hmod.gia, "certified_factor",
                         lambda G, finite: calls.append(len(G)) or factor(G, finite))
     trials = 2
