@@ -241,11 +241,6 @@ def gale_shapley(prefs: PreferenceProfile, proposer: str) -> tuple[Assignment, i
     return Assignment(tuple(matched)), proposals
 
 
-def derangement_count(K: int) -> int:
-    """D(K) via the inclusion-exclusion sum, computed in exact integers."""
-    return sum((-1) ** j * math.factorial(K) // math.factorial(j) for j in range(K + 1))
-
-
 def centralized_search(cfg: SystemConfig, screen, user_rates, objective: str,
                        sense: str) -> tuple[Assignment, float]:
     """Brute-force over all strict assignments using exact per-user rates.
@@ -268,11 +263,13 @@ def centralized_search(cfg: SystemConfig, screen, user_rates, objective: str,
         raise ContractViolation(f"unknown objective {objective!r}")
     if sense not in ("best", "worst"):
         raise ContractViolation(f"unknown sense {sense!r}")
-    if derangement_count(cfg.K) > ENUMERATION_CAP:
-        raise CapacityExceeded(
-            f"{derangement_count(cfg.K)} assignments exceed the enumeration cap {ENUMERATION_CAP}"
-        )
+    count = gia.derangement_count(cfg.K)
+    if count > ENUMERATION_CAP:
+        raise CapacityExceeded(f"{count} assignments exceed the enumeration cap {ENUMERATION_CAP}")
     reduce = sum if objective == "sum_rate" else min
+    scale = cfg.P / (cfg.d_s * cfg.sigma2)
+    # the screen first: its byte guard counts the candidates before any forms
+    cell_rates = np.log1p(scale / screen()).sum(-1).swapaxes(-1, -2).sum(1)  # (D(K), K)
     providers = gia.derangements(cfg.K)
     candidate = lambda c: Assignment(tuple(providers[c].tolist()))
     exact = {}
@@ -281,8 +278,6 @@ def centralized_search(cfg: SystemConfig, screen, user_rates, objective: str,
         if c not in exact:
             exact[c] = reduce([sum(cell) for cell in user_rates(candidate(c)).T.tolist()])
 
-    scale = cfg.P / (cfg.d_s * cfg.sigma2)
-    cell_rates = np.log1p(scale / screen()).sum(-1).swapaxes(-1, -2).sum(1)  # (D(K), K)
     certified = np.isfinite(cell_rates).all(axis=-1)
     for c in np.flatnonzero(~certified).tolist():
         confirm(c)

@@ -321,74 +321,33 @@ class GeodesicFrame:
         self.sig = np.array([s / np.linalg.norm(s) for s in sig])
 
 
-def _geodesic_time(sig: np.ndarray, dist_sq: float, guide: float) -> float:
-    """The t at which sum_j sin^2(sig_j t) reaches dist_sq on [0, pi / (2 sig_0)],
-    by bisection; the upper end when even that falls short. Certified anchors
-    just below and above ``guide`` set every midpoint outside them unevaluated,
-    to what its evaluation would give (README)."""
-    if sig.size < 8:
-        # numpy sums fewer than 8 elements in order, so this loop gives the
-        # same bits as the numpy expression below, without its call overhead
-        sig_list = sig.tolist()
-
-        def spread(t: float) -> float:
-            acc = 0.0
-            for s in sig_list:
-                x = math.sin(s * t)
-                acc += x * x
-            return acc
-    else:
-        def spread(t: float) -> float:
-            return float(np.sum(np.sin(sig * t) ** 2))
-
-    # invariant: spread(lo) < dist_sq <= spread(hi). Once the midpoint rounds
-    # onto an end, no later step can move either end, so stopping there
-    # gives the same t as running all 80 steps. spread increases on [0, hi]
-    # and, above 2^-900, its float value is within 2^-48 of it, relative:
-    # every midpoint at most a certified a has its float spread below
-    # dist_sq, and every one at least a certified b, hi included, above
-    lo, hi = 0.0, math.pi / 2.0 / float(sig[0])
-    a, b = guide * (1.0 - 2.0 ** -44), guide * (1.0 + 2.0 ** -44)
-    certify = dist_sq > 2.0 ** -900 and sig.size <= 64
-    if not (certify and 0.0 < b < hi and spread(b) > dist_sq * (1.0 + 2.0 ** -46)):
-        b = math.inf
-        if spread(hi) <= dist_sq:
-            return hi
-    if not (certify and 0.0 < a < hi and spread(a) < dist_sq * (1.0 - 2.0 ** -46)):
-        a = -1.0
+def _geodesic_times(sig: np.ndarray, dist_sq: np.ndarray) -> np.ndarray:
+    """The t of each row of ``sig`` (n, N) at which sum_j sin^2(sig_j t) reaches its
+    dist_sq on [0, pi / (2 sig_0)], by one bisection of all rows at once; the upper end
+    where even that falls short, 0 at distance 0. A row whose midpoint has rounded onto
+    an end never moves again, so every row waits for the slowest and ends where its
+    own walk would (README)."""
+    spread = lambda t: np.add.reduce(np.sin(sig * t[:, None]) ** 2, axis=-1)
+    # each row keeps spread(lo) < dist_sq <= spread(hi), but for hi = top: the return settles it
+    top = np.where(dist_sq > 0.0, np.pi / 2.0 / sig[:, 0], 0.0)
+    lo, hi = np.zeros(len(sig)), top
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if ((mid == lo) | (mid == hi)).all():
             break
-        if mid <= a or (mid < b and spread(mid) < dist_sq):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = spread(mid) < dist_sq
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(spread(top) <= dist_sq, top, 0.5 * (lo + hi))
 
 
 def geodesic_points(frame: GeodesicFrame, users: list, dist_sq: list) -> np.ndarray:
     """Semi-unitary matrices at exactly the squared chordal distances ``dist_sq``
     from the frame's patterns ``users``, reached along each one's random
     geodesic (isotropic error direction), as one (n, M, N) stack; distance 0
-    gives a copy of the pattern. Each bisection is guided by four numpy Newton
-    steps on all users at once from t = sqrt(dist_sq), clipped to the bracket;
-    a guide only saves evaluations, so its bits do not matter."""
+    gives a copy of the pattern."""
     N = frame.patterns.shape[-1]
-    sig, d = frame.sig[users], np.array(dist_sq, dtype=float)
-    sig_t = sig.T
-    hi = np.pi / 2.0 / sig_t[0]
-    guide = np.minimum(np.sqrt(d), hi)
-    with np.errstate(all="ignore"):  # a NaN guide only turns its anchors off
-        for _ in range(4):
-            x = sig_t * guide
-            sin_x = np.sin(x)
-            step = (np.add.reduce(sin_x * sin_x) - d) / np.add.reduce(sig_t * np.sin(x + x))
-            guide = np.minimum(np.maximum(guide - step, 0.0), hi)
-    angles = np.array([
-        s * (_geodesic_time(s, dist, g) if dist else 0.0)
-        for s, dist, g in zip(sig, dist_sq, guide.tolist())
-    ]).reshape(len(users), N)
+    sig = frame.sig[users]
+    angles = sig * _geodesic_times(sig, np.array(dist_sq, dtype=float))[:, None]
     scale = np.zeros((2, len(users), N, N))
     scale[:, :, range(N), range(N)] = np.cos(angles), np.sin(angles)
     V, V_perp, Sg, Rgh = (a[users] for a in (frame.patterns, frame.null_bases, frame.Sg, frame.Rgh))

@@ -9,6 +9,7 @@ after which zero-forcing decoders remove everything in closed form.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -205,6 +206,11 @@ def cell_pairs(K: int) -> list:
     return [(p, r) for p in range(K) for r in range(K) if p != r]
 
 
+def derangement_count(K: int) -> int:
+    """D(K) via the inclusion-exclusion sum, computed in exact integers."""
+    return sum((-1) ** j * math.factorial(K) // math.factorial(j) for j in range(K + 1))
+
+
 @functools.lru_cache(maxsize=1)
 def derangements(K: int) -> np.ndarray:
     """Every strict assignment of K cells: the (D(K), K) providers of each derangement of
@@ -341,12 +347,12 @@ class Potentials:
         ``_gather_plan``, in chunks of SCREEN_CHUNK_BYTES, with one ``certified_factor`` C
         each. The rows Z of M_k^-1 at user (i, k)'s block span its decoders' space; the own
         blocks come last, so C_oo^-H of C's trailing block holds each user's Z up to a unitary
-        on the right, one inverse per station. :class:`CapacityExceeded`, before any
-        factorization, over SCREEN_TABLE_BYTES."""
+        on the right, one inverse per station. :class:`CapacityExceeded` when the gains, the
+        candidates and the plan exceed SCREEN_TABLE_BYTES, before any of them forms."""
         K, L, N_B, d_s = self.cfg.K, self.cfg.L, self.cfg.N_B, self.cfg.d_s
-        n, own, index = len(derangements(K)), L * d_s, np.min_scalar_type(K * (K - 1) * L + K - 2)
+        n, own, index = derangement_count(K), L * d_s, np.min_scalar_type(K * (K - 1) * L + K - 2)
         square = (L * (K - 1) + 1) * d_s == N_B  # else which directions the SVD picks is output
-        size = n * K * (8 * own + square * (L * (K - 1) + 1) * index.itemsize)  # gains and plan
+        size = n * K * (8 * own + 8 + square * (L * (K - 1) + 1) * index.itemsize)
         if size > SCREEN_TABLE_BYTES:
             raise CapacityExceeded(f"the screen of {n} candidates keeps {size} "
                                    f"bytes, over the {SCREEN_TABLE_BYTES}-byte guard")

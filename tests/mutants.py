@@ -64,6 +64,8 @@ BISECTION = "tests/test_feedback.py::TestBisection"
 PER_CHUNK = f"{CENTRAL}::test_screen_equals_the_per_chunk_oracle"
 PLAN = "draw-invariant work out of the screen's draw"
 TABLE = "the centralized screen covers every strict assignment"
+LOCKSTEP = f"{BISECTION}::test_one_call_gives_every_row_its_own_walk"
+ONE_BISECTION = "one lockstep bisection for every emulated user"
 ROW_CEILING_S = 10.0  # a row that takes longer fails: a slow row is fixed when it is added
 WORKERS = min(2, os.cpu_count() or 1)  # pytest processes at once, never more than the cores
 
@@ -215,11 +217,6 @@ MUTANTS = (
            "sum(map(sum, cells))",
            (f"{SHARING}::test_snr_sweep_bit_identical_to_grid_major_loop",),
            "a cell returns its five summary numbers"),
-    Mutant("bisection-anchor-below-zero", "src/giasim/feedback.py",
-           "0.0 < b < hi and spread(b)",
-           "b < hi and spread(b)",
-           ("tests/test_feedback.py::TestBisection::test_nan_and_far_off_guides_give_the_walks_time",),
-           "faster feedback quantization with the same bits"),
     Mutant("fdma-off-a-cross-link", "src/giasim/harness.py",
            "direct = gia.direct_channels(build.ch)",
            "direct = build.ch.H[:, range(cfg.K), 0]",
@@ -403,14 +400,24 @@ MUTANTS = (
            'if log_base == "2":', 'if log_base in (2, "2"):',
            ("tests/test_harness.py::TestSweep::test_unsupported_log_base_rejected_at_construction",),
            TABLE),
-    Mutant("anchor-a-past-the-bracket", "src/giasim/feedback.py",
-           "0.0 < a < hi and spread(a)", "0.0 < a and spread(a)",
-           (f"{BISECTION}::test_anchor_past_the_bracket_is_refused",),
-           "faster feedback quantization with the same bits"),
-    Mutant("anchor-b-without-band", "src/giasim/feedback.py",
-           "spread(b) > dist_sq * (1.0 + 2.0 ** -46)", "spread(b) > dist_sq",
-           (f"{BISECTION}::test_anchor_inside_the_roundoff_band_is_refused",),
-           "faster feedback quantization with the same bits"),
+    # one lockstep bisection for every emulated user, and a guard that counts the candidates
+    Mutant("lockstep-stops-at-the-first-row", "src/giasim/feedback.py",
+           "if ((mid == lo) | (mid == hi)).all():", "if ((mid == lo) | (mid == hi)).any():",
+           (LOCKSTEP,), ONE_BISECTION),
+    Mutant("edge-row-bisected", "src/giasim/feedback.py",
+           "np.where(spread(top) <= dist_sq, top,", "np.where(spread(top) < dist_sq, top,",
+           (LOCKSTEP,), ONE_BISECTION),
+    Mutant("zero-distance-row-bisected", "src/giasim/feedback.py",
+           "top = np.where(dist_sq > 0.0, np.pi / 2.0 / sig[:, 0], 0.0)",
+           "top = np.pi / 2.0 / sig[:, 0]",
+           (LOCKSTEP,), ONE_BISECTION),
+    Mutant("screen-guard-without-the-candidates", "src/giasim/gia.py",
+           "size = n * K * (8 * own + 8 + square", "size = n * K * (8 * own + square",
+           (f"{CENTRAL}::test_search_over_the_byte_guard_forms_no_candidates",), ONE_BISECTION),
+    Mutant("candidates-formed-before-the-screen", "src/giasim/assignment.py",
+           "    count = gia.derangement_count(cfg.K)\n",
+           "    count = len(gia.derangements(cfg.K))\n",
+           (f"{CENTRAL}::test_search_over_the_byte_guard_forms_no_candidates",), ONE_BISECTION),
 )
 
 

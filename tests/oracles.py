@@ -16,7 +16,6 @@ import numpy as np
 from giasim import assignment as asg
 from giasim import feedback as fb
 from giasim import gia, harness
-from giasim.assignment import derangement_count
 from giasim.errors import (
     AlignmentFailure,
     ContractViolation,
@@ -25,7 +24,8 @@ from giasim.errors import (
     RankDeficient,
 )
 from giasim.feedback import Codebook, omega_matrix
-from giasim.gia import ALIGN_TOL, full_precoder, rate_logdet, select_null_basis
+from giasim.gia import (ALIGN_TOL, derangement_count, full_precoder, rate_logdet,
+                        select_null_basis)
 from giasim.linalg import (
     complex_gaussian,
     herm_inv_sqrt,
@@ -736,8 +736,9 @@ def sample_min_distortion(M, N, B, rng):
 
 
 def bisection_walk(sig, dist_sq):
-    """``feedback._geodesic_time`` without its anchors: every midpoint's spread
-    is evaluated, until the midpoint rounds onto an end or 80 steps pass."""
+    """One row of ``feedback._geodesic_times``, walked alone: its own midpoints, with
+    ``math.sin`` summed in order below 8 terms and numpy's sum from 8 on, until the
+    midpoint rounds onto an end or 80 steps pass."""
     sig_list = sig.tolist()
 
     def spread(t):

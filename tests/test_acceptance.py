@@ -16,7 +16,6 @@ from giasim.assignment import (
     Assignment,
     PreferenceProfile,
     breaking_step,
-    derangement_count,
     fca_match,
     fixed_cyclic,
     gale_shapley,
@@ -31,6 +30,7 @@ from giasim.gia import (
     build_potentials,
     build_transceivers,
     cell_pairs,
+    derangement_count,
     derangements,
     full_precoder,
     link_images,

@@ -9,7 +9,6 @@ from giasim.assignment import (
     PreferenceProfile,
     breaking_step,
     build_preferences,
-    derangement_count,
     fca_match,
     fixed_cyclic,
     gale_shapley,
@@ -18,7 +17,8 @@ from giasim.assignment import (
     receiver_preferences,
 )
 from giasim.errors import CapacityExceeded, ContractViolation
-from giasim.gia import build_potentials, build_transceivers, cell_pairs, derangements, user_rate
+from giasim.gia import (build_potentials, build_transceivers, cell_pairs, derangement_count,
+                        derangements, user_rate)
 from giasim.linalg import complex_gaussian, psd_eigvals
 from giasim.system import SystemConfig, draw_channels, trial_rng
 from oracles import (

@@ -41,6 +41,7 @@ from giasim.gia import (
     build_transceivers,
     cell_pairs,
     certified_factor,
+    derangement_count,
     nulling_stacks,
     rate_logdet,
     select_null_basis,
@@ -511,7 +512,7 @@ def test_gather_plan_cache_holds_the_one_plan_the_guard_counts(monkeypatch):
     with pytest.raises(CapacityExceeded, match=r"keeps \d+ bytes") as refused:
         potentials.inverse_gains()
     size = int(str(refused.value).split(" keeps ")[1].split()[0])
-    assert plan.nbytes == size - 8 * len(gia.derangements(K)) * K * L * d_s
+    assert plan.nbytes == size - 8 * len(gia.derangements(K)) * K * (L * d_s + 1)
 
 
 def test_gather_plan_forms_one_station_at_a_time():
@@ -612,9 +613,10 @@ def test_screened_rates_equal_user_rates():
 
 def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypatch):
     # the screen keeps 8 K L d_s bytes of inverse gains per candidate in the
-    # trial's memo, and its cached gather plan K (L (K-1) + 1) block indices per
-    # candidate, one byte each here; it counts both before it gathers or factors
-    # a cell's Gram, and factors the cells of one base station at a time
+    # trial's memo, the candidate's own 8 K bytes in the cached candidate list,
+    # and its cached gather plan K (L (K-1) + 1) block indices per candidate,
+    # one byte each here; it counts all three before it gathers or factors a
+    # cell's Gram, and factors the cells of one base station at a time
     ch = draw_channels(REFERENCE, trial_rng(41, 0))
     potentials = build_potentials(ch, REFERENCE, cell_pairs(REFERENCE.K))
     providers = gia.derangements(REFERENCE.K)
@@ -623,7 +625,7 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     monkeypatch.setattr(gia, "certified_factor",
                         lambda G, finite: factored.append(len(G)) or factor(G, finite))
     K, L, d_s = REFERENCE.K, REFERENCE.L, REFERENCE.d_s
-    values = 8 * len(providers) * K * L * d_s
+    values = 8 * len(providers) * K * (L * d_s + 1)
     size = values + len(providers) * K * (L * (K - 1) + 1)
     monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size - 1)
     with pytest.raises(CapacityExceeded, match=f"{size} bytes"):
@@ -634,6 +636,21 @@ def test_screen_over_the_byte_guard_is_refused_before_any_factorization(monkeypa
     assert factored == [len(providers)] * REFERENCE.K
     plan = gia._gather_plan(K, L)
     assert plan.dtype == np.uint8 and plan.nbytes == size - values
+
+
+def test_search_over_the_byte_guard_forms_no_candidates(monkeypatch):
+    # the search asks for the screen before it reads the candidates, and the
+    # screen's guard counts them: one byte under the count, the search is
+    # refused and the candidate list is never formed
+    K, L, d_s = REFERENCE.K, REFERENCE.L, REFERENCE.d_s
+    ch = draw_channels(REFERENCE, trial_rng(41, 0))
+    potentials = build_potentials(ch, REFERENCE, cell_pairs(K))
+    size = derangement_count(K) * K * (8 * (L * d_s + 1) + L * (K - 1) + 1)
+    monkeypatch.setattr(gia, "SCREEN_TABLE_BYTES", size - 1)
+    gia.derangements.cache_clear()
+    with pytest.raises(CapacityExceeded, match=f"keeps {size} bytes"):
+        centralized_search(ch, REFERENCE, potentials=potentials)
+    assert gia.derangements.cache_info().misses == 0
 
 
 def test_screen_is_finite_at_the_snr_ceiling():

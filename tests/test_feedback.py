@@ -501,22 +501,16 @@ BISECTION_SHAPES = [(8, 2, 700), (6, 2, 600), (10, 2, 600), (5, 1, 600), (6, 3, 
 
 
 def timed_bisections(monkeypatch):
-    """Record (sig, dist_sq, guide, t) of every ``_geodesic_time`` call."""
-    calls, real = [], fb._geodesic_time
+    """Record (sig, dist_sq, t) of every row of every ``_geodesic_times`` call."""
+    rows, real = [], fb._geodesic_times
 
-    def timed(sig, dist_sq, guide):
-        calls.append((sig, dist_sq, guide, real(sig, dist_sq, guide)))
-        return calls[-1][-1]
+    def timed(sig, dist_sq):
+        times = real(sig, dist_sq)
+        rows.extend(zip(sig, dist_sq.tolist(), times.tolist()))
+        return times
 
-    monkeypatch.setattr(fb, "_geodesic_time", timed)
-    return calls
-
-
-def count_sin(monkeypatch):
-    """A list that grows by one at every ``math.sin`` call from now on."""
-    sins, real = [], math.sin
-    monkeypatch.setattr(math, "sin", lambda x: (sins.append(x), real(x))[1])
-    return sins
+    monkeypatch.setattr(fb, "_geodesic_times", timed)
+    return rows
 
 
 class TestBisection:
@@ -537,82 +531,35 @@ class TestBisection:
 
     @pytest.mark.parametrize("M, N, count", BISECTION_SHAPES)
     def test_time_equals_the_unanchored_walk(self, M, N, count, monkeypatch):
-        calls = timed_bisections(monkeypatch)
+        rows = timed_bisections(monkeypatch)
         cases = list(bisection_cases(M, N, count, seed=61))
         stacked_points(cases)
-        assert len(calls) == sum(d > 0.0 for _, d, _ in cases)
-        for sig, d, guide, t in calls:
-            assert float.hex(t) == float.hex(bisection_walk(sig, d)), (M, N, d, guide)
+        assert len(rows) == len(cases)
+        for sig, d, t in rows:
+            walk = bisection_walk(sig, d) if d else 0.0
+            assert float.hex(t) == float.hex(walk), (M, N, d)
 
-    @pytest.mark.parametrize("sig, dist_sq, guide", [
-        # a lands past hi, where spread falls again and is below dist_sq there
-        ((1.0,), 0.5, 2.5),
-        ((0.8, 0.6), 1.5, 3.0),
-    ])
-    def test_anchor_past_the_bracket_is_refused(self, sig, dist_sq, guide):
-        sig = np.array(sig)
-        hi = math.pi / 2.0 / sig[0]
-        a = guide * (1.0 - 2.0 ** -44)
-        assert a > hi and np.sum(np.sin(sig * a) ** 2) < dist_sq
-        assert fb._geodesic_time(sig, dist_sq, guide) == bisection_walk(sig, dist_sq)
-
-    @pytest.mark.parametrize("side", [-1.0, 1.0])
-    def test_anchor_inside_the_roundoff_band_is_refused(self, side, monkeypatch):
-        # dist_sq within 2^-47 of the anchor's spread: the float spread there is
-        # on the anchor's side of dist_sq, but inside the 4 eps band, so the
-        # anchor certifies nothing and the midpoints on its side are evaluated
-        sig, guide = np.array([0.8, 0.6]), 0.5
-        anchor = guide * (1.0 + side * 2.0 ** -44)
-        d = sum(math.sin(s * anchor) * math.sin(s * anchor) for s in sig) * (1.0 - side * 2.0 ** -47)
-        sins = count_sin(monkeypatch)
-        t, anchored_sins = fb._geodesic_time(sig, d, guide), len(sins)
-        assert t == bisection_walk(sig, d)
-        assert anchored_sins > 40, anchored_sins  # about 25 with both anchors kept
-
-    def test_nan_and_far_off_guides_give_the_walks_time(self):
+    def test_one_call_gives_every_row_its_own_walk(self):
+        # rows of every kind in one shuffled call, so that a row which stops
+        # early, or never stops, cannot move another: distance 0, 1e-60 (where
+        # the 80-step cap binds), the spread(hi) = dist_sq edge and one ulp below
         g = np.random.default_rng(62)
         for N in (1, 2, 3, 8):
-            s = np.linalg.svd(complex_gaussian(g, (N + 2, N)), compute_uv=False)
-            sig = s / np.linalg.norm(s)
-            hi = math.pi / 2.0 / sig[0]
-            for d in (1e-20, 0.3 * N, float(np.sum(np.sin(sig * hi) ** 2)) * (1 - 1e-12)):
-                t = bisection_walk(sig, d)
-                for guide in (math.nan, math.inf, -math.inf, 0.0, 5e-324, -t, -2.0 * t,
-                              t * (1 - 1e-3), t * (1 + 1e-3), hi, 10.0 * hi, t):
-                    assert fb._geodesic_time(sig, d, guide) == t, (N, d, guide)
-
-    def test_step_cap_counts_skipped_steps(self):
-        # the guide is right, so all 80 steps are skipped, and the cap ends them
-        sig = np.array([0.8, 0.6])
-        t = fb._geodesic_time(sig, 1e-60, 1e-30)
-        assert t == bisection_walk(sig, 1e-60) == 0.5 * (math.pi / 1.6) * 2.0 ** -80
-
-    def test_anchors_stay_off_at_the_underflow_guard(self, monkeypatch):
-        sig = np.array([0.8, 0.6])
-        sins = count_sin(monkeypatch)
-        for d, anchored in ((2.0 ** -900, False), (2.0 ** -899, True)):
-            t, anchored_sins = fb._geodesic_time(sig, d, math.sqrt(d)), len(sins)
-            assert t == bisection_walk(sig, d)
-            walk_sins = len(sins) - anchored_sins
-            assert anchored_sins < walk_sins if anchored else anchored_sins == walk_sins
-            sins.clear()
-
-    def test_anchors_skip_most_steps_on_a_bit_sweep_case(self, monkeypatch):
-        # the reference shape G(8, 2) at the per-user counts of 300 to 500 bits
-        g = np.random.default_rng(63)
-        V = np.array([random_subspace(8, 2, g) for _ in range(16)])
-        bits = [int(b) for b in g.integers(30, 70, len(V))]
-        anchored = fb._geodesic_time
-        calls = timed_bisections(monkeypatch)
-        model_quantize(frame_of(V, [g] * len(V)), list(range(len(V))), bits)
-        sins = count_sin(monkeypatch)
-        for sig, d, guide, _ in calls:
-            anchored(sig, d, guide)
-            assert len(sins) <= 30, (d, guide)
-            sins.clear()
-            bisection_walk(sig, d)
-            assert len(sins) > 90, d
-            sins.clear()
+            rows = [(np.array([0.8, 0.6]), 1e-60)] if N == 2 else []
+            for _ in range(4):
+                s = np.linalg.svd(complex_gaussian(g, (N + 2, N)), compute_uv=False)
+                sig = s / np.linalg.norm(s)
+                edge = float(np.sum(np.sin(sig * (math.pi / 2.0 / sig[0])) ** 2))
+                for d in (0.0, 1e-60, 1e-20, 0.3 * N, edge, float(np.nextafter(edge, 0.0))):
+                    rows.append((sig, d))
+            rows = [rows[i] for i in g.permutation(len(rows))]
+            sig, d = np.array([s for s, _ in rows]), np.array([d for _, d in rows])
+            times = fb._geodesic_times(sig, d).tolist()
+            for (s, dist), t in zip(rows, times):
+                walk = bisection_walk(s, dist) if dist else 0.0
+                assert float.hex(t) == float.hex(walk), (N, s, dist)
+                if N == 2 and s.tolist() == [0.8, 0.6]:
+                    assert t == 0.5 * (math.pi / 1.6) * 2.0 ** -80  # the cap, not the stop
 
     def test_cheapest_table_entry_recomputes_exactly(self):
         M, N = min(fb._SMALL_BALL, key=lambda shape: shape[0] * shape[1])
