@@ -561,6 +561,37 @@ class TestBisection:
                 if N == 2 and s.tolist() == [0.8, 0.6]:
                     assert t == 0.5 * (math.pi / 1.6) * 2.0 ** -80  # the cap, not the stop
 
+    def test_nan_and_far_off_guides_give_the_walks_time(self):
+        # rows at NaN and far-off distances share the call with each real row:
+        # they end at once or at an end of the bracket, and the real row still
+        # takes its own walk's time
+        g = np.random.default_rng(62)
+        for N in (1, 2, 3, 8):
+            s = np.linalg.svd(complex_gaussian(g, (N + 2, N)), compute_uv=False)
+            sig = s / np.linalg.norm(s)
+            hi = math.pi / 2.0 / sig[0]
+            edge = float(np.sum(np.sin(sig * hi) ** 2))
+            odd = (math.nan, math.inf, -math.inf, 5e-324, -1.0, 2.0 * edge, float(N + 1))
+            for d in (1e-20, 0.3 * N, edge * (1 - 1e-12)):
+                dist = np.array([d, *odd])
+                times = fb._geodesic_times(np.tile(sig, (len(dist), 1)), dist)
+                assert times[0] == bisection_walk(sig, d), (N, d)
+                for far, t in zip(dist[1:], times[1:]):
+                    if far > edge:
+                        assert t == hi, (N, far)
+                    elif far <= 0.0:
+                        assert t == 0.0, (N, far)
+
+    def test_step_cap_counts_skipped_steps(self):
+        # the row never reaches the early stop, so the 80-step cap ends it,
+        # alone or beside rows that stop at once
+        sig = np.array([0.8, 0.6])
+        capped = 0.5 * (math.pi / 1.6) * 2.0 ** -80
+        assert bisection_walk(sig, 1e-60) == capped
+        assert fb._geodesic_times(sig[None], np.array([1e-60])).tolist() == [capped]
+        rows = np.array([sig, sig, sig])
+        assert fb._geodesic_times(rows, np.array([0.0, 1e-60, 0.3]))[1] == capped
+
     def test_cheapest_table_entry_recomputes_exactly(self):
         M, N = min(fb._SMALL_BALL, key=lambda shape: shape[0] * shape[1])
         assert fb._calibrate_small_ball.__wrapped__(M, N) == fb._SMALL_BALL[(M, N)]
